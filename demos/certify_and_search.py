@@ -1,13 +1,13 @@
 """
-Certificates: verify, search, falsify
-=====================================
+Certificates: verify, search, decide uniqueness
+===============================================
 
 The convergence argument for the cubic observer rests on three numeric
 checks: a Lyapunov LMI block must be negative definite, the cubic-gain
 condition P N C + C'N'P <= 0 must hold, and the error dynamics must admit
 no spurious equilibrium.  This script runs all three on the bundled system,
-then searches for a certificate from scratch, and finally shows the
-falsifier catching a deliberately bad gain.
+then searches for a certificate from scratch, and finally shows the exact
+uniqueness decision catching a deliberately bad gain.
 """
 
 import numpy as np
@@ -34,8 +34,10 @@ print("N-condition matrix:\n", ncond.matrix)
 print("classification:", ncond.classification)
 print("identity residual:", ncond.identity_residual)
 
-# 3. Equilibrium uniqueness.  Because N has the certified closed form
-# -alpha P^-1 C' theta, no search is needed: the verdict is structural.
+# 3. Equilibrium uniqueness.  A nonzero rest point lies on a ray through a
+# real eigenvector of the pencil (G, -N C), so one QZ decomposition decides
+# the question.  Passing P and alpha also checks that N has the certified
+# closed form -alpha P^-1 C' theta; the verdict is then "guaranteed".
 verdict = cert.check_equilibrium_uniqueness(
     obs.G, obs.N, plant.C, obs.theta,
     cert.EquilibriumSearchOptions(P=crt.P, alpha=obs.alpha),
@@ -55,8 +57,8 @@ print("derived cubic gain N =\n", N)
 
 # Now break things on purpose: a sign-flipped gain makes the origin lose
 # uniqueness.  With G = -I, N = [1; 0], C = [1 0], theta = 1 the equilibrium
-# equation -v1 + v1^3 = 0 has the nonzero root v1 = 1, and the falsifier
-# finds it.
+# equation -v1 + v1^3 = 0 has the nonzero root v1 = 1: the pencil eigenvalue
+# lam = 1 with eigenvector (1, 0) gives it, verified by its residual.
 bad = cert.check_equilibrium_uniqueness(
     -np.eye(2), [[1.0], [0.0]], [[1.0, 0.0]], [[1.0]]
 )

@@ -23,9 +23,11 @@ dissipative on the measured subspace and inactive off it) instead of
 failing it.
 
 Finally, the error dynamics ``e' = G e - (e'C' theta C e) N C e + mismatch``
-must have the origin as their only equilibrium.  With the closed-form gain
-this holds by construction; for arbitrary gains a randomized falsification
-search looks for a nonzero ``v`` with ``G v + (v'C' theta C v) N C v = 0``.
+must have the origin as their only equilibrium.  A nonzero ``v`` with
+``G v + (v'C' theta C v) N C v = 0`` lies on a ray through a real eigenvector
+of the pencil ``(G, -N C)`` or through the kernel of ``G``, so one QZ
+decomposition decides the question exactly, for any gain: it either returns
+a verified equilibrium or proves there is none.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
-from scipy.optimize import minimize
+from scipy.linalg import eig, solve_continuous_lyapunov
+# unused here, but benchmark tracing patches cert.minimize to count objective
+# evaluations, so the name must stay importable from this module
+from scipy.optimize import minimize  # noqa: F401
 
 from .model import Certificate, Lipschitz, LipschitzSpec, OneSidedLipschitz
 from .numlin import as_matrix, definiteness_margin, sym_eig_extremes
@@ -223,66 +227,105 @@ COUNTEREXAMPLE = "counterexample"
 
 @dataclass(frozen=True)
 class EquilibriumVerdict:
-    """Verdict on whether the unforced error dynamics can rest off the origin.
+    """Proven verdict on whether the unforced error dynamics rest off the origin.
 
-    ``status`` is one of :data:`GUARANTEED` (gain has the certified closed
-    form, so no nonzero equilibrium exists), :data:`NO_COUNTEREXAMPLE`
-    (falsification search found nothing within budget), or
-    :data:`COUNTEREXAMPLE` (``v`` is a nonzero near-equilibrium with
-    normalized residual ``residual <= tol``).
+    ``status`` is one of :data:`GUARANTEED` (no nonzero equilibrium exists,
+    and the gain has the certified closed form for the supplied ``P``),
+    :data:`NO_COUNTEREXAMPLE` (no nonzero equilibrium exists), or
+    :data:`COUNTEREXAMPLE` (``v`` is a nonzero equilibrium with normalized
+    residual ``residual <= tol``).
     """
 
     status: str
     v: np.ndarray | None = None
     residual: float | None = None
-    directions_tried: int = 0
     note: str = ""
 
 
 @dataclass(frozen=True)
 class EquilibriumSearchOptions:
+    # seed, directions and refine_iters are accepted for compatibility and
+    # ignored: the decision is deterministic and exhaustive.
     seed: int = 0
     directions: int = 48
     refine_iters: int = 60
     tol: float = 1e-8
     # When the gain is claimed to come from cubic_gain, pass the P and alpha
-    # that produced it; the claim is checked and, if it holds, the search is
-    # skipped because the closed form excludes nonzero equilibria.
+    # that produced it; a proven-unique verdict is then reported as
+    # GUARANTEED if the claim holds.
     P: np.ndarray | None = None
     alpha: float | None = None
 
 
-def _equilibrium_map(G, K, NC):
-    """Return f(v) = G v + (v'K v) NC v and the per-direction residual."""
+# Relative size below which a singular value, a homogeneous eigenvalue
+# coordinate or s'Ks counts as zero.  QZ and SVD rounding stays under ~200 eps
+# for these sizes, while the badly scaled pencils of rotated coordinates keep
+# genuine values above ~1e-10 (a tolerance like 1e-8 misses real equilibria).
+_ZERO_RTOL = 1e-12
 
-    def residual_and_candidate(s: np.ndarray):
-        # Along a ray v = r s with |s| = 1, the equilibrium equation divided
-        # by r reads  G s + r^2 (s'K s) NC s = 0; solve for r^2 >= 0 in least
-        # squares and report the minimal residual plus the candidate v.
-        gs = G @ s
-        cw = float(s @ K @ s) * (NC @ s)
-        ncw = float(np.linalg.norm(cw))
-        if ncw <= 1e-14:
-            # cubic term inactive along s: equilibria need G s = 0, any radius
-            return float(np.linalg.norm(gs + cw)), s.copy()
-        t = -float(gs @ cw) / (ncw * ncw)
-        if t <= 0.0:
-            # best radius is zero; no nonzero equilibrium along this ray
-            return float(np.linalg.norm(gs)), None
-        return float(np.linalg.norm(gs + t * cw)), np.sqrt(t) * s
 
-    return residual_and_candidate
+def _kernel(M: np.ndarray) -> np.ndarray:
+    """Right singular vectors of ``M`` with singular value ``<= _ZERO_RTOL``
+    times the largest, as columns; always at least the least singular one."""
+    _, s, Vt = np.linalg.svd(M)
+    k = max(1, M.shape[1] - int(np.count_nonzero(s > _ZERO_RTOL * s[0])))
+    return Vt[-k:].T
+
+
+def _equilibrium_candidates(G, K, NC):
+    """Yield ``(v, origin)`` for every candidate nonzero equilibrium, unverified.
+
+    ``v = r s`` solves ``G v + (v'Kv) NC v = 0`` iff ``G s = -lam NC s`` with
+    ``lam = r^2 s'Ks``.  For ``lam = 0``, ``s`` is in the kernel of ``G`` with
+    ``s'Ks = 0`` or ``NC s = 0``.  Otherwise ``lam`` is a real finite
+    eigenvalue of the pencil ``(G, -NC)`` and ``lam s'Ks > 0`` for some ``s``
+    in its eigenspace.  A singular pencil has a polynomial kernel vector
+    ``s(lam)``; when ``K >= 0`` and ``s(0)'K s(0) > 0``, ``s(lam)'K s(lam)``
+    has at most ``2n`` roots, so one of ``2n + 1`` positive samples of ``lam``
+    yields an equilibrium (negative samples serve an indefinite ``theta``).
+    """
+    n = G.shape[0]
+    tiny = _ZERO_RTOL * (np.linalg.norm(G) + np.linalg.norm(NC))
+    k_tiny = _ZERO_RTOL * np.linalg.norm(K)
+
+    W = _kernel(G)
+    mus, U = np.linalg.eigh(W.T @ K @ W)
+    yield W @ U[:, np.argmin(np.abs(mus))], "kernel of G, v'Kv = 0"
+    if mus[0] < 0.0 < mus[-1]:
+        u = np.sqrt(mus[-1]) * U[:, 0] + np.sqrt(-mus[0]) * U[:, -1]
+        yield W @ u, "kernel of G, v'Kv = 0"
+    yield W @ _kernel(NC @ W)[:, -1], "kernel of G and of N C"
+
+    (alpha, beta), _ = eig(G, -NC, homogeneous_eigvals=True)
+    # |beta| <= tiny is an infinite eigenvalue (NC has rank <= n_y < n), which
+    # QZ otherwise returns as a spurious finite value of size ~1/eps;
+    # |alpha| <= tiny is the kernel of G, examined above.  A real double
+    # eigenvalue can come back as a close complex pair, so the real part of
+    # every finite eigenvalue is tried; verification rejects the rest.
+    finite = (np.abs(beta) > tiny) & (np.abs(alpha) > tiny)
+    lams = list(np.unique((alpha[finite] / beta[finite]).real))
+    if NC.any() and np.any((np.abs(alpha) <= tiny) & (np.abs(beta) <= tiny)):
+        span = np.linalg.norm(G) / np.linalg.norm(NC)
+        lams += [sign * k * span for k in range(1, 2 * n + 2) for sign in (1.0, -1.0)]
+    for lam in lams:
+        V = _kernel(G + lam * NC)
+        mus, U = np.linalg.eigh(V.T @ K @ V)
+        for mu, u in zip(mus, U.T):
+            if lam * mu > 0.0 and abs(mu) > k_tiny:
+                yield np.sqrt(lam / mu) * (V @ u), f"pencil eigenvalue {lam:.6g}"
 
 
 def check_equilibrium_uniqueness(G, N, C, theta,
                                  opts: EquilibriumSearchOptions | None = None
                                  ) -> EquilibriumVerdict:
-    """Decide (or attempt to falsify) uniqueness of the zero equilibrium.
+    """Decide uniqueness of the zero equilibrium of ``e' = G e - (e'Ke) N C e``.
 
-    When the cubic map vanishes identically (``theta``, ``N``, or ``C``
-    zero) the condition reduces to the kernel of ``G`` and the answer is
-    exact.  Otherwise a seeded multistart search over unit directions looks
-    for a counterexample; any returned counterexample satisfies
+    With ``K = C' theta C``, every nonzero equilibrium lies on a ray through
+    a real eigenvector of the pencil ``(G, -N C)`` (solved by QZ), through the
+    kernel of ``G``, or in the kernel of a singular pencil.  All of them are
+    examined, so the verdict is exhaustive up to rounding; only
+    ``opts.tol`` and the ``P``/``alpha`` hint are read from ``opts``.  Any
+    returned counterexample satisfies
     ``|G v + (v'C' theta C v) N C v| <= tol * |v|``.
     """
     if opts is None:
@@ -291,9 +334,17 @@ def check_equilibrium_uniqueness(G, N, C, theta,
     N = as_matrix(N, "N")
     C = as_matrix(C, "C")
     theta = as_matrix(theta, "theta")
-    n = G.shape[0]
-    if G.shape[1] != n:
+    if G.shape[1] != G.shape[0]:
         raise ValueError("G must be square")
+    K = C.T @ theta @ C
+    K = 0.5 * (K + K.T)
+    NC = N @ C
+
+    for v, note in _equilibrium_candidates(G, K, NC):
+        nv = float(np.linalg.norm(v))
+        full = float(np.linalg.norm(G @ v + float(v @ K @ v) * (NC @ v)))
+        if nv > 0.0 and full <= opts.tol * nv:
+            return EquilibriumVerdict(COUNTEREXAMPLE, v=v, residual=full / nv, note=note)
 
     if opts.P is not None and opts.alpha is not None:
         try:
@@ -305,89 +356,13 @@ def check_equilibrium_uniqueness(G, N, C, theta,
             if float(np.max(np.abs(N - expected))) <= 1e-8 * scale:
                 return EquilibriumVerdict(
                     GUARANTEED,
-                    note="gain matches -alpha P^{-1} C' theta for the given SPD P",
+                    note="gain matches -alpha P^{-1} C' theta for the given SPD P; "
+                         "exhaustive pencil check found no nonzero equilibrium",
                 )
-
-    K = C.T @ theta @ C
-    cubic_vanishes = (
-        float(np.max(np.abs(theta), initial=0.0)) == 0.0
-        or float(np.max(np.abs(N), initial=0.0)) == 0.0
-        or float(np.max(np.abs(C), initial=0.0)) == 0.0
+    return EquilibriumVerdict(
+        NO_COUNTEREXAMPLE,
+        note="exhaustive pencil check found no nonzero equilibrium",
     )
-    if cubic_vanishes:
-        # exact: equilibria are exactly ker(G)
-        _, s, Vt = np.linalg.svd(G)
-        smin = float(s[-1])
-        if smin <= opts.tol * max(1.0, float(s[0])):
-            v = Vt[-1]
-            residual = float(np.linalg.norm(G @ v))
-            if residual <= opts.tol:
-                return EquilibriumVerdict(
-                    COUNTEREXAMPLE, v=v, residual=residual,
-                    note="cubic term vanishes; kernel vector of G",
-                )
-        return EquilibriumVerdict(
-            NO_COUNTEREXAMPLE,
-            note="cubic term vanishes identically; linear kernel check is exhaustive",
-        )
-
-    NC = N @ C
-    residual_and_candidate = _equilibrium_map(G, K, NC)
-
-    big = 1e9 * (1.0 + float(np.linalg.norm(G)))
-
-    def objective(z: np.ndarray) -> float:
-        # scale-invariant in z; collapsing toward zero must look bad
-        nz = float(np.linalg.norm(z))
-        if nz < 1e-9:
-            return big
-        return residual_and_candidate(z / nz)[0]
-
-    rng = np.random.default_rng(opts.seed)
-    starts = [rng.standard_normal(n) for _ in range(opts.directions)]
-    # near-kernel directions of G are the natural suspects; seed them too
-    _, _, Vt = np.linalg.svd(G)
-    starts.extend(Vt)
-    starts.extend(-Vt)
-
-    best_res = np.inf
-    best_v = None
-    tried = 0
-    for s0 in starts:
-        nrm = float(np.linalg.norm(s0))
-        if nrm == 0.0:
-            continue
-        tried += 1
-        res = minimize(
-            objective,
-            s0 / nrm,
-            method="Nelder-Mead",
-            options={"maxiter": opts.refine_iters, "xatol": 1e-12, "fatol": 1e-14},
-        )
-        z = res.x
-        nz = float(np.linalg.norm(z))
-        if nz < 1e-12:
-            continue
-        r, v = residual_and_candidate(z / nz)
-        if v is not None and r < best_res:
-            best_res = r
-            best_v = v
-        if best_res <= 0.1 * opts.tol:
-            break
-
-    if best_v is not None:
-        nv = float(np.linalg.norm(best_v))
-        if nv > 0:
-            full = float(
-                np.linalg.norm(G @ best_v + float(best_v @ K @ best_v) * (NC @ best_v))
-            )
-            if full <= opts.tol * nv:
-                return EquilibriumVerdict(
-                    COUNTEREXAMPLE, v=best_v, residual=full / nv,
-                    directions_tried=tried,
-                )
-    return EquilibriumVerdict(NO_COUNTEREXAMPLE, directions_tried=tried,
-                              residual=best_res if np.isfinite(best_res) else None)
 
 
 # --- feasibility search ---------------------------------------------------

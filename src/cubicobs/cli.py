@@ -21,6 +21,10 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
 
+# structural residuals above this, relative to the largest entry of the
+# matrices involved, mean the LMI does not describe the stored observer
+STRUCTURE_RTOL = 1e-9
+
 
 def parse_matrix_flag(text: str) -> np.ndarray:
     """Parse ``"[1 2; 3 4]"`` (rows split on ';', entries on spaces/commas)."""
@@ -56,10 +60,11 @@ def cmd_design(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     plant = cfg.plant
-    if not design.decoupling_feasible(plant.C, plant.D):
-        print("decoupling infeasible: rank(CD) != rank(D)", file=sys.stderr)
+    try:
+        E = design.compute_E(plant.C, plant.D)
+    except design.DecouplingInfeasibleError as exc:
+        print(f"decoupling infeasible: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
-    E = design.compute_E(plant.C, plant.D)
     if args.L is not None:
         try:
             L = parse_matrix_flag(args.L)
@@ -126,6 +131,10 @@ def cmd_certify(args) -> int:
             print("error: --check-only needs a certificate block", file=sys.stderr)
             return EXIT_CONFIG_ERROR
         crt = cfg.certificate
+        mats = (plant.A, plant.C, plant.D, obs.E, obs.G, obs.J)
+        res_syl, res_dec = design.verify_structure(*mats)
+        scale = max(1.0, *(float(np.max(np.abs(M), initial=0.0)) for M in mats))
+        structure_ok = max(res_syl, res_dec) <= STRUCTURE_RTOL * scale
         try:
             if crt.beta is not None:
                 if not isinstance(mode, model.Lipschitz):
@@ -154,8 +163,10 @@ def cmd_certify(args) -> int:
         ncond = cert.verify_N_condition(crt.P, obs.N, plant.C, obs.theta, obs.alpha)
         verdict = cert.check_equilibrium_uniqueness(
             obs.G, obs.N, plant.C, obs.theta,
-            cert.EquilibriumSearchOptions(seed=args.seed, P=crt.P, alpha=obs.alpha),
+            cert.EquilibriumSearchOptions(P=crt.P, alpha=obs.alpha),
         )
+        print(f"residual_sylvester={res_syl:.3e}")
+        print(f"residual_decoupling={res_dec:.3e}")
         print(f"lmi_margin={lmi_margin:.6e}")
         print(f"n_margin={ncond.margin:.6e}")
         print(f"n_classification={ncond.classification}")
@@ -163,7 +174,8 @@ def cmd_certify(args) -> int:
             print("warning: cubic-gain condition holds only semidefinitely")
         _print_verdict(verdict)
         ok = (
-            lmi_margin < 0
+            structure_ok
+            and lmi_margin < 0
             and ncond.classification in ("strict", "semidefinite-pass")
             and verdict.status != cert.COUNTEREXAMPLE
         )
@@ -185,7 +197,7 @@ def cmd_certify(args) -> int:
     ncond = cert.verify_N_condition(found.P, N, plant.C, obs.theta, alpha)
     verdict = cert.check_equilibrium_uniqueness(
         obs.G, N, plant.C, obs.theta,
-        cert.EquilibriumSearchOptions(seed=args.seed, P=found.P, alpha=alpha),
+        cert.EquilibriumSearchOptions(P=found.P, alpha=alpha),
     )
     cfg.observer = model.ObserverParams(
         G=obs.G, J=obs.J, E=obs.E, N=N, theta=obs.theta, alpha=alpha

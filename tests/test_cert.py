@@ -244,6 +244,65 @@ def test_equilibrium_no_false_alarm_on_contractive_gain():
     assert verdict.status == NO_COUNTEREXAMPLE
 
 
+def test_equilibrium_closed_form_hint_is_not_a_shortcut():
+    # N has the closed form for P = I, but PG + G'P = 2I is not negative:
+    # v - v1^2 (v1, 0) = 0 rests at v = (+-1, 0), so the hint must not help
+    Pi = np.eye(2)
+    N = cubic_gain(Pi, C, np.eye(1), 1.0)
+    verdict = check_equilibrium_uniqueness(
+        np.eye(2), N, C, np.eye(1), EquilibriumSearchOptions(P=Pi, alpha=1.0)
+    )
+    assert verdict.status == COUNTEREXAMPLE
+    assert abs(abs(verdict.v[0]) - 1.0) <= 1e-8 and abs(verdict.v[1]) <= 1e-8
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_equilibrium_recall_on_planted_equilibria(n):
+    # N = N0 - (G v + k N0 C v)(C v)'/k^2 with k = v'Kv makes v rest; an
+    # orthogonal change of coordinates must not hide it
+    rng = np.random.default_rng(100 + n)
+    for _ in range(6):
+        n_y = int(rng.integers(1, n))
+        Gm = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+        Cm = rng.standard_normal((n_y, n))
+        v = rng.standard_normal(n)
+        v *= rng.uniform(0.5, 2.0) / np.linalg.norm(v)
+        Cv = Cm @ v
+        k = float(Cv @ Cv)
+        N0 = 0.1 * rng.standard_normal((n, n_y))
+        Nm = N0 - np.outer(Gm @ v + k * (N0 @ Cv), Cv) / (k * k)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        Gq, Nq, Cq = Q.T @ Gm @ Q, Q.T @ Nm, Cm @ Q
+        verdict = check_equilibrium_uniqueness(Gq, Nq, Cq, np.eye(n_y))
+        assert verdict.status == COUNTEREXAMPLE
+        w = verdict.v
+        K = Cq.T @ Cq
+        res = np.linalg.norm(Gq @ w + float(w @ K @ w) * (Nq @ Cq @ w))
+        assert res <= 1e-8 * np.linalg.norm(w)
+
+
+def test_equilibrium_decides_acceptance_sweep_exactly():
+    # acceptance 10's sweep: 27 of the 40 systems have a nonzero equilibrium
+    rng = np.random.default_rng(77)
+    found = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 4))
+        p = int(rng.integers(1, n + 1))
+        Gm = rng.standard_normal((n, n))
+        Nm = rng.standard_normal((n, p))
+        Cm = rng.standard_normal((p, n))
+        R = rng.standard_normal((p, p))
+        theta = R @ R.T + 0.1 * np.eye(p)
+        verdict = check_equilibrium_uniqueness(Gm, Nm, Cm, theta)
+        if verdict.status == COUNTEREXAMPLE:
+            found += 1
+            assert verdict.residual <= 1e-8
+        else:
+            assert verdict.status == NO_COUNTEREXAMPLE
+            assert "exhaustive" in verdict.note
+    assert found == 27
+
+
 # --- certificate search ---------------------------------------------------
 
 def test_search_P_certifies_published_system():

@@ -91,6 +91,26 @@ def test_design_infeasible_channel(configs, tmp_path, capsys):
     assert "rank(CD)" in capsys.readouterr().err
 
 
+def test_design_borderline_rank_is_an_infeasible_exit(tmp_path, capsys):
+    # sigma_min(CD) / sigma_max(CD) = 1e-9 passes the rank test, but
+    # E = D (CD)^+ then leaves (I - EC) D at ~4e-8, which compute_E rejects
+    doc = {
+        "n": 3, "n_u": 0, "n_y": 2, "n_g": 2,
+        "A": [[-1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -3.0]],
+        "C": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        "D": [[1.0, 1.0], [1.0, 1.0 + 4e-9], [0.0, 1.0]],
+        "delta": [], "tau": [],
+        "f_u": ["0", "0", "0"], "f_g": ["0", "0"], "f_L": ["0", "0", "0"],
+        "lipschitz": {"gamma": 1.0},
+    }
+    cfg = tmp_path / "borderline.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["design", "--config", str(cfg),
+                 "--L", "[1 0; 0 1; 0 0]", "--out", str(tmp_path / "x.json")])
+    assert code == EXIT_VERIFICATION_FAILED
+    assert "rank(CD)" in capsys.readouterr().err
+
+
 def test_design_malformed_expression(configs, tmp_path, capsys):
     doc = json.loads(configs["nominal"].read_text())
     doc["f_L"][0] = "x1 +"
@@ -134,6 +154,28 @@ def test_certify_check_only_published(configs, capsys):
     assert margin < 0
     assert "n_classification=semidefinite-pass" in out
     assert "equilibrium=guaranteed" in out
+
+
+def test_certify_check_only_checks_structure(configs, tmp_path, capsys):
+    with pytest.warns(RuntimeWarning, match="semidefinite"):
+        assert main(["certify", "--config", str(configs["nominal"]),
+                     "--check-only"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "residual_sylvester=0.000e+00" in out
+    assert "residual_decoupling=0.000e+00" in out
+
+    # the LMI still holds for an edited G, but T A - J C - G T != 0 means it
+    # no longer describes the observer's error dynamics
+    doc = json.loads(configs["nominal"].read_text())
+    doc["observer"]["G"] = [[-10.0, 0.0], [1.0, -12.0]]
+    edited = tmp_path / "edited_G.json"
+    edited.write_text(json.dumps(doc))
+    with pytest.warns(RuntimeWarning, match="semidefinite"):
+        code = main(["certify", "--config", str(edited), "--check-only"])
+    assert code == EXIT_VERIFICATION_FAILED
+    out = capsys.readouterr().out
+    assert float(out.split("residual_sylvester=")[1].splitlines()[0]) >= 0.5
+    assert float(out.split("lmi_margin=")[1].splitlines()[0]) < 0
 
 
 def test_certify_check_only_needs_certificate(configs, tmp_path, capsys):
