@@ -23,6 +23,15 @@ same grammar with the single extra variable ``t`` (see
 Evaluation is strict about arithmetic: division by zero, overflow, and any
 non-finite result raise :class:`ExprEvalError` instead of propagating
 ``inf``/``nan`` into an integrator.
+
+:func:`evaluate` walks the tree and is the reference semantics.  Hot loops
+use :func:`compile_vector` instead: it turns a vector of expressions into
+one generated Python function ``(x, u, y, t) -> tuple`` that performs the
+same float operations in the same order, so its values are bit-equal to
+:func:`evaluate`'s.  The generated code checks finiteness once per vector;
+on any failure (division by zero, overflow, a domain error, a non-finite
+component) it re-runs :func:`evaluate` on the whole vector, which raises
+the same :class:`ExprEvalError`, with the same message, as a tree walk.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ __all__ = [
     "parse",
     "parse_input_signal",
     "evaluate",
+    "compile_vector",
     "unparse",
     "variables",
 ]
@@ -421,6 +431,99 @@ def _eval(e: Expr, env: EvalEnv) -> float:
             except (OverflowError, ValueError) as exc:
                 raise ExprEvalError(f"{func} failed: {exc}") from None
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# --- compilation ---------------------------------------------------------
+
+# names the generated code may use besides its arguments and locals
+_CODEGEN_GLOBALS = {**_FUNC_IMPL, "isfinite": math.isfinite, "inf": math.inf,
+                    "nan": math.nan}
+
+
+def _emit(e: Expr, lines: list[str], bound: dict[Var, str]) -> str:
+    """Append statements computing ``e``; return the name or literal holding it.
+
+    Every inner node gets its own local, so the generated source never
+    nests deeper than one operator however deep the tree is.
+    """
+    match e:
+        case Num(value):
+            return f"({value!r})"  # repr round-trips; inf and nan are globals
+        case TimeVar():
+            return "t"
+        case Var():
+            return bound[e]
+        case Neg(arg):
+            rhs = f"-{_emit(arg, lines, bound)}"
+        case BinOp(op, left, right):
+            a = _emit(left, lines, bound)
+            op = op if op in ("+", "-", "*") else "/"  # as _eval reads it
+            rhs = f"{a} {op} {_emit(right, lines, bound)}"
+        case Pow(base, exponent):
+            rhs = f"{_emit(base, lines, bound)} ** {exponent:d}"
+        case Call(func, arg):
+            if func not in _FUNC_IMPL:
+                raise ExprError(f"unknown function {func!r}")
+            rhs = f"{func}({_emit(arg, lines, bound)})"
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+    name = f"_{len(lines)}"
+    lines.append(f"{name} = {rhs}")
+    return name
+
+
+def compile_vector(exprs: Sequence[Expr]) -> Callable[..., tuple[float, ...]]:
+    """Compile expressions into one function ``f(x, u, y, t) -> tuple``.
+
+    ``x`` is the state vector, ``u[slot]`` and ``y[slot]`` the input and
+    output vectors at each delay slot (0 = undelayed), ``t`` the time;
+    signals the expressions do not reference may be ``None``.  The result
+    equals ``tuple(evaluate(e, env) for e in exprs)`` for the matching
+    :class:`EvalEnv`, bit for bit, and every failure raises the
+    :class:`ExprEvalError` that :func:`evaluate` raises.  A call to a
+    function outside the grammar raises :class:`ExprError` here.
+    """
+    exprs = tuple(exprs)
+
+    def reference(x, u, y, t):
+        env = EvalEnv(x=x, u_at=None if u is None else u.__getitem__,
+                      y_at=None if y is None else y.__getitem__, t=t)
+        return tuple(evaluate(e, env) for e in exprs)
+
+    bound: dict[Var, str] = {}
+    loads: list[str] = []
+    for e in exprs:
+        for ref in variables(e):
+            if ref in bound:
+                continue
+            if ref.kind == "x":
+                name, item = f"x{ref.index:d}", f"x[{ref.index - 1:d}]"
+            else:
+                vec = "u" if ref.kind == "u" else "y"  # as _eval reads it
+                name = f"{vec}{ref.index:d}_{ref.slot:d}"
+                item = f"{vec}[{ref.slot:d}][{ref.index - 1:d}]"
+            bound[ref] = name
+            # like evaluate(): numpy scalars become Python floats, whose
+            # arithmetic raises on division by zero and overflow
+            loads.append(f"{name} = float({item})")
+    lines: list[str] = []
+    results = [_emit(e, lines, bound) for e in exprs]
+    body = loads + lines
+    if results:
+        # v - v is 0.0 for finite v and nan otherwise: one check per vector
+        check = " + ".join(f"{r} - {r}" for r in results)
+        body.append(f"if isfinite({check}):")
+        body.append(f"    return ({', '.join(results)},)")
+    else:
+        body.append("return ()")
+    src = "def _vector(x, u, y, t):\n    try:\n" + "".join(
+        f"        {line}\n" for line in body
+    ) + ("    except (ArithmeticError, ValueError, LookupError, TypeError):\n"
+         "        pass\n"
+         "    return _reference(x, u, y, t)\n")
+    namespace = {**_CODEGEN_GLOBALS, "_reference": reference}
+    exec(compile(src, "<exprlang.compile_vector>", "exec"), namespace)
+    return namespace["_vector"]
 
 
 # --- printing ------------------------------------------------------------

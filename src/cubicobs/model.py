@@ -521,15 +521,14 @@ def config_from_dict(doc: dict) -> SystemConfig:
     dims = SignalDims(n=n, n_u=n_u, n_y=n_y, n_delta=len(delta), n_tau=len(tau))
 
     f_u = _as_exprs(_need(doc, "f_u"), n, dims, "f_u")
-    for i, e in enumerate(f_u):
-        for ref in variables(e):
-            if ref.kind == "x":
-                raise ConfigError(f"f_u[{i}]: f_u must not reference state")
     f_g = _as_exprs(_need(doc, "f_g"), n_g, dims, "f_g")
     f_L = _as_exprs(_need(doc, "f_L"), n, dims, "f_L")
 
     plant = PlantModel(A=A, C=C, D=D, n_u=n_u, delta=delta, tau=tau,
                        f_u=f_u, f_g=f_g, f_L=f_L)
+    for v in validate(plant):
+        if v.name == "f_u-state-ref":
+            raise ConfigError(v.message)
 
     lip = _need(doc, "lipschitz")
     if not isinstance(lip, dict):

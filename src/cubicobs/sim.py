@@ -11,12 +11,18 @@ against the *design* model's expressions and delays, reconstructing
 differ; that mismatch is exactly what the cubic term is there to absorb.
 
 The integrator is classical RK4 on the joint state ``[x; w]``.  Every
-delay must be an integer multiple of the step ``h``.  Delayed inputs come
-from the analytic drive expressions evaluated exactly at the shifted stage
-times; delayed outputs come from a ring buffer of past grid samples,
-linearly interpolated at half-step stage times.  Before ``t = 0`` the
-drive is evaluated analytically (or zeroed) and the output history is
-frozen at ``y(0)`` (or zeroed), per the prehistory policy.
+delay must be an integer multiple of the step ``h``, so every stage sits
+at a half-step position ``j = 0 .. 2 steps`` (time ``(j/2) h``).  Each
+call compiles the truth and design expressions into one Python function
+per expression vector (:func:`~cubicobs.exprlang.compile_vector`) and folds
+the linear algebra into block matrices, so one derivative is two small
+matrix products around two compiled calls.  The drive depends on ``t``
+alone: it is evaluated once per referenced input lag on the half-step
+grid, at the exact shifted stage times, before integration starts.
+Delayed outputs are read from the grid samples already stored in the
+output trajectory, linearly interpolated at half-step positions.  Before
+``t = 0`` the drive is evaluated analytically (or zeroed) and the output
+history is frozen at ``y(0)`` (or zeroed), per the prehistory policy.
 """
 
 from __future__ import annotations
@@ -26,7 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprlang import EvalEnv, Expr, ExprEvalError, evaluate, parse_input_signal
+from .exprlang import Expr, ExprEvalError, compile_vector, parse_input_signal, variables
+# unused here since expressions are compiled, but benchmark tracing wraps
+# sim.evaluate by name; it goes when the tracer drops that wrapper
+from .exprlang import evaluate  # noqa: F401
 from .model import ConfigError, ObserverParams, PlantModel, validate
 
 __all__ = [
@@ -117,6 +126,8 @@ class HistoryBuffer:
     the prehistory policy (``"hold"`` freezes the initial sample,
     ``"zero"`` returns zeros).  ``value_at(q)`` linearly interpolates at a
     fractional grid index, which is how half-step stage times are served.
+    :func:`simulate` reads the same values straight from its output
+    trajectory and no longer uses this class.
     """
 
     def __init__(self, dim: int, depth: int, initial: np.ndarray, policy: str = "hold"):
@@ -171,6 +182,12 @@ def _delay_steps(delays, h: float, label: str) -> list[int]:
     return out
 
 
+def _input_lags(exprs, delta_steps: list[int]) -> set[int]:
+    """Lags (in steps) of the input slots ``exprs`` reference; slot 0 has lag 0."""
+    return {0 if ref.slot == 0 else delta_steps[ref.slot - 1]
+            for e in exprs for ref in variables(e) if ref.kind == "u"}
+
+
 def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
              cfg: SimConfig) -> SimResult:
     """Integrate plant and observer jointly over ``[0, t_end]``.
@@ -203,7 +220,41 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
     tau_truth = _delay_steps(truth.tau, h, "tau")
     delta_design = _delay_steps(design.delta, h, "delta")
     tau_design = _delay_steps(design.tau, h, "tau")
-    max_tau = max(tau_truth + tau_design, default=0)
+    analytic_pre = cfg.prehistory == "analytic"
+    n_half = 2 * steps + 1  # stage positions j = 0 .. 2 steps, time (j/2) h
+
+    # The drive depends on t alone: evaluate it once per referenced input lag
+    # on the half-step grid.  A failure is raised at the step that needs it.
+    truth_exprs = truth.f_u + truth.f_g + truth.f_L
+    design_exprs = design.f_u + design.f_L
+    drive_fn = compile_vector(cfg.input_signal)
+    zero_u = (0.0,) * n_u
+    drive: dict[int, list] = {}
+    fail_step, drive_error = steps, None
+    for lag in sorted(_input_lags(truth_exprs, delta_truth)
+                      | _input_lags(design_exprs, delta_design)):
+        rows = drive[lag] = []
+        for j in range(n_half):
+            t = (j * 0.5) * h - lag * h
+            if t < 0 and not analytic_pre:
+                rows.append(zero_u)
+                continue
+            try:
+                rows.append(drive_fn((), None, None, t))
+            except ExprEvalError as exc:
+                step = max(0, (j - 1) // 2)  # the first step whose stages reach j
+                if step < fail_step:
+                    fail_step, drive_error = step, exc
+                break
+    unused = [None] * n_half
+
+    def input_slots(delta_steps: list[int]) -> list[tuple]:
+        # entry j: the input vector of every delay slot at stage position j
+        lags = [0] + delta_steps
+        return list(zip(*(drive.get(lag, unused) for lag in lags)))
+
+    u_truth = input_slots(delta_truth)
+    u_design = input_slots(delta_design)
 
     A_t, C_t, D_t = truth.A, truth.C, truth.D
     G, J, E, N, theta = obs.G, obs.J, obs.E, obs.N, obs.theta
@@ -211,96 +262,89 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
     T_d = np.eye(n) - E @ C_d
     cubic_on = cfg.cubic_enabled
 
-    analytic_pre = cfg.prehistory == "analytic"
-    u_exprs = cfg.input_signal
-
-    def u_vec(t: float) -> np.ndarray:
-        if t < 0 and not analytic_pre:
-            return np.zeros(n_u)
-        env = EvalEnv(t=t)
-        return np.array([evaluate(e, env) for e in u_exprs])
+    # z = [x; w].  R z = [y; xhat; e] with y = C x, xhat = w + E y and the
+    # output error e = y - C_d xhat.  The derivative is one matrix product,
+    #     dz = W [z; f_truth; f_design; (e' theta e) e],
+    # with f_truth = [f_u; f_g; f_L] at x and f_design = [f_u; f_L] at xhat.
+    In, Zn = np.eye(n), np.zeros((n, n))
+    R = np.vstack([np.hstack([C_t, np.zeros((n_y, n))]), np.hstack([E @ C_t, In]),
+                   np.hstack([C_t - C_d @ E @ C_t, -C_d])])
+    top = [A_t, Zn, In, D_t, In, Zn, Zn]
+    bottom = [J @ C_t, G, Zn, np.zeros((n, truth.n_g)), Zn, T_d, T_d]
+    if cubic_on:
+        top.append(np.zeros((n, n_y)))
+        bottom.append(-N)
+    W = np.vstack([np.hstack(top), np.hstack(bottom)])
+    theta_rows = theta.tolist()
+    truth_fn = compile_vector(truth_exprs)
+    design_fn = compile_vector(design_exprs)
 
     x0 = cfg.x0
     y0 = C_t @ x0
     w0 = cfg.xhat0 - E @ y0
-    ybuf = HistoryBuffer(n_y, max_tau, y0, "hold" if analytic_pre else "zero")
-    ybuf.push(0, y0)
+    y_rows = [y0.tolist()]  # grid samples of y as lists, for delayed lookups
+    y_pre = y_rows[0] if analytic_pre else [0.0] * n_y
 
-    def make_env(x_like: np.ndarray, t: float, stage_pos: float,
-                 delta_steps: list[int], tau_steps: list[int],
-                 y_now: np.ndarray) -> EvalEnv:
-        # stage_pos is the absolute stage position in grid units (k, k+0.5, k+1);
-        # working in grid units keeps delayed lookups exact in floating point
-        ucache: dict[int, np.ndarray] = {}
-        ycache: dict[int, np.ndarray] = {}
+    def y_delayed(m: int) -> list[float]:
+        # output at half-step m <= current stage, from the grid samples;
+        # odd m is (1 - 1/2) a + (1/2) b, as HistoryBuffer.value_at gives
+        k0, odd = divmod(m, 2)
+        a = y_rows[k0] if k0 >= 0 else y_pre
+        if not odd:
+            return a
+        b = y_rows[k0 + 1] if k0 >= -1 else y_pre
+        return [0.5 * p + 0.5 * q for p, q in zip(a, b)]
 
-        def u_at(slot: int) -> np.ndarray:
-            if slot not in ucache:
-                lag = 0.0 if slot == 0 else delta_steps[slot - 1] * h
-                ucache[slot] = u_vec(t - lag)
-            return ucache[slot]
-
-        def y_at(slot: int) -> np.ndarray:
-            if slot == 0:
-                return y_now
-            lag = tau_steps[slot - 1]
-            if lag == 0:
-                return y_now
-            if slot not in ycache:
-                ycache[slot] = ybuf.value_at(stage_pos - lag)
-            return ycache[slot]
-
-        return EvalEnv(x=x_like, u_at=u_at, y_at=y_at, t=t)
-
-    def eval_vec(exprs, env: EvalEnv) -> np.ndarray:
-        return np.array([evaluate(e, env) for e in exprs])
-
-    def deriv(k: int, stage_offset: float, z: np.ndarray) -> np.ndarray:
-        t = (k + stage_offset) * h
-        x = z[:n]
-        w = z[n:]
-        y_now = C_t @ x
-        env_t = make_env(x, t, k + stage_offset, delta_truth, tau_truth, y_now)
-        dx = A_t @ x + eval_vec(truth.f_u, env_t) + D_t @ eval_vec(truth.f_g, env_t) \
-            + eval_vec(truth.f_L, env_t)
-        xhat = w + E @ y_now
-        env_d = make_env(xhat, t, k + stage_offset, delta_design, tau_design, y_now)
-        dw = G @ w + J @ y_now + T_d @ (eval_vec(design.f_u, env_d)
-                                        + eval_vec(design.f_L, env_d))
+    def deriv(j: int, z: np.ndarray) -> np.ndarray:
+        t = (j * 0.5) * h
+        zl = z.tolist()
+        v = (R @ z).tolist()
+        y_now = v[:n_y]
+        y_truth = [y_now] + [y_delayed(j - 2 * lag) if lag else y_now for lag in tau_truth]
+        y_design = [y_now] + [y_delayed(j - 2 * lag) if lag else y_now for lag in tau_design]
+        zl += truth_fn(zl[:n], u_truth[j], y_truth, t)
+        zl += design_fn(v[n_y:n_y + n], u_design[j], y_design, t)
         if cubic_on:
-            err = y_now - C_d @ xhat
-            dw = dw - float(err @ theta @ err) * (N @ err)
-        return np.concatenate([dx, dw])
+            err = v[n_y + n:]
+            q = 0.0
+            for ea, row in zip(err, theta_rows):
+                for tb, eb in zip(row, err):
+                    q += ea * tb * eb
+            zl += [q * e for e in err]
+        return W @ np.array(zl)
 
     t_grid = np.arange(steps + 1) * h
-    xs = np.empty((steps + 1, n))
-    ws = np.empty((steps + 1, n))
+    zs = np.empty((steps + 1, 2 * n))
     ys = np.empty((steps + 1, n_y))
-    xs[0], ws[0], ys[0] = x0, w0, y0
+    zs[0] = np.concatenate([x0, w0])
+    ys[0] = y0
 
-    z = np.concatenate([x0, w0])
+    z = zs[0]
     for k in range(steps):
+        j = 2 * k
         try:
-            k1 = deriv(k, 0.0, z)
-            k2 = deriv(k, 0.5, z + 0.5 * h * k1)
-            k3 = deriv(k, 0.5, z + 0.5 * h * k2)
-            k4 = deriv(k, 1.0, z + h * k3)
+            if k == fail_step:
+                raise drive_error
+            k1 = deriv(j, z)
+            k2 = deriv(j + 1, z + 0.5 * h * k1)
+            k3 = deriv(j + 1, z + 0.5 * h * k2)
+            k4 = deriv(j + 2, z + h * k3)
         except ExprEvalError as exc:
             raise SimulationError(
                 f"expression evaluation failed near t = {k * h:.6g}: {exc}"
             ) from exc
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise SimulationError(
                 f"state became non-finite at t = {(k + 1) * h:.6g} (step {k + 1})"
             )
-        xs[k + 1] = z[:n]
-        ws[k + 1] = z[n:]
+        zs[k + 1] = z
         ys[k + 1] = C_t @ z[:n]
-        ybuf.push(k + 1, ys[k + 1])
+        y_rows.append(ys[k + 1].tolist())
 
+    ws = zs[:, n:].copy()
     xhats = ws + ys @ E.T
-    result = SimResult(t=t_grid, x=xs, xhat=xhats, w=ws, y=ys,
+    result = SimResult(t=t_grid, x=zs[:, :n].copy(), xhat=xhats, w=ws, y=ys,
                        jo=np.zeros(steps + 1))
     result.jo = cumulative_error(result)
     return result
@@ -405,14 +449,9 @@ def write_trajectory_csv(result: SimResult, path) -> None:
         + [f"y{i + 1}" for i in range(n_y)]
         + ["Jo"]
     )
+    rows = np.column_stack([result.t, result.x, result.xhat, result.y, result.jo]).tolist()
+    # %-formatting a float with .12e is f"{v:.12e}", byte for byte
+    line = ",".join(["%.12e"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(result.t.size):
-            row = (
-                [result.t[k]]
-                + list(result.x[k])
-                + list(result.xhat[k])
-                + list(result.y[k])
-                + [result.jo[k]]
-            )
-            fh.write(",".join(f"{v:.12e}" for v in row) + "\n")
+        fh.write("".join([line % tuple(row) for row in rows]))

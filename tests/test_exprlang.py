@@ -9,6 +9,7 @@ from cubicobs.exprlang import (
     BinOp,
     Call,
     EvalEnv,
+    ExprError,
     ExprEvalError,
     ExprRangeError,
     ExprSyntaxError,
@@ -18,6 +19,7 @@ from cubicobs.exprlang import (
     SignalDims,
     TimeVar,
     Var,
+    compile_vector,
     evaluate,
     parse,
     parse_input_signal,
@@ -183,3 +185,71 @@ def test_roundtrip_time_only_signals():
         if any(True for _ in variables(e)):
             continue
         assert parse(unparse(e), dims0, allow_time=True) == e
+
+
+# --- compiled vectors ----------------------------------------------------
+
+def outcome(fn):
+    """Values as exact hex strings, or the ExprEvalError message."""
+    try:
+        return [v.hex() for v in fn()]
+    except ExprEvalError as exc:
+        return f"ExprEvalError: {exc}"
+
+
+def tree_walk(exprs, x, u, y, t):
+    env = EvalEnv(x=x, u_at=lambda slot: u[slot], y_at=lambda slot: y[slot], t=t)
+    return tuple(evaluate(e, env) for e in exprs)
+
+
+def random_signal(rng, size):
+    # zeros divide, huge values overflow powers and exp, tiny ones underflow
+    scales = (0.0, 1e-300, 1e-3, 1.0, 1.0, 1e3, 1e100, 1e200)
+    return [float(rng.standard_normal() * scales[rng.integers(0, len(scales))])
+            for _ in range(size)]
+
+
+def test_compiled_vectors_agree_with_tree_walk():
+    rng = np.random.default_rng(2024)
+    n_ok = n_err = 0
+    for i in range(400):
+        exprs = [random_expr(rng, depth=int(rng.integers(1, 6)), with_time=bool(i % 2))
+                 for _ in range(int(rng.integers(1, 4)))]
+        x = random_signal(rng, DIMS.n)
+        u = [random_signal(rng, DIMS.n_u) for _ in range(DIMS.n_delta + 1)]
+        y = [random_signal(rng, DIMS.n_y) for _ in range(DIMS.n_tau + 1)]
+        t = random_signal(rng, 1)[0]
+        expected = outcome(lambda: tree_walk(exprs, x, u, y, t))
+        assert outcome(lambda: compile_vector(exprs)(x, u, y, t)) == expected, \
+            [unparse(e) for e in exprs]
+        if isinstance(expected, str):
+            n_err += 1
+        else:
+            n_ok += 1
+    # both outcomes are exercised, not just one
+    assert n_ok >= 150 and n_err >= 40
+
+
+@pytest.mark.parametrize("text, x, message", [
+    ("x1/x2", (1.0, 0.0), "division by zero"),
+    ("x1/x2", np.array([1.0, -0.0]), "division by zero"),
+    ("x1^4", (1e100, 1.0), "overflow in power"),
+    ("x1^4", np.array([1e100, 1.0]), "overflow in power"),
+    ("exp(x1)", (1e4, 1.0), "exp failed: math range error"),
+    ("x1*x1 - x1*x1", (1e200, 1.0), "non-finite value while evaluating"),
+    ("x1*x2*0", (1e200, 1e200), "non-finite value while evaluating"),
+])
+def test_compiled_vector_raises_tree_walk_error(text, x, message):
+    exprs = [parse("x2 + 1", DIMS), parse(text, DIMS)]
+    expected = outcome(lambda: tree_walk(exprs, x, None, None, 0.0))
+    assert message in expected
+    assert outcome(lambda: compile_vector(exprs)(x, None, None, 0.0)) == expected
+
+
+def test_compiled_vector_literals_and_empty():
+    assert compile_vector([])((), None, None, 0.0) == ()
+    f = compile_vector([parse("-0", DIMS), parse("1/1e999", DIMS), Num(-2.5)])
+    assert [v.hex() for v in f((), None, None, 0.0)] == \
+        [(-0.0).hex(), (0.0).hex(), (-2.5).hex()]
+    with pytest.raises(ExprError, match="unknown function"):
+        compile_vector([Call("__import__", Num(1.0))])

@@ -11,6 +11,7 @@ from cubicobs.sim import (
     DEFAULT_INPUT_SIGNAL,
     HistoryBuffer,
     SimConfig,
+    SimResult,
     SimulationError,
     compare_cubic_linear,
     cumulative_error,
@@ -278,6 +279,43 @@ def test_output_delay_uses_buffer_and_prehistory():
     assert np.all(np.isfinite(runs["analytic"].x))
 
 
+# jo[-1], x[-1] and xhat[-1] as the tree-walking integrator with a ring
+# buffer of past outputs computed them: the delay and prehistory paths must
+# reproduce them within 1e-12
+PINNED_DELAY_RUNS = {
+    "delayed-output-analytic": (0.5010434897419173, [0.44738139002041805],
+                                [0.3120352480632856]),
+    "delayed-output-zero": (0.5010434897419173, [0.37709332044603416],
+                            [0.24174717848890165]),
+    "example-nominal-zero-cos": (2.5615025833649927,
+                                 [-1.2802357170965772, 0.0397259081906232],
+                                 [-1.2802357271904512, 0.03972586483574991]),
+    "example-uncertain-zero-cos": (2.691909199360624,
+                                   [3.0491100444435753, -0.7388972356692859],
+                                   [3.0491100343497015, -1.0092046971907394]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DELAY_RUNS))
+def test_delay_and_prehistory_paths_pinned(case):
+    if case.startswith("delayed-output"):
+        plant, obs = delayed_output_pair()
+        truth = design = plant
+        cfg = SimConfig(h=0.25, t_end=2.0, x0=[1.0], xhat0=[0.0], input_signal=(),
+                        prehistory=case.rsplit("-", 1)[1])
+    else:
+        ex = example_system()
+        truth = ex.uncertain if "uncertain" in case else ex.nominal
+        design, obs = ex.nominal, ex.observer
+        cfg = example_cfg(t_end=2.0, input_signal=input_signals("cos(t)", 1),
+                          prehistory="zero")
+    res = simulate(truth, design, obs, cfg)
+    jo, x, xhat = PINNED_DELAY_RUNS[case]
+    assert abs(res.jo[-1] - jo) <= 1e-12 * abs(jo)
+    assert np.allclose(res.x[-1], x, rtol=1e-12, atol=0.0)
+    assert np.allclose(res.xhat[-1], xhat, rtol=1e-12, atol=0.0)
+
+
 def test_blowup_raises_simulation_error():
     # the bundled plant escapes in finite time under a unit-amplitude drive
     ex = example_system()
@@ -303,3 +341,19 @@ def test_trajectory_csv_format(tmp_path):
     assert np.allclose(data[:, 1:3], res.x, rtol=1e-11, atol=1e-18)
     assert np.allclose(data[:, 5], res.y.ravel(), rtol=1e-11, atol=1e-18)
     assert np.allclose(data[:, 6], res.jo, rtol=1e-11, atol=1e-18)
+
+
+def test_trajectory_csv_matches_per_value_formatting(tmp_path):
+    special = [-1.5, -0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0 / 3.0, 5e-324]
+    rows = len(special)
+    col = np.array(special)
+    res = SimResult(t=col, x=np.column_stack([col[::-1], -col]),
+                    xhat=np.column_stack([col * 7.0, np.roll(col, 3)]),
+                    w=np.zeros((rows, 2)), y=np.roll(col, 1)[:, None], jo=np.roll(col, 5))
+    path = tmp_path / "special.csv"
+    write_trajectory_csv(res, path)
+    expected = "t,x1,x2,xhat1,xhat2,y1,Jo\n"
+    for k in range(rows):
+        row = [res.t[k], *res.x[k], *res.xhat[k], *res.y[k], res.jo[k]]
+        expected += ",".join(f"{v:.12e}" for v in row) + "\n"
+    assert path.read_bytes() == expected.encode()
