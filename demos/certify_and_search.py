@@ -44,14 +44,17 @@ verdict = cert.check_equilibrium_uniqueness(
 )
 print("equilibrium:", verdict.status)
 
-# Certificates need not be supplied.  search_P runs a projected subgradient
-# descent over P with the scalar multiplier swept on a grid, and returns a
-# certificate whose margin is recomputed through the public verifier.
+# Certificates need not be supplied.  For a Lipschitz bound search_P decides
+# feasibility exactly (bounded real lemma: G Hurwitz and gamma below
+# gamma_max = 1/||(sI - G)^-1 (I - EC)||_inf), takes P from a Riccati
+# equation, and returns a certificate whose margin is recomputed through the
+# public verifier.  Above gamma_max it raises, saying infeasibility is proven.
 found = cert.search_P(ex.lipschitz, obs.G, obs.E, plant.C)
 print("\nsearched certificate:")
 print("P =\n", found.P)
 print("beta =", found.beta)
 print("margin =", found.lmi_margin)
+print("gamma_max =", cert.max_lipschitz_gamma(obs.G, obs.E, plant.C))
 N = cert.cubic_gain(found.P, plant.C, obs.theta, obs.alpha)
 print("derived cubic gain N =\n", N)
 

@@ -43,14 +43,18 @@ print("residual_sylvester  =", r.residual_sylvester)
 print("residual_decoupling =", r.residual_decoupling)
 print("spectral abscissa of G =", design.spectral_abscissa(r.G))
 
-# The same L can be found automatically.  stabilize_L random-searches for an
-# injection meeting a requested decay margin; infeasible margins (beyond the
-# pinned eigenvalue) raise GainSearchError instead of looping forever.
+# A gain can also be computed.  stabilize_L solves the filter Riccati
+# equation shifted by the requested decay margin; a margin beyond the pinned,
+# unobservable eigenvalue fails the PBH test and raises GainSearchError.
 L_auto = design.stabilize_L(T, A, C, margin=5.0)
 r_auto = design.design_GJ(A, C, E, L_auto, D=D)
-print("\nauto-search with margin 5.0:")
+print("\ncomputed gain for margin 5.0:")
 print("L =\n", L_auto)
 print("spectral abscissa of G =", design.spectral_abscissa(r_auto.G))
+try:
+    design.stabilize_L(T, A, C, margin=11.5)
+except design.GainSearchError as exc:
+    print("margin 11.5:", exc)
 
 # A channel the outputs cannot see is rejected up front.
 D_bad = np.array([[0.0], [1.0]])

@@ -14,6 +14,13 @@ constants ``a``, ``b`` and multipliers ``mu1, mu2 > 0``::
     [ P G + G'P + 2 (mu1 rho + mu2 a) I    (mu2 b - mu1) P (I - E C) ]
     [ (mu2 b - mu1) (I - E C)' P           -2 mu1 I                  ]
 
+The Lipschitz block is jointly homogeneous in ``(P, beta)`` and its Schur
+complement is ``P G + G'P + gamma^2 I + P T T'P`` at ``beta = 1``, with
+``T = I - E C``.  By the bounded real lemma it is feasible iff ``G`` is
+Hurwitz and ``gamma ||(sI - G)^{-1} T||_inf < 1``, and a certificate is the
+stabilizing solution of a Riccati equation, so :func:`search_P` decides that
+case exactly.  For the one-sided block it still runs a best-effort search.
+
 Alongside the block inequality, the cubic output-injection gain must
 satisfy ``P N C + C'N'P < 0``.  The closed form ``N = -alpha P^{-1} C' theta``
 turns that matrix into ``-2 alpha C' theta C``, which is only negative
@@ -36,7 +43,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, solve_continuous_lyapunov
+from scipy.linalg import eig, solve_continuous_are, solve_continuous_lyapunov
 # unused here, but benchmark tracing patches cert.minimize to count objective
 # evaluations, so the name must stay importable from this module
 from scipy.optimize import minimize  # noqa: F401
@@ -59,6 +66,7 @@ __all__ = [
     "EquilibriumSearchOptions",
     "check_equilibrium_uniqueness",
     "CertificateSearchOptions",
+    "max_lipschitz_gamma",
     "search_P",
     "GUARANTEED",
     "NO_COUNTEREXAMPLE",
@@ -71,7 +79,12 @@ class CertificateError(ValueError):
 
 
 class FeasibilitySearchError(RuntimeError):
-    """No certificate found within the search budget (infeasibility not proven)."""
+    """No certificate was returned.
+
+    In the Lipschitz case the message says "infeasibility is proven" when
+    no certificate exists; in the one-sided case the search exhausted its
+    budget and infeasibility is not proven.
+    """
 
 
 @dataclass(frozen=True)
@@ -369,6 +382,8 @@ def check_equilibrium_uniqueness(G, N, C, theta,
 
 @dataclass(frozen=True)
 class CertificateSearchOptions:
+    # The Lipschitz case reads only tol; beta_grid is accepted for
+    # compatibility and ignored.  The rest drives the one-sided search.
     seed: int = 0
     tol: float = 1e-6
     restarts: int = 8
@@ -377,6 +392,48 @@ class CertificateSearchOptions:
     beta_grid: tuple[float, ...] | None = None
     mu_grid: tuple[float, ...] | None = None
     step0: float = 0.5
+
+
+def _hinf_below(G: np.ndarray, TT: np.ndarray, g: float) -> bool:
+    """For Hurwitz ``G``: is ``||(sI - G)^{-1} T||_inf < g``?
+
+    True iff the Hamiltonian ``[[G, T T'/g^2], [-I, -G']]`` has no
+    eigenvalue on the imaginary axis.
+    """
+    n = G.shape[0]
+    ev = np.linalg.eigvals(np.block([[G, TT / g**2], [-np.eye(n), -G.T]]))
+    return not np.any(np.abs(ev.real) <= 1e-9 * (1.0 + np.abs(ev)))
+
+
+def max_lipschitz_gamma(G, E, C) -> float:
+    """Supremum ``gamma*`` of the Lipschitz constants a certificate can cover.
+
+    ``gamma* = 1 / ||(sI - G)^{-1} (I - E C)||_inf``, with the norm found by
+    bisection on the Hamiltonian imaginary-axis test to 1e-10 relative and
+    rounded up, so every ``gamma < gamma*`` is certifiable.  Returns ``0.0``
+    when ``G`` is not Hurwitz and ``inf`` when ``I - E C`` vanishes.
+    """
+    G = as_matrix(G, "G")
+    E = as_matrix(E, "E")
+    C = as_matrix(C, "C")
+    if np.max(np.linalg.eigvals(G).real) >= 0.0:
+        return 0.0
+    T = np.eye(G.shape[0]) - E @ C
+    TT = T @ T.T
+    if not TT.any():
+        return np.inf
+    # the norm is at least the gain at s = 0
+    lo = float(np.linalg.norm(np.linalg.solve(-G, T), 2))
+    hi = 2.0 * lo + 1e-12
+    while not _hinf_below(G, TT, hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if _hinf_below(G, TT, mid):
+            hi = mid
+        else:
+            lo = mid
+    return 1.0 / hi
 
 
 def _project_spd(P: np.ndarray, floor: float) -> np.ndarray:
@@ -388,65 +445,83 @@ def _project_spd(P: np.ndarray, floor: float) -> np.ndarray:
 
 def search_P(mode: LipschitzSpec, G, E, C,
              opts: CertificateSearchOptions | None = None) -> Certificate:
-    """Best-effort search for a feasibility certificate.
+    """Find a feasibility certificate.
 
-    Projected subgradient descent on the block's largest eigenvalue over
-    symmetric ``P >= p_floor * I``, with the scalar multipliers swept over a
-    grid each iteration.  Restarts come from scaled identities, from the
-    Lyapunov solution of ``P G + G'P = -I`` when ``G`` is Hurwitz, and from
-    seeded random SPD matrices.  This is not a complete SDP solver: failure
-    raises :class:`FeasibilitySearchError` without proving infeasibility.
+    Lipschitz case: decided exactly.  When ``G`` is not Hurwitz or ``gamma``
+    fails the imaginary-axis test, :class:`FeasibilitySearchError` says that
+    infeasibility is proven and gives ``gamma*`` (see
+    :func:`max_lipschitz_gamma`).  Otherwise ``P`` is the stabilizing
+    solution of ``P G + G'P + P T T'P + gamma_s^2 I = 0`` with
+    ``gamma_s^2 = (gamma^2 + gamma*^2) / 2``, so the Schur complement of
+    the block at ``beta = 1`` is ``-(gamma*^2 - gamma^2)/2 I``; ``(P, beta)``
+    is then scaled up jointly until the margin passes ``opts.tol``.
+
+    One-sided case: best-effort projected subgradient descent on the
+    block's largest eigenvalue over symmetric ``P >= p_floor * I``, with
+    ``(mu1, mu2)`` swept over a grid each iteration.  Restarts come from
+    scaled identities, from the Lyapunov solution of ``P G + G'P = -I`` when
+    ``G`` is Hurwitz, and from seeded random SPD matrices.  Failure raises
+    :class:`FeasibilitySearchError` without proving infeasibility.
 
     The returned certificate's ``lmi_margin`` is recomputed through the
-    public verifier, not taken from search internals.
+    public verifier.
     """
     if opts is None:
         opts = CertificateSearchOptions()
     G = as_matrix(G, "G")
     E = as_matrix(E, "E")
     C = as_matrix(C, "C")
+    if isinstance(mode, Lipschitz):
+        return _lipschitz_certificate(mode.gamma, G, E, C, opts.tol)
+    if isinstance(mode, OneSidedLipschitz):
+        return _search_osl(mode, G, E, C, opts)
+    raise TypeError(f"unsupported bound specification: {mode!r}")
+
+
+def _lipschitz_certificate(gamma: float, G, E, C, tol: float) -> Certificate:
     n = G.shape[0]
     T = np.eye(n) - E @ C
+    gamma_max = max_lipschitz_gamma(G, E, C)
+    if gamma_max == 0.0:
+        raise FeasibilitySearchError(
+            "G is not Hurwitz, so no certificate exists for any gamma "
+            "(gamma_max = 0); infeasibility is proven"
+        )
+    if not _hinf_below(G, T @ T.T, 1.0 / gamma):
+        raise FeasibilitySearchError(
+            f"gamma = {gamma:.6g} is not below gamma_max = {gamma_max:.6g} "
+            "= 1/||(sI - G)^-1 (I - EC)||_inf; infeasibility is proven"
+        )
+    # gamma_s^2 = gamma^2 + slack, midway to gamma_max^2 when that is finite
+    slack = 0.5 * (gamma_max**2 - gamma**2) if np.isfinite(gamma_max) else gamma**2
+    margin = np.inf
+    if slack > 0.0:
+        try:
+            P = solve_continuous_are(G, T, (gamma**2 + slack) * np.eye(n), -np.eye(n))
+            P = 0.5 * (P + P.T)
+            # the block is jointly homogeneous in (P, beta): scale a strictly
+            # feasible pair up until its margin passes tol
+            margin = lipschitz_lmi(P, 1.0, gamma, G, E, C).margin
+            beta = min(2.0 * tol / -margin, 1e12) if -tol <= margin < 0.0 else 1.0
+            P = beta * P
+            margin = verify_lmi_lipschitz(P, beta, gamma, G, E, C)
+        except (np.linalg.LinAlgError, CertificateError):
+            margin = np.inf
+    if margin < -tol:
+        return Certificate(P=P, beta=beta, lmi_margin=margin)
+    raise FeasibilitySearchError(
+        f"gamma = {gamma:.6g} is certifiable but within rounding of gamma_max = "
+        f"{gamma_max:.6g}: no certificate reaches margin {-tol:g} at working precision"
+    )
 
-    if isinstance(mode, Lipschitz):
-        gamma = mode.gamma
-        grid = opts.beta_grid or tuple(float(b) for b in np.logspace(-2, 4, 13))
-        multipliers = [(b,) for b in grid]
 
-        def assemble(P, m):
-            return lipschitz_lmi(P, m[0], gamma, G, E, C)
-
-        def coupling(m):
-            return 1.0
-
-        def certify(P, m):
-            margin = verify_lmi_lipschitz(P, m[0], gamma, G, E, C)
-            return Certificate(P=P, beta=m[0], lmi_margin=margin)
-
-        def rescale(P, m, c):
-            # the Lipschitz block is jointly homogeneous in (P, beta)
-            return c * P, (c * m[0],)
-
-    elif isinstance(mode, OneSidedLipschitz):
-        rho, a, b = mode.rho, mode.a, mode.b
-        grid = opts.mu_grid or tuple(float(m) for m in np.logspace(-2, 3, 6))
-        multipliers = [(m1, m2) for m1 in grid for m2 in grid]
-
-        def assemble(P, m):
-            return osl_lmi(P, m[0], m[1], rho, a, b, G, E, C)
-
-        def coupling(m):
-            return m[1] * b - m[0]
-
-        def certify(P, m):
-            margin = verify_lmi_osl(P, m[0], m[1], rho, a, b, G, E, C)
-            return Certificate(P=P, mu1=m[0], mu2=m[1], lmi_margin=margin)
-
-        def rescale(P, m, c):
-            return P, m  # no homogeneity to exploit
-
-    else:
-        raise TypeError(f"unsupported bound specification: {mode!r}")
+def _search_osl(mode: OneSidedLipschitz, G, E, C,
+                opts: CertificateSearchOptions) -> Certificate:
+    n = G.shape[0]
+    T = np.eye(n) - E @ C
+    rho, a, b = mode.rho, mode.a, mode.b
+    grid = opts.mu_grid or tuple(float(m) for m in np.logspace(-2, 3, 6))
+    multipliers = [(m1, m2) for m1 in grid for m2 in grid]
 
     starts: list[np.ndarray] = [np.eye(n), 100.0 * np.eye(n), 0.01 * np.eye(n)]
     try:
@@ -457,43 +532,28 @@ def search_P(mode: LipschitzSpec, G, E, C,
     except Exception:
         pass
     rng = np.random.default_rng(opts.seed)
-    while len(starts) < max(opts.restarts, len(starts)):
+    while len(starts) < opts.restarts:
         Q = rng.standard_normal((n, n))
         starts.append(_project_spd(Q @ Q.T + 0.1 * np.eye(n), opts.p_floor))
 
     best_margin = np.inf
-
-    def try_return(P, m):
-        # a strictly feasible point can be pushed past the tolerance by
-        # joint rescaling when the block is homogeneous
-        lb = assemble(P, m)
-        if lb.margin < -opts.tol:
-            return certify(P, m)
-        if lb.margin < 0:
-            c = min(2.0 * opts.tol / (-lb.margin), 1e12)
-            if c > 1.0:
-                P2, m2 = rescale(P, m, c)
-                if assemble(P2, m2).margin < -opts.tol:
-                    return certify(P2, m2)
-        return None
-
     for P0 in starts[: max(opts.restarts, 5)]:
         P = P0.copy()
         for it in range(opts.max_iters):
-            margins = [(assemble(P, m).margin, m) for m in multipliers]
-            margin, m = min(margins, key=lambda t: t[0])
-            best_margin = min(best_margin, margin)
-            if margin < 0:
-                cert = try_return(P, m)
-                if cert is not None:
-                    return cert
+            lb, (mu1, mu2) = min(
+                ((osl_lmi(P, m1, m2, rho, a, b, G, E, C), (m1, m2)) for m1, m2 in multipliers),
+                key=lambda t: t[0].margin,
+            )
+            best_margin = min(best_margin, lb.margin)
+            if lb.margin < -opts.tol:
+                margin = verify_lmi_osl(P, mu1, mu2, rho, a, b, G, E, C)
+                return Certificate(P=P, mu1=mu1, mu2=mu2, lmi_margin=margin)
             # subgradient of the largest block eigenvalue with respect to P
-            lb = assemble(P, m)
             sym = 0.5 * (lb.block + lb.block.T)
             _, vecs = np.linalg.eigh(sym)
             u = vecs[:, -1]
             u1, u2 = u[:n], u[n:]
-            g = G @ u1 + coupling(m) * (T @ u2)
+            g = G @ u1 + (mu2 * b - mu1) * (T @ u2)
             grad = np.outer(g, u1)
             grad = grad + grad.T
             gnorm = float(np.linalg.norm(grad))

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification or certification failed, 2 bad
-configuration or arguments, 3 numerical failure (divergence, search
-exhausted).  Every command is deterministic given its flags; searches take
-an explicit ``--seed`` (default 0).
+configuration or arguments, 3 numerical failure (divergence, no certificate
+or stabilizing injection).  Every command is deterministic given its flags;
+the one-sided certificate search takes an explicit ``--seed`` (default 0).
 """
 
 from __future__ import annotations
@@ -80,10 +80,7 @@ def cmd_design(args) -> int:
     else:
         T = np.eye(plant.n) - E @ plant.C
         try:
-            L = design.stabilize_L(
-                T, plant.A, plant.C, args.auto_margin,
-                design.GainSearchOptions(seed=args.seed),
-            )
+            L = design.stabilize_L(T, plant.A, plant.C, args.auto_margin)
         except design.GainSearchError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL_FAILURE
@@ -204,6 +201,8 @@ def cmd_certify(args) -> int:
     )
     cfg.certificate = found
     print(f"lmi_margin={found.lmi_margin:.6e}")
+    if isinstance(mode, model.Lipschitz):
+        print(f"gamma_max={cert.max_lipschitz_gamma(obs.G, obs.E, plant.C):.6g}")
     print(f"n_margin={ncond.margin:.6e}")
     print(f"n_classification={ncond.classification}")
     if ncond.classification == "semidefinite-pass":
@@ -305,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--L", help='output injection, e.g. "[10;-3]"')
     group.add_argument("--auto-margin", type=float,
-                       help="search for L with spectral abscissa <= -MARGIN")
+                       help="compute L with spectral abscissa <= -MARGIN")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted and ignored")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("certify", help="verify or search for a certificate")
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--check-only", action="store_true",
                        help="recompute margins for the stored certificate")
     group.add_argument("--search-P", action="store_true", dest="search_p",
-                       help="search for P and derive the cubic gain")
+                       help="find P and derive the cubic gain")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)

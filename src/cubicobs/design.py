@@ -10,8 +10,11 @@ exactly when ``rank(C D) = rank(D)``, and the canonical choice is
 
 satisfy the consistency identity ``T A - J C - G T = 0``, which is what
 makes the estimation error autonomous up to nonlinearity mismatch.  ``L``
-itself only has to render ``G`` Hurwitz; :func:`stabilize_L` searches for
-one by derivative-free multistart minimization of the spectral abscissa.
+itself only has to render ``G`` Hurwitz with a decay margin.
+:func:`stabilize_L` decides that exactly: a mode of ``T A`` that the outputs
+cannot see (Popov-Belevitch-Hautus test) and that lies right of the margin
+makes it infeasible, and otherwise the shifted filter Riccati equation gives
+a gain.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import solve_continuous_are
 
 from .numlin import as_matrix, mat_rank, pinv
 
@@ -44,11 +47,22 @@ class DecouplingInfeasibleError(ValueError):
 
 
 class GainSearchError(RuntimeError):
-    """The stabilizing-gain search exhausted its budget."""
+    """No output injection meets the margin.
+
+    The message says "infeasible" and names the mode when the PBH test
+    proves that no gain exists; otherwise the Riccati gain failed its check.
+    """
+
+
+# Relative size of the least singular value of [lam I - T A; C] at or below
+# which the mode lam counts as unobservable.
+_PBH_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class GainSearchOptions:
+    # seed, restarts and max_iters are accepted for compatibility and
+    # ignored: the gain is computed, not searched for.
     seed: int = 0
     restarts: int = 16
     max_iters: int = 400
@@ -145,14 +159,15 @@ def spectral_abscissa(M) -> float:
 def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -> np.ndarray:
     """Find ``L`` with ``spectral_abscissa(T A - L C) <= -margin``.
 
-    Derivative-free multistart search (Nelder-Mead on the spectral
-    abscissa); deterministic for a fixed ``opts.seed``.  ``L = 0`` is
-    accepted immediately when ``T A`` already meets the margin.  Raises
-    :class:`GainSearchError` when the budget is exhausted, which includes
-    the hopeless case of a fixed unstable mode (for example ``C = 0``).
+    ``L = 0`` is returned when ``T A`` already meets the margin.  Otherwise a
+    gain exists iff every mode ``lam`` of ``T A`` with ``Re lam > -margin``
+    passes the PBH test ``rank [lam I - T A; C] = n``; a mode that fails it
+    raises :class:`GainSearchError` naming the mode.  The gain is
+    ``L = X C'`` with ``X`` the stabilizing solution of the filter Riccati
+    equation for ``T A + margin I``, which places every observable mode left
+    of ``-margin``; the result is checked once with
+    :func:`spectral_abscissa`.  ``opts`` is accepted and ignored.
     """
-    if opts is None:
-        opts = GainSearchOptions()
     if margin <= 0:
         raise ValueError("margin must be positive")
     T = as_matrix(T, "T")
@@ -160,31 +175,29 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
     C = as_matrix(C, "C")
     TA = T @ A
     n = A.shape[0]
-    n_y = C.shape[0]
+    modes = np.linalg.eigvals(TA)
+    if np.max(modes.real) <= -margin:
+        return np.zeros((n, C.shape[0]))
 
-    def abscissa_of(flat: np.ndarray) -> float:
-        return spectral_abscissa(TA - flat.reshape(n, n_y) @ C)
+    for lam in modes[modes.real > -margin]:
+        s = np.linalg.svd(np.vstack([lam * np.eye(n) - TA, C]), compute_uv=False)
+        if s[-1] <= _PBH_RTOL * s[0]:
+            mode = f"{lam.real:.6g}" if lam.imag == 0 else f"{lam:.6g}"
+            raise GainSearchError(
+                f"infeasible: mode {mode} of T A is unobservable (PBH test) and lies "
+                f"right of {-margin:g}, so no L reaches spectral abscissa <= {-margin:g}"
+            )
 
-    best_val = spectral_abscissa(TA)
-    best_L = np.zeros((n, n_y))
-    if best_val <= -margin:
-        return best_L
-
-    rng = np.random.default_rng(opts.seed)
-    for _ in range(opts.restarts):
-        scale = 10.0 ** rng.uniform(-1.0, 2.0)
-        start = scale * rng.standard_normal(n * n_y)
-        res = minimize(
-            abscissa_of,
-            start,
-            method="Nelder-Mead",
-            options={"maxiter": opts.max_iters, "xatol": 1e-9, "fatol": 1e-12},
+    try:
+        X = solve_continuous_are((TA + margin * np.eye(n)).T, C.T, np.eye(n),
+                                 np.eye(C.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise GainSearchError(f"filter Riccati equation has no solution: {exc}") from None
+    L = X @ C.T
+    abscissa = spectral_abscissa(TA - L @ C)
+    if abscissa > -margin:
+        raise GainSearchError(
+            f"Riccati gain reached spectral abscissa {abscissa:.6g}, "
+            f"not <= {-margin:g}"
         )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_L = res.x.reshape(n, n_y)
-        if best_val <= -margin:
-            return best_L
-    raise GainSearchError(
-        f"no L reached spectral abscissa <= {-margin:g}; best found {best_val:.6g}"
-    )
+    return L

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from cubicobs.cert import (
     COUNTEREXAMPLE,
@@ -16,6 +18,7 @@ from cubicobs.cert import (
     check_equilibrium_uniqueness,
     cubic_gain,
     lipschitz_lmi,
+    max_lipschitz_gamma,
     osl_lmi,
     search_P,
     verify_lmi_lipschitz,
@@ -326,8 +329,59 @@ def test_search_P_osl_hand_feasible_case():
 
 def test_search_P_fails_on_antistable_G():
     opts = CertificateSearchOptions(restarts=3, max_iters=25)
-    with pytest.raises(FeasibilitySearchError, match="not proven"):
+    with pytest.raises(FeasibilitySearchError, match="infeasibility is proven"):
         search_P(Lipschitz(gamma=1.0), np.eye(2), np.zeros((2, 1)), C, opts)
+
+
+def test_search_P_decides_bundled_gamma_exactly():
+    # (sI - G)^{-1} T peaks at s = 0, where it is [[0, 0], [1, 1]] / 11
+    gamma_star = max_lipschitz_gamma(G, E, C)
+    assert gamma_star == pytest.approx(11.0 / np.sqrt(2.0), rel=1e-9)
+    found = search_P(Lipschitz(gamma=0.99 * gamma_star), G, E, C)
+    assert verify_lmi_lipschitz(found.P, found.beta, 0.99 * gamma_star, G, E, C) < -1e-6
+    with pytest.raises(FeasibilitySearchError, match="infeasibility is proven"):
+        search_P(Lipschitz(gamma=1.01 * gamma_star), G, E, C)
+
+
+def swept_gamma_star(Gm, Tm):
+    """1 / ||(sI - G)^{-1} T||_inf from a frequency sweep refined at its peak."""
+    n = Gm.shape[0]
+
+    def gain(w):
+        w = np.atleast_1d(w)[:, None, None]
+        resp = np.linalg.solve(1j * w * np.eye(n) - Gm, np.broadcast_to(Tm, (w.size, n, n)))
+        return np.linalg.norm(resp, 2, axis=(1, 2))
+
+    top = 10.0 * (1.0 + float(np.max(np.abs(np.linalg.eigvals(Gm)))))
+    ws = np.concatenate([[0.0], np.geomspace(1e-3, top, 3000)])
+    gains = gain(ws)
+    k = int(np.argmax(gains))
+    res = minimize_scalar(lambda w: -gain(w)[0], method="bounded",
+                          bounds=(ws[max(k - 1, 0)], ws[min(k + 1, len(ws) - 1)]),
+                          options={"xatol": 1e-12})
+    return 1.0 / max(gains[k], -res.fun)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       frac=st.one_of(st.floats(0.05, 0.995), st.floats(1.005, 3.0)))
+def test_search_P_certifies_iff_gamma_below_gamma_star(n, seed, frac):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    # damping of at least 0.5 keeps the frequency-response peak wide
+    Gm = M - (np.max(np.linalg.eigvals(M).real) + rng.uniform(0.5, 2.0)) * np.eye(n)
+    Cm = rng.standard_normal((n - 1, n))
+    Em = rng.standard_normal((n, n - 1))
+    Tm = np.eye(n) - Em @ Cm
+    gamma_star = max_lipschitz_gamma(Gm, Em, Cm)
+    assert gamma_star == pytest.approx(swept_gamma_star(Gm, Tm), rel=1e-6)
+    gamma = frac * gamma_star
+    if frac < 1.0:
+        found = search_P(Lipschitz(gamma=gamma), Gm, Em, Cm)
+        assert verify_lmi_lipschitz(found.P, found.beta, gamma, Gm, Em, Cm) < -1e-6
+    else:
+        with pytest.raises(FeasibilitySearchError, match="infeasibility is proven"):
+            search_P(Lipschitz(gamma=gamma), Gm, Em, Cm)
 
 
 def test_search_P_deterministic_given_seed():

@@ -129,6 +129,15 @@ def test_design_bad_L_flag(configs, tmp_path, capsys):
     assert "--L" in capsys.readouterr().err
 
 
+def test_design_unreachable_margin_is_reported_infeasible(configs, tmp_path, capsys):
+    code = main(["design", "--config", str(configs["nominal"]),
+                 "--auto-margin", "11.5", "--out", str(tmp_path / "x.json")])
+    assert code == EXIT_NUMERICAL_FAILURE
+    err = capsys.readouterr().err
+    assert "infeasible" in err and "mode -11" in err
+    assert "best found" not in err
+
+
 def test_design_deterministic_auto_search(configs, tmp_path, capsys):
     outs = []
     for name in ("a.json", "b.json"):
@@ -212,6 +221,16 @@ def test_certify_search_P_writes_verified_certificate(configs, tmp_path, capsys)
     assert margin < -1e-6
     assert np.any(cfg.observer.N != 0)
     capsys.readouterr()
+
+
+def test_certify_search_P_prints_gamma_max(configs, capsys):
+    with pytest.warns(RuntimeWarning, match="semidefinite"):
+        code = main(["certify", "--config", str(configs["nominal"]), "--search-P"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    # the bundled G admits every Lipschitz constant below 11/sqrt(2)
+    gamma_max = float(out.split("gamma_max=")[1].split()[0])
+    assert gamma_max == pytest.approx(11.0 / np.sqrt(2.0), rel=1e-5)
 
 
 def test_certify_search_P_antistable_fails(configs, tmp_path, capsys):

@@ -153,3 +153,42 @@ def test_stabilize_L_deterministic_given_seed():
     L1 = stabilize_L(T, A, C, margin=3.0, opts=GainSearchOptions(seed=7))
     L2 = stabilize_L(T, A, C, margin=3.0, opts=GainSearchOptions(seed=7))
     assert np.array_equal(L1, L2)
+
+
+def test_stabilize_L_names_the_fixed_mode():
+    E = compute_E(C, D)
+    T = np.eye(2) - E @ C
+    with pytest.raises(GainSearchError, match=r"infeasible: mode -11 "):
+        stabilize_L(T, A, C, margin=11.5)
+
+
+def observable(M, Cm):
+    blocks = [Cm]
+    for _ in range(M.shape[0] - 1):
+        blocks.append(blocks[-1] @ M)
+    s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    return int(np.count_nonzero(s > 1e-8 * s[0])) == M.shape[0]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stabilize_L_reaches_margin_on_observable_systems(n):
+    # drawn like the certify-sweep design inputs: n_y = n_g + 1 outputs,
+    # a decoupling channel D and an observable (TA, C)
+    rng = np.random.default_rng(100 + n)
+    n_g = 1 if n <= 5 else 2
+    done = 0
+    while done < 5:
+        Am = rng.standard_normal((n, n))
+        Cm = rng.standard_normal((n_g + 1, n))
+        Dm = rng.standard_normal((n, n_g))
+        if np.linalg.matrix_rank(Cm @ Dm) != n_g:
+            continue
+        Em = compute_E(Cm, Dm)
+        Tm = np.eye(n) - Em @ Cm
+        if not observable(Tm @ Am, Cm):
+            continue
+        Lm = stabilize_L(Tm, Am, Cm, margin=1.0)
+        r = design_GJ(Am, Cm, Em, Lm, D=Dm)
+        assert spectral_abscissa(r.G) <= -1.0
+        assert r.residual_sylvester <= 1e-8 * max(1.0, np.max(np.abs(r.J)))
+        done += 1
