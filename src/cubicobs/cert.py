@@ -1,25 +1,28 @@
 """Lyapunov feasibility certificates for the observer error dynamics.
 
 A certificate is a symmetric positive definite ``P`` together with scalar
-multipliers that make a block matrix negative definite.  For a
-Lipschitz-bounded nonlinearity with constant ``gamma`` and multiplier
-``beta > 0`` the block is::
+multipliers that make a block matrix negative definite; with ``T = I - E C``
+the error dynamics are ``e' = G e + T df``.  For a Lipschitz-bounded
+nonlinearity (``|df| <= gamma |e|``) with multiplier ``beta > 0`` the block
+is::
 
-    [ P G + G'P + gamma^2 beta I      P (I - E C) ]
-    [ (I - E C)' P                    -beta I     ]
+    [ P G + G'P + gamma^2 beta I      P T     ]
+    [ T'P                             -beta I ]
 
-and for a one-sided Lipschitz constant ``rho`` with inner-boundedness
-constants ``a``, ``b`` and multipliers ``mu1, mu2 > 0``::
+and for a one-sided Lipschitz constant ``rho`` (``<df, e> <= rho |e|^2``)
+with quadratic inner-boundedness constants ``a``, ``b``
+(``|df|^2 <= a |e|^2 + b <e, df>``) the S-procedure with multipliers
+``mu1, mu2 > 0`` gives::
 
-    [ P G + G'P + 2 (mu1 rho + mu2 a) I    (mu2 b - mu1) P (I - E C) ]
-    [ (mu2 b - mu1) (I - E C)' P           -2 mu1 I                  ]
+    [ P G + G'P + (mu1 rho + mu2 a) I    P T + (mu2 b - mu1)/2 I ]
+    [ T'P + (mu2 b - mu1)/2 I            -mu2 I                  ]
 
-The Lipschitz block is jointly homogeneous in ``(P, beta)`` and its Schur
-complement is ``P G + G'P + gamma^2 I + P T T'P`` at ``beta = 1``, with
-``T = I - E C``.  By the bounded real lemma it is feasible iff ``G`` is
-Hurwitz and ``gamma ||(sI - G)^{-1} T||_inf < 1``, and a certificate is the
-stabilizing solution of a Riccati equation, so :func:`search_P` decides that
-case exactly.  For the one-sided block it still runs a best-effort search.
+Both blocks are jointly homogeneous in ``P`` and the multipliers.  At
+``beta = 1`` (``mu2 = 1``) the Schur complement is
+``P Gh + Gh'P + P T T'P + q I`` with ``Gh = G``, ``q = gamma^2``
+(``Gh = G + (b - mu1)/2 T``, ``q = mu1 rho + a + (b - mu1)^2 / 4``).  By the
+bounded real lemma some ``P > 0`` makes it negative definite iff ``q < 0``,
+or ``Gh`` is Hurwitz and ``q ||(sI - Gh)^{-1} T||_inf^2 < 1``.
 
 Alongside the block inequality, the cubic output-injection gain must
 satisfy ``P N C + C'N'P < 0``.  The closed form ``N = -alpha P^{-1} C' theta``
@@ -43,10 +46,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, solve_continuous_are, solve_continuous_lyapunov
-# unused here, but benchmark tracing patches cert.minimize to count objective
-# evaluations, so the name must stay importable from this module
-from scipy.optimize import minimize  # noqa: F401
+from scipy.linalg import eig, solve_continuous_are
+# minimize is unused here, but benchmark tracing patches cert.minimize to count
+# objective evaluations, so the name must stay importable from this module
+from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
 from .model import Certificate, Lipschitz, LipschitzSpec, OneSidedLipschitz
 from .numlin import as_matrix, definiteness_margin, sym_eig_extremes
@@ -82,8 +85,9 @@ class FeasibilitySearchError(RuntimeError):
     """No certificate was returned.
 
     In the Lipschitz case the message says "infeasibility is proven" when
-    no certificate exists; in the one-sided case the search exhausted its
-    budget and infeasibility is not proven.
+    no certificate exists; in the one-sided case no multiplier on the
+    searched range made the slack positive, the message gives the best
+    slack, and infeasibility is not proven.
     """
 
 
@@ -130,10 +134,9 @@ def osl_lmi(P, mu1: float, mu2: float, rho: float, a: float, b: float, G, E, C) 
     C = as_matrix(C, "C")
     n = G.shape[0]
     T = np.eye(n) - E @ C
-    k = mu2 * b - mu1
-    S = P @ G + G.T @ P + 2.0 * (mu1 * rho + mu2 * a) * np.eye(n)
-    R = k * (P @ T)
-    block = np.block([[S, R], [R.T, -2.0 * mu1 * np.eye(n)]])
+    S = P @ G + G.T @ P + (mu1 * rho + mu2 * a) * np.eye(n)
+    R = P @ T + 0.5 * (mu2 * b - mu1) * np.eye(n)
+    block = np.block([[S, R], [R.T, -mu2 * np.eye(n)]])
     return LmiBlock(block=block, margin=definiteness_margin(block))
 
 
@@ -382,16 +385,10 @@ def check_equilibrium_uniqueness(G, N, C, theta,
 
 @dataclass(frozen=True)
 class CertificateSearchOptions:
-    # The Lipschitz case reads only tol; beta_grid is accepted for
-    # compatibility and ignored.  The rest drives the one-sided search.
+    # seed is accepted for compatibility and ignored: both cases are
+    # deterministic.
     seed: int = 0
     tol: float = 1e-6
-    restarts: int = 8
-    max_iters: int = 120
-    p_floor: float = 1e-6
-    beta_grid: tuple[float, ...] | None = None
-    mu_grid: tuple[float, ...] | None = None
-    step0: float = 0.5
 
 
 def _hinf_below(G: np.ndarray, TT: np.ndarray, g: float) -> bool:
@@ -405,20 +402,12 @@ def _hinf_below(G: np.ndarray, TT: np.ndarray, g: float) -> bool:
     return not np.any(np.abs(ev.real) <= 1e-9 * (1.0 + np.abs(ev)))
 
 
-def max_lipschitz_gamma(G, E, C) -> float:
-    """Supremum ``gamma*`` of the Lipschitz constants a certificate can cover.
-
-    ``gamma* = 1 / ||(sI - G)^{-1} (I - E C)||_inf``, with the norm found by
-    bisection on the Hamiltonian imaginary-axis test to 1e-10 relative and
-    rounded up, so every ``gamma < gamma*`` is certifiable.  Returns ``0.0``
-    when ``G`` is not Hurwitz and ``inf`` when ``I - E C`` vanishes.
-    """
-    G = as_matrix(G, "G")
-    E = as_matrix(E, "E")
-    C = as_matrix(C, "C")
+def _gamma_star(G: np.ndarray, T: np.ndarray) -> float:
+    """``1 / ||(sI - G)^{-1} T||_inf`` by bisection on :func:`_hinf_below`
+    to 1e-10 relative, rounded down; 0 unless ``G`` is Hurwitz, ``inf`` when
+    ``T`` vanishes."""
     if np.max(np.linalg.eigvals(G).real) >= 0.0:
         return 0.0
-    T = np.eye(G.shape[0]) - E @ C
     TT = T @ T.T
     if not TT.any():
         return np.inf
@@ -436,35 +425,34 @@ def max_lipschitz_gamma(G, E, C) -> float:
     return 1.0 / hi
 
 
-def _project_spd(P: np.ndarray, floor: float) -> np.ndarray:
-    P = 0.5 * (P + P.T)
-    vals, vecs = np.linalg.eigh(P)
-    vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
+def max_lipschitz_gamma(G, E, C) -> float:
+    """Supremum ``gamma*`` of the Lipschitz constants a certificate can cover.
+
+    ``gamma* = 1 / ||(sI - G)^{-1} (I - E C)||_inf``, rounded down so every
+    ``gamma < gamma*`` is certifiable.  Returns ``0.0`` when ``G`` is not
+    Hurwitz and ``inf`` when ``I - E C`` vanishes.
+    """
+    G = as_matrix(G, "G")
+    E = as_matrix(E, "E")
+    C = as_matrix(C, "C")
+    return _gamma_star(G, np.eye(G.shape[0]) - E @ C)
 
 
 def search_P(mode: LipschitzSpec, G, E, C,
              opts: CertificateSearchOptions | None = None) -> Certificate:
-    """Find a feasibility certificate.
+    """Find a feasibility certificate through the Riccati form of the block.
 
-    Lipschitz case: decided exactly.  When ``G`` is not Hurwitz or ``gamma``
-    fails the imaginary-axis test, :class:`FeasibilitySearchError` says that
-    infeasibility is proven and gives ``gamma*`` (see
-    :func:`max_lipschitz_gamma`).  Otherwise ``P`` is the stabilizing
-    solution of ``P G + G'P + P T T'P + gamma_s^2 I = 0`` with
-    ``gamma_s^2 = (gamma^2 + gamma*^2) / 2``, so the Schur complement of
-    the block at ``beta = 1`` is ``-(gamma*^2 - gamma^2)/2 I``; ``(P, beta)``
-    is then scaled up jointly until the margin passes ``opts.tol``.
-
-    One-sided case: best-effort projected subgradient descent on the
-    block's largest eigenvalue over symmetric ``P >= p_floor * I``, with
-    ``(mu1, mu2)`` swept over a grid each iteration.  Restarts come from
-    scaled identities, from the Lyapunov solution of ``P G + G'P = -I`` when
-    ``G`` is Hurwitz, and from seeded random SPD matrices.  Failure raises
-    :class:`FeasibilitySearchError` without proving infeasibility.
-
-    The returned certificate's ``lmi_margin`` is recomputed through the
-    public verifier.
+    With ``gamma*(Gh)`` as in :func:`max_lipschitz_gamma`, ``P`` solves
+    ``P Gh + Gh'P + P T T'P + q_s I = 0`` at ``q_s`` midway from ``q`` to
+    ``gamma*(Gh)^2`` (a small multiple of ``I`` when ``q < 0``), and ``P``
+    and the multipliers are scaled up jointly until the margin, recomputed
+    through the public verifier, passes ``opts.tol``.  The Lipschitz case is
+    decided exactly: a refusal says that infeasibility is proven.  In the
+    one-sided case ``slack(mu1) = gamma*(Gh)^2 - q`` is quasi-concave (its
+    level set ``slack > c`` is the projection of the convex feasible set for
+    ``a + c``), so a log grid refined around its best point finds the
+    largest slack; if that is not positive, the refusal gives it and says
+    that infeasibility is not proven.
     """
     if opts is None:
         opts = CertificateSearchOptions()
@@ -474,14 +462,45 @@ def search_P(mode: LipschitzSpec, G, E, C,
     if isinstance(mode, Lipschitz):
         return _lipschitz_certificate(mode.gamma, G, E, C, opts.tol)
     if isinstance(mode, OneSidedLipschitz):
-        return _search_osl(mode, G, E, C, opts)
+        return _osl_certificate(mode, G, E, C, opts.tol)
     raise TypeError(f"unsupported bound specification: {mode!r}")
 
 
+def _riccati_certificate(Gh, T, q, gmax, verify, tol):
+    """``P > 0`` with ``P Gh + Gh'P + P T T'P + q I < 0``, scaled past ``tol``.
+
+    ``gmax = gamma*(Gh)`` must exceed ``sqrt(q)`` when ``q >= 0``, and
+    ``verify(P, s)`` is the block's margin with its multipliers scaled by
+    ``s``.  Returns ``(P, s, margin)`` with ``margin < -tol``, or ``None``.
+    """
+    n = Gh.shape[0]
+    try:
+        if q < 0.0:
+            # the bounds then admit no (e, df) != 0, and the Schur complement
+            # tends to q I as P shrinks
+            k = np.linalg.norm(Gh + Gh.T, 2) + np.linalg.norm(T, 2) ** 2
+            P = (min(1.0, -q / (2.0 * k)) if k > 0.0 else 1.0) * np.eye(n)
+        else:
+            # q_s = q + slack, midway to gmax^2 when that is finite
+            slack = 0.5 * (gmax**2 - q) if np.isfinite(gmax) else (q if q > 0.0 else 1.0)
+            if not slack > 0.0:
+                return None
+            P = solve_continuous_are(Gh, T, (q + slack) * np.eye(n), -np.eye(n))
+            P = 0.5 * (P + P.T)
+        # the block is jointly homogeneous in P and the multipliers: scale a
+        # strictly feasible pair up until its margin passes tol
+        margin = verify(P, 1.0)
+        s = min(2.0 * tol / -margin, 1e12) if -tol <= margin < 0.0 else 1.0
+        P = s * P
+        margin = verify(P, s)
+    except (np.linalg.LinAlgError, CertificateError):
+        return None
+    return (P, s, margin) if margin < -tol else None
+
+
 def _lipschitz_certificate(gamma: float, G, E, C, tol: float) -> Certificate:
-    n = G.shape[0]
-    T = np.eye(n) - E @ C
-    gamma_max = max_lipschitz_gamma(G, E, C)
+    T = np.eye(G.shape[0]) - E @ C
+    gamma_max = _gamma_star(G, T)
     if gamma_max == 0.0:
         raise FeasibilitySearchError(
             "G is not Hurwitz, so no certificate exists for any gamma "
@@ -492,79 +511,53 @@ def _lipschitz_certificate(gamma: float, G, E, C, tol: float) -> Certificate:
             f"gamma = {gamma:.6g} is not below gamma_max = {gamma_max:.6g} "
             "= 1/||(sI - G)^-1 (I - EC)||_inf; infeasibility is proven"
         )
-    # gamma_s^2 = gamma^2 + slack, midway to gamma_max^2 when that is finite
-    slack = 0.5 * (gamma_max**2 - gamma**2) if np.isfinite(gamma_max) else gamma**2
-    margin = np.inf
-    if slack > 0.0:
-        try:
-            P = solve_continuous_are(G, T, (gamma**2 + slack) * np.eye(n), -np.eye(n))
-            P = 0.5 * (P + P.T)
-            # the block is jointly homogeneous in (P, beta): scale a strictly
-            # feasible pair up until its margin passes tol
-            margin = lipschitz_lmi(P, 1.0, gamma, G, E, C).margin
-            beta = min(2.0 * tol / -margin, 1e12) if -tol <= margin < 0.0 else 1.0
-            P = beta * P
-            margin = verify_lmi_lipschitz(P, beta, gamma, G, E, C)
-        except (np.linalg.LinAlgError, CertificateError):
-            margin = np.inf
-    if margin < -tol:
-        return Certificate(P=P, beta=beta, lmi_margin=margin)
-    raise FeasibilitySearchError(
-        f"gamma = {gamma:.6g} is certifiable but within rounding of gamma_max = "
-        f"{gamma_max:.6g}: no certificate reaches margin {-tol:g} at working precision"
-    )
+    found = _riccati_certificate(
+        G, T, gamma**2, gamma_max,
+        lambda P, s: verify_lmi_lipschitz(P, s, gamma, G, E, C), tol)
+    if found is None:
+        raise FeasibilitySearchError(
+            f"gamma = {gamma:.6g} is certifiable but within rounding of gamma_max = "
+            f"{gamma_max:.6g}: no certificate reaches margin {-tol:g} at working precision"
+        )
+    P, beta, margin = found
+    return Certificate(P=P, beta=beta, lmi_margin=margin)
 
 
-def _search_osl(mode: OneSidedLipschitz, G, E, C,
-                opts: CertificateSearchOptions) -> Certificate:
-    n = G.shape[0]
-    T = np.eye(n) - E @ C
+def _osl_certificate(mode: OneSidedLipschitz, G, E, C, tol: float) -> Certificate:
+    T = np.eye(G.shape[0]) - E @ C
     rho, a, b = mode.rho, mode.a, mode.b
-    grid = opts.mu_grid or tuple(float(m) for m in np.logspace(-2, 3, 6))
-    multipliers = [(m1, m2) for m1 in grid for m2 in grid]
 
-    starts: list[np.ndarray] = [np.eye(n), 100.0 * np.eye(n), 0.01 * np.eye(n)]
-    try:
-        P_lyap = solve_continuous_lyapunov(G.T, -np.eye(n))
-        P_lyap = _project_spd(P_lyap, opts.p_floor)
-        starts.append(P_lyap)
-        starts.append(100.0 * P_lyap)
-    except Exception:
-        pass
-    rng = np.random.default_rng(opts.seed)
-    while len(starts) < opts.restarts:
-        Q = rng.standard_normal((n, n))
-        starts.append(_project_spd(Q @ Q.T + 0.1 * np.eye(n), opts.p_floor))
+    def reduced(mu1):
+        """``(Gh, q, gamma*(Gh))`` of the Schur complement at ``mu2 = 1``."""
+        Gh = G + 0.5 * (b - mu1) * T
+        return Gh, mu1 * rho + a + 0.25 * (b - mu1) ** 2, _gamma_star(Gh, T)
 
-    best_margin = np.inf
-    for P0 in starts[: max(opts.restarts, 5)]:
-        P = P0.copy()
-        for it in range(opts.max_iters):
-            lb, (mu1, mu2) = min(
-                ((osl_lmi(P, m1, m2, rho, a, b, G, E, C), (m1, m2)) for m1, m2 in multipliers),
-                key=lambda t: t[0].margin,
-            )
-            best_margin = min(best_margin, lb.margin)
-            if lb.margin < -opts.tol:
-                margin = verify_lmi_osl(P, mu1, mu2, rho, a, b, G, E, C)
-                return Certificate(P=P, mu1=mu1, mu2=mu2, lmi_margin=margin)
-            # subgradient of the largest block eigenvalue with respect to P
-            sym = 0.5 * (lb.block + lb.block.T)
-            _, vecs = np.linalg.eigh(sym)
-            u = vecs[:, -1]
-            u1, u2 = u[:n], u[n:]
-            g = G @ u1 + (mu2 * b - mu1) * (T @ u2)
-            grad = np.outer(g, u1)
-            grad = grad + grad.T
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-14:
-                break
-            step = opts.step0 * max(float(np.linalg.norm(P)), 1.0) / (
-                gnorm * np.sqrt(it + 1.0)
-            )
-            P = _project_spd(P - step * grad, opts.p_floor)
+    def slack(log_mu1):
+        _, q, g = reduced(np.exp(log_mu1))
+        return g**2 - q
 
+    # mu1 / mu2 is a rate, like the entries of G, rho, b and sqrt(a)
+    scale = float(np.linalg.norm(G, 2)) + abs(rho) + abs(b) + np.sqrt(abs(a)) or 1.0
+    grid = np.log(scale) + np.linspace(np.log(1e-9), np.log(1e3), 49)
+    slacks = [slack(z) for z in grid]
+    k = int(np.argmax(slacks))
+    z_best, best = grid[k], slacks[k]
+    if np.isfinite(best):
+        # quasi-concavity puts the maximizer between the grid neighbours
+        res = minimize_scalar(lambda z: -slack(z), method="bounded",
+                              bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]),
+                              options={"xatol": 1e-6})
+        if -res.fun > best:
+            z_best, best = float(res.x), -res.fun
+    mu1 = float(np.exp(z_best))
+    if best > 0.0:
+        Gh, q, g = reduced(mu1)
+        found = _riccati_certificate(
+            Gh, T, q, g, lambda P, s: verify_lmi_osl(P, s * mu1, s, rho, a, b, G, E, C), tol)
+        if found is not None:
+            P, s, margin = found
+            return Certificate(P=P, mu1=s * mu1, mu2=s, lmi_margin=margin)
     raise FeasibilitySearchError(
-        f"no certificate found (best margin {best_margin:.3e}); "
+        f"no multipliers found (best slack {best:.3e} at mu1/mu2 = {mu1:.3e}); "
         "infeasibility is not proven"
     )

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 verification or certification failed, 2 bad
 configuration or arguments, 3 numerical failure (divergence, no certificate
-or stabilizing injection).  Every command is deterministic given its flags;
-the one-sided certificate search takes an explicit ``--seed`` (default 0).
+or stabilizing injection).  Every command is deterministic given its flags.
 """
 
 from __future__ import annotations
@@ -45,7 +44,12 @@ def parse_matrix_flag(text: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _print_verdict(verdict: cert.EquilibriumVerdict) -> None:
+def _print_gain_checks(ncond: cert.NConditionResult,
+                       verdict: cert.EquilibriumVerdict) -> None:
+    print(f"n_margin={ncond.margin:.6e}")
+    print(f"n_classification={ncond.classification}")
+    if ncond.classification == "semidefinite-pass":
+        print("warning: cubic-gain condition holds only semidefinitely")
     print(f"equilibrium={verdict.status}")
     if verdict.status == cert.COUNTEREXAMPLE:
         vtxt = " ".join(f"{v:.6g}" for v in np.ravel(verdict.v))
@@ -154,7 +158,7 @@ def cmd_certify(args) -> int:
                     crt.P, crt.mu1, crt.mu2, mode.rho, mode.a, mode.b,
                     obs.G, obs.E, plant.C,
                 )
-        except cert.CertificateError as exc:
+        except ValueError as exc:  # CertificateError, or a multiplier <= 0
             print(f"certificate invalid: {exc}", file=sys.stderr)
             return EXIT_VERIFICATION_FAILED
         ncond = cert.verify_N_condition(crt.P, obs.N, plant.C, obs.theta, obs.alpha)
@@ -165,11 +169,7 @@ def cmd_certify(args) -> int:
         print(f"residual_sylvester={res_syl:.3e}")
         print(f"residual_decoupling={res_dec:.3e}")
         print(f"lmi_margin={lmi_margin:.6e}")
-        print(f"n_margin={ncond.margin:.6e}")
-        print(f"n_classification={ncond.classification}")
-        if ncond.classification == "semidefinite-pass":
-            print("warning: cubic-gain condition holds only semidefinitely")
-        _print_verdict(verdict)
+        _print_gain_checks(ncond, verdict)
         ok = (
             structure_ok
             and lmi_margin < 0
@@ -184,9 +184,7 @@ def cmd_certify(args) -> int:
         print("error: --alpha must be positive", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        found = cert.search_P(
-            mode, obs.G, obs.E, plant.C, cert.CertificateSearchOptions(seed=args.seed)
-        )
+        found = cert.search_P(mode, obs.G, obs.E, plant.C)
     except cert.FeasibilitySearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
@@ -203,11 +201,7 @@ def cmd_certify(args) -> int:
     print(f"lmi_margin={found.lmi_margin:.6e}")
     if isinstance(mode, model.Lipschitz):
         print(f"gamma_max={cert.max_lipschitz_gamma(obs.G, obs.E, plant.C):.6g}")
-    print(f"n_margin={ncond.margin:.6e}")
-    print(f"n_classification={ncond.classification}")
-    if ncond.classification == "semidefinite-pass":
-        print("warning: cubic-gain condition holds only semidefinitely")
-    _print_verdict(verdict)
+    _print_gain_checks(ncond, verdict)
     if args.out:
         model.save_config(cfg, args.out)
         print(f"wrote {args.out}")
@@ -306,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--auto-margin", type=float,
                        help="compute L with spectral abscissa <= -MARGIN")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0, help="accepted and ignored")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("certify", help="verify or search for a certificate")
@@ -318,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="find P and derive the cubic gain")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="integrate plant and observer")

@@ -30,8 +30,9 @@ recomputed from the matrices, never trusted from a file.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -44,9 +45,6 @@ from .exprlang import (
     variables,
 )
 from .numlin import as_matrix, definiteness_margin
-
-if TYPE_CHECKING:  # pragma: no cover - only for annotations
-    from .cert import EquilibriumVerdict
 
 __all__ = [
     "ConfigError",
@@ -212,9 +210,9 @@ class Certificate:
     """Lyapunov certificate: ``P`` plus multiplier(s).
 
     Exactly one of ``beta`` (Lipschitz case) or ``mu1``/``mu2`` (one-sided
-    case) is set.  ``lmi_margin``, ``n_margin``, and ``equilibrium`` are
-    filled in by the verification routines; they are never persisted, so a
-    loaded certificate carries no stale claims.
+    case) is set.  ``lmi_margin`` is filled in by
+    :func:`cubicobs.cert.search_P`; it is never persisted, so a loaded
+    certificate carries no stale claim.
     """
 
     P: np.ndarray
@@ -222,8 +220,6 @@ class Certificate:
     mu1: float | None = None
     mu2: float | None = None
     lmi_margin: float | None = None
-    n_margin: float | None = None
-    equilibrium: "EquilibriumVerdict | None" = None
 
     def __post_init__(self):
         self.P = as_matrix(self.P, "P")
@@ -452,8 +448,9 @@ def _as_int(v, path: str) -> int:
 
 
 def _as_number(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}: must be a number")
+    # json reads NaN, Infinity and integers too large for a float as numbers
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{path}: must be a finite number")
     return float(v)
 
 
@@ -466,8 +463,6 @@ def _as_mat(v, rows: int, cols: int, path: str) -> np.ndarray:
             raise ConfigError(f"{path}[{i}]: must be an array of {cols} numbers")
         for j, entry in enumerate(row):
             out[i, j] = _as_number(entry, f"{path}[{i}][{j}]")
-    if not np.all(np.isfinite(out)):
-        raise ConfigError(f"{path}: entries must be finite")
     return out
 
 
@@ -526,9 +521,6 @@ def config_from_dict(doc: dict) -> SystemConfig:
 
     plant = PlantModel(A=A, C=C, D=D, n_u=n_u, delta=delta, tau=tau,
                        f_u=f_u, f_g=f_g, f_L=f_L)
-    for v in validate(plant):
-        if v.name == "f_u-state-ref":
-            raise ConfigError(v.message)
 
     lip = _need(doc, "lipschitz")
     if not isinstance(lip, dict):
@@ -571,6 +563,9 @@ def config_from_dict(doc: dict) -> SystemConfig:
             theta=theta,
             alpha=alpha,
         )
+    violations = validate(plant, observer)
+    if violations:
+        raise ConfigError(violations[0].message)
 
     certificate = None
     if "certificate" in doc and doc["certificate"] is not None:

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from cubicobs.cert import (
@@ -55,10 +55,11 @@ def test_lipschitz_block_matches_hand_assembly():
 
 
 def test_osl_block_hand_case_diagonal():
-    # scalar system chosen so the block is exactly diag(-1, -3)
+    # P = 1, G = -2, T = 1: PG + G'P + (mu1 rho + mu2 a) = -4 + 1.5,
+    # coupling PT + (mu2 b - mu1)/2 = 1, and -mu2 = -1; eigenvalues -0.5, -3
     lb = osl_lmi([[1.0]], 1.5, 1.0, 0.5, 0.75, 1.5, [[-2.0]], [[0.0]], [[1.0]])
-    assert np.allclose(lb.block, np.diag([-1.0, -3.0]), atol=1e-12)
-    assert lb.margin == pytest.approx(-1.0, abs=1e-12)
+    assert np.allclose(lb.block, [[-2.5, 1.0], [1.0, -1.0]], atol=1e-12)
+    assert lb.margin == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_verify_lipschitz_published_certificate():
@@ -89,7 +90,7 @@ def test_verify_osl_rejects_bad_multipliers():
 def test_verify_osl_hand_case():
     margin = verify_lmi_osl([[1.0]], 1.5, 1.0, 0.5, 0.75, 1.5,
                             [[-2.0]], [[0.0]], [[1.0]])
-    assert margin == pytest.approx(-1.0, abs=1e-12)
+    assert margin == pytest.approx(-0.5, abs=1e-12)
 
 
 # --- cubic gain -----------------------------------------------------------
@@ -328,9 +329,8 @@ def test_search_P_osl_hand_feasible_case():
 
 
 def test_search_P_fails_on_antistable_G():
-    opts = CertificateSearchOptions(restarts=3, max_iters=25)
     with pytest.raises(FeasibilitySearchError, match="infeasibility is proven"):
-        search_P(Lipschitz(gamma=1.0), np.eye(2), np.zeros((2, 1)), C, opts)
+        search_P(Lipschitz(gamma=1.0), np.eye(2), np.zeros((2, 1)), C)
 
 
 def test_search_P_decides_bundled_gamma_exactly():
@@ -382,6 +382,76 @@ def test_search_P_certifies_iff_gamma_below_gamma_star(n, seed, frac):
     else:
         with pytest.raises(FeasibilitySearchError, match="infeasibility is proven"):
             search_P(Lipschitz(gamma=gamma), Gm, Em, Cm)
+
+
+def test_search_P_osl_refuses_large_bounds_on_bundled_G():
+    # the best slack gamma*(Gh)^2 - q over mu1 is about -945
+    with pytest.raises(FeasibilitySearchError, match="infeasibility is not proven"):
+        search_P(OneSidedLipschitz(rho=1000.0, a=1000.0, b=1.0), G, E, C)
+
+
+@pytest.mark.parametrize("rho", [-3.0, 0.0, 5.0, 100.0])
+def test_search_P_osl_covers_lipschitz_limit(rho):
+    # a = gamma^2, b = 0 is the Lipschitz bound as mu1 -> 0, so any rho is
+    # certifiable below gamma* (rho = 100 only at small mu1)
+    a = (0.99 * max_lipschitz_gamma(G, E, C)) ** 2
+    found = search_P(OneSidedLipschitz(rho=rho, a=a, b=0.0), G, E, C)
+    assert verify_lmi_osl(found.P, found.mu1, found.mu2, rho, a, 0.0, G, E, C) < -1e-6
+
+
+def grid_osl_slack(Gm, Em, Cm, rho, a, b, mus):
+    """gamma*(G + (b - mu1)/2 T)^2 - (mu1 rho + a + (b - mu1)^2 / 4) per mu1."""
+    Tm = np.eye(Gm.shape[0]) - Em @ Cm
+    return np.array([
+        max_lipschitz_gamma(Gm + 0.5 * (b - m) * Tm, Em, Cm) ** 2
+        - (m * rho + a + 0.25 * (b - m) ** 2)
+        for m in mus
+    ])
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       frac=st.one_of(st.floats(-0.95, -0.05), st.floats(0.05, 1.0)))
+def test_search_P_osl_certifies_iff_grid_finds_slack(n, seed, frac):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    Gm = M - (np.max(np.linalg.eigvals(M).real) + rng.uniform(0.5, 2.0)) * np.eye(n)
+    Cm = rng.standard_normal((n - 1, n))
+    Em = rng.standard_normal((n, n - 1))
+    Tm = np.eye(n) - Em @ Cm
+    spread = float(np.linalg.norm(Gm, 2))
+    rho, b = rng.uniform(-2.0, 2.0, 2) * spread
+    # the slack is affine in a, so the grid's best slack at a = 0 places a at
+    # a known distance on either side of the decision boundary; below it, a
+    # stays above -b^2/4, where the bounds begin to admit no df != 0 at all
+    mus = (spread + abs(rho) + abs(b)) * np.geomspace(1e-10, 1e4, 200)
+    best0 = grid_osl_slack(Gm, Em, Cm, rho, 0.0, b, mus).max()
+    if frac > 0:
+        a = best0 + frac * (abs(best0) + 1.0)
+        with pytest.raises(FeasibilitySearchError, match="infeasibility is not proven"):
+            search_P(OneSidedLipschitz(rho=rho, a=a, b=b), Gm, Em, Cm)
+        return
+    reach = best0 + 0.25 * b * b  # the slack at mu1 -> 0 is at least -b^2/4
+    assume(reach > 1e-3 * (1.0 + abs(best0)))
+    a = best0 + frac * reach
+    found = search_P(OneSidedLipschitz(rho=rho, a=a, b=b), Gm, Em, Cm)
+    assert verify_lmi_osl(found.P, found.mu1, found.mu2, rho, a, b, Gm, Em, Cm) < -1e-6
+    # V = e'Pe decreases along e' = G e + T df for sampled df that meet both
+    # bounds: df = s e + w with w orthogonal to e is admissible iff s <= rho
+    # and |w|^2 <= (a + b s - s^2) |e|^2
+    root = np.sqrt(b * b + 4.0 * a)  # a > -b^2/4 by construction
+    lo, hi = 0.5 * (b - root), min(rho, 0.5 * (b + root))
+    if lo > hi:
+        return  # the bounds admit no df != 0
+    e = rng.standard_normal((2000, n))
+    s = rng.uniform(lo, hi, (2000, 1))
+    w = rng.standard_normal((2000, n))
+    w -= np.sum(w * e, axis=1, keepdims=True) / np.sum(e * e, axis=1, keepdims=True) * e
+    room = np.sqrt(np.maximum(a + b * s - s * s, 0.0)) * np.linalg.norm(e, axis=1, keepdims=True)
+    w *= rng.uniform(0.0, 1.0, (2000, 1)) * room / np.linalg.norm(w, axis=1, keepdims=True)
+    df = s * e + w
+    vdot = 2.0 * np.einsum("ki,ij,kj->k", e, found.P, e @ Gm.T + df @ Tm.T)
+    assert np.all(vdot < 0.0)
 
 
 def test_search_P_deterministic_given_seed():

@@ -143,7 +143,7 @@ def test_design_deterministic_auto_search(configs, tmp_path, capsys):
     for name in ("a.json", "b.json"):
         out = tmp_path / name
         assert main(["design", "--config", str(configs["nominal"]),
-                     "--auto-margin", "3.0", "--seed", "9",
+                     "--auto-margin", "3.0",
                      "--out", str(out)]) == EXIT_OK
         outs.append(out.read_text())
     assert outs[0] == outs[1]
@@ -205,6 +205,16 @@ def test_certify_mode_mismatch(configs, tmp_path, capsys):
     code = main(["certify", "--config", str(mixed), "--check-only"])
     assert code == EXIT_CONFIG_ERROR
     assert "beta" in capsys.readouterr().err
+
+
+def test_certify_check_only_rejects_nonpositive_multiplier(configs, tmp_path, capsys):
+    doc = json.loads(configs["nominal"].read_text())
+    doc["certificate"]["beta"] = -1.0
+    bad = tmp_path / "negative_beta.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["certify", "--config", str(bad), "--check-only"])
+    assert code == EXIT_VERIFICATION_FAILED
+    assert "certificate invalid: beta must be positive" in capsys.readouterr().err
 
 
 def test_certify_search_P_writes_verified_certificate(configs, tmp_path, capsys):
@@ -328,6 +338,29 @@ def test_reproduce_paper_unwritable_out(configs, tmp_path, capsys):
     code = main(["reproduce-paper", "--out", str(blocker / "sub")])
     assert code == EXIT_CONFIG_ERROR
     capsys.readouterr()
+
+
+# --- invalid observers ----------------------------------------------------
+
+@pytest.mark.parametrize("field,value", [("alpha", -1.0), ("theta", [[-1.0]])])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--t-end", "0.1"],
+    ["certify", "--check-only"],
+    ["certify", "--search-P"],
+])
+def test_invalid_observer_is_a_config_error(configs, tmp_path, capsys, field, value, command):
+    doc = json.loads(configs["nominal"].read_text())
+    doc["observer"][field] = value
+    bad = tmp_path / "bad_observer.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command[0], "--config", str(bad), *command[1:]]
+    if command[0] == "simulate":
+        argv += ["--out", str(tmp_path / "run.csv")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
+    assert not (tmp_path / "run.csv").exists()
 
 
 # --- argument plumbing ----------------------------------------------------
