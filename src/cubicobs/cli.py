@@ -3,12 +3,19 @@
 Exit codes: 0 success, 1 verification or certification failed, 2 bad
 configuration or arguments, 3 numerical failure (divergence, no certificate
 or stabilizing injection).  Every command is deterministic given its flags.
+
+Commands raise instead of printing their own errors: :func:`main` reports a
+:class:`~cubicobs.model.ConfigError` or :class:`~cubicobs.exprlang.ExprError`
+as ``error: ...`` with exit 2, and a failed gain, certificate or simulation
+as ``error: ...`` with exit 3.  Numeric flags are checked to be positive and
+finite when the arguments are parsed, matrix flags to be finite when they
+are read.  Configs are written only through
+:func:`~cubicobs.model.save_config`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -41,11 +48,19 @@ def parse_matrix_flag(text: str) -> np.ndarray:
             raise model.ConfigError(f"matrix flag {text!r}: {exc}") from None
     if not rows or len({len(r) for r in rows}) != 1:
         raise model.ConfigError(f"matrix flag {text!r}: ragged or empty rows")
-    return np.array(rows)
+    M = np.array(rows)
+    if not np.isfinite(M).all():
+        raise model.ConfigError(f"matrix flag {text!r}: entries must be finite")
+    return M
 
 
-def _print_gain_checks(ncond: cert.NConditionResult,
-                       verdict: cert.EquilibriumVerdict) -> None:
+def _gain_checks(P, N, G, C, theta, alpha: float) -> bool:
+    """Check and print the cubic-gain condition and the equilibrium verdict
+    for certificate ``P``; True when both pass."""
+    ncond = cert.verify_N_condition(P, N, C, theta, alpha)
+    verdict = cert.check_equilibrium_uniqueness(
+        G, N, C, theta, cert.EquilibriumSearchOptions(P=P, alpha=alpha)
+    )
     print(f"n_margin={ncond.margin:.6e}")
     print(f"n_classification={ncond.classification}")
     if ncond.classification == "semidefinite-pass":
@@ -55,14 +70,19 @@ def _print_gain_checks(ncond: cert.NConditionResult,
         vtxt = " ".join(f"{v:.6g}" for v in np.ravel(verdict.v))
         print(f"equilibrium_counterexample=[{vtxt}]")
         print(f"equilibrium_residual={verdict.residual:.3e}")
+    return (ncond.classification in ("strict", "semidefinite-pass")
+            and verdict.status != cert.COUNTEREXAMPLE)
+
+
+def _load_with_observer(path) -> model.SystemConfig:
+    cfg = model.load_config(path)
+    if cfg.observer is None:
+        raise model.ConfigError("config has no observer block")
+    return cfg
 
 
 def cmd_design(args) -> int:
-    try:
-        cfg = model.load_config(args.config)
-    except model.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    cfg = model.load_config(args.config)
     plant = cfg.plant
     try:
         E = design.compute_E(plant.C, plant.D)
@@ -70,24 +90,12 @@ def cmd_design(args) -> int:
         print(f"decoupling infeasible: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
     if args.L is not None:
-        try:
-            L = parse_matrix_flag(args.L)
-        except model.ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
+        L = parse_matrix_flag(args.L)
         if L.shape != (plant.n, plant.n_y):
-            print(
-                f"error: --L must be {plant.n}x{plant.n_y}, got {L.shape}",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG_ERROR
+            raise model.ConfigError(f"--L must be {plant.n}x{plant.n_y}, got {L.shape}")
     else:
         T = np.eye(plant.n) - E @ plant.C
-        try:
-            L = design.stabilize_L(T, plant.A, plant.C, args.auto_margin)
-        except design.GainSearchError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL_FAILURE
+        L = design.stabilize_L(T, plant.A, plant.C, args.auto_margin)
     result = design.design_GJ(plant.A, plant.C, E, L, D=plant.D)
     prev = cfg.observer
     cfg.observer = model.ObserverParams(
@@ -98,15 +106,7 @@ def cmd_design(args) -> int:
         theta=prev.theta if prev is not None else np.eye(plant.n_y),
         alpha=prev.alpha if prev is not None else 1.0,
     )
-    doc = model.config_to_dict(cfg)
-    doc["design_report"] = {
-        "residual_sylvester": result.residual_sylvester,
-        "residual_decoupling": result.residual_decoupling,
-        "spectral_abscissa": design.spectral_abscissa(result.G),
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    model.save_config(cfg, args.out)
     print(f"residual_sylvester={result.residual_sylvester:.3e}")
     print(f"residual_decoupling={result.residual_decoupling:.3e}")
     print(f"spectral_abscissa={design.spectral_abscissa(result.G):.6g}")
@@ -115,45 +115,29 @@ def cmd_design(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        cfg = model.load_config(args.config)
-    except model.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if cfg.observer is None:
-        print("error: config has no observer block", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    cfg = _load_with_observer(args.config)
     obs = cfg.observer
     plant = cfg.plant
     mode = cfg.lipschitz
 
     if args.check_only:
-        if cfg.certificate is None:
-            print("error: --check-only needs a certificate block", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
         crt = cfg.certificate
+        if crt is None:
+            raise model.ConfigError("--check-only needs a certificate block")
+        if crt.beta is not None and not isinstance(mode, model.Lipschitz):
+            raise model.ConfigError("certificate.beta needs a lipschitz.gamma bound")
+        if crt.beta is None and not isinstance(mode, model.OneSidedLipschitz):
+            raise model.ConfigError("certificate.mu1/mu2 need a one-sided bound")
         mats = (plant.A, plant.C, plant.D, obs.E, obs.G, obs.J)
         res_syl, res_dec = design.verify_structure(*mats)
         scale = max(1.0, *(float(np.max(np.abs(M), initial=0.0)) for M in mats))
         structure_ok = max(res_syl, res_dec) <= STRUCTURE_RTOL * scale
         try:
             if crt.beta is not None:
-                if not isinstance(mode, model.Lipschitz):
-                    print(
-                        "error: certificate.beta needs a lipschitz.gamma bound",
-                        file=sys.stderr,
-                    )
-                    return EXIT_CONFIG_ERROR
                 lmi_margin = cert.verify_lmi_lipschitz(
                     crt.P, crt.beta, mode.gamma, obs.G, obs.E, plant.C
                 )
             else:
-                if not isinstance(mode, model.OneSidedLipschitz):
-                    print(
-                        "error: certificate.mu1/mu2 need a one-sided bound",
-                        file=sys.stderr,
-                    )
-                    return EXIT_CONFIG_ERROR
                 lmi_margin = cert.verify_lmi_osl(
                     crt.P, crt.mu1, crt.mu2, mode.rho, mode.a, mode.b,
                     obs.G, obs.E, plant.C,
@@ -161,39 +145,17 @@ def cmd_certify(args) -> int:
         except ValueError as exc:  # CertificateError, or a multiplier <= 0
             print(f"certificate invalid: {exc}", file=sys.stderr)
             return EXIT_VERIFICATION_FAILED
-        ncond = cert.verify_N_condition(crt.P, obs.N, plant.C, obs.theta, obs.alpha)
-        verdict = cert.check_equilibrium_uniqueness(
-            obs.G, obs.N, plant.C, obs.theta,
-            cert.EquilibriumSearchOptions(P=crt.P, alpha=obs.alpha),
-        )
         print(f"residual_sylvester={res_syl:.3e}")
         print(f"residual_decoupling={res_dec:.3e}")
         print(f"lmi_margin={lmi_margin:.6e}")
-        _print_gain_checks(ncond, verdict)
-        ok = (
-            structure_ok
-            and lmi_margin < 0
-            and ncond.classification in ("strict", "semidefinite-pass")
-            and verdict.status != cert.COUNTEREXAMPLE
-        )
+        gains_ok = _gain_checks(crt.P, obs.N, obs.G, plant.C, obs.theta, obs.alpha)
+        ok = structure_ok and lmi_margin < 0 and gains_ok
         return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
     # --search-P
     alpha = args.alpha if args.alpha is not None else obs.alpha
-    if not alpha > 0:
-        print("error: --alpha must be positive", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        found = cert.search_P(mode, obs.G, obs.E, plant.C)
-    except cert.FeasibilitySearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
+    found = cert.search_P(mode, obs.G, obs.E, plant.C)
     N = cert.cubic_gain(found.P, plant.C, obs.theta, alpha)
-    ncond = cert.verify_N_condition(found.P, N, plant.C, obs.theta, alpha)
-    verdict = cert.check_equilibrium_uniqueness(
-        obs.G, N, plant.C, obs.theta,
-        cert.EquilibriumSearchOptions(P=found.P, alpha=alpha),
-    )
     cfg.observer = model.ObserverParams(
         G=obs.G, J=obs.J, E=obs.E, N=N, theta=obs.theta, alpha=alpha
     )
@@ -201,7 +163,7 @@ def cmd_certify(args) -> int:
     print(f"lmi_margin={found.lmi_margin:.6e}")
     if isinstance(mode, model.Lipschitz):
         print(f"gamma_max={cert.max_lipschitz_gamma(obs.G, obs.E, plant.C):.6g}")
-    _print_gain_checks(ncond, verdict)
+    _gain_checks(found.P, N, obs.G, plant.C, obs.theta, alpha)
     if args.out:
         model.save_config(cfg, args.out)
         print(f"wrote {args.out}")
@@ -209,53 +171,30 @@ def cmd_certify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = model.load_config(args.config)
-        truth_cfg = model.load_config(args.truth) if args.truth else None
-    except model.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if cfg.observer is None:
-        print("error: config has no observer block", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    cfg = _load_with_observer(args.config)
+    truth_cfg = model.load_config(args.truth) if args.truth else cfg
     design_plant = cfg.plant
-    truth_plant = truth_cfg.plant if truth_cfg is not None else design_plant
     n = design_plant.n
-    try:
-        x0 = (
-            parse_matrix_flag(args.x0).ravel()
-            if args.x0
-            else np.zeros(n)
-        )
-        xhat0 = (
-            parse_matrix_flag(args.xhat0).ravel()
-            if args.xhat0
-            else np.zeros(n)
-        )
-        inputs = [
-            exprlang.parse_input_signal(text)
-            for text in (args.input or [sim.DEFAULT_INPUT_SIGNAL])
-        ]
-        if design_plant.n_u == 0:
-            inputs = []
-        elif len(inputs) == 1 and design_plant.n_u > 1:
-            inputs = inputs * design_plant.n_u
-        run_cfg = sim.SimConfig(
-            h=args.step,
-            t_end=args.t_end,
-            x0=x0,
-            xhat0=xhat0,
-            input_signal=tuple(inputs),
-            prehistory=args.prehistory,
-            cubic_enabled=not args.no_cubic,
-        )
-        result = sim.simulate(truth_plant, design_plant, cfg.observer, run_cfg)
-    except (model.ConfigError, exprlang.ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except sim.SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
+    x0 = parse_matrix_flag(args.x0).ravel() if args.x0 else np.zeros(n)
+    xhat0 = parse_matrix_flag(args.xhat0).ravel() if args.xhat0 else np.zeros(n)
+    inputs = [
+        exprlang.parse_input_signal(text)
+        for text in (args.input or [sim.DEFAULT_INPUT_SIGNAL])
+    ]
+    if design_plant.n_u == 0:
+        inputs = []
+    elif len(inputs) == 1 and design_plant.n_u > 1:
+        inputs = inputs * design_plant.n_u
+    run_cfg = sim.SimConfig(
+        h=args.step,
+        t_end=args.t_end,
+        x0=x0,
+        xhat0=xhat0,
+        input_signal=tuple(inputs),
+        prehistory=args.prehistory,
+        cubic_enabled=not args.no_cubic,
+    )
+    result = sim.simulate(truth_cfg.plant, design_plant, cfg.observer, run_cfg)
     sim.write_trajectory_csv(result, args.out)
     print(f"jo_end={result.jo[-1]:.12g}")
     print(f"wrote {args.out}")
@@ -265,18 +204,9 @@ def cmd_simulate(args) -> int:
 def cmd_reproduce_paper(args) -> int:
     try:
         report = sim.example_study(args.out)
-    except sim.SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
     except OSError as exc:
-        print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    print(f"jo_cubic_nominal={report.nominal.jo_cubic:.12g}")
-    print(f"jo_linear_nominal={report.nominal.jo_linear:.12g}")
-    print(f"ratio_nominal={report.nominal.ratio:.12g}")
-    print(f"jo_cubic_uncertain={report.uncertain.jo_cubic:.12g}")
-    print(f"jo_linear_uncertain={report.uncertain.jo_linear:.12g}")
-    print(f"ratio_uncertain={report.uncertain.ratio:.12g}")
+        raise model.ConfigError(f"cannot write to {args.out}: {exc}") from exc
+    print(report.summary(), end="")
     for path in report.files:
         print(f"wrote {path}")
     ok = report.uncertain.ratio < 1.0 and np.isfinite(
@@ -284,6 +214,14 @@ def cmd_reproduce_paper(args) -> int:
          report.uncertain.jo_cubic, report.uncertain.jo_linear]
     ).all()
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+
+
+def positive_float(text: str) -> float:
+    """argparse type for step sizes, horizons, margins and gains."""
+    value = float(text)
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--L", help='output injection, e.g. "[10;-3]"')
-    group.add_argument("--auto-margin", type=float,
+    group.add_argument("--auto-margin", type=positive_float,
                        help="compute L with spectral abscissa <= -MARGIN")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_design)
@@ -309,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recompute margins for the stored certificate")
     group.add_argument("--search-P", action="store_true", dest="search_p",
                        help="find P and derive the cubic gain")
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=positive_float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
 
@@ -317,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--truth", default=None,
                    help="alternate truth-model config (mismatch study)")
-    p.add_argument("--t-end", type=float, default=20.0)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--t-end", type=positive_float, default=20.0)
+    p.add_argument("--step", type=positive_float, default=0.01)
     p.add_argument("--input", action="append",
                    help="drive expression in t (repeatable; default "
                         f'"{sim.DEFAULT_INPUT_SIGNAL}")')
@@ -345,7 +283,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the config-error code
         return EXIT_CONFIG_ERROR if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (model.ConfigError, exprlang.ExprError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except (design.GainSearchError, cert.FeasibilitySearchError,
+            sim.SimulationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
 
 
 if __name__ == "__main__":

@@ -61,11 +61,9 @@ _PBH_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class GainSearchOptions:
-    # seed, restarts and max_iters are accepted for compatibility and
-    # ignored: the gain is computed, not searched for.
+    # seed is accepted for compatibility and ignored: the gain is computed,
+    # not searched for.
     seed: int = 0
-    restarts: int = 16
-    max_iters: int = 400
 
 
 @dataclass(eq=False)
@@ -125,11 +123,9 @@ def design_GJ(A, C, E, L, D=None) -> StructuralDesign:
     T = np.eye(n) - E @ C
     G = T @ A - L @ C
     J = T @ A @ E + L @ (np.eye(C.shape[0]) - C @ E)
-    res_syl = float(np.max(np.abs(T @ A - J @ C - G @ T)))
-    res_dec = None
-    if D is not None:
-        D = as_matrix(D, "D")
-        res_dec = float(np.max(np.abs(T @ D), initial=0.0))
+    res_syl, res_dec = verify_structure(A, C, np.zeros((n, 0)) if D is None else D, E, G, J)
+    if D is None:
+        res_dec = None
     return StructuralDesign(E=E, T=T, G=G, J=J, L=L,
                             residual_sylvester=res_syl, residual_decoupling=res_dec)
 

@@ -57,6 +57,7 @@ __all__ = [
     "EvalEnv",
     "parse",
     "parse_input_signal",
+    "ref_range_error",
     "evaluate",
     "compile_vector",
     "unparse",
@@ -314,30 +315,38 @@ class _Parser:
         if kind == "op" and tok == "@":
             self.advance()
             slot = self.uint("delay slot")
-        ref = f"{word}{index}" + (f"@{slot}" if slot else "")
-        dims = self.dims
-        if index < 1:
-            raise ExprRangeError(f"{ref}: component index must be >= 1")
-        if word == "x":
-            if index > dims.n:
-                raise ExprRangeError(f"{ref}: state index out of range (n={dims.n})")
-            if slot != 0:
-                raise ExprRangeError(f"{ref}: state references cannot be delayed")
-        elif word == "u":
-            if index > dims.n_u:
-                raise ExprRangeError(f"{ref}: input index out of range (n_u={dims.n_u})")
-            if slot > dims.n_delta:
-                raise ExprRangeError(
-                    f"{ref}: input delay slot out of range ({dims.n_delta} configured)"
-                )
-        else:
-            if index > dims.n_y:
-                raise ExprRangeError(f"{ref}: output index out of range (n_y={dims.n_y})")
-            if slot > dims.n_tau:
-                raise ExprRangeError(
-                    f"{ref}: output delay slot out of range ({dims.n_tau} configured)"
-                )
-        return Var(word, index, slot)
+        ref = Var(word, index, slot)
+        message = ref_range_error(ref, self.dims)
+        if message is not None:
+            raise ExprRangeError(message)
+        return ref
+
+
+def ref_range_error(ref: Var, dims: SignalDims) -> str | None:
+    """Why ``ref`` lies outside ``dims``, or ``None`` when it is in range.
+
+    The parser raises :class:`ExprRangeError` with this message, and
+    :func:`cubicobs.model.validate` reports it for expressions built against
+    other dimensions.
+    """
+    problem = None
+    if ref.index < 1:
+        problem = "component index must be >= 1"
+    elif ref.kind == "x":
+        if ref.index > dims.n:
+            problem = f"state index out of range (n={dims.n})"
+        elif ref.slot != 0:
+            problem = "state references cannot be delayed"
+    elif ref.kind == "u":
+        if ref.index > dims.n_u:
+            problem = f"input index out of range (n_u={dims.n_u})"
+        elif ref.slot > dims.n_delta:
+            problem = f"input delay slot out of range ({dims.n_delta} configured)"
+    elif ref.index > dims.n_y:
+        problem = f"output index out of range (n_y={dims.n_y})"
+    elif ref.slot > dims.n_tau:
+        problem = f"output delay slot out of range ({dims.n_tau} configured)"
+    return None if problem is None else f"{unparse(ref)}: {problem}"
 
 
 def parse(text: str, dims: SignalDims, *, allow_time: bool = False) -> Expr:

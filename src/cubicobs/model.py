@@ -41,10 +41,11 @@ from .exprlang import (
     ExprError,
     SignalDims,
     parse,
+    ref_range_error,
     unparse,
     variables,
 )
-from .numlin import as_matrix, definiteness_margin
+from .numlin import as_matrix, psd_violation
 
 __all__ = [
     "ConfigError",
@@ -64,9 +65,6 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
 ]
-
-_SYM_TOL = 1e-9
-
 
 class ConfigError(ValueError):
     """Configuration violates the schema; the message names the offending field."""
@@ -275,25 +273,6 @@ class Violation:
     message: str
 
 
-def _check_expr_refs(exprs, dims: SignalDims, label: str, out: list[Violation]):
-    for i, e in enumerate(exprs):
-        for ref in variables(e):
-            ok = True
-            if ref.kind == "x":
-                ok = 1 <= ref.index <= dims.n and ref.slot == 0
-            elif ref.kind == "u":
-                ok = 1 <= ref.index <= dims.n_u and 0 <= ref.slot <= dims.n_delta
-            else:
-                ok = 1 <= ref.index <= dims.n_y and 0 <= ref.slot <= dims.n_tau
-            if not ok:
-                out.append(
-                    Violation(
-                        f"{label}-ref-range",
-                        f"{label}[{i}] references {unparse(ref)} outside the model dimensions",
-                    )
-                )
-
-
 def validate(plant: PlantModel, observer: ObserverParams | None = None) -> list[Violation]:
     """Check dimensions and invariants; an empty report means valid."""
     out: list[Violation] = []
@@ -326,9 +305,12 @@ def validate(plant: PlantModel, observer: ObserverParams | None = None) -> list[
                 )
                 break
     dims = plant.dims()
-    _check_expr_refs(plant.f_u, dims, "f_u", out)
-    _check_expr_refs(plant.f_g, dims, "f_g", out)
-    _check_expr_refs(plant.f_L, dims, "f_L", out)
+    for label, exprs in (("f_u", plant.f_u), ("f_g", plant.f_g), ("f_L", plant.f_L)):
+        for i, e in enumerate(exprs):
+            for ref in variables(e):
+                message = ref_range_error(ref, dims)
+                if message is not None:
+                    out.append(Violation(f"{label}-ref-range", f"{label}[{i}]: {message}"))
 
     if observer is None:
         return out
@@ -346,14 +328,9 @@ def validate(plant: PlantModel, observer: ObserverParams | None = None) -> list[
         out.append(
             Violation("theta-dims", f"theta must be {n_y}x{n_y}, got {observer.theta.shape}")
         )
-    else:
-        asym = float(np.max(np.abs(observer.theta - observer.theta.T)))
-        if asym > _SYM_TOL:
-            out.append(
-                Violation("theta-symmetry", f"theta must be symmetric (asymmetry {asym:.2e})")
-            )
-        elif definiteness_margin(-observer.theta) > _SYM_TOL:
-            out.append(Violation("theta-psd", "theta must be positive semidefinite"))
+    elif (bad := psd_violation(observer.theta, "theta")) is not None:
+        rule, message = bad
+        out.append(Violation(f"theta-{rule}", message))
     if not observer.alpha > 0:
         out.append(Violation("alpha-positive", "alpha must be positive"))
     return out
@@ -503,13 +480,7 @@ def config_from_dict(doc: dict) -> SystemConfig:
         v = _need(doc, key)
         if not isinstance(v, list):
             raise ConfigError(f"{key}: must be a list of numbers")
-        out = []
-        for i, entry in enumerate(v):
-            d = _as_number(entry, f"{key}[{i}]")
-            if d < 0:
-                raise ConfigError(f"{key}[{i}]: delay must be nonnegative")
-            out.append(d)
-        return tuple(out)
+        return tuple(_as_number(entry, f"{key}[{i}]") for i, entry in enumerate(v))
 
     delta = delays("delta")
     tau = delays("tau")

@@ -15,6 +15,7 @@ __all__ = [
     "pinv",
     "sym_eig_extremes",
     "definiteness_margin",
+    "psd_violation",
 ]
 
 
@@ -66,3 +67,18 @@ def definiteness_margin(S) -> float:
     definite with that margin; zero means at most negative semidefinite.
     """
     return sym_eig_extremes(S)[1]
+
+
+def psd_violation(S, name: str) -> tuple[str, str] | None:
+    """``(rule, message)`` when ``S`` is not symmetric positive semidefinite.
+
+    ``rule`` is ``"symmetry"`` when an entry of ``S - S^T`` exceeds 1e-9 in
+    magnitude, and ``"psd"`` when an eigenvalue of ``S`` is below -1e-9.
+    Returns ``None`` when ``S`` passes both.
+    """
+    asym = float(np.max(np.abs(S - S.T), initial=0.0))
+    if asym > 1e-9:
+        return "symmetry", f"{name} must be symmetric (asymmetry {asym:.2e})"
+    if definiteness_margin(-S) > 1e-9:
+        return "psd", f"{name} must be positive semidefinite"
+    return None

@@ -97,10 +97,10 @@ class SimConfig:
         self.x0 = np.asarray(self.x0, dtype=float).ravel()
         self.xhat0 = np.asarray(self.xhat0, dtype=float).ravel()
         self.input_signal = tuple(self.input_signal)
-        if not self.h > 0:
-            raise ConfigError("h: step must be positive")
-        if self.t_end < self.h:
-            raise ConfigError("t_end: must be at least one step")
+        if not 0 < self.h < np.inf:
+            raise ConfigError("h: step must be positive and finite")
+        if not self.h <= self.t_end < np.inf:
+            raise ConfigError("t_end: must be finite and at least one step")
         if self.prehistory not in ("analytic", "zero"):
             raise ConfigError(f"prehistory: unknown policy {self.prehistory!r}")
 
@@ -201,9 +201,9 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
         report = validate(plant, obs)
         if report:
             names = ", ".join(v.name for v in report)
-            raise ValueError(f"{label} model failed validation: {names}")
+            raise ConfigError(f"{label} model failed validation: {names}")
     if truth.n != design.n or truth.n_y != design.n_y or truth.n_u != design.n_u:
-        raise ValueError("truth and design models must share n, n_u, n_y")
+        raise ConfigError("truth and design models must share n, n_u, n_y")
     n, n_y, n_u = truth.n, truth.n_y, truth.n_u
     if cfg.x0.shape != (n,):
         raise ConfigError(f"x0: expected {n} entries, got {cfg.x0.shape}")
@@ -391,6 +391,16 @@ class StudyReport:
     uncertain: ComparisonReport
     files: tuple[str, ...] = ()
 
+    def summary(self) -> str:
+        """The ``summary.txt`` text: end-time error integrals and ratios, one
+        ``key=value`` line each."""
+        lines = []
+        for label, rep in (("nominal", self.nominal), ("uncertain", self.uncertain)):
+            lines += [f"jo_cubic_{label}={rep.jo_cubic:.12g}\n",
+                      f"jo_linear_{label}={rep.jo_linear:.12g}\n",
+                      f"ratio_{label}={rep.ratio:.12g}\n"]
+        return "".join(lines)
+
 
 def example_study(out_dir=None, h: float = 0.01, t_end: float = 20.0) -> StudyReport:
     """Run the bundled example: nominal and mismatched plant, cubic vs linear.
@@ -412,7 +422,7 @@ def example_study(out_dir=None, h: float = 0.01, t_end: float = 20.0) -> StudyRe
     )
     nominal = compare_cubic_linear(ex.nominal, ex.nominal, ex.observer, cfg)
     uncertain = compare_cubic_linear(ex.uncertain, ex.nominal, ex.observer, cfg)
-    files: tuple[str, ...] = ()
+    report = StudyReport(nominal=nominal, uncertain=uncertain)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         paths = []
@@ -427,15 +437,10 @@ def example_study(out_dir=None, h: float = 0.01, t_end: float = 20.0) -> StudyRe
             paths.append(path)
         summary = os.path.join(out_dir, "summary.txt")
         with open(summary, "w", newline="\n") as fh:
-            fh.write(f"jo_cubic_nominal={nominal.jo_cubic:.12g}\n")
-            fh.write(f"jo_linear_nominal={nominal.jo_linear:.12g}\n")
-            fh.write(f"ratio_nominal={nominal.ratio:.12g}\n")
-            fh.write(f"jo_cubic_uncertain={uncertain.jo_cubic:.12g}\n")
-            fh.write(f"jo_linear_uncertain={uncertain.jo_linear:.12g}\n")
-            fh.write(f"ratio_uncertain={uncertain.ratio:.12g}\n")
+            fh.write(report.summary())
         paths.append(summary)
-        files = tuple(paths)
-    return StudyReport(nominal=nominal, uncertain=uncertain, files=files)
+        report.files = tuple(paths)
+    return report
 
 
 def write_trajectory_csv(result: SimResult, path) -> None:

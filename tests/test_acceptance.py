@@ -211,7 +211,7 @@ def test_09_property_suites(criterion):
 
 
 def test_10_falsifier_soundness(criterion):
-    with criterion(10, "equilibrium falsifier is sound"):
+    with criterion(10, "equilibrium verdict is sound"):
         rng = np.random.default_rng(77)
         found = 0
         for i in range(40):
@@ -224,8 +224,7 @@ def test_10_falsifier_soundness(criterion):
             theta = R @ R.T + 0.1 * np.eye(p)
             verdict = cert.check_equilibrium_uniqueness(
                 G, N, C, theta,
-                cert.EquilibriumSearchOptions(seed=i, directions=24,
-                                              refine_iters=40),
+                cert.EquilibriumSearchOptions(seed=i),
             )
             if verdict.status == cert.COUNTEREXAMPLE:
                 found += 1

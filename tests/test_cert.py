@@ -230,7 +230,7 @@ def test_equilibrium_counterexamples_are_sound():
         theta = R @ R.T
         verdict = check_equilibrium_uniqueness(
             Gm, Nm, Cm, theta,
-            EquilibriumSearchOptions(seed=1, directions=16, refine_iters=40),
+            EquilibriumSearchOptions(seed=1),
         )
         if verdict.status != COUNTEREXAMPLE:
             continue

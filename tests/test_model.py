@@ -111,6 +111,20 @@ def test_validate_ref_out_of_model_range():
     assert "f_L-ref-range" in names(validate(bad))
 
 
+@pytest.mark.parametrize("text", ["x3", "u2", "u1@2", "y2", "y1@1"])
+def test_ref_range_message_shared_by_parse_and_validate(text):
+    wide = SignalDims(n=3, n_u=2, n_y=2, n_delta=2, n_tau=1)
+    bad = small_plant(f_L=(parse(text, wide), parse("sin(x2)", wide)))
+    [violation] = [v for v in validate(bad) if v.name == "f_L-ref-range"]
+    doc = base_doc()
+    doc["f_L"][0] = text
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(doc)
+    assert violation.message == str(info.value)
+    if text == "x3":
+        assert violation.message == "f_L[0]: x3: state index out of range (n=2)"
+
+
 def test_validate_observer_blocks():
     ex = example_system()
     obs = ex.observer
