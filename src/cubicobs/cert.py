@@ -37,7 +37,9 @@ must have the origin as their only equilibrium.  A nonzero ``v`` with
 ``G v + (v'C' theta C v) N C v = 0`` lies on a ray through a real eigenvector
 of the pencil ``(G, -N C)`` or through the kernel of ``G``, so one QZ
 decomposition decides the question exactly, for any gain: it either returns
-a verified equilibrium or proves there is none.
+a verified equilibrium or proves there is none.  The verdict does not ask
+where ``N`` came from; whether it has the closed form is what
+``verify_N_condition(...).identity_residual`` measures.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ __all__ = [
     "CertificateSearchOptions",
     "max_lipschitz_gamma",
     "search_P",
-    "GUARANTEED",
     "NO_COUNTEREXAMPLE",
     "COUNTEREXAMPLE",
 ]
@@ -156,8 +157,8 @@ def verify_lmi_osl(P, mu1: float, mu2: float, rho: float, a: float, b: float,
 
 def cubic_gain(P, C, theta, alpha: float = 1.0) -> np.ndarray:
     """Closed-form cubic gain ``N = -alpha P^{-1} C' theta``."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     P = _spd_check(P)
     C = as_matrix(C, "C")
     theta = as_matrix(theta, "theta")
@@ -185,8 +186,12 @@ class NConditionResult:
     identity_residual: float | None = None
 
 
-def verify_N_condition(P, N, C, theta=None, alpha: float | None = None,
-                       tol: float = 1e-10) -> NConditionResult:
+# Margins within this fraction of the matrix scale count as zero when the
+# cubic-gain matrix is classified.
+_N_TOL = 1e-10
+
+
+def verify_N_condition(P, N, C, theta=None, alpha: float | None = None) -> NConditionResult:
     """Check the cubic-gain matrix condition ``P N C + C'N'P < 0``."""
     P = _spd_check(P)
     N = as_matrix(N, "N")
@@ -195,9 +200,9 @@ def verify_N_condition(P, N, C, theta=None, alpha: float | None = None,
     M = M + M.T
     margin = definiteness_margin(M)
     scale = max(1.0, float(np.max(np.abs(M), initial=0.0)))
-    if margin < -tol * scale:
+    if margin < -_N_TOL * scale:
         classification = "strict"
-    elif margin <= tol * scale and _negative_on_output_range(M, C, tol):
+    elif margin <= _N_TOL * scale and _negative_on_output_range(M, C):
         classification = "semidefinite-pass"
         warnings.warn(
             "cubic-gain condition holds only semidefinitely "
@@ -216,7 +221,7 @@ def verify_N_condition(P, N, C, theta=None, alpha: float | None = None,
                             identity_residual=identity_residual)
 
 
-def _negative_on_output_range(M: np.ndarray, C: np.ndarray, tol: float) -> bool:
+def _negative_on_output_range(M: np.ndarray, C: np.ndarray) -> bool:
     """Is ``M`` strictly negative definite restricted to range(C')?"""
     _, s, Vt = np.linalg.svd(C)
     if s.size == 0 or s[0] == 0.0:
@@ -225,12 +230,11 @@ def _negative_on_output_range(M: np.ndarray, C: np.ndarray, tol: float) -> bool:
     Q = Vt[:rank].T  # orthonormal basis of range(C')
     restricted = Q.T @ M @ Q
     scale = max(1.0, float(np.max(np.abs(M), initial=0.0)))
-    return definiteness_margin(restricted) < -tol * scale
+    return definiteness_margin(restricted) < -_N_TOL * scale
 
 
 # --- equilibrium uniqueness ----------------------------------------------
 
-GUARANTEED = "guaranteed"
 NO_COUNTEREXAMPLE = "no-counterexample"
 COUNTEREXAMPLE = "counterexample"
 
@@ -239,11 +243,9 @@ COUNTEREXAMPLE = "counterexample"
 class EquilibriumVerdict:
     """Proven verdict on whether the unforced error dynamics rest off the origin.
 
-    ``status`` is one of :data:`GUARANTEED` (no nonzero equilibrium exists,
-    and the gain has the certified closed form for the supplied ``P``),
-    :data:`NO_COUNTEREXAMPLE` (no nonzero equilibrium exists), or
-    :data:`COUNTEREXAMPLE` (``v`` is a nonzero equilibrium with normalized
-    residual ``residual <= tol``).
+    ``status`` is :data:`NO_COUNTEREXAMPLE` (no nonzero equilibrium exists)
+    or :data:`COUNTEREXAMPLE` (``v`` is a nonzero equilibrium with normalized
+    residual ``residual <= 1e-8``).
     """
 
     status: str
@@ -257,13 +259,10 @@ class EquilibriumSearchOptions:
     # seed is accepted for compatibility and ignored: the decision is
     # deterministic and exhaustive.
     seed: int = 0
-    tol: float = 1e-8
-    # When the gain is claimed to come from cubic_gain, pass the P and alpha
-    # that produced it; a proven-unique verdict is then reported as
-    # GUARANTEED if the claim holds.
-    P: np.ndarray | None = None
-    alpha: float | None = None
 
+
+# A candidate counts as an equilibrium when |G v + (v'Kv) N C v| <= this |v|.
+_EQUILIBRIUM_TOL = 1e-8
 
 # Relative size below which a singular value, a homogeneous eigenvalue
 # coordinate or s'Ks counts as zero.  QZ and SVD rounding stays under ~200 eps
@@ -331,13 +330,11 @@ def check_equilibrium_uniqueness(G, N, C, theta,
     With ``K = C' theta C``, every nonzero equilibrium lies on a ray through
     a real eigenvector of the pencil ``(G, -N C)`` (solved by QZ), through the
     kernel of ``G``, or in the kernel of a singular pencil.  All of them are
-    examined, so the verdict is exhaustive up to rounding; only
-    ``opts.tol`` and the ``P``/``alpha`` hint are read from ``opts``.  Any
-    returned counterexample satisfies
-    ``|G v + (v'C' theta C v) N C v| <= tol * |v|``.
+    examined, so :data:`NO_COUNTEREXAMPLE` is a proof, up to rounding, that
+    the origin is the only equilibrium.  A returned :data:`COUNTEREXAMPLE`
+    satisfies ``|G v + (v'C' theta C v) N C v| <= 1e-8 |v|``.  ``opts`` is
+    accepted and ignored.
     """
-    if opts is None:
-        opts = EquilibriumSearchOptions()
     G = as_matrix(G, "G")
     N = as_matrix(N, "N")
     C = as_matrix(C, "C")
@@ -351,22 +348,8 @@ def check_equilibrium_uniqueness(G, N, C, theta,
     for v, note in _equilibrium_candidates(G, K, NC):
         nv = float(np.linalg.norm(v))
         full = float(np.linalg.norm(G @ v + float(v @ K @ v) * (NC @ v)))
-        if nv > 0.0 and full <= opts.tol * nv:
+        if nv > 0.0 and full <= _EQUILIBRIUM_TOL * nv:
             return EquilibriumVerdict(COUNTEREXAMPLE, v=v, residual=full / nv, note=note)
-
-    if opts.P is not None and opts.alpha is not None:
-        try:
-            expected = cubic_gain(opts.P, C, theta, opts.alpha)
-        except (ValueError, CertificateError):
-            expected = None
-        if expected is not None:
-            scale = 1.0 + float(np.max(np.abs(expected)))
-            if float(np.max(np.abs(N - expected))) <= 1e-8 * scale:
-                return EquilibriumVerdict(
-                    GUARANTEED,
-                    note="gain matches -alpha P^{-1} C' theta for the given SPD P; "
-                         "exhaustive pencil check found no nonzero equilibrium",
-                )
     return EquilibriumVerdict(
         NO_COUNTEREXAMPLE,
         note="exhaustive pencil check found no nonzero equilibrium",
@@ -380,7 +363,10 @@ class CertificateSearchOptions:
     # seed is accepted for compatibility and ignored: both cases are
     # deterministic.
     seed: int = 0
-    tol: float = 1e-6
+
+
+# A found certificate's block margin is below -_CERTIFICATE_TOL.
+_CERTIFICATE_TOL = 1e-6
 
 
 def _hinf_below(G: np.ndarray, TT: np.ndarray, g: float) -> bool:
@@ -438,33 +424,34 @@ def search_P(mode: LipschitzSpec, G, E, C,
     ``P Gh + Gh'P + P T T'P + q_s I = 0`` at ``q_s`` midway from ``q`` to
     ``gamma*(Gh)^2`` (a small multiple of ``I`` when ``q < 0``), and ``P``
     and the multipliers are scaled up jointly until the margin, recomputed
-    through the public verifier, passes ``opts.tol``.  The Lipschitz case is
+    through the public verifier, is below ``-1e-6``.  The Lipschitz case is
     decided exactly: a refusal says that infeasibility is proven.  In the
     one-sided case ``slack(mu1) = gamma*(Gh)^2 - q`` is quasi-concave (its
     level set ``slack > c`` is the projection of the convex feasible set for
     ``a + c``), so a log grid refined around its best point finds the
     largest slack; if that is not positive, the refusal gives it and says
-    that infeasibility is not proven.
+    that infeasibility is not proven.  ``opts`` is accepted and ignored.
     """
-    if opts is None:
-        opts = CertificateSearchOptions()
     G = as_matrix(G, "G")
     E = as_matrix(E, "E")
     C = as_matrix(C, "C")
     if isinstance(mode, Lipschitz):
-        return _lipschitz_certificate(mode.gamma, G, E, C, opts.tol)
+        return _lipschitz_certificate(mode.gamma, G, E, C)
     if isinstance(mode, OneSidedLipschitz):
-        return _osl_certificate(mode, G, E, C, opts.tol)
+        return _osl_certificate(mode, G, E, C)
     raise TypeError(f"unsupported bound specification: {mode!r}")
 
 
-def _riccati_certificate(Gh, T, q, gmax, verify, tol):
-    """``P > 0`` with ``P Gh + Gh'P + P T T'P + q I < 0``, scaled past ``tol``.
+def _riccati_certificate(Gh, T, q, gmax, verify):
+    """``P > 0`` with ``P Gh + Gh'P + P T T'P + q I < 0``, scaled past
+    ``_CERTIFICATE_TOL``.
 
     ``gmax = gamma*(Gh)`` must exceed ``sqrt(q)`` when ``q >= 0``, and
     ``verify(P, s)`` is the block's margin with its multipliers scaled by
-    ``s``.  Returns ``(P, s, margin)`` with ``margin < -tol``, or ``None``.
+    ``s``.  Returns ``(P, s, margin)`` with ``margin < -_CERTIFICATE_TOL``,
+    or ``None``.
     """
+    tol = _CERTIFICATE_TOL
     n = Gh.shape[0]
     try:
         if q < 0.0:
@@ -490,7 +477,7 @@ def _riccati_certificate(Gh, T, q, gmax, verify, tol):
     return (P, s, margin) if margin < -tol else None
 
 
-def _lipschitz_certificate(gamma: float, G, E, C, tol: float) -> Certificate:
+def _lipschitz_certificate(gamma: float, G, E, C) -> Certificate:
     T = np.eye(G.shape[0]) - E @ C
     gamma_max = _gamma_star(G, T)
     if gamma_max == 0.0:
@@ -505,17 +492,18 @@ def _lipschitz_certificate(gamma: float, G, E, C, tol: float) -> Certificate:
         )
     found = _riccati_certificate(
         G, T, gamma**2, gamma_max,
-        lambda P, s: verify_lmi_lipschitz(P, s, gamma, G, E, C), tol)
+        lambda P, s: verify_lmi_lipschitz(P, s, gamma, G, E, C))
     if found is None:
         raise FeasibilitySearchError(
             f"gamma = {gamma:.6g} is certifiable but within rounding of gamma_max = "
-            f"{gamma_max:.6g}: no certificate reaches margin {-tol:g} at working precision"
+            f"{gamma_max:.6g}: no certificate reaches margin {-_CERTIFICATE_TOL:g} "
+            "at working precision"
         )
     P, beta, margin = found
     return Certificate(P=P, beta=beta, lmi_margin=margin)
 
 
-def _osl_certificate(mode: OneSidedLipschitz, G, E, C, tol: float) -> Certificate:
+def _osl_certificate(mode: OneSidedLipschitz, G, E, C) -> Certificate:
     T = np.eye(G.shape[0]) - E @ C
     rho, a, b = mode.rho, mode.a, mode.b
 
@@ -545,7 +533,7 @@ def _osl_certificate(mode: OneSidedLipschitz, G, E, C, tol: float) -> Certificat
     if best > 0.0:
         Gh, q, g = reduced(mu1)
         found = _riccati_certificate(
-            Gh, T, q, g, lambda P, s: verify_lmi_osl(P, s * mu1, s, rho, a, b, G, E, C), tol)
+            Gh, T, q, g, lambda P, s: verify_lmi_osl(P, s * mu1, s, rho, a, b, G, E, C))
         if found is not None:
             P, s, margin = found
             return Certificate(P=P, mu1=s * mu1, mu2=s, lmi_margin=margin)

@@ -58,11 +58,10 @@ def _gain_checks(P, N, G, C, theta, alpha: float) -> bool:
     """Check and print the cubic-gain condition and the equilibrium verdict
     for certificate ``P``; True when both pass."""
     ncond = cert.verify_N_condition(P, N, C, theta, alpha)
-    verdict = cert.check_equilibrium_uniqueness(
-        G, N, C, theta, cert.EquilibriumSearchOptions(P=P, alpha=alpha)
-    )
+    verdict = cert.check_equilibrium_uniqueness(G, N, C, theta)
     print(f"n_margin={ncond.margin:.6e}")
     print(f"n_classification={ncond.classification}")
+    print(f"n_identity_residual={ncond.identity_residual:.3e}")
     if ncond.classification == "semidefinite-pass":
         print("warning: cubic-gain condition holds only semidefinitely")
     print(f"equilibrium={verdict.status}")
@@ -124,10 +123,6 @@ def cmd_certify(args) -> int:
         crt = cfg.certificate
         if crt is None:
             raise model.ConfigError("--check-only needs a certificate block")
-        if crt.beta is not None and not isinstance(mode, model.Lipschitz):
-            raise model.ConfigError("certificate.beta needs a lipschitz.gamma bound")
-        if crt.beta is None and not isinstance(mode, model.OneSidedLipschitz):
-            raise model.ConfigError("certificate.mu1/mu2 need a one-sided bound")
         mats = (plant.A, plant.C, plant.D, obs.E, obs.G, obs.J)
         res_syl, res_dec = design.verify_structure(*mats)
         scale = max(1.0, *(float(np.max(np.abs(M), initial=0.0)) for M in mats))

@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 _DECOUPLE_TOL = 1e-9
+# Singular values at or below this fraction of the largest count as zero in
+# the decoupling rank test.
+_RANK_RTOL = 1e-10
 
 
 class DecouplingInfeasibleError(ValueError):
@@ -79,13 +82,13 @@ class StructuralDesign:
     residual_decoupling: float | None
 
 
-def decoupling_feasible(C, D, rtol: float = 1e-10) -> bool:
+def decoupling_feasible(C, D) -> bool:
     """True iff ``rank(C D) == rank(D)``."""
     C = as_matrix(C, "C")
     D = as_matrix(D, "D")
     if C.shape[1] != D.shape[0]:
         raise ValueError(f"C has {C.shape[1]} columns but D has {D.shape[0]} rows")
-    return mat_rank(C @ D, rtol) == mat_rank(D, rtol)
+    return mat_rank(C @ D, _RANK_RTOL) == mat_rank(D, _RANK_RTOL)
 
 
 def compute_E(C, D) -> np.ndarray:
@@ -164,8 +167,8 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
     of ``-margin``; the result is checked once with
     :func:`spectral_abscissa`.  ``opts`` is accepted and ignored.
     """
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < np.inf:
+        raise ValueError("margin must be positive and finite")
     T = as_matrix(T, "T")
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -70,8 +70,17 @@ class ConfigError(ValueError):
     """Configuration violates the schema; the message names the offending field."""
 
 
-def _eq_arrays(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a, b)
+def _eq_fields(self, other):
+    """``==`` over the compared dataclass fields, arrays by shape and value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        if not f.compare:
+            continue
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
 
 
 @dataclass(eq=False)
@@ -126,20 +135,7 @@ class PlantModel:
             n_tau=len(self.tau),
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, PlantModel):
-            return NotImplemented
-        return (
-            _eq_arrays(self.A, other.A)
-            and _eq_arrays(self.C, other.C)
-            and _eq_arrays(self.D, other.D)
-            and self.n_u == other.n_u
-            and self.delta == other.delta
-            and self.tau == other.tau
-            and self.f_u == other.f_u
-            and self.f_g == other.f_g
-            and self.f_L == other.f_L
-        )
+    __eq__ = _eq_fields
 
 
 @dataclass(frozen=True)
@@ -149,8 +145,8 @@ class Lipschitz:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ConfigError("lipschitz.gamma: must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -161,6 +157,11 @@ class OneSidedLipschitz:
     rho: float
     a: float
     b: float
+
+    def __post_init__(self):
+        for name in ("rho", "a", "b"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"lipschitz.{name}: must be finite")
 
 
 LipschitzSpec = Lipschitz | OneSidedLipschitz
@@ -190,17 +191,7 @@ class ObserverParams:
         self.theta = as_matrix(self.theta, "theta")
         self.alpha = float(self.alpha)
 
-    def __eq__(self, other):
-        if not isinstance(other, ObserverParams):
-            return NotImplemented
-        return (
-            _eq_arrays(self.G, other.G)
-            and _eq_arrays(self.J, other.J)
-            and _eq_arrays(self.E, other.E)
-            and _eq_arrays(self.N, other.N)
-            and _eq_arrays(self.theta, other.theta)
-            and self.alpha == other.alpha
-        )
+    __eq__ = _eq_fields
 
 
 @dataclass(eq=False)
@@ -217,7 +208,7 @@ class Certificate:
     beta: float | None = None
     mu1: float | None = None
     mu2: float | None = None
-    lmi_margin: float | None = None
+    lmi_margin: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.P = as_matrix(self.P, "P")
@@ -233,36 +224,29 @@ class Certificate:
             return (float(self.beta),)
         return (float(self.mu1), float(self.mu2))
 
-    def __eq__(self, other):
-        if not isinstance(other, Certificate):
-            return NotImplemented
-        return (
-            _eq_arrays(self.P, other.P)
-            and self.beta == other.beta
-            and self.mu1 == other.mu1
-            and self.mu2 == other.mu2
-        )
+    __eq__ = _eq_fields
 
 
-@dataclass(eq=False)
+@dataclass
 class SystemConfig:
     """One configuration document: plant, bound type, optional observer and
-    certificate."""
+    certificate.  A certificate's multipliers must match the bound type:
+    ``beta`` for :class:`Lipschitz`, ``mu1``/``mu2`` for
+    :class:`OneSidedLipschitz`."""
 
     plant: PlantModel
     lipschitz: LipschitzSpec
     observer: ObserverParams | None = None
     certificate: Certificate | None = None
 
-    def __eq__(self, other):
-        if not isinstance(other, SystemConfig):
-            return NotImplemented
-        return (
-            self.plant == other.plant
-            and self.lipschitz == other.lipschitz
-            and self.observer == other.observer
-            and self.certificate == other.certificate
-        )
+    def __post_init__(self):
+        crt = self.certificate
+        if crt is None:
+            return
+        if crt.beta is not None and not isinstance(self.lipschitz, Lipschitz):
+            raise ConfigError("certificate.beta needs a lipschitz.gamma bound")
+        if crt.beta is None and not isinstance(self.lipschitz, OneSidedLipschitz):
+            raise ConfigError("certificate.mu1/mu2 need a one-sided bound")
 
 
 # --- validation ----------------------------------------------------------
@@ -286,11 +270,11 @@ def validate(plant: PlantModel, observer: ObserverParams | None = None) -> list[
     if plant.n_u < 0:
         out.append(Violation("n_u-nonneg", "n_u must be nonnegative"))
     for i, d in enumerate(plant.delta):
-        if d < 0:
-            out.append(Violation("delta-nonneg", f"delta[{i}] must be nonnegative"))
+        if not 0 <= d < np.inf:
+            out.append(Violation("delta-nonneg", f"delta[{i}] must be nonnegative and finite"))
     for i, d in enumerate(plant.tau):
-        if d < 0:
-            out.append(Violation("tau-nonneg", f"tau[{i}] must be nonnegative"))
+        if not 0 <= d < np.inf:
+            out.append(Violation("tau-nonneg", f"tau[{i}] must be nonnegative and finite"))
     if len(plant.f_u) != n:
         out.append(Violation("f_u-len", f"f_u must have {n} components"))
     if len(plant.f_g) != plant.n_g:
@@ -331,8 +315,8 @@ def validate(plant: PlantModel, observer: ObserverParams | None = None) -> list[
     elif (bad := psd_violation(observer.theta, "theta")) is not None:
         rule, message = bad
         out.append(Violation(f"theta-{rule}", message))
-    if not observer.alpha > 0:
-        out.append(Violation("alpha-positive", "alpha must be positive"))
+    if not 0 < observer.alpha < np.inf:
+        out.append(Violation("alpha-positive", "alpha must be positive and finite"))
     return out
 
 
@@ -497,10 +481,7 @@ def config_from_dict(doc: dict) -> SystemConfig:
     if not isinstance(lip, dict):
         raise ConfigError("lipschitz: must be an object")
     if "gamma" in lip:
-        gamma = _as_number(lip["gamma"], "lipschitz.gamma")
-        if gamma <= 0:
-            raise ConfigError("lipschitz.gamma: must be positive")
-        spec: LipschitzSpec = Lipschitz(gamma=gamma)
+        spec: LipschitzSpec = Lipschitz(gamma=_as_number(lip["gamma"], "lipschitz.gamma"))
     elif {"rho", "a", "b"} <= lip.keys():
         spec = OneSidedLipschitz(
             rho=_as_number(lip["rho"], "lipschitz.rho"),

@@ -97,6 +97,9 @@ class SimConfig:
         self.x0 = np.asarray(self.x0, dtype=float).ravel()
         self.xhat0 = np.asarray(self.xhat0, dtype=float).ravel()
         self.input_signal = tuple(self.input_signal)
+        for name in ("x0", "xhat0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name}: entries must be finite")
         if not 0 < self.h < np.inf:
             raise ConfigError("h: step must be positive and finite")
         if not self.h <= self.t_end < np.inf:
@@ -402,20 +405,20 @@ class StudyReport:
         return "".join(lines)
 
 
-def example_study(out_dir=None, h: float = 0.01, t_end: float = 20.0) -> StudyReport:
+def example_study(out_dir=None) -> StudyReport:
     """Run the bundled example: nominal and mismatched plant, cubic vs linear.
 
-    Four simulations with ``x(0) = 0``, ``xhat(0) = (-5, -5)``, drive
-    :data:`DEFAULT_INPUT_SIGNAL`.  With ``out_dir`` set, writes one trajectory
-    CSV per run plus a ``summary.txt`` of the end-time error integrals and
-    ratios.
+    Four simulations over ``[0, 20]`` with step ``0.01``, ``x(0) = 0``,
+    ``xhat(0) = (-5, -5)`` and drive :data:`DEFAULT_INPUT_SIGNAL`.  With
+    ``out_dir`` set, writes one trajectory CSV per run plus a
+    ``summary.txt`` of the end-time error integrals and ratios.
     """
     from .model import example_system
 
     ex = example_system()
     cfg = SimConfig(
-        h=h,
-        t_end=t_end,
+        h=0.01,
+        t_end=20.0,
         x0=np.zeros(2),
         xhat0=np.array([-5.0, -5.0]),
         input_signal=input_signals(DEFAULT_INPUT_SIGNAL, ex.nominal.n_u),

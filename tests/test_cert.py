@@ -13,7 +13,6 @@ from cubicobs.cert import (
     CertificateSearchOptions,
     EquilibriumSearchOptions,
     FeasibilitySearchError,
-    GUARANTEED,
     NO_COUNTEREXAMPLE,
     check_equilibrium_uniqueness,
     cubic_gain,
@@ -25,7 +24,7 @@ from cubicobs.cert import (
     verify_lmi_osl,
     verify_N_condition,
 )
-from cubicobs.model import Lipschitz, OneSidedLipschitz
+from cubicobs.model import ConfigError, Lipschitz, OneSidedLipschitz
 
 A = np.array([[-2.0, -10.0], [0.0, -1.0]])
 C = np.array([[1.0, 0.0]])
@@ -179,10 +178,8 @@ def test_N_condition_fail_on_indefinite():
 
 def test_equilibrium_guaranteed_for_closed_form_gain():
     N = cubic_gain(P, C, np.eye(1))
-    verdict = check_equilibrium_uniqueness(
-        G, N, C, np.eye(1), EquilibriumSearchOptions(P=P, alpha=1.0)
-    )
-    assert verdict.status == GUARANTEED
+    verdict = check_equilibrium_uniqueness(G, N, C, np.eye(1))
+    assert verdict.status == NO_COUNTEREXAMPLE
 
 
 def test_equilibrium_exact_kernel_with_vanishing_cubic():
@@ -250,12 +247,11 @@ def test_equilibrium_no_false_alarm_on_contractive_gain():
 
 def test_equilibrium_closed_form_hint_is_not_a_shortcut():
     # N has the closed form for P = I, but PG + G'P = 2I is not negative:
-    # v - v1^2 (v1, 0) = 0 rests at v = (+-1, 0), so the hint must not help
+    # v - v1^2 (v1, 0) = 0 rests at v = (+-1, 0), so the closed form alone
+    # proves nothing
     Pi = np.eye(2)
     N = cubic_gain(Pi, C, np.eye(1), 1.0)
-    verdict = check_equilibrium_uniqueness(
-        np.eye(2), N, C, np.eye(1), EquilibriumSearchOptions(P=Pi, alpha=1.0)
-    )
+    verdict = check_equilibrium_uniqueness(np.eye(2), N, C, np.eye(1))
     assert verdict.status == COUNTEREXAMPLE
     assert abs(abs(verdict.v[0]) - 1.0) <= 1e-8 and abs(verdict.v[1]) <= 1e-8
 
@@ -459,6 +455,22 @@ def test_search_P_deterministic_given_seed():
     c2 = search_P(Lipschitz(gamma=1.0), G, E, C, CertificateSearchOptions(seed=4))
     assert np.array_equal(c1.P, c2.P)
     assert c1.beta == c2.beta
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Lipschitz(np.inf),
+    lambda: Lipschitz(np.nan),
+    lambda: OneSidedLipschitz(np.nan, 1.0, 0.0),
+    lambda: OneSidedLipschitz(1.0, np.inf, 0.0),
+], ids=["gamma-inf", "gamma-nan", "rho-nan", "a-inf"])
+def test_search_P_rejects_non_finite_bound(make):
+    with pytest.raises(ConfigError, match="lipschitz"):
+        search_P(make(), G, E, C)
+
+
+def test_cubic_gain_rejects_infinite_alpha():
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        cubic_gain(P, C, np.eye(1), np.inf)
 
 
 def test_search_P_rejects_unknown_mode():

@@ -159,7 +159,8 @@ def test_certify_check_only_published(configs, capsys):
     margin = float(out.split("lmi_margin=")[1].splitlines()[0])
     assert margin < 0
     assert "n_classification=semidefinite-pass" in out
-    assert "equilibrium=guaranteed" in out
+    assert "equilibrium=no-counterexample" in out
+    assert float(out.split("n_identity_residual=")[1].split()[0]) <= 1e-12
 
 
 def test_certify_check_only_checks_structure(configs, tmp_path, capsys):

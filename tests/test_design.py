@@ -147,6 +147,13 @@ def test_stabilize_L_unobservable_fails():
                     opts=GainSearchOptions(seed=0))
 
 
+@pytest.mark.parametrize("margin", [np.nan, np.inf], ids=["nan", "inf"])
+def test_stabilize_L_rejects_non_finite_margin(margin):
+    E = compute_E(C, D)
+    with pytest.raises(ValueError, match="margin must be positive and finite"):
+        stabilize_L(np.eye(2) - E @ C, A, C, margin)
+
+
 def test_stabilize_L_deterministic_given_seed():
     E = compute_E(C, D)
     T = np.eye(2) - E @ C

@@ -99,6 +99,19 @@ def test_validate_negative_delay():
     assert "tau-nonneg" in names(validate(small_plant(tau=(-0.5,))))
 
 
+@pytest.mark.parametrize("plant_kw, alpha, rule", [
+    ({"delta": (np.nan,)}, 1.0, "delta-nonneg"),
+    ({"delta": (np.inf,)}, 1.0, "delta-nonneg"),
+    ({"tau": (np.nan,)}, 1.0, "tau-nonneg"),
+    ({"tau": (np.inf,)}, 1.0, "tau-nonneg"),
+    ({}, np.inf, "alpha-positive"),
+], ids=["delta-nan", "delta-inf", "tau-nan", "tau-inf", "alpha-inf"])
+def test_validate_rejects_non_finite_values(plant_kw, alpha, rule):
+    obs = example_system().observer
+    obs = ObserverParams(G=obs.G, J=obs.J, E=obs.E, N=obs.N, theta=obs.theta, alpha=alpha)
+    assert rule in names(validate(small_plant(**plant_kw), obs))
+
+
 def test_validate_state_in_f_u():
     bad = small_plant(f_u=(parse("x1", DIMS), parse("u1", DIMS)))
     assert "f_u-state-ref" in names(validate(bad))
@@ -284,6 +297,20 @@ def test_error_non_finite_scalar_names_field(tmp_path, value):
     doc["lipschitz"] = {"gamma": 1.0}
     with pytest.raises(ConfigError, match=r"observer\.alpha: must be a finite number"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("bound, multipliers, rule", [
+    ({"rho": 0.5, "a": 0.75, "b": 1.5}, {"beta": 100.0}, r"certificate\.beta"),
+    ({"gamma": 1.0}, {"mu1": 1.0, "mu2": 1.0}, r"certificate\.mu1/mu2"),
+], ids=["beta-with-one-sided", "mu-with-gamma"])
+def test_load_config_rejects_certificate_of_other_bound(tmp_path, bound, multipliers, rule):
+    doc = base_doc()
+    doc["lipschitz"] = bound
+    doc["certificate"] = {"P": doc["certificate"]["P"], **multipliers}
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=rule):
+        load_config(path)
 
 
 def test_error_unknown_lipschitz_block():

@@ -1,5 +1,7 @@
 """Integrator: history buffer, delay handling, RK4 accuracy, error integral."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -90,6 +92,22 @@ def test_simconfig_validation():
     with pytest.raises(ConfigError, match="prehistory"):
         SimConfig(h=0.1, t_end=1.0, x0=[0.0], xhat0=[0.0], input_signal=sig,
                   prehistory="mirror")
+
+
+@pytest.mark.parametrize("field", ["x0", "xhat0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_simconfig_rejects_non_finite_initial_state(field, value):
+    with pytest.raises(ConfigError, match=f"{field}: entries must be finite"):
+        example_cfg(**{field: np.array([value, 0.0])})
+
+
+@pytest.mark.parametrize("field", ["delta", "tau"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_delay_fails_validation(field, value):
+    ex = example_system()
+    plant = replace(ex.nominal, **{field: (value,)})
+    with pytest.raises(ConfigError, match=f"{field}-nonneg"):
+        simulate(plant, plant, ex.observer, example_cfg())
 
 
 def test_delay_must_divide_step():
