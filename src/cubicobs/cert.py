@@ -40,6 +40,10 @@ decomposition decides the question exactly, for any gain: it either returns
 a verified equilibrium or proves there is none.  The verdict does not ask
 where ``N`` came from; whether it has the closed form is what
 ``verify_N_condition(...).identity_residual`` measures.
+
+scipy is imported by the functions that call it (the QZ solve, the Riccati
+equation and the multiplier scan), on first use, so importing this module
+and checking an LMI block or the cubic gain need numpy only.
 """
 
 from __future__ import annotations
@@ -48,10 +52,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, solve_continuous_are
-# minimize is unused here, but benchmark tracing patches cert.minimize to count
-# objective evaluations, so the name must stay importable from this module
-from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
 from .model import Certificate, Lipschitz, LipschitzSpec, OneSidedLipschitz
 from .numlin import as_matrix, definiteness_margin, psd_violation, sym_eig_extremes
@@ -76,6 +76,17 @@ __all__ = [
     "NO_COUNTEREXAMPLE",
     "COUNTEREXAMPLE",
 ]
+
+
+def __getattr__(name):
+    # benchmark tracing patches cert.minimize by name, so that name resolves,
+    # importing scipy.optimize on demand; ROADMAP item 1 deletes this shim
+    # together with the patch
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CertificateError(ValueError):
@@ -291,6 +302,8 @@ def _equilibrium_candidates(G, K, NC):
     has at most ``2n`` roots, so one of ``2n + 1`` positive samples of ``lam``
     yields an equilibrium (negative samples serve an indefinite ``theta``).
     """
+    from scipy.linalg import eig
+
     n = G.shape[0]
     tiny = _ZERO_RTOL * (np.linalg.norm(G) + np.linalg.norm(NC))
     k_tiny = _ZERO_RTOL * np.linalg.norm(K)
@@ -451,6 +464,8 @@ def _riccati_certificate(Gh, T, q, gmax, verify):
     ``s``.  Returns ``(P, s, margin)`` with ``margin < -_CERTIFICATE_TOL``,
     or ``None``.
     """
+    from scipy.linalg import solve_continuous_are
+
     tol = _CERTIFICATE_TOL
     n = Gh.shape[0]
     try:
@@ -504,6 +519,8 @@ def _lipschitz_certificate(gamma: float, G, E, C) -> Certificate:
 
 
 def _osl_certificate(mode: OneSidedLipschitz, G, E, C) -> Certificate:
+    from scipy.optimize import minimize_scalar
+
     T = np.eye(G.shape[0]) - E @ C
     rho, a, b = mode.rho, mode.a, mode.b
 

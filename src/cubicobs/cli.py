@@ -5,12 +5,12 @@ configuration or arguments, 3 numerical failure (divergence, no certificate
 or stabilizing injection).  Every command is deterministic given its flags.
 
 Commands raise instead of printing their own errors: :func:`main` reports a
-:class:`~cubicobs.model.ConfigError` or :class:`~cubicobs.exprlang.ExprError`
-as ``error: ...`` with exit 2, and a failed gain, certificate or simulation
-as ``error: ...`` with exit 3.  Numeric flags are checked to be positive and
-finite when the arguments are parsed, matrix flags to be finite when they
-are read.  Configs are written only through
-:func:`~cubicobs.model.save_config`.
+:class:`~cubicobs.model.ConfigError`, an :class:`~cubicobs.exprlang.ExprError`
+or an ``--out`` path that cannot be written (``OSError``) as ``error: ...``
+with exit 2, and a failed gain, certificate or simulation as ``error: ...``
+with exit 3.  Numeric flags are checked to be positive and finite when the
+arguments are parsed, matrix flags to be finite when they are read.  Configs
+are written only through :func:`~cubicobs.model.save_config`.
 """
 
 from __future__ import annotations
@@ -114,6 +114,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.check_only and (args.out is not None or args.alpha is not None):
+        raise model.ConfigError("--out and --alpha apply only to --search-P")
     cfg = _load_with_observer(args.config)
     obs = cfg.observer
     plant = cfg.plant
@@ -197,10 +199,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce_paper(args) -> int:
-    try:
-        report = sim.example_study(args.out)
-    except OSError as exc:
-        raise model.ConfigError(f"cannot write to {args.out}: {exc}") from exc
+    report = sim.example_study(args.out)
     print(report.summary(), end="")
     for path in report.files:
         print(f"wrote {path}")
@@ -280,7 +279,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (model.ConfigError, exprlang.ExprError) as exc:
+    except (model.ConfigError, exprlang.ExprError, OSError) as exc:
+        # an OSError is an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (design.GainSearchError, cert.FeasibilitySearchError,

@@ -14,7 +14,8 @@ itself only has to render ``G`` Hurwitz with a decay margin.
 :func:`stabilize_L` decides that exactly: a mode of ``T A`` that the outputs
 cannot see (Popov-Belevitch-Hautus test) and that lies right of the margin
 makes it infeasible, and otherwise the shifted filter Riccati equation gives
-a gain.
+a gain.  That Riccati solve is the one use of scipy here: :func:`stabilize_L`
+imports it on its first call, and the rest of the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_are
 
 from .numlin import as_matrix, mat_rank, pinv
 
@@ -167,6 +167,8 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
     of ``-margin``; the result is checked once with
     :func:`spectral_abscissa`.  ``opts`` is accepted and ignored.
     """
+    from scipy.linalg import solve_continuous_are
+
     if not 0 < margin < np.inf:
         raise ValueError("margin must be positive and finite")
     T = as_matrix(T, "T")

@@ -195,6 +195,16 @@ def test_certify_check_only_needs_certificate(configs, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--alpha"])
+def test_certify_check_only_rejects_search_flags(configs, tmp_path, capsys, flag):
+    out = tmp_path / "certified.json"
+    value = str(out) if flag == "--out" else "2"
+    code = main(["certify", "--config", str(configs["nominal"]), "--check-only", flag, value])
+    assert code == EXIT_CONFIG_ERROR
+    assert "apply only to --search-P" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_mode_mismatch(configs, tmp_path, capsys):
     doc = json.loads(configs["nominal"].read_text())
     doc["lipschitz"] = {"rho": 0.5, "a": 0.75, "b": 1.5}
@@ -338,12 +348,22 @@ def test_reproduce_paper_prints_summary_lines(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[:6] == summary
 
 
-def test_reproduce_paper_unwritable_out(configs, tmp_path, capsys):
+@pytest.mark.filterwarnings("ignore:cubic-gain condition holds only semidefinitely")
+@pytest.mark.parametrize("command", [
+    ["simulate", "--t-end", "0.1"],
+    ["design", "--auto-margin", "1"],
+    ["certify", "--search-P"],
+    ["reproduce-paper"],
+], ids=lambda c: c[0])
+def test_unwritable_out_is_a_config_error(configs, tmp_path, capsys, command):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
-    code = main(["reproduce-paper", "--out", str(blocker / "sub")])
-    assert code == EXIT_CONFIG_ERROR
-    capsys.readouterr()
+    config = [] if command[0] == "reproduce-paper" else ["--config", str(configs["nominal"])]
+    argv = [command[0], *config, *command[1:], "--out", str(blocker / "out.csv")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 # --- invalid observers ----------------------------------------------------
