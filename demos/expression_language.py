@@ -5,14 +5,13 @@ The model expression language
 Nonlinearities and drive signals live in config files as small arithmetic
 expressions over states x1..xn, inputs u1..un_u, outputs y1..yn_y, and time.
 A trailing @k selects the k-th configured delay of a signal.  This script
-parses a few, evaluates them against hand-built environments, and shows the
-error reporting.
+parses a few, evaluates them against hand-built signal values, and shows
+the error reporting.
 """
 
 import numpy as np
 
 from cubicobs.exprlang import (
-    EvalEnv,
     ExprSyntaxError,
     SignalDims,
     evaluate,
@@ -28,20 +27,17 @@ e = parse("0.5*sin(x1) - x2^3 + u1@1", dims)
 print("parsed     :", unparse(e))
 print("references :", sorted({unparse(v) for v in variables(e)}))
 
-# Evaluation takes the current state plus lookup callbacks for input and
-# output signals; slot 0 is the undelayed value, slot k the k-th delay.
-env = EvalEnv(
-    x=np.array([np.pi / 2, 1.0]),
-    u_at=lambda slot: np.array([2.0]) if slot == 1 else np.array([0.0]),
-    y_at=None,
-    t=0.0,
-)
-print("value      :", evaluate(e, env))  # 0.5*1 - 1 + 2 = 1.5
+# Evaluation takes the current state plus, for inputs and outputs, one
+# vector per delay slot: u[0] is the undelayed input, u[k] the input at the
+# k-th delay.  A signal the expression does not reference may be None.
+x = np.array([np.pi / 2, 1.0])
+u = [np.array([0.0]), np.array([2.0])]
+print("value      :", evaluate(e, x, u, y=None))  # 0.5*1 - 1 + 2 = 1.5
 
 # Drive signals are time-only expressions; state references are rejected
 # there because the drive must not depend on the trajectory.
 drive = parse("0.0003*sin(t)", SignalDims(0, 0, 0), allow_time=True)
-print("\ndrive at t=1:", evaluate(drive, EvalEnv(x=(), u_at=None, y_at=None, t=1.0)))
+print("\ndrive at t=1:", evaluate(drive, t=1.0))
 
 # Precedence follows the usual rules; unparse prints the tree fully
 # parenthesized so round trips are unambiguous.

@@ -3,136 +3,12 @@
 Structural design (unknown-input decoupling), Lyapunov-based certification,
 and delay-aware simulation of cubic state observers for Lipschitz and
 one-sided Lipschitz nonlinear systems.
+
+Public names live in the submodules, each listed in that module's
+``__all__``: import them from there, e.g. ``from cubicobs import sim`` or
+``from cubicobs.model import load_config``.
 """
 
-from .cert import (
-    CertificateError,
-    CertificateSearchOptions,
-    EquilibriumSearchOptions,
-    EquilibriumVerdict,
-    FeasibilitySearchError,
-    check_equilibrium_uniqueness,
-    cubic_gain,
-    max_lipschitz_gamma,
-    search_P,
-    verify_lmi_lipschitz,
-    verify_lmi_osl,
-    verify_N_condition,
-)
-from .design import (
-    DecouplingInfeasibleError,
-    GainSearchError,
-    GainSearchOptions,
-    StructuralDesign,
-    compute_E,
-    decoupling_feasible,
-    design_GJ,
-    spectral_abscissa,
-    stabilize_L,
-    verify_structure,
-)
-from .exprlang import (
-    EvalEnv,
-    Expr,
-    ExprError,
-    ExprEvalError,
-    ExprRangeError,
-    ExprSyntaxError,
-    SignalDims,
-    evaluate,
-    parse,
-    parse_input_signal,
-    unparse,
-)
-from .model import (
-    Certificate,
-    ConfigError,
-    Lipschitz,
-    LipschitzSpec,
-    ObserverParams,
-    OneSidedLipschitz,
-    PlantModel,
-    SystemConfig,
-    Violation,
-    example_system,
-    load_config,
-    save_config,
-    validate,
-)
-from .sim import (
-    DEFAULT_INPUT_SIGNAL,
-    ComparisonReport,
-    HistoryBuffer,
-    SimConfig,
-    SimResult,
-    SimulationError,
-    StudyReport,
-    compare_cubic_linear,
-    cumulative_error,
-    example_study,
-    simulate,
-    write_trajectory_csv,
-)
+from . import cert, design, exprlang, model, numlin, sim
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Certificate",
-    "CertificateError",
-    "CertificateSearchOptions",
-    "ComparisonReport",
-    "ConfigError",
-    "DEFAULT_INPUT_SIGNAL",
-    "DecouplingInfeasibleError",
-    "EquilibriumSearchOptions",
-    "EquilibriumVerdict",
-    "EvalEnv",
-    "Expr",
-    "ExprError",
-    "ExprEvalError",
-    "ExprRangeError",
-    "ExprSyntaxError",
-    "FeasibilitySearchError",
-    "GainSearchError",
-    "GainSearchOptions",
-    "HistoryBuffer",
-    "Lipschitz",
-    "LipschitzSpec",
-    "ObserverParams",
-    "OneSidedLipschitz",
-    "PlantModel",
-    "SignalDims",
-    "SimConfig",
-    "SimResult",
-    "SimulationError",
-    "StructuralDesign",
-    "StudyReport",
-    "SystemConfig",
-    "Violation",
-    "check_equilibrium_uniqueness",
-    "compare_cubic_linear",
-    "compute_E",
-    "cubic_gain",
-    "cumulative_error",
-    "decoupling_feasible",
-    "design_GJ",
-    "evaluate",
-    "example_study",
-    "example_system",
-    "load_config",
-    "max_lipschitz_gamma",
-    "parse",
-    "parse_input_signal",
-    "save_config",
-    "search_P",
-    "simulate",
-    "spectral_abscissa",
-    "stabilize_L",
-    "unparse",
-    "validate",
-    "verify_N_condition",
-    "verify_lmi_lipschitz",
-    "verify_lmi_osl",
-    "verify_structure",
-    "write_trajectory_csv",
-]

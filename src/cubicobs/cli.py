@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -189,9 +190,11 @@ def cmd_simulate(args) -> int:
         xhat0=xhat0,
         input_signal=tuple(inputs),
         prehistory=args.prehistory,
-        cubic_enabled=not args.no_cubic,
     )
-    result = sim.simulate(truth_cfg.plant, design_plant, cfg.observer, run_cfg)
+    obs = cfg.observer
+    if args.no_cubic:
+        obs = replace(obs, N=np.zeros_like(obs.N))
+    result = sim.simulate(truth_cfg.plant, design_plant, obs, run_cfg)
     sim.write_trajectory_csv(result, args.out)
     print(f"jo_end={result.jo[-1]:.12g}")
     print(f"wrote {args.out}")
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xhat0", default=None, help='initial estimate, e.g. "[-5;-5]"')
     p.add_argument("--prehistory", choices=["analytic", "zero"], default="analytic")
     p.add_argument("--no-cubic", action="store_true",
-                   help="disable the cubic correction term")
+                   help="run the linear observer: the same observer with N = 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

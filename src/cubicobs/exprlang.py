@@ -24,14 +24,17 @@ Evaluation is strict about arithmetic: division by zero, overflow, and any
 non-finite result raise :class:`ExprEvalError` instead of propagating
 ``inf``/``nan`` into an integrator.
 
-:func:`evaluate` walks the tree and is the reference semantics.  Hot loops
-use :func:`compile_vector` instead: it turns a vector of expressions into
-one generated Python function ``(x, u, y, t) -> tuple`` that performs the
-same float operations in the same order, so its values are bit-equal to
-:func:`evaluate`'s.  The generated code checks finiteness once per vector;
-on any failure (division by zero, overflow, a domain error, a non-finite
-component) it re-runs :func:`evaluate` on the whole vector, which raises
-the same :class:`ExprEvalError`, with the same message, as a tree walk.
+:func:`evaluate` walks the tree and is the reference semantics.  It takes
+the state ``x``, the input and output vectors ``u[slot]`` and ``y[slot]``
+of each delay slot, and the time ``t``.  Hot loops use
+:func:`compile_vector` instead: it turns a vector of expressions into one
+generated Python function ``(x, u, y, t) -> tuple`` over the same
+arguments that performs the same float operations in the same order, so
+its values are bit-equal to :func:`evaluate`'s.  The generated code checks
+finiteness once per vector; on any failure (division by zero, overflow, a
+domain error, a non-finite component) it re-runs :func:`evaluate` on the
+whole vector, which raises the same :class:`ExprEvalError`, with the same
+message, as a tree walk.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ __all__ = [
     "ExprSyntaxError",
     "ExprRangeError",
     "ExprEvalError",
-    "EvalEnv",
     "parse",
     "parse_input_signal",
     "ref_range_error",
@@ -368,46 +370,38 @@ def parse_input_signal(text: str) -> Expr:
 
 # --- evaluation ----------------------------------------------------------
 
-@dataclass
-class EvalEnv:
-    """Bindings for one evaluation.
+def evaluate(e: Expr, x: Sequence[float] = (), u=None, y=None,
+             t: float = 0.0) -> float:
+    """Evaluate ``e``; the result is always finite.
 
-    ``u_at(slot)`` / ``y_at(slot)`` return the input/output vector at the
-    given delay slot (0 = undelayed).  Leave them ``None`` for expressions
-    that do not reference the corresponding signals.
+    ``x`` is the state vector, ``u[slot]`` and ``y[slot]`` the input and
+    output vectors at each delay slot (0 = undelayed), ``t`` the time, as
+    for a :func:`compile_vector` function.  Signals ``e`` does not
+    reference may be ``None``.
     """
-
-    x: Sequence[float] = ()
-    u_at: Callable[[int], Sequence[float]] | None = None
-    y_at: Callable[[int], Sequence[float]] | None = None
-    t: float = 0.0
-
-
-def evaluate(e: Expr, env: EvalEnv) -> float:
-    """Evaluate ``e`` under ``env``; the result is always finite."""
-    val = _eval(e, env)
+    val = _eval(e, x, u, y, t)
     if not math.isfinite(val):
         raise ExprEvalError(f"non-finite value while evaluating {unparse(e)}")
     return val
 
 
-def _eval(e: Expr, env: EvalEnv) -> float:
+def _eval(e: Expr, x, u, y, t: float) -> float:
     match e:
         case Num(value):
             return value
         case TimeVar():
-            return env.t
+            return t
         case Var(kind, index, slot):
             if kind == "x":
-                vec = env.x
+                vec = x
             elif kind == "u":
-                if env.u_at is None:
+                if u is None:
                     raise ExprEvalError("no input signal bound for u reference")
-                vec = env.u_at(slot)
+                vec = u[slot]
             else:
-                if env.y_at is None:
+                if y is None:
                     raise ExprEvalError("no output signal bound for y reference")
-                vec = env.y_at(slot)
+                vec = y[slot]
             try:
                 return float(vec[index - 1])
             except IndexError:
@@ -415,10 +409,10 @@ def _eval(e: Expr, env: EvalEnv) -> float:
                     f"{kind}{index}: environment vector too short"
                 ) from None
         case Neg(arg):
-            return -_eval(arg, env)
+            return -_eval(arg, x, u, y, t)
         case BinOp(op, left, right):
-            a = _eval(left, env)
-            b = _eval(right, env)
+            a = _eval(left, x, u, y, t)
+            b = _eval(right, x, u, y, t)
             if op == "+":
                 return a + b
             if op == "-":
@@ -430,11 +424,11 @@ def _eval(e: Expr, env: EvalEnv) -> float:
             return a / b
         case Pow(base, exponent):
             try:
-                return _eval(base, env) ** exponent
+                return _eval(base, x, u, y, t) ** exponent
             except OverflowError:
                 raise ExprEvalError("overflow in power") from None
         case Call(func, arg):
-            v = _eval(arg, env)
+            v = _eval(arg, x, u, y, t)
             try:
                 return _FUNC_IMPL[func](v)
             except (OverflowError, ValueError) as exc:
@@ -487,17 +481,15 @@ def compile_vector(exprs: Sequence[Expr]) -> Callable[..., tuple[float, ...]]:
     ``x`` is the state vector, ``u[slot]`` and ``y[slot]`` the input and
     output vectors at each delay slot (0 = undelayed), ``t`` the time;
     signals the expressions do not reference may be ``None``.  The result
-    equals ``tuple(evaluate(e, env) for e in exprs)`` for the matching
-    :class:`EvalEnv`, bit for bit, and every failure raises the
-    :class:`ExprEvalError` that :func:`evaluate` raises.  A call to a
+    equals ``tuple(evaluate(e, x, u, y, t) for e in exprs)``, bit for bit,
+    and every failure raises the :class:`ExprEvalError` that
+    :func:`evaluate` raises.  A call to a
     function outside the grammar raises :class:`ExprError` here.
     """
     exprs = tuple(exprs)
 
     def reference(x, u, y, t):
-        env = EvalEnv(x=x, u_at=None if u is None else u.__getitem__,
-                      y_at=None if y is None else y.__getitem__, t=t)
-        return tuple(evaluate(e, env) for e in exprs)
+        return tuple(evaluate(e, x, u, y, t) for e in exprs)
 
     bound: dict[Var, str] = {}
     loads: list[str] = []

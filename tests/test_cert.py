@@ -281,6 +281,35 @@ def test_equilibrium_recall_on_planted_equilibria(n):
         assert res <= 1e-8 * np.linalg.norm(w)
 
 
+def test_equilibrium_singular_pencil_yields_resting_point():
+    # G + lam N C = [[lam, 1], [0, 0]] is singular for every lam; the
+    # equilibria are the curve v2 = -v1^3, found by sampling lam
+    Gs, Ns, Cs = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0], [0.0]]), C
+    verdict = check_equilibrium_uniqueness(Gs, Ns, Cs, np.eye(1))
+    assert verdict.status == COUNTEREXAMPLE
+    assert verdict.note == "pencil eigenvalue 1"
+    assert np.allclose(verdict.v / verdict.v[1], [-1.0, 1.0], rtol=0, atol=1e-12)
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        rotated = check_equilibrium_uniqueness(Q.T @ Gs @ Q, Q.T @ Ns, Cs @ Q, np.eye(1))
+        assert rotated.status == COUNTEREXAMPLE
+        assert rotated.note.startswith("pencil eigenvalue")
+        v = Q @ rotated.v
+        assert abs(v[1] + v[0] ** 3) <= 1e-8 * np.linalg.norm(v)
+        assert np.linalg.norm(v) >= 1e-3
+
+
+def test_equilibrium_indefinite_theta_rests_on_null_cone():
+    # with G = 0 every v with v'Kv = 0 rests; K = diag(1, -1) vanishes on (1, 1)
+    verdict = check_equilibrium_uniqueness(np.zeros((2, 2)), np.eye(2), np.eye(2),
+                                           np.diag([1.0, -1.0]))
+    assert verdict.status == COUNTEREXAMPLE
+    assert verdict.note == "kernel of G, v'Kv = 0"
+    assert np.allclose(np.abs(verdict.v), [1.0, 1.0], rtol=0, atol=1e-12)
+    assert abs(verdict.v[0] ** 2 - verdict.v[1] ** 2) <= 1e-12
+
+
 def test_equilibrium_decides_acceptance_sweep_exactly():
     # acceptance 10's sweep: 27 of the 40 systems have a nonzero equilibrium
     rng = np.random.default_rng(77)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,44 @@ def test_certify_search_P_writes_verified_certificate(configs, tmp_path, capsys)
     capsys.readouterr()
 
 
+def test_certify_one_sided_search_then_check_only(configs, tmp_path, capsys):
+    doc = json.loads(configs["nominal"].read_text())
+    doc["lipschitz"] = {"rho": 0.5, "a": 50, "b": 0.1}
+    del doc["certificate"]  # its beta belongs to the Lipschitz bound
+    osl = tmp_path / "osl.json"
+    osl.write_text(json.dumps(doc))
+    out = tmp_path / "osl_certified.json"
+    with pytest.warns(RuntimeWarning, match="semidefinite"):
+        code = main(["certify", "--config", str(osl), "--search-P", "--out", str(out)])
+    assert code == EXIT_OK
+    crt = model.load_config(out).certificate
+    assert crt.beta is None and crt.mu1 > 0 and crt.mu2 > 0
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning, match="semidefinite"):
+        code = main(["certify", "--config", str(out), "--check-only"])
+    assert code == EXIT_OK
+    assert float(capsys.readouterr().out.split("lmi_margin=")[1].split()[0]) < 0
+
+
+def test_certify_check_only_prints_counterexample(configs, tmp_path, capsys):
+    # plant the equilibrium v = (1, 2) into the bundled N, as in
+    # test_cert.py::test_equilibrium_recall_on_planted_equilibria
+    doc = json.loads(configs["nominal"].read_text())
+    Gm, Cm = np.array(doc["observer"]["G"]), np.array(doc["C"])
+    N0 = np.array(doc["observer"]["N"])
+    v = np.array([1.0, 2.0])
+    Cv = Cm @ v
+    k = float(Cv @ Cv)
+    doc["observer"]["N"] = (N0 - np.outer(Gm @ v + k * (N0 @ Cv), Cv) / (k * k)).tolist()
+    planted = tmp_path / "planted.json"
+    planted.write_text(json.dumps(doc))
+    code = main(["certify", "--config", str(planted), "--check-only"])
+    assert code == EXIT_VERIFICATION_FAILED
+    out = capsys.readouterr().out
+    assert "equilibrium=counterexample" in out
+    assert "equilibrium_counterexample=[1 2]" in out
+
+
 def test_certify_search_P_prints_gamma_max(configs, capsys):
     with pytest.warns(RuntimeWarning, match="semidefinite"):
         code = main(["certify", "--config", str(configs["nominal"]), "--search-P"])
@@ -321,6 +360,25 @@ def test_simulate_divergence_reports_numerical_failure(configs, tmp_path, capsys
                  "--input", "sin(t)", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_NUMERICAL_FAILURE
     capsys.readouterr()
+
+
+def test_simulate_overflow_is_one_error_line(tmp_path, capsys):
+    # x' = 200 x overflows a float near t = 7.9; only the finiteness check speaks
+    doc = {"n": 1, "n_u": 0, "n_y": 1, "n_g": 0, "A": [[200.0]], "C": [[1.0]],
+           "D": [[]], "delta": [], "tau": [], "f_u": ["0"], "f_g": [], "f_L": ["0"],
+           "lipschitz": {"gamma": 1.0},
+           "observer": {"G": [[-1.0]], "J": [[0.0]], "E": [[0.0]], "N": [[0.0]],
+                        "theta": [[1.0]], "alpha": 1.0}}
+    config = tmp_path / "unstable.json"
+    config.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", str(config), "--t-end", "100", "--step", "0.1",
+                     "--x0", "[1]", "--out", str(tmp_path / "run.csv")])
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: state became non-finite at t = ")
 
 
 # --- reproduce-paper ------------------------------------------------------

@@ -16,10 +16,12 @@ def test_all_four_demos_are_collected():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
+def test_demo_runs(demo, tmp_path, pytestconfig):
+    # the demo runs under the suite's own warning filters
+    flags = [f"-W{f}" for f in pytestconfig.getini("filterwarnings")]
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, *flags, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,6 @@ import pytest
 from cubicobs.exprlang import (
     BinOp,
     Call,
-    EvalEnv,
     ExprError,
     ExprEvalError,
     ExprRangeError,
@@ -31,10 +30,7 @@ DIMS = SignalDims(n=2, n_u=2, n_y=1, n_delta=2, n_tau=1)
 
 
 def ev(text, x=(), u=None, y=None, t=0.0, dims=DIMS, allow_time=False):
-    e = parse(text, dims, allow_time=allow_time)
-    u_at = (lambda slot: u[slot]) if u is not None else None
-    y_at = (lambda slot: y[slot]) if y is not None else None
-    return evaluate(e, EvalEnv(x=x, u_at=u_at, y_at=y_at, t=t))
+    return evaluate(parse(text, dims, allow_time=allow_time), x, u, y, t)
 
 
 # --- parsing -------------------------------------------------------------
@@ -198,8 +194,7 @@ def outcome(fn):
 
 
 def tree_walk(exprs, x, u, y, t):
-    env = EvalEnv(x=x, u_at=lambda slot: u[slot], y_at=lambda slot: y[slot], t=t)
-    return tuple(evaluate(e, env) for e in exprs)
+    return tuple(evaluate(e, x, u, y, t) for e in exprs)
 
 
 def random_signal(rng, size):

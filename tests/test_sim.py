@@ -342,6 +342,20 @@ def test_blowup_raises_simulation_error():
                  example_cfg(t_end=10.0, input_signal=input_signals("sin(t)", 1)))
 
 
+@pytest.mark.parametrize("N", [0.0, 1.0], ids=["linear", "cubic"])
+def test_overflowing_state_raises_simulation_error(N):
+    # x' = 200 x overflows a float within 100 steps of 0.1; numpy's overflow
+    # and invalid-value warnings must not escape ahead of the finiteness check
+    dims = SignalDims(n=1, n_u=0, n_y=1)
+    zero = parse("0", dims)
+    plant = PlantModel(A=[[200.0]], C=[[1.0]], D=np.zeros((1, 0)), n_u=0,
+                       f_u=(zero,), f_L=(zero,))
+    obs = ObserverParams(G=[[-1.0]], J=[[0.0]], E=[[0.0]], N=[[N]], theta=[[1.0]])
+    cfg = SimConfig(h=0.1, t_end=100.0, x0=[1.0], xhat0=[0.0], input_signal=())
+    with pytest.raises(SimulationError, match="state became non-finite"):
+        simulate(plant, plant, obs, cfg)
+
+
 # --- CSV output -----------------------------------------------------------
 
 def test_trajectory_csv_format(tmp_path):
