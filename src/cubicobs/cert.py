@@ -59,7 +59,6 @@ from .numlin import as_matrix, definiteness_margin, psd_violation, sym_eig_extre
 __all__ = [
     "CertificateError",
     "FeasibilitySearchError",
-    "LmiBlock",
     "lipschitz_lmi",
     "osl_lmi",
     "verify_lmi_lipschitz",
@@ -103,28 +102,20 @@ class FeasibilitySearchError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class LmiBlock:
-    """An assembled feasibility block and its definiteness margin."""
-
-    block: np.ndarray
-    margin: float
-
-
-def _spd_check(P, what: str = "P") -> np.ndarray:
-    P = as_matrix(P, what)
+def _spd_check(P) -> np.ndarray:
+    P = as_matrix(P, "P")
     if P.shape[0] != P.shape[1]:
-        raise CertificateError(f"{what} must be square, got {P.shape}")
+        raise CertificateError(f"P must be square, got {P.shape}")
     asym = float(np.max(np.abs(P - P.T)))
     if asym > 1e-9 * max(1.0, float(np.max(np.abs(P)))):
-        raise CertificateError(f"{what} must be symmetric (asymmetry {asym:.2e})")
+        raise CertificateError(f"P must be symmetric (asymmetry {asym:.2e})")
     lo, _ = sym_eig_extremes(P)
     if lo <= 0:
-        raise CertificateError(f"{what} is not positive definite (min eigenvalue {lo:.3e})")
+        raise CertificateError(f"P is not positive definite (min eigenvalue {lo:.3e})")
     return 0.5 * (P + P.T)
 
 
-def lipschitz_lmi(P, beta: float, gamma: float, G, E, C) -> LmiBlock:
+def lipschitz_lmi(P, beta: float, gamma: float, G, E, C) -> np.ndarray:
     """Assemble the Lipschitz-case block for given data (no SPD gate).
 
     It is the one-sided block at ``(mu1, mu2, rho, a, b) = (0, beta, 0,
@@ -133,7 +124,7 @@ def lipschitz_lmi(P, beta: float, gamma: float, G, E, C) -> LmiBlock:
     return osl_lmi(P, 0.0, beta, 0.0, gamma**2, 0.0, G, E, C)
 
 
-def osl_lmi(P, mu1: float, mu2: float, rho: float, a: float, b: float, G, E, C) -> LmiBlock:
+def osl_lmi(P, mu1: float, mu2: float, rho: float, a: float, b: float, G, E, C) -> np.ndarray:
     """Assemble the one-sided-Lipschitz block for given data (no SPD gate)."""
     P = as_matrix(P, "P")
     G = as_matrix(G, "G")
@@ -143,8 +134,7 @@ def osl_lmi(P, mu1: float, mu2: float, rho: float, a: float, b: float, G, E, C) 
     T = np.eye(n) - E @ C
     S = P @ G + G.T @ P + (mu1 * rho + mu2 * a) * np.eye(n)
     R = P @ T + 0.5 * (mu2 * b - mu1) * np.eye(n)
-    block = np.block([[S, R], [R.T, -mu2 * np.eye(n)]])
-    return LmiBlock(block=block, margin=definiteness_margin(block))
+    return np.block([[S, R], [R.T, -mu2 * np.eye(n)]])
 
 
 def verify_lmi_lipschitz(P, beta: float, gamma: float, G, E, C) -> float:
@@ -154,7 +144,7 @@ def verify_lmi_lipschitz(P, beta: float, gamma: float, G, E, C) -> float:
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     P = _spd_check(P)
-    return lipschitz_lmi(P, beta, gamma, G, E, C).margin
+    return definiteness_margin(lipschitz_lmi(P, beta, gamma, G, E, C))
 
 
 def verify_lmi_osl(P, mu1: float, mu2: float, rho: float, a: float, b: float,
@@ -163,7 +153,7 @@ def verify_lmi_osl(P, mu1: float, mu2: float, rho: float, a: float, b: float,
     if not mu1 > 0 or not mu2 > 0:
         raise ValueError("mu1 and mu2 must be positive")
     P = _spd_check(P)
-    return osl_lmi(P, mu1, mu2, rho, a, b, G, E, C).margin
+    return definiteness_margin(osl_lmi(P, mu1, mu2, rho, a, b, G, E, C))
 
 
 def cubic_gain(P, C, theta, alpha: float = 1.0) -> np.ndarray:
@@ -186,15 +176,15 @@ class NConditionResult:
     ``classification`` is ``"strict"`` (negative definite),
     ``"semidefinite-pass"`` (zero margin but strictly negative on the range
     of ``C'``, the inevitable situation with fewer outputs than states), or
-    ``"fail"``.  ``identity_residual`` is filled in when ``theta``/``alpha``
-    are supplied: the max-abs difference between the assembled matrix and
-    ``-2 alpha C' theta C``.
+    ``"fail"``.  ``identity_residual`` is the max-abs difference between the
+    assembled matrix and ``-2 alpha C' theta C``, which vanishes when ``N``
+    is the closed-form gain for ``P``, ``theta`` and ``alpha``.
     """
 
     matrix: np.ndarray
     margin: float
     classification: str
-    identity_residual: float | None = None
+    identity_residual: float
 
 
 # Margins within this fraction of the matrix scale count as zero when the
@@ -202,8 +192,8 @@ class NConditionResult:
 _N_TOL = 1e-10
 
 
-def verify_N_condition(P, N, C, theta=None, alpha: float | None = None) -> NConditionResult:
-    """Check the cubic-gain matrix condition ``P N C + C'N'P < 0``."""
+def verify_N_condition(P, N, C, theta, alpha: float) -> NConditionResult:
+    """Check ``P N C + C'N'P < 0`` for a gain ``N`` meant for ``theta``, ``alpha``."""
     P = _spd_check(P)
     N = as_matrix(N, "N")
     C = as_matrix(C, "C")
@@ -223,10 +213,8 @@ def verify_N_condition(P, N, C, theta=None, alpha: float | None = None) -> NCond
         )
     else:
         classification = "fail"
-    identity_residual = None
-    if theta is not None and alpha is not None:
-        theta = as_matrix(theta, "theta")
-        identity_residual = float(np.max(np.abs(M + 2.0 * alpha * (C.T @ theta @ C))))
+    theta = as_matrix(theta, "theta")
+    identity_residual = float(np.max(np.abs(M + 2.0 * alpha * (C.T @ theta @ C))))
     return NConditionResult(matrix=M, margin=margin,
                             classification=classification,
                             identity_residual=identity_residual)

@@ -39,10 +39,8 @@ __all__ = [
     "stabilize_L",
 ]
 
+# compute_E accepts |(I - E C) D|_max up to this fraction of max(1, |D|_max)
 _DECOUPLE_TOL = 1e-9
-# Singular values at or below this fraction of the largest count as zero in
-# the decoupling rank test.
-_RANK_RTOL = 1e-10
 
 
 class DecouplingInfeasibleError(ValueError):
@@ -74,12 +72,11 @@ class StructuralDesign:
     """Result of a gain construction, with its residuals recomputed."""
 
     E: np.ndarray
-    T: np.ndarray
     G: np.ndarray
     J: np.ndarray
-    L: np.ndarray | None
+    L: np.ndarray
     residual_sylvester: float
-    residual_decoupling: float | None
+    residual_decoupling: float
 
 
 def decoupling_feasible(C, D) -> bool:
@@ -88,15 +85,15 @@ def decoupling_feasible(C, D) -> bool:
     D = as_matrix(D, "D")
     if C.shape[1] != D.shape[0]:
         raise ValueError(f"C has {C.shape[1]} columns but D has {D.shape[0]} rows")
-    return mat_rank(C @ D, _RANK_RTOL) == mat_rank(D, _RANK_RTOL)
+    return mat_rank(C @ D) == mat_rank(D)
 
 
 def compute_E(C, D) -> np.ndarray:
     """Canonical decoupling gain ``E = D (C D)^+``.
 
     Raises :class:`DecouplingInfeasibleError` when the rank condition fails
-    (or when, despite a borderline rank test, ``(I - E C) D`` does not
-    vanish numerically).
+    (or when, despite a borderline rank test, ``(I - E C) D`` exceeds 1e-9
+    relative to ``max(1, |D|_max)``).
     """
     C = as_matrix(C, "C")
     D = as_matrix(D, "D")
@@ -104,18 +101,18 @@ def compute_E(C, D) -> np.ndarray:
         raise DecouplingInfeasibleError("rank(CD) != rank(D)")
     E = D @ pinv(C @ D)
     residual = float(np.max(np.abs((np.eye(C.shape[1]) - E @ C) @ D), initial=0.0))
-    if residual > _DECOUPLE_TOL:
+    if residual > _DECOUPLE_TOL * max(1.0, float(np.max(np.abs(D), initial=0.0))):
         raise DecouplingInfeasibleError(
             f"rank(CD) != rank(D) within working precision (residual {residual:.2e})"
         )
     return E
 
 
-def design_GJ(A, C, E, L, D=None) -> StructuralDesign:
+def design_GJ(A, C, E, L, D) -> StructuralDesign:
     """Assemble ``G`` and ``J`` from an output injection ``L``.
 
-    ``D`` is optional; when given, the decoupling residual is reported as
-    well.  The returned residuals come from :func:`verify_structure`, not
+    The returned residuals, of the consistency identity and of the
+    decoupling ``(I - E C) D = 0``, come from :func:`verify_structure`, not
     from the construction itself.
     """
     A = as_matrix(A, "A")
@@ -126,10 +123,8 @@ def design_GJ(A, C, E, L, D=None) -> StructuralDesign:
     T = np.eye(n) - E @ C
     G = T @ A - L @ C
     J = T @ A @ E + L @ (np.eye(C.shape[0]) - C @ E)
-    res_syl, res_dec = verify_structure(A, C, np.zeros((n, 0)) if D is None else D, E, G, J)
-    if D is None:
-        res_dec = None
-    return StructuralDesign(E=E, T=T, G=G, J=J, L=L,
+    res_syl, res_dec = verify_structure(A, C, D, E, G, J)
+    return StructuralDesign(E=E, G=G, J=J, L=L,
                             residual_sylvester=res_syl, residual_decoupling=res_dec)
 
 

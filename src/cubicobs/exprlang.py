@@ -16,7 +16,8 @@ component 2.  Delay slot 0 (or no ``@``) means undelayed; slots count
 Powers bind tighter than unary minus, so ``-x1^2`` is ``-(x1^2)``.
 
 Component indices and delay slots are checked against the declared model
-dimensions at parse time, not at evaluation time.  Drive signals use the
+dimensions at parse time, not at evaluation time, and a numeric literal
+too large for a float is a syntax error.  Drive signals use the
 same grammar with the single extra variable ``t`` (see
 :func:`parse_input_signal`); model nonlinearities may not reference ``t``.
 
@@ -65,8 +66,6 @@ __all__ = [
     "unparse",
     "variables",
 ]
-
-FUNCTIONS = ("sin", "cos", "tanh", "exp", "abs")
 
 _FUNC_IMPL: dict[str, Callable[[float], float]] = {
     "sin": math.sin,
@@ -277,11 +276,14 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.advance()
         if kind == "number":
-            return Num(float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                raise ExprSyntaxError("number out of range", pos)
+            return Num(value)
         if kind == "var":
             return self.var_ref(val, pos)
         if kind == "word":
-            if val in FUNCTIONS:
+            if val in _FUNC_IMPL:
                 k, _, p = self.advance()
                 if k != "lparen":
                     raise ExprSyntaxError(f"expected '(' after {val}", p)

@@ -219,11 +219,6 @@ class Certificate:
         if not has_beta and (self.mu1 is None or self.mu2 is None):
             raise ValueError("certificate needs beta, or both mu1 and mu2")
 
-    def multipliers(self) -> tuple[float, ...]:
-        if self.beta is not None:
-            return (float(self.beta),)
-        return (float(self.mu1), float(self.mu2))
-
     __eq__ = _eq_fields
 
 

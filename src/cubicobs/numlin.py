@@ -29,21 +29,22 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def mat_rank(M, rtol: float = 1e-10) -> int:
-    """Numerical rank: number of singular values above ``rtol`` times the largest.
+_RANK_TOL = 1e-10  # relative singular-value cutoff of mat_rank
+
+
+def mat_rank(M) -> int:
+    """Numerical rank: number of singular values above 1e-10 times the largest.
 
     The relative threshold makes the count scale invariant, so
     ``mat_rank(c * M) == mat_rank(M)`` for any nonzero ``c``.
     """
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
     M = as_matrix(M)
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return int(np.count_nonzero(s > _RANK_TOL * s[0]))
 
 
 def pinv(M) -> np.ndarray:

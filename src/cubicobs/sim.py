@@ -118,7 +118,6 @@ class SimResult:
     t: np.ndarray
     x: np.ndarray
     xhat: np.ndarray
-    w: np.ndarray
     y: np.ndarray
     jo: np.ndarray
 
@@ -198,9 +197,9 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
     """Integrate plant and observer jointly over ``[0, t_end]``.
 
     ``truth`` generates the states and measurements; ``design`` supplies
-    the expressions and delays the observer believes in.  The stored
-    estimate satisfies ``xhat = w + E y`` at every grid point, and
-    ``w(0) = xhat0 - E y(0)``.
+    the expressions and delays the observer believes in.  The result holds
+    the grid trajectories of ``x``, of the estimate ``xhat`` (which starts
+    at ``xhat0``), of ``y`` and of the error integral ``jo``.
     """
     for label, plant in (("truth", truth), ("design", design)):
         report = validate(plant, obs)
@@ -350,20 +349,20 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
             ys[k + 1] = C_t @ z[:n]
             y_rows.append(ys[k + 1].tolist())
 
-    ws = zs[:, n:].copy()
-    xhats = ws + ys @ E.T
-    result = SimResult(t=t_grid, x=zs[:, :n].copy(), xhat=xhats, w=ws, y=ys,
+    result = SimResult(t=t_grid, x=zs[:, :n].copy(), xhat=zs[:, n:] + ys @ E.T, y=ys,
                        jo=np.zeros(steps + 1))
     result.jo = cumulative_error(result)
     return result
 
 
 def cumulative_error(result: SimResult) -> np.ndarray:
-    """Running integral of ``|x - xhat|^2`` by the trapezoid rule."""
-    g = np.sum((result.x - result.xhat) ** 2, axis=1)
-    dt = np.diff(result.t)
-    jo = np.zeros_like(g)
-    jo[1:] = np.cumsum(0.5 * dt * (g[:-1] + g[1:]))
+    """Running integral of ``|x - xhat|^2`` by the trapezoid rule; an error
+    too large to square makes it ``inf``, as in the RK4 loop, unwarned."""
+    with np.errstate(over="ignore"):
+        g = np.sum((result.x - result.xhat) ** 2, axis=1)
+        dt = np.diff(result.t)
+        jo = np.zeros_like(g)
+        jo[1:] = np.cumsum(0.5 * dt * (g[:-1] + g[1:]))
     return jo
 
 
@@ -411,13 +410,14 @@ class StudyReport:
         return "".join(lines)
 
 
-def example_study(out_dir=None) -> StudyReport:
+def example_study(out_dir) -> StudyReport:
     """Run the bundled example: nominal and mismatched plant, cubic vs linear.
 
     Four simulations over ``[0, 20]`` with step ``0.01``, ``x(0) = 0``,
-    ``xhat(0) = (-5, -5)`` and drive :data:`DEFAULT_INPUT_SIGNAL`.  With
-    ``out_dir`` set, writes one trajectory CSV per run plus a
-    ``summary.txt`` of the end-time error integrals and ratios.
+    ``xhat(0) = (-5, -5)`` and drive :data:`DEFAULT_INPUT_SIGNAL`.  Writes
+    one trajectory CSV per run plus a ``summary.txt`` of the end-time error
+    integrals and ratios into ``out_dir``, creating it if needed, and lists
+    them in the report's ``files``.
     """
     from .model import example_system
 
@@ -432,23 +432,22 @@ def example_study(out_dir=None) -> StudyReport:
     nominal = compare_cubic_linear(ex.nominal, ex.nominal, ex.observer, cfg)
     uncertain = compare_cubic_linear(ex.uncertain, ex.nominal, ex.observer, cfg)
     report = StudyReport(nominal=nominal, uncertain=uncertain)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        paths = []
-        for name, res in (
-            ("nominal_cubic", nominal.cubic),
-            ("nominal_linear", nominal.linear),
-            ("uncertain_cubic", uncertain.cubic),
-            ("uncertain_linear", uncertain.linear),
-        ):
-            path = os.path.join(out_dir, f"{name}.csv")
-            write_trajectory_csv(res, path)
-            paths.append(path)
-        summary = os.path.join(out_dir, "summary.txt")
-        with open(summary, "w", newline="\n") as fh:
-            fh.write(report.summary())
-        paths.append(summary)
-        report.files = tuple(paths)
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for name, res in (
+        ("nominal_cubic", nominal.cubic),
+        ("nominal_linear", nominal.linear),
+        ("uncertain_cubic", uncertain.cubic),
+        ("uncertain_linear", uncertain.linear),
+    ):
+        path = os.path.join(out_dir, f"{name}.csv")
+        write_trajectory_csv(res, path)
+        paths.append(path)
+    summary = os.path.join(out_dir, "summary.txt")
+    with open(summary, "w", newline="\n") as fh:
+        fh.write(report.summary())
+    paths.append(summary)
+    report.files = tuple(paths)
     return report
 
 

@@ -48,17 +48,16 @@ def test_lipschitz_block_matches_hand_assembly():
     T = np.eye(2) - E @ C
     S = P @ G + G.T @ P + 1.0 * 100.0 * np.eye(2)
     expected = np.block([[S, P @ T], [(P @ T).T, -100.0 * np.eye(2)]])
-    lb = lipschitz_lmi(P, 100.0, 1.0, G, E, C)
-    assert np.allclose(lb.block, expected, atol=1e-12)
-    assert lb.margin == pytest.approx(PUBLISHED_MARGIN, rel=1e-9)
+    assert np.allclose(lipschitz_lmi(P, 100.0, 1.0, G, E, C), expected, atol=1e-12)
 
 
 def test_osl_block_hand_case_diagonal():
     # P = 1, G = -2, T = 1: PG + G'P + (mu1 rho + mu2 a) = -4 + 1.5,
     # coupling PT + (mu2 b - mu1)/2 = 1, and -mu2 = -1; eigenvalues -0.5, -3
-    lb = osl_lmi([[1.0]], 1.5, 1.0, 0.5, 0.75, 1.5, [[-2.0]], [[0.0]], [[1.0]])
-    assert np.allclose(lb.block, [[-2.5, 1.0], [1.0, -1.0]], atol=1e-12)
-    assert lb.margin == pytest.approx(-0.5, abs=1e-12)
+    block = osl_lmi([[1.0]], 1.5, 1.0, 0.5, 0.75, 1.5, [[-2.0]], [[0.0]], [[1.0]])
+    assert np.allclose(block, [[-2.5, 1.0], [1.0, -1.0]], atol=1e-12)
+    margin = verify_lmi_osl([[1.0]], 1.5, 1.0, 0.5, 0.75, 1.5, [[-2.0]], [[0.0]], [[1.0]])
+    assert margin == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_verify_lipschitz_published_certificate():
@@ -156,7 +155,7 @@ def test_N_condition_strict_with_square_C():
     Pm = random_spd(rng, 3)
     Cm = np.eye(3)
     N = cubic_gain(Pm, Cm, np.eye(3))
-    res = verify_N_condition(Pm, N, Cm)
+    res = verify_N_condition(Pm, N, Cm, np.eye(3), 1.0)
     assert res.classification == "strict"
     assert np.allclose(res.matrix, -2.0 * np.eye(3), atol=1e-9)
     assert res.margin < 0
@@ -164,13 +163,13 @@ def test_N_condition_strict_with_square_C():
 
 def test_N_condition_fail_on_sign_flip():
     N = -cubic_gain(P, C, np.eye(1))  # wrong sign makes the matrix PSD
-    res = verify_N_condition(P, N, C)
+    res = verify_N_condition(P, N, C, np.eye(1), 1.0)
     assert res.classification == "fail"
     assert res.margin >= 0
 
 
 def test_N_condition_fail_on_indefinite():
-    res = verify_N_condition(np.eye(2), [[1.0], [1.0]], C)
+    res = verify_N_condition(np.eye(2), [[1.0], [1.0]], C, np.eye(1), 1.0)
     assert res.classification == "fail"
 
 

@@ -362,15 +362,18 @@ def test_simulate_divergence_reports_numerical_failure(configs, tmp_path, capsys
     capsys.readouterr()
 
 
+# x' = 200 x: the RK4 state passes 1e154 near t = 4 and overflows near t = 7.9
+UNSTABLE = {"n": 1, "n_u": 0, "n_y": 1, "n_g": 0, "A": [[200.0]], "C": [[1.0]],
+            "D": [[]], "delta": [], "tau": [], "f_u": ["0"], "f_g": [], "f_L": ["0"],
+            "lipschitz": {"gamma": 1.0},
+            "observer": {"G": [[-1.0]], "J": [[0.0]], "E": [[0.0]], "N": [[0.0]],
+                         "theta": [[1.0]], "alpha": 1.0}}
+
+
 def test_simulate_overflow_is_one_error_line(tmp_path, capsys):
     # x' = 200 x overflows a float near t = 7.9; only the finiteness check speaks
-    doc = {"n": 1, "n_u": 0, "n_y": 1, "n_g": 0, "A": [[200.0]], "C": [[1.0]],
-           "D": [[]], "delta": [], "tau": [], "f_u": ["0"], "f_g": [], "f_L": ["0"],
-           "lipschitz": {"gamma": 1.0},
-           "observer": {"G": [[-1.0]], "J": [[0.0]], "E": [[0.0]], "N": [[0.0]],
-                        "theta": [[1.0]], "alpha": 1.0}}
     config = tmp_path / "unstable.json"
-    config.write_text(json.dumps(doc))
+    config.write_text(json.dumps(UNSTABLE))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["simulate", "--config", str(config), "--t-end", "100", "--step", "0.1",
@@ -379,6 +382,38 @@ def test_simulate_overflow_is_one_error_line(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: state became non-finite at t = ")
+
+
+def test_simulate_error_integral_overflow_is_inf(tmp_path, capsys):
+    # x' = 200 x stays finite to t = 4 while |x - xhat|^2 overflows
+    config = tmp_path / "unstable.json"
+    config.write_text(json.dumps(UNSTABLE))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", str(config), "--t-end", "4", "--step", "0.1",
+                     "--x0", "[1]", "--out", str(tmp_path / "run.csv")])
+    assert code == EXIT_OK
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert "jo_end=inf" in captured.out.splitlines()
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--t-end", "0.1"],
+    ["design", "--L", "[10;-3]"],
+], ids=lambda c: c[0])
+def test_overflowing_literal_is_a_config_error(configs, tmp_path, capsys, command):
+    doc = json.loads(configs["nominal"].read_text())
+    doc["f_L"][0] = "1e999*x1"
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command[0], "--config", str(bad), *command[1:], "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "f_L[0]: number out of range (at position 0)" in err
+    assert not out.exists()
 
 
 # --- reproduce-paper ------------------------------------------------------

@@ -62,6 +62,20 @@ def test_compute_E_random_feasible_channels():
     assert hits >= 90  # generic draws with n_g <= n_y are feasible
 
 
+@pytest.mark.parametrize("c_scale, d_scale", [(1.0, 1e7), (1e-6, 1e6), (1.0, 1e12)])
+def test_compute_E_accepts_feasible_channels_at_scale(c_scale, d_scale):
+    # (I - EC) D rounds to ~eps |D|, so only a bound relative to |D| accepts
+    # these; the rank test still refuses an infeasible channel at any scale
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        Cm = c_scale * rng.standard_normal((3, 6))
+        Dm = d_scale * rng.standard_normal((6, 2))
+        E = compute_E(Cm, Dm)
+        assert np.max(np.abs((np.eye(6) - E @ Cm) @ Dm)) <= 1e-9 * np.max(np.abs(Dm))
+    with pytest.raises(DecouplingInfeasibleError, match=r"rank\(CD\) != rank\(D\)"):
+        compute_E(C, d_scale * np.array([[0.0], [1.0]]))
+
+
 # --- gain assembly --------------------------------------------------------
 
 def test_design_GJ_reproduces_published_gains():
@@ -72,13 +86,6 @@ def test_design_GJ_reproduces_published_gains():
     assert des.residual_sylvester <= 1e-12
     assert des.residual_decoupling <= 1e-12
     assert np.array_equal(des.L, L)
-
-
-def test_design_GJ_without_D_skips_decoupling_residual():
-    E = compute_E(C, D)
-    des = design_GJ(A, C, E, L)
-    assert des.residual_decoupling is None
-    assert des.residual_sylvester <= 1e-12
 
 
 def test_verify_structure_published_triplet():

@@ -79,6 +79,15 @@ def test_syntax_errors_carry_position():
         parse("x1^x2", DIMS)  # exponent must be a literal
 
 
+@pytest.mark.parametrize("text, position", [("1e999*x1", 0), ("x1 + 2e308", 5)])
+def test_overflowing_literal_is_a_syntax_error(text, position):
+    with pytest.raises(ExprSyntaxError, match="number out of range") as exc:
+        parse(text, DIMS)
+    assert exc.value.position == position
+    with pytest.raises(ExprSyntaxError, match="number out of range"):
+        parse_input_signal("1e999*t")
+
+
 def test_range_errors():
     with pytest.raises(ExprRangeError, match="state index"):
         parse("x3", DIMS)
@@ -243,7 +252,8 @@ def test_compiled_vector_raises_tree_walk_error(text, x, message):
 
 def test_compiled_vector_literals_and_empty():
     assert compile_vector([])((), None, None, 0.0) == ()
-    f = compile_vector([parse("-0", DIMS), parse("1/1e999", DIMS), Num(-2.5)])
+    # parse refuses an overflowing literal; a Num(inf) built directly still compiles
+    f = compile_vector([parse("-0", DIMS), BinOp("/", Num(1.0), Num(math.inf)), Num(-2.5)])
     assert [v.hex() for v in f((), None, None, 0.0)] == \
         [(-0.0).hex(), (0.0).hex(), (-2.5).hex()]
     with pytest.raises(ExprError, match="unknown function"):

@@ -168,8 +168,8 @@ def test_validate_theta_symmetry():
 
 def test_certificate_multiplier_exclusivity():
     P = np.eye(2)
-    assert Certificate(P=P, beta=1.0).multipliers() == (1.0,)
-    assert Certificate(P=P, mu1=2.0, mu2=3.0).multipliers() == (2.0, 3.0)
+    assert Certificate(P=P, beta=1.0).mu1 is None
+    assert Certificate(P=P, mu1=2.0, mu2=3.0).beta is None
     with pytest.raises(ValueError, match="not both"):
         Certificate(P=P, beta=1.0, mu1=2.0, mu2=3.0)
     with pytest.raises(ValueError, match="beta"):
@@ -218,7 +218,6 @@ def test_margins_never_persisted(tmp_path):
     ex = example_system()
     cfg = ex.nominal_config()
     cfg.certificate.lmi_margin = -1.0
-    cfg.certificate.n_margin = 0.0
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     loaded = load_config(path)
@@ -325,6 +324,34 @@ def test_error_reference_beyond_dims():
     doc["f_L"][0] = "u1@2"  # only one input delay configured
     with pytest.raises(ConfigError, match=r"f_L\[0\]"):
         config_from_dict(doc)
+
+
+CONFIG_ERRORS = {
+    "document": (lambda d: [d], "document: must be a JSON object"),
+    "n-not-integer": (lambda d: {**d, "n": "2"}, "n: must be an integer"),
+    "n-zero": (lambda d: {**d, "n": 0}, "n: must be at least 1"),
+    "n_y-zero": (lambda d: {**d, "n_y": 0}, "n_y: must be at least 1"),
+    "n_u-negative": (lambda d: {**d, "n_u": -1}, "n_u/n_g: must be nonnegative"),
+    "matrix-row": (lambda d: {**d, "A": [[1.0, 2.0], [3.0]]},
+                   "A[1]: must be an array of 2 numbers"),
+    "delays": (lambda d: {**d, "delta": 1.0}, "delta: must be a list of numbers"),
+    "expressions": (lambda d: {**d, "f_u": "u1"},
+                    "f_u: must be a list of 2 expression strings"),
+    "expression": (lambda d: {**d, "f_g": [1.0]}, "f_g[0]: must be a string"),
+    "lipschitz": (lambda d: {**d, "lipschitz": 1.0}, "lipschitz: must be an object"),
+    "observer": (lambda d: {**d, "observer": [1.0]}, "observer: must be an object"),
+    "certificate": (lambda d: {**d, "certificate": 1.0}, "certificate: must be an object"),
+    "multipliers": (lambda d: {**d, "certificate": {"P": d["certificate"]["P"]}},
+                    'certificate: provide {"P", "beta"} or {"P", "mu1", "mu2"}'),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_ERRORS))
+def test_config_error_names_its_field(case):
+    change, message = CONFIG_ERRORS[case]
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(change(base_doc()))
+    assert str(exc.value) == message
 
 
 def test_load_config_bad_json(tmp_path):

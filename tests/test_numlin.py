@@ -38,7 +38,6 @@ def test_mat_rank_near_deficient():
     # second column differs from a multiple of the first by ~1e-14
     M = np.array([[1.0, 2.0], [3.0, 6.0 + 1e-14]])
     assert mat_rank(M) == 1
-    assert mat_rank(M, rtol=1e-16) == 2
 
 
 def test_pinv_penrose_residuals():

@@ -1,5 +1,6 @@
 """Integrator: history buffer, delay handling, RK4 accuracy, error integral."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -219,8 +220,9 @@ def test_rk4_order_on_linear_case():
 def test_reconstruction_identity_everywhere():
     ex = example_system()
     res = simulate(ex.nominal, ex.nominal, ex.observer, example_cfg())
-    assert np.array_equal(res.xhat, res.w + res.y @ ex.observer.E.T)
-    # w(0) backs out the requested initial estimate
+    # the stored output is C x at every grid point
+    assert np.allclose(res.y, res.x @ ex.nominal.C.T, rtol=1e-15, atol=0.0)
+    # w(0) = xhat0 - E y(0) backs out the requested initial estimate
     assert np.allclose(res.xhat[0], [-5.0, -5.0], atol=1e-15)
 
 
@@ -356,6 +358,47 @@ def test_overflowing_state_raises_simulation_error(N):
         simulate(plant, plant, obs, cfg)
 
 
+def test_error_integral_overflow_is_inf_without_warning():
+    # x' = 200 x stays finite for 40 RK4 steps of 0.1 but |e| passes 1e154,
+    # so |e|^2 overflows inside the error integral only
+    dims = SignalDims(n=1, n_u=0, n_y=1)
+    zero = parse("0", dims)
+    plant = PlantModel(A=[[200.0]], C=[[1.0]], D=np.zeros((1, 0)), n_u=0,
+                       f_u=(zero,), f_L=(zero,))
+    obs = ObserverParams(G=[[-1.0]], J=[[0.0]], E=[[0.0]], N=[[0.0]], theta=[[1.0]])
+    cfg = SimConfig(h=0.1, t_end=4.0, x0=[1.0], xhat0=[0.0], input_signal=())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = simulate(plant, plant, obs, cfg)
+    assert np.isfinite(res.x).all()
+    assert res.jo[-1] == np.inf
+    assert np.isfinite(res.jo[:2]).all()
+
+
+def test_drive_failure_names_the_step_that_needs_it():
+    # at h = 0.25 the stages of step 1 reach t = 0.5, where 1/(t - 0.5) fails
+    dims = SignalDims(n=1, n_u=1, n_y=1)
+    zero = parse("0", dims)
+    plant = PlantModel(A=[[-1.0]], C=[[1.0]], D=np.zeros((1, 0)), n_u=1,
+                       f_u=(parse("u1", dims),), f_L=(zero,))
+    obs = ObserverParams(G=[[-1.0]], J=[[0.0]], E=[[0.0]], N=[[0.0]], theta=[[1.0]])
+    cfg = SimConfig(h=0.25, t_end=1.0, x0=[0.0], xhat0=[0.0],
+                    input_signal=input_signals("1/(t-0.5)", 1))
+    with pytest.raises(SimulationError, match=r"near t = 0\.25: division by zero"):
+        simulate(plant, plant, obs, cfg)
+
+
+def test_delayed_drive_failure_follows_prehistory_policy():
+    # the bundled plant reads u1@1 with a 1 s delay: under "analytic" its
+    # stages of step 1 evaluate 1/(t + 0.5) at t = -0.5; "zero" never does
+    ex = example_system()
+    cfg = example_cfg(h=0.25, t_end=1.0, input_signal=input_signals("1/(t+0.5)", 1))
+    with pytest.raises(SimulationError, match=r"near t = 0\.25: division by zero"):
+        simulate(ex.nominal, ex.nominal, ex.observer, cfg)
+    res = simulate(ex.nominal, ex.nominal, ex.observer, replace(cfg, prehistory="zero"))
+    assert np.isfinite(res.jo[-1])
+
+
 # --- CSV output -----------------------------------------------------------
 
 def test_trajectory_csv_format(tmp_path):
@@ -381,7 +424,7 @@ def test_trajectory_csv_matches_per_value_formatting(tmp_path):
     col = np.array(special)
     res = SimResult(t=col, x=np.column_stack([col[::-1], -col]),
                     xhat=np.column_stack([col * 7.0, np.roll(col, 3)]),
-                    w=np.zeros((rows, 2)), y=np.roll(col, 1)[:, None], jo=np.roll(col, 5))
+                    y=np.roll(col, 1)[:, None], jo=np.roll(col, 5))
     path = tmp_path / "special.csv"
     write_trajectory_csv(res, path)
     expected = "t,x1,x2,xhat1,xhat2,y1,Jo\n"
