@@ -449,7 +449,7 @@ def _riccati_certificate(Gh, T, q, gmax, verify):
 
     ``gmax = gamma*(Gh)`` must exceed ``sqrt(q)`` when ``q >= 0``, and
     ``verify(P, s)`` is the block's margin with its multipliers scaled by
-    ``s``.  Returns ``(P, s, margin)`` with ``margin < -_CERTIFICATE_TOL``,
+    ``s``.  Returns ``(P, s)`` whose margin is below ``-_CERTIFICATE_TOL``,
     or ``None``.
     """
     from scipy.linalg import solve_continuous_are
@@ -477,7 +477,7 @@ def _riccati_certificate(Gh, T, q, gmax, verify):
         margin = verify(P, s)
     except (np.linalg.LinAlgError, CertificateError):
         return None
-    return (P, s, margin) if margin < -tol else None
+    return (P, s) if margin < -tol else None
 
 
 def _lipschitz_certificate(gamma: float, G, E, C) -> Certificate:
@@ -502,8 +502,8 @@ def _lipschitz_certificate(gamma: float, G, E, C) -> Certificate:
             f"{gamma_max:.6g}: no certificate reaches margin {-_CERTIFICATE_TOL:g} "
             "at working precision"
         )
-    P, beta, margin = found
-    return Certificate(P=P, beta=beta, lmi_margin=margin)
+    P, beta = found
+    return Certificate(P=P, beta=beta)
 
 
 def _osl_certificate(mode: OneSidedLipschitz, G, E, C) -> Certificate:
@@ -540,8 +540,8 @@ def _osl_certificate(mode: OneSidedLipschitz, G, E, C) -> Certificate:
         found = _riccati_certificate(
             Gh, T, q, g, lambda P, s: verify_lmi_osl(P, s * mu1, s, rho, a, b, G, E, C))
         if found is not None:
-            P, s, margin = found
-            return Certificate(P=P, mu1=s * mu1, mu2=s, lmi_margin=margin)
+            P, s = found
+            return Certificate(P=P, mu1=s * mu1, mu2=s)
     raise FeasibilitySearchError(
         f"no multipliers found (best slack {best:.3e} at mu1/mu2 = {mu1:.3e}); "
         "infeasibility is not proven"

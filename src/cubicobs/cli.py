@@ -11,6 +11,9 @@ with exit 2, and a failed gain, certificate or simulation as ``error: ...``
 with exit 3.  Numeric flags are checked to be positive and finite when the
 arguments are parsed, matrix flags to be finite when they are read.  Configs
 are written only through :func:`~cubicobs.model.save_config`.
+
+``certify --search-P`` only supplies the certificate and ``N``: both modes
+then run and print the same checks, and ``--out`` is written only when all pass.
 """
 
 from __future__ import annotations
@@ -53,25 +56,6 @@ def parse_matrix_flag(text: str) -> np.ndarray:
     if not np.isfinite(M).all():
         raise model.ConfigError(f"matrix flag {text!r}: entries must be finite")
     return M
-
-
-def _gain_checks(P, N, G, C, theta, alpha: float) -> bool:
-    """Check and print the cubic-gain condition and the equilibrium verdict
-    for certificate ``P``; True when both pass."""
-    ncond = cert.verify_N_condition(P, N, C, theta, alpha)
-    verdict = cert.check_equilibrium_uniqueness(G, N, C, theta)
-    print(f"n_margin={ncond.margin:.6e}")
-    print(f"n_classification={ncond.classification}")
-    print(f"n_identity_residual={ncond.identity_residual:.3e}")
-    if ncond.classification == "semidefinite-pass":
-        print("warning: cubic-gain condition holds only semidefinitely")
-    print(f"equilibrium={verdict.status}")
-    if verdict.status == cert.COUNTEREXAMPLE:
-        vtxt = " ".join(f"{v:.6g}" for v in np.ravel(verdict.v))
-        print(f"equilibrium_counterexample=[{vtxt}]")
-        print(f"equilibrium_residual={verdict.residual:.3e}")
-    return (ncond.classification in ("strict", "semidefinite-pass")
-            and verdict.status != cert.COUNTEREXAMPLE)
 
 
 def _load_with_observer(path) -> model.SystemConfig:
@@ -118,50 +102,52 @@ def cmd_certify(args) -> int:
     if args.check_only and (args.out is not None or args.alpha is not None):
         raise model.ConfigError("--out and --alpha apply only to --search-P")
     cfg = _load_with_observer(args.config)
-    obs = cfg.observer
-    plant = cfg.plant
-    mode = cfg.lipschitz
+    plant, mode = cfg.plant, cfg.lipschitz
+    if args.search_p:
+        obs = cfg.observer
+        alpha = args.alpha if args.alpha is not None else obs.alpha
+        cfg.certificate = cert.search_P(mode, obs.G, obs.E, plant.C)
+        N = cert.cubic_gain(cfg.certificate.P, plant.C, obs.theta, alpha)
+        cfg.observer = replace(obs, N=N, alpha=alpha)
+    elif cfg.certificate is None:
+        raise model.ConfigError("--check-only needs a certificate block")
+    obs, crt = cfg.observer, cfg.certificate
 
-    if args.check_only:
-        crt = cfg.certificate
-        if crt is None:
-            raise model.ConfigError("--check-only needs a certificate block")
-        mats = (plant.A, plant.C, plant.D, obs.E, obs.G, obs.J)
-        res_syl, res_dec = design.verify_structure(*mats)
-        scale = max(1.0, *(float(np.max(np.abs(M), initial=0.0)) for M in mats))
-        structure_ok = max(res_syl, res_dec) <= STRUCTURE_RTOL * scale
-        try:
-            if crt.beta is not None:
-                lmi_margin = cert.verify_lmi_lipschitz(
-                    crt.P, crt.beta, mode.gamma, obs.G, obs.E, plant.C
-                )
-            else:
-                lmi_margin = cert.verify_lmi_osl(
-                    crt.P, crt.mu1, crt.mu2, mode.rho, mode.a, mode.b,
-                    obs.G, obs.E, plant.C,
-                )
-        except ValueError as exc:  # CertificateError, or a multiplier <= 0
-            print(f"certificate invalid: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION_FAILED
-        print(f"residual_sylvester={res_syl:.3e}")
-        print(f"residual_decoupling={res_dec:.3e}")
-        print(f"lmi_margin={lmi_margin:.6e}")
-        gains_ok = _gain_checks(crt.P, obs.N, obs.G, plant.C, obs.theta, obs.alpha)
-        ok = structure_ok and lmi_margin < 0 and gains_ok
-        return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
-
-    # --search-P
-    alpha = args.alpha if args.alpha is not None else obs.alpha
-    found = cert.search_P(mode, obs.G, obs.E, plant.C)
-    N = cert.cubic_gain(found.P, plant.C, obs.theta, alpha)
-    cfg.observer = model.ObserverParams(
-        G=obs.G, J=obs.J, E=obs.E, N=N, theta=obs.theta, alpha=alpha
-    )
-    cfg.certificate = found
-    print(f"lmi_margin={found.lmi_margin:.6e}")
+    mats = (plant.A, plant.C, plant.D, obs.E, obs.G, obs.J)
+    res_syl, res_dec = design.verify_structure(*mats)
+    scale = max(1.0, *(float(np.max(np.abs(M), initial=0.0)) for M in mats))
+    structure_ok = max(res_syl, res_dec) <= STRUCTURE_RTOL * scale
+    try:
+        if crt.beta is not None:
+            lmi_margin = cert.verify_lmi_lipschitz(crt.P, crt.beta, mode.gamma,
+                                                   obs.G, obs.E, plant.C)
+        else:
+            lmi_margin = cert.verify_lmi_osl(crt.P, crt.mu1, crt.mu2, mode.rho, mode.a,
+                                             mode.b, obs.G, obs.E, plant.C)
+    except ValueError as exc:  # CertificateError, or a multiplier <= 0
+        print(f"certificate invalid: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
+    ncond = cert.verify_N_condition(crt.P, obs.N, plant.C, obs.theta, obs.alpha)
+    verdict = cert.check_equilibrium_uniqueness(obs.G, obs.N, plant.C, obs.theta)
+    print(f"residual_sylvester={res_syl:.3e}")
+    print(f"residual_decoupling={res_dec:.3e}")
+    print(f"lmi_margin={lmi_margin:.6e}")
     if isinstance(mode, model.Lipschitz):
         print(f"gamma_max={cert.max_lipschitz_gamma(obs.G, obs.E, plant.C):.6g}")
-    _gain_checks(found.P, N, obs.G, plant.C, obs.theta, alpha)
+    print(f"n_margin={ncond.margin:.6e}")
+    print(f"n_classification={ncond.classification}")
+    print(f"n_identity_residual={ncond.identity_residual:.3e}")
+    if ncond.classification == "semidefinite-pass":
+        print("warning: cubic-gain condition holds only semidefinitely")
+    print(f"equilibrium={verdict.status}")
+    if verdict.status == cert.COUNTEREXAMPLE:
+        vtxt = " ".join(f"{v:.6g}" for v in np.ravel(verdict.v))
+        print(f"equilibrium_counterexample=[{vtxt}]")
+        print(f"equilibrium_residual={verdict.residual:.3e}")
+    if not (structure_ok and lmi_margin < 0
+            and ncond.classification in ("strict", "semidefinite-pass")
+            and verdict.status != cert.COUNTEREXAMPLE):
+        return EXIT_VERIFICATION_FAILED
     if args.out:
         model.save_config(cfg, args.out)
         print(f"wrote {args.out}")

@@ -17,8 +17,10 @@ Powers bind tighter than unary minus, so ``-x1^2`` is ``-(x1^2)``.
 
 Component indices and delay slots are checked against the declared model
 dimensions at parse time, not at evaluation time, and a numeric literal
-too large for a float is a syntax error.  Drive signals use the
-same grammar with the single extra variable ``t`` (see
+too large for a float is a syntax error.  So is nesting deeper than
+:data:`MAX_DEPTH` (100) levels of operators or of parentheses, which keeps
+every recursive walk far inside Python's recursion limit.  Drive signals
+use the same grammar with the single extra variable ``t`` (see
 :func:`parse_input_signal`); model nonlinearities may not reference ``t``.
 
 Evaluation is strict about arithmetic: division by zero, overflow, and any
@@ -58,12 +60,14 @@ __all__ = [
     "ExprSyntaxError",
     "ExprRangeError",
     "ExprEvalError",
+    "MAX_DEPTH",
     "parse",
     "parse_input_signal",
     "ref_range_error",
     "evaluate",
     "compile_vector",
     "unparse",
+    "leaves",
     "variables",
 ]
 
@@ -218,12 +222,19 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 # --- parser --------------------------------------------------------------
 
+# Deepest tree (a leaf is 0 deep, so a sum of 101 terms is 100 deep) and
+# deepest parenthesis nesting that parse accepts.  At the limit the parser
+# recurses ~510 frames and each tree walker ~105.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens, dims: SignalDims, allow_time: bool):
         self.tokens = tokens
         self.pos = 0
         self.dims = dims
         self.allow_time = allow_time
+        self.open = 0  # parentheses entered and not yet closed
 
     def peek(self):
         return self.tokens[self.pos]
@@ -234,74 +245,75 @@ class _Parser:
         return tok
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.chain("+-")
         kind, _, pos = self.peek()
         if kind != "eof":
             raise ExprSyntaxError("unexpected trailing input", pos)
         return e
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = BinOp(val, node, self.term())
-            else:
-                return node
+    # the methods below return their node and its depth
+    def nested(self, node: Expr, depth: int, pos: int) -> tuple[Expr, int]:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError("expression nested too deeply", pos)
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def chain(self, ops: str) -> tuple[Expr, int]:
+        """``expr`` for ``ops = "+-"``, ``term`` for ``"*/"``: left-associative."""
+        node, depth = self.chain("*/") if ops == "+-" else self.factor()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = BinOp(val, node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Expr:
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val == "-":
+            kind, val, pos = self.peek()
+            if kind != "op" or val not in ops:
+                return node, depth
             self.advance()
-            negate = True
-        node = self.atom()
-        kind, val, _ = self.peek()
+            right, d = self.chain("*/") if ops == "+-" else self.factor()
+            node, depth = self.nested(BinOp(val, node, right), 1 + max(depth, d), pos)
+
+    def factor(self) -> tuple[Expr, int]:
+        kind, val, minus = self.peek()
+        negate = kind == "op" and val == "-"
+        if negate:
+            self.advance()
+        node, depth = self.atom()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            node = Pow(node, self.uint("power exponent"))
-        return Neg(node) if negate else node
+            node, depth = self.nested(Pow(node, self.uint("power exponent")), depth + 1, pos)
+        return self.nested(Neg(node), depth + 1, minus) if negate else (node, depth)
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, val, pos = self.advance()
         if kind == "number":
             value = float(val)
             if not math.isfinite(value):
                 raise ExprSyntaxError("number out of range", pos)
-            return Num(value)
+            return Num(value), 0
         if kind == "var":
-            return self.var_ref(val, pos)
+            return self.var_ref(val, pos), 0
         if kind == "word":
             if val in _FUNC_IMPL:
                 k, _, p = self.advance()
                 if k != "lparen":
                     raise ExprSyntaxError(f"expected '(' after {val}", p)
-                arg = self.expr()
-                k, _, p = self.advance()
-                if k != "rparen":
-                    raise ExprSyntaxError("expected ')'", p)
-                return Call(val, arg)
+                arg, depth = self.group(p)
+                return self.nested(Call(val, arg), depth + 1, pos)
             if val == "t" and self.allow_time:
-                return TimeVar()
+                return TimeVar(), 0
             raise ExprSyntaxError(f"unknown function or variable {val!r}", pos)
         if kind == "lparen":
-            e = self.expr()
-            k, _, p = self.advance()
-            if k != "rparen":
-                raise ExprSyntaxError("expected ')'", p)
-            return e
+            return self.group(pos)
         raise ExprSyntaxError("expected a number, variable, or '('", pos)
+
+    def group(self, pos: int) -> tuple[Expr, int]:
+        """The expression after the '(' at ``pos``, through its ')'."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise ExprSyntaxError("expression nested too deeply", pos)
+        e = self.chain("+-")
+        k, _, p = self.advance()
+        if k != "rparen":
+            raise ExprSyntaxError("expected ')'", p)
+        self.open -= 1
+        return e
 
     def uint(self, what: str) -> int:
         kind, val, pos = self.advance()
@@ -357,7 +369,8 @@ def parse(text: str, dims: SignalDims, *, allow_time: bool = False) -> Expr:
     """Parse ``text`` against the declared dimensions.
 
     Raises :class:`ExprSyntaxError` with a character position on malformed
-    input and :class:`ExprRangeError` when a reference is out of range.
+    input or nesting deeper than :data:`MAX_DEPTH`, and
+    :class:`ExprRangeError` when a reference is out of range.
     """
     tokens = _tokenize(text)
     if tokens[0][0] == "eof":
@@ -551,15 +564,18 @@ def unparse(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def leaves(e: Expr) -> Iterator[Num | Var | TimeVar]:
+    """Yield every leaf of the tree, left to right."""
+    match e:
+        case Neg(arg) | Call(_, arg) | Pow(arg, _):
+            yield from leaves(arg)
+        case BinOp(_, left, right):
+            yield from leaves(left)
+            yield from leaves(right)
+        case _:
+            yield e
+
+
 def variables(e: Expr) -> Iterator[Var]:
     """Yield every variable reference in the tree (depth-first)."""
-    match e:
-        case Var():
-            yield e
-        case Neg(arg) | Call(_, arg) | Pow(arg, _):
-            yield from variables(arg)
-        case BinOp(_, left, right):
-            yield from variables(left)
-            yield from variables(right)
-        case _:
-            pass
+    return (leaf for leaf in leaves(e) if isinstance(leaf, Var))

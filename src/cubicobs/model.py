@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -39,7 +39,9 @@ import numpy as np
 from .exprlang import (
     Expr,
     ExprError,
+    Num,
     SignalDims,
+    leaves,
     parse,
     ref_range_error,
     unparse,
@@ -71,12 +73,10 @@ class ConfigError(ValueError):
 
 
 def _eq_fields(self, other):
-    """``==`` over the compared dataclass fields, arrays by shape and value."""
+    """``==`` over the dataclass fields, arrays by shape and value."""
     if type(other) is not type(self):
         return NotImplemented
     for f in fields(self):
-        if not f.compare:
-            continue
         a, b = getattr(self, f.name), getattr(other, f.name)
         if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
             return False
@@ -199,16 +199,14 @@ class Certificate:
     """Lyapunov certificate: ``P`` plus multiplier(s).
 
     Exactly one of ``beta`` (Lipschitz case) or ``mu1``/``mu2`` (one-sided
-    case) is set.  ``lmi_margin`` is filled in by
-    :func:`cubicobs.cert.search_P`; it is never persisted, so a loaded
-    certificate carries no stale claim.
+    case) is set.  No margin is stored: ``cubicobs.cert.verify_lmi_lipschitz``
+    and ``verify_lmi_osl`` recompute it from the matrices.
     """
 
     P: np.ndarray
     beta: float | None = None
     mu1: float | None = None
     mu2: float | None = None
-    lmi_margin: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.P = as_matrix(self.P, "P")
@@ -276,20 +274,18 @@ def validate(plant: PlantModel, observer: ObserverParams | None = None) -> list[
         out.append(Violation("f_g-len", f"f_g must have {plant.n_g} components"))
     if len(plant.f_L) != n:
         out.append(Violation("f_L-len", f"f_L must have {n} components"))
-    for i, e in enumerate(plant.f_u):
-        for ref in variables(e):
-            if ref.kind == "x":
-                out.append(
-                    Violation("f_u-state-ref", f"f_u[{i}]: f_u must not reference state")
-                )
-                break
     dims = plant.dims()
     for label, exprs in (("f_u", plant.f_u), ("f_g", plant.f_g), ("f_L", plant.f_L)):
         for i, e in enumerate(exprs):
-            for ref in variables(e):
+            refs = list(variables(e))
+            if label == "f_u" and any(ref.kind == "x" for ref in refs):
+                out.append(Violation("f_u-state-ref", f"f_u[{i}]: f_u must not reference state"))
+            for ref in refs:
                 message = ref_range_error(ref, dims)
                 if message is not None:
                     out.append(Violation(f"{label}-ref-range", f"{label}[{i}]: {message}"))
+            if any(isinstance(leaf, Num) and not np.isfinite(leaf.value) for leaf in leaves(e)):
+                out.append(Violation(f"{label}-finite", f"{label}[{i}]: numbers must be finite"))
 
     if observer is None:
         return out
@@ -536,7 +532,7 @@ def config_from_dict(doc: dict) -> SystemConfig:
 
 
 def config_to_dict(cfg: SystemConfig) -> dict:
-    """Inverse of :func:`config_from_dict` (margins are not serialized)."""
+    """Inverse of :func:`config_from_dict`."""
     plant = cfg.plant
     doc: dict[str, Any] = {
         "n": plant.n,

@@ -14,7 +14,7 @@ The linear observer is the same observer with ``N = 0``
 is not computed at all.
 
 The integrator is classical RK4 on the joint state ``[x; w]``.  Every
-delay must be an integer multiple of the step ``h``, so every stage sits
+delay and ``t_end`` are whole multiples of the step ``h``, so every stage sits
 at a half-step position ``j = 0 .. 2 steps`` (time ``(j/2) h``).  Each
 call compiles the truth and design expressions into one Python function
 per expression vector (:func:`~cubicobs.exprlang.compile_vector`) and folds
@@ -174,16 +174,16 @@ class HistoryBuffer:
         return (1.0 - frac) * self.sample(k) + frac * self.sample(k + 1)
 
 
+def _grid_steps(span: float, h: float, what: str) -> int:
+    """``span / h`` as a whole number of steps; ``what`` names ``span``."""
+    k = int(round(span / h))
+    if abs(span - k * h) > _DIV_TOL * max(1.0, abs(span)):
+        raise ConfigError(f"{what}: {span:g} is not an integer multiple of step {h:g}")
+    return k
+
+
 def _delay_steps(delays, h: float, label: str) -> list[int]:
-    out = []
-    for i, d in enumerate(delays):
-        k = int(round(d / h))
-        if abs(d - k * h) > _DIV_TOL * max(1.0, abs(d)):
-            raise ConfigError(
-                f"{label}[{i}]: delay {d:g} is not an integer multiple of step {h:g}"
-            )
-        out.append(k)
-    return out
+    return [_grid_steps(d, h, f"{label}[{i}]") for i, d in enumerate(delays)]
 
 
 def _input_lags(exprs, delta_steps: list[int]) -> set[int]:
@@ -219,11 +219,11 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
         )
 
     h = cfg.h
-    steps = int(round(cfg.t_end / h))
     delta_truth = _delay_steps(truth.delta, h, "delta")
     tau_truth = _delay_steps(truth.tau, h, "tau")
     delta_design = _delay_steps(design.delta, h, "delta")
     tau_design = _delay_steps(design.tau, h, "tau")
+    steps = _grid_steps(cfg.t_end, h, "t_end")
     analytic_pre = cfg.prehistory == "analytic"
     n_half = 2 * steps + 1  # stage positions j = 0 .. 2 steps, time (j/2) h
 

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -300,6 +301,61 @@ def test_certify_search_P_antistable_fails(configs, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _edit_G(doc):
+    doc["observer"]["G"] = [[-10.0, 0.0], [1.0, -12.0]]  # breaks T A - J C = G T
+
+
+def _zero_theta(doc):
+    doc["observer"]["theta"] = [[0.0]]  # N = 0: the cubic-gain condition fails
+
+
+def _one_sided(doc):
+    doc["lipschitz"] = {"rho": 0.5, "a": 50, "b": 0.1}
+    del doc["certificate"]  # its beta belongs to the Lipschitz bound
+
+
+CERTIFY_CASES = {
+    "bundled": (lambda doc: None, EXIT_OK),
+    "edited G": (_edit_G, EXIT_VERIFICATION_FAILED),
+    "theta = 0": (_zero_theta, EXIT_VERIFICATION_FAILED),
+    "one-sided": (_one_sided, EXIT_OK),
+}
+
+
+def _printed_keys(out):
+    return [line.partition("=")[0] for line in out.splitlines()
+            if not line.startswith("wrote ")]
+
+
+@pytest.mark.filterwarnings("ignore:cubic-gain condition holds only semidefinitely")
+@pytest.mark.parametrize("case", list(CERTIFY_CASES))
+def test_certify_search_P_checks_what_check_only_checks(configs, tmp_path, capsys, case):
+    edit, expected = CERTIFY_CASES[case]
+    doc = json.loads(configs["nominal"].read_text())
+    edit(doc)
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps(doc))
+    out = tmp_path / "certified.json"
+    code = main(["certify", "--config", str(source), "--search-P", "--out", str(out)])
+    searched = capsys.readouterr().out
+    assert code == expected
+    assert out.exists() == (code == EXIT_OK)
+
+    # what --search-P found, saved whether or not it passed its checks
+    cfg = model.load_config(source)
+    obs, C = cfg.observer, cfg.plant.C
+    cfg.certificate = cert.search_P(cfg.lipschitz, obs.G, obs.E, C)
+    cfg.observer = replace(obs, N=cert.cubic_gain(cfg.certificate.P, C, obs.theta, obs.alpha))
+    found = tmp_path / "found.json"
+    model.save_config(cfg, found)
+    if out.exists():
+        assert out.read_text() == found.read_text()
+    assert main(["certify", "--config", str(found), "--check-only"]) == code
+    checked = capsys.readouterr().out
+    assert _printed_keys(searched) == _printed_keys(checked)
+    assert "lmi_margin" in _printed_keys(checked)
+
+
 # --- simulate -------------------------------------------------------------
 
 def load_csv(path):
@@ -333,6 +389,16 @@ def test_simulate_step_not_dividing_delay(configs, tmp_path, capsys):
                  "--step", "0.3", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG_ERROR
     assert "multiple" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_end", ["1.3", "1.2"])
+def test_simulate_horizon_not_a_multiple_of_step(configs, tmp_path, capsys, t_end):
+    out = tmp_path / "x.csv"
+    code = main(["simulate", "--config", str(configs["nominal"]), "--t-end", t_end,
+                 "--step", "0.5", "--out", str(out)])
+    assert code == EXIT_CONFIG_ERROR
+    assert f"t_end: {t_end} is not an integer multiple of step 0.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_bad_input_expression(configs, tmp_path, capsys):
@@ -516,6 +582,31 @@ def test_bad_input_is_a_config_error(configs, tmp_path, capsys, case):
     assert any("error:" in line for line in err.splitlines())
     assert "Traceback" not in err
     assert not out.exists()
+
+
+DEEP = {
+    "1200 parentheses": "(" * 1200 + "x1" + ")" * 1200,
+    "3000-term sum": "+".join(["x1"] * 3000),
+}
+
+
+@pytest.mark.parametrize("text", list(DEEP.values()), ids=list(DEEP))
+@pytest.mark.parametrize("command", [
+    ["simulate", "--t-end", "0.1"],
+    ["certify", "--check-only"],
+], ids=lambda c: c[0])
+def test_deeply_nested_expression_is_a_config_error(configs, tmp_path, capsys, text, command):
+    doc = json.loads(configs["nominal"].read_text())
+    doc["f_L"][0] = text
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(doc))
+    argv = [command[0], "--config", str(deep), *command[1:]]
+    if command[0] == "simulate":
+        argv += ["--out", str(tmp_path / "run.csv")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "f_L[0]: expression nested too deeply" in err
+    assert "Traceback" not in err
 
 
 # --- argument plumbing ----------------------------------------------------

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicobs.exprlang import (
+    MAX_DEPTH,
     BinOp,
     Call,
     ExprError,
@@ -130,6 +132,26 @@ def test_evaluate_rejects_nonfinite():
 def test_evaluate_missing_binding():
     with pytest.raises(ExprEvalError, match="no input signal"):
         ev("u1")
+
+
+NESTINGS = {
+    # name: text whose tree (or parenthesis nesting) is k deep
+    "parentheses": lambda k: "(" * k + "x1" + ")" * k,
+    "calls": lambda k: "sin(" * k + "x1" + ")" * k,
+    "signs": lambda k: "-(" * (k - 1) + "-x1" + ")" * (k - 1),
+    "sum": lambda k: "+".join(["x1"] * (k + 1)),
+    "product": lambda k: "*".join(["x1"] * (k + 1)),
+    "powers": lambda k: "(" * (k - 1) + "x1" + "^2)" * (k - 1) + "^2",
+}
+
+
+@pytest.mark.parametrize("shape", list(NESTINGS))
+def test_nesting_depth_limit(shape):
+    text = NESTINGS[shape](MAX_DEPTH)
+    e = parse(text, DIMS)
+    assert parse(unparse(e), DIMS) == e  # the printed form nests no deeper
+    with pytest.raises(ExprSyntaxError, match="expression nested too deeply"):
+        parse(NESTINGS[shape](MAX_DEPTH + 1), DIMS)
 
 
 def test_variables_iterates_depth_first():
@@ -258,3 +280,26 @@ def test_compiled_vector_literals_and_empty():
         [(-0.0).hex(), (0.0).hex(), (-2.5).hex()]
     with pytest.raises(ExprError, match="unknown function"):
         compile_vector([Call("__import__", Num(1.0))])
+
+
+# --- arbitrary input -----------------------------------------------------
+
+# pieces of the grammar's alphabet, plus long runs that nest or chain deeply
+PIECES = st.one_of(
+    st.sampled_from(["x1", "x2", "u2@1", "y1@1", "t", "1", "2.5", "1e3", "9e999",
+                     "+", "-", "*", "/", "^", "@", "(", ")", "sin(", "abs(", " ",
+                     ".", "e", "q", "x0"]),
+    st.builds(lambda piece, k: piece * k,
+              st.sampled_from(["(", "sin(", "-", "-(", "+x1", ")", "*x1"]),
+              st.integers(0, 3000)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(PIECES, max_size=8).map("".join))
+def test_parse_raises_only_expr_errors(text):
+    try:
+        e = parse(text, DIMS, allow_time=True)
+    except ExprError:
+        return
+    assert parse(unparse(e), DIMS, allow_time=True) == e

@@ -117,6 +117,21 @@ def test_delay_must_divide_step():
         simulate(ex.nominal, ex.nominal, ex.observer, example_cfg(h=0.3))
 
 
+@pytest.mark.parametrize("t_end", [1.3, 1.2])
+def test_horizon_must_divide_step(t_end):
+    # the bundled 1 s delay is a multiple of 0.5 s, the horizon is not: the
+    # run would end at round(t_end / h) * h, past or short of t_end
+    ex = example_system()
+    with pytest.raises(ConfigError, match=f"t_end: {t_end:g} is not an integer multiple"):
+        simulate(ex.nominal, ex.nominal, ex.observer, example_cfg(h=0.5, t_end=t_end))
+
+
+def test_delays_are_checked_before_the_horizon():
+    ex = example_system()
+    with pytest.raises(ConfigError, match=r"delta\[0\]"):
+        simulate(ex.nominal, ex.nominal, ex.observer, example_cfg(h=0.3, t_end=1.3))
+
+
 def test_state_dimension_checks():
     ex = example_system()
     with pytest.raises(ConfigError, match="x0"):
