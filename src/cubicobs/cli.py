@@ -119,11 +119,11 @@ def cmd_certify(args) -> int:
     structure_ok = max(res_syl, res_dec) <= STRUCTURE_RTOL * scale
     try:
         if crt.beta is not None:
-            lmi_margin = cert.verify_lmi_lipschitz(crt.P, crt.beta, mode.gamma,
-                                                   obs.G, obs.E, plant.C)
+            margin = cert.verify_lmi_lipschitz(crt.P, crt.beta, mode.gamma,
+                                               obs.G, obs.E, plant.C)
         else:
-            lmi_margin = cert.verify_lmi_osl(crt.P, crt.mu1, crt.mu2, mode.rho, mode.a,
-                                             mode.b, obs.G, obs.E, plant.C)
+            margin = cert.verify_lmi_osl(crt.P, crt.mu1, crt.mu2, mode.rho, mode.a,
+                                         mode.b, obs.G, obs.E, plant.C)
     except ValueError as exc:  # CertificateError, or a multiplier <= 0
         print(f"certificate invalid: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
@@ -131,7 +131,7 @@ def cmd_certify(args) -> int:
     verdict = cert.check_equilibrium_uniqueness(obs.G, obs.N, plant.C, obs.theta)
     print(f"residual_sylvester={res_syl:.3e}")
     print(f"residual_decoupling={res_dec:.3e}")
-    print(f"lmi_margin={lmi_margin:.6e}")
+    print(f"lmi_margin={margin:.6e}")
     if isinstance(mode, model.Lipschitz):
         print(f"gamma_max={cert.max_lipschitz_gamma(obs.G, obs.E, plant.C):.6g}")
     print(f"n_margin={ncond.margin:.6e}")
@@ -144,7 +144,7 @@ def cmd_certify(args) -> int:
         vtxt = " ".join(f"{v:.6g}" for v in np.ravel(verdict.v))
         print(f"equilibrium_counterexample=[{vtxt}]")
         print(f"equilibrium_residual={verdict.residual:.3e}")
-    if not (structure_ok and lmi_margin < 0
+    if not (structure_ok and margin < 0
             and ncond.classification in ("strict", "semidefinite-pass")
             and verdict.status != cert.COUNTEREXAMPLE):
         return EXIT_VERIFICATION_FAILED
