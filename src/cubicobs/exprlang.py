@@ -67,6 +67,7 @@ __all__ = [
     "evaluate",
     "compile_vector",
     "unparse",
+    "depth",
     "leaves",
     "variables",
 ]
@@ -562,6 +563,26 @@ def unparse(e: Expr) -> str:
         case Call(func, arg):
             return f"{func}({unparse(arg)})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def depth(e: Expr) -> int:
+    """The depth :func:`parse` gives ``unparse(e)``: a leaf is 0 deep, each
+    operator, sign, power or call adds one, and a negative literal, written
+    with its sign, is a sign over a leaf.  The walk is iterative, so it
+    measures trees far deeper than the recursive walkers can."""
+    deepest, stack = 0, [(e, 0)]
+    while stack:
+        node, d = stack.pop()
+        match node:
+            case Neg(arg) | Call(_, arg) | Pow(arg, _):
+                stack.append((arg, d + 1))
+            case BinOp(_, left, right):
+                stack += ((left, d + 1), (right, d + 1))
+            case Num(value) if math.copysign(1.0, value) < 0:
+                deepest = max(deepest, d + 1)
+            case _:
+                deepest = max(deepest, d)
+    return deepest
 
 
 def leaves(e: Expr) -> Iterator[Num | Var | TimeVar]:

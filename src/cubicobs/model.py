@@ -37,10 +37,12 @@ from typing import Any
 import numpy as np
 
 from .exprlang import (
+    MAX_DEPTH,
     Expr,
     ExprError,
     Num,
     SignalDims,
+    depth,
     leaves,
     parse,
     ref_range_error,
@@ -277,6 +279,11 @@ def validate(plant: PlantModel, observer: ObserverParams | None = None) -> list[
     dims = plant.dims()
     for label, exprs in (("f_u", plant.f_u), ("f_g", plant.f_g), ("f_L", plant.f_L)):
         for i, e in enumerate(exprs):
+            # parse refuses such a tree, and the walkers below may overflow
+            if depth(e) > MAX_DEPTH:
+                out.append(Violation(f"{label}-depth",
+                                     f"{label}[{i}]: nested deeper than {MAX_DEPTH}"))
+                continue
             refs = list(variables(e))
             if label == "f_u" and any(ref.kind == "x" for ref in refs):
                 out.append(Violation("f_u-state-ref", f"f_u[{i}]: f_u must not reference state"))

@@ -9,23 +9,27 @@ own delay lists; the observer integrates
 against the *design* model's expressions and delays, reconstructing
 ``xhat = w + E y`` from the measured output.  Truth and design model may
 differ; that mismatch is exactly what the cubic term is there to absorb.
-The linear observer is the same observer with ``N = 0``
-(:func:`compare_cubic_linear` runs both); with ``N = 0`` the cubic term
-is not computed at all.
+The linear observer is the same observer with ``N = 0``; with ``N = 0``
+the cubic term is not computed at all.
 
-The integrator is classical RK4 on the joint state ``[x; w]``.  Every
-delay and ``t_end`` are whole multiples of the step ``h``, so every stage sits
-at a half-step position ``j = 0 .. 2 steps`` (time ``(j/2) h``).  Each
-call compiles the truth and design expressions into one Python function
-per expression vector (:func:`~cubicobs.exprlang.compile_vector`) and folds
-the linear algebra into block matrices, so one derivative is two small
-matrix products around two compiled calls.  The drive depends on ``t``
-alone: it is evaluated once per referenced input lag on the half-step
-grid, at the exact shifted stage times, before integration starts.
-Delayed outputs are read from the grid samples already stored in the
-output trajectory, linearly interpolated at half-step positions.  Before
-``t = 0`` the drive is evaluated analytically (or zeroed) and the output
-history is frozen at ``y(0)`` (or zeroed), per the prehistory policy.
+The truth never depends on the observer, so one integration carries
+several observers that share ``truth``, ``design`` and the run settings:
+:func:`simulate` integrates one, :func:`compare_cubic_linear` an observer
+and its linear twin.  The integrator is classical RK4 on the joint state
+``[x; w_1; ...; w_M]``.  Every delay and ``t_end`` are whole multiples of
+the step ``h``, so every stage sits at a half-step position
+``j = 0 .. 2 steps`` (time ``(j/2) h``).  Each run compiles the truth and
+design expressions into one Python function per expression vector
+(:func:`~cubicobs.exprlang.compile_vector`) and folds the linear algebra
+into block matrices, so one derivative is two small matrix products around
+one compiled truth call and one compiled design call per observer.  The
+drive depends on ``t`` alone: it is evaluated once per referenced input
+lag on the half-step grid, at the exact shifted stage times, before
+integration starts.  Delayed outputs are read from the grid samples
+already stored in the output trajectory, linearly interpolated at
+half-step positions.  Before ``t = 0`` the drive is evaluated analytically
+(or zeroed) and the output history is frozen at ``y(0)`` (or zeroed), per
+the prehistory policy.
 """
 
 from __future__ import annotations
@@ -112,8 +116,9 @@ class SimConfig:
 
 @dataclass(eq=False)
 class SimResult:
-    """Grid trajectories of one run; ``jo`` is the running integral of
-    ``|x - xhat|^2`` (trapezoid rule on the grid)."""
+    """Grid trajectories of one observer's run; ``jo`` is the running
+    integral of ``|x - xhat|^2`` (trapezoid rule on the grid).  Observers
+    integrated together each get their own copies of ``t``, ``x`` and ``y``."""
 
     t: np.ndarray
     x: np.ndarray
@@ -201,11 +206,23 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
     the grid trajectories of ``x``, of the estimate ``xhat`` (which starts
     at ``xhat0``), of ``y`` and of the error integral ``jo``.
     """
-    for label, plant in (("truth", truth), ("design", design)):
-        report = validate(plant, obs)
-        if report:
-            names = ", ".join(v.name for v in report)
-            raise ConfigError(f"{label} model failed validation: {names}")
+    return _integrate(truth, design, [obs], cfg)[0]
+
+
+def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverParams],
+               cfg: SimConfig) -> list[SimResult]:
+    """Integrate ``truth`` once, carrying every observer in ``observers``.
+
+    The observers share ``truth``, ``design`` and ``cfg``; the result
+    holds one :class:`SimResult` per observer, in order.  A failure of any
+    member ends the run at the earliest step any member fails.
+    """
+    for obs in observers:
+        for label, plant in (("truth", truth), ("design", design)):
+            report = validate(plant, obs)
+            if report:
+                names = ", ".join(v.name for v in report)
+                raise ConfigError(f"{label} model failed validation: {names}")
     if truth.n != design.n or truth.n_y != design.n_y or truth.n_u != design.n_u:
         raise ConfigError("truth and design models must share n, n_u, n_y")
     n, n_y, n_u = truth.n, truth.n_y, truth.n_u
@@ -260,32 +277,45 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
     u_truth = input_slots(delta_truth)
     u_design = input_slots(delta_design)
 
-    A_t, C_t, D_t = truth.A, truth.C, truth.D
-    G, J, E, N, theta = obs.G, obs.J, obs.E, obs.N, obs.theta
-    C_d = design.C
-    T_d = np.eye(n) - E @ C_d
-    cubic_on = bool(N.any())  # N = 0, the linear observer, skips it (faster)
-
-    # z = [x; w].  R z = [y; xhat; e] with y = C x, xhat = w + E y and the
-    # output error e = y - C_d xhat.  The derivative is one matrix product,
-    #     dz = W [z; f_truth; f_design; (e' theta e) e],
-    # with f_truth = [f_u; f_g; f_L] at x and f_design = [f_u; f_L] at xhat.
-    In, Zn = np.eye(n), np.zeros((n, n))
-    R = np.vstack([np.hstack([C_t, np.zeros((n_y, n))]), np.hstack([E @ C_t, In]),
-                   np.hstack([C_t - C_d @ E @ C_t, -C_d])])
-    top = [A_t, Zn, In, D_t, In, Zn, Zn]
-    bottom = [J @ C_t, G, Zn, np.zeros((n, truth.n_g)), Zn, T_d, T_d]
-    if cubic_on:
-        top.append(np.zeros((n, n_y)))
-        bottom.append(-N)
-    W = np.vstack([np.hstack(top), np.hstack(bottom)])
-    theta_rows = theta.tolist()
+    # z = [x; w_1; ...; w_M].  R z = [y; xhat_1; ...; xhat_M; e_m ...] with
+    # y = C x, xhat_m = w_m + E_m y and, for each observer with N != 0 only,
+    # the output error e_m = y - C_d xhat_m.  The derivative is one product,
+    #     dz = W [z; f_truth; f_design_1; ...; f_design_M; (e_m' theta_m e_m) e_m ...],
+    # with f_truth = [f_u; f_g; f_L] at x and f_design_m = [f_u; f_L] at xhat_m.
+    C_t, C_d, n_g = truth.C, design.C, truth.n_g
+    M = len(observers)
+    n_cubic = sum(bool(obs.N.any()) for obs in observers)  # N = 0 skips the term
+    nz = n + M * n
+    fd_col = nz + 2 * n + n_g  # columns: z, f_truth, each f_design_m, cubic
+    c_col = fd_col + 2 * M * n
+    e_row = n_y + M * n
+    In = np.eye(n)
+    R = np.zeros((e_row + n_cubic * n_y, nz))
+    W = np.zeros((nz, c_col + n_cubic * n_y))
+    R[:n_y, :n] = C_t
+    W[:n, :n] = truth.A
+    W[:n, nz:fd_col] = np.hstack([In, truth.D, In])
+    xhat_at, err_at = [], []  # where each xhat_m and cubic e_m sit in R z
+    for m, obs in enumerate(observers):
+        w = slice(n + m * n, n + (m + 1) * n)
+        r = n_y + m * n
+        R[r:r + n, :n] = obs.E @ C_t
+        R[r:r + n, w] = In
+        xhat_at.append((r, r + n))
+        W[w, :n] = obs.J @ C_t
+        W[w, w] = obs.G
+        W[w, fd_col + 2 * m * n:fd_col + 2 * (m + 1) * n] = np.tile(In - obs.E @ C_d, 2)
+        if obs.N.any():
+            er, ec = e_row + len(err_at) * n_y, c_col + len(err_at) * n_y
+            R[er:er + n_y, :n] = C_t - C_d @ obs.E @ C_t
+            R[er:er + n_y, w] = -C_d
+            W[w, ec:ec + n_y] = -obs.N
+            err_at.append((er, er + n_y, obs.theta.tolist()))
     truth_fn = compile_vector(truth_exprs)
     design_fn = compile_vector(design_exprs)
 
     x0 = cfg.x0
     y0 = C_t @ x0
-    w0 = cfg.xhat0 - E @ y0
     y_rows = [y0.tolist()]  # grid samples of y as lists, for delayed lookups
     y_pre = y_rows[0] if analytic_pre else [0.0] * n_y
 
@@ -304,12 +334,19 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
         zl = z.tolist()
         v = (R @ z).tolist()
         y_now = v[:n_y]
-        y_truth = [y_now] + [y_delayed(j - 2 * lag) if lag else y_now for lag in tau_truth]
-        y_design = [y_now] + [y_delayed(j - 2 * lag) if lag else y_now for lag in tau_design]
+        # append loops: a comprehension costs a call even over no delays
+        y_truth = [y_now]
+        for lag in tau_truth:
+            y_truth.append(y_delayed(j - 2 * lag) if lag else y_now)
+        y_design = [y_now]
+        for lag in tau_design:
+            y_design.append(y_delayed(j - 2 * lag) if lag else y_now)
         zl += truth_fn(zl[:n], u_truth[j], y_truth, t)
-        zl += design_fn(v[n_y:n_y + n], u_design[j], y_design, t)
-        if cubic_on:
-            err = v[n_y + n:]
+        u_j = u_design[j]
+        for a, b in xhat_at:
+            zl += design_fn(v[a:b], u_j, y_design, t)
+        for a, b, theta_rows in err_at:
+            err = v[a:b]
             q = 0.0
             for ea, row in zip(err, theta_rows):
                 for tb, eb in zip(row, err):
@@ -317,10 +354,9 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
             zl += [q * e for e in err]
         return W @ np.array(zl)
 
-    t_grid = np.arange(steps + 1) * h
-    zs = np.empty((steps + 1, 2 * n))
+    zs = np.empty((steps + 1, nz))
     ys = np.empty((steps + 1, n_y))
-    zs[0] = np.concatenate([x0, w0])
+    zs[0] = np.concatenate([x0] + [cfg.xhat0 - obs.E @ y0 for obs in observers])
     ys[0] = y0
 
     z = zs[0]
@@ -349,10 +385,14 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
             ys[k + 1] = C_t @ z[:n]
             y_rows.append(ys[k + 1].tolist())
 
-    result = SimResult(t=t_grid, x=zs[:, :n].copy(), xhat=zs[:, n:] + ys @ E.T, y=ys,
-                       jo=np.zeros(steps + 1))
-    result.jo = cumulative_error(result)
-    return result
+    results = []
+    for m, obs in enumerate(observers):
+        res = SimResult(t=np.arange(steps + 1) * h, x=zs[:, :n].copy(),
+                        xhat=zs[:, n + m * n:n + (m + 1) * n] + ys @ obs.E.T,
+                        y=ys.copy(), jo=np.zeros(steps + 1))
+        res.jo = cumulative_error(res)
+        results.append(res)
+    return results
 
 
 def cumulative_error(result: SimResult) -> np.ndarray:
@@ -380,9 +420,16 @@ class ComparisonReport:
 def compare_cubic_linear(truth: PlantModel, design: PlantModel,
                          obs: ObserverParams, cfg: SimConfig) -> ComparisonReport:
     """Run the scenario with ``obs`` and with its linear twin, the same
-    observer with ``N = 0``."""
-    cubic = simulate(truth, design, obs, cfg)
-    linear = simulate(truth, design, replace(obs, N=np.zeros_like(obs.N)), cfg)
+    observer with ``N = 0``.
+
+    Both observers ride on one integration of ``truth``, so each result
+    equals its own :func:`simulate` call up to rounding.  If either member
+    fails, the pair raises :class:`SimulationError` at the earliest step
+    any member fails; when only one fails, that is the step :func:`simulate`
+    of that observer alone names.
+    """
+    cubic, linear = _integrate(truth, design, [obs, replace(obs, N=np.zeros_like(obs.N))],
+                               cfg)
     jo_c = float(cubic.jo[-1])
     jo_l = float(linear.jo[-1])
     if jo_l > 0:

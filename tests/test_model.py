@@ -1,11 +1,12 @@
 """Data model: bundled example values, validation report, JSON round-trip."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cubicobs.exprlang import BinOp, Num, SignalDims, Var, parse, unparse
+from cubicobs.exprlang import MAX_DEPTH, BinOp, Num, SignalDims, Var, depth, parse, unparse
 from cubicobs.model import (
     Certificate,
     ConfigError,
@@ -122,6 +123,44 @@ def test_validate_rejects_non_finite_literal(label, value):
     bad = small_plant(**{label: tuple(exprs)})
     [violation] = [v for v in validate(bad) if v.name == f"{label}-finite"]
     assert violation.message == f"{label}[0]: numbers must be finite"
+
+
+def wrapped(leaf, levels):
+    """``leaf`` with ``levels`` additions of 1.0 around it, built through the API."""
+    e = leaf
+    for _ in range(levels):
+        e = BinOp("+", e, Num(1.0))
+    return e
+
+
+@pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 150, 1000])
+def test_validate_rejects_tree_deeper_than_parse_accepts(levels):
+    # at 1000 levels the recursive walkers would raise RecursionError
+    bad = small_plant(f_L=(wrapped(Var("x", 1), levels), parse("x2", DIMS)))
+    [violation] = [v for v in validate(bad) if v.name == "f_L-depth"]
+    assert violation.message == f"f_L[0]: nested deeper than {MAX_DEPTH}"
+
+
+# a negative literal is written with its sign, which parse counts as a level
+@pytest.mark.parametrize("leaf, levels, accepted", [
+    (Var("x", 1), MAX_DEPTH, True),
+    (Num(-2.0), MAX_DEPTH - 1, True),
+    (Num(-2.0), MAX_DEPTH, False),
+], ids=["var-at-limit", "negative-at-limit", "negative-past-limit"])
+def test_validate_depth_agrees_with_load_config(tmp_path, leaf, levels, accepted):
+    cfg = example_system().nominal_config()
+    f_L = (wrapped(leaf, levels),) + cfg.plant.f_L[1:]
+    cfg = replace(cfg, plant=replace(cfg.plant, f_L=f_L))
+    path = tmp_path / "deep.json"
+    save_config(cfg, path)
+    if accepted:
+        assert validate(cfg.plant, cfg.observer) == []
+        loaded = load_config(path)
+        assert [depth(e) for e in loaded.plant.f_L] == [depth(e) for e in f_L]
+    else:
+        assert "f_L-depth" in names(validate(cfg.plant, cfg.observer))
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            load_config(path)
 
 
 def test_validate_state_in_f_u():

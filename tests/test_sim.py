@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cubicobs import sim
 from cubicobs.cert import cubic_gain
-from cubicobs.exprlang import SignalDims, parse
+from cubicobs.exprlang import SignalDims, compile_vector, parse
 from cubicobs.model import ConfigError, ObserverParams, PlantModel, example_system
 from cubicobs.sim import (
     DEFAULT_INPUT_SIGNAL,
@@ -412,6 +413,92 @@ def test_delayed_drive_failure_follows_prehistory_policy():
         simulate(ex.nominal, ex.nominal, ex.observer, cfg)
     res = simulate(ex.nominal, ex.nominal, ex.observer, replace(cfg, prehistory="zero"))
     assert np.isfinite(res.jo[-1])
+
+
+# --- one truth integration for a pair ------------------------------------
+
+def pair_cases():
+    ex = example_system()
+    plant, obs = delayed_output_pair()
+    # the output-delay runs of test_output_delay_uses_buffer_and_prehistory,
+    # with a cubic gain and an initial error so that the members differ
+    delayed_obs = replace(obs, N=np.array([[0.5]]), theta=np.array([[1.0]]))
+    delayed_cfg = SimConfig(h=0.25, t_end=2.0, x0=[1.0], xhat0=[0.0], input_signal=())
+    cos_zero = example_cfg(input_signal=input_signals("cos(t)", 1), prehistory="zero")
+    return {
+        "nominal": (ex.nominal, ex.nominal, ex.observer, example_cfg()),
+        # input delays 2 s in the truth, 1 s in the design
+        "uncertain": (ex.uncertain, ex.nominal, ex.observer, example_cfg()),
+        "output-delay": (plant, plant, delayed_obs, delayed_cfg),
+        "output-delay-zero": (plant, plant, delayed_obs, replace(delayed_cfg, prehistory="zero")),
+        "zero-prehistory": (ex.uncertain, ex.nominal, ex.observer, cos_zero),
+    }
+
+
+@pytest.mark.parametrize("case", ["nominal", "uncertain", "output-delay", "output-delay-zero",
+                                  "zero-prehistory"])
+def test_pair_matches_separate_runs(case):
+    truth, design, obs, cfg = pair_cases()[case]
+    rep = compare_cubic_linear(truth, design, obs, cfg)
+    assert not np.array_equal(rep.cubic.xhat, rep.linear.xhat)
+    linear_obs = replace(obs, N=np.zeros_like(obs.N))
+    for got, want in ((rep.cubic, simulate(truth, design, obs, cfg)),
+                      (rep.linear, simulate(truth, design, linear_obs, cfg))):
+        assert np.array_equal(got.t, want.t)
+        assert abs(got.jo[-1] - want.jo[-1]) <= 1e-12 * abs(want.jo[-1])
+        assert np.abs(got.jo - want.jo).max() <= 1e-12 * abs(want.jo[-1])
+        for name in ("x", "xhat", "y"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b).max(axis=0)), name
+
+
+def test_pair_evaluates_the_truth_vector_once_per_stage(monkeypatch):
+    ex = example_system()
+    truth_exprs = ex.uncertain.f_u + ex.uncertain.f_g + ex.uncertain.f_L
+    calls = 0
+
+    def counting_compile_vector(exprs):
+        fn = compile_vector(exprs)
+        if tuple(exprs) != truth_exprs:
+            return fn
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(sim, "compile_vector", counting_compile_vector)
+    steps = 50
+    compare_cubic_linear(ex.uncertain, ex.nominal, ex.observer, example_cfg(t_end=steps * 0.01))
+    assert calls == 4 * steps
+
+
+# the cubic member alone escapes (e' = e^3 - e from e = 2) unless N < 0
+# keeps it bounded; an unstable G makes the linear member overflow later
+@pytest.mark.parametrize("G, N, failing", [(-1.0, 1.0, {"cubic"}),
+                                           (30.0, 0.5, {"cubic", "linear"}),
+                                           (30.0, -1.0, {"linear"})],
+                         ids=["cubic-only", "both", "linear-only"])
+def test_pair_failure_names_the_earliest_failing_member(G, N, failing):
+    dims = SignalDims(n=1, n_u=0, n_y=1)
+    zero = parse("0", dims)
+    plant = PlantModel(A=[[-1.0]], C=[[1.0]], D=np.zeros((1, 0)), n_u=0,
+                       f_u=(zero,), f_L=(zero,))
+    obs = ObserverParams(G=[[G]], J=[[0.0]], E=[[0.0]], N=[[N]], theta=[[1.0]])
+    cfg = SimConfig(h=0.01, t_end=30.0, x0=[3.0], xhat0=[1.0], input_signal=())
+    alone = {}
+    for label, member in (("cubic", obs), ("linear", replace(obs, N=np.zeros((1, 1))))):
+        try:
+            simulate(plant, plant, member, cfg)
+        except SimulationError as exc:
+            alone[label] = str(exc)
+    assert alone.keys() == failing
+    with pytest.raises(SimulationError) as pair:
+        compare_cubic_linear(plant, plant, obs, cfg)
+    # the message of the member that fails first, "... (step k)"
+    earliest = min(alone.values(), key=lambda m: int(m.rsplit("step ", 1)[1].rstrip(")")))
+    assert str(pair.value) == earliest
 
 
 # --- CSV output -----------------------------------------------------------
