@@ -19,9 +19,16 @@ Component indices and delay slots are checked against the declared model
 dimensions at parse time, not at evaluation time, and a numeric literal
 too large for a float is a syntax error.  So is nesting deeper than
 :data:`MAX_DEPTH` (100) levels of operators or of parentheses, which keeps
-every recursive walk far inside Python's recursion limit.  Drive signals
-use the same grammar with the single extra variable ``t`` (see
-:func:`parse_input_signal`); model nonlinearities may not reference ``t``.
+every recursive walk far inside Python's recursion limit.  Digits are
+ASCII only.  Drive signals use the same grammar with the single extra
+variable ``t`` (see :func:`parse_input_signal`); model nonlinearities may
+not reference ``t``.
+
+:func:`parse` owns these rules.  A tree built through the API is valid
+when ``parse(unparse(e))`` rebuilds it; :func:`cubicobs.model.validate`
+and :class:`cubicobs.sim.SimConfig` check exactly that, so a negative
+literal is written ``Neg(Num(2.0))``, as ``parse`` builds it, not
+``Num(-2.0)``.
 
 Evaluation is strict about arithmetic: division by zero, overflow, and any
 non-finite result raise :class:`ExprEvalError` instead of propagating
@@ -63,12 +70,9 @@ __all__ = [
     "MAX_DEPTH",
     "parse",
     "parse_input_signal",
-    "ref_range_error",
     "evaluate",
     "compile_vector",
     "unparse",
-    "depth",
-    "leaves",
     "variables",
 ]
 
@@ -162,6 +166,9 @@ Expr = Union[Num, Var, TimeVar, Neg, BinOp, Pow, Call]
 
 # --- lexer ---------------------------------------------------------------
 
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes "²", "１", "١"
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     i, nchars = 0, len(text)
@@ -182,13 +189,13 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             tokens.append(("rparen", ch, i))
             i += 1
             continue
-        if ch.isdigit() or ch == ".":
+        if ch in _DIGITS or ch == ".":
             start = i
-            while i < nchars and text[i].isdigit():
+            while i < nchars and text[i] in _DIGITS:
                 i += 1
             if i < nchars and text[i] == ".":
                 i += 1
-                while i < nchars and text[i].isdigit():
+                while i < nchars and text[i] in _DIGITS:
                     i += 1
             if text[start:i] == ".":
                 raise ExprSyntaxError("malformed number", start)
@@ -196,10 +203,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 j = i + 1
                 if j < nchars and text[j] in "+-":
                     j += 1
-                if j >= nchars or not text[j].isdigit():
+                if j >= nchars or text[j] not in _DIGITS:
                     raise ExprSyntaxError("malformed number", start)
                 i = j
-                while i < nchars and text[i].isdigit():
+                while i < nchars and text[i] in _DIGITS:
                     i += 1
             tokens.append(("number", text[start:i], start))
             continue
@@ -209,7 +216,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 i += 1
             word = text[start:i]
             digit_start = i
-            while i < nchars and text[i].isdigit():
+            while i < nchars and text[i] in _DIGITS:
                 i += 1
             if i > digit_start:
                 tokens.append(("var", (word, text[digit_start:i]), start))
@@ -225,7 +232,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 # Deepest tree (a leaf is 0 deep, so a sum of 101 terms is 100 deep) and
 # deepest parenthesis nesting that parse accepts.  At the limit the parser
-# recurses ~510 frames and each tree walker ~105.
+# recurses ~510 frames and each recursive tree walker ~105; unparse is
+# iterative, so it prints any tree and parse then refuses a deeper one.
 MAX_DEPTH = 100
 
 
@@ -332,38 +340,27 @@ class _Parser:
         if kind == "op" and tok == "@":
             self.advance()
             slot = self.uint("delay slot")
+        dims, problem = self.dims, None
+        if index < 1:
+            problem = "component index must be >= 1"
+        elif word == "x":
+            if index > dims.n:
+                problem = f"state index out of range (n={dims.n})"
+            elif slot != 0:
+                problem = "state references cannot be delayed"
+        elif word == "u":
+            if index > dims.n_u:
+                problem = f"input index out of range (n_u={dims.n_u})"
+            elif slot > dims.n_delta:
+                problem = f"input delay slot out of range ({dims.n_delta} configured)"
+        elif index > dims.n_y:
+            problem = f"output index out of range (n_y={dims.n_y})"
+        elif slot > dims.n_tau:
+            problem = f"output delay slot out of range ({dims.n_tau} configured)"
         ref = Var(word, index, slot)
-        message = ref_range_error(ref, self.dims)
-        if message is not None:
-            raise ExprRangeError(message)
+        if problem is not None:
+            raise ExprRangeError(f"{unparse(ref)}: {problem}")
         return ref
-
-
-def ref_range_error(ref: Var, dims: SignalDims) -> str | None:
-    """Why ``ref`` lies outside ``dims``, or ``None`` when it is in range.
-
-    The parser raises :class:`ExprRangeError` with this message, and
-    :func:`cubicobs.model.validate` reports it for expressions built against
-    other dimensions.
-    """
-    problem = None
-    if ref.index < 1:
-        problem = "component index must be >= 1"
-    elif ref.kind == "x":
-        if ref.index > dims.n:
-            problem = f"state index out of range (n={dims.n})"
-        elif ref.slot != 0:
-            problem = "state references cannot be delayed"
-    elif ref.kind == "u":
-        if ref.index > dims.n_u:
-            problem = f"input index out of range (n_u={dims.n_u})"
-        elif ref.slot > dims.n_delta:
-            problem = f"input delay slot out of range ({dims.n_delta} configured)"
-    elif ref.index > dims.n_y:
-        problem = f"output index out of range (n_y={dims.n_y})"
-    elif ref.slot > dims.n_tau:
-        problem = f"output delay slot out of range ({dims.n_tau} configured)"
-    return None if problem is None else f"{unparse(ref)}: {problem}"
 
 
 def parse(text: str, dims: SignalDims, *, allow_time: bool = False) -> Expr:
@@ -546,57 +543,45 @@ def compile_vector(exprs: Sequence[Expr]) -> Callable[..., tuple[float, ...]]:
 # --- printing ------------------------------------------------------------
 
 def unparse(e: Expr) -> str:
-    """Fully parenthesized text form; ``parse`` of the result rebuilds ``e``."""
-    match e:
-        case Num(value):
-            return repr(value)
-        case TimeVar():
-            return "t"
-        case Var(kind, index, slot):
-            return f"{kind}{index}" + (f"@{slot}" if slot else "")
-        case Neg(arg):
-            return f"(-{unparse(arg)})"
-        case BinOp(op, left, right):
-            return f"({unparse(left)}{op}{unparse(right)})"
-        case Pow(base, exponent):
-            return f"({unparse(base)}^{exponent})"
-        case Call(func, arg):
-            return f"{func}({unparse(arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    """Fully parenthesized text form; ``parse`` of the result rebuilds ``e``
+    when ``e`` is a tree ``parse`` can build.
 
-
-def depth(e: Expr) -> int:
-    """The depth :func:`parse` gives ``unparse(e)``: a leaf is 0 deep, each
-    operator, sign, power or call adds one, and a negative literal, written
-    with its sign, is a sign over a leaf.  The walk is iterative, so it
-    measures trees far deeper than the recursive walkers can."""
-    deepest, stack = 0, [(e, 0)]
+    The walk is iterative, so it prints trees of any depth; ``parse`` then
+    refuses one nested deeper than :data:`MAX_DEPTH`.
+    """
+    out: list[str] = []
+    stack: list = [e]  # nodes still to print, and text, in reverse order
     while stack:
-        node, d = stack.pop()
-        match node:
-            case Neg(arg) | Call(_, arg) | Pow(arg, _):
-                stack.append((arg, d + 1))
-            case BinOp(_, left, right):
-                stack += ((left, d + 1), (right, d + 1))
-            case Num(value) if math.copysign(1.0, value) < 0:
-                deepest = max(deepest, d + 1)
+        item = stack.pop()
+        match item:
+            case str():
+                out.append(item)
+            case Num(value):
+                out.append(repr(value))
+            case TimeVar():
+                out.append("t")
+            case Var(kind, index, slot):
+                out.append(f"{kind}{index}" + (f"@{slot}" if slot else ""))
+            case Neg(arg):
+                stack += (")", arg, "(-")
+            case BinOp(op, left, right):
+                stack += (")", right, f"{op}", left, "(")
+            case Pow(base, exponent):
+                stack += (f"^{exponent})", base, "(")
+            case Call(func, arg):
+                stack += (")", arg, f"{func}(")
             case _:
-                deepest = max(deepest, d)
-    return deepest
-
-
-def leaves(e: Expr) -> Iterator[Num | Var | TimeVar]:
-    """Yield every leaf of the tree, left to right."""
-    match e:
-        case Neg(arg) | Call(_, arg) | Pow(arg, _):
-            yield from leaves(arg)
-        case BinOp(_, left, right):
-            yield from leaves(left)
-            yield from leaves(right)
-        case _:
-            yield e
+                raise TypeError(f"not an expression node: {item!r}")
+    return "".join(out)
 
 
 def variables(e: Expr) -> Iterator[Var]:
     """Yield every variable reference in the tree (depth-first)."""
-    return (leaf for leaf in leaves(e) if isinstance(leaf, Var))
+    match e:
+        case Var():
+            yield e
+        case Neg(arg) | Call(_, arg) | Pow(arg, _):
+            yield from variables(arg)
+        case BinOp(_, left, right):
+            yield from variables(left)
+            yield from variables(right)

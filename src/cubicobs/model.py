@@ -36,19 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from .exprlang import (
-    MAX_DEPTH,
-    Expr,
-    ExprError,
-    Num,
-    SignalDims,
-    depth,
-    leaves,
-    parse,
-    ref_range_error,
-    unparse,
-    variables,
-)
+from .exprlang import Expr, ExprError, ExprRangeError, SignalDims, parse, unparse, variables
 from .numlin import as_matrix, psd_violation
 
 __all__ = [
@@ -253,7 +241,16 @@ class Violation:
 
 
 def validate(plant: PlantModel, observer: ObserverParams | None = None) -> list[Violation]:
-    """Check dimensions and invariants; an empty report means valid."""
+    """Check dimensions and invariants; an empty report means valid.
+
+    Each expression must read back as itself: ``parse(unparse(e),
+    plant.dims())`` rebuilds ``e``.  So the parser alone owns the grammar,
+    the reference ranges, finite literals and the nesting limit, and
+    ``validate`` accepts exactly the trees ``parse`` builds.  A reference
+    out of range is a ``{label}-ref-range`` violation; any other refusal,
+    or a tree that reads back as a different one (``Num(-2.0)`` reads back
+    as ``Neg(Num(2.0))``), is ``{label}-syntax``.
+    """
     out: list[Violation] = []
     n = plant.A.shape[0]
     if plant.A.shape[1] != n:
@@ -279,20 +276,18 @@ def validate(plant: PlantModel, observer: ObserverParams | None = None) -> list[
     dims = plant.dims()
     for label, exprs in (("f_u", plant.f_u), ("f_g", plant.f_g), ("f_L", plant.f_L)):
         for i, e in enumerate(exprs):
-            # parse refuses such a tree, and the walkers below may overflow
-            if depth(e) > MAX_DEPTH:
-                out.append(Violation(f"{label}-depth",
-                                     f"{label}[{i}]: nested deeper than {MAX_DEPTH}"))
+            text = unparse(e)
+            try:
+                back = parse(text, dims)
+            except ExprError as exc:
+                rule = "ref-range" if isinstance(exc, ExprRangeError) else "syntax"
+                out.append(Violation(f"{label}-{rule}", f"{label}[{i}]: {exc}"))
                 continue
-            refs = list(variables(e))
-            if label == "f_u" and any(ref.kind == "x" for ref in refs):
+            if back != e:
+                out.append(Violation(f"{label}-syntax",
+                                     f"{label}[{i}]: {text} reads back as {unparse(back)}"))
+            elif label == "f_u" and any(ref.kind == "x" for ref in variables(e)):
                 out.append(Violation("f_u-state-ref", f"f_u[{i}]: f_u must not reference state"))
-            for ref in refs:
-                message = ref_range_error(ref, dims)
-                if message is not None:
-                    out.append(Violation(f"{label}-ref-range", f"{label}[{i}]: {message}"))
-            if any(isinstance(leaf, Num) and not np.isfinite(leaf.value) for leaf in leaves(e)):
-                out.append(Violation(f"{label}-finite", f"{label}[{i}]: numbers must be finite"))
 
     if observer is None:
         return out
@@ -598,7 +593,12 @@ def load_config(path) -> SystemConfig:
 
 
 def save_config(cfg: SystemConfig, path) -> None:
-    """Write ``cfg`` as JSON; a save/load round trip is structurally exact."""
+    """Write ``cfg`` as JSON.
+
+    When :func:`validate` accepts ``cfg``, ``load_config`` of the file
+    returns a config equal to ``cfg``: every expression is written as text
+    that ``parse`` reads back as the same tree.
+    """
     with open(path, "w") as fh:
         json.dump(config_to_dict(cfg), fh, indent=2)
         fh.write("\n")

@@ -39,7 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprlang import Expr, ExprEvalError, compile_vector, parse_input_signal, variables
+from .exprlang import (Expr, ExprError, ExprEvalError, compile_vector, parse_input_signal,
+                       unparse, variables)
 # unused here since expressions are compiled, but benchmark tracing wraps
 # sim.evaluate by name; it goes when the tracer drops that wrapper
 from .exprlang import evaluate  # noqa: F401
@@ -87,7 +88,9 @@ def input_signals(text: str, n_u: int) -> tuple[Expr, ...]:
 class SimConfig:
     """One simulation request.
 
-    ``input_signal`` holds one expression in ``t`` per input channel.
+    ``input_signal`` holds one expression in ``t`` per input channel; each
+    must read back as itself through :func:`parse_input_signal`, as model
+    expressions must through :func:`~cubicobs.model.validate`.
     ``prehistory`` is ``"analytic"`` (drive evaluated at negative times,
     output history frozen at its initial value) or ``"zero"``.
     """
@@ -112,6 +115,14 @@ class SimConfig:
             raise ConfigError("t_end: must be finite and at least one step")
         if self.prehistory not in ("analytic", "zero"):
             raise ConfigError(f"prehistory: unknown policy {self.prehistory!r}")
+        for i, e in enumerate(self.input_signal):
+            text = unparse(e)
+            try:
+                back = parse_input_signal(text)
+            except ExprError as exc:
+                raise ConfigError(f"input_signal[{i}]: {exc}") from None
+            if back != e:
+                raise ConfigError(f"input_signal[{i}]: {text} reads back as {unparse(back)}")
 
 
 @dataclass(eq=False)

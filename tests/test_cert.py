@@ -386,7 +386,7 @@ def swept_gamma_star(Gm, Tm):
     return 1.0 / max(gains[k], -res.fun)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
        frac=st.one_of(st.floats(0.05, 0.995), st.floats(1.005, 3.0)))
 def test_search_P_certifies_iff_gamma_below_gamma_star(n, seed, frac):
@@ -433,7 +433,7 @@ def grid_osl_slack(Gm, Em, Cm, rho, a, b, mus):
     ])
 
 
-@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@settings(max_examples=24)
 @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
        frac=st.one_of(st.floats(-0.95, -0.05), st.floats(0.05, 1.0)))
 def test_search_P_osl_certifies_iff_grid_finds_slack(n, seed, frac):

@@ -569,6 +569,9 @@ BAD_INPUTS = {
     "--auto-margin nan": lambda c, p: ["design", "--auto-margin", "nan"],
     "--t-end inf": lambda c, p: ["simulate", "--t-end", "inf"],
     "--x0 nan": lambda c, p: ["simulate", "--t-end", "0.1", "--x0", "[nan;0]"],
+    "f_L superscript digit": lambda c, p: ["simulate", *_truth_with(
+        c, p, f_L=["sin(x²)", "sin(x2)"])],
+    "--input superscript digit": lambda c, p: ["simulate", "--t-end", "0.1", "--input", "0.5*²"],
 }
 
 

@@ -154,6 +154,15 @@ def test_nesting_depth_limit(shape):
         parse(NESTINGS[shape](MAX_DEPTH + 1), DIMS)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("sin(x²)", 5), ("0.5*²", 4), ("x１", 1), ("١", 0),
+], ids=["superscript", "superscript-number", "fullwidth", "arabic-indic"])
+def test_digits_are_ascii_only(text, position):
+    # str.isdigit accepts all four; int() and float() read some of them
+    with pytest.raises(ExprSyntaxError, match=f"unexpected character .* {position}"):
+        parse(text, DIMS)
+
+
 def test_variables_iterates_depth_first():
     e = parse("x1*sin(u2@1) - y1", DIMS)
     assert list(variables(e)) == [Var("x", 1), Var("u", 2, 1), Var("y", 1)]
@@ -288,14 +297,14 @@ def test_compiled_vector_literals_and_empty():
 PIECES = st.one_of(
     st.sampled_from(["x1", "x2", "u2@1", "y1@1", "t", "1", "2.5", "1e3", "9e999",
                      "+", "-", "*", "/", "^", "@", "(", ")", "sin(", "abs(", " ",
-                     ".", "e", "q", "x0"]),
+                     ".", "e", "q", "x0", "²", "１", "١"]),
     st.builds(lambda piece, k: piece * k,
               st.sampled_from(["(", "sin(", "-", "-(", "+x1", ")", "*x1"]),
               st.integers(0, 3000)),
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.lists(PIECES, max_size=8).map("".join))
 def test_parse_raises_only_expr_errors(text):
     try:

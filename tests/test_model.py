@@ -5,8 +5,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cubicobs.exprlang import MAX_DEPTH, BinOp, Num, SignalDims, Var, depth, parse, unparse
+from cubicobs.exprlang import (
+    MAX_DEPTH,
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Pow,
+    SignalDims,
+    TimeVar,
+    Var,
+    parse,
+    unparse,
+)
 from cubicobs.model import (
     Certificate,
     ConfigError,
@@ -15,6 +28,7 @@ from cubicobs.model import (
     OneSidedLipschitz,
     PlantModel,
     SystemConfig,
+    Violation,
     config_from_dict,
     config_to_dict,
     example_system,
@@ -121,8 +135,10 @@ def test_validate_rejects_non_finite_literal(label, value):
     exprs = list(getattr(small_plant(), label))
     exprs[0] = BinOp("*", Num(value), Var("u", 1))
     bad = small_plant(**{label: tuple(exprs)})
-    [violation] = [v for v in validate(bad) if v.name == f"{label}-finite"]
-    assert violation.message == f"{label}[0]: numbers must be finite"
+    [violation] = [v for v in validate(bad) if v.name == f"{label}-syntax"]
+    word, position = repr(abs(value)), 2 if value < 0 else 1
+    assert violation.message == \
+        f"{label}[0]: unknown function or variable {word!r} (at position {position})"
 
 
 def wrapped(leaf, levels):
@@ -135,32 +151,115 @@ def wrapped(leaf, levels):
 
 @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 150, 1000])
 def test_validate_rejects_tree_deeper_than_parse_accepts(levels):
-    # at 1000 levels the recursive walkers would raise RecursionError
+    # at 1000 levels a recursive walk would raise RecursionError; unparse
+    # prints the tree and parse refuses its 101st parenthesis
     bad = small_plant(f_L=(wrapped(Var("x", 1), levels), parse("x2", DIMS)))
-    [violation] = [v for v in validate(bad) if v.name == "f_L-depth"]
-    assert violation.message == f"f_L[0]: nested deeper than {MAX_DEPTH}"
+    [violation] = [v for v in validate(bad) if v.name == "f_L-syntax"]
+    assert violation.message == \
+        f"f_L[0]: expression nested too deeply (at position {MAX_DEPTH})"
 
 
-# a negative literal is written with its sign, which parse counts as a level
-@pytest.mark.parametrize("leaf, levels, accepted", [
-    (Var("x", 1), MAX_DEPTH, True),
-    (Num(-2.0), MAX_DEPTH - 1, True),
-    (Num(-2.0), MAX_DEPTH, False),
-], ids=["var-at-limit", "negative-at-limit", "negative-past-limit"])
-def test_validate_depth_agrees_with_load_config(tmp_path, leaf, levels, accepted):
+def example_with(label, tree):
+    """The bundled nominal config with ``tree`` as ``label[0]``."""
     cfg = example_system().nominal_config()
-    f_L = (wrapped(leaf, levels),) + cfg.plant.f_L[1:]
-    cfg = replace(cfg, plant=replace(cfg.plant, f_L=f_L))
+    exprs = (tree,) + getattr(cfg.plant, label)[1:]
+    return replace(cfg, plant=replace(cfg.plant, **{label: exprs}))
+
+
+def round_trips(cfg, path):
+    """Whether the file ``save_config`` writes loads back equal to ``cfg``."""
+    save_config(cfg, path)
+    try:
+        return load_config(path) == cfg
+    except ConfigError:
+        return False
+
+
+# a negative literal reads back as a sign over a positive one, so validate
+# refuses it at any depth; past the limit load_config refuses the file too
+@pytest.mark.parametrize("leaf, levels, refusal, load_error", [
+    (Var("x", 1), MAX_DEPTH, None, None),
+    (Num(-2.0), MAX_DEPTH - 1, "reads back as", None),
+    (Num(-2.0), MAX_DEPTH, "nested too deeply", "nested too deeply"),
+], ids=["var-at-limit", "negative-at-limit", "negative-past-limit"])
+def test_validate_depth_agrees_with_load_config(tmp_path, leaf, levels, refusal, load_error):
+    cfg = example_with("f_L", wrapped(leaf, levels))
     path = tmp_path / "deep.json"
     save_config(cfg, path)
-    if accepted:
-        assert validate(cfg.plant, cfg.observer) == []
-        loaded = load_config(path)
-        assert [depth(e) for e in loaded.plant.f_L] == [depth(e) for e in f_L]
+    report = validate(cfg.plant, cfg.observer)
+    if refusal is None:
+        assert report == []
+        assert load_config(path) == cfg
+        return
+    [violation] = report
+    assert violation.name == "f_L-syntax" and refusal in violation.message
+    if load_error is None:
+        assert load_config(path) != cfg
     else:
-        assert "f_L-depth" in names(validate(cfg.plant, cfg.observer))
-        with pytest.raises(ConfigError, match="nested too deeply"):
+        with pytest.raises(ConfigError, match=load_error):
             load_config(path)
+
+
+X1 = Var("x", 1)
+
+# API-built trees that parse never builds, with what validate says of each
+NOT_PARSE_TREES = {
+    "modulo": (BinOp("%", X1, Num(3.0)), "unexpected character '%' (at position 3)"),
+    "power-of-negative": (BinOp("*", Pow(Num(-2.0), 2), X1),
+                          "((-2.0^2)*x1) reads back as ((-(2.0^2))*x1)"),
+    "negative-literal": (BinOp("*", Num(-2.0), X1), "(-2.0*x1) reads back as ((-2.0)*x1)"),
+    "sign-of-negative": (Neg(Num(-2.0)), "expected a number, variable, or '(' (at position 2)"),
+    "unknown-kind": (Var("z", 1), "unknown variable kind 'z' (at position 0)"),
+    "time": (BinOp("*", TimeVar(), X1), "unknown function or variable 't' (at position 1)"),
+    "negative-exponent": (Pow(X1, -1),
+                          "power exponent must be a nonnegative integer (at position 4)"),
+    "fractional-exponent": (Pow(X1, 2.5),
+                            "power exponent must be a nonnegative integer (at position 4)"),
+    "unknown-function": (Call("sqrt", X1), "unknown function or variable 'sqrt' (at position 0)"),
+    "numpy-literal": (Num(np.float64(2.0)), "malformed number (at position 2)"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_PARSE_TREES))
+def test_validate_refuses_trees_parse_does_not_build(tmp_path, case):
+    tree, message = NOT_PARSE_TREES[case]
+    cfg = example_with("f_L", tree)
+    assert validate(cfg.plant, cfg.observer) == [
+        Violation("f_L-syntax", f"f_L[0]: {message}")]
+    assert not round_trips(cfg, tmp_path / "tree.json")
+
+
+# API trees from an alphabet wider than the grammar
+API_LEAVES = st.one_of(
+    st.builds(Num, st.one_of(st.floats(), st.integers(-3, 3),
+                             st.sampled_from([np.float64(2.0), 2**60 + 1, True]))),
+    st.builds(Var, st.sampled_from("xuyz"), st.integers(-1, 3), st.integers(-1, 2)),
+    st.just(TimeVar()),
+)
+
+
+def api_nodes(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "%", "+-"]), children, children),
+        st.builds(Pow, children, st.sampled_from([0, 2, 3, -1, 2.5])),
+        st.builds(Call, st.sampled_from(["sin", "exp", "abs", "sqrt"]), children),
+    )
+
+
+API_TREES = st.builds(
+    wrapped,
+    st.recursive(API_LEAVES, api_nodes, max_leaves=6),
+    st.one_of(st.integers(0, 3), st.integers(MAX_DEPTH - 4, 150)),
+)
+
+
+@settings(max_examples=400)
+@given(label=st.sampled_from(["f_u", "f_g", "f_L"]), tree=API_TREES)
+def test_validate_accepts_iff_save_load_round_trips(tmp_path_factory, label, tree):
+    cfg = example_with(label, tree)
+    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    assert (validate(cfg.plant, cfg.observer) == []) == round_trips(cfg, path)
 
 
 def test_validate_state_in_f_u():

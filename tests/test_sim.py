@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from cubicobs import sim
 from cubicobs.cert import cubic_gain
-from cubicobs.exprlang import SignalDims, compile_vector, parse
+from cubicobs.exprlang import BinOp, Num, SignalDims, TimeVar, Var, compile_vector, parse
 from cubicobs.model import ConfigError, ObserverParams, PlantModel, example_system
 from cubicobs.sim import (
     DEFAULT_INPUT_SIGNAL,
@@ -94,6 +94,21 @@ def test_simconfig_validation():
     with pytest.raises(ConfigError, match="prehistory"):
         SimConfig(h=0.1, t_end=1.0, x0=[0.0], xhat0=[0.0], input_signal=sig,
                   prehistory="mirror")
+
+
+@pytest.mark.parametrize("drive, message", [
+    (Var("x", 1), "input_signal[1]: x1: state index out of range (n=0)"),
+    (BinOp("%", TimeVar(), Num(2.0)),
+     "input_signal[1]: unexpected character '%' (at position 2)"),
+    (BinOp("*", Num(-2.0), TimeVar()), "input_signal[1]: (-2.0*t) reads back as ((-2.0)*t)"),
+], ids=["state-ref", "modulo", "negative-literal"])
+def test_simconfig_drive_must_read_back(drive, message):
+    # a state reference used to fail at t = 0 as a SimulationError, and a
+    # modulo to divide silently
+    sig = input_signals("sin(t)", 1) + (drive,)
+    with pytest.raises(ConfigError) as info:
+        SimConfig(h=0.1, t_end=1.0, x0=[0.0], xhat0=[0.0], input_signal=sig)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("field", ["x0", "xhat0"])
