@@ -16,20 +16,23 @@ The truth never depends on the observer, so one integration carries
 several observers that share ``truth``, ``design`` and the run settings:
 :func:`simulate` integrates one, :func:`compare_cubic_linear` an observer
 and its linear twin.  The integrator is classical RK4 on the joint state
-``[x; w_1; ...; w_M]``.  Every delay and ``t_end`` are whole multiples of
-the step ``h``, so every stage sits at a half-step position
+``z = [x; w_1; ...; w_M]``.  Every delay and ``t_end`` are whole multiples
+of the step ``h``, so every stage sits at a half-step position
 ``j = 0 .. 2 steps`` (time ``(j/2) h``).  Each run compiles the truth and
 design expressions into one Python function per expression vector
-(:func:`~cubicobs.exprlang.compile_vector`) and folds the linear algebra
-into block matrices, so one derivative is two small matrix products around
-one compiled truth call and one compiled design call per observer.  The
-drive depends on ``t`` alone: it is evaluated once per referenced input
-lag on the half-step grid, at the exact shifted stage times, before
-integration starts.  Delayed outputs are read from the grid samples
-already stored in the output trajectory, linearly interpolated at
-half-step positions.  Before ``t = 0`` the drive is evaluated analytically
-(or zeroed) and the output history is frozen at ``y(0)`` (or zeroed), per
-the prehistory policy.
+(:func:`~cubicobs.exprlang.compile_vector`, which reuses generated code
+across runs) and folds the linear algebra into block matrices.  The loop
+carries ``[z; R z]`` (outputs, estimates and output errors) as a Python
+list, so one RK4 stage is one compiled truth call, one compiled design
+call per observer and one matrix product that yields the next stage's
+input; one more product ends the step.  The drive depends on ``t`` alone:
+it is evaluated once per half step on one grid reaching back to the
+largest input lag, before integration starts, and each lag reads a slice
+of it.  Delayed outputs are read from a half-step table of the output:
+grid samples, and between them the mean of the two neighbours (linear
+interpolation at the midpoint).  Before ``t = 0`` the drive is evaluated
+analytically (or zeroed) and the output history is frozen at ``y(0)`` (or
+zeroed), per the prehistory policy.
 """
 
 from __future__ import annotations
@@ -146,8 +149,8 @@ class HistoryBuffer:
     the prehistory policy (``"hold"`` freezes the initial sample,
     ``"zero"`` returns zeros).  ``value_at(q)`` linearly interpolates at a
     fractional grid index, which is how half-step stage times are served.
-    :func:`simulate` reads the same values straight from its output
-    trajectory and no longer uses this class.
+    :func:`simulate` keeps its own half-step table of the same values and
+    does not use this class.
     """
 
     def __init__(self, dim: int, depth: int, initial: np.ndarray, policy: str = "hold"):
@@ -255,44 +258,53 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
     analytic_pre = cfg.prehistory == "analytic"
     n_half = 2 * steps + 1  # stage positions j = 0 .. 2 steps, time (j/2) h
 
-    # The drive depends on t alone: evaluate it once per referenced input lag
-    # on the half-step grid.  A failure is raised at the step that needs it.
+    # The drive depends on t alone: evaluate it once per half-step on one grid,
+    # positions p = -2 L_max .. 2 steps at time (p/2) h, where L_max is the
+    # largest input lag referenced.  Lag L reads stage j at p = j - 2 L.  A
+    # failure is raised at the first step whose stages reach it through any lag.
     truth_exprs = truth.f_u + truth.f_g + truth.f_L
     design_exprs = design.f_u + design.f_L
-    drive_fn = compile_vector(cfg.input_signal)
-    zero_u = (0.0,) * n_u
-    drive: dict[int, list] = {}
-    fail_step, drive_error = steps, None
-    for lag in sorted(_input_lags(truth_exprs, delta_truth)
-                      | _input_lags(design_exprs, delta_design)):
-        rows = drive[lag] = []
-        for j in range(n_half):
-            t = (j * 0.5) * h - lag * h
-            if t < 0 and not analytic_pre:
-                rows.append(zero_u)
+    lags = _input_lags(truth_exprs, delta_truth) | _input_lags(design_exprs, delta_design)
+    u_off = 2 * max(lags, default=0)  # grid index of p = 0
+    grid: list = [None] * (u_off + n_half)
+    failed: dict[int, ExprEvalError] = {}  # grid index -> error, in order
+    if lags:
+        drive_fn = compile_vector(cfg.input_signal)
+        zero_u = (0.0,) * n_u
+        for i in range(len(grid)):
+            p = i - u_off
+            if p < 0 and not analytic_pre:
+                grid[i] = zero_u
                 continue
             try:
-                rows.append(drive_fn((), None, None, t))
+                grid[i] = drive_fn((), None, None, (p * 0.5) * h)
             except ExprEvalError as exc:
-                step = max(0, (j - 1) // 2)  # the first step whose stages reach j
-                if step < fail_step:
-                    fail_step, drive_error = step, exc
-                break
+                failed[i] = exc
+    fail_step, drive_error = steps, None
+    for lag in sorted(lags):
+        start = u_off - 2 * lag  # grid index of this lag's stage j = 0
+        i = next((i for i in failed if i >= start), None)
+        if i is not None and i - start < n_half:
+            step = max(0, (i - start - 1) // 2)  # the first step whose stages reach it
+            if step < fail_step:
+                fail_step, drive_error = step, failed[i]
     unused = [None] * n_half
 
     def input_slots(delta_steps: list[int]) -> list[tuple]:
         # entry j: the input vector of every delay slot at stage position j
-        lags = [0] + delta_steps
-        return list(zip(*(drive.get(lag, unused) for lag in lags)))
+        return list(zip(*(grid[u_off - 2 * lag:u_off - 2 * lag + n_half] if lag in lags
+                          else unused for lag in [0] + delta_steps)))
 
     u_truth = input_slots(delta_truth)
     u_design = input_slots(delta_design)
 
     # z = [x; w_1; ...; w_M].  R z = [y; xhat_1; ...; xhat_M; e_m ...] with
     # y = C x, xhat_m = w_m + E_m y and, for each observer with N != 0 only,
-    # the output error e_m = y - C_d xhat_m.  The derivative is one product,
-    #     dz = W [z; f_truth; f_design_1; ...; f_design_M; (e_m' theta_m e_m) e_m ...],
+    # the output error e_m = y - C_d xhat_m.  The derivative is
+    #     dz = W g,  g = [z; f_truth; f_design_1; ...; f_design_M; (e_m' theta_m e_m) e_m ...],
     # with f_truth = [f_u; f_g; f_L] at x and f_design_m = [f_u; f_L] at xhat_m.
+    # The loop carries s = [z; R z] = S z as a list, S = [I; R], so one RK4
+    # stage is one product: its input is s + c h S W g = [c h S W | I] [g; s].
     C_t, C_d, n_g = truth.C, design.C, truth.n_g
     M = len(observers)
     n_cubic = sum(bool(obs.N.any()) for obs in observers)  # N = 0 skips the term
@@ -306,13 +318,13 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
     R[:n_y, :n] = C_t
     W[:n, :n] = truth.A
     W[:n, nz:fd_col] = np.hstack([In, truth.D, In])
-    xhat_at, err_at = [], []  # where each xhat_m and cubic e_m sit in R z
+    xhat_at, err_at = [], []  # where each xhat_m and cubic e_m sit in s
     for m, obs in enumerate(observers):
         w = slice(n + m * n, n + (m + 1) * n)
         r = n_y + m * n
         R[r:r + n, :n] = obs.E @ C_t
         R[r:r + n, w] = In
-        xhat_at.append((r, r + n))
+        xhat_at.append((nz + r, nz + r + n))
         W[w, :n] = obs.J @ C_t
         W[w, w] = obs.G
         W[w, fd_col + 2 * m * n:fd_col + 2 * (m + 1) * n] = np.tile(In - obs.E @ C_d, 2)
@@ -321,56 +333,65 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
             R[er:er + n_y, :n] = C_t - C_d @ obs.E @ C_t
             R[er:er + n_y, w] = -C_d
             W[w, ec:ec + n_y] = -obs.N
-            err_at.append((er, er + n_y, obs.theta.tolist()))
+            err_at.append((nz + er, nz + er + n_y, obs.theta.tolist()))
+    S = np.vstack([np.eye(nz), R])
+    SW = S @ W
+    I_s = np.eye(len(S))
+    half_stage = np.hstack([(0.5 * h) * SW, I_s])
+    full_stage = np.hstack([h * SW, I_s])
+    # the step's end, S (z + h/6 W (g1 + 2 g2 + 2 g3 + g4)), from [g1; ...; g4; s]:
+    # R z is derived from z afresh every step, so it cannot drift from it
+    sixth = (h / 6.0) * SW
+    step_end = np.hstack([sixth, 2.0 * sixth, 2.0 * sixth, sixth, S, np.zeros((len(S), len(R)))])
     truth_fn = compile_vector(truth_exprs)
     design_fn = compile_vector(design_exprs)
 
     x0 = cfg.x0
     y0 = C_t @ x0
-    y_rows = [y0.tolist()]  # grid samples of y as lists, for delayed lookups
-    y_pre = y_rows[0] if analytic_pre else [0.0] * n_y
+    z0 = np.concatenate([x0] + [cfg.xhat0 - obs.E @ y0 for obs in observers])
+    traj = np.empty((steps + 1, len(S)))
+    traj[0] = S @ z0
+    s = traj[0].tolist()
 
-    def y_delayed(m: int) -> list[float]:
-        # output at half-step m <= current stage, from the grid samples;
-        # odd m is (1 - 1/2) a + (1/2) b, as HistoryBuffer.value_at gives
-        k0, odd = divmod(m, 2)
-        a = y_rows[k0] if k0 >= 0 else y_pre
-        if not odd:
-            return a
-        b = y_rows[k0 + 1] if k0 >= -1 else y_pre
-        return [0.5 * p + 0.5 * q for p, q in zip(a, b)]
+    # Delayed outputs at half-step positions m >= -2 T_max (T_max the largest
+    # output lag): row y_off + m holds y at the grid for even m and the mean
+    # of its neighbours for odd m, as HistoryBuffer.value_at gives.  Before
+    # t = 0 the history is y(0) or zero, per the prehistory policy.
+    y_off = 2 * max(tau_truth + tau_design, default=0)
+    y_now = s[nz:nz + n_y]
+    y_pre = y_now if analytic_pre else [0.0] * n_y
+    y_table = [y_pre] * y_off + [y_now]
+    if y_off:
+        y_table[-2] = [0.5 * p + 0.5 * q for p, q in zip(y_pre, y_now)]
+    # per delay slot, the row of stage j = 0, or None for the undelayed output
+    y_truth_at = [y_off - 2 * lag if lag else None for lag in tau_truth]
+    y_design_at = [y_off - 2 * lag if lag else None for lag in tau_design]
 
-    def deriv(j: int, z: np.ndarray) -> np.ndarray:
+    def stage_terms(j: int, s: list[float]) -> list[float]:
+        # g at stage position j (time (j/2) h) from the stage input s
         t = (j * 0.5) * h
-        zl = z.tolist()
-        v = (R @ z).tolist()
-        y_now = v[:n_y]
+        y_now = s[nz:nz + n_y]
         # append loops: a comprehension costs a call even over no delays
         y_truth = [y_now]
-        for lag in tau_truth:
-            y_truth.append(y_delayed(j - 2 * lag) if lag else y_now)
+        for at in y_truth_at:
+            y_truth.append(y_now if at is None else y_table[at + j])
         y_design = [y_now]
-        for lag in tau_design:
-            y_design.append(y_delayed(j - 2 * lag) if lag else y_now)
-        zl += truth_fn(zl[:n], u_truth[j], y_truth, t)
+        for at in y_design_at:
+            y_design.append(y_now if at is None else y_table[at + j])
+        g = s[:nz]
+        g += truth_fn(s, u_truth[j], y_truth, t)  # x is s[:n]
         u_j = u_design[j]
         for a, b in xhat_at:
-            zl += design_fn(v[a:b], u_j, y_design, t)
+            g += design_fn(s[a:b], u_j, y_design, t)
         for a, b, theta_rows in err_at:
-            err = v[a:b]
+            err = s[a:b]
             q = 0.0
             for ea, row in zip(err, theta_rows):
                 for tb, eb in zip(row, err):
                     q += ea * tb * eb
-            zl += [q * e for e in err]
-        return W @ np.array(zl)
+            g += [q * e for e in err]
+        return g
 
-    zs = np.empty((steps + 1, nz))
-    ys = np.empty((steps + 1, n_y))
-    zs[0] = np.concatenate([x0] + [cfg.xhat0 - obs.E @ y0 for obs in observers])
-    ys[0] = y0
-
-    z = zs[0]
     # a diverging state overflows inside the stages; the finiteness check
     # after each step reports it, so numpy's own warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -379,22 +400,27 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
             try:
                 if k == fail_step:
                     raise drive_error
-                k1 = deriv(j, z)
-                k2 = deriv(j + 1, z + 0.5 * h * k1)
-                k3 = deriv(j + 1, z + 0.5 * h * k2)
-                k4 = deriv(j + 2, z + h * k3)
+                g1 = stage_terms(j, s)
+                g2 = stage_terms(j + 1, (half_stage @ np.array(g1 + s)).tolist())
+                g3 = stage_terms(j + 1, (half_stage @ np.array(g2 + s)).tolist())
+                g4 = stage_terms(j + 2, (full_stage @ np.array(g3 + s)).tolist())
             except ExprEvalError as exc:
                 raise SimulationError(
                     f"expression evaluation failed near t = {k * h:.6g}: {exc}"
                 ) from exc
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(z).all():
+            s_new = step_end @ np.array(g1 + g2 + g3 + g4 + s)
+            if not np.isfinite(s_new).all():
                 raise SimulationError(
                     f"state became non-finite at t = {(k + 1) * h:.6g} (step {k + 1})"
                 )
-            zs[k + 1] = z
-            ys[k + 1] = C_t @ z[:n]
-            y_rows.append(ys[k + 1].tolist())
+            traj[k + 1] = s_new
+            s = s_new.tolist()
+            y_now = s[nz:nz + n_y]
+            y_table.append([0.5 * p + 0.5 * q for p, q in zip(y_table[-1], y_now)])
+            y_table.append(y_now)
+
+    zs = traj[:, :nz]
+    ys = zs[:, :n] @ C_t.T
 
     results = []
     for m, obs in enumerate(observers):

@@ -283,12 +283,62 @@ def test_compiled_vector_raises_tree_walk_error(text, x, message):
 
 def test_compiled_vector_literals_and_empty():
     assert compile_vector([])((), None, None, 0.0) == ()
-    # parse refuses an overflowing literal; a Num(inf) built directly still compiles
-    f = compile_vector([parse("-0", DIMS), BinOp("/", Num(1.0), Num(math.inf)), Num(-2.5)])
-    assert [v.hex() for v in f((), None, None, 0.0)] == \
-        [(-0.0).hex(), (0.0).hex(), (-2.5).hex()]
-    with pytest.raises(ExprError, match="unknown function"):
+    f = compile_vector([parse("-0", DIMS)])
+    assert [v.hex() for v in f((), None, None, 0.0)] == [(-0.0).hex()]
+    # literals parse never builds are refused, as validate refuses them
+    with pytest.raises(ExprError, match=r"\(1\.0/inf\): unknown function or variable 'inf'"):
+        compile_vector([parse("-0", DIMS), BinOp("/", Num(1.0), Num(math.inf))])
+    with pytest.raises(ExprError, match=r"-2\.5 reads back as \(-2\.5\)"):
+        compile_vector([Num(-2.5)])
+    with pytest.raises(ExprError, match="__import__"):
         compile_vector([Call("__import__", Num(1.0))])
+
+
+@pytest.mark.parametrize("tree", [
+    Num(np.float64(2.0)),
+    Pow(Var("x", 1), 2.5),
+    Var("z", 1),
+    BinOp("%", Var("x", 1), Num(3.0)),
+    Num(math.inf),
+    Num(math.nan),
+    Var("x", 1, 1),
+], ids=["numpy-literal", "fractional-power", "unknown-kind", "modulo", "inf", "nan",
+        "delayed-state"])
+def test_compiled_vector_refuses_trees_parse_never_builds(tree):
+    # each used to compile, then misread (z1 as y1, % as /) or fail when called
+    with pytest.raises(ExprError):
+        compile_vector([parse("x1", DIMS), tree])
+
+
+@pytest.mark.parametrize("first, second", [
+    (Num(2.0), Num(2)),
+    (BinOp("*", Num(2.0), Var("x", 1)), BinOp("*", Num(2), Var("x", 1))),
+    (Pow(Num(2.0), 3), Pow(Num(2), 3)),
+], ids=["literal", "product", "power"])
+def test_compiled_code_is_reused_by_text_not_by_equality(first, second):
+    # the pairs compare equal but print differently, so they compile apart
+    assert first == second
+    x = (1.5,)
+    compile_vector([first])
+    got = compile_vector([second])(x, None, None, 0.0)
+    want = tree_walk([second], x, None, None, 0.0)
+    assert got == want and [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_compiled_code_reuse_keeps_refusing_negative_zero():
+    # Num(-0.0) == Num(0.0); a cache keyed on trees would return +0.0 for it
+    assert compile_vector([Num(0.0)])((), None, None, 0.0)[0].hex() == (0.0).hex()
+    with pytest.raises(ExprError, match="reads back as"):
+        compile_vector([Num(-0.0)])
+
+
+def test_compiled_functions_share_code_not_namespaces():
+    f = compile_vector([parse("1/x1", DIMS)])
+    g = compile_vector([parse("1/x1", DIMS)])
+    assert f.__code__ is g.__code__
+    assert f.__globals__ is not g.__globals__
+    assert outcome(lambda: g((0.0,), None, None, 0.0)) == "ExprEvalError: division by zero"
+    assert f((2.0,), None, None, 0.0) == (0.5,)
 
 
 # --- arbitrary input -----------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cubicobs import sim
+from cubicobs import exprlang, sim
 from cubicobs.cert import cubic_gain
 from cubicobs.exprlang import BinOp, Num, SignalDims, TimeVar, Var, compile_vector, parse
 from cubicobs.model import ConfigError, ObserverParams, PlantModel, example_system
@@ -330,9 +330,44 @@ def test_output_delay_uses_buffer_and_prehistory():
     assert np.all(np.isfinite(runs["analytic"].x))
 
 
+def multi_delay_scenario(prehistory):
+    """4-state truth and design with different pairs of input delays (in
+    steps: truth 3, 5; design 2, 6) and of output delays (truth 2, 6; design
+    1, 4), a cubic gain, and a drive that reads five distinct input lags."""
+    def plant(A, delta, tau):
+        dims = SignalDims(n=4, n_u=2, n_y=2, n_delta=2, n_tau=2)
+        return PlantModel(
+            A=A, C=[[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.5]],
+            D=[[0.5], [0.0], [0.3], [0.1]], n_u=2, delta=delta, tau=tau,
+            f_u=tuple(parse(s, dims) for s in ("0.4*u1@1", "0.3*u2@2", "0.2*u1",
+                                               "0.5*u2@1")),
+            f_g=(parse("0.1*tanh(x1*x2)", dims),),
+            f_L=tuple(parse(s, dims) for s in (
+                "0.1*sin(x2) + 0.2*tanh(y1@1)", "0.1*cos(x3)*u1 - 0.15*tanh(y2@2)",
+                "0.05*x4*y1@2", "0.1*sin(x1) + 0.1*y2@1")))
+
+    A = np.array([[-1.0, 0.3, 0.0, 0.1], [0.0, -1.5, 0.2, 0.0],
+                  [0.1, 0.0, -2.0, 0.3], [0.0, 0.2, 0.0, -1.2]])
+    truth = plant(A + 0.05 * np.ones((4, 4)), (0.15, 0.25), (0.1, 0.3))
+    design = plant(A, (0.1, 0.3), (0.05, 0.2))
+    obs = ObserverParams(
+        G=-2.0 * np.eye(4) + 0.1 * np.ones((4, 4)),
+        J=[[0.3, 0.0], [0.0, 0.2], [0.1, 0.1], [0.0, 0.3]],
+        E=[[0.2, 0.0], [0.0, 0.1], [0.0, 0.0], [0.1, 0.1]],
+        N=[[-0.3, 0.0], [0.0, -0.2], [0.1, 0.0], [0.0, -0.1]],
+        theta=[[1.0, 0.2], [0.2, 0.5]])
+    drive = tuple(sim.parse_input_signal(s) for s in ("0.5*sin(t)", "0.3*cos(2*t)"))
+    cfg = SimConfig(h=0.05, t_end=2.0, x0=[0.5, -0.3, 0.2, 0.1],
+                    xhat0=[-1.0, 1.0, 0.5, -0.5], input_signal=drive,
+                    prehistory=prehistory)
+    return truth, design, obs, cfg
+
+
 # jo[-1], x[-1] and xhat[-1] as the tree-walking integrator with a ring
-# buffer of past outputs computed them: the delay and prehistory paths must
-# reproduce them within 1e-12
+# buffer of past outputs computed them (the multi-delay cases: as the
+# integrator with one drive table per input lag and an interpolating
+# output lookup did): the delay and prehistory paths must reproduce them
+# within 1e-12
 PINNED_DELAY_RUNS = {
     "delayed-output-analytic": (0.5010434897419173, [0.44738139002041805],
                                 [0.3120352480632856]),
@@ -344,6 +379,16 @@ PINNED_DELAY_RUNS = {
     "example-uncertain-zero-cos": (2.691909199360624,
                                    [3.0491100444435753, -0.7388972356692859],
                                    [3.0491100343497015, -1.0092046971907394]),
+    "multi-delay-analytic": (1.0728449594256089,
+                             [0.2846267313068748, 0.005569631609264545,
+                              0.07854468173504539, -0.010906119169194844],
+                             [0.202114528206071, 0.024655562958917875,
+                              0.07960968422151739, -0.022715575322223604]),
+    "multi-delay-zero": (1.0677444403651728,
+                         [0.2782108711597647, 0.003729679930274263,
+                          0.07641321104594861, -0.01606051041906366],
+                         [0.19785221403843517, 0.022827517311540615,
+                          0.0781987894056817, -0.026493501076471387]),
 }
 
 
@@ -354,6 +399,8 @@ def test_delay_and_prehistory_paths_pinned(case):
         truth = design = plant
         cfg = SimConfig(h=0.25, t_end=2.0, x0=[1.0], xhat0=[0.0], input_signal=(),
                         prehistory=case.rsplit("-", 1)[1])
+    elif case.startswith("multi-delay"):
+        truth, design, obs, cfg = multi_delay_scenario(case.rsplit("-", 1)[1])
     else:
         ex = example_system()
         truth = ex.uncertain if "uncertain" in case else ex.nominal
@@ -428,6 +475,46 @@ def test_delayed_drive_failure_follows_prehistory_policy():
         simulate(ex.nominal, ex.nominal, ex.observer, cfg)
     res = simulate(ex.nominal, ex.nominal, ex.observer, replace(cfg, prehistory="zero"))
     assert np.isfinite(res.jo[-1])
+
+
+@pytest.mark.parametrize("prehistory", ["analytic", "zero"])
+def test_drive_is_evaluated_once_per_half_step(monkeypatch, prehistory):
+    # five distinct input lags (0, 2, 3, 5, 6 steps) share one drive grid
+    truth, design, obs, cfg = multi_delay_scenario(prehistory)
+    calls = 0
+
+    def counting_compile_vector(exprs):
+        fn = compile_vector(exprs)
+        if tuple(exprs) != cfg.input_signal:
+            return fn
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(sim, "compile_vector", counting_compile_vector)
+    simulate(truth, design, obs, cfg)
+    steps, max_lag = 40, 6
+    assert 0 < calls <= 2 * steps + 1 + 2 * max_lag
+
+
+def test_repeated_runs_compile_each_vector_once(monkeypatch):
+    truth, design, obs, cfg = multi_delay_scenario("analytic")
+    compiled = []
+
+    def counting_compile(src, *args):
+        compiled.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(exprlang, "_CODE_CACHE", {})
+    monkeypatch.setattr(exprlang, "compile", counting_compile, raising=False)
+    first = simulate(truth, design, obs, cfg)
+    second = simulate(truth, design, obs, cfg)
+    # the truth vector, the design vector and the drive
+    assert len(compiled) == 3
+    assert np.array_equal(first.xhat, second.xhat)
 
 
 # --- one truth integration for a pair ------------------------------------
