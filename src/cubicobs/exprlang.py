@@ -36,16 +36,18 @@ non-finite result raise :class:`ExprEvalError` instead of propagating
 
 :func:`evaluate` walks the tree and is the reference semantics.  It takes
 the state ``x``, the input and output vectors ``u[slot]`` and ``y[slot]``
-of each delay slot, and the time ``t``.  Hot loops use
-:func:`compile_vector` instead: it turns a vector of expressions into one
-generated Python function ``(x, u, y, t) -> tuple`` over the same
-arguments that performs the same float operations in the same order, so
-its values are bit-equal to :func:`evaluate`'s.  The generated code checks
-finiteness once per vector; on any failure (division by zero, overflow, a
-domain error, a non-finite component) it re-runs :func:`evaluate` on the
-whole vector, which raises the same :class:`ExprEvalError`, with the same
-message, as a tree walk.  The generated code is reused for later vectors
-that print the same.
+of each delay slot, and the time ``t``.  Hot loops run generated code
+instead, written by one emitter that performs the same float operations
+in the same order as :func:`evaluate`, so its values are bit-equal.
+:func:`compile_vector` turns a vector of expressions into one generated
+Python function ``(x, u, y, t) -> tuple`` over the same arguments; the
+simulator's stage function (:mod:`cubicobs.sim`) places the same emitted
+statements among its own reads of the state.  Generated code checks
+finiteness once per call; on any failure (division by zero, overflow, a
+domain error, a non-finite component) it re-runs :func:`evaluate`, which
+raises the same :class:`ExprEvalError`, with the same message, as a tree
+walk.  Compiled code is reused: compile_vector's for later vectors that
+print the same, other generated code for the same source text.
 """
 
 from __future__ import annotations
@@ -457,10 +459,12 @@ def _eval(e: Expr, x, u, y, t: float) -> float:
 # names the generated code may use besides its arguments and locals
 _CODEGEN_GLOBALS = {**_FUNC_IMPL, "isfinite": math.isfinite}
 
-# compile_vector's code objects, keyed on the unparse texts of the vector.
-# Not on the trees: Num(2) == Num(2.0) and Num(0.0) == Num(-0.0), yet each
-# pair compiles to different code.  The oldest entry goes first when full.
-_CODE_CACHE: dict[tuple[str, ...], CodeType] = {}
+# Generated code objects: compile_vector's keyed on the unparse texts of
+# the vector, other generated functions (the simulator's stage function) on
+# their source text.  Never on the trees: Num(2) == Num(2.0) and Num(0.0) ==
+# Num(-0.0), yet each pair compiles to different code.  The oldest entry
+# goes first when full.
+_CODE_CACHE: dict[tuple[str, ...] | str, CodeType] = {}
 _CODE_CACHE_SIZE = 256
 
 # compile_vector's read-back checks syntax, not a model's ranges: every
@@ -468,11 +472,34 @@ _CODE_CACHE_SIZE = 256
 _ANY_DIMS = SignalDims(sys.maxsize, sys.maxsize, sys.maxsize, sys.maxsize, sys.maxsize)
 
 
-def _emit(e: Expr, lines: list[str], bound: dict[Var, str]) -> str:
-    """Append statements computing ``e``; return the name or literal holding it.
+def _cached_code(key: tuple[str, ...] | str, build: Callable[[], CodeType]) -> CodeType:
+    """The code object cached under ``key``; ``build()`` makes it on a miss."""
+    code = _CODE_CACHE.get(key)
+    if code is None:
+        code = build()
+        if len(_CODE_CACHE) >= _CODE_CACHE_SIZE:
+            del _CODE_CACHE[next(iter(_CODE_CACHE))]
+        _CODE_CACHE[key] = code
+    return code
 
-    Every inner node gets its own local, so the generated source never
-    nests deeper than one operator however deep the tree is.
+
+def _compile_source(src: str, filename: str) -> CodeType:
+    """``compile(src, filename, "exec")``, reused for every later ``src`` of
+    the same text.  ``src`` must hold only code generated from trees that
+    read back through :func:`parse`."""
+    return _cached_code(src, lambda: compile(src, filename, "exec"))
+
+
+def _emit(e: Expr, lines: dict[str, str], bound: dict[Var, str]) -> str:
+    """Add the statements computing ``e`` to ``lines``; return the name or
+    literal holding it.
+
+    ``lines`` maps each right-hand side to the local it is assigned to, in
+    order.  Every inner node gets its own local, so the generated source
+    never nests deeper than one operator however deep the tree is, and a
+    subtree met again (same operation on the same locals) reuses its local:
+    every local is assigned once and every function is pure, so the value
+    and any exception are those of the first computation.
     """
     match e:
         case Num(value):
@@ -489,9 +516,7 @@ def _emit(e: Expr, lines: list[str], bound: dict[Var, str]) -> str:
             rhs = f"{_emit(base, lines, bound)} ** {exponent}"
         case Call(func, arg):
             rhs = f"{func}({_emit(arg, lines, bound)})"
-    name = f"_{len(lines)}"
-    lines.append(f"{name} = {rhs}")
-    return name
+    return lines.setdefault(rhs, f"_{len(lines)}")
 
 
 def _vector_code(exprs: tuple[Expr, ...]) -> CodeType:
@@ -510,12 +535,14 @@ def _vector_code(exprs: tuple[Expr, ...]) -> CodeType:
             # like evaluate(): numpy scalars become Python floats, whose
             # arithmetic raises on division by zero and overflow
             loads.append(f"{name} = float({item})")
-    lines: list[str] = []
+    lines: dict[str, str] = {}
     results = [_emit(e, lines, bound) for e in exprs]
-    body = loads + lines
+    body = loads + [f"{name} = {rhs}" for rhs, name in lines.items()]
     if results:
-        # v - v is 0.0 for finite v and nan otherwise: one check per vector
-        check = " + ".join(f"{r} - {r}" for r in results)
+        # one check per vector: the sum of the results is finite when every
+        # result is; a sum of finite results that overflows only sends the
+        # vector through _reference, which returns the same values
+        check = " + ".join(results)
         body.append(f"if isfinite({check}):")
         body.append(f"    return ({', '.join(results)},)")
     else:
@@ -548,8 +575,8 @@ def compile_vector(exprs: Sequence[Expr]) -> Callable[..., tuple[float, ...]]:
     """
     exprs = tuple(exprs)
     texts = tuple(unparse(e) for e in exprs)
-    code = _CODE_CACHE.get(texts)
-    if code is None:
+
+    def checked_code() -> CodeType:
         for e, text in zip(exprs, texts):
             try:
                 back = parse(text, _ANY_DIMS, allow_time=True)
@@ -557,10 +584,9 @@ def compile_vector(exprs: Sequence[Expr]) -> Callable[..., tuple[float, ...]]:
                 raise ExprError(f"{text}: {exc}") from None
             if back != e:
                 raise ExprError(f"{text} reads back as {unparse(back)}")
-        code = _vector_code(exprs)
-        if len(_CODE_CACHE) >= _CODE_CACHE_SIZE:
-            del _CODE_CACHE[next(iter(_CODE_CACHE))]
-        _CODE_CACHE[texts] = code
+        return _vector_code(exprs)
+
+    code = _cached_code(texts, checked_code)
 
     def reference(x, u, y, t):
         return tuple(evaluate(e, x, u, y, t) for e in exprs)

@@ -50,6 +50,7 @@ __all__ = [
     "SystemConfig",
     "Violation",
     "validate",
+    "validate_observer",
     "example_system",
     "ExampleSystem",
     "load_config",
@@ -289,10 +290,17 @@ def validate(plant: PlantModel, observer: ObserverParams | None = None) -> list[
             elif label == "f_u" and any(ref.kind == "x" for ref in variables(e)):
                 out.append(Violation("f_u-state-ref", f"f_u[{i}]: f_u must not reference state"))
 
-    if observer is None:
-        return out
+    if observer is not None:
+        out += validate_observer(plant, observer)
+    return out
 
-    n_y = plant.C.shape[0]
+
+def validate_observer(plant: PlantModel, observer: ObserverParams) -> list[Violation]:
+    """The observer checks :func:`validate` makes: gain shapes against
+    ``plant``'s dimensions, ``theta`` positive semidefinite, ``alpha``
+    positive.  It reads no expression."""
+    out: list[Violation] = []
+    n, n_y = plant.A.shape[0], plant.C.shape[0]
     if observer.G.shape != (n, n):
         out.append(Violation("G-dims", f"G must be {n}x{n}, got {observer.G.shape}"))
     if observer.J.shape != (n, n_y):

@@ -18,36 +18,38 @@ several observers that share ``truth``, ``design`` and the run settings:
 and its linear twin.  The integrator is classical RK4 on the joint state
 ``z = [x; w_1; ...; w_M]``.  Every delay and ``t_end`` are whole multiples
 of the step ``h``, so every stage sits at a half-step position
-``j = 0 .. 2 steps`` (time ``(j/2) h``).  Each run compiles the truth and
-design expressions into one Python function per expression vector
-(:func:`~cubicobs.exprlang.compile_vector`, which reuses generated code
-across runs) and folds the linear algebra into block matrices.  The loop
-carries ``[z; R z]`` (outputs, estimates and output errors) as a Python
-list, so one RK4 stage is one compiled truth call, one compiled design
-call per observer and one matrix product that yields the next stage's
-input; one more product ends the step.  The drive depends on ``t`` alone:
-it is evaluated once per half step on one grid reaching back to the
-largest input lag, before integration starts, and each lag reads a slice
-of it.  Delayed outputs are read from a half-step table of the output:
-grid samples, and between them the mean of the two neighbours (linear
-interpolation at the midpoint).  Before ``t = 0`` the drive is evaluated
-analytically (or zeroed) and the output history is frozen at ``y(0)`` (or
-zeroed), per the prehistory policy.
+``j = 0 .. 2 steps`` (time ``(j/2) h``).  Each run generates one Python
+function for its stage, from the truth and design expressions through
+exprlang's emitter (generated code is reused across runs), and folds the
+linear algebra into block matrices.  The loop carries ``[z; R z]``
+(outputs, estimates and output errors), so one RK4 stage is one generated
+call, which evaluates the truth, every observer's design vector and the
+cubic terms and returns them packed as bytes, and one matrix product that
+yields the next stage's input; one more product ends the step.  An
+expression that fails makes the stage re-run through
+:func:`~cubicobs.exprlang.evaluate`, truth first, which raises the tree
+walk's error.  The drive depends on ``t`` alone: it is evaluated once per
+half step on one grid reaching back to the largest input lag, before
+integration starts, and each lag reads a slice of it.  Delayed outputs are
+read from a half-step table of the output, kept only when an expression
+reads a delayed output: grid samples, and between them the mean of the two
+neighbours (linear interpolation at the midpoint).  Before ``t = 0`` the
+drive is evaluated analytically (or zeroed) and the output history is
+frozen at ``y(0)`` (or zeroed), per the prehistory policy.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprlang import (Expr, ExprError, ExprEvalError, compile_vector, parse_input_signal,
-                       unparse, variables)
-# unused here since expressions are compiled, but benchmark tracing wraps
-# sim.evaluate by name; it goes when the tracer drops that wrapper
-from .exprlang import evaluate  # noqa: F401
-from .model import ConfigError, ObserverParams, PlantModel, validate
+from .exprlang import (_CODEGEN_GLOBALS, Expr, ExprError, ExprEvalError, _compile_source, _emit,
+                       compile_vector, evaluate, parse_input_signal, unparse, variables)
+from .model import ConfigError, ObserverParams, PlantModel, validate, validate_observer
 
 __all__ = [
     "SimulationError",
@@ -205,10 +207,74 @@ def _delay_steps(delays, h: float, label: str) -> list[int]:
     return [_grid_steps(d, h, f"{label}[{i}]") for i, d in enumerate(delays)]
 
 
-def _input_lags(exprs, delta_steps: list[int]) -> set[int]:
-    """Lags (in steps) of the input slots ``exprs`` reference; slot 0 has lag 0."""
-    return {0 if ref.slot == 0 else delta_steps[ref.slot - 1]
-            for e in exprs for ref in variables(e) if ref.kind == "u"}
+def _referenced_lags(exprs, kind: str, delay_steps: list[int]) -> set[int]:
+    """Lags (in steps) of the ``kind`` delay slots ``exprs`` reference; slot 0
+    has lag 0."""
+    return {0 if ref.slot == 0 else delay_steps[ref.slot - 1]
+            for e in exprs for ref in variables(e) if ref.kind == kind}
+
+
+def _stage_source(members, cubic_at, nz: int, n_y: int, u_off: int, y_off: int) -> str:
+    """Source of ``_stage(j, s)``: the packed ``g`` of the stage at position ``j``.
+
+    ``members`` holds ``(exprs, x_at, delta_steps, tau_steps)`` for the truth
+    and then each observer, ``x_at`` being where its state sits in ``s``;
+    ``cubic_at`` holds ``(e_at, theta_rows)`` per observer with ``N != 0``.
+    The function reads its inputs at fixed places: states and output errors
+    in ``s``, the drive in ``grid`` and delayed outputs in ``ytab`` at a
+    constant offset plus ``j``.  Expressions are emitted by exprlang's
+    emitter, so each performs the float operations of ``evaluate``; the
+    finiteness check and the fallback to ``_reference`` are compile_vector's.
+    """
+    loads: dict[str, str] = {}  # item -> local, in order of first use
+
+    def load(item: str) -> str:
+        return loads.setdefault(item, f"v{len(loads)}")
+
+    z = [load(f"s[{i}]") for i in range(nz)]
+    lines: dict[str, str] = {}
+    results: list[str] = []
+    for exprs, x_at, delta, tau in members:
+        bound = {}
+        for e in exprs:
+            for ref in variables(e):
+                i = ref.index - 1
+                if ref.kind == "x":
+                    item = f"s[{x_at + i}]"
+                elif ref.kind == "u":
+                    lag = delta[ref.slot - 1] if ref.slot else 0
+                    item = f"grid[j + {u_off - 2 * lag}][{i}]"
+                else:
+                    lag = tau[ref.slot - 1] if ref.slot else 0
+                    item = f"ytab[j + {y_off - 2 * lag}][{i}]" if lag else f"s[{nz + i}]"
+                bound[ref] = load(item)
+        results += [_emit(e, lines, bound) for e in exprs]
+    # (e' theta e) e, summed as the loop "q += e_a theta_ab e_b" sums it
+    cubic_lines, cubic = [], []
+    for m, (e_at, theta_rows) in enumerate(cubic_at):
+        e = [load(f"s[{e_at + i}]") for i in range(n_y)]
+        q = " + ".join(f"{ea} * ({tab!r}) * {eb}"
+                       for ea, row in zip(e, theta_rows) for tab, eb in zip(row, e))
+        cubic_lines.append(f"q{m} = 0.0 + {q}")
+        for ei in e:
+            cubic.append(f"c{len(cubic)}")
+            cubic_lines.append(f"{cubic[-1]} = q{m} * {ei}")
+    state = [f"{name} = {item}" for item, name in loads.items() if item[0] == "s"]
+    signals = {name: f"{name} = {item}" for item, name in loads.items() if item[0] != "s"}
+    fast = f"return _pack({', '.join(z + results + cubic)})"
+    # compile_vector's check; literals, drive samples and output-table rows
+    # are finite, a stage input need not be
+    check = " + ".join(r for r in dict.fromkeys(results)
+                       if not r.startswith("(") and r not in signals)
+    body = [*signals.values()] + [f"{name} = {rhs}" for rhs, name in lines.items()]
+    body += [f"if isfinite({check}):", f"    {fast}"] if check else [fast]
+    return ("def _stage(j, s):\n"
+            + "".join(f"    {line}\n" for line in state + cubic_lines)
+            + "    try:\n"
+            + "".join(f"        {line}\n" for line in body)
+            + "    except (ArithmeticError, ValueError, LookupError, TypeError):\n"
+            + "        pass\n"
+            + f"    return _pack({', '.join(z + ['*_reference(j, s)'] + cubic)})\n")
 
 
 def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
@@ -231,12 +297,14 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
     holds one :class:`SimResult` per observer, in order.  A failure of any
     member ends the run at the earliest step any member fails.
     """
+    truth_report = validate(truth)
+    design_report = truth_report if design is truth else validate(design)
     for obs in observers:
-        for label, plant in (("truth", truth), ("design", design)):
-            report = validate(plant, obs)
-            if report:
-                names = ", ".join(v.name for v in report)
-                raise ConfigError(f"{label} model failed validation: {names}")
+        for label, plant, report in (("truth", truth, truth_report),
+                                     ("design", design, design_report)):
+            names = [v.name for v in report + validate_observer(plant, obs)]
+            if names:
+                raise ConfigError(f"{label} model failed validation: {', '.join(names)}")
     if truth.n != design.n or truth.n_y != design.n_y or truth.n_u != design.n_u:
         raise ConfigError("truth and design models must share n, n_u, n_y")
     n, n_y, n_u = truth.n, truth.n_y, truth.n_u
@@ -264,11 +332,12 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
     # failure is raised at the first step whose stages reach it through any lag.
     truth_exprs = truth.f_u + truth.f_g + truth.f_L
     design_exprs = design.f_u + design.f_L
-    lags = _input_lags(truth_exprs, delta_truth) | _input_lags(design_exprs, delta_design)
-    u_off = 2 * max(lags, default=0)  # grid index of p = 0
+    u_lags = (_referenced_lags(truth_exprs, "u", delta_truth)
+              | _referenced_lags(design_exprs, "u", delta_design))
+    u_off = 2 * max(u_lags, default=0)  # grid index of p = 0
     grid: list = [None] * (u_off + n_half)
     failed: dict[int, ExprEvalError] = {}  # grid index -> error, in order
-    if lags:
+    if u_lags:
         drive_fn = compile_vector(cfg.input_signal)
         zero_u = (0.0,) * n_u
         for i in range(len(grid)):
@@ -281,30 +350,22 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
             except ExprEvalError as exc:
                 failed[i] = exc
     fail_step, drive_error = steps, None
-    for lag in sorted(lags):
+    for lag in sorted(u_lags):
         start = u_off - 2 * lag  # grid index of this lag's stage j = 0
         i = next((i for i in failed if i >= start), None)
         if i is not None and i - start < n_half:
             step = max(0, (i - start - 1) // 2)  # the first step whose stages reach it
             if step < fail_step:
                 fail_step, drive_error = step, failed[i]
-    unused = [None] * n_half
-
-    def input_slots(delta_steps: list[int]) -> list[tuple]:
-        # entry j: the input vector of every delay slot at stage position j
-        return list(zip(*(grid[u_off - 2 * lag:u_off - 2 * lag + n_half] if lag in lags
-                          else unused for lag in [0] + delta_steps)))
-
-    u_truth = input_slots(delta_truth)
-    u_design = input_slots(delta_design)
 
     # z = [x; w_1; ...; w_M].  R z = [y; xhat_1; ...; xhat_M; e_m ...] with
     # y = C x, xhat_m = w_m + E_m y and, for each observer with N != 0 only,
     # the output error e_m = y - C_d xhat_m.  The derivative is
     #     dz = W g,  g = [z; f_truth; f_design_1; ...; f_design_M; (e_m' theta_m e_m) e_m ...],
     # with f_truth = [f_u; f_g; f_L] at x and f_design_m = [f_u; f_L] at xhat_m.
-    # The loop carries s = [z; R z] = S z as a list, S = [I; R], so one RK4
-    # stage is one product: its input is s + c h S W g = [c h S W | I] [g; s].
+    # The loop carries s = [z; R z] = S z, S = [I; R].  One generated call
+    # turns a stage's input s into g, packed as bytes; one product turns g
+    # into the next stage's input s + c h S W g = [c h S W | I] [g; s].
     C_t, C_d, n_g = truth.C, design.C, truth.n_g
     M = len(observers)
     n_cubic = sum(bool(obs.N.any()) for obs in observers)  # N = 0 skips the term
@@ -318,22 +379,23 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
     R[:n_y, :n] = C_t
     W[:n, :n] = truth.A
     W[:n, nz:fd_col] = np.hstack([In, truth.D, In])
-    xhat_at, err_at = [], []  # where each xhat_m and cubic e_m sit in s
+    members = [(truth_exprs, 0, delta_truth, tau_truth)]
+    cubic_at = []  # where each cubic e_m sits in s, with its theta_m
     for m, obs in enumerate(observers):
         w = slice(n + m * n, n + (m + 1) * n)
         r = n_y + m * n
         R[r:r + n, :n] = obs.E @ C_t
         R[r:r + n, w] = In
-        xhat_at.append((nz + r, nz + r + n))
+        members.append((design_exprs, nz + r, delta_design, tau_design))
         W[w, :n] = obs.J @ C_t
         W[w, w] = obs.G
         W[w, fd_col + 2 * m * n:fd_col + 2 * (m + 1) * n] = np.tile(In - obs.E @ C_d, 2)
         if obs.N.any():
-            er, ec = e_row + len(err_at) * n_y, c_col + len(err_at) * n_y
+            er, ec = e_row + len(cubic_at) * n_y, c_col + len(cubic_at) * n_y
             R[er:er + n_y, :n] = C_t - C_d @ obs.E @ C_t
             R[er:er + n_y, w] = -C_d
             W[w, ec:ec + n_y] = -obs.N
-            err_at.append((nz + er, nz + er + n_y, obs.theta.tolist()))
+            cubic_at.append((nz + er, obs.theta.tolist()))
     S = np.vstack([np.eye(nz), R])
     SW = S @ W
     I_s = np.eye(len(S))
@@ -343,8 +405,6 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
     # R z is derived from z afresh every step, so it cannot drift from it
     sixth = (h / 6.0) * SW
     step_end = np.hstack([sixth, 2.0 * sixth, 2.0 * sixth, sixth, S, np.zeros((len(S), len(R)))])
-    truth_fn = compile_vector(truth_exprs)
-    design_fn = compile_vector(design_exprs)
 
     x0 = cfg.x0
     y0 = C_t @ x0
@@ -354,43 +414,39 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
     s = traj[0].tolist()
 
     # Delayed outputs at half-step positions m >= -2 T_max (T_max the largest
-    # output lag): row y_off + m holds y at the grid for even m and the mean
-    # of its neighbours for odd m, as HistoryBuffer.value_at gives.  Before
-    # t = 0 the history is y(0) or zero, per the prehistory policy.
-    y_off = 2 * max(tau_truth + tau_design, default=0)
-    y_now = s[nz:nz + n_y]
-    y_pre = y_now if analytic_pre else [0.0] * n_y
-    y_table = [y_pre] * y_off + [y_now]
+    # output lag referenced): row y_off + m holds y at the grid for even m and
+    # the mean of its neighbours for odd m, as HistoryBuffer.value_at gives.
+    # Before t = 0 the history is y(0) or zero, per the prehistory policy.
+    y_lags = (_referenced_lags(truth_exprs, "y", tau_truth)
+              | _referenced_lags(design_exprs, "y", tau_design))
+    y_off = 2 * max(y_lags, default=0)
+    y_table: list[list[float]] = []
     if y_off:
-        y_table[-2] = [0.5 * p + 0.5 * q for p, q in zip(y_pre, y_now)]
-    # per delay slot, the row of stage j = 0, or None for the undelayed output
-    y_truth_at = [y_off - 2 * lag if lag else None for lag in tau_truth]
-    y_design_at = [y_off - 2 * lag if lag else None for lag in tau_design]
+        y_now = s[nz:nz + n_y]
+        y_pre = y_now if analytic_pre else [0.0] * n_y
+        y_table += [y_pre] * (y_off - 1)
+        y_table += [[0.5 * p + 0.5 * q for p, q in zip(y_pre, y_now)], y_now]
 
-    def stage_terms(j: int, s: list[float]) -> list[float]:
-        # g at stage position j (time (j/2) h) from the stage input s
+    def reference(j: int, s: list[float]) -> list[float]:
+        # the stage's expression values through evaluate, truth first: raises
+        # the error a tree walk raises, where the generated code failed
         t = (j * 0.5) * h
         y_now = s[nz:nz + n_y]
-        # append loops: a comprehension costs a call even over no delays
-        y_truth = [y_now]
-        for at in y_truth_at:
-            y_truth.append(y_now if at is None else y_table[at + j])
-        y_design = [y_now]
-        for at in y_design_at:
-            y_design.append(y_now if at is None else y_table[at + j])
-        g = s[:nz]
-        g += truth_fn(s, u_truth[j], y_truth, t)  # x is s[:n]
-        u_j = u_design[j]
-        for a, b in xhat_at:
-            g += design_fn(s[a:b], u_j, y_design, t)
-        for a, b, theta_rows in err_at:
-            err = s[a:b]
-            q = 0.0
-            for ea, row in zip(err, theta_rows):
-                for tb, eb in zip(row, err):
-                    q += ea * tb * eb
-            g += [q * e for e in err]
-        return g
+        out = []
+        for exprs, x_at, delta, tau in members:
+            u = [grid[j + u_off - 2 * lag] if lag in u_lags else None for lag in [0] + delta]
+            y = [y_now if not lag else y_table[j + y_off - 2 * lag] if lag in y_lags else None
+                 for lag in [0] + tau]
+            out += [evaluate(e, s[x_at:x_at + n], u, y, t) for e in exprs]
+        return out
+
+    namespace = {**_CODEGEN_GLOBALS, "_reference": reference, "grid": grid, "ytab": y_table,
+                 "_pack": struct.Struct(f"{W.shape[1]}d").pack}
+    src = _stage_source(members, cubic_at, nz, n_y, u_off, y_off)
+    exec(_compile_source(src, "<cubicobs.sim stage>"), namespace)
+    stage = namespace["_stage"]
+    zeros = np.zeros(len(S))
+    s_bytes = traj[0].tobytes()
 
     # a diverging state overflows inside the stages; the finiteness check
     # after each step reports it, so numpy's own warnings would only repeat it
@@ -400,24 +456,26 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
             try:
                 if k == fail_step:
                     raise drive_error
-                g1 = stage_terms(j, s)
-                g2 = stage_terms(j + 1, (half_stage @ np.array(g1 + s)).tolist())
-                g3 = stage_terms(j + 1, (half_stage @ np.array(g2 + s)).tolist())
-                g4 = stage_terms(j + 2, (full_stage @ np.array(g3 + s)).tolist())
+                g1 = stage(j, s)
+                g2 = stage(j + 1, half_stage.dot(np.frombuffer(g1 + s_bytes)).tolist())
+                g3 = stage(j + 1, half_stage.dot(np.frombuffer(g2 + s_bytes)).tolist())
+                g4 = stage(j + 2, full_stage.dot(np.frombuffer(g3 + s_bytes)).tolist())
             except ExprEvalError as exc:
                 raise SimulationError(
                     f"expression evaluation failed near t = {k * h:.6g}: {exc}"
                 ) from exc
-            s_new = step_end @ np.array(g1 + g2 + g3 + g4 + s)
-            if not np.isfinite(s_new).all():
+            s_new = step_end.dot(np.frombuffer(g1 + g2 + g3 + g4 + s_bytes), out=traj[k + 1])
+            # inf * 0 and nan * 0 are nan: the product is finite iff s_new is
+            if not math.isfinite(s_new.dot(zeros)):
                 raise SimulationError(
                     f"state became non-finite at t = {(k + 1) * h:.6g} (step {k + 1})"
                 )
-            traj[k + 1] = s_new
+            s_bytes = s_new.tobytes()
             s = s_new.tolist()
-            y_now = s[nz:nz + n_y]
-            y_table.append([0.5 * p + 0.5 * q for p, q in zip(y_table[-1], y_now)])
-            y_table.append(y_now)
+            if y_off:
+                y_now = s[nz:nz + n_y]
+                y_table.append([0.5 * p + 0.5 * q for p, q in zip(y_table[-1], y_now)])
+                y_table.append(y_now)
 
     zs = traj[:, :nz]
     ys = zs[:, :n] @ C_t.T

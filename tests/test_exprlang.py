@@ -281,6 +281,15 @@ def test_compiled_vector_raises_tree_walk_error(text, x, message):
     assert outcome(lambda: compile_vector(exprs)(x, None, None, 0.0)) == expected
 
 
+def test_compiled_vector_returns_finite_results_whose_sum_overflows():
+    # the generated check sums the results; this sum overflows, so the
+    # vector goes through evaluate, which returns the same finite values
+    exprs = [parse("x1", DIMS), parse("x2 * 2", DIMS)]
+    x = (1.5e308, 8e307)
+    assert outcome(lambda: compile_vector(exprs)(x, None, None, 0.0)) == \
+        outcome(lambda: tree_walk(exprs, x, None, None, 0.0))
+
+
 def test_compiled_vector_literals_and_empty():
     assert compile_vector([])((), None, None, 0.0) == ()
     f = compile_vector([parse("-0", DIMS)])

@@ -1,5 +1,6 @@
 """Integrator: history buffer, delay handling, RK4 accuracy, error integral."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -392,26 +393,40 @@ PINNED_DELAY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PINNED_DELAY_RUNS))
-def test_delay_and_prehistory_paths_pinned(case):
+def pinned_scenario(case):
     if case.startswith("delayed-output"):
         plant, obs = delayed_output_pair()
-        truth = design = plant
         cfg = SimConfig(h=0.25, t_end=2.0, x0=[1.0], xhat0=[0.0], input_signal=(),
                         prehistory=case.rsplit("-", 1)[1])
-    elif case.startswith("multi-delay"):
-        truth, design, obs, cfg = multi_delay_scenario(case.rsplit("-", 1)[1])
-    else:
-        ex = example_system()
-        truth = ex.uncertain if "uncertain" in case else ex.nominal
-        design, obs = ex.nominal, ex.observer
-        cfg = example_cfg(t_end=2.0, input_signal=input_signals("cos(t)", 1),
-                          prehistory="zero")
+        return plant, plant, obs, cfg
+    if case.startswith("multi-delay"):
+        return multi_delay_scenario(case.rsplit("-", 1)[1])
+    ex = example_system()
+    truth = ex.uncertain if "uncertain" in case else ex.nominal
+    cfg = example_cfg(t_end=2.0, input_signal=input_signals("cos(t)", 1), prehistory="zero")
+    return truth, ex.nominal, ex.observer, cfg
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DELAY_RUNS))
+def test_delay_and_prehistory_paths_pinned(case):
+    truth, design, obs, cfg = pinned_scenario(case)
     res = simulate(truth, design, obs, cfg)
     jo, x, xhat = PINNED_DELAY_RUNS[case]
     assert abs(res.jo[-1] - jo) <= 1e-12 * abs(jo)
     assert np.allclose(res.x[-1], x, rtol=1e-12, atol=0.0)
     assert np.allclose(res.xhat[-1], xhat, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DELAY_RUNS))
+def test_unreferenced_output_delays_change_nothing(case):
+    # one more output-delay slot, longer than any other and read by no
+    # expression: the example runs then keep no output table at all
+    truth, design, obs, cfg = pinned_scenario(case)
+    want = simulate(truth, design, obs, cfg)
+    got = simulate(replace(truth, tau=truth.tau + (40 * cfg.h,)),
+                   replace(design, tau=design.tau + (40 * cfg.h,)), obs, cfg)
+    for name in ("x", "xhat", "y", "jo"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_blowup_raises_simulation_error():
@@ -511,9 +526,10 @@ def test_repeated_runs_compile_each_vector_once(monkeypatch):
     monkeypatch.setattr(exprlang, "_CODE_CACHE", {})
     monkeypatch.setattr(exprlang, "compile", counting_compile, raising=False)
     first = simulate(truth, design, obs, cfg)
+    # the drive and the stage function
+    assert len(compiled) == 2
     second = simulate(truth, design, obs, cfg)
-    # the truth vector, the design vector and the drive
-    assert len(compiled) == 3
+    assert len(compiled) == 2
     assert np.array_equal(first.xhat, second.xhat)
 
 
@@ -555,24 +571,20 @@ def test_pair_matches_separate_runs(case):
 
 
 def test_pair_evaluates_the_truth_vector_once_per_stage(monkeypatch):
+    # the truth vector calls sin once; the design and the drive never do
     ex = example_system()
-    truth_exprs = ex.uncertain.f_u + ex.uncertain.f_g + ex.uncertain.f_L
+    design = replace(ex.nominal, f_L=(ex.nominal.f_L[0], parse("tanh(x2)", ex.nominal.dims())))
     calls = 0
 
-    def counting_compile_vector(exprs):
-        fn = compile_vector(exprs)
-        if tuple(exprs) != truth_exprs:
-            return fn
+    def counting_sin(v):
+        nonlocal calls
+        calls += 1
+        return math.sin(v)
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return fn(*args)
-        return counted
-
-    monkeypatch.setattr(sim, "compile_vector", counting_compile_vector)
+    monkeypatch.setitem(exprlang._CODEGEN_GLOBALS, "sin", counting_sin)
     steps = 50
-    compare_cubic_linear(ex.uncertain, ex.nominal, ex.observer, example_cfg(t_end=steps * 0.01))
+    cfg = example_cfg(t_end=steps * 0.01, input_signal=input_signals("0.0003*cos(t)", 1))
+    compare_cubic_linear(ex.uncertain, design, ex.observer, cfg)
     assert calls == 4 * steps
 
 
