@@ -25,10 +25,10 @@ variable ``t`` (see :func:`parse_input_signal`); model nonlinearities may
 not reference ``t``.
 
 :func:`parse` owns these rules.  A tree built through the API is valid
-when ``parse(unparse(e))`` rebuilds it; :func:`cubicobs.model.validate`,
-:class:`cubicobs.sim.SimConfig` and :func:`compile_vector` check exactly
-that, so a negative literal is written ``Neg(Num(2.0))``, as ``parse``
-builds it, not ``Num(-2.0)``.
+when ``parse(unparse(e))`` rebuilds it; :func:`cubicobs.model.validate`
+and :class:`cubicobs.sim.SimConfig` check exactly that, so a negative
+literal is written ``Neg(Num(2.0))``, as ``parse`` builds it, not
+``Num(-2.0)``.
 
 Evaluation is strict about arithmetic: division by zero, overflow, and any
 non-finite result raise :class:`ExprEvalError` instead of propagating
@@ -38,22 +38,19 @@ non-finite result raise :class:`ExprEvalError` instead of propagating
 the state ``x``, the input and output vectors ``u[slot]`` and ``y[slot]``
 of each delay slot, and the time ``t``.  Hot loops run generated code
 instead, written by one emitter that performs the same float operations
-in the same order as :func:`evaluate`, so its values are bit-equal.
-:func:`compile_vector` turns a vector of expressions into one generated
-Python function ``(x, u, y, t) -> tuple`` over the same arguments; the
-simulator's stage function (:mod:`cubicobs.sim`) places the same emitted
-statements among its own reads of the state.  Generated code checks
-finiteness once per call; on any failure (division by zero, overflow, a
-domain error, a non-finite component) it re-runs :func:`evaluate`, which
-raises the same :class:`ExprEvalError`, with the same message, as a tree
-walk.  Compiled code is reused: compile_vector's for later vectors that
-print the same, other generated code for the same source text.
+in the same order as :func:`evaluate`, so its values are bit-equal.  The
+simulator (:mod:`cubicobs.sim`) generates two functions from valid trees
+through one builder: its stage function and its drive.  Generated code
+checks finiteness once per call; on any failure (division by zero,
+overflow, a domain error, a non-finite component) it re-runs
+:func:`evaluate`, which raises the same :class:`ExprEvalError`, with the
+same message, as a tree walk.  Compiled code is reused for later source
+of the same text.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from types import CodeType
 from typing import Callable, Iterator, Sequence, Union
@@ -76,7 +73,6 @@ __all__ = [
     "parse",
     "parse_input_signal",
     "evaluate",
-    "compile_vector",
     "unparse",
     "variables",
 ]
@@ -386,6 +382,17 @@ def parse_input_signal(text: str) -> Expr:
     return parse(text, SignalDims(0, 0, 0), allow_time=True)
 
 
+def _read_back(e: Expr, dims: SignalDims, *, allow_time: bool = False) -> None:
+    """Check that ``e`` is a tree :func:`parse` builds: ``parse(unparse(e))``
+    rebuilds it.  Raises the :class:`ExprSyntaxError` or
+    :class:`ExprRangeError` of ``parse``, or :class:`ExprError` when the
+    text reads back as another tree."""
+    text = unparse(e)
+    back = parse(text, dims, allow_time=allow_time)
+    if back != e:
+        raise ExprError(f"{text} reads back as {unparse(back)}")
+
+
 # --- evaluation ----------------------------------------------------------
 
 def evaluate(e: Expr, x: Sequence[float] = (), u=None, y=None,
@@ -393,9 +400,8 @@ def evaluate(e: Expr, x: Sequence[float] = (), u=None, y=None,
     """Evaluate ``e``; the result is always finite.
 
     ``x`` is the state vector, ``u[slot]`` and ``y[slot]`` the input and
-    output vectors at each delay slot (0 = undelayed), ``t`` the time, as
-    for a :func:`compile_vector` function.  Signals ``e`` does not
-    reference may be ``None``.
+    output vectors at each delay slot (0 = undelayed), ``t`` the time.
+    Signals ``e`` does not reference may be ``None``.
     """
     val = _eval(e, x, u, y, t)
     if not math.isfinite(val):
@@ -459,35 +465,24 @@ def _eval(e: Expr, x, u, y, t: float) -> float:
 # names the generated code may use besides its arguments and locals
 _CODEGEN_GLOBALS = {**_FUNC_IMPL, "isfinite": math.isfinite}
 
-# Generated code objects: compile_vector's keyed on the unparse texts of
-# the vector, other generated functions (the simulator's stage function) on
-# their source text.  Never on the trees: Num(2) == Num(2.0) and Num(0.0) ==
-# Num(-0.0), yet each pair compiles to different code.  The oldest entry
-# goes first when full.
-_CODE_CACHE: dict[tuple[str, ...] | str, CodeType] = {}
+# Generated code objects keyed on their source text, never on the trees:
+# Num(2) == Num(2.0) and Num(0.0) == Num(-0.0), yet each pair compiles to
+# different code.  The oldest entry goes first when full.
+_CODE_CACHE: dict[str, CodeType] = {}
 _CODE_CACHE_SIZE = 256
-
-# compile_vector's read-back checks syntax, not a model's ranges: every
-# reference is in range of these
-_ANY_DIMS = SignalDims(sys.maxsize, sys.maxsize, sys.maxsize, sys.maxsize, sys.maxsize)
-
-
-def _cached_code(key: tuple[str, ...] | str, build: Callable[[], CodeType]) -> CodeType:
-    """The code object cached under ``key``; ``build()`` makes it on a miss."""
-    code = _CODE_CACHE.get(key)
-    if code is None:
-        code = build()
-        if len(_CODE_CACHE) >= _CODE_CACHE_SIZE:
-            del _CODE_CACHE[next(iter(_CODE_CACHE))]
-        _CODE_CACHE[key] = code
-    return code
 
 
 def _compile_source(src: str, filename: str) -> CodeType:
     """``compile(src, filename, "exec")``, reused for every later ``src`` of
     the same text.  ``src`` must hold only code generated from trees that
     read back through :func:`parse`."""
-    return _cached_code(src, lambda: compile(src, filename, "exec"))
+    code = _CODE_CACHE.get(src)
+    if code is None:
+        code = compile(src, filename, "exec")
+        if len(_CODE_CACHE) >= _CODE_CACHE_SIZE:
+            del _CODE_CACHE[next(iter(_CODE_CACHE))]
+        _CODE_CACHE[src] = code
+    return code
 
 
 def _emit(e: Expr, lines: dict[str, str], bound: dict[Var, str]) -> str:
@@ -519,81 +514,23 @@ def _emit(e: Expr, lines: dict[str, str], bound: dict[Var, str]) -> str:
     return lines.setdefault(rhs, f"_{len(lines)}")
 
 
-def _vector_code(exprs: tuple[Expr, ...]) -> CodeType:
-    """Code object defining ``_vector`` for ``exprs``, which read back."""
-    bound: dict[Var, str] = {}
-    loads: list[str] = []
-    for e in exprs:
-        for ref in variables(e):
-            if ref in bound:
-                continue
-            name = bound[ref] = f"v{len(bound)}"
-            if ref.kind == "x":
-                item = f"x[{ref.index - 1}]"
-            else:
-                item = f"{ref.kind}[{ref.slot}][{ref.index - 1}]"
-            # like evaluate(): numpy scalars become Python floats, whose
-            # arithmetic raises on division by zero and overflow
-            loads.append(f"{name} = float({item})")
-    lines: dict[str, str] = {}
-    results = [_emit(e, lines, bound) for e in exprs]
-    body = loads + [f"{name} = {rhs}" for rhs, name in lines.items()]
-    if results:
-        # one check per vector: the sum of the results is finite when every
-        # result is; a sum of finite results that overflows only sends the
-        # vector through _reference, which returns the same values
-        check = " + ".join(results)
-        body.append(f"if isfinite({check}):")
-        body.append(f"    return ({', '.join(results)},)")
-    else:
-        body.append("return ()")
-    src = "def _vector(x, u, y, t):\n    try:\n" + "".join(
-        f"        {line}\n" for line in body
-    ) + ("    except (ArithmeticError, ValueError, LookupError, TypeError):\n"
-         "        pass\n"
-         "    return _reference(x, u, y, t)\n")
-    return compile(src, "<exprlang.compile_vector>", "exec")
-
-
-def compile_vector(exprs: Sequence[Expr]) -> Callable[..., tuple[float, ...]]:
-    """Compile expressions into one function ``f(x, u, y, t) -> tuple``.
-
-    ``x`` is the state vector, ``u[slot]`` and ``y[slot]`` the input and
-    output vectors at each delay slot (0 = undelayed), ``t`` the time;
-    signals the expressions do not reference may be ``None``.  The result
-    equals ``tuple(evaluate(e, x, u, y, t) for e in exprs)``, bit for bit,
-    and every failure raises the :class:`ExprEvalError` that
-    :func:`evaluate` raises.
-
-    Each expression must read back as itself through :func:`parse` (with
-    ``t`` allowed; references are not range-checked), the rule
-    :func:`cubicobs.model.validate` applies; any other tree, such as
-    ``Num(-2.0)``, ``Num(math.inf)`` or ``Pow(e, 2.5)``, raises
-    :class:`ExprError` here.  The generated code is reused for every later
-    vector with the same :func:`unparse` texts; each returned function
-    still has its own fallback to ``evaluate`` on its own trees.
+def _guarded_source(head: str, before: list[str], body: list[str], check: list[str],
+                    fast: str, slow: str) -> str:
+    """Source of the function ``head``: ``before``, then ``body`` and ``fast``
+    when the names in ``check`` are all finite, else ``slow``, which re-runs
+    :func:`evaluate`.  ``check`` is tested once, through its sum; a sum of
+    finite values that overflows only sends the call through ``slow``, as
+    does any arithmetic, domain or lookup failure in ``body``.
     """
-    exprs = tuple(exprs)
-    texts = tuple(unparse(e) for e in exprs)
-
-    def checked_code() -> CodeType:
-        for e, text in zip(exprs, texts):
-            try:
-                back = parse(text, _ANY_DIMS, allow_time=True)
-            except ExprError as exc:
-                raise ExprError(f"{text}: {exc}") from None
-            if back != e:
-                raise ExprError(f"{text} reads back as {unparse(back)}")
-        return _vector_code(exprs)
-
-    code = _cached_code(texts, checked_code)
-
-    def reference(x, u, y, t):
-        return tuple(evaluate(e, x, u, y, t) for e in exprs)
-
-    namespace = {**_CODEGEN_GLOBALS, "_reference": reference}
-    exec(code, namespace)
-    return namespace["_vector"]
+    total = " + ".join(dict.fromkeys(check))
+    body = body + ([f"if isfinite({total}):", f"    {fast}"] if total else [fast])
+    return (f"{head}\n"
+            + "".join(f"    {line}\n" for line in before)
+            + "    try:\n"
+            + "".join(f"        {line}\n" for line in body)
+            + "    except (ArithmeticError, ValueError, LookupError, TypeError):\n"
+            + "        pass\n"
+            + f"    {slow}\n")
 
 
 # --- printing ------------------------------------------------------------

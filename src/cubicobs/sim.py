@@ -28,14 +28,15 @@ cubic terms and returns them packed as bytes, and one matrix product that
 yields the next stage's input; one more product ends the step.  An
 expression that fails makes the stage re-run through
 :func:`~cubicobs.exprlang.evaluate`, truth first, which raises the tree
-walk's error.  The drive depends on ``t`` alone: it is evaluated once per
-half step on one grid reaching back to the largest input lag, before
-integration starts, and each lag reads a slice of it.  Delayed outputs are
-read from a half-step table of the output, kept only when an expression
-reads a delayed output: grid samples, and between them the mean of the two
-neighbours (linear interpolation at the midpoint).  Before ``t = 0`` the
-drive is evaluated analytically (or zeroed) and the output history is
-frozen at ``y(0)`` (or zeroed), per the prehistory policy.
+walk's error.  The drive depends on ``t`` alone: a function generated the
+same way evaluates it once per half step on one grid reaching back to the
+largest input lag, before integration starts, and each lag reads a slice
+of it.  Delayed outputs are read from a half-step table of the output,
+kept only when an expression reads a delayed output: grid samples, and
+between them the mean of the two neighbours (linear interpolation at the
+midpoint).  Before ``t = 0`` the drive is evaluated analytically (or
+zeroed) and the output history is frozen at ``y(0)`` (or zeroed), per the
+prehistory policy.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprlang import (_CODEGEN_GLOBALS, Expr, ExprError, ExprEvalError, _compile_source, _emit,
-                       compile_vector, evaluate, parse_input_signal, unparse, variables)
+from .exprlang import (_CODEGEN_GLOBALS, Expr, ExprError, ExprEvalError, SignalDims,
+                       _compile_source, _emit, _guarded_source, _read_back, evaluate,
+                       parse_input_signal, variables)
 from .model import ConfigError, ObserverParams, PlantModel, validate, validate_observer
 
 __all__ = [
@@ -89,7 +91,7 @@ def input_signals(text: str, n_u: int) -> tuple[Expr, ...]:
     return (e,) * n_u
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """One simulation request.
 
@@ -97,7 +99,9 @@ class SimConfig:
     must read back as itself through :func:`parse_input_signal`, as model
     expressions must through :func:`~cubicobs.model.validate`.
     ``prehistory`` is ``"analytic"`` (drive evaluated at negative times,
-    output history frozen at its initial value) or ``"zero"``.
+    output history frozen at its initial value) or ``"zero"``.  The config
+    is frozen, so a drive becomes generated code only after this check;
+    :func:`dataclasses.replace` makes a new config and checks it again.
     """
 
     h: float
@@ -108,9 +112,9 @@ class SimConfig:
     prehistory: str = "analytic"
 
     def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float).ravel()
-        self.xhat0 = np.asarray(self.xhat0, dtype=float).ravel()
-        self.input_signal = tuple(self.input_signal)
+        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).ravel())
+        object.__setattr__(self, "xhat0", np.asarray(self.xhat0, dtype=float).ravel())
+        object.__setattr__(self, "input_signal", tuple(self.input_signal))
         for name in ("x0", "xhat0"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name}: entries must be finite")
@@ -121,13 +125,10 @@ class SimConfig:
         if self.prehistory not in ("analytic", "zero"):
             raise ConfigError(f"prehistory: unknown policy {self.prehistory!r}")
         for i, e in enumerate(self.input_signal):
-            text = unparse(e)
             try:
-                back = parse_input_signal(text)
+                _read_back(e, SignalDims(0, 0, 0), allow_time=True)
             except ExprError as exc:
                 raise ConfigError(f"input_signal[{i}]: {exc}") from None
-            if back != e:
-                raise ConfigError(f"input_signal[{i}]: {text} reads back as {unparse(back)}")
 
 
 @dataclass(eq=False)
@@ -223,8 +224,9 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, u_off: int, y_off: int) 
     The function reads its inputs at fixed places: states and output errors
     in ``s``, the drive in ``grid`` and delayed outputs in ``ytab`` at a
     constant offset plus ``j``.  Expressions are emitted by exprlang's
-    emitter, so each performs the float operations of ``evaluate``; the
-    finiteness check and the fallback to ``_reference`` are compile_vector's.
+    emitter, so each performs the float operations of ``evaluate``, and
+    wrapped by its guarded-source builder, which checks them for finiteness
+    and falls back to ``_reference``, as the drive's function does.
     """
     loads: dict[str, str] = {}  # item -> local, in order of first use
 
@@ -261,20 +263,30 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, u_off: int, y_off: int) 
             cubic_lines.append(f"{cubic[-1]} = q{m} * {ei}")
     state = [f"{name} = {item}" for item, name in loads.items() if item[0] == "s"]
     signals = {name: f"{name} = {item}" for item, name in loads.items() if item[0] != "s"}
-    fast = f"return _pack({', '.join(z + results + cubic)})"
-    # compile_vector's check; literals, drive samples and output-table rows
-    # are finite, a stage input need not be
-    check = " + ".join(r for r in dict.fromkeys(results)
-                       if not r.startswith("(") and r not in signals)
-    body = [*signals.values()] + [f"{name} = {rhs}" for rhs, name in lines.items()]
-    body += [f"if isfinite({check}):", f"    {fast}"] if check else [fast]
-    return ("def _stage(j, s):\n"
-            + "".join(f"    {line}\n" for line in state + cubic_lines)
-            + "    try:\n"
-            + "".join(f"        {line}\n" for line in body)
-            + "    except (ArithmeticError, ValueError, LookupError, TypeError):\n"
-            + "        pass\n"
-            + f"    return _pack({', '.join(z + ['*_reference(j, s)'] + cubic)})\n")
+    # literals, drive samples and output-table rows are finite, a stage
+    # input need not be
+    check = [r for r in results if not r.startswith("(") and r not in signals]
+    return _guarded_source(
+        "def _stage(j, s):", state + cubic_lines,
+        [*signals.values()] + [f"{name} = {rhs}" for rhs, name in lines.items()], check,
+        f"return _pack({', '.join(z + results + cubic)})",
+        f"return _pack({', '.join(z + ['*_reference(j, s)'] + cubic)})")
+
+
+def _drive_function(exprs: tuple[Expr, ...]):
+    """Generated ``_drive(t)``: the tuple of the drive expressions ``exprs``,
+    which read back, at time ``t``.  Its values are ``evaluate``'s bit for
+    bit, and a failure raises ``evaluate``'s :class:`ExprEvalError`."""
+    lines: dict[str, str] = {}
+    results = [_emit(e, lines, {}) for e in exprs]
+    src = _guarded_source(
+        "def _drive(t):", [], [f"{name} = {rhs}" for rhs, name in lines.items()],
+        [r for r in results if r.startswith("_")],  # literals and t are finite
+        f"return ({', '.join(results)},)", "return _reference(t)")
+    namespace = {**_CODEGEN_GLOBALS,
+                 "_reference": lambda t: tuple(evaluate(e, t=t) for e in exprs)}
+    exec(_compile_source(src, "<cubicobs.sim drive>"), namespace)
+    return namespace["_drive"]
 
 
 def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
@@ -338,7 +350,7 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
     grid: list = [None] * (u_off + n_half)
     failed: dict[int, ExprEvalError] = {}  # grid index -> error, in order
     if u_lags:
-        drive_fn = compile_vector(cfg.input_signal)
+        drive = _drive_function(cfg.input_signal)
         zero_u = (0.0,) * n_u
         for i in range(len(grid)):
             p = i - u_off
@@ -346,7 +358,7 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
                 grid[i] = zero_u
                 continue
             try:
-                grid[i] = drive_fn((), None, None, (p * 0.5) * h)
+                grid[i] = drive((p * 0.5) * h)
             except ExprEvalError as exc:
                 failed[i] = exc
     fail_step, drive_error = steps, None

@@ -1,8 +1,10 @@
 """Integrator: history buffer, delay handling, RK4 accuracy, error integral."""
 
 import math
+import sys
+import types
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from scipy.linalg import expm
 
 from cubicobs import exprlang, sim
 from cubicobs.cert import cubic_gain
-from cubicobs.exprlang import BinOp, Num, SignalDims, TimeVar, Var, compile_vector, parse
+from cubicobs.exprlang import BinOp, Call, Num, Pow, SignalDims, TimeVar, Var, parse
 from cubicobs.model import ConfigError, ObserverParams, PlantModel, example_system
 from cubicobs.sim import (
     DEFAULT_INPUT_SIGNAL,
@@ -102,14 +104,36 @@ def test_simconfig_validation():
     (BinOp("%", TimeVar(), Num(2.0)),
      "input_signal[1]: unexpected character '%' (at position 2)"),
     (BinOp("*", Num(-2.0), TimeVar()), "input_signal[1]: (-2.0*t) reads back as ((-2.0)*t)"),
-], ids=["state-ref", "modulo", "negative-literal"])
+    (Num(-2.5), "input_signal[1]: -2.5 reads back as (-2.5)"),
+    (Num(-0.0), "input_signal[1]: -0.0 reads back as (-0.0)"),
+    (Num(np.float64(2.0)), "input_signal[1]: malformed number (at position 2)"),
+    (Pow(TimeVar(), 2.5),
+     "input_signal[1]: power exponent must be a nonnegative integer (at position 3)"),
+    (Var("z", 1), "input_signal[1]: unknown variable kind 'z' (at position 0)"),
+    (Num(math.inf), "input_signal[1]: unknown function or variable 'inf' (at position 0)"),
+    (Num(math.nan), "input_signal[1]: unknown function or variable 'nan' (at position 0)"),
+    (Var("x", 1, 1), "input_signal[1]: x1@1: state index out of range (n=0)"),
+    (Call("__import__", Num(1.0)), "input_signal[1]: unexpected character '_' (at position 0)"),
+], ids=["state-ref", "modulo", "negative-literal", "bare-negative-literal", "negative-zero",
+        "numpy-literal", "fractional-power", "unknown-kind", "inf", "nan", "delayed-state",
+        "unknown-function"])
 def test_simconfig_drive_must_read_back(drive, message):
     # a state reference used to fail at t = 0 as a SimulationError, and a
-    # modulo to divide silently
+    # modulo to divide silently; this check is the only one a drive passes
+    # before it becomes generated code
     sig = input_signals("sin(t)", 1) + (drive,)
     with pytest.raises(ConfigError) as info:
         SimConfig(h=0.1, t_end=1.0, x0=[0.0], xhat0=[0.0], input_signal=sig)
     assert str(info.value) == message
+
+
+def test_simconfig_is_frozen_and_replace_reads_back():
+    cfg = example_cfg()
+    negative = (BinOp("*", Num(-2.0), TimeVar()),)
+    with pytest.raises(FrozenInstanceError):
+        cfg.input_signal = negative
+    with pytest.raises(ConfigError, match=r"input_signal\[0\]: .* reads back as"):
+        replace(cfg, input_signal=negative)
 
 
 @pytest.mark.parametrize("field", ["x0", "xhat0"])
@@ -494,22 +518,17 @@ def test_delayed_drive_failure_follows_prehistory_policy():
 
 @pytest.mark.parametrize("prehistory", ["analytic", "zero"])
 def test_drive_is_evaluated_once_per_half_step(monkeypatch, prehistory):
-    # five distinct input lags (0, 2, 3, 5, 6 steps) share one drive grid
+    # five distinct input lags (0, 2, 3, 5, 6 steps) share one drive grid;
+    # each drive evaluation calls sin once, from the generated _drive
     truth, design, obs, cfg = multi_delay_scenario(prehistory)
     calls = 0
 
-    def counting_compile_vector(exprs):
-        fn = compile_vector(exprs)
-        if tuple(exprs) != cfg.input_signal:
-            return fn
+    def counting_sin(v):
+        nonlocal calls
+        calls += sys._getframe(1).f_code.co_name == "_drive"
+        return math.sin(v)
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return fn(*args)
-        return counted
-
-    monkeypatch.setattr(sim, "compile_vector", counting_compile_vector)
+    monkeypatch.setitem(exprlang._CODEGEN_GLOBALS, "sin", counting_sin)
     simulate(truth, design, obs, cfg)
     steps, max_lag = 40, 6
     assert 0 < calls <= 2 * steps + 1 + 2 * max_lag
@@ -531,6 +550,33 @@ def test_repeated_runs_compile_each_vector_once(monkeypatch):
     second = simulate(truth, design, obs, cfg)
     assert len(compiled) == 2
     assert np.array_equal(first.xhat, second.xhat)
+
+
+def test_generated_code_names_only_codegen_globals(monkeypatch, tmp_path):
+    # generated only from trees that read back, the code names nothing but
+    # exprlang's functions, what sim binds beside them and the exceptions the
+    # fallback catches: no other builtin, no attribute
+    codes = []
+
+    def recording_compile(src, *args):
+        codes.append(compile(src, *args))
+        return codes[-1]
+
+    monkeypatch.setattr(exprlang, "_CODE_CACHE", {})
+    monkeypatch.setattr(exprlang, "compile", recording_compile, raising=False)
+    sim.example_study(tmp_path)
+    simulate(*multi_delay_scenario("analytic"))
+    allowed = set(exprlang._CODEGEN_GLOBALS) | {
+        "_pack", "_reference", "grid", "ytab", "_stage", "_drive",
+        "ArithmeticError", "ValueError", "LookupError", "TypeError"}
+    functions = []
+    while codes:
+        code = codes.pop()
+        assert set(code.co_names) <= allowed, code.co_names
+        nested = [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        functions += [c.co_name for c in nested]
+        codes += nested
+    assert sorted(functions) == ["_drive", "_drive", "_stage", "_stage", "_stage"]
 
 
 # --- one truth integration for a pair ------------------------------------
