@@ -349,6 +349,24 @@ def test_compiled_vector_literals_and_empty():
     assert want[1] == (-0.0).hex()
 
 
+@pytest.mark.parametrize("tree", [
+    Num(np.float64(2.0)),
+    Pow(Var("x", 1), 2.5),
+    Var("z", 1),
+    BinOp("%", Var("x", 1), Num(3.0)),
+    Num(math.inf),
+    Num(math.nan),
+    Var("x", 1, 1),
+], ids=["numpy-literal", "fractional-power", "unknown-kind", "modulo", "inf", "nan",
+        "delayed-state"])
+def test_compiled_vector_refuses_trees_parse_never_builds(tree):
+    # each used to compile, then misread (z1 as y1, % as /) or fail when
+    # called; the read-back is the check a stage tree passes in validate
+    # before it becomes generated code
+    with pytest.raises(ExprError):
+        exprlang._read_back(tree, DIMS)
+
+
 @pytest.mark.parametrize("first, second", [
     (Num(2.0), Num(2)),
     (BinOp("*", Num(2.0), Var("x", 1)), BinOp("*", Num(2), Var("x", 1))),
