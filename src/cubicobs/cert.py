@@ -163,9 +163,8 @@ def cubic_gain(P, C, theta, alpha: float = 1.0) -> np.ndarray:
     P = _spd_check(P)
     C = as_matrix(C, "C")
     theta = as_matrix(theta, "theta")
-    bad = psd_violation(theta, "theta")
-    if bad is not None:
-        raise ValueError(bad[1])
+    if (message := psd_violation(theta, "theta")) is not None:
+        raise ValueError(message)
     return -alpha * np.linalg.solve(P, C.T @ theta)
 
 

@@ -82,14 +82,14 @@ def cmd_design(args) -> int:
         L = design.stabilize_L(T, plant.A, plant.C, args.auto_margin)
     result = design.design_GJ(plant.A, plant.C, E, L, D=plant.D)
     prev = cfg.observer
-    cfg.observer = model.ObserverParams(
+    cfg = replace(cfg, observer=model.ObserverParams(
         G=result.G,
         J=result.J,
         E=result.E,
         N=prev.N if prev is not None else np.zeros((plant.n, plant.n_y)),
         theta=prev.theta if prev is not None else np.eye(plant.n_y),
         alpha=prev.alpha if prev is not None else 1.0,
-    )
+    ))
     model.save_config(cfg, args.out)
     print(f"residual_sylvester={result.residual_sylvester:.3e}")
     print(f"residual_decoupling={result.residual_decoupling:.3e}")
@@ -106,9 +106,9 @@ def cmd_certify(args) -> int:
     if args.search_p:
         obs = cfg.observer
         alpha = args.alpha if args.alpha is not None else obs.alpha
-        cfg.certificate = cert.search_P(mode, obs.G, obs.E, plant.C)
-        N = cert.cubic_gain(cfg.certificate.P, plant.C, obs.theta, alpha)
-        cfg.observer = replace(obs, N=N, alpha=alpha)
+        crt = cert.search_P(mode, obs.G, obs.E, plant.C)
+        N = cert.cubic_gain(crt.P, plant.C, obs.theta, alpha)
+        cfg = replace(cfg, observer=replace(obs, N=N, alpha=alpha), certificate=crt)
     elif cfg.certificate is None:
         raise model.ConfigError("--check-only needs a certificate block")
     obs, crt = cfg.observer, cfg.certificate

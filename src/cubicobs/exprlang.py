@@ -25,10 +25,10 @@ variable ``t`` (see :func:`parse_input_signal`); model nonlinearities may
 not reference ``t``.
 
 :func:`parse` owns these rules.  A tree built through the API is valid
-when ``parse(unparse(e))`` rebuilds it; :func:`cubicobs.model.validate`
-and :class:`cubicobs.sim.SimConfig` check exactly that, so a negative
-literal is written ``Neg(Num(2.0))``, as ``parse`` builds it, not
-``Num(-2.0)``.
+when ``parse(unparse(e))`` rebuilds it; :class:`cubicobs.model.PlantModel`
+and :class:`cubicobs.sim.SimConfig` check exactly that when they are
+built, so a negative literal is written ``Neg(Num(2.0))``, as ``parse``
+builds it, not ``Num(-2.0)``.
 
 Evaluation is strict about arithmetic: division by zero, overflow, and any
 non-finite result raise :class:`ExprEvalError` instead of propagating

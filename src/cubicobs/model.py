@@ -25,6 +25,11 @@ bound for the design-model nonlinearity) or ``{"rho": r, "a": a, "b": b}``
 ``observer`` and ``certificate`` are optional.  A certificate block stores
 ``{"P", "beta"}`` or ``{"P", "mu1", "mu2"}`` only: margins are always
 recomputed from the matrices, never trusted from a file.
+
+Every model type is a frozen dataclass that refuses invalid values when it
+is built, and stores its arrays as read-only copies, so a model that exists
+stays valid; :func:`dataclasses.replace` builds, and checks, a new one.
+:func:`validate` checks that an observer fits a plant.
 """
 
 from __future__ import annotations
@@ -36,8 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from .exprlang import (Expr, ExprError, ExprRangeError, SignalDims, _read_back, parse, unparse,
-                       variables)
+from .exprlang import Expr, ExprError, SignalDims, _read_back, parse, unparse, variables
 from .numlin import as_matrix, psd_violation
 
 __all__ = [
@@ -49,9 +53,7 @@ __all__ = [
     "ObserverParams",
     "Certificate",
     "SystemConfig",
-    "Violation",
     "validate",
-    "validate_observer",
     "example_system",
     "ExampleSystem",
     "load_config",
@@ -62,6 +64,22 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Configuration violates the schema; the message names the offending field."""
+
+
+def _read_only(a) -> np.ndarray:
+    """A read-only float copy of ``a``."""
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def _assign(obj, matrices: str = "", **values) -> None:
+    """Set fields of a frozen dataclass from its ``__post_init__``: each
+    field named in ``matrices`` to a read-only matrix copy, then ``values``."""
+    for name in matrices.split():
+        object.__setattr__(obj, name, _read_only(as_matrix(getattr(obj, name), name)))
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 def _eq_fields(self, other):
@@ -75,7 +93,7 @@ def _eq_fields(self, other):
     return True
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PlantModel:
     """State equation data: ``dx/dt = A x + f_u + D f_g + f_L``.
 
@@ -84,6 +102,11 @@ class PlantModel:
     channel matrix ``D``, and ``f_L`` is the bounded-nonlinearity part that
     the observer replicates.  ``delta`` and ``tau`` are the input and output
     delay lists that the expressions index by slot.
+
+    Building one raises :class:`ConfigError` at the first fault in shapes,
+    ``n_u``, delays, component counts and expressions.  Each expression must
+    read back as itself (``parse(unparse(e), dims)`` rebuilds it), so a
+    plant holds exactly the trees ``parse`` builds.
     """
 
     A: np.ndarray
@@ -97,14 +120,36 @@ class PlantModel:
     f_L: tuple[Expr, ...] = ()
 
     def __post_init__(self):
-        self.A = as_matrix(self.A, "A")
-        self.C = as_matrix(self.C, "C")
-        self.D = as_matrix(self.D, "D")
-        self.delta = tuple(float(d) for d in self.delta)
-        self.tau = tuple(float(d) for d in self.tau)
-        self.f_u = tuple(self.f_u)
-        self.f_g = tuple(self.f_g)
-        self.f_L = tuple(self.f_L)
+        _assign(self, "A C D",
+                delta=tuple(float(d) for d in self.delta),
+                tau=tuple(float(d) for d in self.tau),
+                f_u=tuple(self.f_u), f_g=tuple(self.f_g), f_L=tuple(self.f_L))
+        n = self.n
+        if self.A.shape[1] != n:
+            raise ConfigError(f"A must be square, got {self.A.shape}")
+        if self.C.shape[1] != n:
+            raise ConfigError(f"C must have {n} columns, got {self.C.shape}")
+        if self.D.shape[0] != n:
+            raise ConfigError(f"D must have {n} rows, got {self.D.shape}")
+        if self.n_u < 0:
+            raise ConfigError("n_u must be nonnegative")
+        for label, delays in (("delta", self.delta), ("tau", self.tau)):
+            for i, d in enumerate(delays):
+                if not 0 <= d < np.inf:
+                    raise ConfigError(f"{label}[{i}] must be nonnegative and finite")
+        vectors = (("f_u", self.f_u, n), ("f_g", self.f_g, self.n_g), ("f_L", self.f_L, n))
+        for label, exprs, count in vectors:
+            if len(exprs) != count:
+                raise ConfigError(f"{label} must have {count} components")
+        dims = self.dims()
+        for label, exprs, _ in vectors:
+            for i, e in enumerate(exprs):
+                try:
+                    _read_back(e, dims)
+                except ExprError as exc:
+                    raise ConfigError(f"{label}[{i}]: {exc}") from None
+                if label == "f_u" and any(ref.kind == "x" for ref in variables(e)):
+                    raise ConfigError(f"f_u[{i}]: f_u must not reference state")
 
     @property
     def n(self) -> int:
@@ -159,13 +204,17 @@ class OneSidedLipschitz:
 LipschitzSpec = Lipschitz | OneSidedLipschitz
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ObserverParams:
     """Gains of the cubic observer.
 
     The observer integrates ``dw/dt = G w + J y + (I - E C)(f_u + f_L(xhat))
     - ((y - C xhat)' theta (y - C xhat)) N (y - C xhat)`` and reconstructs
     ``xhat = w + E y``.
+
+    Building one raises :class:`ConfigError` unless ``G`` is ``n x n``,
+    ``theta`` is ``n_y x n_y`` and positive semidefinite, ``J``, ``E`` and
+    ``N`` are ``n x n_y`` and ``alpha`` is positive and finite.
     """
 
     G: np.ndarray
@@ -176,17 +225,24 @@ class ObserverParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        self.G = as_matrix(self.G, "G")
-        self.J = as_matrix(self.J, "J")
-        self.E = as_matrix(self.E, "E")
-        self.N = as_matrix(self.N, "N")
-        self.theta = as_matrix(self.theta, "theta")
-        self.alpha = float(self.alpha)
+        _assign(self, "G J E N theta", alpha=float(self.alpha))
+        n, n_y = self.G.shape[0], self.theta.shape[0]
+        if self.G.shape != (n, n):
+            raise ConfigError(f"G must be square, got {self.G.shape}")
+        if self.theta.shape != (n_y, n_y):
+            raise ConfigError(f"theta must be square, got {self.theta.shape}")
+        if (message := psd_violation(self.theta, "theta")) is not None:
+            raise ConfigError(message)
+        for name in ("J", "E", "N"):
+            if (shape := getattr(self, name).shape) != (n, n_y):
+                raise ConfigError(f"{name} must be {n}x{n_y}, got {shape}")
+        if not 0 < self.alpha < np.inf:
+            raise ConfigError("alpha must be positive and finite")
 
     __eq__ = _eq_fields
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Lyapunov certificate: ``P`` plus multiplier(s).
 
@@ -201,7 +257,7 @@ class Certificate:
     mu2: float | None = None
 
     def __post_init__(self):
-        self.P = as_matrix(self.P, "P")
+        _assign(self, "P")
         has_beta = self.beta is not None
         has_mu = self.mu1 is not None or self.mu2 is not None
         if has_beta and has_mu:
@@ -212,12 +268,12 @@ class Certificate:
     __eq__ = _eq_fields
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     """One configuration document: plant, bound type, optional observer and
-    certificate.  A certificate's multipliers must match the bound type:
-    ``beta`` for :class:`Lipschitz`, ``mu1``/``mu2`` for
-    :class:`OneSidedLipschitz`."""
+    certificate.  The observer must fit the plant (:func:`validate`), and a
+    certificate's multipliers must match the bound type: ``beta`` for
+    :class:`Lipschitz`, ``mu1``/``mu2`` for :class:`OneSidedLipschitz`."""
 
     plant: PlantModel
     lipschitz: LipschitzSpec
@@ -225,6 +281,8 @@ class SystemConfig:
     certificate: Certificate | None = None
 
     def __post_init__(self):
+        if self.observer is not None:
+            validate(self.plant, self.observer)
         crt = self.certificate
         if crt is None:
             return
@@ -236,91 +294,23 @@ class SystemConfig:
 
 # --- validation ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
-    name: str
-    message: str
+def validate(plant: PlantModel, observer: ObserverParams) -> None:
+    """Check that ``observer`` fits ``plant``: ``G`` is ``n x n`` and
+    ``theta`` is ``n_y x n_y``, so ``J``, ``E`` and ``N`` are ``n x n_y``.
 
-
-def validate(plant: PlantModel, observer: ObserverParams | None = None) -> list[Violation]:
-    """Check dimensions and invariants; an empty report means valid.
-
-    Each expression must read back as itself: ``parse(unparse(e),
-    plant.dims())`` rebuilds ``e``.  So the parser alone owns the grammar,
-    the reference ranges, finite literals and the nesting limit, and
-    ``validate`` accepts exactly the trees ``parse`` builds.  A reference
-    out of range is a ``{label}-ref-range`` violation; any other refusal,
-    or a tree that reads back as a different one (``Num(-2.0)`` reads back
-    as ``Neg(Num(2.0))``), is ``{label}-syntax``.
+    Each model checked the rest when it was built.  Raises
+    :class:`ConfigError`.
     """
-    out: list[Violation] = []
-    n = plant.A.shape[0]
-    if plant.A.shape[1] != n:
-        out.append(Violation("A-square", f"A must be square, got {plant.A.shape}"))
-    if plant.C.shape[1] != n:
-        out.append(Violation("C-dims", f"C must have {n} columns, got {plant.C.shape}"))
-    if plant.D.shape[0] != n:
-        out.append(Violation("D-dims", f"D must have {n} rows, got {plant.D.shape}"))
-    if plant.n_u < 0:
-        out.append(Violation("n_u-nonneg", "n_u must be nonnegative"))
-    for i, d in enumerate(plant.delta):
-        if not 0 <= d < np.inf:
-            out.append(Violation("delta-nonneg", f"delta[{i}] must be nonnegative and finite"))
-    for i, d in enumerate(plant.tau):
-        if not 0 <= d < np.inf:
-            out.append(Violation("tau-nonneg", f"tau[{i}] must be nonnegative and finite"))
-    if len(plant.f_u) != n:
-        out.append(Violation("f_u-len", f"f_u must have {n} components"))
-    if len(plant.f_g) != plant.n_g:
-        out.append(Violation("f_g-len", f"f_g must have {plant.n_g} components"))
-    if len(plant.f_L) != n:
-        out.append(Violation("f_L-len", f"f_L must have {n} components"))
-    dims = plant.dims()
-    for label, exprs in (("f_u", plant.f_u), ("f_g", plant.f_g), ("f_L", plant.f_L)):
-        for i, e in enumerate(exprs):
-            try:
-                _read_back(e, dims)
-            except ExprError as exc:
-                rule = "ref-range" if isinstance(exc, ExprRangeError) else "syntax"
-                out.append(Violation(f"{label}-{rule}", f"{label}[{i}]: {exc}"))
-                continue
-            if label == "f_u" and any(ref.kind == "x" for ref in variables(e)):
-                out.append(Violation("f_u-state-ref", f"f_u[{i}]: f_u must not reference state"))
-
-    if observer is not None:
-        out += validate_observer(plant, observer)
-    return out
-
-
-def validate_observer(plant: PlantModel, observer: ObserverParams) -> list[Violation]:
-    """The observer checks :func:`validate` makes: gain shapes against
-    ``plant``'s dimensions, ``theta`` positive semidefinite, ``alpha``
-    positive.  It reads no expression."""
-    out: list[Violation] = []
-    n, n_y = plant.A.shape[0], plant.C.shape[0]
+    n, n_y = plant.n, plant.n_y
     if observer.G.shape != (n, n):
-        out.append(Violation("G-dims", f"G must be {n}x{n}, got {observer.G.shape}"))
-    if observer.J.shape != (n, n_y):
-        out.append(Violation("J-dims", f"J must be {n}x{n_y}, got {observer.J.shape}"))
-    if observer.E.shape != (n, n_y):
-        out.append(Violation("E-dims", f"E must be {n}x{n_y}, got {observer.E.shape}"))
-    if observer.N.shape != (n, n_y):
-        out.append(Violation("N-dims", f"N must be {n}x{n_y}, got {observer.N.shape}"))
+        raise ConfigError(f"G must be {n}x{n}, got {observer.G.shape}")
     if observer.theta.shape != (n_y, n_y):
-        out.append(
-            Violation("theta-dims", f"theta must be {n_y}x{n_y}, got {observer.theta.shape}")
-        )
-    elif (bad := psd_violation(observer.theta, "theta")) is not None:
-        rule, message = bad
-        out.append(Violation(f"theta-{rule}", message))
-    if not 0 < observer.alpha < np.inf:
-        out.append(Violation("alpha-positive", "alpha must be positive and finite"))
-    return out
+        raise ConfigError(f"theta must be {n_y}x{n_y}, got {observer.theta.shape}")
 
 
 # --- built-in example ----------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ExampleSystem:
     """The bundled two-state demonstration: nominal and perturbed plants
     sharing one certified observer."""
@@ -513,9 +503,6 @@ def config_from_dict(doc: dict) -> SystemConfig:
             theta=theta,
             alpha=alpha,
         )
-    violations = validate(plant, observer)
-    if violations:
-        raise ConfigError(violations[0].message)
 
     certificate = None
     if "certificate" in doc and doc["certificate"] is not None:
@@ -600,8 +587,8 @@ def load_config(path) -> SystemConfig:
 def save_config(cfg: SystemConfig, path) -> None:
     """Write ``cfg`` as JSON.
 
-    When :func:`validate` accepts ``cfg``, ``load_config`` of the file
-    returns a config equal to ``cfg``: every expression is written as text
+    ``load_config`` of the file returns a config equal to ``cfg``: every
+    expression of a plant reads back as itself, so it is written as text
     that ``parse`` reads back as the same tree.
     """
     with open(path, "w") as fh:

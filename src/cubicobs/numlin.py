@@ -70,16 +70,15 @@ def definiteness_margin(S) -> float:
     return sym_eig_extremes(S)[1]
 
 
-def psd_violation(S, name: str) -> tuple[str, str] | None:
-    """``(rule, message)`` when ``S`` is not symmetric positive semidefinite.
+def psd_violation(S, name: str) -> str | None:
+    """Why ``S`` is not symmetric positive semidefinite, or ``None``.
 
-    ``rule`` is ``"symmetry"`` when an entry of ``S - S^T`` exceeds 1e-9 in
-    magnitude, and ``"psd"`` when an eigenvalue of ``S`` is below -1e-9.
-    Returns ``None`` when ``S`` passes both.
+    ``S`` fails when an entry of ``S - S^T`` exceeds 1e-9 in magnitude, or
+    else when an eigenvalue of ``S`` is below -1e-9.
     """
     asym = float(np.max(np.abs(S - S.T), initial=0.0))
     if asym > 1e-9:
-        return "symmetry", f"{name} must be symmetric (asymmetry {asym:.2e})"
+        return f"{name} must be symmetric (asymmetry {asym:.2e})"
     if definiteness_margin(-S) > 1e-9:
-        return "psd", f"{name} must be positive semidefinite"
+        return f"{name} must be positive semidefinite"
     return None

@@ -51,7 +51,7 @@ import numpy as np
 from .exprlang import (_CODEGEN_GLOBALS, Expr, ExprError, ExprEvalError, SignalDims,
                        _compile_source, _emit, _guarded_source, _read_back, evaluate,
                        parse_input_signal, variables)
-from .model import ConfigError, ObserverParams, PlantModel, validate, validate_observer
+from .model import ConfigError, ObserverParams, PlantModel, _assign, _read_only, validate
 
 __all__ = [
     "SimulationError",
@@ -95,9 +95,10 @@ def input_signals(text: str, n_u: int) -> tuple[Expr, ...]:
 class SimConfig:
     """One simulation request.
 
+    ``x0`` and ``xhat0`` are finite and stored as read-only copies.
     ``input_signal`` holds one expression in ``t`` per input channel; each
-    must read back as itself through :func:`parse_input_signal`, as model
-    expressions must through :func:`~cubicobs.model.validate`.
+    must read back as itself through :func:`parse_input_signal`, as a
+    plant's expressions must.
     ``prehistory`` is ``"analytic"`` (drive evaluated at negative times,
     output history frozen at its initial value) or ``"zero"``.  The config
     is frozen, so a drive becomes generated code only after this check;
@@ -112,9 +113,8 @@ class SimConfig:
     prehistory: str = "analytic"
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).ravel())
-        object.__setattr__(self, "xhat0", np.asarray(self.xhat0, dtype=float).ravel())
-        object.__setattr__(self, "input_signal", tuple(self.input_signal))
+        _assign(self, x0=_read_only(np.ravel(self.x0)), xhat0=_read_only(np.ravel(self.xhat0)),
+                input_signal=tuple(self.input_signal))
         for name in ("x0", "xhat0"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name}: entries must be finite")
@@ -307,16 +307,11 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
 
     The observers share ``truth``, ``design`` and ``cfg``; the result
     holds one :class:`SimResult` per observer, in order.  A failure of any
-    member ends the run at the earliest step any member fails.
+    member ends the run at the earliest step any member fails.  The models
+    checked themselves when built; here each observer must fit ``design``.
     """
-    truth_report = validate(truth)
-    design_report = truth_report if design is truth else validate(design)
     for obs in observers:
-        for label, plant, report in (("truth", truth, truth_report),
-                                     ("design", design, design_report)):
-            names = [v.name for v in report + validate_observer(plant, obs)]
-            if names:
-                raise ConfigError(f"{label} model failed validation: {', '.join(names)}")
+        validate(design, obs)
     if truth.n != design.n or truth.n_y != design.n_y or truth.n_u != design.n_u:
         raise ConfigError("truth and design models must share n, n_u, n_y")
     n, n_y, n_u = truth.n, truth.n_y, truth.n_u

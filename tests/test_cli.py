@@ -344,8 +344,9 @@ def test_certify_search_P_checks_what_check_only_checks(configs, tmp_path, capsy
     # what --search-P found, saved whether or not it passed its checks
     cfg = model.load_config(source)
     obs, C = cfg.observer, cfg.plant.C
-    cfg.certificate = cert.search_P(cfg.lipschitz, obs.G, obs.E, C)
-    cfg.observer = replace(obs, N=cert.cubic_gain(cfg.certificate.P, C, obs.theta, obs.alpha))
+    crt = cert.search_P(cfg.lipschitz, obs.G, obs.E, C)
+    cfg = replace(cfg, observer=replace(obs, N=cert.cubic_gain(crt.P, C, obs.theta, obs.alpha)),
+                  certificate=crt)
     found = tmp_path / "found.json"
     model.save_config(cfg, found)
     if out.exists():

@@ -361,8 +361,8 @@ def test_compiled_vector_literals_and_empty():
         "delayed-state"])
 def test_compiled_vector_refuses_trees_parse_never_builds(tree):
     # each used to compile, then misread (z1 as y1, % as /) or fail when
-    # called; the read-back is the check a stage tree passes in validate
-    # before it becomes generated code
+    # called; the read-back is the check a stage tree passes when its plant
+    # is built, before it becomes generated code
     with pytest.raises(ExprError):
         exprlang._read_back(tree, DIMS)
 

@@ -1,7 +1,7 @@
-"""Data model: bundled example values, validation report, JSON round-trip."""
+"""Data model: bundled example values, validation at construction, JSON round-trip."""
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from cubicobs.exprlang import (
     parse,
     unparse,
 )
+from cubicobs import model
 from cubicobs.model import (
     Certificate,
     ConfigError,
@@ -28,7 +29,6 @@ from cubicobs.model import (
     OneSidedLipschitz,
     PlantModel,
     SystemConfig,
-    Violation,
     config_from_dict,
     config_to_dict,
     example_system,
@@ -36,6 +36,7 @@ from cubicobs.model import (
     save_config,
     validate,
 )
+from cubicobs.sim import SimConfig
 
 DIMS = SignalDims(n=2, n_u=1, n_y=1, n_delta=1, n_tau=0)
 
@@ -90,41 +91,47 @@ def test_example_observer_and_certificate():
 
 def test_example_validates_clean():
     ex = example_system()
-    assert validate(ex.nominal, ex.observer) == []
-    assert validate(ex.uncertain, ex.observer) == []
+    assert validate(ex.nominal, ex.observer) is None
+    assert validate(ex.uncertain, ex.observer) is None
 
 
-# --- validation -----------------------------------------------------------
+# --- validation at construction -------------------------------------------
 
-def names(violations):
-    return {v.name for v in violations}
+def refused(build):
+    """The :class:`ConfigError` text ``build()`` raises."""
+    with pytest.raises(ConfigError) as info:
+        build()
+    return str(info.value)
 
 
 def test_validate_dimension_mismatches():
-    assert "A-square" in names(validate(small_plant(A=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])))
-    assert "C-dims" in names(validate(small_plant(C=[[1.0]])))
-    assert "D-dims" in names(validate(small_plant(D=[[1.0]])))
-    assert "f_u-len" in names(validate(small_plant(f_u=(parse("u1", DIMS),))))
-    assert "f_g-len" in names(validate(small_plant(f_g=())))
-    assert "f_L-len" in names(validate(small_plant(f_L=())))
+    assert refused(lambda: small_plant(A=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])) == \
+        "A must be square, got (2, 3)"
+    assert refused(lambda: small_plant(C=[[1.0]])) == "C must have 2 columns, got (1, 1)"
+    assert refused(lambda: small_plant(D=[[1.0]])) == "D must have 2 rows, got (1, 1)"
+    assert refused(lambda: small_plant(n_u=-1)) == "n_u must be nonnegative"
+    assert refused(lambda: small_plant(f_u=(parse("u1", DIMS),))) == \
+        "f_u must have 2 components"
+    assert refused(lambda: small_plant(f_g=())) == "f_g must have 1 components"
+    assert refused(lambda: small_plant(f_L=())) == "f_L must have 2 components"
 
 
 def test_validate_negative_delay():
-    assert "delta-nonneg" in names(validate(small_plant(delta=(-1.0,))))
-    assert "tau-nonneg" in names(validate(small_plant(tau=(-0.5,))))
+    assert refused(lambda: small_plant(delta=(-1.0,))) == \
+        "delta[0] must be nonnegative and finite"
+    assert refused(lambda: small_plant(tau=(-0.5,))) == "tau[0] must be nonnegative and finite"
 
 
-@pytest.mark.parametrize("plant_kw, alpha, rule", [
-    ({"delta": (np.nan,)}, 1.0, "delta-nonneg"),
-    ({"delta": (np.inf,)}, 1.0, "delta-nonneg"),
-    ({"tau": (np.nan,)}, 1.0, "tau-nonneg"),
-    ({"tau": (np.inf,)}, 1.0, "tau-nonneg"),
-    ({}, np.inf, "alpha-positive"),
+@pytest.mark.parametrize("plant_kw, alpha, message", [
+    ({"delta": (np.nan,)}, 1.0, "delta[0] must be nonnegative and finite"),
+    ({"delta": (np.inf,)}, 1.0, "delta[0] must be nonnegative and finite"),
+    ({"tau": (np.nan,)}, 1.0, "tau[0] must be nonnegative and finite"),
+    ({"tau": (np.inf,)}, 1.0, "tau[0] must be nonnegative and finite"),
+    ({}, np.inf, "alpha must be positive and finite"),
 ], ids=["delta-nan", "delta-inf", "tau-nan", "tau-inf", "alpha-inf"])
-def test_validate_rejects_non_finite_values(plant_kw, alpha, rule):
+def test_validate_rejects_non_finite_values(plant_kw, alpha, message):
     obs = example_system().observer
-    obs = ObserverParams(G=obs.G, J=obs.J, E=obs.E, N=obs.N, theta=obs.theta, alpha=alpha)
-    assert rule in names(validate(small_plant(**plant_kw), obs))
+    assert refused(lambda: (small_plant(**plant_kw), replace(obs, alpha=alpha))) == message
 
 
 @pytest.mark.parametrize("label", ["f_u", "f_g", "f_L"])
@@ -134,10 +141,8 @@ def test_validate_rejects_non_finite_literal(label, value):
     # one, and save_config would write it as text that load_config refuses
     exprs = list(getattr(small_plant(), label))
     exprs[0] = BinOp("*", Num(value), Var("u", 1))
-    bad = small_plant(**{label: tuple(exprs)})
-    [violation] = [v for v in validate(bad) if v.name == f"{label}-syntax"]
     word, position = repr(abs(value)), 2 if value < 0 else 1
-    assert violation.message == \
+    assert refused(lambda: small_plant(**{label: tuple(exprs)})) == \
         f"{label}[0]: unknown function or variable {word!r} (at position {position})"
 
 
@@ -153,9 +158,8 @@ def wrapped(leaf, levels):
 def test_validate_rejects_tree_deeper_than_parse_accepts(levels):
     # at 1000 levels a recursive walk would raise RecursionError; unparse
     # prints the tree and parse refuses its 101st parenthesis
-    bad = small_plant(f_L=(wrapped(Var("x", 1), levels), parse("x2", DIMS)))
-    [violation] = [v for v in validate(bad) if v.name == "f_L-syntax"]
-    assert violation.message == \
+    tree = wrapped(Var("x", 1), levels)
+    assert refused(lambda: small_plant(f_L=(tree, parse("x2", DIMS)))) == \
         f"f_L[0]: expression nested too deeply (at position {MAX_DEPTH})"
 
 
@@ -166,16 +170,24 @@ def example_with(label, tree):
     return replace(cfg, plant=replace(cfg.plant, **{label: exprs}))
 
 
-def round_trips(cfg, path):
-    """Whether the file ``save_config`` writes loads back equal to ``cfg``."""
-    save_config(cfg, path)
+def printed(label, tree):
+    """The bundled nominal document with ``unparse(tree)`` as ``label[0]``."""
+    doc = base_doc()
+    doc[label][0] = unparse(tree)
+    return doc
+
+
+def round_trips(label, tree):
+    """Whether the document printed with ``tree`` as ``label[0]`` loads back
+    with ``tree`` there."""
     try:
-        return load_config(path) == cfg
+        back = config_from_dict(printed(label, tree))
     except ConfigError:
         return False
+    return getattr(back.plant, label)[0] == tree
 
 
-# a negative literal reads back as a sign over a positive one, so validate
+# a negative literal reads back as a sign over a positive one, so a plant
 # refuses it at any depth; past the limit load_config refuses the file too
 @pytest.mark.parametrize("leaf, levels, refusal, load_error", [
     (Var("x", 1), MAX_DEPTH, None, None),
@@ -183,18 +195,16 @@ def round_trips(cfg, path):
     (Num(-2.0), MAX_DEPTH, "nested too deeply", "nested too deeply"),
 ], ids=["var-at-limit", "negative-at-limit", "negative-past-limit"])
 def test_validate_depth_agrees_with_load_config(tmp_path, leaf, levels, refusal, load_error):
-    cfg = example_with("f_L", wrapped(leaf, levels))
+    tree = wrapped(leaf, levels)
     path = tmp_path / "deep.json"
-    save_config(cfg, path)
-    report = validate(cfg.plant, cfg.observer)
+    path.write_text(json.dumps(printed("f_L", tree)))
     if refusal is None:
-        assert report == []
+        cfg = example_with("f_L", tree)
         assert load_config(path) == cfg
         return
-    [violation] = report
-    assert violation.name == "f_L-syntax" and refusal in violation.message
+    assert refusal in refused(lambda: example_with("f_L", tree))
     if load_error is None:
-        assert load_config(path) != cfg
+        assert load_config(path).plant.f_L[0] != tree
     else:
         with pytest.raises(ConfigError, match=load_error):
             load_config(path)
@@ -202,7 +212,7 @@ def test_validate_depth_agrees_with_load_config(tmp_path, leaf, levels, refusal,
 
 X1 = Var("x", 1)
 
-# API-built trees that parse never builds, with what validate says of each
+# API-built trees that parse never builds, with what a plant says of each
 NOT_PARSE_TREES = {
     "modulo": (BinOp("%", X1, Num(3.0)), "unexpected character '%' (at position 3)"),
     "power-of-negative": (BinOp("*", Pow(Num(-2.0), 2), X1),
@@ -221,12 +231,10 @@ NOT_PARSE_TREES = {
 
 
 @pytest.mark.parametrize("case", list(NOT_PARSE_TREES))
-def test_validate_refuses_trees_parse_does_not_build(tmp_path, case):
+def test_validate_refuses_trees_parse_does_not_build(case):
     tree, message = NOT_PARSE_TREES[case]
-    cfg = example_with("f_L", tree)
-    assert validate(cfg.plant, cfg.observer) == [
-        Violation("f_L-syntax", f"f_L[0]: {message}")]
-    assert not round_trips(cfg, tmp_path / "tree.json")
+    assert refused(lambda: example_with("f_L", tree)) == f"f_L[0]: {message}"
+    assert not round_trips("f_L", tree)
 
 
 # API trees from an alphabet wider than the grammar
@@ -256,62 +264,102 @@ API_TREES = st.builds(
 
 @settings(max_examples=400)
 @given(label=st.sampled_from(["f_u", "f_g", "f_L"]), tree=API_TREES)
-def test_validate_accepts_iff_save_load_round_trips(tmp_path_factory, label, tree):
-    cfg = example_with(label, tree)
-    path = tmp_path_factory.getbasetemp() / "round_trip.json"
-    assert (validate(cfg.plant, cfg.observer) == []) == round_trips(cfg, path)
+def test_validate_accepts_iff_save_load_round_trips(label, tree):
+    # a tree builds a model iff its printed document loads back equal
+    try:
+        cfg = example_with(label, tree)
+    except ConfigError:
+        cfg = None
+    assert (cfg is not None) == round_trips(label, tree)
+    if cfg is not None:
+        assert config_from_dict(printed(label, tree)) == cfg
 
 
 def test_validate_state_in_f_u():
-    bad = small_plant(f_u=(parse("x1", DIMS), parse("u1", DIMS)))
-    assert "f_u-state-ref" in names(validate(bad))
+    assert refused(lambda: small_plant(f_u=(parse("x1", DIMS), parse("u1", DIMS)))) == \
+        "f_u[0]: f_u must not reference state"
 
 
 def test_validate_ref_out_of_model_range():
     # parsed against roomier dims, then checked against the actual plant
     wide = SignalDims(n=5, n_u=3, n_y=2, n_delta=2, n_tau=1)
-    bad = small_plant(f_L=(parse("x5", wide), parse("sin(x2)", wide)))
-    assert "f_L-ref-range" in names(validate(bad))
+    assert refused(lambda: small_plant(f_L=(parse("x5", wide), parse("sin(x2)", wide)))) == \
+        "f_L[0]: x5: state index out of range (n=2)"
 
 
 @pytest.mark.parametrize("text", ["x3", "u2", "u1@2", "y2", "y1@1"])
 def test_ref_range_message_shared_by_parse_and_validate(text):
     wide = SignalDims(n=3, n_u=2, n_y=2, n_delta=2, n_tau=1)
-    bad = small_plant(f_L=(parse(text, wide), parse("sin(x2)", wide)))
-    [violation] = [v for v in validate(bad) if v.name == "f_L-ref-range"]
+    message = refused(lambda: small_plant(f_L=(parse(text, wide), parse("sin(x2)", wide))))
     doc = base_doc()
     doc["f_L"][0] = text
-    with pytest.raises(ConfigError) as info:
-        config_from_dict(doc)
-    assert violation.message == str(info.value)
+    assert refused(lambda: config_from_dict(doc)) == message
     if text == "x3":
-        assert violation.message == "f_L[0]: x3: state index out of range (n=2)"
+        assert message == "f_L[0]: x3: state index out of range (n=2)"
 
 
-def test_validate_observer_blocks():
+def test_observer_blocks():
     ex = example_system()
     obs = ex.observer
-    bad = ObserverParams(G=np.eye(3), J=obs.J, E=obs.E, N=obs.N, theta=obs.theta)
-    assert "G-dims" in names(validate(ex.nominal, bad))
-    bad = ObserverParams(G=obs.G, J=obs.J, E=obs.E, N=obs.N, theta=[[0.0, 1.0], [0.0, 0.0]])
-    assert "theta-dims" in names(validate(ex.nominal, bad))
-    bad = ObserverParams(G=obs.G, J=obs.J, E=obs.E, N=obs.N, theta=[[-1.0]])
-    assert "theta-psd" in names(validate(ex.nominal, bad))
-    bad = ObserverParams(G=obs.G, J=obs.J, E=obs.E, N=obs.N, theta=obs.theta, alpha=0.0)
-    assert "alpha-positive" in names(validate(ex.nominal, bad))
+    # an observer checks its own shapes, theta and alpha
+    assert refused(lambda: replace(obs, G=np.ones((2, 3)))) == "G must be square, got (2, 3)"
+    assert refused(lambda: replace(obs, G=np.eye(3))) == "J must be 3x1, got (2, 1)"
+    assert refused(lambda: replace(obs, theta=[[1.0, 0.0]])) == "theta must be square, got (1, 2)"
+    assert refused(lambda: replace(obs, theta=[[-1.0]])) == "theta must be positive semidefinite"
+    assert refused(lambda: replace(obs, alpha=0.0)) == "alpha must be positive and finite"
+    # validate checks that a self-consistent observer fits the plant, and a
+    # config calls it
+    zeros = np.zeros((3, 1))
+    three = ObserverParams(G=np.eye(3), J=zeros, E=zeros, N=zeros, theta=obs.theta)
+    assert refused(lambda: validate(ex.nominal, three)) == "G must be 2x2, got (3, 3)"
+    assert refused(lambda: replace(ex.nominal_config(), observer=three)) == \
+        "G must be 2x2, got (3, 3)"
+    zeros = np.zeros((2, 2))
+    two_outputs = ObserverParams(G=obs.G, J=zeros, E=zeros, N=zeros, theta=np.eye(2))
+    assert refused(lambda: validate(ex.nominal, two_outputs)) == \
+        "theta must be 1x1, got (2, 2)"
 
 
 def test_validate_theta_symmetry():
-    n2 = SignalDims(n=2, n_u=0, n_y=2, n_delta=0, n_tau=0)
-    plant = PlantModel(
-        A=np.eye(2), C=np.eye(2), D=np.zeros((2, 1)), n_u=0,
-        f_u=(parse("0", n2), parse("0", n2)),
-        f_g=(parse("0", n2),),
-        f_L=(parse("0", n2), parse("0", n2)),
-    )
-    obs = ObserverParams(G=np.eye(2), J=np.eye(2), E=np.zeros((2, 2)),
-                         N=np.zeros((2, 2)), theta=[[1.0, 0.5], [0.0, 1.0]])
-    assert "theta-symmetry" in names(validate(plant, obs))
+    zeros = np.zeros((2, 2))
+    assert refused(lambda: ObserverParams(G=np.eye(2), J=np.eye(2), E=zeros, N=zeros,
+                                          theta=[[1.0, 0.5], [0.0, 1.0]])) == \
+        "theta must be symmetric (asymmetry 5.00e-01)"
+
+
+def model_instances():
+    """One instance of each dataclass of ``model.__all__``, and a SimConfig."""
+    ex = example_system()
+    return [ex, ex.nominal, ex.observer, ex.certificate, ex.lipschitz, ex.nominal_config(),
+            OneSidedLipschitz(rho=0.5, a=0.75, b=1.5),
+            SimConfig(h=0.1, t_end=1.0, x0=[0.0, 0.0], xhat0=[1.0, 1.0], input_signal=())]
+
+
+def test_models_are_frozen_with_read_only_arrays():
+    instances = model_instances()
+    classes = {getattr(model, name) for name in model.__all__}
+    assert {type(obj) for obj in instances} == \
+        {cls for cls in classes if is_dataclass(cls)} | {SimConfig}
+    for obj in instances:
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, value)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, f"{type(obj).__name__}.{f.name}"
+
+
+def test_plant_copies_the_callers_array():
+    # a plant cannot change behind the check it passed: a write to the
+    # caller's array leaves it alone, a write to its field raises
+    A = np.array([[-2.0, -10.0], [0.0, -1.0]])
+    plant = small_plant(A=A)
+    A[0, 0] = np.inf
+    assert plant.A[0, 0] == -2.0
+    with pytest.raises(ValueError):
+        plant.A[0, 0] = np.inf
+    with pytest.raises(ValueError, match="A has non-finite entries"):
+        replace(plant, A=A)
 
 
 # --- certificate constraints ---------------------------------------------

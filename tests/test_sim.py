@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cubicobs import exprlang, sim
+from cubicobs import exprlang, model, sim
 from cubicobs.cert import cubic_gain
 from cubicobs.exprlang import BinOp, Call, Num, Pow, SignalDims, TimeVar, Var, parse
 from cubicobs.model import ConfigError, ObserverParams, PlantModel, example_system
@@ -143,13 +143,25 @@ def test_simconfig_rejects_non_finite_initial_state(field, value):
         example_cfg(**{field: np.array([value, 0.0])})
 
 
+def test_simconfig_copies_initial_states():
+    # the finiteness check holds for the config's life: a write to the
+    # caller's array leaves the config alone, a write to its field raises
+    x0 = np.zeros(2)
+    cfg = example_cfg(x0=x0, xhat0=x0)
+    x0[0] = np.nan
+    assert np.array_equal(cfg.x0, [0.0, 0.0]) and np.array_equal(cfg.xhat0, [0.0, 0.0])
+    with pytest.raises(ValueError):
+        cfg.x0[0] = 1.0
+
+
 @pytest.mark.parametrize("field", ["delta", "tau"])
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_delay_fails_validation(field, value):
+    # the plant refuses it when it is built, before any simulation
     ex = example_system()
-    plant = replace(ex.nominal, **{field: (value,)})
-    with pytest.raises(ConfigError, match=f"{field}-nonneg"):
-        simulate(plant, plant, ex.observer, example_cfg())
+    with pytest.raises(ConfigError) as info:
+        replace(ex.nominal, **{field: (value,)})
+    assert str(info.value) == f"{field}[0] must be nonnegative and finite"
 
 
 def test_delay_must_divide_step():
@@ -183,11 +195,30 @@ def test_state_dimension_checks():
 
 
 def test_invalid_model_is_rejected():
+    # a valid 3-state observer on the 2-state plant
     ex = example_system()
-    bad = ObserverParams(G=np.eye(3), J=ex.observer.J, E=ex.observer.E,
-                         N=ex.observer.N, theta=ex.observer.theta)
-    with pytest.raises(ValueError, match="validation"):
+    zeros = np.zeros((3, 1))
+    bad = ObserverParams(G=-np.eye(3), J=zeros, E=zeros, N=zeros, theta=ex.observer.theta)
+    with pytest.raises(ConfigError) as info:
         simulate(ex.nominal, ex.nominal, bad, example_cfg())
+    assert str(info.value) == "G must be 2x2, got (3, 3)"
+
+
+def test_simulation_parses_nothing(monkeypatch):
+    # every expression was read back when its model or config was built
+    ex = example_system()
+    cfg = example_cfg()
+    calls = []
+
+    def counting_parse(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(exprlang, "parse", counting_parse)
+    monkeypatch.setattr(model, "parse", counting_parse)
+    simulate(ex.uncertain, ex.nominal, ex.observer, cfg)
+    compare_cubic_linear(ex.nominal, ex.nominal, ex.observer, cfg)
+    assert calls == []
 
 
 # --- exact small cases ----------------------------------------------------
