@@ -161,10 +161,7 @@ def cmd_simulate(args) -> int:
     n = design_plant.n
     x0 = parse_matrix_flag(args.x0).ravel() if args.x0 else np.zeros(n)
     xhat0 = parse_matrix_flag(args.xhat0).ravel() if args.xhat0 else np.zeros(n)
-    inputs = [
-        exprlang.parse_input_signal(text)
-        for text in (args.input or [sim.DEFAULT_INPUT_SIGNAL])
-    ]
+    inputs = args.input or [sim.DEFAULT_INPUT_SIGNAL]
     if design_plant.n_u == 0:
         inputs = []
     elif len(inputs) == 1 and design_plant.n_u > 1:

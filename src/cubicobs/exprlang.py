@@ -25,10 +25,12 @@ variable ``t`` (see :func:`parse_input_signal`); model nonlinearities may
 not reference ``t``.
 
 :func:`parse` owns these rules.  A tree built through the API is valid
-when ``parse(unparse(e))`` rebuilds it; :class:`cubicobs.model.PlantModel`
-and :class:`cubicobs.sim.SimConfig` check exactly that when they are
-built, so a negative literal is written ``Neg(Num(2.0))``, as ``parse``
-builds it, not ``Num(-2.0)``.
+when ``parse(unparse(e))`` rebuilds it.  :class:`cubicobs.model.PlantModel`
+and :class:`cubicobs.sim.SimConfig` take each expression as text, which
+they parse once, or as a tree, which must read back as itself and is
+stored as ``parse`` rebuilds it.  So a negative literal is written
+``Neg(Num(2.0))``, as ``parse`` builds it, not ``Num(-2.0)``, and an
+integer literal ``Num(2)`` is stored as ``Num(2.0)``.
 
 Evaluation is strict about arithmetic: division by zero, overflow, and any
 non-finite result raise :class:`ExprEvalError` instead of propagating
@@ -382,15 +384,18 @@ def parse_input_signal(text: str) -> Expr:
     return parse(text, SignalDims(0, 0, 0), allow_time=True)
 
 
-def _read_back(e: Expr, dims: SignalDims, *, allow_time: bool = False) -> None:
-    """Check that ``e`` is a tree :func:`parse` builds: ``parse(unparse(e))``
-    rebuilds it.  Raises the :class:`ExprSyntaxError` or
-    :class:`ExprRangeError` of ``parse``, or :class:`ExprError` when the
-    text reads back as another tree."""
+def _read_back(e: str | Expr, dims: SignalDims, *, allow_time: bool = False) -> Expr:
+    """The tree :func:`parse` builds for ``e``: text is parsed once; a tree
+    is printed and parsed back, and must read back as itself.  Raises the
+    :class:`ExprSyntaxError` or :class:`ExprRangeError` of ``parse``, or
+    :class:`ExprError` when a tree reads back as another one."""
+    if isinstance(e, str):
+        return parse(e, dims, allow_time=allow_time)
     text = unparse(e)
     back = parse(text, dims, allow_time=allow_time)
     if back != e:
         raise ExprError(f"{text} reads back as {unparse(back)}")
+    return back
 
 
 # --- evaluation ----------------------------------------------------------
@@ -485,16 +490,18 @@ def _compile_source(src: str, filename: str) -> CodeType:
     return code
 
 
-def _emit(e: Expr, lines: dict[str, str], bound: dict[Var, str]) -> str:
+def _emit(e: Expr, lines: dict[str, str], bind: Callable[[Var], str] | None) -> str:
     """Add the statements computing ``e`` to ``lines``; return the name or
     literal holding it.
 
-    ``lines`` maps each right-hand side to the local it is assigned to, in
-    order.  Every inner node gets its own local, so the generated source
-    never nests deeper than one operator however deep the tree is, and a
-    subtree met again (same operation on the same locals) reuses its local:
-    every local is assigned once and every function is pure, so the value
-    and any exception are those of the first computation.
+    ``bind(ref)`` names the local holding each reference, called in the
+    order ``variables`` yields them.  ``lines`` maps each right-hand side to
+    the local it is assigned to, in order.  Every inner node gets its own
+    local, so the generated source never nests deeper than one operator
+    however deep the tree is, and a subtree met again (same operation on
+    the same locals) reuses its local: every local is assigned once and
+    every function is pure, so the value and any exception are those of
+    the first computation.  A tree without references needs no ``bind``.
     """
     match e:
         case Num(value):
@@ -502,15 +509,15 @@ def _emit(e: Expr, lines: dict[str, str], bound: dict[Var, str]) -> str:
         case TimeVar():
             return "t"
         case Var():
-            return bound[e]
+            return bind(e)
         case Neg(arg):
-            rhs = f"-{_emit(arg, lines, bound)}"
+            rhs = f"-{_emit(arg, lines, bind)}"
         case BinOp(op, left, right):
-            rhs = f"{_emit(left, lines, bound)} {op} {_emit(right, lines, bound)}"
+            rhs = f"{_emit(left, lines, bind)} {op} {_emit(right, lines, bind)}"
         case Pow(base, exponent):
-            rhs = f"{_emit(base, lines, bound)} ** {exponent}"
+            rhs = f"{_emit(base, lines, bind)} ** {exponent}"
         case Call(func, arg):
-            rhs = f"{func}({_emit(arg, lines, bound)})"
+            rhs = f"{func}({_emit(arg, lines, bind)})"
     return lines.setdefault(rhs, f"_{len(lines)}")
 
 

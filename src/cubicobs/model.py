@@ -29,7 +29,9 @@ recomputed from the matrices, never trusted from a file.
 Every model type is a frozen dataclass that refuses invalid values when it
 is built, and stores its arrays as read-only copies, so a model that exists
 stays valid; :func:`dataclasses.replace` builds, and checks, a new one.
-:func:`validate` checks that an observer fits a plant.
+:func:`validate` checks that an observer fits a plant.  A plant takes each
+expression as text or as a tree and stores the tree ``parse`` builds, so a
+loaded file's expressions are parsed once, by the plant.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from typing import Any
 
 import numpy as np
 
+# ``parse`` stays a name of this module: the benchmark's tracer
+# (perfbench/spans.py) wraps ``model.parse``
 from .exprlang import Expr, ExprError, SignalDims, _read_back, parse, unparse, variables
 from .numlin import as_matrix, psd_violation
 
@@ -103,10 +107,12 @@ class PlantModel:
     the observer replicates.  ``delta`` and ``tau`` are the input and output
     delay lists that the expressions index by slot.
 
-    Building one raises :class:`ConfigError` at the first fault in shapes,
-    ``n_u``, delays, component counts and expressions.  Each expression must
-    read back as itself (``parse(unparse(e), dims)`` rebuilds it), so a
-    plant holds exactly the trees ``parse`` builds.
+    Each expression is given as text or as a tree.  Text is parsed once; a
+    tree must read back as itself (``parse(unparse(e), dims)`` rebuilds it).
+    Either way the plant stores the tree ``parse`` built, so it holds
+    exactly the trees ``parse`` builds.  Building one raises
+    :class:`ConfigError` at the first fault in shapes, ``n_u``, delays,
+    component counts and expressions.
     """
 
     A: np.ndarray
@@ -122,8 +128,7 @@ class PlantModel:
     def __post_init__(self):
         _assign(self, "A C D",
                 delta=tuple(float(d) for d in self.delta),
-                tau=tuple(float(d) for d in self.tau),
-                f_u=tuple(self.f_u), f_g=tuple(self.f_g), f_L=tuple(self.f_L))
+                tau=tuple(float(d) for d in self.tau))
         n = self.n
         if self.A.shape[1] != n:
             raise ConfigError(f"A must be square, got {self.A.shape}")
@@ -137,19 +142,22 @@ class PlantModel:
             for i, d in enumerate(delays):
                 if not 0 <= d < np.inf:
                     raise ConfigError(f"{label}[{i}] must be nonnegative and finite")
-        vectors = (("f_u", self.f_u, n), ("f_g", self.f_g, self.n_g), ("f_L", self.f_L, n))
+        vectors = (("f_u", tuple(self.f_u), n), ("f_g", tuple(self.f_g), self.n_g),
+                   ("f_L", tuple(self.f_L), n))
         for label, exprs, count in vectors:
             if len(exprs) != count:
                 raise ConfigError(f"{label} must have {count} components")
         dims = self.dims()
         for label, exprs, _ in vectors:
+            trees = []
             for i, e in enumerate(exprs):
                 try:
-                    _read_back(e, dims)
+                    trees.append(_read_back(e, dims))
                 except ExprError as exc:
                     raise ConfigError(f"{label}[{i}]: {exc}") from None
-                if label == "f_u" and any(ref.kind == "x" for ref in variables(e)):
+                if label == "f_u" and any(ref.kind == "x" for ref in variables(trees[-1])):
                     raise ConfigError(f"f_u[{i}]: f_u must not reference state")
+            _assign(self, **{label: tuple(trees)})
 
     @property
     def n(self) -> int:
@@ -272,8 +280,9 @@ class Certificate:
 class SystemConfig:
     """One configuration document: plant, bound type, optional observer and
     certificate.  The observer must fit the plant (:func:`validate`), and a
-    certificate's multipliers must match the bound type: ``beta`` for
-    :class:`Lipschitz`, ``mu1``/``mu2`` for :class:`OneSidedLipschitz`."""
+    certificate's ``P`` must be ``n x n`` and its multipliers must match the
+    bound type: ``beta`` for :class:`Lipschitz`, ``mu1``/``mu2`` for
+    :class:`OneSidedLipschitz`."""
 
     plant: PlantModel
     lipschitz: LipschitzSpec
@@ -286,6 +295,9 @@ class SystemConfig:
         crt = self.certificate
         if crt is None:
             return
+        n = self.plant.n
+        if crt.P.shape != (n, n):
+            raise ConfigError(f"certificate.P must be {n}x{n}, got {crt.P.shape}")
         if crt.beta is not None and not isinstance(self.lipschitz, Lipschitz):
             raise ConfigError("certificate.beta needs a lipschitz.gamma bound")
         if crt.beta is None and not isinstance(self.lipschitz, OneSidedLipschitz):
@@ -339,10 +351,9 @@ def example_system() -> ExampleSystem:
     feasibility block for ``gamma = 1`` with multiplier ``beta = 100``, and
     ``N`` is the cubic gain ``-alpha P^{-1} C' theta`` for that ``P``.
     """
-    dims = SignalDims(n=2, n_u=1, n_y=1, n_delta=1, n_tau=0)
-    f_u = (parse("u1@1", dims), parse("u1", dims))
-    f_g = (parse("x2*x1", dims),)
-    f_L = (parse("x1*cos(u1)", dims), parse("sin(x2)", dims))
+    f_u = ("u1@1", "u1")
+    f_g = ("x2*x1",)
+    f_L = ("x1*cos(u1)", "sin(x2)")
     nominal = PlantModel(
         A=[[-2.0, -10.0], [0.0, -1.0]],
         C=[[1.0, 0.0]],
@@ -415,18 +426,14 @@ def _as_mat(v, rows: int, cols: int, path: str) -> np.ndarray:
     return out
 
 
-def _as_exprs(v, count: int, dims: SignalDims, path: str) -> tuple[Expr, ...]:
+def _as_exprs(v, count: int, path: str) -> tuple[str, ...]:
+    """The expression texts of ``v``; the plant parses them."""
     if not isinstance(v, list) or len(v) != count:
         raise ConfigError(f"{path}: must be a list of {count} expression strings")
-    out = []
     for i, text in enumerate(v):
         if not isinstance(text, str):
             raise ConfigError(f"{path}[{i}]: must be a string")
-        try:
-            out.append(parse(text, dims))
-        except ExprError as exc:
-            raise ConfigError(f"{path}[{i}]: {exc}") from exc
-    return tuple(out)
+    return tuple(v)
 
 
 def config_from_dict(doc: dict) -> SystemConfig:
@@ -454,16 +461,10 @@ def config_from_dict(doc: dict) -> SystemConfig:
             raise ConfigError(f"{key}: must be a list of numbers")
         return tuple(_as_number(entry, f"{key}[{i}]") for i, entry in enumerate(v))
 
-    delta = delays("delta")
-    tau = delays("tau")
-    dims = SignalDims(n=n, n_u=n_u, n_y=n_y, n_delta=len(delta), n_tau=len(tau))
-
-    f_u = _as_exprs(_need(doc, "f_u"), n, dims, "f_u")
-    f_g = _as_exprs(_need(doc, "f_g"), n_g, dims, "f_g")
-    f_L = _as_exprs(_need(doc, "f_L"), n, dims, "f_L")
-
-    plant = PlantModel(A=A, C=C, D=D, n_u=n_u, delta=delta, tau=tau,
-                       f_u=f_u, f_g=f_g, f_L=f_L)
+    plant = PlantModel(A=A, C=C, D=D, n_u=n_u, delta=delays("delta"), tau=delays("tau"),
+                       f_u=_as_exprs(_need(doc, "f_u"), n, "f_u"),
+                       f_g=_as_exprs(_need(doc, "f_g"), n_g, "f_g"),
+                       f_L=_as_exprs(_need(doc, "f_L"), n, "f_L"))
 
     lip = _need(doc, "lipschitz")
     if not isinstance(lip, dict):

@@ -50,7 +50,7 @@ import numpy as np
 
 from .exprlang import (_CODEGEN_GLOBALS, Expr, ExprError, ExprEvalError, SignalDims,
                        _compile_source, _emit, _guarded_source, _read_back, evaluate,
-                       parse_input_signal, variables)
+                       parse_input_signal)
 from .model import ConfigError, ObserverParams, PlantModel, _assign, _read_only, validate
 
 __all__ = [
@@ -96,9 +96,10 @@ class SimConfig:
     """One simulation request.
 
     ``x0`` and ``xhat0`` are finite and stored as read-only copies.
-    ``input_signal`` holds one expression in ``t`` per input channel; each
-    must read back as itself through :func:`parse_input_signal`, as a
-    plant's expressions must.
+    ``input_signal`` holds one expression in ``t`` per input channel, as
+    text or as a tree, and stores the tree :func:`parse_input_signal`
+    builds, as a plant does: text is parsed once, a tree must read back as
+    itself.
     ``prehistory`` is ``"analytic"`` (drive evaluated at negative times,
     output history frozen at its initial value) or ``"zero"``.  The config
     is frozen, so a drive becomes generated code only after this check;
@@ -113,8 +114,7 @@ class SimConfig:
     prehistory: str = "analytic"
 
     def __post_init__(self):
-        _assign(self, x0=_read_only(np.ravel(self.x0)), xhat0=_read_only(np.ravel(self.xhat0)),
-                input_signal=tuple(self.input_signal))
+        _assign(self, x0=_read_only(np.ravel(self.x0)), xhat0=_read_only(np.ravel(self.xhat0)))
         for name in ("x0", "xhat0"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name}: entries must be finite")
@@ -124,11 +124,13 @@ class SimConfig:
             raise ConfigError("t_end: must be finite and at least one step")
         if self.prehistory not in ("analytic", "zero"):
             raise ConfigError(f"prehistory: unknown policy {self.prehistory!r}")
+        drives = []
         for i, e in enumerate(self.input_signal):
             try:
-                _read_back(e, SignalDims(0, 0, 0), allow_time=True)
+                drives.append(_read_back(e, SignalDims(0, 0, 0), allow_time=True))
             except ExprError as exc:
                 raise ConfigError(f"input_signal[{i}]: {exc}") from None
+        _assign(self, input_signal=tuple(drives))
 
 
 @dataclass(eq=False)
@@ -208,69 +210,65 @@ def _delay_steps(delays, h: float, label: str) -> list[int]:
     return [_grid_steps(d, h, f"{label}[{i}]") for i, d in enumerate(delays)]
 
 
-def _referenced_lags(exprs, kind: str, delay_steps: list[int]) -> set[int]:
-    """Lags (in steps) of the ``kind`` delay slots ``exprs`` reference; slot 0
-    has lag 0."""
-    return {0 if ref.slot == 0 else delay_steps[ref.slot - 1]
-            for e in exprs for ref in variables(e) if ref.kind == kind}
+def _stage_source(members, cubic_at, nz: int, n_y: int) -> tuple[str, set[int], set[int]]:
+    """Source of ``_stage(j, s)``, the packed ``g`` of the stage at position
+    ``j``, with the input lags and the nonzero output lags (in steps) it reads.
 
-
-def _stage_source(members, cubic_at, nz: int, n_y: int, u_off: int, y_off: int) -> str:
-    """Source of ``_stage(j, s)``: the packed ``g`` of the stage at position ``j``.
-
-    ``members`` holds ``(exprs, x_at, delta_steps, tau_steps)`` for the truth
-    and then each observer, ``x_at`` being where its state sits in ``s``;
+    ``members`` holds ``(exprs, x_at, u_slot_lags, y_slot_lags)`` for the
+    truth and then each observer: ``x_at`` is where its state sits in
+    ``s``, ``u_slot_lags[slot]`` the lag of input delay slot ``slot`` (slot
+    0 has lag 0) and ``y_slot_lags[slot]`` that of an output slot.
     ``cubic_at`` holds ``(e_at, theta_rows)`` per observer with ``N != 0``.
     The function reads its inputs at fixed places: states and output errors
     in ``s``, the drive in ``grid`` and delayed outputs in ``ytab`` at a
-    constant offset plus ``j``.  Expressions are emitted by exprlang's
-    emitter, so each performs the float operations of ``evaluate``, and
-    wrapped by its guarded-source builder, which checks them for finiteness
-    and falls back to ``_reference``, as the drive's function does.
+    constant offset plus ``j``; offset 0 is the largest lag read.
+    Expressions are emitted by exprlang's emitter, so each performs the
+    float operations of ``evaluate``, and wrapped by its guarded-source
+    builder, which checks them for finiteness and falls back to
+    ``_reference``, as the drive's function does.
     """
-    loads: dict[str, str] = {}  # item -> local, in order of first use
+    loads: dict[tuple, str] = {}  # (table, lag, index) -> local, in order of first use
 
-    def load(item: str) -> str:
+    def load(item: tuple) -> str:
         return loads.setdefault(item, f"v{len(loads)}")
 
-    z = [load(f"s[{i}]") for i in range(nz)]
+    z = [load(("s", 0, i)) for i in range(nz)]
     lines: dict[str, str] = {}
     results: list[str] = []
-    for exprs, x_at, delta, tau in members:
-        bound = {}
-        for e in exprs:
-            for ref in variables(e):
-                i = ref.index - 1
-                if ref.kind == "x":
-                    item = f"s[{x_at + i}]"
-                elif ref.kind == "u":
-                    lag = delta[ref.slot - 1] if ref.slot else 0
-                    item = f"grid[j + {u_off - 2 * lag}][{i}]"
-                else:
-                    lag = tau[ref.slot - 1] if ref.slot else 0
-                    item = f"ytab[j + {y_off - 2 * lag}][{i}]" if lag else f"s[{nz + i}]"
-                bound[ref] = load(item)
-        results += [_emit(e, lines, bound) for e in exprs]
+    for exprs, x_at, u_slot_lags, y_slot_lags in members:
+        def bind(ref):
+            i = ref.index - 1
+            if ref.kind == "x":
+                return load(("s", 0, x_at + i))
+            if ref.kind == "u":
+                return load(("grid", u_slot_lags[ref.slot], i))
+            lag = y_slot_lags[ref.slot]
+            return load(("ytab", lag, i) if lag else ("s", 0, nz + i))
+        results += [_emit(e, lines, bind) for e in exprs]
     # (e' theta e) e, summed as the loop "q += e_a theta_ab e_b" sums it
     cubic_lines, cubic = [], []
     for m, (e_at, theta_rows) in enumerate(cubic_at):
-        e = [load(f"s[{e_at + i}]") for i in range(n_y)]
+        e = [load(("s", 0, e_at + i)) for i in range(n_y)]
         q = " + ".join(f"{ea} * ({tab!r}) * {eb}"
                        for ea, row in zip(e, theta_rows) for tab, eb in zip(row, e))
         cubic_lines.append(f"q{m} = 0.0 + {q}")
         for ei in e:
             cubic.append(f"c{len(cubic)}")
             cubic_lines.append(f"{cubic[-1]} = q{m} * {ei}")
-    state = [f"{name} = {item}" for item, name in loads.items() if item[0] == "s"]
-    signals = {name: f"{name} = {item}" for item, name in loads.items() if item[0] != "s"}
+    lags = {table: {lag for t, lag, _ in loads if t == table} for table in ("grid", "ytab")}
+    offset = {table: 2 * max(read, default=0) for table, read in lags.items()}
+    state = [f"{name} = s[{i}]" for (table, _, i), name in loads.items() if table == "s"]
+    signals = {name: f"{name} = {table}[j + {offset[table] - 2 * lag}][{i}]"
+               for (table, lag, i), name in loads.items() if table != "s"}
     # literals, drive samples and output-table rows are finite, a stage
     # input need not be
     check = [r for r in results if not r.startswith("(") and r not in signals]
-    return _guarded_source(
+    src = _guarded_source(
         "def _stage(j, s):", state + cubic_lines,
         [*signals.values()] + [f"{name} = {rhs}" for rhs, name in lines.items()], check,
         f"return _pack({', '.join(z + results + cubic)})",
         f"return _pack({', '.join(z + ['*_reference(j, s)'] + cubic)})")
+    return src, lags["grid"], lags["ytab"]
 
 
 def _drive_function(exprs: tuple[Expr, ...]):
@@ -278,7 +276,7 @@ def _drive_function(exprs: tuple[Expr, ...]):
     which read back, at time ``t``.  Its values are ``evaluate``'s bit for
     bit, and a failure raises ``evaluate``'s :class:`ExprEvalError`."""
     lines: dict[str, str] = {}
-    results = [_emit(e, lines, {}) for e in exprs]
+    results = [_emit(e, lines, None) for e in exprs]
     src = _guarded_source(
         "def _drive(t):", [], [f"{name} = {rhs}" for rhs, name in lines.items()],
         [r for r in results if r.startswith("_")],  # literals and t are finite
@@ -325,22 +323,67 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
         )
 
     h = cfg.h
-    delta_truth = _delay_steps(truth.delta, h, "delta")
-    tau_truth = _delay_steps(truth.tau, h, "tau")
-    delta_design = _delay_steps(design.delta, h, "delta")
-    tau_design = _delay_steps(design.tau, h, "tau")
+    truth_lags = ([0] + _delay_steps(truth.delta, h, "delta"),
+                  [0] + _delay_steps(truth.tau, h, "tau"))
+    design_lags = ([0] + _delay_steps(design.delta, h, "delta"),
+                   [0] + _delay_steps(design.tau, h, "tau"))
     steps = _grid_steps(cfg.t_end, h, "t_end")
     analytic_pre = cfg.prehistory == "analytic"
     n_half = 2 * steps + 1  # stage positions j = 0 .. 2 steps, time (j/2) h
 
+    # z = [x; w_1; ...; w_M].  R z = [y; xhat_1; ...; xhat_M; e_m ...] with
+    # y = C x, xhat_m = w_m + E_m y and, for each observer with N != 0 only,
+    # the output error e_m = y - C_d xhat_m.  The derivative is
+    #     dz = W g,  g = [z; f_truth; f_design_1; ...; f_design_M; (e_m' theta_m e_m) e_m ...],
+    # with f_truth = [f_u; f_g; f_L] at x and f_design_m = [f_u; f_L] at xhat_m.
+    # The loop carries s = [z; R z] = S z, S = [I; R].  One generated call
+    # turns a stage's input s into g, packed as bytes; one product turns g
+    # into the next stage's input s + c h S W g = [c h S W | I] [g; s].
+    C_t, C_d, n_g = truth.C, design.C, truth.n_g
+    M = len(observers)
+    n_cubic = sum(bool(obs.N.any()) for obs in observers)  # N = 0 skips the term
+    nz = n + M * n
+    fd_col = nz + 2 * n + n_g  # columns: z, f_truth, each f_design_m, cubic
+    c_col = fd_col + 2 * M * n
+    e_row = n_y + M * n
+    In = np.eye(n)
+    R = np.zeros((e_row + n_cubic * n_y, nz))
+    W = np.zeros((nz, c_col + n_cubic * n_y))
+    R[:n_y, :n] = C_t
+    W[:n, :n] = truth.A
+    W[:n, nz:fd_col] = np.hstack([In, truth.D, In])
+    members = [(truth.f_u + truth.f_g + truth.f_L, 0, *truth_lags)]
+    cubic_at = []  # where each cubic e_m sits in s, with its theta_m
+    for m, obs in enumerate(observers):
+        w = slice(n + m * n, n + (m + 1) * n)
+        r = n_y + m * n
+        R[r:r + n, :n] = obs.E @ C_t
+        R[r:r + n, w] = In
+        members.append((design.f_u + design.f_L, nz + r, *design_lags))
+        W[w, :n] = obs.J @ C_t
+        W[w, w] = obs.G
+        W[w, fd_col + 2 * m * n:fd_col + 2 * (m + 1) * n] = np.tile(In - obs.E @ C_d, 2)
+        if obs.N.any():
+            er, ec = e_row + len(cubic_at) * n_y, c_col + len(cubic_at) * n_y
+            R[er:er + n_y, :n] = C_t - C_d @ obs.E @ C_t
+            R[er:er + n_y, w] = -C_d
+            W[w, ec:ec + n_y] = -obs.N
+            cubic_at.append((nz + er, obs.theta.tolist()))
+    S = np.vstack([np.eye(nz), R])
+    SW = S @ W
+    I_s = np.eye(len(S))
+    half_stage = np.hstack([(0.5 * h) * SW, I_s])
+    full_stage = np.hstack([h * SW, I_s])
+    # the step's end, S (z + h/6 W (g1 + 2 g2 + 2 g3 + g4)), from [g1; ...; g4; s]:
+    # R z is derived from z afresh every step, so it cannot drift from it
+    sixth = (h / 6.0) * SW
+    step_end = np.hstack([sixth, 2.0 * sixth, 2.0 * sixth, sixth, S, np.zeros((len(S), len(R)))])
+    src, u_lags, y_lags = _stage_source(members, cubic_at, nz, n_y)
+
     # The drive depends on t alone: evaluate it once per half-step on one grid,
     # positions p = -2 L_max .. 2 steps at time (p/2) h, where L_max is the
-    # largest input lag referenced.  Lag L reads stage j at p = j - 2 L.  A
+    # largest input lag the stage reads.  Lag L reads stage j at p = j - 2 L.  A
     # failure is raised at the first step whose stages reach it through any lag.
-    truth_exprs = truth.f_u + truth.f_g + truth.f_L
-    design_exprs = design.f_u + design.f_L
-    u_lags = (_referenced_lags(truth_exprs, "u", delta_truth)
-              | _referenced_lags(design_exprs, "u", delta_design))
     u_off = 2 * max(u_lags, default=0)  # grid index of p = 0
     grid: list = [None] * (u_off + n_half)
     failed: dict[int, ExprEvalError] = {}  # grid index -> error, in order
@@ -365,54 +408,6 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
             if step < fail_step:
                 fail_step, drive_error = step, failed[i]
 
-    # z = [x; w_1; ...; w_M].  R z = [y; xhat_1; ...; xhat_M; e_m ...] with
-    # y = C x, xhat_m = w_m + E_m y and, for each observer with N != 0 only,
-    # the output error e_m = y - C_d xhat_m.  The derivative is
-    #     dz = W g,  g = [z; f_truth; f_design_1; ...; f_design_M; (e_m' theta_m e_m) e_m ...],
-    # with f_truth = [f_u; f_g; f_L] at x and f_design_m = [f_u; f_L] at xhat_m.
-    # The loop carries s = [z; R z] = S z, S = [I; R].  One generated call
-    # turns a stage's input s into g, packed as bytes; one product turns g
-    # into the next stage's input s + c h S W g = [c h S W | I] [g; s].
-    C_t, C_d, n_g = truth.C, design.C, truth.n_g
-    M = len(observers)
-    n_cubic = sum(bool(obs.N.any()) for obs in observers)  # N = 0 skips the term
-    nz = n + M * n
-    fd_col = nz + 2 * n + n_g  # columns: z, f_truth, each f_design_m, cubic
-    c_col = fd_col + 2 * M * n
-    e_row = n_y + M * n
-    In = np.eye(n)
-    R = np.zeros((e_row + n_cubic * n_y, nz))
-    W = np.zeros((nz, c_col + n_cubic * n_y))
-    R[:n_y, :n] = C_t
-    W[:n, :n] = truth.A
-    W[:n, nz:fd_col] = np.hstack([In, truth.D, In])
-    members = [(truth_exprs, 0, delta_truth, tau_truth)]
-    cubic_at = []  # where each cubic e_m sits in s, with its theta_m
-    for m, obs in enumerate(observers):
-        w = slice(n + m * n, n + (m + 1) * n)
-        r = n_y + m * n
-        R[r:r + n, :n] = obs.E @ C_t
-        R[r:r + n, w] = In
-        members.append((design_exprs, nz + r, delta_design, tau_design))
-        W[w, :n] = obs.J @ C_t
-        W[w, w] = obs.G
-        W[w, fd_col + 2 * m * n:fd_col + 2 * (m + 1) * n] = np.tile(In - obs.E @ C_d, 2)
-        if obs.N.any():
-            er, ec = e_row + len(cubic_at) * n_y, c_col + len(cubic_at) * n_y
-            R[er:er + n_y, :n] = C_t - C_d @ obs.E @ C_t
-            R[er:er + n_y, w] = -C_d
-            W[w, ec:ec + n_y] = -obs.N
-            cubic_at.append((nz + er, obs.theta.tolist()))
-    S = np.vstack([np.eye(nz), R])
-    SW = S @ W
-    I_s = np.eye(len(S))
-    half_stage = np.hstack([(0.5 * h) * SW, I_s])
-    full_stage = np.hstack([h * SW, I_s])
-    # the step's end, S (z + h/6 W (g1 + 2 g2 + 2 g3 + g4)), from [g1; ...; g4; s]:
-    # R z is derived from z afresh every step, so it cannot drift from it
-    sixth = (h / 6.0) * SW
-    step_end = np.hstack([sixth, 2.0 * sixth, 2.0 * sixth, sixth, S, np.zeros((len(S), len(R)))])
-
     x0 = cfg.x0
     y0 = C_t @ x0
     z0 = np.concatenate([x0] + [cfg.xhat0 - obs.E @ y0 for obs in observers])
@@ -421,11 +416,9 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
     s = traj[0].tolist()
 
     # Delayed outputs at half-step positions m >= -2 T_max (T_max the largest
-    # output lag referenced): row y_off + m holds y at the grid for even m and
-    # the mean of its neighbours for odd m, as HistoryBuffer.value_at gives.
+    # output lag the stage reads): row y_off + m holds y at the grid for even m
+    # and the mean of its neighbours for odd m, as HistoryBuffer.value_at gives.
     # Before t = 0 the history is y(0) or zero, per the prehistory policy.
-    y_lags = (_referenced_lags(truth_exprs, "y", tau_truth)
-              | _referenced_lags(design_exprs, "y", tau_design))
     y_off = 2 * max(y_lags, default=0)
     y_table: list[list[float]] = []
     if y_off:
@@ -440,16 +433,15 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
         t = (j * 0.5) * h
         y_now = s[nz:nz + n_y]
         out = []
-        for exprs, x_at, delta, tau in members:
-            u = [grid[j + u_off - 2 * lag] if lag in u_lags else None for lag in [0] + delta]
+        for exprs, x_at, u_slot_lags, y_slot_lags in members:
+            u = [grid[j + u_off - 2 * lag] if lag in u_lags else None for lag in u_slot_lags]
             y = [y_now if not lag else y_table[j + y_off - 2 * lag] if lag in y_lags else None
-                 for lag in [0] + tau]
+                 for lag in y_slot_lags]
             out += [evaluate(e, s[x_at:x_at + n], u, y, t) for e in exprs]
         return out
 
     namespace = {**_CODEGEN_GLOBALS, "_reference": reference, "grid": grid, "ytab": y_table,
                  "_pack": struct.Struct(f"{W.shape[1]}d").pack}
-    src = _stage_source(members, cubic_at, nz, n_y, u_off, y_off)
     exec(_compile_source(src, "<cubicobs.sim stage>"), namespace)
     stage = namespace["_stage"]
     zeros = np.zeros(len(S))

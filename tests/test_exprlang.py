@@ -243,7 +243,8 @@ def generated(exprs, stage=None):
     Expressions with no signal reference run as the drive, unless ``stage``;
     others run as the one member of a stage whose state ``s`` is ``x``
     followed by ``y[0]``, with input slots 0, 1, 2 at lags 0, 1, 2 on the
-    drive grid and output slot 1 at lag 1 in the output table.
+    drive grid and output slot 1 at lag 1 in the output table.  The grid
+    and the table reach back to the largest lag the stage reads.
     """
     exprs = tuple(exprs)
     if stage is None:
@@ -251,15 +252,19 @@ def generated(exprs, stage=None):
     if not stage:
         drive = sim._drive_function(exprs)
         return lambda x, u, y, t: drive(t)
-    src = sim._stage_source([(exprs, 0, [1, 2], [1])], [], DIMS.n, DIMS.n_y, 4, 2)
-    grid, ytab = [None] * 5, [None]
+    src, u_lags, y_lags = sim._stage_source([(exprs, 0, [0, 1, 2], [0, 1])], [],
+                                            DIMS.n, DIMS.n_y)
+    u_off, y_off = 2 * max(u_lags, default=0), 2 * max(y_lags, default=0)
+    grid, ytab = [None] * (u_off + 1), [None] * (y_off + 1)
     namespace = {**exprlang._CODEGEN_GLOBALS, "grid": grid, "ytab": ytab,
                  "_pack": lambda *v: v[DIMS.n:]}
     exec(exprlang._compile_source(src, "<test stage>"), namespace)
 
     def call(x, u, y, t):
-        grid[4], grid[2], grid[0] = u or (None, None, None)
-        ytab[0] = y[1] if y else None
+        for lag in u_lags:  # slot = lag
+            grid[u_off - 2 * lag] = u[lag] if u else None
+        for lag in y_lags:
+            ytab[y_off - 2 * lag] = y[lag] if y else None
         namespace["_reference"] = lambda j, s: tree_walk(exprs, x, u, y, t)
         return namespace["_stage"](0, [*x, *(y[0] if y else [0.0])])
     return call

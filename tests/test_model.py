@@ -17,6 +17,7 @@ from cubicobs.exprlang import (
     SignalDims,
     TimeVar,
     Var,
+    evaluate,
     parse,
     unparse,
 )
@@ -275,6 +276,21 @@ def test_validate_accepts_iff_save_load_round_trips(label, tree):
         assert config_from_dict(printed(label, tree)) == cfg
 
 
+def test_plant_takes_text_and_stores_the_parsed_tree():
+    # text is parsed once; a tree is stored as parse rebuilds it
+    assert small_plant(f_u=("u1@1", "u1"), f_g=("x2*x1",),
+                       f_L=("x1*cos(u1)", "sin(x2)")) == small_plant()
+    assert refused(lambda: small_plant(f_L=("x1 +", "sin(x2)"))) == \
+        "f_L[0]: expected a number, variable, or '(' (at position 4)"
+    # Num(3) == Num(3.0) reads back, and is stored as the float literal, so
+    # it evaluates as its saved and reloaded copy does
+    cfg = example_with("f_L", BinOp("*", Pow(Num(3), 40), Var("x", 1)))
+    stored = cfg.plant.f_L[0]
+    assert type(stored.left.base.value) is float
+    loaded = config_from_dict(config_to_dict(cfg)).plant.f_L[0]
+    assert evaluate(stored, (1.0, 0.0)) == evaluate(loaded, (1.0, 0.0)) == 3.0 ** 40
+
+
 def test_validate_state_in_f_u():
     assert refused(lambda: small_plant(f_u=(parse("x1", DIMS), parse("u1", DIMS)))) == \
         "f_u[0]: f_u must not reference state"
@@ -374,6 +390,15 @@ def test_certificate_multiplier_exclusivity():
         Certificate(P=P)
     with pytest.raises(ValueError):
         Certificate(P=P, mu1=2.0)
+
+
+def test_config_refuses_certificate_of_other_size():
+    # save_config would write a file load_config refuses
+    cfg = example_system().nominal_config()
+    assert refused(lambda: replace(cfg, certificate=Certificate(P=np.eye(3), beta=100.0))) == \
+        "certificate.P must be 2x2, got (3, 3)"
+    assert refused(lambda: replace(cfg, certificate=Certificate(P=np.ones((2, 3)), beta=1.0))) \
+        == "certificate.P must be 2x2, got (2, 3)"
 
 
 def test_lipschitz_gamma_positive():

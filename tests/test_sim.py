@@ -204,6 +204,19 @@ def test_invalid_model_is_rejected():
     assert str(info.value) == "G must be 2x2, got (3, 3)"
 
 
+def test_integer_literal_overflow_is_a_simulation_error():
+    # Num(10) reads back as Num(10.0); stored as the int, its power of 400
+    # was exact and the product with x1 raised a raw OverflowError
+    ex = example_system()
+    truth = replace(ex.nominal, f_L=(BinOp("*", Pow(Num(10), 400), Var("x", 1)), "sin(x2)"))
+    assert type(truth.f_L[0].left.base.value) is float
+    with pytest.raises(SimulationError, match="overflow in power"):
+        simulate(truth, ex.nominal, ex.observer, example_cfg(t_end=0.05))
+    cfg = example_cfg(input_signal=(BinOp("*", Num(3), TimeVar()),))
+    assert type(cfg.input_signal[0].left.value) is float
+    assert example_cfg(input_signal=("3*t",)).input_signal == cfg.input_signal
+
+
 def test_simulation_parses_nothing(monkeypatch):
     # every expression was read back when its model or config was built
     ex = example_system()

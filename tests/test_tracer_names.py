@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cubicobs import sim
+from cubicobs import model, sim
 from cubicobs.model import example_system
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -29,3 +29,20 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert sim.simulate is original
     assert layers["spans"]["sim.simulate"][0] == 1
     assert layers["counts"]["sim.steps"] == 5
+
+
+def test_tracer_counts_one_parse_per_loaded_expression(monkeypatch, tmp_path):
+    # the plant parses each text once, through the parse the tracer wraps
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    path = tmp_path / "nominal.json"
+    model.save_config(example_system().nominal_config(), path)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        model.load_config(path)
+        layers = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert layers["spans"]["exprlang.parse"][0] == 5
