@@ -22,7 +22,7 @@ cfg = sim.SimConfig(
     t_end=20.0,
     x0=np.zeros(2),
     xhat0=(-5.0, -5.0),
-    input_signal=sim.input_signals(sim.DEFAULT_INPUT_SIGNAL, ex.nominal.n_u),
+    input_signal=(sim.DEFAULT_INPUT_SIGNAL,) * ex.nominal.n_u,
 )
 
 # The uncertain truth model changes the drift matrix A and grows the input

@@ -81,15 +81,10 @@ def cmd_design(args) -> int:
         T = np.eye(plant.n) - E @ plant.C
         L = design.stabilize_L(T, plant.A, plant.C, args.auto_margin)
     result = design.design_GJ(plant.A, plant.C, E, L, D=plant.D)
+    gains = dict(G=result.G, J=result.J, E=result.E)
     prev = cfg.observer
-    cfg = replace(cfg, observer=model.ObserverParams(
-        G=result.G,
-        J=result.J,
-        E=result.E,
-        N=prev.N if prev is not None else np.zeros((plant.n, plant.n_y)),
-        theta=prev.theta if prev is not None else np.eye(plant.n_y),
-        alpha=prev.alpha if prev is not None else 1.0,
-    ))
+    cfg = replace(cfg, observer=model.ObserverParams(**gains) if prev is None
+                  else replace(prev, **gains))
     model.save_config(cfg, args.out)
     print(f"residual_sylvester={result.residual_sylvester:.3e}")
     print(f"residual_decoupling={result.residual_decoupling:.3e}")

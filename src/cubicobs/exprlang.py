@@ -521,18 +521,19 @@ def _emit(e: Expr, lines: dict[str, str], bind: Callable[[Var], str] | None) -> 
     return lines.setdefault(rhs, f"_{len(lines)}")
 
 
-def _guarded_source(head: str, before: list[str], body: list[str], check: list[str],
-                    fast: str, slow: str) -> str:
-    """Source of the function ``head``: ``before``, then ``body`` and ``fast``
-    when the names in ``check`` are all finite, else ``slow``, which re-runs
+def _guarded_source(head: str, body: list[str], check: list[str], fast: str,
+                    slow: str) -> str:
+    """Source of the function ``head``: ``body`` and ``fast`` when the names
+    in ``check`` are all finite, else ``slow``, which re-runs
     :func:`evaluate`.  ``check`` is tested once, through its sum; a sum of
     finite values that overflows only sends the call through ``slow``, as
-    does any arithmetic, domain or lookup failure in ``body``.
+    does any arithmetic, domain, lookup or type failure in ``body``.  The
+    whole body runs inside the guard, so every name ``slow`` reads from it
+    must be bound by lines that cannot raise, ahead of any line that can.
     """
     total = " + ".join(dict.fromkeys(check))
     body = body + ([f"if isfinite({total}):", f"    {fast}"] if total else [fast])
     return (f"{head}\n"
-            + "".join(f"    {line}\n" for line in before)
             + "    try:\n"
             + "".join(f"        {line}\n" for line in body)
             + "    except (ArithmeticError, ValueError, LookupError, TypeError):\n"

@@ -79,11 +79,12 @@ def _read_only(a) -> np.ndarray:
 
 def _assign(obj, matrices: str = "", **values) -> None:
     """Set fields of a frozen dataclass from its ``__post_init__``: each
-    field named in ``matrices`` to a read-only matrix copy, then ``values``."""
-    for name in matrices.split():
-        object.__setattr__(obj, name, _read_only(as_matrix(getattr(obj, name), name)))
+    field to its value in ``values``, then each field named in ``matrices``
+    to a read-only matrix copy."""
     for name, value in values.items():
         object.__setattr__(obj, name, value)
+    for name in matrices.split():
+        object.__setattr__(obj, name, _read_only(as_matrix(getattr(obj, name), name)))
 
 
 def _eq_fields(self, other):
@@ -112,7 +113,8 @@ class PlantModel:
     Either way the plant stores the tree ``parse`` built, so it holds
     exactly the trees ``parse`` builds.  Building one raises
     :class:`ConfigError` at the first fault in shapes, ``n_u``, delays,
-    component counts and expressions.
+    component counts and expressions; a bare string in place of a delay
+    list or an expression vector is a fault.
     """
 
     A: np.ndarray
@@ -126,6 +128,9 @@ class PlantModel:
     f_L: tuple[Expr, ...] = ()
 
     def __post_init__(self):
+        for name in ("delta", "tau", "f_u", "f_g", "f_L"):
+            if isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name}: must be a sequence, not a string")
         _assign(self, "A C D",
                 delta=tuple(float(d) for d in self.delta),
                 tau=tuple(float(d) for d in self.tau))
@@ -220,20 +225,24 @@ class ObserverParams:
     - ((y - C xhat)' theta (y - C xhat)) N (y - C xhat)`` and reconstructs
     ``xhat = w + E y``.
 
-    Building one raises :class:`ConfigError` unless ``G`` is ``n x n``,
-    ``theta`` is ``n_y x n_y`` and positive semidefinite, ``J``, ``E`` and
-    ``N`` are ``n x n_y`` and ``alpha`` is positive and finite.
+    ``N`` defaults to zero (the linear observer) and ``theta`` to the
+    identity, both sized from ``J``.  Building one raises
+    :class:`ConfigError` unless ``G`` is ``n x n``, ``theta`` is
+    ``n_y x n_y`` and positive semidefinite, ``J``, ``E`` and ``N`` are
+    ``n x n_y`` and ``alpha`` is positive and finite.
     """
 
     G: np.ndarray
     J: np.ndarray
     E: np.ndarray
-    N: np.ndarray
-    theta: np.ndarray
+    N: np.ndarray | None = None
+    theta: np.ndarray | None = None
     alpha: float = 1.0
 
     def __post_init__(self):
-        _assign(self, "G J E N theta", alpha=float(self.alpha))
+        _assign(self, "G J E", alpha=float(self.alpha))
+        _assign(self, "N theta", N=np.zeros(self.J.shape) if self.N is None else self.N,
+                theta=np.eye(self.J.shape[1]) if self.theta is None else self.theta)
         n, n_y = self.G.shape[0], self.theta.shape[0]
         if self.G.shape != (n, n):
             raise ConfigError(f"G must be square, got {self.G.shape}")
@@ -485,24 +494,16 @@ def config_from_dict(doc: dict) -> SystemConfig:
         obs = doc["observer"]
         if not isinstance(obs, dict):
             raise ConfigError("observer: must be an object")
-        theta = (
-            _as_mat(obs["theta"], n_y, n_y, "observer.theta")
-            if "theta" in obs
-            else np.eye(n_y)
-        )
-        Nmat = (
-            _as_mat(obs["N"], n, n_y, "observer.N")
-            if "N" in obs
-            else np.zeros((n, n_y))
-        )
-        alpha = _as_number(obs["alpha"], "observer.alpha") if "alpha" in obs else 1.0
+        # only the keys the file has: the observer supplies the defaults
+        given = {key: _as_mat(obs[key], rows, n_y, f"observer.{key}")
+                 for key, rows in (("theta", n_y), ("N", n)) if key in obs}
+        if "alpha" in obs:
+            given["alpha"] = _as_number(obs["alpha"], "observer.alpha")
         observer = ObserverParams(
             G=_as_mat(_need(obs, "G", "observer."), n, n, "observer.G"),
             J=_as_mat(_need(obs, "J", "observer."), n, n_y, "observer.J"),
             E=_as_mat(_need(obs, "E", "observer."), n, n_y, "observer.E"),
-            N=Nmat,
-            theta=theta,
-            alpha=alpha,
+            **given,
         )
 
     certificate = None

@@ -31,12 +31,13 @@ expression that fails makes the stage re-run through
 walk's error.  The drive depends on ``t`` alone: a function generated the
 same way evaluates it once per half step on one grid reaching back to the
 largest input lag, before integration starts, and each lag reads a slice
-of it.  Delayed outputs are read from a half-step table of the output,
-kept only when an expression reads a delayed output: grid samples, and
-between them the mean of the two neighbours (linear interpolation at the
-midpoint).  Before ``t = 0`` the drive is evaluated analytically (or
-zeroed) and the output history is frozen at ``y(0)`` (or zeroed), per the
-prehistory policy.
+of it.  A sample that fails is kept in the grid as its error, which the
+first stage to read it raises through the same fallback.  Delayed outputs
+are read from a half-step table of the output, kept only when an
+expression reads a delayed output: grid samples, and between them the
+mean of the two neighbours (linear interpolation at the midpoint).  Before
+``t = 0`` the drive is evaluated analytically (or zeroed) and the output
+history is frozen at ``y(0)`` (or zeroed), per the prehistory policy.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exprlang import (_CODEGEN_GLOBALS, Expr, ExprError, ExprEvalError, SignalDims,
-                       _compile_source, _emit, _guarded_source, _read_back, evaluate,
-                       parse_input_signal)
+                       _compile_source, _emit, _guarded_source, _read_back, evaluate)
 from .model import ConfigError, ObserverParams, PlantModel, _assign, _read_only, validate
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "StudyReport",
     "example_study",
     "write_trajectory_csv",
-    "input_signals",
     "DEFAULT_INPUT_SIGNAL",
 ]
 
@@ -85,21 +84,16 @@ class SimulationError(RuntimeError):
 DEFAULT_INPUT_SIGNAL = "0.0003*sin(t)"
 
 
-def input_signals(text: str, n_u: int) -> tuple[Expr, ...]:
-    """Parse one drive expression in ``t`` and replicate it per channel."""
-    e = parse_input_signal(text)
-    return (e,) * n_u
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation request.
 
     ``x0`` and ``xhat0`` are finite and stored as read-only copies.
-    ``input_signal`` holds one expression in ``t`` per input channel, as
-    text or as a tree, and stores the tree :func:`parse_input_signal`
-    builds, as a plant does: text is parsed once, a tree must read back as
-    itself.
+    ``input_signal`` is a sequence of one expression in ``t`` per input
+    channel, each as text or as a tree, so one drive on every channel is
+    ``(text,) * n_u``; a bare string is refused.  It stores the trees
+    :func:`~cubicobs.exprlang.parse_input_signal` builds, as a plant does:
+    text is parsed once, a tree must read back as itself.
     ``prehistory`` is ``"analytic"`` (drive evaluated at negative times,
     output history frozen at its initial value) or ``"zero"``.  The config
     is frozen, so a drive becomes generated code only after this check;
@@ -124,6 +118,8 @@ class SimConfig:
             raise ConfigError("t_end: must be finite and at least one step")
         if self.prehistory not in ("analytic", "zero"):
             raise ConfigError(f"prehistory: unknown policy {self.prehistory!r}")
+        if isinstance(self.input_signal, str):
+            raise ConfigError("input_signal: must be a sequence of expressions, not a string")
         drives = []
         for i, e in enumerate(self.input_signal):
             try:
@@ -225,7 +221,9 @@ def _stage_source(members, cubic_at, nz: int, n_y: int) -> tuple[str, set[int], 
     Expressions are emitted by exprlang's emitter, so each performs the
     float operations of ``evaluate``, and wrapped by its guarded-source
     builder, which checks them for finiteness and falls back to
-    ``_reference``, as the drive's function does.
+    ``_reference``, as the drive's function does.  State loads and cubic
+    values cannot raise and come first, so the fallback finds them bound; a
+    drive row that holds an error fails its read with ``TypeError``.
     """
     loads: dict[tuple, str] = {}  # (table, lag, index) -> local, in order of first use
 
@@ -264,8 +262,9 @@ def _stage_source(members, cubic_at, nz: int, n_y: int) -> tuple[str, set[int], 
     # input need not be
     check = [r for r in results if not r.startswith("(") and r not in signals]
     src = _guarded_source(
-        "def _stage(j, s):", state + cubic_lines,
-        [*signals.values()] + [f"{name} = {rhs}" for rhs, name in lines.items()], check,
+        "def _stage(j, s):",
+        state + cubic_lines + [*signals.values()]
+        + [f"{name} = {rhs}" for rhs, name in lines.items()], check,
         f"return _pack({', '.join(z + results + cubic)})",
         f"return _pack({', '.join(z + ['*_reference(j, s)'] + cubic)})")
     return src, lags["grid"], lags["ytab"]
@@ -278,7 +277,7 @@ def _drive_function(exprs: tuple[Expr, ...]):
     lines: dict[str, str] = {}
     results = [_emit(e, lines, None) for e in exprs]
     src = _guarded_source(
-        "def _drive(t):", [], [f"{name} = {rhs}" for rhs, name in lines.items()],
+        "def _drive(t):", [f"{name} = {rhs}" for rhs, name in lines.items()],
         [r for r in results if r.startswith("_")],  # literals and t are finite
         f"return ({', '.join(results)},)", "return _reference(t)")
     namespace = {**_CODEGEN_GLOBALS,
@@ -383,10 +382,9 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
     # The drive depends on t alone: evaluate it once per half-step on one grid,
     # positions p = -2 L_max .. 2 steps at time (p/2) h, where L_max is the
     # largest input lag the stage reads.  Lag L reads stage j at p = j - 2 L.  A
-    # failure is raised at the first step whose stages reach it through any lag.
+    # failed sample keeps its error in the grid, raised by the stage that reads it.
     u_off = 2 * max(u_lags, default=0)  # grid index of p = 0
     grid: list = [None] * (u_off + n_half)
-    failed: dict[int, ExprEvalError] = {}  # grid index -> error, in order
     if u_lags:
         drive = _drive_function(cfg.input_signal)
         zero_u = (0.0,) * n_u
@@ -398,15 +396,7 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
             try:
                 grid[i] = drive((p * 0.5) * h)
             except ExprEvalError as exc:
-                failed[i] = exc
-    fail_step, drive_error = steps, None
-    for lag in sorted(u_lags):
-        start = u_off - 2 * lag  # grid index of this lag's stage j = 0
-        i = next((i for i in failed if i >= start), None)
-        if i is not None and i - start < n_half:
-            step = max(0, (i - start - 1) // 2)  # the first step whose stages reach it
-            if step < fail_step:
-                fail_step, drive_error = step, failed[i]
+                grid[i] = exc
 
     x0 = cfg.x0
     y0 = C_t @ x0
@@ -417,7 +407,7 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
 
     # Delayed outputs at half-step positions m >= -2 T_max (T_max the largest
     # output lag the stage reads): row y_off + m holds y at the grid for even m
-    # and the mean of its neighbours for odd m, as HistoryBuffer.value_at gives.
+    # and the mean of its neighbours for odd m, linear interpolation at the midpoint.
     # Before t = 0 the history is y(0) or zero, per the prehistory policy.
     y_off = 2 * max(y_lags, default=0)
     y_table: list[list[float]] = []
@@ -429,12 +419,16 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
 
     def reference(j: int, s: list[float]) -> list[float]:
         # the stage's expression values through evaluate, truth first: raises
-        # the error a tree walk raises, where the generated code failed
+        # the error a tree walk raises, where the generated code failed,
+        # including a failed drive sample of a member's input slots
         t = (j * 0.5) * h
         y_now = s[nz:nz + n_y]
         out = []
         for exprs, x_at, u_slot_lags, y_slot_lags in members:
             u = [grid[j + u_off - 2 * lag] if lag in u_lags else None for lag in u_slot_lags]
+            for row in u:
+                if isinstance(row, ExprEvalError):
+                    raise row
             y = [y_now if not lag else y_table[j + y_off - 2 * lag] if lag in y_lags else None
                  for lag in y_slot_lags]
             out += [evaluate(e, s[x_at:x_at + n], u, y, t) for e in exprs]
@@ -453,8 +447,6 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
         for k in range(steps):
             j = 2 * k
             try:
-                if k == fail_step:
-                    raise drive_error
                 g1 = stage(j, s)
                 g2 = stage(j + 1, half_stage.dot(np.frombuffer(g1 + s_bytes)).tolist())
                 g3 = stage(j + 1, half_stage.dot(np.frombuffer(g2 + s_bytes)).tolist())
@@ -568,7 +560,7 @@ def example_study(out_dir) -> StudyReport:
         t_end=20.0,
         x0=np.zeros(2),
         xhat0=np.array([-5.0, -5.0]),
-        input_signal=input_signals(DEFAULT_INPUT_SIGNAL, ex.nominal.n_u),
+        input_signal=(DEFAULT_INPUT_SIGNAL,) * ex.nominal.n_u,
     )
     nominal = compare_cubic_linear(ex.nominal, ex.nominal, ex.observer, cfg)
     uncertain = compare_cubic_linear(ex.uncertain, ex.nominal, ex.observer, cfg)

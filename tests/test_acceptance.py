@@ -143,7 +143,7 @@ def test_08_lyapunov_nonincreasing(bundle, criterion):
             t_end=20.0,
             x0=(0.0, 0.0),
             xhat0=(-5.0, -5.0),
-            input_signal=sim.input_signals(sim.DEFAULT_INPUT_SIGNAL, plant.n_u),
+            input_signal=(sim.DEFAULT_INPUT_SIGNAL,) * plant.n_u,
         )
         res = sim.simulate(plant, plant, bundle.observer, cfg)
         e = res.x - res.xhat

@@ -79,6 +79,22 @@ def test_design_auto_margin(configs, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_design_without_observer_writes_the_default_gains(configs, tmp_path, capsys):
+    # the designed observer takes N = 0, theta = I and alpha = 1 from
+    # ObserverParams, as a loaded observer block without them does
+    doc = json.loads(configs["nominal"].read_text())
+    del doc["observer"], doc["certificate"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    out = tmp_path / "designed.json"
+    assert main(["design", "--config", str(bare), "--L", "[10;-3]", "--out", str(out)]) == EXIT_OK
+    written = json.loads(out.read_text())["observer"]
+    assert written["theta"] == [[1.0]]
+    assert written["N"] == [[0.0], [0.0]]
+    assert written["alpha"] == 1.0
+    capsys.readouterr()
+
+
 def test_design_infeasible_channel(configs, tmp_path, capsys):
     doc = json.loads(configs["nominal"].read_text())
     doc["D"] = [[0.0], [1.0]]

@@ -291,6 +291,16 @@ def test_plant_takes_text_and_stores_the_parsed_tree():
     assert evaluate(stored, (1.0, 0.0)) == evaluate(loaded, (1.0, 0.0)) == 3.0 ** 40
 
 
+@pytest.mark.parametrize("field, text", [("f_u", "12"), ("f_g", "7"), ("f_L", "12"),
+                                         ("delta", "12"), ("tau", "12")])
+def test_plant_refuses_a_bare_string(field, text):
+    # a string is a sequence of characters: "12" would become two entries,
+    # 1 and 2, and "7" one, each valid on the bundled plant
+    plant = example_system().nominal
+    assert refused(lambda: replace(plant, **{field: text})) == \
+        f"{field}: must be a sequence, not a string"
+
+
 def test_validate_state_in_f_u():
     assert refused(lambda: small_plant(f_u=(parse("x1", DIMS), parse("u1", DIMS)))) == \
         "f_u[0]: f_u must not reference state"

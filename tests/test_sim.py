@@ -22,7 +22,6 @@ from cubicobs.sim import (
     SimulationError,
     compare_cubic_linear,
     cumulative_error,
-    input_signals,
     simulate,
     write_trajectory_csv,
 )
@@ -34,7 +33,7 @@ def example_cfg(h=0.01, t_end=2.0, **overrides):
         t_end=t_end,
         x0=np.zeros(2),
         xhat0=np.array([-5.0, -5.0]),
-        input_signal=input_signals(DEFAULT_INPUT_SIGNAL, 1),
+        input_signal=(DEFAULT_INPUT_SIGNAL,),
     )
     base.update(overrides)
     return SimConfig(**base)
@@ -89,7 +88,7 @@ def test_buffer_linear_interpolation():
 # --- configuration errors -------------------------------------------------
 
 def test_simconfig_validation():
-    sig = input_signals("sin(t)", 1)
+    sig = ("sin(t)",)
     with pytest.raises(ConfigError, match="h"):
         SimConfig(h=0.0, t_end=1.0, x0=[0.0], xhat0=[0.0], input_signal=sig)
     with pytest.raises(ConfigError, match="t_end"):
@@ -121,7 +120,7 @@ def test_simconfig_drive_must_read_back(drive, message):
     # a state reference used to fail at t = 0 as a SimulationError, and a
     # modulo to divide silently; this check is the only one a drive passes
     # before it becomes generated code
-    sig = input_signals("sin(t)", 1) + (drive,)
+    sig = ("sin(t)", drive)
     with pytest.raises(ConfigError) as info:
         SimConfig(h=0.1, t_end=1.0, x0=[0.0], xhat0=[0.0], input_signal=sig)
     assert str(info.value) == message
@@ -134,6 +133,15 @@ def test_simconfig_is_frozen_and_replace_reads_back():
         cfg.input_signal = negative
     with pytest.raises(ConfigError, match=r"input_signal\[0\]: .* reads back as"):
         replace(cfg, input_signal=negative)
+
+
+@pytest.mark.parametrize("text", ["7", DEFAULT_INPUT_SIGNAL])
+def test_simconfig_refuses_a_bare_string_drive(text):
+    # one drive per character: "7" would be a constant drive and the
+    # default drive would fail at its second character
+    with pytest.raises(ConfigError) as info:
+        example_cfg(input_signal=text)
+    assert str(info.value) == "input_signal: must be a sequence of expressions, not a string"
 
 
 @pytest.mark.parametrize("field", ["x0", "xhat0"])
@@ -191,7 +199,7 @@ def test_state_dimension_checks():
         simulate(ex.nominal, ex.nominal, ex.observer, example_cfg(x0=np.zeros(3)))
     with pytest.raises(ConfigError, match="input_signal"):
         simulate(ex.nominal, ex.nominal, ex.observer,
-                 example_cfg(input_signal=input_signals("sin(t)", 2)))
+                 example_cfg(input_signal=("sin(t)",) * 2))
 
 
 def test_invalid_model_is_rejected():
@@ -368,9 +376,9 @@ def test_cubic_run_beats_linear_on_example():
 def test_input_prehistory_policies_differ():
     ex = example_system()
     analytic = simulate(ex.nominal, ex.nominal, ex.observer,
-                        example_cfg(t_end=1.0, input_signal=input_signals("cos(t)", 1)))
+                        example_cfg(t_end=1.0, input_signal=("cos(t)",)))
     zeroed = simulate(ex.nominal, ex.nominal, ex.observer,
-                      example_cfg(t_end=1.0, input_signal=input_signals("cos(t)", 1),
+                      example_cfg(t_end=1.0, input_signal=("cos(t)",),
                                   prehistory="zero"))
     # u(t - 1) is cos(t - 1) in one policy and 0 in the other until t = 1
     assert not np.allclose(analytic.x, zeroed.x)
@@ -425,7 +433,7 @@ def multi_delay_scenario(prehistory):
         E=[[0.2, 0.0], [0.0, 0.1], [0.0, 0.0], [0.1, 0.1]],
         N=[[-0.3, 0.0], [0.0, -0.2], [0.1, 0.0], [0.0, -0.1]],
         theta=[[1.0, 0.2], [0.2, 0.5]])
-    drive = tuple(sim.parse_input_signal(s) for s in ("0.5*sin(t)", "0.3*cos(2*t)"))
+    drive = tuple(exprlang.parse_input_signal(s) for s in ("0.5*sin(t)", "0.3*cos(2*t)"))
     cfg = SimConfig(h=0.05, t_end=2.0, x0=[0.5, -0.3, 0.2, 0.1],
                     xhat0=[-1.0, 1.0, 0.5, -0.5], input_signal=drive,
                     prehistory=prehistory)
@@ -471,7 +479,7 @@ def pinned_scenario(case):
         return multi_delay_scenario(case.rsplit("-", 1)[1])
     ex = example_system()
     truth = ex.uncertain if "uncertain" in case else ex.nominal
-    cfg = example_cfg(t_end=2.0, input_signal=input_signals("cos(t)", 1), prehistory="zero")
+    cfg = example_cfg(t_end=2.0, input_signal=("cos(t)",), prehistory="zero")
     return truth, ex.nominal, ex.observer, cfg
 
 
@@ -502,7 +510,7 @@ def test_blowup_raises_simulation_error():
     ex = example_system()
     with pytest.raises(SimulationError):
         simulate(ex.nominal, ex.nominal, ex.observer,
-                 example_cfg(t_end=10.0, input_signal=input_signals("sin(t)", 1)))
+                 example_cfg(t_end=10.0, input_signal=("sin(t)",)))
 
 
 @pytest.mark.parametrize("N", [0.0, 1.0], ids=["linear", "cubic"])
@@ -544,7 +552,7 @@ def test_drive_failure_names_the_step_that_needs_it():
                        f_u=(parse("u1", dims),), f_L=(zero,))
     obs = ObserverParams(G=[[-1.0]], J=[[0.0]], E=[[0.0]], N=[[0.0]], theta=[[1.0]])
     cfg = SimConfig(h=0.25, t_end=1.0, x0=[0.0], xhat0=[0.0],
-                    input_signal=input_signals("1/(t-0.5)", 1))
+                    input_signal=("1/(t-0.5)",))
     with pytest.raises(SimulationError, match=r"near t = 0\.25: division by zero"):
         simulate(plant, plant, obs, cfg)
 
@@ -553,7 +561,7 @@ def test_delayed_drive_failure_follows_prehistory_policy():
     # the bundled plant reads u1@1 with a 1 s delay: under "analytic" its
     # stages of step 1 evaluate 1/(t + 0.5) at t = -0.5; "zero" never does
     ex = example_system()
-    cfg = example_cfg(h=0.25, t_end=1.0, input_signal=input_signals("1/(t+0.5)", 1))
+    cfg = example_cfg(h=0.25, t_end=1.0, input_signal=("1/(t+0.5)",))
     with pytest.raises(SimulationError, match=r"near t = 0\.25: division by zero"):
         simulate(ex.nominal, ex.nominal, ex.observer, cfg)
     res = simulate(ex.nominal, ex.nominal, ex.observer, replace(cfg, prehistory="zero"))
@@ -632,7 +640,7 @@ def pair_cases():
     # with a cubic gain and an initial error so that the members differ
     delayed_obs = replace(obs, N=np.array([[0.5]]), theta=np.array([[1.0]]))
     delayed_cfg = SimConfig(h=0.25, t_end=2.0, x0=[1.0], xhat0=[0.0], input_signal=())
-    cos_zero = example_cfg(input_signal=input_signals("cos(t)", 1), prehistory="zero")
+    cos_zero = example_cfg(input_signal=("cos(t)",), prehistory="zero")
     return {
         "nominal": (ex.nominal, ex.nominal, ex.observer, example_cfg()),
         # input delays 2 s in the truth, 1 s in the design
@@ -673,7 +681,7 @@ def test_pair_evaluates_the_truth_vector_once_per_stage(monkeypatch):
 
     monkeypatch.setitem(exprlang._CODEGEN_GLOBALS, "sin", counting_sin)
     steps = 50
-    cfg = example_cfg(t_end=steps * 0.01, input_signal=input_signals("0.0003*cos(t)", 1))
+    cfg = example_cfg(t_end=steps * 0.01, input_signal=("0.0003*cos(t)",))
     compare_cubic_linear(ex.uncertain, design, ex.observer, cfg)
     assert calls == 4 * steps
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubicobs import sim
+from cubicobs import exprlang, sim
 from cubicobs.exprlang import (ExprEvalError, SignalDims, evaluate, parse, parse_input_signal,
                                unparse)
 from cubicobs.model import ObserverParams, PlantModel
@@ -261,6 +261,53 @@ def test_failing_expression_reports_what_evaluate_reports(seed, n, cubic, layout
     want = outcome(lambda: tree_walk(*plants))
     assert isinstance(want, str) and want.endswith("division by zero"), want
     assert got == want
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), cubic=CUBIC, layout=LAYOUT,
+       prehistory=st.sampled_from(["analytic", "zero"]), pick=st.integers(0, 2**16))
+def test_failing_drive_sample_reports_what_evaluate_reports(seed, n, cubic, layout,
+                                                            prehistory, pick):
+    # the drive's first channel becomes 1/(t - c), c a half-step time some
+    # stage reads through some input lag: division by zero there.  The tree
+    # walk evaluates the drive at every declared slot, so both plants gain a
+    # term that reads u1 at every slot.
+    steps = 12
+    truth, design, observers, cfg = scenario(seed, n, cubic, layout, prehistory, steps,
+                                             drive_t=True)
+    plants = []
+    for plant in (truth, design):
+        reads = " + ".join(f"u1@{s}" if s else "u1" for s in range(len(plant.delta) + 1))
+        f_u = (parse(f"{unparse(plant.f_u[0])} + 0.1*({reads})", plant.dims()),)
+        plants.append(replace(plant, f_u=f_u + plant.f_u[1:]))
+    lags = [round(d / H) for d in truth.delta + design.delta]
+    first = -2 * lags[pick % len(lags)] if lags and prehistory == "analytic" else 0
+    c = ((first + pick % (2 * steps - first + 1)) * 0.5) * H
+    drive = f"1/(t - {c!r})" if c >= 0 else f"1/(t + {-c!r})"
+    cfg = replace(cfg, input_signal=(drive,) + cfg.input_signal[1:])
+    got = outcome(lambda: sim._integrate(*plants, observers, cfg))
+    want = outcome(lambda: tree_walk(*plants, observers, cfg))
+    assert isinstance(want, str) and want.endswith("division by zero"), want
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generated_functions_run_whole_body_in_the_guard(monkeypatch, seed):
+    # nothing of a generated stage or drive runs ahead of its try: the
+    # fallback never finds a name unbound
+    sources = []
+
+    def recording_compile(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(exprlang, "_CODE_CACHE", {})
+    monkeypatch.setattr(exprlang, "compile", recording_compile, raising=False)
+    sim._integrate(*scenario(seed, 3, [True, False, True], (2, 2, 1, 2),
+                             ("analytic", "zero")[seed % 2], 4, drive_t=True))
+    heads = [src.splitlines()[:2] for src in sources]
+    assert sorted(head[0] for head in heads) == ["def _drive(t):", "def _stage(j, s):"]
+    assert all(head[1] == "    try:" for head in heads), heads
 
 
 @pytest.mark.parametrize("truth_term, design_term", [

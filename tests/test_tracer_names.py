@@ -17,7 +17,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     original = sim.simulate
     ex = example_system()
     cfg = sim.SimConfig(h=0.01, t_end=0.05, x0=np.zeros(2), xhat0=np.zeros(2),
-                        input_signal=sim.input_signals(sim.DEFAULT_INPUT_SIGNAL, 1))
+                        input_signal=(sim.DEFAULT_INPUT_SIGNAL,))
     tracer = Tracer()
     try:
         tracer.install()
