@@ -12,32 +12,35 @@ differ; that mismatch is exactly what the cubic term is there to absorb.
 The linear observer is the same observer with ``N = 0``; with ``N = 0``
 the cubic term is not computed at all.
 
-The truth never depends on the observer, so one integration carries
-several observers that share ``truth``, ``design`` and the run settings:
-:func:`simulate` integrates one, :func:`compare_cubic_linear` an observer
-and its linear twin.  The integrator is classical RK4 on the joint state
-``z = [x; w_1; ...; w_M]``.  Every delay and ``t_end`` are whole multiples
-of the step ``h``, so every stage sits at a half-step position
-``j = 0 .. 2 steps`` (time ``(j/2) h``).  Each run generates one Python
-function for its stage, from the truth and design expressions through
-exprlang's emitter (generated code is reused across runs), and folds the
-linear algebra into block matrices.  The loop carries ``[z; R z]``
-(outputs, estimates and output errors), so one RK4 stage is one generated
-call, which evaluates the truth, every observer's design vector and the
-cubic terms and returns them packed as bytes, and one matrix product that
-yields the next stage's input; one more product ends the step.  An
-expression that fails makes the stage re-run through
-:func:`~cubicobs.exprlang.evaluate`, truth first, which raises the tree
-walk's error.  The drive depends on ``t`` alone: a function generated the
-same way evaluates it once per half step on one grid reaching back to the
-largest input lag, before integration starts, and each lag reads a slice
-of it.  A sample that fails is kept in the grid as its error, which the
-first stage to read it raises through the same fallback.  Delayed outputs
-are read from a half-step table of the output, kept only when an
-expression reads a delayed output: grid samples, and between them the
-mean of the two neighbours (linear interpolation at the midpoint).  Before
-``t = 0`` the drive is evaluated analytically (or zeroed) and the output
-history is frozen at ``y(0)`` (or zeroed), per the prehistory policy.
+The truth never depends on the observer, nor one truth on another, so one
+integration carries several truths that share ``design``, the observers
+and the run settings, each with every observer: :func:`simulate` carries
+one truth and one observer, :func:`compare_cubic_linear` an observer and
+its linear twin, :func:`example_study` both example truths with that pair.
+The integrator is classical RK4 on the joint state
+``z = [x_1; ...; x_T; w_11; ...; w_TM]``, ``w_tm`` the m-th observer of
+truth t.  Every delay and ``t_end`` are whole multiples of the step ``h``,
+so every stage sits at a half-step position ``j = 0 .. 2 steps`` (time
+``(j/2) h``).  Each run generates one Python function for its stage, from
+the truth and design expressions through exprlang's emitter (generated
+code is reused across runs), and folds the linear algebra into block
+matrices.  The loop carries ``[z; R z]`` (outputs, estimates and output
+errors), so one RK4 stage is one generated call, which evaluates every
+truth, every observer's design vector and the cubic terms and returns them
+packed as bytes, and one matrix product that yields the next stage's
+input; one more product ends the step.  An expression that fails makes the
+stage re-run through :func:`~cubicobs.exprlang.evaluate` in group order
+(each truth, then its observers), which raises the tree walk's error.  The
+drive depends on ``t`` alone: a function generated the same way evaluates
+it once per half step on one grid reaching back to the largest input lag,
+before integration starts, and each lag reads a slice of it.  A sample
+that fails is kept in the grid as its error, which the first stage to read
+it raises through the same fallback.  Delayed outputs are read from a
+half-step table of the output, kept only when an expression reads a
+delayed output: grid samples, and between them the mean of the two
+neighbours (linear interpolation at the midpoint).  Before ``t = 0`` the
+drive is evaluated analytically (or zeroed) and the output history is
+frozen at ``y(0)`` (or zeroed), per the prehistory policy.
 """
 
 from __future__ import annotations
@@ -133,7 +136,8 @@ class SimConfig:
 class SimResult:
     """Grid trajectories of one observer's run; ``jo`` is the running
     integral of ``|x - xhat|^2`` (trapezoid rule on the grid).  Observers
-    integrated together each get their own copies of ``t``, ``x`` and ``y``."""
+    and truths integrated together each get their own copies of ``t``,
+    ``x`` and ``y``."""
 
     t: np.ndarray
     x: np.ndarray
@@ -210,10 +214,11 @@ def _stage_source(members, cubic_at, nz: int, n_y: int) -> tuple[str, set[int], 
     """Source of ``_stage(j, s)``, the packed ``g`` of the stage at position
     ``j``, with the input lags and the nonzero output lags (in steps) it reads.
 
-    ``members`` holds ``(exprs, x_at, u_slot_lags, y_slot_lags)`` for the
-    truth and then each observer: ``x_at`` is where its state sits in
-    ``s``, ``u_slot_lags[slot]`` the lag of input delay slot ``slot`` (slot
-    0 has lag 0) and ``y_slot_lags[slot]`` that of an output slot.
+    ``members`` holds ``(exprs, x_at, y_at, u_slot_lags, y_slot_lags)`` for
+    each truth and then each of its observers: ``x_at`` is where its state
+    sits in ``s``, ``y_at`` where its truth's outputs sit among the outputs,
+    ``u_slot_lags[slot]`` the lag of input delay slot ``slot`` (slot 0 has
+    lag 0) and ``y_slot_lags[slot]`` that of an output slot.
     ``cubic_at`` holds ``(e_at, theta_rows)`` per observer with ``N != 0``.
     The function reads its inputs at fixed places: states and output errors
     in ``s``, the drive in ``grid`` and delayed outputs in ``ytab`` at a
@@ -233,7 +238,7 @@ def _stage_source(members, cubic_at, nz: int, n_y: int) -> tuple[str, set[int], 
     z = [load(("s", 0, i)) for i in range(nz)]
     lines: dict[str, str] = {}
     results: list[str] = []
-    for exprs, x_at, u_slot_lags, y_slot_lags in members:
+    for exprs, x_at, y_at, u_slot_lags, y_slot_lags in members:
         def bind(ref):
             i = ref.index - 1
             if ref.kind == "x":
@@ -241,7 +246,7 @@ def _stage_source(members, cubic_at, nz: int, n_y: int) -> tuple[str, set[int], 
             if ref.kind == "u":
                 return load(("grid", u_slot_lags[ref.slot], i))
             lag = y_slot_lags[ref.slot]
-            return load(("ytab", lag, i) if lag else ("s", 0, nz + i))
+            return load(("ytab", lag, y_at + i) if lag else ("s", 0, nz + y_at + i))
         results += [_emit(e, lines, bind) for e in exprs]
     # (e' theta e) e, summed as the loop "q += e_a theta_ab e_b" sums it
     cubic_lines, cubic = [], []
@@ -295,23 +300,26 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
     the grid trajectories of ``x``, of the estimate ``xhat`` (which starts
     at ``xhat0``), of ``y`` and of the error integral ``jo``.
     """
-    return _integrate(truth, design, [obs], cfg)[0]
+    return _integrate([truth], design, [obs], cfg)[0][0]
 
 
-def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverParams],
-               cfg: SimConfig) -> list[SimResult]:
-    """Integrate ``truth`` once, carrying every observer in ``observers``.
+def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[ObserverParams],
+               cfg: SimConfig) -> list[list[SimResult]]:
+    """Integrate every truth in ``truths`` once, each carrying every observer
+    in ``observers``, all in one RK4 loop.
 
-    The observers share ``truth``, ``design`` and ``cfg``; the result
-    holds one :class:`SimResult` per observer, in order.  A failure of any
-    member ends the run at the earliest step any member fails.  The models
-    checked themselves when built; here each observer must fit ``design``.
+    The truths share ``design``, ``observers`` and ``cfg``; the result holds
+    one list of :class:`SimResult` per truth, one per observer, in order.  A
+    failure of any member ends the run at the earliest stage any member
+    fails; within a stage, members fail in group order: the first truth,
+    its observers, the next truth, and so on.  The models checked
+    themselves when built; here each observer must fit ``design``.
     """
     for obs in observers:
         validate(design, obs)
-    if truth.n != design.n or truth.n_y != design.n_y or truth.n_u != design.n_u:
+    n, n_y, n_u = design.n, design.n_y, design.n_u
+    if any((truth.n, truth.n_y, truth.n_u) != (n, n_y, n_u) for truth in truths):
         raise ConfigError("truth and design models must share n, n_u, n_y")
-    n, n_y, n_u = truth.n, truth.n_y, truth.n_u
     if cfg.x0.shape != (n,):
         raise ConfigError(f"x0: expected {n} entries, got {cfg.x0.shape}")
     if cfg.xhat0.shape != (n,):
@@ -322,52 +330,61 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
         )
 
     h = cfg.h
-    truth_lags = ([0] + _delay_steps(truth.delta, h, "delta"),
-                  [0] + _delay_steps(truth.tau, h, "tau"))
-    design_lags = ([0] + _delay_steps(design.delta, h, "delta"),
-                   [0] + _delay_steps(design.tau, h, "tau"))
+
+    def slot_lags(plant):
+        return ([0] + _delay_steps(plant.delta, h, "delta"),
+                [0] + _delay_steps(plant.tau, h, "tau"))
+
+    truth_lags = [slot_lags(truth) for truth in truths]  # each truth's, then the design's
+    design_lags = slot_lags(design)
     steps = _grid_steps(cfg.t_end, h, "t_end")
     analytic_pre = cfg.prehistory == "analytic"
     n_half = 2 * steps + 1  # stage positions j = 0 .. 2 steps, time (j/2) h
 
-    # z = [x; w_1; ...; w_M].  R z = [y; xhat_1; ...; xhat_M; e_m ...] with
-    # y = C x, xhat_m = w_m + E_m y and, for each observer with N != 0 only,
-    # the output error e_m = y - C_d xhat_m.  The derivative is
-    #     dz = W g,  g = [z; f_truth; f_design_1; ...; f_design_M; (e_m' theta_m e_m) e_m ...],
-    # with f_truth = [f_u; f_g; f_L] at x and f_design_m = [f_u; f_L] at xhat_m.
-    # The loop carries s = [z; R z] = S z, S = [I; R].  One generated call
-    # turns a stage's input s into g, packed as bytes; one product turns g
-    # into the next stage's input s + c h S W g = [c h S W | I] [g; s].
-    C_t, C_d, n_g = truth.C, design.C, truth.n_g
-    M = len(observers)
-    n_cubic = sum(bool(obs.N.any()) for obs in observers)  # N = 0 skips the term
-    nz = n + M * n
-    fd_col = nz + 2 * n + n_g  # columns: z, f_truth, each f_design_m, cubic
-    c_col = fd_col + 2 * M * n
-    e_row = n_y + M * n
+    # z = [x_1; ...; x_T; w_11; ...; w_TM], w_tm the m-th observer of truth t.
+    # R z = [y_1; ...; y_T; xhat_11; ...; xhat_TM; e_tm ...] with y_t = C_t x_t,
+    # xhat_tm = w_tm + E_m y_t and, for each observer with N != 0 only, the
+    # output error e_tm = y_t - C_d xhat_tm.  The derivative is
+    #     dz = W g,  g = [z; f_1; f_11; ...; f_1M; ...; f_T; ...; f_TM; (e' theta_m e) e ...],
+    # with f_t = [f_u; f_g; f_L] of truth t at x_t and f_tm = [f_u; f_L] of the
+    # design at xhat_tm.  The loop carries s = [z; R z] = S z, S = [I; R].  One
+    # generated call turns a stage's input s into g, packed as bytes; one product
+    # turns g into the next stage's input s + c h S W g = [c h S W | I] [g; s].
+    C_d = design.C
+    T, M = len(truths), len(observers)
+    n_cubic = T * sum(bool(obs.N.any()) for obs in observers)  # N = 0 skips the term
+    nz = T * (n + M * n)
+    e_row = T * (n_y + M * n)
+    c_col = nz + sum(2 * n + truth.n_g for truth in truths) + T * M * 2 * n
     In = np.eye(n)
     R = np.zeros((e_row + n_cubic * n_y, nz))
     W = np.zeros((nz, c_col + n_cubic * n_y))
-    R[:n_y, :n] = C_t
-    W[:n, :n] = truth.A
-    W[:n, nz:fd_col] = np.hstack([In, truth.D, In])
-    members = [(truth.f_u + truth.f_g + truth.f_L, 0, *truth_lags)]
-    cubic_at = []  # where each cubic e_m sits in s, with its theta_m
-    for m, obs in enumerate(observers):
-        w = slice(n + m * n, n + (m + 1) * n)
-        r = n_y + m * n
-        R[r:r + n, :n] = obs.E @ C_t
-        R[r:r + n, w] = In
-        members.append((design.f_u + design.f_L, nz + r, *design_lags))
-        W[w, :n] = obs.J @ C_t
-        W[w, w] = obs.G
-        W[w, fd_col + 2 * m * n:fd_col + 2 * (m + 1) * n] = np.tile(In - obs.E @ C_d, 2)
-        if obs.N.any():
-            er, ec = e_row + len(cubic_at) * n_y, c_col + len(cubic_at) * n_y
-            R[er:er + n_y, :n] = C_t - C_d @ obs.E @ C_t
-            R[er:er + n_y, w] = -C_d
-            W[w, ec:ec + n_y] = -obs.N
-            cubic_at.append((nz + er, obs.theta.tolist()))
+    members = []  # each truth, then its observers: the stage's group order
+    cubic_at = []  # where each cubic e_tm sits in s, with its theta_m
+    col = nz  # where the next member's values sit in g
+    for t, truth in enumerate(truths):
+        C_t, x, y_at = truth.C, slice(t * n, (t + 1) * n), t * n_y
+        R[y_at:y_at + n_y, x] = C_t
+        W[x, x] = truth.A
+        W[x, col:col + 2 * n + truth.n_g] = np.hstack([In, truth.D, In])
+        col += 2 * n + truth.n_g
+        members.append((truth.f_u + truth.f_g + truth.f_L, t * n, y_at, *truth_lags[t]))
+        for m, obs in enumerate(observers):
+            w = slice(T * n + (t * M + m) * n, T * n + (t * M + m + 1) * n)
+            r = T * n_y + (t * M + m) * n
+            R[r:r + n, x] = obs.E @ C_t
+            R[r:r + n, w] = In
+            members.append((design.f_u + design.f_L, nz + r, y_at, *design_lags))
+            W[w, x] = obs.J @ C_t
+            W[w, w] = obs.G
+            W[w, col:col + 2 * n] = np.tile(In - obs.E @ C_d, 2)
+            col += 2 * n
+            if obs.N.any():
+                er, ec = e_row + len(cubic_at) * n_y, c_col + len(cubic_at) * n_y
+                R[er:er + n_y, x] = C_t - C_d @ obs.E @ C_t
+                R[er:er + n_y, w] = -C_d
+                W[w, ec:ec + n_y] = -obs.N
+                cubic_at.append((nz + er, obs.theta.tolist()))
     S = np.vstack([np.eye(nz), R])
     SW = S @ W
     I_s = np.eye(len(S))
@@ -399,38 +416,40 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
                 grid[i] = exc
 
     x0 = cfg.x0
-    y0 = C_t @ x0
-    z0 = np.concatenate([x0] + [cfg.xhat0 - obs.E @ y0 for obs in observers])
+    z0 = np.concatenate([x0] * T + [cfg.xhat0 - obs.E @ (truth.C @ x0)
+                                    for truth in truths for obs in observers])
     traj = np.empty((steps + 1, len(S)))
     traj[0] = S @ z0
     s = traj[0].tolist()
+    n_out = T * n_y  # every truth's outputs, [y_1; ...; y_T]
 
     # Delayed outputs at half-step positions m >= -2 T_max (T_max the largest
-    # output lag the stage reads): row y_off + m holds y at the grid for even m
-    # and the mean of its neighbours for odd m, linear interpolation at the midpoint.
-    # Before t = 0 the history is y(0) or zero, per the prehistory policy.
+    # output lag the stage reads): row y_off + m holds every truth's y at the
+    # grid for even m and the mean of its neighbours for odd m, linear
+    # interpolation at the midpoint.  Before t = 0 the history is y(0) or zero,
+    # per the prehistory policy.
     y_off = 2 * max(y_lags, default=0)
     y_table: list[list[float]] = []
     if y_off:
-        y_now = s[nz:nz + n_y]
-        y_pre = y_now if analytic_pre else [0.0] * n_y
+        y_now = s[nz:nz + n_out]
+        y_pre = y_now if analytic_pre else [0.0] * n_out
         y_table += [y_pre] * (y_off - 1)
         y_table += [[0.5 * p + 0.5 * q for p, q in zip(y_pre, y_now)], y_now]
 
     def reference(j: int, s: list[float]) -> list[float]:
-        # the stage's expression values through evaluate, truth first: raises
+        # the stage's expression values through evaluate, in group order: raises
         # the error a tree walk raises, where the generated code failed,
         # including a failed drive sample of a member's input slots
         t = (j * 0.5) * h
-        y_now = s[nz:nz + n_y]
+        y_now = s[nz:nz + n_out]
         out = []
-        for exprs, x_at, u_slot_lags, y_slot_lags in members:
+        for exprs, x_at, y_at, u_slot_lags, y_slot_lags in members:
             u = [grid[j + u_off - 2 * lag] if lag in u_lags else None for lag in u_slot_lags]
             for row in u:
                 if isinstance(row, ExprEvalError):
                     raise row
-            y = [y_now if not lag else y_table[j + y_off - 2 * lag] if lag in y_lags else None
-                 for lag in y_slot_lags]
+            y = [(y_now if not lag else y_table[j + y_off - 2 * lag])[y_at:y_at + n_y]
+                 if not lag or lag in y_lags else None for lag in y_slot_lags]
             out += [evaluate(e, s[x_at:x_at + n], u, y, t) for e in exprs]
         return out
 
@@ -464,21 +483,25 @@ def _integrate(truth: PlantModel, design: PlantModel, observers: list[ObserverPa
             s_bytes = s_new.tobytes()
             s = s_new.tolist()
             if y_off:
-                y_now = s[nz:nz + n_y]
+                y_now = s[nz:nz + n_out]
                 y_table.append([0.5 * p + 0.5 * q for p, q in zip(y_table[-1], y_now)])
                 y_table.append(y_now)
 
     zs = traj[:, :nz]
-    ys = zs[:, :n] @ C_t.T
-
-    results = []
-    for m, obs in enumerate(observers):
-        res = SimResult(t=np.arange(steps + 1) * h, x=zs[:, :n].copy(),
-                        xhat=zs[:, n + m * n:n + (m + 1) * n] + ys @ obs.E.T,
-                        y=ys.copy(), jo=np.zeros(steps + 1))
-        res.jo = cumulative_error(res)
-        results.append(res)
-    return results
+    groups = []
+    for t, truth in enumerate(truths):
+        xs = zs[:, t * n:(t + 1) * n]
+        ys = xs @ truth.C.T
+        group = []
+        for m, obs in enumerate(observers):
+            w = T * n + (t * M + m) * n
+            res = SimResult(t=np.arange(steps + 1) * h, x=xs.copy(),
+                            xhat=zs[:, w:w + n] + ys @ obs.E.T, y=ys.copy(),
+                            jo=np.zeros(steps + 1))
+            res.jo = cumulative_error(res)
+            group.append(res)
+        groups.append(group)
+    return groups
 
 
 def cumulative_error(result: SimResult) -> np.ndarray:
@@ -508,22 +531,32 @@ def compare_cubic_linear(truth: PlantModel, design: PlantModel,
     """Run the scenario with ``obs`` and with its linear twin, the same
     observer with ``N = 0``.
 
-    Both observers ride on one integration of ``truth``, so each result
+    Both observers ride on one integration of ``truth`` (the integration
+    :func:`example_study` shares between its two truths), so each result
     equals its own :func:`simulate` call up to rounding.  If either member
-    fails, the pair raises :class:`SimulationError` at the earliest step
-    any member fails; when only one fails, that is the step :func:`simulate`
-    of that observer alone names.
+    fails, the pair raises :class:`SimulationError` at the earliest step any
+    member fails; when only one fails, that is the step :func:`simulate` of
+    that observer alone names.
     """
-    cubic, linear = _integrate(truth, design, [obs, replace(obs, N=np.zeros_like(obs.N))],
-                               cfg)
-    jo_c = float(cubic.jo[-1])
-    jo_l = float(linear.jo[-1])
-    if jo_l > 0:
-        ratio = jo_c / jo_l
-    else:
-        ratio = 1.0 if jo_c == 0 else np.inf
-    return ComparisonReport(jo_cubic=jo_c, jo_linear=jo_l, ratio=ratio,
-                            cubic=cubic, linear=linear)
+    return _compare([truth], design, obs, cfg)[0]
+
+
+def _compare(truths: list[PlantModel], design: PlantModel, obs: ObserverParams,
+             cfg: SimConfig) -> list[ComparisonReport]:
+    """:func:`compare_cubic_linear` of each truth in ``truths``, every pair
+    carried by one :func:`_integrate` call."""
+    reports = []
+    for cubic, linear in _integrate(truths, design,
+                                    [obs, replace(obs, N=np.zeros_like(obs.N))], cfg):
+        jo_c = float(cubic.jo[-1])
+        jo_l = float(linear.jo[-1])
+        if jo_l > 0:
+            ratio = jo_c / jo_l
+        else:
+            ratio = 1.0 if jo_c == 0 else np.inf
+        reports.append(ComparisonReport(jo_cubic=jo_c, jo_linear=jo_l, ratio=ratio,
+                                        cubic=cubic, linear=linear))
+    return reports
 
 
 @dataclass(eq=False)
@@ -547,10 +580,11 @@ def example_study(out_dir) -> StudyReport:
     """Run the bundled example: nominal and mismatched plant, cubic vs linear.
 
     Four simulations over ``[0, 20]`` with step ``0.01``, ``x(0) = 0``,
-    ``xhat(0) = (-5, -5)`` and drive :data:`DEFAULT_INPUT_SIGNAL`.  Writes
-    one trajectory CSV per run plus a ``summary.txt`` of the end-time error
-    integrals and ratios into ``out_dir``, creating it if needed, and lists
-    them in the report's ``files``.
+    ``xhat(0) = (-5, -5)`` and drive :data:`DEFAULT_INPUT_SIGNAL`, carried
+    by one integration.  Writes one trajectory CSV per run, as
+    :func:`write_trajectory_csv` writes it, plus a ``summary.txt`` of the
+    end-time error integrals and ratios into ``out_dir``, creating it if
+    needed, and lists them in the report's ``files``.
     """
     from .model import example_system
 
@@ -562,20 +596,20 @@ def example_study(out_dir) -> StudyReport:
         xhat0=np.array([-5.0, -5.0]),
         input_signal=(DEFAULT_INPUT_SIGNAL,) * ex.nominal.n_u,
     )
-    nominal = compare_cubic_linear(ex.nominal, ex.nominal, ex.observer, cfg)
-    uncertain = compare_cubic_linear(ex.uncertain, ex.nominal, ex.observer, cfg)
+    nominal, uncertain = _compare([ex.nominal, ex.uncertain], ex.nominal, ex.observer, cfg)
     report = StudyReport(nominal=nominal, uncertain=uncertain)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for name, res in (
-        ("nominal_cubic", nominal.cubic),
-        ("nominal_linear", nominal.linear),
-        ("uncertain_cubic", uncertain.cubic),
-        ("uncertain_linear", uncertain.linear),
-    ):
-        path = os.path.join(out_dir, f"{name}.csv")
-        write_trajectory_csv(res, path)
-        paths.append(path)
+    # the four runs share t, and the two of each plant share x and y: format
+    # those columns once
+    t_text = _column_text(nominal.cubic.t)
+    for label, rep in (("nominal", nominal), ("uncertain", uncertain)):
+        x_text = [_column_text(c) for c in rep.cubic.x.T]
+        y_text = [_column_text(c) for c in rep.cubic.y.T]
+        for kind, res in (("cubic", rep.cubic), ("linear", rep.linear)):
+            path = os.path.join(out_dir, f"{label}_{kind}.csv")
+            _write_csv(path, t_text, x_text, res.xhat.T, y_text, res.jo)
+            paths.append(path)
     summary = os.path.join(out_dir, "summary.txt")
     with open(summary, "w", newline="\n") as fh:
         fh.write(report.summary())
@@ -586,18 +620,24 @@ def example_study(out_dir) -> StudyReport:
 
 def write_trajectory_csv(result: SimResult, path) -> None:
     """Write ``t, x*, xhat*, y*, Jo`` with 13 significant digits and LF endings."""
-    n = result.x.shape[1]
-    n_y = result.y.shape[1]
-    header = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(n)]
-        + [f"xhat{i + 1}" for i in range(n)]
-        + [f"y{i + 1}" for i in range(n_y)]
-        + ["Jo"]
-    )
-    rows = np.column_stack([result.t, result.x, result.xhat, result.y, result.jo]).tolist()
-    # %-formatting a float with .12e is f"{v:.12e}", byte for byte
-    line = ",".join(["%.12e"] * len(header)) + "\n"
+    _write_csv(path, result.t, result.x.T, result.xhat.T, result.y.T, result.jo)
+
+
+# %-formatting a float with .12e is f"{v:.12e}", byte for byte
+def _column_text(values: np.ndarray) -> list[str]:
+    """Each value of ``values`` as it stands in a trajectory CSV."""
+    return ["%.12e" % v for v in values.tolist()]
+
+
+def _write_csv(path, t, x, xhat, y, jo) -> None:
+    """Write a trajectory CSV; ``x``, ``xhat`` and ``y`` hold one column per
+    entry, and each column is an array of values or :func:`_column_text` of one."""
+    header = (["t"] + [f"x{i + 1}" for i in range(len(x))]
+              + [f"xhat{i + 1}" for i in range(len(xhat))] + [f"y{i + 1}" for i in range(len(y))]
+              + ["Jo"])
+    columns = [t, *x, *xhat, *y, jo]
+    line = ",".join(["%s" if isinstance(c, list) else "%.12e" for c in columns]) + "\n"
+    rows = zip(*[c if isinstance(c, list) else c.tolist() for c in columns])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join([line % tuple(row) for row in rows]))
+        fh.write("".join([line % row for row in rows]))

@@ -252,7 +252,7 @@ def generated(exprs, stage=None):
     if not stage:
         drive = sim._drive_function(exprs)
         return lambda x, u, y, t: drive(t)
-    src, u_lags, y_lags = sim._stage_source([(exprs, 0, [0, 1, 2], [0, 1])], [],
+    src, u_lags, y_lags = sim._stage_source([(exprs, 0, 0, [0, 1, 2], [0, 1])], [],
                                             DIMS.n, DIMS.n_y)
     u_off, y_off = 2 * max(u_lags, default=0), 2 * max(y_lags, default=0)
     grid, ytab = [None] * (u_off + 1), [None] * (y_off + 1)

@@ -628,7 +628,21 @@ def test_generated_code_names_only_codegen_globals(monkeypatch, tmp_path):
         nested = [c for c in code.co_consts if isinstance(c, types.CodeType)]
         functions += [c.co_name for c in nested]
         codes += nested
-    assert sorted(functions) == ["_drive", "_drive", "_stage", "_stage", "_stage"]
+    assert sorted(functions) == ["_drive", "_drive", "_stage", "_stage"]
+
+
+def test_example_study_runs_one_integration(monkeypatch, tmp_path):
+    # both truths and both observers share one stage function and one drive
+    compiled = []
+
+    def counting_compile(src, *args):
+        compiled.append(src.split("(", 1)[0])
+        return compile(src, *args)
+
+    monkeypatch.setattr(exprlang, "_CODE_CACHE", {})
+    monkeypatch.setattr(exprlang, "compile", counting_compile, raising=False)
+    sim.example_study(tmp_path)
+    assert sorted(compiled) == ["def _drive", "def _stage"]
 
 
 # --- one truth integration for a pair ------------------------------------
@@ -730,6 +744,17 @@ def test_trajectory_csv_format(tmp_path):
     assert np.allclose(data[:, 1:3], res.x, rtol=1e-11, atol=1e-18)
     assert np.allclose(data[:, 5], res.y.ravel(), rtol=1e-11, atol=1e-18)
     assert np.allclose(data[:, 6], res.jo, rtol=1e-11, atol=1e-18)
+
+
+def test_example_study_csvs_are_what_write_trajectory_csv_writes(tmp_path):
+    # the study formats its shared t, x and y columns once; each file must
+    # still be the public writer's output for that run
+    report = sim.example_study(tmp_path / "study")
+    for label, rep in (("nominal", report.nominal), ("uncertain", report.uncertain)):
+        for kind in ("cubic", "linear"):
+            path = tmp_path / f"{label}_{kind}.csv"
+            write_trajectory_csv(getattr(rep, kind), path)
+            assert (tmp_path / "study" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_trajectory_csv_matches_per_value_formatting(tmp_path):

@@ -1,14 +1,16 @@
 """The simulator's generated stage function against two references.
 
-Random models (n = 1-4, 1-3 observers with and without a cubic term,
-input and output delays, either prehistory policy) are integrated by
-``sim`` and by the tree-walking RK4 below, written from the documented
-semantics: :func:`evaluate` for every expression, :class:`HistoryBuffer`
-for delayed outputs, every observer carried beside one truth.  ``jo``,
-``x`` and ``xhat`` must agree within 1e-12; under the analytic policy,
-which is the one it implements, ``perfbench/reference.py`` must agree too,
-one observer at a time.  Failures must agree as well: the same message,
-from ``evaluate`` or from the finiteness check, at the same step.
+Random models (n = 1-4, one or two truths with their own input and output
+delays, 1-3 observers with and without a cubic term, either prehistory
+policy) are integrated by ``sim`` and by the tree-walking RK4 below,
+written from the documented semantics: :func:`evaluate` for every
+expression, :class:`HistoryBuffer` for delayed outputs, every observer
+carried beside every truth.  ``jo``, ``x`` and ``xhat`` of every (truth,
+observer) must agree within 1e-12; under the analytic policy, which is
+the one it implements, ``perfbench/reference.py`` must agree too, one
+truth and one observer at a time.  Failures must agree as well: the same
+message, from ``evaluate`` or from the finiteness check, at the same step,
+members raised in group order (each truth, then its observers).
 """
 
 import importlib.util
@@ -107,22 +109,37 @@ def scenario(seed, n, cubic, layout, prehistory, steps, growing=False, drive_t=F
     return truth, design, observers, cfg
 
 
-def tree_walk(truth, design, observers, cfg):
-    """``(x, [xhat_m], [jo_m])`` by plain RK4 on ``[x; w_1; ...; w_M]``, or the
-    :class:`SimulationError` the documented semantics give."""
-    h, n, n_y = cfg.h, truth.n, truth.n_y
+def other_truth(seed, truth):
+    """A second truth beside ``truth``: its dimensions, its own expressions
+    and its own input and output delays."""
+    rng = np.random.default_rng([seed, 1])
+
+    def delays():
+        return [H * int(rng.integers(0, 4)) for _ in range(int(rng.integers(0, 3)))]
+
+    return random_plant(rng, truth.n, truth.n_y, truth.n_u, delays(), delays())
+
+
+def tree_walk(truths, design, observers, cfg):
+    """``(x, [xhat_m], [jo_m])`` of each truth in ``truths`` by plain RK4 on
+    ``[x_1; ...; x_T; w_11; ...; w_TM]``, or the :class:`SimulationError` the
+    documented semantics give, members evaluated in group order (each truth,
+    then its observers)."""
+    h, n, n_y = cfg.h, design.n, design.n_y
+    T, M = len(truths), len(observers)
     steps = round(cfg.t_end / h)
     zero_pre = cfg.prehistory == "zero"
 
     def lag(d):
         return round(d / h)
 
-    y0 = truth.C @ cfg.x0
-    ybuf = HistoryBuffer(n_y, max(map(lag, truth.tau + design.tau), default=0) + 1, y0,
-                         "zero" if zero_pre else "hold")
-    ybuf.push(0, y0)
+    depth = max(map(lag, design.tau + sum((p.tau for p in truths), ())), default=0) + 1
+    ybufs = []
+    for truth in truths:
+        ybufs.append(HistoryBuffer(n_y, depth, truth.C @ cfg.x0, "zero" if zero_pre else "hold"))
+        ybufs[-1].push(0, truth.C @ cfg.x0)
 
-    def signals(plant, pos, y_now):
+    def signals(plant, pos, y_now, ybuf):
         def drive(p):
             if p < 0 and zero_pre:
                 return [0.0] * plant.n_u
@@ -132,25 +149,29 @@ def tree_walk(truth, design, observers, cfg):
         return u, y
 
     def deriv(pos, z):
-        x = z[:n]
-        y_now = truth.C @ x
-        u, y = signals(truth, pos, y_now)
-        f = np.array([evaluate(e, x, u, y) for e in truth.f_u + truth.f_g + truth.f_L])
-        n_g = truth.n_g
-        dz = [truth.A @ x + f[:n] + truth.D @ f[n:n + n_g] + f[n + n_g:]]
-        u, y = signals(design, pos, y_now)
-        for m, obs in enumerate(observers):
-            w = z[n + m * n:n + (m + 1) * n]
-            xhat = w + obs.E @ y_now
-            fd = np.array([evaluate(e, xhat, u, y) for e in design.f_u + design.f_L])
-            dw = obs.G @ w + obs.J @ y_now + (np.eye(n) - obs.E @ design.C) @ (fd[:n] + fd[n:])
-            if obs.N.any():
-                err = y_now - design.C @ xhat
-                dw = dw - float(err @ obs.theta @ err) * (obs.N @ err)
-            dz.append(dw)
-        return np.concatenate(dz)
+        dx, dw = [], []
+        for t, (truth, ybuf) in enumerate(zip(truths, ybufs)):
+            x = z[t * n:(t + 1) * n]
+            y_now = truth.C @ x
+            u, y = signals(truth, pos, y_now, ybuf)
+            f = np.array([evaluate(e, x, u, y) for e in truth.f_u + truth.f_g + truth.f_L])
+            n_g = truth.n_g
+            dx.append(truth.A @ x + f[:n] + truth.D @ f[n:n + n_g] + f[n + n_g:])
+            u, y = signals(design, pos, y_now, ybuf)
+            for m, obs in enumerate(observers):
+                w = z[(T + t * M + m) * n:(T + t * M + m + 1) * n]
+                xhat = w + obs.E @ y_now
+                fd = np.array([evaluate(e, xhat, u, y) for e in design.f_u + design.f_L])
+                dwm = (obs.G @ w + obs.J @ y_now
+                       + (np.eye(n) - obs.E @ design.C) @ (fd[:n] + fd[n:]))
+                if obs.N.any():
+                    err = y_now - design.C @ xhat
+                    dwm = dwm - float(err @ obs.theta @ err) * (obs.N @ err)
+                dw.append(dwm)
+        return np.concatenate(dx + dw)
 
-    z = np.concatenate([cfg.x0] + [cfg.xhat0 - obs.E @ y0 for obs in observers])
+    z = np.concatenate([cfg.x0] * T + [cfg.xhat0 - obs.E @ (truth.C @ cfg.x0)
+                                       for truth in truths for obs in observers])
     zs = [z]
     with np.errstate(all="ignore"):
         for k in range(steps):
@@ -167,16 +188,22 @@ def tree_walk(truth, design, observers, cfg):
                 raise SimulationError(
                     f"state became non-finite at t = {(k + 1) * h:.6g} (step {k + 1})")
             zs.append(z)
-            ybuf.push(k + 1, truth.C @ z[:n])
+            for t, (truth, ybuf) in enumerate(zip(truths, ybufs)):
+                ybuf.push(k + 1, truth.C @ z[t * n:(t + 1) * n])
     zs = np.array(zs)
-    xs, ys = zs[:, :n], zs[:, :n] @ truth.C.T
-    xhats = [zs[:, n + m * n:n + (m + 1) * n] + ys @ obs.E.T for m, obs in enumerate(observers)]
-    jos = []
-    with np.errstate(over="ignore"):  # an error too large to square makes jo inf
-        for xhat in xhats:
-            g = np.sum((xs - xhat) ** 2, axis=1)
-            jos.append(np.concatenate([[0.0], np.cumsum(0.5 * h * (g[:-1] + g[1:]))]))
-    return xs, xhats, jos
+    walks = []
+    for t, truth in enumerate(truths):
+        xs = zs[:, t * n:(t + 1) * n]
+        ys = xs @ truth.C.T
+        xhats = [zs[:, (T + t * M + m) * n:(T + t * M + m + 1) * n] + ys @ obs.E.T
+                 for m, obs in enumerate(observers)]
+        jos = []
+        with np.errstate(over="ignore"):  # an error too large to square makes jo inf
+            for xhat in xhats:
+                g = np.sum((xs - xhat) ** 2, axis=1)
+                jos.append(np.concatenate([[0.0], np.cumsum(0.5 * h * (g[:-1] + g[1:]))]))
+        walks.append((xs, xhats, jos))
+    return walks
 
 
 def perfbench_jo(truth, design, obs, cfg):
@@ -219,32 +246,40 @@ CUBIC = st.lists(st.booleans(), min_size=1, max_size=3)
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), cubic=CUBIC, layout=LAYOUT,
-       prehistory=st.sampled_from(["analytic", "zero"]))
-def test_kernel_agrees_with_tree_walk_and_reference(seed, n, cubic, layout, prehistory):
+       prehistory=st.sampled_from(["analytic", "zero"]), n_truths=st.integers(1, 2))
+def test_kernel_agrees_with_tree_walk_and_reference(seed, n, cubic, layout, prehistory,
+                                                    n_truths):
     truth, design, observers, cfg = scenario(seed, n, cubic, layout, prehistory, steps=12)
-    results = sim._integrate(truth, design, observers, cfg)
-    xs, xhats, jos = tree_walk(truth, design, observers, cfg)
-    for m, (res, obs) in enumerate(zip(results, observers)):
-        assert close(res.x, xs)
-        assert close(res.xhat, xhats[m]), m
-        assert abs(res.jo[-1] - jos[m][-1]) <= 1e-12 * jos[m][-1], m
-        if prehistory == "analytic":
-            jo_end, peak = perfbench_jo(truth, design, obs, cfg)
-            assert abs(res.jo[-1] - jo_end) <= 1e-12 * jo_end, m
-            assert abs(max(np.abs(res.x).max(), np.abs(res.xhat).max()) - peak) <= 1e-12 * peak
+    truths = [truth, other_truth(seed, truth)][:n_truths]
+    groups = sim._integrate(truths, design, observers, cfg)
+    walks = tree_walk(truths, design, observers, cfg)
+    for truth, results, (xs, xhats, jos) in zip(truths, groups, walks):
+        for m, (res, obs) in enumerate(zip(results, observers)):
+            assert close(res.x, xs)
+            assert close(res.xhat, xhats[m]), m
+            assert abs(res.jo[-1] - jos[m][-1]) <= 1e-12 * jos[m][-1], m
+            if prehistory == "analytic":
+                jo_end, peak = perfbench_jo(truth, design, obs, cfg)
+                assert abs(res.jo[-1] - jo_end) <= 1e-12 * jo_end, m
+                assert (abs(max(np.abs(res.x).max(), np.abs(res.xhat).max()) - peak)
+                        <= 1e-12 * peak)
 
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), cubic=CUBIC, layout=LAYOUT,
        prehistory=st.sampled_from(["analytic", "zero"]), member=st.sampled_from([0, 1]),
-       pick=st.integers(0, 2**16))
+       pick=st.integers(0, 2**16), n_truths=st.integers(1, 2))
 def test_failing_expression_reports_what_evaluate_reports(seed, n, cubic, layout, prehistory,
-                                                          member, pick):
-    # one expression of the truth (member 0) or the design (1) gains
-    # 1/(u1@s - c), u1 being t and c a time slot s reaches at some stage:
-    # division by zero there, and in every observer at once for the design
+                                                          member, pick, n_truths):
+    # one expression of a truth (member 0, the last of n_truths truths) or
+    # of the design (1) gains 1/(u1@s - c), u1 being t and c a time slot s
+    # reaches at some stage: division by zero there, and in every observer
+    # at once for the design
     steps = 12
-    plants = list(scenario(seed, n, cubic, layout, prehistory, steps, drive_t=True))
+    truth, design, observers, cfg = scenario(seed, n, cubic, layout, prehistory, steps,
+                                             drive_t=True)
+    truths = [truth, other_truth(seed, truth)][:n_truths]
+    plants = [truths[-1], design]
     plant = plants[member]
     exprs = [(f, i) for f in (("f_u", "f_g", "f_L"), ("f_u", "f_L"))[member]
              for i in range(len(getattr(plant, f)))]
@@ -257,36 +292,38 @@ def test_failing_expression_reports_what_evaluate_reports(seed, n, cubic, layout
     bad = parse(f"{unparse(old[index])} + 1/(u1{f'@{slot}' if slot else ''} - {c!r})",
                 plant.dims())
     plants[member] = replace(plant, **{field: old[:index] + (bad,) + old[index + 1:]})
-    got = outcome(lambda: sim._integrate(*plants))
-    want = outcome(lambda: tree_walk(*plants))
+    truths[-1] = plants[0]
+    got = outcome(lambda: sim._integrate(truths, plants[1], observers, cfg))
+    want = outcome(lambda: tree_walk(truths, plants[1], observers, cfg))
     assert isinstance(want, str) and want.endswith("division by zero"), want
     assert got == want
 
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), cubic=CUBIC, layout=LAYOUT,
-       prehistory=st.sampled_from(["analytic", "zero"]), pick=st.integers(0, 2**16))
+       prehistory=st.sampled_from(["analytic", "zero"]), pick=st.integers(0, 2**16),
+       n_truths=st.integers(1, 2))
 def test_failing_drive_sample_reports_what_evaluate_reports(seed, n, cubic, layout,
-                                                            prehistory, pick):
+                                                            prehistory, pick, n_truths):
     # the drive's first channel becomes 1/(t - c), c a half-step time some
     # stage reads through some input lag: division by zero there.  The tree
-    # walk evaluates the drive at every declared slot, so both plants gain a
-    # term that reads u1 at every slot.
+    # walk evaluates the drive at every declared slot, so every plant gains
+    # a term that reads u1 at every slot.
     steps = 12
     truth, design, observers, cfg = scenario(seed, n, cubic, layout, prehistory, steps,
                                              drive_t=True)
     plants = []
-    for plant in (truth, design):
+    for plant in [truth, other_truth(seed, truth)][:n_truths] + [design]:
         reads = " + ".join(f"u1@{s}" if s else "u1" for s in range(len(plant.delta) + 1))
         f_u = (parse(f"{unparse(plant.f_u[0])} + 0.1*({reads})", plant.dims()),)
         plants.append(replace(plant, f_u=f_u + plant.f_u[1:]))
-    lags = [round(d / H) for d in truth.delta + design.delta]
+    lags = [round(d / H) for plant in plants for d in plant.delta]
     first = -2 * lags[pick % len(lags)] if lags and prehistory == "analytic" else 0
     c = ((first + pick % (2 * steps - first + 1)) * 0.5) * H
     drive = f"1/(t - {c!r})" if c >= 0 else f"1/(t + {-c!r})"
     cfg = replace(cfg, input_signal=(drive,) + cfg.input_signal[1:])
-    got = outcome(lambda: sim._integrate(*plants, observers, cfg))
-    want = outcome(lambda: tree_walk(*plants, observers, cfg))
+    got = outcome(lambda: sim._integrate(plants[:-1], plants[-1], observers, cfg))
+    want = outcome(lambda: tree_walk(plants[:-1], plants[-1], observers, cfg))
     assert isinstance(want, str) and want.endswith("division by zero"), want
     assert got == want
 
@@ -303,8 +340,9 @@ def test_generated_functions_run_whole_body_in_the_guard(monkeypatch, seed):
 
     monkeypatch.setattr(exprlang, "_CODE_CACHE", {})
     monkeypatch.setattr(exprlang, "compile", recording_compile, raising=False)
-    sim._integrate(*scenario(seed, 3, [True, False, True], (2, 2, 1, 2),
-                             ("analytic", "zero")[seed % 2], 4, drive_t=True))
+    truth, *rest = scenario(seed, 3, [True, False, True], (2, 2, 1, 2),
+                            ("analytic", "zero")[seed % 2], 4, drive_t=True)
+    sim._integrate([truth], *rest)[0]
     heads = [src.splitlines()[:2] for src in sources]
     assert sorted(head[0] for head in heads) == ["def _drive(t):", "def _stage(j, s):"]
     assert all(head[1] == "    try:" for head in heads), heads
@@ -324,11 +362,53 @@ def test_failing_terms_from_the_first_stage(truth_term, design_term):
             plant = plants[member]
             f_L = (parse(f"{unparse(plant.f_L[0])} + {term}", plant.dims()),) + plant.f_L[1:]
             plants[member] = replace(plant, f_L=f_L)
-    want = outcome(lambda: tree_walk(*plants))
+    want = outcome(lambda: tree_walk([plants[0]], *plants[1:])[0])
     assert want.startswith("expression evaluation failed near t = 0: ")
     assert want.endswith("division by zero" if truth_term == "1/(x1 - x1)"
                          else "(2.0+cos(x1))))")
-    assert outcome(lambda: sim._integrate(*plants)) == want
+    assert outcome(lambda: sim._integrate([plants[0]], *plants[1:])[0]) == want
+
+
+def spike(c):
+    """Finite at every stage time but ``t = c``, where exp overflows."""
+    return f"exp(1000 - 1000000*(u2 - {c!r})^2)"
+
+
+def one_state_plant(f_u="0", f_L="0", delta=()):
+    dims = SignalDims(n=1, n_u=2, n_y=1, n_delta=len(delta))
+    return PlantModel(A=[[-1.0]], C=[[1.0]], D=np.zeros((1, 0)), n_u=2, delta=delta,
+                      f_u=(parse(f_u, dims),), f_L=(parse(f_L, dims),))
+
+
+# Stage positions j sit at t = (j/2) H; step k runs j = 2k, 2k+1, 2k+1, 2k+2.
+# A failed drive sample and another failure in the same step: the first
+# failure a stage meets wins, in stage order, then in group order (each
+# truth, then its observers), a member meeting its input rows before its
+# expressions.
+@pytest.mark.parametrize("drive, truths, design, want", [
+    # stage 2 (j = 3) fails on the expression, stage 4 (j = 4) on the drive
+    ("1/(t - 0.25)", [one_state_plant("u1", spike(0.1875))], one_state_plant(),
+     "near t = 0.125: exp failed"),
+    # j = 2: the truth's expression, then the design's sample at -2H via lag 3
+    ("1/(t + 0.25)", [one_state_plant(f_L=spike(0.125))],
+     one_state_plant("u1@1", delta=(3 * H,)), "near t = 0: exp failed"),
+    # j = 2: the truth's sample at -2H via lag 3, then the design's expression
+    ("1/(t + 0.25)", [one_state_plant("u1@1", delta=(3 * H,))],
+     one_state_plant(f_L=spike(0.125)), "near t = 0: division by zero"),
+    # the second truth's expression at j = 3 before the first truth's sample at j = 4
+    ("1/(t - 0.25)", [one_state_plant("u1"), one_state_plant(f_L=spike(0.1875))],
+     one_state_plant(), "near t = 0.125: exp failed"),
+    # both truths' expressions at j = 3: the first truth's wins
+    ("t", [one_state_plant(f_L="1/(u2 - 0.1875)"), one_state_plant(f_L=spike(0.1875))],
+     one_state_plant(), "near t = 0.125: division by zero"),
+], ids=["stage-order", "truth-expression-first", "truth-sample-first",
+        "second-truth-first", "group-order"])
+def test_drive_and_expression_failures_in_one_step(drive, truths, design, want):
+    obs = ObserverParams(G=[[-1.0]], J=[[0.0]], E=[[0.0]], N=[[0.0]], theta=[[1.0]])
+    cfg = SimConfig(h=H, t_end=4 * H, x0=[0.5], xhat0=[0.0], input_signal=(drive, "t"))
+    got = outcome(lambda: sim._integrate(truths, design, [obs], cfg))
+    assert got.startswith(f"expression evaluation failed {want}"), got
+    assert got == outcome(lambda: tree_walk(truths, design, [obs], cfg))
 
 
 @settings(max_examples=20)
@@ -348,8 +428,8 @@ def test_overflow_in_an_unread_state_is_reported_at_its_step(seed, n, cubic, lay
     # the same delays in steps of h = 1
     truth, design = (replace(p, delta=tuple(d / H for d in p.delta),
                              tau=tuple(d / H for d in p.tau)) for p in (truth, design))
-    got = outcome(lambda: sim._integrate(truth, design, observers, cfg))
-    want = outcome(lambda: tree_walk(truth, design, observers, cfg))
+    got = outcome(lambda: sim._integrate([truth], design, observers, cfg)[0])
+    want = outcome(lambda: tree_walk([truth], design, observers, cfg)[0])
     assert want == f"state became non-finite at t = {k + 1} (step {k + 1})"
     assert got == want
 
@@ -366,6 +446,6 @@ def test_finite_terms_whose_sum_overflows_integrate_on():
     cfg = SimConfig(h=H, t_end=1.0, x0=[0.0, 1.0, 0.0, 0.0], xhat0=[1.0, 0.0, 0.0, 0.0],
                     input_signal=())
     res = sim.simulate(plant, plant, obs, cfg)
-    xs, xhats, _ = tree_walk(plant, plant, [obs], cfg)
+    xs, xhats, _ = tree_walk([plant], plant, [obs], cfg)[0]
     assert np.isfinite(res.x).all() and res.x.max() > 1e307
     assert close(res.x, xs) and close(res.xhat, xhats[0])
