@@ -22,7 +22,9 @@ Both blocks are jointly homogeneous in ``P`` and the multipliers.  At
 ``P Gh + Gh'P + P T T'P + q I`` with ``Gh = G``, ``q = gamma^2``
 (``Gh = G + (b - mu1)/2 T``, ``q = mu1 rho + a + (b - mu1)^2 / 4``).  By the
 bounded real lemma some ``P > 0`` makes it negative definite iff ``q < 0``,
-or ``Gh`` is Hurwitz and ``q ||(sI - Gh)^{-1} T||_inf^2 < 1``.
+or ``Gh`` is Hurwitz and ``q ||(sI - Gh)^{-1} T||_inf^2 < 1``.  That norm
+comes from a level-set iteration, not a bisection: usually one to five
+Hamiltonian eigensolves fix it to 2e-10 relative.
 
 Alongside the block inequality, the cubic output-injection gain must
 satisfy ``P N C + C'N'P < 0``.  The closed form ``N = -alpha P^{-1} C' theta``
@@ -96,7 +98,8 @@ class FeasibilitySearchError(RuntimeError):
     """No certificate was returned.
 
     In the Lipschitz case the message says "infeasibility is proven" when
-    no certificate exists; in the one-sided case no multiplier on the
+    no certificate exists, and claims no proof for a ``gamma`` within
+    rounding of ``gamma_max``; in the one-sided case no multiplier on the
     searched range made the slack positive, the message gives the best
     slack, and infeasibility is not proven.
     """
@@ -369,64 +372,118 @@ class CertificateSearchOptions:
 _CERTIFICATE_TOL = 1e-6
 
 
+def _hamiltonian_eigvals(G: np.ndarray, TT: np.ndarray, g: float) -> np.ndarray:
+    """Eigenvalues of the Hamiltonian ``[[G, T T'/g^2], [-I, -G']]``.
+
+    ``j w`` is one of them iff ``g`` is a singular value of
+    ``(j w I - G)^{-1} T``.
+    """
+    n = G.shape[0]
+    H = np.zeros((2 * n, 2 * n))
+    H[:n, :n] = G
+    np.divide(TT, g * g, out=H[:n, n:])
+    H[n:, n:] = -G.T
+    H[np.arange(n, 2 * n), np.arange(n)] = -1.0
+    return np.linalg.eigvals(H)
+
+
+def _on_axis(ev: np.ndarray, tol: float) -> np.ndarray:
+    return np.abs(ev.real) <= tol * (1.0 + np.abs(ev))
+
+
 def _hinf_below(G: np.ndarray, TT: np.ndarray, g: float) -> bool:
     """For Hurwitz ``G``: is ``||(sI - G)^{-1} T||_inf < g``?
 
-    True iff the Hamiltonian ``[[G, T T'/g^2], [-I, -G']]`` has no
-    eigenvalue on the imaginary axis.
+    True iff the Hamiltonian has no eigenvalue on the imaginary axis.
     """
+    return not _on_axis(_hamiltonian_eigvals(G, TT, g), 1e-9).any()
+
+
+def _gains(G: np.ndarray, T: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``sigma_max((j w I - G)^{-1} T)`` at each frequency of ``w``."""
     n = G.shape[0]
-    ev = np.linalg.eigvals(np.block([[G, TT / g**2], [-np.eye(n), -G.T]]))
-    return not np.any(np.abs(ev.real) <= 1e-9 * (1.0 + np.abs(ev)))
+    R = np.linalg.solve(1j * w[:, None, None] * np.eye(n) - G,
+                        np.broadcast_to(T, (w.size, n, n)))
+    return np.linalg.svd(R, compute_uv=False)[:, 0]
 
 
-def _gamma_star(G: np.ndarray, T: np.ndarray) -> float:
-    """``1 / ||(sI - G)^{-1} T||_inf`` by bisection on :func:`_hinf_below`
-    to 1e-10 relative, rounded down; 0 unless ``G`` is Hurwitz, ``inf`` when
-    ``T`` vanishes."""
-    if np.max(np.linalg.eigvals(G).real) >= 0.0:
-        return 0.0
+def _gamma_star(G: np.ndarray, T: np.ndarray) -> tuple[float, float, float]:
+    """``(gamma*, g, w)``: ``gamma* = 1 / ||(sI - G)^{-1} T||_inf`` rounded
+    down, and the witness ``g = sigma_max((j w I - G)^{-1} T)``, a lower bound
+    on the norm.  ``1 / gamma*`` exceeds ``g`` by 2e-10 relative, or by more
+    where rounding keeps a Hamiltonian eigenvalue on the axis above the peak.
+
+    The level-set iteration of Boyd, Balakrishnan & Kabamba (1989) and
+    Bruinsma & Steinbuch (1990): at ``hi = g (1 + 2e-10)`` the Hamiltonian's
+    imaginary-axis eigenvalues are the frequencies where the gain crosses
+    ``hi``, and ``g`` moves to the largest gain at the midpoints between
+    them, converging quadratically.  It ends when :func:`_hinf_below` holds
+    at ``hi``; ``gamma* = 0`` if no finite ``hi`` passes.  ``(0, inf, nan)``
+    unless ``G`` is Hurwitz; ``(inf, 0, 0)`` when ``T`` vanishes.
+    """
+    poles = np.linalg.eigvals(G)
+    if np.max(poles.real) >= 0.0:
+        return 0.0, np.inf, np.nan
     TT = T @ T.T
     if not TT.any():
-        return np.inf
-    # the norm is at least the gain at s = 0
-    lo = float(np.linalg.norm(np.linalg.solve(-G, T), 2))
-    hi = 2.0 * lo + 1e-12
-    while not _hinf_below(G, TT, hi):
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if _hinf_below(G, TT, mid):
-            hi = mid
-        else:
-            lo = mid
-    return 1.0 / hi
+        return np.inf, 0.0, 0.0
+    # start from the gain at s = 0 and at the pole frequency the peak is
+    # most likely near: the least damped pole, else the slowest one
+    resonance = np.abs(poles.imag / poles.real) / np.abs(poles)
+    k = int(np.argmax(resonance)) if resonance.any() else int(np.argmin(np.abs(poles)))
+    w = np.array([0.0, abs(poles[k])])
+    gains = _gains(G, T, w)
+    k = int(np.argmax(gains))
+    g, w_peak = float(gains[k]), float(w[k])
+    hi = g * (1.0 + 2e-10)
+    while np.isfinite(hi):
+        ev = _hamiltonian_eigvals(G, TT, hi)
+        # rounding moves the crossings of a far-from-normal G off the axis by
+        # more than _hinf_below's 1e-9, so look for them 1e-6 from it
+        w = np.unique(np.abs(ev.imag[_on_axis(ev, 1e-6)]))
+        if w.size > 1:
+            w = 0.5 * (w[1:] + w[:-1])
+            gains = _gains(G, T, w)
+            k = int(np.argmax(gains))
+            if gains[k] > hi:
+                g, w_peak = float(gains[k]), float(w[k])
+                hi = g * (1.0 + 2e-10)
+                continue
+        if not _on_axis(ev, 1e-9).any():
+            return 1.0 / hi, g, w_peak
+        # no gain above hi, yet an eigenvalue within rounding of the axis:
+        # double the distance to g until the Hamiltonian test resolves it
+        hi = g + 2.0 * (hi - g)
+    return 0.0, g, w_peak
 
 
 def max_lipschitz_gamma(G, E, C) -> float:
     """Supremum ``gamma*`` of the Lipschitz constants a certificate can cover.
 
-    ``gamma* = 1 / ||(sI - G)^{-1} (I - E C)||_inf``, rounded down so every
+    ``gamma* = 1 / ||(sI - G)^{-1} (I - E C)||_inf``, from the level-set
+    iteration of the H-infinity norm, rounded down so every
     ``gamma < gamma*`` is certifiable.  Returns ``0.0`` when ``G`` is not
     Hurwitz and ``inf`` when ``I - E C`` vanishes.
     """
     G = as_matrix(G, "G")
     E = as_matrix(E, "E")
     C = as_matrix(C, "C")
-    return _gamma_star(G, np.eye(G.shape[0]) - E @ C)
+    return _gamma_star(G, np.eye(G.shape[0]) - E @ C)[0]
 
 
 def search_P(mode: LipschitzSpec, G, E, C,
              opts: CertificateSearchOptions | None = None) -> Certificate:
     """Find a feasibility certificate through the Riccati form of the block.
 
-    With ``gamma*(Gh)`` as in :func:`max_lipschitz_gamma`, ``P`` solves
+    With ``gamma*(Gh)`` from the level-set H-infinity norm of
+    :func:`max_lipschitz_gamma`, ``P`` solves
     ``P Gh + Gh'P + P T T'P + q_s I = 0`` at ``q_s`` midway from ``q`` to
     ``gamma*(Gh)^2`` (a small multiple of ``I`` when ``q < 0``), and ``P``
     and the multipliers are scaled up jointly until the margin, recomputed
     through the public verifier, is below ``-1e-6``.  The Lipschitz case is
-    decided exactly: a refusal says that infeasibility is proven.  In the
-    one-sided case ``slack(mu1) = gamma*(Gh)^2 - q`` is quasi-concave (its
+    decided exactly, except within rounding of ``gamma*``: a refusal names
+    the frequency whose gain proves infeasibility.  In the one-sided
+    case ``slack(mu1) = gamma*(Gh)^2 - q`` is quasi-concave (its
     level set ``slack > c`` is the projection of the convex feasible set for
     ``a + c``), so a log grid refined around its best point finds the
     largest slack; if that is not positive, the refusal gives it and says
@@ -472,8 +529,9 @@ def _riccati_certificate(Gh, T, q, gmax, verify):
         # strictly feasible pair up until its margin passes tol
         margin = verify(P, 1.0)
         s = min(2.0 * tol / -margin, 1e12) if -tol <= margin < 0.0 else 1.0
-        P = s * P
-        margin = verify(P, s)
+        if s != 1.0:
+            P = s * P
+            margin = verify(P, s)
     except (np.linalg.LinAlgError, CertificateError):
         return None
     return (P, s) if margin < -tol else None
@@ -481,16 +539,24 @@ def _riccati_certificate(Gh, T, q, gmax, verify):
 
 def _lipschitz_certificate(gamma: float, G, E, C) -> Certificate:
     T = np.eye(G.shape[0]) - E @ C
-    gamma_max = _gamma_star(G, T)
-    if gamma_max == 0.0:
+    gamma_max, peak, w = _gamma_star(G, T)
+    if peak == np.inf:
         raise FeasibilitySearchError(
             "G is not Hurwitz, so no certificate exists for any gamma "
             "(gamma_max = 0); infeasibility is proven"
         )
-    if not _hinf_below(G, T @ T.T, 1.0 / gamma):
+    if gamma * peak >= 1.0:
         raise FeasibilitySearchError(
-            f"gamma = {gamma:.6g} is not below gamma_max = {gamma_max:.6g} "
-            "= 1/||(sI - G)^-1 (I - EC)||_inf; infeasibility is proven"
+            f"gamma = {gamma:.10g} is not below gamma_max = {gamma_max:.10g} "
+            "= 1/||(sI - G)^-1 (I - EC)||_inf: at omega = "
+            f"{w:.10g}, gamma * sigma_max((j omega - G)^-1 (I - EC)) = "
+            f"{gamma * peak:.10g} >= 1; infeasibility is proven"
+        )
+    if not gamma < gamma_max:
+        raise FeasibilitySearchError(
+            f"gamma = {gamma:.10g} is within rounding of gamma_max = {gamma_max:.10g}: "
+            "1/||(sI - G)^-1 (I - EC)||_inf lies between gamma_max and "
+            f"{1.0 / peak:.10g}, which does not decide it at working precision"
         )
     found = _riccati_certificate(
         G, T, gamma**2, gamma_max,
@@ -514,7 +580,7 @@ def _osl_certificate(mode: OneSidedLipschitz, G, E, C) -> Certificate:
     def reduced(mu1):
         """``(Gh, q, gamma*(Gh))`` of the Schur complement at ``mu2 = 1``."""
         Gh = G + 0.5 * (b - mu1) * T
-        return Gh, mu1 * rho + a + 0.25 * (b - mu1) ** 2, _gamma_star(Gh, T)
+        return Gh, mu1 * rho + a + 0.25 * (b - mu1) ** 2, _gamma_star(Gh, T)[0]
 
     def slack(log_mu1):
         _, q, g = reduced(np.exp(log_mu1))

@@ -1,12 +1,14 @@
 """Certificates: block assembly, margins, cubic gain, equilibrium, search."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
+from cubicobs import cert as cert_module
 from cubicobs.cert import (
     COUNTEREXAMPLE,
     CertificateError,
@@ -35,6 +37,8 @@ P = np.array([[59.0535, 1.7898], [1.7898, 17.8858]])
 # margin of the published certificate, computed independently from the
 # literal block [[PG+G'P+100 I, PT], [T'P, -100 I]] with T = I - EC
 PUBLISHED_MARGIN = -96.74796747559465
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def random_spd(rng, n, scale=1.0):
@@ -406,6 +410,110 @@ def test_search_P_certifies_iff_gamma_below_gamma_star(n, seed, frac):
     else:
         with pytest.raises(FeasibilitySearchError, match="infeasibility is proven"):
             search_P(Lipschitz(gamma=gamma), Gm, Em, Cm)
+
+
+def sweep_family(monkeypatch):
+    """certify-sweep's systems ``(G, E, C)``, in their own coordinates."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    return [(c["G"], c["E"], c["C"]) for f in gen.sweep_family() for c in f["certify"]]
+
+
+def assert_gamma_star_exact(Gm, Em, Cm, rng):
+    """gamma* agrees with a frequency sweep, in the given coordinates and in
+    two orthogonal rotations of them, and is rounded down: the Hamiltonian at
+    1 / gamma* has no imaginary-axis eigenvalue."""
+    n = Gm.shape[0]
+    gammas = []
+    for k in range(3):
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0] if k else np.eye(n)
+        Gq, Eq, Cq = Q @ Gm @ Q.T, Q @ Em, Cm @ Q.T
+        Tq = np.eye(n) - Eq @ Cq
+        gamma_star = max_lipschitz_gamma(Gq, Eq, Cq)
+        assert gamma_star == pytest.approx(swept_gamma_star(Gq, Tq), rel=1e-8)
+        assert cert_module._hinf_below(Gq, Tq @ Tq.T, 1.0 / gamma_star)
+        gammas.append(gamma_star)
+    assert max(gammas) == pytest.approx(min(gammas), rel=1e-8)
+
+
+def test_gamma_star_exact_on_far_from_normal_sweep_system(monkeypatch):
+    # the n = 7 member has ||G|| = 922 and real poles only: rounding moves the
+    # Hamiltonian's crossings more than 1e-9 relative off the axis at levels
+    # up to ~1e-5 below the norm, and a bisection on that test put gamma* 6e-6
+    # high
+    (Gm, Em, Cm), = [s for s in sweep_family(monkeypatch) if s[0].shape[0] == 7]
+    assert np.linalg.norm(Gm, 2) > 900.0
+    assert_gamma_star_exact(Gm, Em, Cm, np.random.default_rng(7))
+    # one part in 1e6 on either side of the true gamma* is decided, and a
+    # refusal names the frequency whose gain proves it
+    true = swept_gamma_star(Gm, np.eye(7) - Em @ Cm)
+    found = search_P(Lipschitz(gamma=0.999999 * true), Gm, Em, Cm)
+    assert verify_lmi_lipschitz(found.P, found.beta, 0.999999 * true, Gm, Em, Cm) < -1e-6
+    with pytest.raises(FeasibilitySearchError,
+                       match=r"at omega = 1\.4668.*infeasibility is proven"):
+        search_P(Lipschitz(gamma=1.000001 * true), Gm, Em, Cm)
+
+
+def test_search_P_claims_no_proof_within_rounding_of_gamma_star():
+    gamma_star = max_lipschitz_gamma(G, E, C)
+    with pytest.raises(FeasibilitySearchError, match="within rounding") as refusal:
+        search_P(Lipschitz(gamma=(1.0 + 1e-10) * gamma_star), G, E, C)
+    assert "proven" not in str(refusal.value)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_gamma_star_exact_for_non_normal_G(n, seed):
+    rng = np.random.default_rng(seed)
+    lam = np.diag(-rng.uniform(0.1, 3.0, n))
+    for k in range(0, n - 1, 2):
+        if rng.uniform() < 0.5:
+            w = rng.uniform(0.1, 5.0)
+            lam[k, k + 1], lam[k + 1, k] = w, -w
+    # G = S lam S^-1 with cond(S) up to 1e3, so ||G|| / rho(G) reaches ~1e3
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    S = U @ np.diag(10.0 ** np.linspace(0.0, rng.uniform(0.0, 3.0), n)) @ V
+    Gm = S @ lam @ np.linalg.inv(S)
+    Cm = rng.standard_normal((n - 1, n))
+    Em = rng.standard_normal((n, n - 1))
+    assert_gamma_star_exact(Gm, Em, Cm, rng)
+
+
+def count_eigensolves(monkeypatch):
+    calls = []
+    solve = cert_module._hamiltonian_eigvals
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cert_module, "_hamiltonian_eigvals", counted)
+    return calls
+
+
+def test_gamma_star_costs_few_eigensolves(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    for Gm, Em, Cm in sweep_family(monkeypatch):
+        calls.clear()
+        max_lipschitz_gamma(Gm, Em, Cm)
+        assert len(calls) <= 10, Gm.shape
+
+
+@pytest.mark.parametrize("bound, certified", [
+    (OneSidedLipschitz(rho=1.0, a=1e-4, b=0.0), True),
+    (OneSidedLipschitz(rho=1000.0, a=1000.0, b=1.0), False),
+], ids=["certified", "refused"])
+def test_search_P_osl_scan_costs_few_eigensolves(monkeypatch, bound, certified):
+    (Gm, Em, Cm), = [s for s in sweep_family(monkeypatch) if s[0].shape[0] == 8]
+    calls = count_eigensolves(monkeypatch)
+    if certified:
+        search_P(bound, Gm, Em, Cm)
+    else:
+        with pytest.raises(FeasibilitySearchError):
+            search_P(bound, Gm, Em, Cm)
+    assert 0 < len(calls) <= 300
 
 
 def test_search_P_osl_refuses_large_bounds_on_bundled_G():
