@@ -43,9 +43,9 @@ a verified equilibrium or proves there is none.  The verdict does not ask
 where ``N`` came from; whether it has the closed form is what
 ``verify_N_condition(...).identity_residual`` measures.
 
-scipy is imported by the functions that call it (the QZ solve, the Riccati
-equation and the multiplier scan), on first use, so importing this module
-and checking an LMI block or the cubic gain need numpy only.
+scipy loads on first use, in the QZ solve, the multiplier scan and the
+Riccati kernel ``numlin._care`` (``scipy.linalg.schur``): importing this
+module and checking an LMI block or the cubic gain need numpy only.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Certificate, Lipschitz, LipschitzSpec, OneSidedLipschitz
-from .numlin import as_matrix, definiteness_margin, psd_violation, sym_eig_extremes
+from .numlin import (_care, _hamiltonian, as_matrix, definiteness_margin, psd_violation,
+                     sym_eig_extremes)
 
 __all__ = [
     "CertificateError",
@@ -373,18 +374,9 @@ _CERTIFICATE_TOL = 1e-6
 
 
 def _hamiltonian_eigvals(G: np.ndarray, TT: np.ndarray, g: float) -> np.ndarray:
-    """Eigenvalues of the Hamiltonian ``[[G, T T'/g^2], [-I, -G']]``.
-
-    ``j w`` is one of them iff ``g`` is a singular value of
-    ``(j w I - G)^{-1} T``.
-    """
-    n = G.shape[0]
-    H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = G
-    np.divide(TT, g * g, out=H[:n, n:])
-    H[n:, n:] = -G.T
-    H[np.arange(n, 2 * n), np.arange(n)] = -1.0
-    return np.linalg.eigvals(H)
+    """Eigenvalues of the Hamiltonian ``[[G, T T'/g^2], [-I, -G']]``; ``j w``
+    is one iff ``g`` is a singular value of ``(j w I - G)^{-1} T``."""
+    return np.linalg.eigvals(_hamiltonian(G, TT / -(g * g), np.eye(G.shape[0])))
 
 
 def _on_axis(ev: np.ndarray, tol: float) -> np.ndarray:
@@ -476,7 +468,7 @@ def search_P(mode: LipschitzSpec, G, E, C,
     """Find a feasibility certificate through the Riccati form of the block.
 
     With ``gamma*(Gh)`` from the level-set H-infinity norm of
-    :func:`max_lipschitz_gamma`, ``P`` solves
+    :func:`max_lipschitz_gamma`, ``P`` solves (Schur kernel ``numlin._care``)
     ``P Gh + Gh'P + P T T'P + q_s I = 0`` at ``q_s`` midway from ``q`` to
     ``gamma*(Gh)^2`` (a small multiple of ``I`` when ``q < 0``), and ``P``
     and the multipliers are scaled up jointly until the margin, recomputed
@@ -508,8 +500,6 @@ def _riccati_certificate(Gh, T, q, gmax, verify):
     ``s``.  Returns ``(P, s)`` whose margin is below ``-_CERTIFICATE_TOL``,
     or ``None``.
     """
-    from scipy.linalg import solve_continuous_are
-
     tol = _CERTIFICATE_TOL
     n = Gh.shape[0]
     try:
@@ -523,8 +513,7 @@ def _riccati_certificate(Gh, T, q, gmax, verify):
             slack = 0.5 * (gmax**2 - q) if np.isfinite(gmax) else (q if q > 0.0 else 1.0)
             if not slack > 0.0:
                 return None
-            P = solve_continuous_are(Gh, T, (q + slack) * np.eye(n), -np.eye(n))
-            P = 0.5 * (P + P.T)
+            P = _care(Gh, -T @ T.T, (q + slack) * np.eye(n))
         # the block is jointly homogeneous in P and the multipliers: scale a
         # strictly feasible pair up until its margin passes tol
         margin = verify(P, 1.0)

@@ -13,9 +13,9 @@ makes the estimation error autonomous up to nonlinearity mismatch.  ``L``
 itself only has to render ``G`` Hurwitz with a decay margin.
 :func:`stabilize_L` decides that exactly: a mode of ``T A`` that the outputs
 cannot see (Popov-Belevitch-Hautus test) and that lies right of the margin
-makes it infeasible, and otherwise the shifted filter Riccati equation gives
-a gain.  That Riccati solve is the one use of scipy here: :func:`stabilize_L`
-imports it on its first call, and the rest of the module needs numpy only.
+makes it infeasible, and otherwise the shifted filter Riccati equation on the
+observable subspace gives a gain, from the Schur kernel ``numlin._care``; it
+loads ``scipy.linalg.schur`` on first use, and the rest needs numpy only.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numlin import as_matrix, mat_rank, pinv
+from .numlin import _care, as_matrix, mat_rank, pinv
 
 __all__ = [
     "DecouplingInfeasibleError",
@@ -55,8 +55,8 @@ class GainSearchError(RuntimeError):
     """
 
 
-# Relative size of the least singular value of [lam I - T A; C] at or below
-# which the mode lam counts as unobservable.
+# Relative singular value at or below which a mode lam of T A counts as
+# unobservable (of [lam I - T A; C]) and a new Krylov direction as spanned.
 _PBH_RTOL = 1e-10
 
 
@@ -157,13 +157,11 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
     gain exists iff every mode ``lam`` of ``T A`` with ``Re lam > -margin``
     passes the PBH test ``rank [lam I - T A; C] = n``; a mode that fails it
     raises :class:`GainSearchError` naming the mode.  The gain is
-    ``L = X C'`` with ``X`` the stabilizing solution of the filter Riccati
-    equation for ``T A + margin I``, which places every observable mode left
-    of ``-margin``; the result is checked once with
-    :func:`spectral_abscissa`.  ``opts`` is accepted and ignored.
+    ``L = X C'`` with ``X`` the stabilizing solution (``numlin._care``) of the
+    filter Riccati equation for ``T A + margin I`` on the observable subspace,
+    which places every observable mode left of ``-margin``; the result is
+    checked with :func:`spectral_abscissa`; ``opts`` is accepted and ignored.
     """
-    from scipy.linalg import solve_continuous_are
-
     if not 0 < margin < np.inf:
         raise ValueError("margin must be positive and finite")
     T = as_matrix(T, "T")
@@ -184,12 +182,21 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
                 f"right of {-margin:g}, so no L reaches spectral abscissa <= {-margin:g}"
             )
 
+    # solve on the observable subspace V, the block Krylov space of TA' from
+    # C': an unobservable mode on -margin has no stabilizing Riccati solution
+    V, W, tol = np.zeros((n, 0)), C.T, _PBH_RTOL * np.linalg.norm(C)
+    while W.shape[1] and V.shape[1] < n:
+        W = W - V @ (V.T @ W)
+        W = W - V @ (V.T @ W)
+        U, s, _ = np.linalg.svd(W, full_matrices=False)
+        U = U[:, s > tol]
+        V, W, tol = np.hstack([V, U]), TA.T @ U, _PBH_RTOL * np.linalg.norm(TA)
+    CV, I = C @ V, np.eye(V.shape[1])
     try:
-        X = solve_continuous_are((TA + margin * np.eye(n)).T, C.T, np.eye(n),
-                                 np.eye(C.shape[0]))
+        X = _care(V.T @ TA.T @ V + margin * I, CV.T @ CV, I)
     except np.linalg.LinAlgError as exc:
         raise GainSearchError(f"filter Riccati equation has no solution: {exc}") from None
-    L = X @ C.T
+    L = V @ X @ CV.T
     abscissa = spectral_abscissa(TA - L @ C)
     if abscissa > -margin:
         raise GainSearchError(

@@ -82,3 +82,36 @@ def psd_violation(S, name: str) -> str | None:
     if definiteness_margin(-S) > 1e-9:
         return f"{name} must be positive semidefinite"
     return None
+
+
+def _hamiltonian(A, S, Q) -> np.ndarray:
+    """The Hamiltonian ``[[A, -S], [-Q, -A']]`` of ``A'X + XA - X S X + Q = 0``."""
+    n = A.shape[0]
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n], H[:n, n:], H[n:, :n], H[n:, n:] = A, -S, -Q, -A.T
+    return H
+
+
+def _care(A, S, Q) -> np.ndarray:
+    """Stabilizing ``X`` of ``A'X + XA - X S X + Q = 0``: ``A - S X`` is Hurwitz.
+
+    Laub's Schur method (IEEE TAC 24(6), 1979): ``X = U21 U11^-1`` from the
+    stable subspace ``[U11; U21]`` of :func:`_hamiltonian`, balanced first
+    with a power-of-two scale per state and its inverse on the costate
+    (Benner, SIAM J. Sci. Comput. 22(5), 2001).  ``LinAlgError`` when that
+    subspace does not have dimension n or ``U11`` is singular.
+    """
+    from scipy.linalg import lapack, schur
+
+    n = A.shape[0]
+    H = _hamiltonian(A, S, Q)
+    s = np.log2(lapack.dgebal(np.abs(H) * (1.0 - np.eye(2 * n)), scale=1, permute=0)[3])
+    d = 2.0 ** np.round(0.5 * (s[:n] - s[n:]))
+    t = np.concatenate([d, 1.0 / d])
+    _, U, dim = schur(H * (t / t[:, None]), sort="lhp", check_finite=False)
+    c = np.linalg.cond(U[:n, :n])
+    if dim != n or c * np.finfo(float).eps > 1.0:
+        raise np.linalg.LinAlgError(f"{dim} stable Hamiltonian eigenvalues (need {n}), "
+                                    f"cond(U11) = {c:.1e} (need < 1/eps)")
+    X = np.linalg.solve(U[:n, :n].T, U[n:, :n].T) / np.outer(d, d)
+    return 0.5 * (X + X.T)

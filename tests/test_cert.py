@@ -462,23 +462,48 @@ def test_search_P_claims_no_proof_within_rounding_of_gamma_star():
     assert "proven" not in str(refusal.value)
 
 
-@settings(max_examples=60)
-@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
-def test_gamma_star_exact_for_non_normal_G(n, seed):
-    rng = np.random.default_rng(seed)
+def non_normal_G(rng, n):
+    """``G = S lam S^-1`` with Hurwitz ``lam`` and cond(S) up to 1e3, so
+    ``||G|| / rho(G)`` reaches ~1e3."""
     lam = np.diag(-rng.uniform(0.1, 3.0, n))
     for k in range(0, n - 1, 2):
         if rng.uniform() < 0.5:
             w = rng.uniform(0.1, 5.0)
             lam[k, k + 1], lam[k + 1, k] = w, -w
-    # G = S lam S^-1 with cond(S) up to 1e3, so ||G|| / rho(G) reaches ~1e3
     U = np.linalg.qr(rng.standard_normal((n, n)))[0]
     V = np.linalg.qr(rng.standard_normal((n, n)))[0]
     S = U @ np.diag(10.0 ** np.linspace(0.0, rng.uniform(0.0, 3.0), n)) @ V
-    Gm = S @ lam @ np.linalg.inv(S)
+    return S @ lam @ np.linalg.inv(S)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_gamma_star_exact_for_non_normal_G(n, seed):
+    rng = np.random.default_rng(seed)
+    Gm = non_normal_G(rng, n)
     Cm = rng.standard_normal((n - 1, n))
     Em = rng.standard_normal((n, n - 1))
     assert_gamma_star_exact(Gm, Em, Cm, rng)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       frac=st.floats(1.0 - 1e-6, 1.0, exclude_max=True))
+def test_search_P_near_gamma_star_certifies_or_claims_no_proof(n, seed, frac):
+    # just below the computed gamma*, a rounding-limited Riccati solution may
+    # be refused, but never as proven infeasible
+    rng = np.random.default_rng(seed)
+    Gm = non_normal_G(rng, n) * 10.0 ** rng.uniform(-2.0, 4.0)
+    Cm = rng.standard_normal((n - 1, n))
+    Em = rng.standard_normal((n, n - 1))
+    gamma = frac * max_lipschitz_gamma(Gm, Em, Cm)
+    try:
+        found = search_P(Lipschitz(gamma=gamma), Gm, Em, Cm)
+    except FeasibilitySearchError as refusal:
+        assert "within rounding" in str(refusal)
+        assert "proven" not in str(refusal)
+    else:
+        assert verify_lmi_lipschitz(found.P, found.beta, gamma, Gm, Em, Cm) < -1e-6
 
 
 def count_eigensolves(monkeypatch):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cubicobs import cert, model
 from cubicobs.cli import (
@@ -16,7 +17,7 @@ from cubicobs.cli import (
     main,
     parse_matrix_flag,
 )
-from cubicobs.design import spectral_abscissa, verify_structure
+from cubicobs.design import spectral_abscissa, stabilize_L, verify_structure
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,29 @@ def test_design_auto_margin(configs, tmp_path, capsys):
                  "--auto-margin", "5.0", "--out", str(out)])
     assert code == EXIT_OK
     assert spectral_abscissa(model.load_config(out).observer.G) <= -5.0 + 1e-9
+    capsys.readouterr()
+
+
+def test_no_second_riccati_path(configs, tmp_path, monkeypatch, capsys):
+    # every Riccati equation goes through numlin's Schur kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.solve_continuous_are called")
+
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", refuse)
+    ex = model.example_system()
+    obs, plant = ex.nominal_config().observer, ex.nominal_config().plant
+    found = cert.search_P(model.Lipschitz(gamma=1.0), obs.G, obs.E, plant.C)
+    assert cert.verify_lmi_lipschitz(found.P, found.beta, 1.0, obs.G, obs.E, plant.C) < 0.0
+    a = (0.99 * cert.max_lipschitz_gamma(obs.G, obs.E, plant.C)) ** 2
+    osl = model.OneSidedLipschitz(rho=-3.0, a=a, b=0.0)
+    found = cert.search_P(osl, obs.G, obs.E, plant.C)
+    assert cert.verify_lmi_osl(found.P, found.mu1, found.mu2, osl.rho, osl.a, osl.b,
+                               obs.G, obs.E, plant.C) < 0.0
+    T = np.eye(2) - obs.E @ plant.C
+    L = stabilize_L(T, plant.A, plant.C, margin=5.0)
+    assert spectral_abscissa(T @ plant.A - L @ plant.C) <= -5.0
+    assert main(["design", "--config", str(configs["nominal"]), "--auto-margin", "1",
+                 "--out", str(tmp_path / "auto.json")]) == EXIT_OK
     capsys.readouterr()
 
 

@@ -154,6 +154,16 @@ def test_stabilize_L_unobservable_fails():
                     opts=GainSearchOptions(seed=0))
 
 
+def test_stabilize_L_meets_margin_with_an_unobservable_mode_on_it():
+    # the only unobservable mode, -1, is not right of -margin, so a gain
+    # exists; a Riccati equation over the whole state would have it on the
+    # imaginary axis after the shift
+    Am = np.diag([-1.0, 2.0])
+    Cm = np.array([[0.0, 1.0]])
+    Lm = stabilize_L(np.eye(2), Am, Cm, margin=1.0)
+    assert spectral_abscissa(Am - Lm @ Cm) <= -1.0
+
+
 @pytest.mark.parametrize("margin", [np.nan, np.inf], ids=["nan", "inf"])
 def test_stabilize_L_rejects_non_finite_margin(margin):
     E = compute_E(C, D)

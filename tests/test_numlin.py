@@ -1,9 +1,14 @@
-"""Dense linear-algebra helpers: shapes, ranks, pseudoinverse, eigen margins."""
+"""Dense linear-algebra helpers: shapes, ranks, pseudoinverse, eigen margins,
+and the Riccati kernel."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_continuous_are
 
+from cubicobs.cert import _gamma_star
 from cubicobs.numlin import (
+    _care,
     as_matrix,
     definiteness_margin,
     mat_rank,
@@ -68,3 +73,68 @@ def test_definiteness_margin_signs():
     assert definiteness_margin(np.diag([-1.0, -2.0])) == pytest.approx(-1.0)
     assert definiteness_margin(np.diag([-1.0, 0.5])) == pytest.approx(0.5)
     assert definiteness_margin(np.zeros((2, 2))) == 0.0
+
+
+# --- Riccati kernel -------------------------------------------------------
+
+def assert_stabilizing(A, S, Q, X, oracle):
+    """``X`` solves ``A'X + XA - X S X + Q = 0`` to 1e-9 of the size of its
+    terms, makes ``A - S X`` Hurwitz and is scipy's solution within 1e-8."""
+    nrm = np.linalg.norm
+    residual = A.T @ X + X @ A - X @ S @ X + Q
+    scale = 2.0 * nrm(A) * nrm(X) + nrm(X) ** 2 * nrm(S) + nrm(Q)
+    assert nrm(residual) <= 1e-9 * scale
+    assert np.max(np.linalg.eigvals(A - S @ X).real) < 0.0
+    assert nrm(X - oracle) <= 1e-8 * nrm(oracle)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_care_stabilizing_for_positive_S(n, seed):
+    # (A, B) is stabilizable and Q > 0 for almost every draw; A need not be
+    # Hurwitz
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-1.0, 1.0)
+    B = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+    R = rng.standard_normal((n, n))
+    Q = R @ R.T + 0.1 * np.eye(n)
+    oracle = solve_continuous_are(A, B, Q, np.eye(B.shape[1]))
+    assert_stabilizing(A, B @ B.T, Q, _care(A, B @ B.T, Q), oracle)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       frac=st.floats(0.05, 0.9))
+def test_care_stabilizing_for_indefinite_S_below_gamma_star(n, seed, frac):
+    # the bounded-real form P G + G'P + P T T'P + q I = 0: S = -T T' and a
+    # stabilizing solution exists for q < gamma*^2
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    G = M - (np.max(np.linalg.eigvals(M).real) + rng.uniform(0.1, 2.0)) * np.eye(n)
+    T = rng.standard_normal((n, n))
+    q = frac * _gamma_star(G, T)[0] ** 2
+    oracle = solve_continuous_are(G, T, q * np.eye(n), -np.eye(n))
+    assert_stabilizing(G, -T @ T.T, q * np.eye(n), _care(G, -T @ T.T, q * np.eye(n)), oracle)
+
+
+@pytest.mark.parametrize("q", [1.0 + 1e-6, 2.0, 100.0])
+def test_care_refuses_above_gamma_star(q):
+    # G = [[-1]], T = 1 has gamma*^2 = 1: above it the Hamiltonian's
+    # eigenvalues +-j sqrt(q - 1) lie on the axis
+    with pytest.raises(np.linalg.LinAlgError):
+        _care(np.array([[-1.0]]), np.array([[-1.0]]), np.array([[q]]))
+
+
+@pytest.mark.parametrize("spread", [1e4, 1e5, 1e6])
+def test_care_accurate_when_states_are_badly_scaled(spread):
+    # X = D X0 D solves the equation for D^-1 A0 D, D^-1 S0 D^-1 and D Q0 D:
+    # the balancing undoes D up to powers of two, so X keeps the accuracy of
+    # the well-scaled problem
+    rng = np.random.default_rng(3)
+    A0 = rng.standard_normal((4, 4))
+    B0 = rng.standard_normal((4, 1))
+    X0 = solve_continuous_are(A0, B0, np.eye(4), np.eye(1))
+    d = np.geomspace(1.0 / spread, spread, 4)
+    DD = np.outer(d, d)
+    X = _care(A0 * d / d[:, None], B0 @ B0.T / DD, np.diag(d * d))
+    assert np.max(np.abs(X / DD - X0)) <= 1e-10 * np.max(np.abs(X0))
