@@ -36,8 +36,9 @@ print("classification:", ncond.classification)
 print("identity residual:", ncond.identity_residual)
 
 # 3. Equilibrium uniqueness.  A nonzero rest point lies on a ray through a
-# real eigenvector of the pencil (G, -N C), so one QZ decomposition decides
-# the question for any gain: "no-counterexample" is a proof.
+# real eigenvector of the pencil (G, -N C), so its eigenvalues (one QZ solve)
+# and their eigenspaces (one stacked SVD) decide the question for any gain:
+# "no-counterexample" is a proof.
 verdict = cert.check_equilibrium_uniqueness(obs.G, obs.N, plant.C, obs.theta)
 print("equilibrium:", verdict.status)
 

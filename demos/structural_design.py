@@ -46,8 +46,8 @@ print("spectral abscissa of G =", design.spectral_abscissa(r.G))
 # A gain can also be computed.  stabilize_L solves the filter Riccati
 # equation shifted by the requested decay margin, on the observable subspace,
 # with numlin's Hamiltonian-Schur kernel (scipy.linalg.schur loads on the
-# first call); a margin beyond the pinned, unobservable eigenvalue fails the
-# PBH test and raises GainSearchError.
+# first call); a margin beyond the pinned, unobservable eigenvalue raises
+# GainSearchError naming that mode.
 L_auto = design.stabilize_L(T, A, C, margin=5.0)
 r_auto = design.design_GJ(A, C, E, L_auto, D=D)
 print("\ncomputed gain for margin 5.0:")

@@ -37,15 +37,15 @@ failing it.
 Finally, the error dynamics ``e' = G e - (e'C' theta C e) N C e + mismatch``
 must have the origin as their only equilibrium.  A nonzero ``v`` with
 ``G v + (v'C' theta C v) N C v = 0`` lies on a ray through a real eigenvector
-of the pencil ``(G, -N C)`` or through the kernel of ``G``, so one QZ
-decomposition decides the question exactly, for any gain: it either returns
-a verified equilibrium or proves there is none.  The verdict does not ask
-where ``N`` came from; whether it has the closed form is what
-``verify_N_condition(...).identity_residual`` measures.
+of the pencil ``(G, -N C)`` or through the kernel of ``G``, so its real
+eigenvalues (QZ, no eigenvectors) and the kernels of ``G + lam N C`` there
+(one stacked SVD) return a verified equilibrium or prove there is none, for
+any gain.  The verdict does not ask where ``N`` came from; whether it has the
+closed form is what ``verify_N_condition(...).identity_residual`` measures.
 
-scipy loads on first use, in the QZ solve, the multiplier scan and the
-Riccati kernel ``numlin._care`` (``scipy.linalg.schur``): importing this
-module and checking an LMI block or the cubic gain need numpy only.
+scipy loads on first use, in the eigenvalue-only QZ solve, the multiplier scan
+and the Riccati kernel ``numlin._care`` (``scipy.linalg.schur``): importing
+this module and checking an LMI block or the cubic gain need numpy only.
 """
 
 from __future__ import annotations
@@ -273,14 +273,6 @@ _EQUILIBRIUM_TOL = 1e-8
 _ZERO_RTOL = 1e-12
 
 
-def _kernel(M: np.ndarray) -> np.ndarray:
-    """Right singular vectors of ``M`` with singular value ``<= _ZERO_RTOL``
-    times the largest, as columns; always at least the least singular one."""
-    _, s, Vt = np.linalg.svd(M)
-    k = max(1, M.shape[1] - int(np.count_nonzero(s > _ZERO_RTOL * s[0])))
-    return Vt[-k:].T
-
-
 def _equilibrium_candidates(G, K, NC):
     """Yield ``(v, origin)`` for every candidate nonzero equilibrium, unverified.
 
@@ -292,35 +284,41 @@ def _equilibrium_candidates(G, K, NC):
     ``s(lam)``; when ``K >= 0`` and ``s(0)'K s(0) > 0``, ``s(lam)'K s(lam)``
     has at most ``2n`` roots, so one of ``2n + 1`` positive samples of ``lam``
     yields an equilibrium (negative samples serve an indefinite ``theta``).
+    QZ (``dggev``) gives eigenvalues only; the kernels come from one stacked SVD.
     """
-    from scipy.linalg import eig
+    from scipy.linalg import lapack
 
     n = G.shape[0]
     tiny = _ZERO_RTOL * (np.linalg.norm(G) + np.linalg.norm(NC))
     k_tiny = _ZERO_RTOL * np.linalg.norm(K)
-
-    W = _kernel(G)
+    alphar, alphai, beta, _, _, _, info = lapack.dggev(G, -NC, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"QZ iteration failed (dggev info = {info})")
+    alpha = np.hypot(alphar, alphai)
+    # |beta| <= tiny is an infinite eigenvalue (NC has rank <= n_y < n), which
+    # QZ otherwise returns as a spurious finite value of size ~1/eps;
+    # |alpha| <= tiny is the kernel of G, examined first.  A real double
+    # eigenvalue can come back as a close complex pair, so the real part of
+    # every finite eigenvalue is tried; verification rejects the rest.
+    finite = (np.abs(beta) > tiny) & (alpha > tiny)
+    lams = [0.0, *np.unique(alphar[finite] / beta[finite])]
+    if NC.any() and np.any((alpha <= tiny) & (np.abs(beta) <= tiny)):
+        span = np.linalg.norm(G) / np.linalg.norm(NC)
+        lams += [sign * k * span for k in range(1, 2 * n + 2) for sign in (1.0, -1.0)]
+    # kernel of each G + lam NC: singular values <= _ZERO_RTOL of the largest, >= 1
+    lams = np.array(lams)
+    _, s, Vt = np.linalg.svd(G + lams[:, None, None] * NC)
+    ranks = np.count_nonzero(s > _ZERO_RTOL * s[:, :1], axis=1)
+    W, *kernels = [vt[min(r, n - 1):].T for vt, r in zip(Vt, ranks)]
     mus, U = np.linalg.eigh(W.T @ K @ W)
     yield W @ U[:, np.argmin(np.abs(mus))], "kernel of G, v'Kv = 0"
     if mus[0] < 0.0 < mus[-1]:
         u = np.sqrt(mus[-1]) * U[:, 0] + np.sqrt(-mus[0]) * U[:, -1]
         yield W @ u, "kernel of G, v'Kv = 0"
-    yield W @ _kernel(NC @ W)[:, -1], "kernel of G and of N C"
-
-    (alpha, beta), _ = eig(G, -NC, homogeneous_eigvals=True)
-    # |beta| <= tiny is an infinite eigenvalue (NC has rank <= n_y < n), which
-    # QZ otherwise returns as a spurious finite value of size ~1/eps;
-    # |alpha| <= tiny is the kernel of G, examined above.  A real double
-    # eigenvalue can come back as a close complex pair, so the real part of
-    # every finite eigenvalue is tried; verification rejects the rest.
-    finite = (np.abs(beta) > tiny) & (np.abs(alpha) > tiny)
-    lams = list(np.unique((alpha[finite] / beta[finite]).real))
-    if NC.any() and np.any((np.abs(alpha) <= tiny) & (np.abs(beta) <= tiny)):
-        span = np.linalg.norm(G) / np.linalg.norm(NC)
-        lams += [sign * k * span for k in range(1, 2 * n + 2) for sign in (1.0, -1.0)]
-    for lam in lams:
-        V = _kernel(G + lam * NC)
-        mus, U = np.linalg.eigh(V.T @ K @ V)
+    yield W @ np.linalg.svd(NC @ W)[2][-1], "kernel of G and of N C"
+    for lam, V in zip(lams[1:], kernels):
+        M = V.T @ K @ V
+        mus, U = (M[0], np.ones((1, 1))) if len(M) == 1 else np.linalg.eigh(M)
         for mu, u in zip(mus, U.T):
             if lam * mu > 0.0 and abs(mu) > k_tiny:
                 yield np.sqrt(lam / mu) * (V @ u), f"pencil eigenvalue {lam:.6g}"

@@ -11,11 +11,11 @@ exactly when ``rank(C D) = rank(D)``, and the canonical choice is
 satisfy the consistency identity ``T A - J C - G T = 0``, which is what
 makes the estimation error autonomous up to nonlinearity mismatch.  ``L``
 itself only has to render ``G`` Hurwitz with a decay margin.
-:func:`stabilize_L` decides that exactly: a mode of ``T A`` that the outputs
-cannot see (Popov-Belevitch-Hautus test) and that lies right of the margin
-makes it infeasible, and otherwise the shifted filter Riccati equation on the
-observable subspace gives a gain, from the Schur kernel ``numlin._care``; it
-loads ``scipy.linalg.schur`` on first use, and the rest needs numpy only.
+:func:`stabilize_L` decides that exactly from one Krylov staircase: a mode of
+``T A`` on the orthogonal complement of the observable subspace that lies
+right of the margin makes it infeasible, and otherwise the shifted filter
+Riccati equation on the observable subspace gives a gain, from the Schur
+kernel ``numlin._care`` (``scipy.linalg.schur``, loaded on first use).
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ class DecouplingInfeasibleError(ValueError):
 class GainSearchError(RuntimeError):
     """No output injection meets the margin.
 
-    The message says "infeasible" and names the mode when the PBH test
-    proves that no gain exists; otherwise the Riccati gain failed its check.
+    The message says "infeasible" and names the rightmost unobservable mode
+    when no gain exists; otherwise it says that infeasibility is not proven.
     """
 
 
-# Relative singular value at or below which a mode lam of T A counts as
-# unobservable (of [lam I - T A; C]) and a new Krylov direction as spanned.
-_PBH_RTOL = 1e-10
+# Singular value, relative to |C|_F (first block) or |T A|_F, at or below which
+# a new Krylov direction of the observable subspace counts as spanned.
+_SPAN_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -154,13 +154,14 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
     """Find ``L`` with ``spectral_abscissa(T A - L C) <= -margin``.
 
     ``L = 0`` is returned when ``T A`` already meets the margin.  Otherwise a
-    gain exists iff every mode ``lam`` of ``T A`` with ``Re lam > -margin``
-    passes the PBH test ``rank [lam I - T A; C] = n``; a mode that fails it
-    raises :class:`GainSearchError` naming the mode.  The gain is
-    ``L = X C'`` with ``X`` the stabilizing solution (``numlin._care``) of the
-    filter Riccati equation for ``T A + margin I`` on the observable subspace,
-    which places every observable mode left of ``-margin``; the result is
-    checked with :func:`spectral_abscissa`; ``opts`` is accepted and ignored.
+    gain exists iff no unobservable mode of ``T A`` (a mode on the orthogonal
+    complement of ``V``, the block Krylov space of ``(T A)'`` from ``C'``)
+    lies right of ``-margin``; else :class:`GainSearchError` names the
+    rightmost one.  The gain is ``L = X C'`` with ``X`` the stabilizing
+    solution (``numlin._care``) of the filter Riccati equation for
+    ``T A + margin I`` on ``V``, which places every observable mode left of
+    ``-margin``; the result is checked with :func:`spectral_abscissa`;
+    ``opts`` is accepted and ignored.
     """
     if not 0 < margin < np.inf:
         raise ValueError("margin must be positive and finite")
@@ -169,38 +170,38 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
     C = as_matrix(C, "C")
     TA = T @ A
     n = A.shape[0]
-    modes = np.linalg.eigvals(TA)
-    if np.max(modes.real) <= -margin:
+    if np.max(np.linalg.eigvals(TA).real) <= -margin:
         return np.zeros((n, C.shape[0]))
 
-    for lam in modes[modes.real > -margin]:
-        s = np.linalg.svd(np.vstack([lam * np.eye(n) - TA, C]), compute_uv=False)
-        if s[-1] <= _PBH_RTOL * s[0]:
-            mode = f"{lam.real:.6g}" if lam.imag == 0 else f"{lam:.6g}"
-            raise GainSearchError(
-                f"infeasible: mode {mode} of T A is unobservable (PBH test) and lies "
-                f"right of {-margin:g}, so no L reaches spectral abscissa <= {-margin:g}"
-            )
-
-    # solve on the observable subspace V, the block Krylov space of TA' from
-    # C': an unobservable mode on -margin has no stabilizing Riccati solution
-    V, W, tol = np.zeros((n, 0)), C.T, _PBH_RTOL * np.linalg.norm(C)
+    V, W, tol = np.zeros((n, 0)), C.T, _SPAN_RTOL * np.linalg.norm(C)
+    ta_tol = _SPAN_RTOL * np.linalg.norm(TA)
     while W.shape[1] and V.shape[1] < n:
         W = W - V @ (V.T @ W)
         W = W - V @ (V.T @ W)
         U, s, _ = np.linalg.svd(W, full_matrices=False)
         U = U[:, s > tol]
-        V, W, tol = np.hstack([V, U]), TA.T @ U, _PBH_RTOL * np.linalg.norm(TA)
+        V, W, tol = np.hstack([V, U]), TA.T @ U, ta_tol
+    if V.shape[1] < n:
+        Z = np.linalg.qr(V, mode="complete")[0][:, V.shape[1]:]
+        hidden = np.linalg.eigvals(Z.T @ TA @ Z)
+        lam = hidden[np.argmax(hidden.real)]
+        if lam.real > -margin:
+            mode = f"{lam.real:.6g}" if lam.imag == 0 else f"{lam:.6g}"
+            raise GainSearchError(
+                f"infeasible: mode {mode} of T A is unobservable and lies right of "
+                f"{-margin:g}, so no L reaches spectral abscissa <= {-margin:g}"
+            )
     CV, I = C @ V, np.eye(V.shape[1])
     try:
         X = _care(V.T @ TA.T @ V + margin * I, CV.T @ CV, I)
     except np.linalg.LinAlgError as exc:
-        raise GainSearchError(f"filter Riccati equation has no solution: {exc}") from None
+        raise GainSearchError(f"filter Riccati equation has no solution: {exc}; "
+                              "infeasibility is not proven") from None
     L = V @ X @ CV.T
     abscissa = spectral_abscissa(TA - L @ C)
     if abscissa > -margin:
         raise GainSearchError(
             f"Riccati gain reached spectral abscissa {abscissa:.6g}, "
-            f"not <= {-margin:g}"
+            f"not <= {-margin:g}; infeasibility is not proven"
         )
     return L

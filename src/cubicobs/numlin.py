@@ -20,13 +20,14 @@ __all__ = [
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D float array, rejecting non-finite entries."""
-    M = np.atleast_2d(np.asarray(a, dtype=float))
-    if M.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got {M.ndim}-D")
-    if not np.all(np.isfinite(M)):
+    """A 2-D float array of ``a`` (``a`` itself if it is one); non-finite entries raise."""
+    if type(a) is not np.ndarray or a.ndim != 2 or a.dtype != np.float64:
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        if a.ndim != 2:
+            raise ValueError(f"{name} must be 2-D, got {a.ndim}-D")
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
-    return M
+    return a
 
 
 _RANK_TOL = 1e-10  # relative singular-value cutoff of mat_rank
@@ -42,8 +43,6 @@ def mat_rank(M) -> int:
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
     return int(np.count_nonzero(s > _RANK_TOL * s[0]))
 
 
@@ -109,7 +108,8 @@ def _care(A, S, Q) -> np.ndarray:
     d = 2.0 ** np.round(0.5 * (s[:n] - s[n:]))
     t = np.concatenate([d, 1.0 / d])
     _, U, dim = schur(H * (t / t[:, None]), sort="lhp", check_finite=False)
-    c = np.linalg.cond(U[:n, :n])
+    sv = np.linalg.svd(U[:n, :n], compute_uv=False)
+    c = sv[0] / sv[-1] if sv[-1] else np.inf
     if dim != n or c * np.finfo(float).eps > 1.0:
         raise np.linalg.LinAlgError(f"{dim} stable Hamiltonian eigenvalues (need {n}), "
                                     f"cond(U11) = {c:.1e} (need < 1/eps)")

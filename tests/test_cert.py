@@ -303,6 +303,28 @@ def test_equilibrium_singular_pencil_yields_resting_point():
         assert np.linalg.norm(v) >= 1e-3
 
 
+def test_equilibrium_double_pencil_eigenvalue_with_2d_eigenspace():
+    # G = -2 NC on span(e1, e2), so lam = 2 is a double pencil eigenvalue
+    # with a 2-D eigenspace: s'Ks has two values there, and both rays rest
+    Gd = np.diag([-2.0, -2.0, -1.0])
+    Nd = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    Cd = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    theta = np.diag([1.0, 3.0])
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        Gq, Nq, Cq = Q.T @ Gd @ Q, Q.T @ Nd, Cd @ Q
+        verdict = check_equilibrium_uniqueness(Gq, Nq, Cq, theta)
+        assert verdict.status == COUNTEREXAMPLE
+        assert verdict.note.startswith("pencil eigenvalue 2")
+        w = verdict.v
+        K = Cq.T @ theta @ Cq
+        res = np.linalg.norm(Gq @ w + float(w @ K @ w) * (Nq @ Cq @ w))
+        assert res <= 1e-8 * np.linalg.norm(w)
+        assert float(w @ K @ w) == pytest.approx(2.0, rel=1e-9)
+        assert abs((Q @ w)[2]) <= 1e-9
+
+
 def test_equilibrium_indefinite_theta_rests_on_null_cone():
     # with G = 0 every v with v'Kv = 0 rests; K = diag(1, -1) vanishes on (1, 1)
     verdict = check_equilibrium_uniqueness(np.zeros((2, 2)), np.eye(2), np.eye(2),

@@ -103,6 +103,24 @@ def test_no_second_riccati_path(configs, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_equilibrium_needs_no_eigenvectors(configs, monkeypatch, capsys):
+    # the equilibrium verdict takes the pencil's eigenvalues from LAPACK
+    # dggev and its eigenspaces from one stacked SVD, not from scipy's eig
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.eig called")
+
+    monkeypatch.setattr(scipy.linalg, "eig", refuse)
+    C1 = np.array([[1.0, 0.0]])
+    rest = cert.check_equilibrium_uniqueness(-np.eye(2), [[1.0], [0.0]], C1, [[1.0]])
+    assert rest.status == cert.COUNTEREXAMPLE and rest.residual <= 1e-8
+    none = cert.check_equilibrium_uniqueness(-np.eye(2), [[-1.0], [0.0]], C1, [[1.0]])
+    assert none.status == cert.NO_COUNTEREXAMPLE
+    with pytest.warns(RuntimeWarning, match="semidefinite"):
+        code = main(["certify", "--config", str(configs["nominal"]), "--check-only"])
+    assert code == EXIT_OK
+    assert "equilibrium=no-counterexample" in capsys.readouterr().out
+
+
 def test_design_without_observer_writes_the_default_gains(configs, tmp_path, capsys):
     # the designed observer takes N = 0, theta = I and alpha = 1 from
     # ObserverParams, as a loaded observer block without them does

@@ -1,7 +1,10 @@
 """Structural observer design: decoupling, gain assembly, pole search."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicobs.design import (
     DecouplingInfeasibleError,
@@ -216,3 +219,68 @@ def test_stabilize_L_reaches_margin_on_observable_systems(n):
         assert spectral_abscissa(r.G) <= -1.0
         assert r.residual_sylvester <= 1e-8 * max(1.0, np.max(np.abs(r.J)))
         done += 1
+
+
+@pytest.mark.parametrize("seed, reason", [
+    (0, "filter Riccati equation has no solution"),
+    (1, r"Riccati gain reached spectral abscissa 6\.22455,"),
+])
+def test_stabilize_L_says_when_a_refusal_proves_nothing(seed, reason):
+    # observable single-output systems with a margin about 4 times the
+    # spectral radius of A: a gain exists, but the Riccati gain needs
+    # entries near 1e8 and fails at working precision
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(7, 9))
+    Am = rng.standard_normal((n, n))
+    Cm = rng.standard_normal((1, n))
+    margin = rng.uniform(3, 13) * max(abs(np.linalg.eigvals(Am))) / 3
+    assert observable(Am, Cm)
+    with pytest.raises(GainSearchError, match=reason) as exc:
+        stabilize_L(np.eye(n), Am, Cm, margin)
+    assert str(exc.value).endswith("infeasibility is not proven")
+
+
+def planted_unobservable(rng, n, n_y, margin):
+    """``(A, C, modes)``: a random observable part and an unobservable block
+    of 1 to n states, in quasi-triangular form with its modes on a 1/8 grid
+    (so the message prints them exactly) within 3 of ``-margin`` but not on
+    it, mixed by a random orthogonal change of coordinates."""
+    k = int(rng.integers(1, n + 1))
+    grid = [a for a in np.arange(-margin - 3.0, -margin + 3.125, 0.125) if a != -margin]
+    Au, modes, i = np.triu(rng.standard_normal((k, k)), 2), [], 0
+    while i < k:
+        a = float(rng.choice(grid))
+        if i + 1 < k and rng.random() < 0.5:
+            b = float(rng.integers(1, 25)) / 8.0
+            Au[i:i + 2, i:i + 2] = [[a, b], [-b, a]]
+            modes += [complex(a, b), complex(a, -b)]
+            i += 2
+        else:
+            Au[i, i] = a
+            modes.append(complex(a))
+            i += 1
+    Am = np.zeros((n, n))
+    Am[:n - k, :n - k] = rng.standard_normal((n - k, n - k))
+    Am[n - k:, :n - k] = rng.standard_normal((k, n - k))
+    Am[n - k:, n - k:] = Au
+    Cm = np.hstack([rng.standard_normal((n_y, n - k)), np.zeros((n_y, k))])
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ Am @ Q.T, Cm @ Q.T, np.array(modes)
+
+
+@settings(max_examples=80)
+@given(n=st.integers(2, 8), n_y=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_stabilize_L_refuses_iff_a_planted_unobservable_mode_is_right_of_margin(n, n_y, seed):
+    rng = np.random.default_rng(seed)
+    margin = float(rng.integers(1, 25)) / 8.0
+    Am, Cm, modes = planted_unobservable(rng, n, n_y, margin)
+    right = modes[modes.real > -margin]
+    if right.size:
+        with pytest.raises(GainSearchError, match="^infeasible: mode ") as exc:
+            stabilize_L(np.eye(n), Am, Cm, margin)
+        named = complex(re.search(r"mode \(?(\S+?)\)? of T A", str(exc.value)).group(1))
+        rightmost = right[right.real == right.real.max()]
+        assert np.min(np.abs(rightmost - named) / np.maximum(1.0, np.abs(rightmost))) <= 1e-6
+    else:
+        Lm = stabilize_L(np.eye(n), Am, Cm, margin)
+        assert spectral_abscissa(Am - Lm @ Cm) <= -margin
