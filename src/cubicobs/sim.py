@@ -45,6 +45,7 @@ frozen at ``y(0)`` (or zeroed), per the prehistory policy.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -581,8 +582,8 @@ def example_study(out_dir) -> StudyReport:
 
     Four simulations over ``[0, 20]`` with step ``0.01``, ``x(0) = 0``,
     ``xhat(0) = (-5, -5)`` and drive :data:`DEFAULT_INPUT_SIGNAL`, carried
-    by one integration.  Writes one trajectory CSV per run, as
-    :func:`write_trajectory_csv` writes it, plus a ``summary.txt`` of the
+    by one integration.  Writes one trajectory CSV per run through
+    :func:`write_trajectory_csv`, plus a ``summary.txt`` of the
     end-time error integrals and ratios into ``out_dir``, creating it if
     needed, and lists them in the report's ``files``.
     """
@@ -600,15 +601,10 @@ def example_study(out_dir) -> StudyReport:
     report = StudyReport(nominal=nominal, uncertain=uncertain)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    # the four runs share t, and the two of each plant share x and y: format
-    # those columns once
-    t_text = _column_text(nominal.cubic.t)
     for label, rep in (("nominal", nominal), ("uncertain", uncertain)):
-        x_text = [_column_text(c) for c in rep.cubic.x.T]
-        y_text = [_column_text(c) for c in rep.cubic.y.T]
         for kind, res in (("cubic", rep.cubic), ("linear", rep.linear)):
             path = os.path.join(out_dir, f"{label}_{kind}.csv")
-            _write_csv(path, t_text, x_text, res.xhat.T, y_text, res.jo)
+            write_trajectory_csv(res, path)
             paths.append(path)
     summary = os.path.join(out_dir, "summary.txt")
     with open(summary, "w", newline="\n") as fh:
@@ -619,25 +615,88 @@ def example_study(out_dir) -> StudyReport:
 
 
 def write_trajectory_csv(result: SimResult, path) -> None:
-    """Write ``t, x*, xhat*, y*, Jo`` with 13 significant digits and LF endings."""
-    _write_csv(path, result.t, result.x.T, result.xhat.T, result.y.T, result.jo)
+    """Write ``t, x*, xhat*, y*, Jo`` with LF endings, each value byte for
+    byte as ``"%.12e" % v`` prints it (13 significant digits).
+
+    All columns are formatted in one :func:`_csv_text` call.  An unwritable
+    ``path`` raises ``OSError``.
+    """
+    def names(prefix, values):
+        return [f"{prefix}{i + 1}" for i in range(values.shape[1])]
+
+    header = ",".join(["t", *names("x", result.x), *names("xhat", result.xhat),
+                       *names("y", result.y), "Jo"]) + "\n"
+    text = _csv_text(np.column_stack([result.t, result.x, result.xhat, result.y, result.jo]))
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.write(text)
 
 
-# %-formatting a float with .12e is f"{v:.12e}", byte for byte
-def _column_text(values: np.ndarray) -> list[str]:
-    """Each value of ``values`` as it stands in a trajectory CSV."""
-    return ["%.12e" % v for v in values.tolist()]
+@functools.cache
+def _csv_tables():
+    """What :func:`_csv_text` looks up, built on its first call: the layout
+    of one field and, each as one 4-byte item, ``[fill, "-" or fill, d, "."]``
+    for each sign and leading digit ``d``, the four digits of ``0 .. 9999``
+    and ``"e±XX"`` for exponents ``-10 .. 35``; then ``10**0 .. 10**22``."""
+    def ascii4(*chars):
+        return np.stack(np.broadcast_arrays(*chars), axis=-1).astype(np.uint8).view(np.uint32)[..., 0]
+
+    field = np.dtype({"names": ["head", "g1", "g2", "g3", "exp", "sep"],
+                      "formats": [np.uint32] * 5 + [np.uint8],
+                      "offsets": [0, 4, 8, 12, 16, 20], "itemsize": 21})
+    sign, lead = np.divmod(np.arange(20), 10)
+    heads = ascii4(0, 45 * sign, 48 + lead, 46)
+    q = np.arange(10000)
+    quads = ascii4(*(48 + q // p % 10 for p in (1000, 100, 10, 1)))
+    x = np.abs(np.arange(-10, 36))
+    exps = ascii4(101, np.repeat([45, 43], [10, 36]), 48 + x // 10, 48 + x % 10)
+    powers = np.array([10 ** p for p in range(23)], dtype=float)
+    return field, heads, quads, exps, powers
 
 
-def _write_csv(path, t, x, xhat, y, jo) -> None:
-    """Write a trajectory CSV; ``x``, ``xhat`` and ``y`` hold one column per
-    entry, and each column is an array of values or :func:`_column_text` of one."""
-    header = (["t"] + [f"x{i + 1}" for i in range(len(x))]
-              + [f"xhat{i + 1}" for i in range(len(xhat))] + [f"y{i + 1}" for i in range(len(y))]
-              + ["Jo"])
-    columns = [t, *x, *xhat, *y, jo]
-    line = ",".join(["%s" if isinstance(c, list) else "%.12e" for c in columns]) + "\n"
-    rows = zip(*[c if isinstance(c, list) else c.tolist() for c in columns])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write("".join([line % row for row in rows]))
+def _csv_text(table: np.ndarray) -> bytes:
+    """The rows of the 2-D float array ``table`` as CSV lines: each value
+    byte for byte ``"%.12e" % v``, joined by ``","``, each row ended by LF.
+
+    Each value fills a 21-byte field: its text, NUL fill bytes and its
+    separator; one boolean mask strips the fill at the end.  A value with
+    ``|v|`` in ``[1e-10, 1e35)`` is scaled to ``r = |v| 10**k``,
+    ``k = 12 - floor(log10 |v|)``, so ``|k| <= 22``: every power of ten up
+    to ``10**22 = 2**22 5**22`` is exact in binary64 (``5**22 < 2**53``,
+    ``5**23`` is not), so ``r`` carries the one rounding of a product or
+    quotient.  Below ``2**44`` the spacing of doubles is at most ``2**-9``,
+    so ``r`` is within ``2**-10`` of the exact ``|v| 10**k``.  Where ``r`` is
+    more than ``2e-3`` from a half-integer, ``rint(r)`` is therefore the
+    exact value correctly rounded, and when ``1e12 <= r`` and
+    ``m = rint(r) <= 1e13`` it holds the 13 printed digits (``m == 1e13``
+    prints ``1.000000000000`` at the next exponent); an inexact ``log10``
+    only moves ``r`` out of that range.  Every other value (zeros,
+    subnormals, magnitudes outside that range, three-digit exponents,
+    ``inf``, ``nan`` and near-ties) is formatted by ``"%.12e" % v`` itself.
+    """
+    field, heads, quads, exps, powers = _csv_tables()
+    rows, cols = table.shape
+    v = table.ravel()
+    a = np.abs(v)
+    ok = (a >= 1e-10) & (a < 1e35)  # false for nan
+    a[~ok] = 1.0
+    k = (12.0 - np.floor(np.log10(a))).clip(-22, 22).astype(np.intp)
+    r = a * powers[np.maximum(k, 0)] / powers[np.maximum(-k, 0)]
+    m = np.rint(r)
+    fast = ok & (r >= 1e12) & (m <= 1e13) & (np.abs(r - np.floor(r) - 0.5) > 2e-3)
+    top = m == 1e13
+    m[top | ~fast] = 1e12
+    digits = m.astype(np.int64)
+    out = np.empty(v.size, field)
+    out["head"] = heads[10 * np.signbit(v) + digits // 10**12]
+    out["g1"] = quads[digits // 10**8 % 10**4]
+    out["g2"] = quads[digits // 10**4 % 10**4]
+    out["g3"] = quads[digits % 10**4]
+    out["exp"] = exps[22 - k + top]  # exponent 12 - k + top, from -10
+    out["sep"] = ord(",")
+    out["sep"][cols - 1::cols] = ord("\n")
+    text = out.view(np.uint8).reshape(v.size, field.itemsize)
+    for i in np.flatnonzero(~fast):
+        text[i, :20] = np.frombuffer((b"%.12e" % v[i]).ljust(20, b"\0"), np.uint8)
+    text = text.ravel()
+    return text[text != 0].tobytes()

@@ -5,9 +5,11 @@ import sys
 import types
 import warnings
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 from cubicobs import exprlang, model, sim
@@ -771,3 +773,30 @@ def test_trajectory_csv_matches_per_value_formatting(tmp_path):
         row = [res.t[k], *res.x[k], *res.xhat[k], *res.y[k], res.jo[k]]
         expected += ",".join(f"{v:.12e}" for v in row) + "\n"
     assert path.read_bytes() == expected.encode()
+
+
+def _printf_rows(table):
+    return "".join(",".join(f"{v:.12e}" for v in row) + "\n" for row in table.tolist()).encode()
+
+
+def _float_below_power_of_ten(p):
+    x = float(Fraction(10) ** p)
+    return x if Fraction(x) < Fraction(10) ** p else math.nextafter(x, 0.0)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=64), st.integers(1, 7))
+def test_csv_kernel_is_per_value_formatting(values, cols):
+    # nan, infinities and subnormals included; rows are joined by "," and LF
+    table = np.resize(np.array(values), (len(values), cols))
+    assert sim._csv_text(table) == _printf_rows(table)
+
+
+def test_csv_kernel_listed_cases():
+    # zeros, the smallest subnormal, three-digit exponents, the ends of the
+    # integer-arithmetic range, near-ties and the largest float below each
+    # power of ten in that range
+    cases = [0.0, 5e-324, 1e300, 1e-11, 1e35,
+             1.2345678901235e-7, -7.0000000000005e3, 9.9999999999995e-5,
+             *(_float_below_power_of_ten(p) for p in range(-10, 35))]
+    column = np.array(cases + [-v for v in cases])[:, None]
+    assert sim._csv_text(column) == _printf_rows(column)

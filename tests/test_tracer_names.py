@@ -1,5 +1,6 @@
 """The benchmark tracer wraps cubicobs layers by name; every name must resolve."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -46,3 +47,21 @@ def test_tracer_counts_one_parse_per_loaded_expression(monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     assert layers["spans"]["exprlang.parse"][0] == 5
+
+
+def test_tracer_sees_the_study_csv_writes(monkeypatch, tmp_path):
+    # the study writes each run's CSV through the public writer the tracer wraps
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        report = sim.example_study(tmp_path)
+        layers = tracer.take()
+    finally:
+        tracer.uninstall()
+    csvs = [path for path in report.files if path.endswith(".csv")]
+    assert len(csvs) == 4
+    assert layers["spans"]["sim.write_trajectory_csv"][0] == 4
+    assert layers["counts"]["sim.write_trajectory_csv.bytes"] == sum(map(os.path.getsize, csvs))
