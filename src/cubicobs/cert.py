@@ -56,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Certificate, Lipschitz, LipschitzSpec, OneSidedLipschitz
-from .numlin import (_care, _hamiltonian, as_matrix, definiteness_margin, psd_violation,
-                     sym_eig_extremes)
+from .numlin import (_RANK_TOL, _care, _hamiltonian, as_matrix, definiteness_margin,
+                     psd_violation)
 
 __all__ = [
     "CertificateError",
@@ -113,7 +113,7 @@ def _spd_check(P) -> np.ndarray:
     asym = float(np.max(np.abs(P - P.T)))
     if asym > 1e-9 * max(1.0, float(np.max(np.abs(P)))):
         raise CertificateError(f"P must be symmetric (asymmetry {asym:.2e})")
-    lo, _ = sym_eig_extremes(P)
+    lo = -definiteness_margin(-P)
     if lo <= 0:
         raise CertificateError(f"P is not positive definite (min eigenvalue {lo:.3e})")
     return 0.5 * (P + P.T)
@@ -191,8 +191,8 @@ class NConditionResult:
 
 
 # Margins within this fraction of the matrix scale count as zero when the
-# cubic-gain matrix is classified.
-_N_TOL = 1e-10
+# cubic-gain matrix is classified, as singular values of C do in its rank.
+_N_TOL = _RANK_TOL
 
 
 def verify_N_condition(P, N, C, theta, alpha: float) -> NConditionResult:
@@ -228,7 +228,7 @@ def _negative_on_output_range(M: np.ndarray, C: np.ndarray) -> bool:
     _, s, Vt = np.linalg.svd(C)
     if s.size == 0 or s[0] == 0.0:
         return False
-    rank = int(np.count_nonzero(s > 1e-10 * s[0]))
+    rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
     Q = Vt[:rank].T  # orthonormal basis of range(C')
     restricted = Q.T @ M @ Q
     scale = max(1.0, float(np.max(np.abs(M), initial=0.0)))
@@ -269,7 +269,7 @@ _EQUILIBRIUM_TOL = 1e-8
 # Relative size below which a singular value, a homogeneous eigenvalue
 # coordinate or s'Ks counts as zero.  QZ and SVD rounding stays under ~200 eps
 # for these sizes, while the badly scaled pencils of rotated coordinates keep
-# genuine values above ~1e-10 (a tolerance like 1e-8 misses real equilibria).
+# genuine values a hundredfold above it (a tolerance like 1e-8 misses real ones).
 _ZERO_RTOL = 1e-12
 
 

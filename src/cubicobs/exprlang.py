@@ -170,6 +170,7 @@ Expr = Union[Num, Var, TimeVar, Neg, BinOp, Pow, Call]
 # --- lexer ---------------------------------------------------------------
 
 _DIGITS = frozenset("0123456789")  # str.isdigit also takes "²", "１", "١"
+_PUNCT = {**dict.fromkeys("+-*/^@", "op"), "(": "lparen", ")": "rparen"}  # token kinds
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -180,16 +181,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch in "+-*/^@":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(("rparen", ch, i))
+        if ch in _PUNCT:
+            tokens.append((_PUNCT[ch], ch, i))
             i += 1
             continue
         if ch in _DIGITS or ch == ".":
@@ -344,22 +337,18 @@ class _Parser:
             self.advance()
             slot = self.uint("delay slot")
         dims, problem = self.dims, None
+        name, label, count, slots = {
+            "x": ("state", "n", dims.n, 0),
+            "u": ("input", "n_u", dims.n_u, dims.n_delta),
+            "y": ("output", "n_y", dims.n_y, dims.n_tau),
+        }[word]
         if index < 1:
             problem = "component index must be >= 1"
-        elif word == "x":
-            if index > dims.n:
-                problem = f"state index out of range (n={dims.n})"
-            elif slot != 0:
-                problem = "state references cannot be delayed"
-        elif word == "u":
-            if index > dims.n_u:
-                problem = f"input index out of range (n_u={dims.n_u})"
-            elif slot > dims.n_delta:
-                problem = f"input delay slot out of range ({dims.n_delta} configured)"
-        elif index > dims.n_y:
-            problem = f"output index out of range (n_y={dims.n_y})"
-        elif slot > dims.n_tau:
-            problem = f"output delay slot out of range ({dims.n_tau} configured)"
+        elif index > count:
+            problem = f"{name} index out of range ({label}={count})"
+        elif slot > slots:
+            problem = ("state references cannot be delayed" if word == "x"
+                       else f"{name} delay slot out of range ({slots} configured)")
         ref = Var(word, index, slot)
         if problem is not None:
             raise ExprRangeError(f"{unparse(ref)}: {problem}")

@@ -24,7 +24,9 @@ bound for the design-model nonlinearity) or ``{"rho": r, "a": a, "b": b}``
 (one-sided Lipschitz constant plus quadratic inner-boundedness constants).
 ``observer`` and ``certificate`` are optional.  A certificate block stores
 ``{"P", "beta"}`` or ``{"P", "mu1", "mu2"}`` only: margins are always
-recomputed from the matrices, never trusted from a file.
+recomputed from the matrices, never trusted from a file.  The keys of the
+``lipschitz``, ``observer`` and ``certificate`` blocks are the fields of
+their dataclasses, written in declaration order.
 
 Every model type is a frozen dataclass that refuses invalid values when it
 is built, and stores its arrays as read-only copies, so a model that exists
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 import numpy as np
@@ -360,9 +362,6 @@ def example_system() -> ExampleSystem:
     feasibility block for ``gamma = 1`` with multiplier ``beta = 100``, and
     ``N`` is the cubic gain ``-alpha P^{-1} C' theta`` for that ``P``.
     """
-    f_u = ("u1@1", "u1")
-    f_g = ("x2*x1",)
-    f_L = ("x1*cos(u1)", "sin(x2)")
     nominal = PlantModel(
         A=[[-2.0, -10.0], [0.0, -1.0]],
         C=[[1.0, 0.0]],
@@ -370,21 +369,11 @@ def example_system() -> ExampleSystem:
         n_u=1,
         delta=(1.0,),
         tau=(),
-        f_u=f_u,
-        f_g=f_g,
-        f_L=f_L,
+        f_u=("u1@1", "u1"),
+        f_g=("x2*x1",),
+        f_L=("x1*cos(u1)", "sin(x2)"),
     )
-    uncertain = PlantModel(
-        A=[[-0.9, -8.9], [1.1, 0.1]],
-        C=[[1.0, 0.0]],
-        D=[[-1.0], [1.0]],
-        n_u=1,
-        delta=(2.0,),
-        tau=(),
-        f_u=f_u,
-        f_g=f_g,
-        f_L=f_L,
-    )
+    uncertain = replace(nominal, A=[[-0.9, -8.9], [1.1, 0.1]], delta=(2.0,))
     P = np.array([[59.0535, 1.7898], [1.7898, 17.8858]])
     C = nominal.C
     theta = np.eye(1)
@@ -544,33 +533,10 @@ def config_to_dict(cfg: SystemConfig) -> dict:
         "f_g": [unparse(e) for e in plant.f_g],
         "f_L": [unparse(e) for e in plant.f_L],
     }
-    if isinstance(cfg.lipschitz, Lipschitz):
-        doc["lipschitz"] = {"gamma": cfg.lipschitz.gamma}
-    else:
-        doc["lipschitz"] = {
-            "rho": cfg.lipschitz.rho,
-            "a": cfg.lipschitz.a,
-            "b": cfg.lipschitz.b,
-        }
-    if cfg.observer is not None:
-        obs = cfg.observer
-        doc["observer"] = {
-            "G": obs.G.tolist(),
-            "J": obs.J.tolist(),
-            "E": obs.E.tolist(),
-            "N": obs.N.tolist(),
-            "theta": obs.theta.tolist(),
-            "alpha": obs.alpha,
-        }
-    if cfg.certificate is not None:
-        crt = cfg.certificate
-        block: dict[str, Any] = {"P": crt.P.tolist()}
-        if crt.beta is not None:
-            block["beta"] = crt.beta
-        else:
-            block["mu1"] = crt.mu1
-            block["mu2"] = crt.mu2
-        doc["certificate"] = block
+    for name in ("lipschitz", "observer", "certificate"):
+        if (block := getattr(cfg, name)) is not None:
+            doc[name] = {f.name: v.tolist() if isinstance(v, np.ndarray) else v
+                         for f in fields(block) if (v := getattr(block, f.name)) is not None}
     return doc
 
 

@@ -2,7 +2,9 @@
 
 Everything operates on plain 2-D numpy float arrays.  Symmetry-sensitive
 routines symmetrize their argument first, since every matrix inequality
-handled downstream only concerns the symmetric part.
+handled downstream only concerns the symmetric part.  Every eigenvalue test
+of definiteness goes through :func:`definiteness_margin`, the largest
+eigenvalue of that part; the smallest is ``-definiteness_margin(-S)``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ __all__ = [
     "as_matrix",
     "mat_rank",
     "pinv",
-    "sym_eig_extremes",
     "definiteness_margin",
     "psd_violation",
 ]
@@ -51,22 +52,17 @@ def pinv(M) -> np.ndarray:
     return np.linalg.pinv(as_matrix(M, "pinv argument"))
 
 
-def sym_eig_extremes(S) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of the symmetrized input ``(S + S^T)/2``."""
-    S = as_matrix(S)
-    if S.shape[0] != S.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    vals = np.linalg.eigvalsh(0.5 * (S + S.T))
-    return float(vals[0]), float(vals[-1])
-
-
 def definiteness_margin(S) -> float:
-    """Largest eigenvalue of the symmetrized input.
+    """Largest eigenvalue of the symmetrized input ``(S + S^T)/2``.
 
     A negative value certifies that the symmetric part of ``S`` is negative
     definite with that margin; zero means at most negative semidefinite.
+    ``-definiteness_margin(-S)`` is the smallest eigenvalue.
     """
-    return sym_eig_extremes(S)[1]
+    S = as_matrix(S)
+    if S.shape[0] != S.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {S.shape}")
+    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
 
 
 def psd_violation(S, name: str) -> str | None:

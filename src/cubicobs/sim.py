@@ -49,6 +49,7 @@ import functools
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,7 +202,10 @@ class HistoryBuffer:
 
 def _grid_steps(span: float, h: float, what: str) -> int:
     """``span / h`` as a whole number of steps; ``what`` names ``span``."""
-    k = int(round(span / h))
+    ratio = span / h
+    if not ratio < sys.maxsize // 4:  # inf, or a half-step grid too long to index
+        raise ConfigError(f"{what}: {span:g} is too many steps of {h:g} to count")
+    k = int(round(ratio))
     if abs(span - k * h) > _DIV_TOL * max(1.0, abs(span)):
         raise ConfigError(f"{what}: {span:g} is not an integer multiple of step {h:g}")
     return k
@@ -428,14 +432,9 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
     # output lag the stage reads): row y_off + m holds every truth's y at the
     # grid for even m and the mean of its neighbours for odd m, linear
     # interpolation at the midpoint.  Before t = 0 the history is y(0) or zero,
-    # per the prehistory policy.
+    # per the prehistory policy; each step appends its midpoint and grid rows.
     y_off = 2 * max(y_lags, default=0)
-    y_table: list[list[float]] = []
-    if y_off:
-        y_now = s[nz:nz + n_out]
-        y_pre = y_now if analytic_pre else [0.0] * n_out
-        y_table += [y_pre] * (y_off - 1)
-        y_table += [[0.5 * p + 0.5 * q for p, q in zip(y_pre, y_now)], y_now]
+    y_table = [s[nz:nz + n_out] if analytic_pre else [0.0] * n_out] * (y_off - 1)
 
     def reference(j: int, s: list[float]) -> list[float]:
         # the stage's expression values through evaluate, in group order: raises
@@ -466,6 +465,9 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             j = 2 * k
+            if y_off:
+                y_now = s[nz:nz + n_out]
+                y_table += [[0.5 * p + 0.5 * q for p, q in zip(y_table[-1], y_now)], y_now]
             try:
                 g1 = stage(j, s)
                 g2 = stage(j + 1, half_stage.dot(np.frombuffer(g1 + s_bytes)).tolist())
@@ -483,10 +485,6 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
                 )
             s_bytes = s_new.tobytes()
             s = s_new.tolist()
-            if y_off:
-                y_now = s[nz:nz + n_out]
-                y_table.append([0.5 * p + 0.5 * q for p, q in zip(y_table[-1], y_now)])
-                y_table.append(y_now)
 
     zs = traj[:, :nz]
     groups = []

@@ -84,6 +84,12 @@ def test_verify_rejects_non_spd_P():
         verify_lmi_lipschitz([[1.0, 0.5], [0.0, 1.0]], 1.0, 1.0, G, E, C)
 
 
+def test_spd_check_reports_the_smallest_eigenvalue():
+    with pytest.raises(CertificateError) as exc:
+        verify_lmi_lipschitz(np.diag([2.0, -0.5]), 1.0, 1.0, G, E, C)
+    assert str(exc.value) == "P is not positive definite (min eigenvalue -5.000e-01)"
+
+
 def test_verify_osl_rejects_bad_multipliers():
     with pytest.raises(ValueError, match="mu"):
         verify_lmi_osl([[1.0]], 0.0, 1.0, 0.5, 0.75, 1.5, [[-2.0]], [[0.0]], [[1.0]])
@@ -391,6 +397,12 @@ def test_search_P_decides_bundled_gamma_exactly():
     assert verify_lmi_lipschitz(found.P, found.beta, 0.99 * gamma_star, G, E, C) < -1e-6
     with pytest.raises(FeasibilitySearchError, match="infeasibility is proven"):
         search_P(Lipschitz(gamma=1.01 * gamma_star), G, E, C)
+
+
+def test_max_lipschitz_gamma_is_unbounded_when_T_vanishes():
+    # E C = I leaves no channel for the nonlinearity: T = I - E C = 0
+    I2 = np.eye(2)
+    assert max_lipschitz_gamma(-I2, I2, I2) == np.inf
 
 
 def swept_gamma_star(Gm, Tm):

@@ -460,6 +460,31 @@ def test_simulate_horizon_not_a_multiple_of_step(configs, tmp_path, capsys, t_en
     assert not out.exists()
 
 
+@pytest.mark.parametrize("step", ["5e-324", "1e-300"])
+def test_simulate_step_too_small_to_count(configs, tmp_path, capsys, step):
+    out = tmp_path / "x.csv"
+    code = main(["simulate", "--config", str(configs["nominal"]), "--t-end", "1",
+                 "--step", step, "--out", str(out)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: delta[0]: 1 is too many steps of {float(step):g} to count"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["certify", "--check-only"], ["simulate", "--t-end", "0.1"]],
+                         ids=lambda c: c[0])
+def test_config_without_observer_is_a_config_error(configs, tmp_path, capsys, command):
+    doc = json.loads(configs["nominal"].read_text())
+    del doc["observer"], doc["certificate"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    argv = [command[0], "--config", str(bare), *command[1:]]
+    if command[0] == "simulate":
+        argv += ["--out", str(tmp_path / "run.csv")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == ["error: config has no observer block"]
+
+
 def test_simulate_bad_input_expression(configs, tmp_path, capsys):
     code = main(["simulate", "--config", str(configs["nominal"]),
                  "--input", "x1", "--out", str(tmp_path / "x.csv")])

@@ -103,6 +103,41 @@ def test_range_errors():
         parse("x0", DIMS)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(x1", "expected ')' (at position 3)"),
+    ("sin(x1", "expected ')' (at position 6)"),
+    ("2e+", "malformed number (at position 0)"),
+    ("3.5e", "malformed number (at position 0)"),
+    ("1e+x1", "malformed number (at position 0)"),
+])
+def test_unclosed_group_and_bare_exponent_messages(text, message):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text, DIMS)
+    assert str(exc.value) == message
+
+
+NO_DELAYS = SignalDims(n=2, n_u=1, n_y=1)
+
+
+@pytest.mark.parametrize("text, dims, message", [
+    ("x0", DIMS, "x0: component index must be >= 1"),
+    ("u0", DIMS, "u0: component index must be >= 1"),
+    ("x3", DIMS, "x3: state index out of range (n=2)"),
+    ("x3@1", DIMS, "x3@1: state index out of range (n=2)"),
+    ("x1@1", DIMS, "x1@1: state references cannot be delayed"),
+    ("u3", DIMS, "u3: input index out of range (n_u=2)"),
+    ("u1@3", DIMS, "u1@3: input delay slot out of range (2 configured)"),
+    ("u1@1", NO_DELAYS, "u1@1: input delay slot out of range (0 configured)"),
+    ("y2", DIMS, "y2: output index out of range (n_y=1)"),
+    ("y1@2", DIMS, "y1@2: output delay slot out of range (1 configured)"),
+    ("y1@1", NO_DELAYS, "y1@1: output delay slot out of range (0 configured)"),
+])
+def test_range_error_messages(text, dims, message):
+    with pytest.raises(ExprRangeError) as exc:
+        parse(text, dims)
+    assert str(exc.value) == message
+
+
 # --- evaluation ----------------------------------------------------------
 
 def test_evaluate_hand_values():

@@ -440,6 +440,25 @@ def test_dict_roundtrip_one_sided_and_mu_certificate():
     assert isinstance(back.lipschitz, OneSidedLipschitz)
 
 
+def test_config_blocks_keep_field_order():
+    ex = example_system()
+    doc = config_to_dict(ex.nominal_config())
+    assert list(doc) == ["n", "n_u", "n_y", "n_g", "A", "C", "D", "delta", "tau",
+                         "f_u", "f_g", "f_L", "lipschitz", "observer", "certificate"]
+    assert list(doc["lipschitz"]) == ["gamma"]
+    assert list(doc["observer"]) == ["G", "J", "E", "N", "theta", "alpha"]
+    assert list(doc["certificate"]) == ["P", "beta"]
+    one_sided = SystemConfig(
+        plant=ex.nominal,
+        lipschitz=OneSidedLipschitz(rho=0.5, a=0.75, b=1.5),
+        observer=ex.observer,
+        certificate=Certificate(P=np.eye(2), mu1=1.5, mu2=1.0),
+    )
+    doc = config_to_dict(one_sided)
+    assert list(doc["lipschitz"]) == ["rho", "a", "b"]
+    assert list(doc["certificate"]) == ["P", "mu1", "mu2"]
+
+
 def test_file_roundtrip(tmp_path):
     ex = example_system()
     path = tmp_path / "nominal.json"

@@ -1,5 +1,5 @@
-"""Dense linear-algebra helpers: shapes, ranks, pseudoinverse, eigen margins,
-and the Riccati kernel."""
+"""Dense linear-algebra helpers: shapes, ranks, pseudoinverse, the
+definiteness margin (the one eigenvalue rule), and the Riccati kernel."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from cubicobs.numlin import (
     definiteness_margin,
     mat_rank,
     pinv,
-    sym_eig_extremes,
 )
 
 
@@ -57,16 +56,22 @@ def test_pinv_penrose_residuals():
         assert np.allclose((Mp @ M).T, Mp @ M, atol=1e-10)
 
 
-def test_sym_eig_extremes_closed_form():
-    lo, hi = sym_eig_extremes(np.array([[2.0, 1.0], [1.0, 2.0]]))
+def test_definiteness_margin_closed_form():
+    S = np.array([[2.0, 1.0], [1.0, 2.0]])
+    lo, hi = -definiteness_margin(-S), definiteness_margin(S)
     assert abs(lo - 1.0) < 1e-12 and abs(hi - 3.0) < 1e-12
 
 
-def test_sym_eig_extremes_symmetrizes():
+def test_definiteness_margin_symmetrizes():
     # only the symmetric part matters
     S = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    lo, hi = sym_eig_extremes(S)
+    lo, hi = -definiteness_margin(-S), definiteness_margin(S)
     assert abs(lo) < 1e-12 and abs(hi) < 1e-12
+
+
+def test_definiteness_margin_needs_a_square_matrix():
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        definiteness_margin(np.ones((2, 3)))
 
 
 def test_definiteness_margin_signs():

@@ -204,6 +204,13 @@ def test_state_dimension_checks():
                  example_cfg(input_signal=("sin(t)",) * 2))
 
 
+def test_estimate_dimension_check():
+    ex = example_system()
+    with pytest.raises(ConfigError) as info:
+        simulate(ex.nominal, ex.nominal, ex.observer, example_cfg(xhat0=np.zeros(3)))
+    assert str(info.value) == "xhat0: expected 2 entries, got (3,)"
+
+
 def test_invalid_model_is_rejected():
     # a valid 3-state observer on the 2-state plant
     ex = example_system()
@@ -266,6 +273,17 @@ def test_constant_error_integral_exact():
     # trapezoid of a constant 1 over [0, 2]
     assert res.jo[-1] == 2.0
     assert np.all(np.diff(res.jo) >= 0)
+
+
+def test_comparison_without_error_has_ratio_one():
+    # E C = I and xhat0 = x0 start w at 0, where it stays: xhat == x exactly
+    plant = PlantModel(A=[[-1.0]], C=[[1.0]], D=[[0.0]], n_u=0,
+                       f_u=("0",), f_g=("0",), f_L=("0",))
+    obs = ObserverParams(G=[[-2.0]], J=[[0.0]], E=[[1.0]], N=[[-0.5]])
+    cfg = SimConfig(h=0.1, t_end=1.0, x0=[1.0], xhat0=[1.0], input_signal=())
+    rep = compare_cubic_linear(plant, plant, obs, cfg)
+    assert rep.jo_cubic == 0.0 and rep.jo_linear == 0.0
+    assert rep.ratio == 1.0
 
 
 def test_cumulative_error_matches_direct_trapezoid():
