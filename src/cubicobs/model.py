@@ -29,8 +29,9 @@ recomputed from the matrices, never trusted from a file.  The keys of the
 their dataclasses, written in declaration order.
 
 Every model type is a frozen dataclass that refuses invalid values when it
-is built, and stores its arrays as read-only copies, so a model that exists
-stays valid; :func:`dataclasses.replace` builds, and checks, a new one.
+is built, and stores its arrays as read-only copies and its scalars as
+Python ``float`` (``int`` for ``n_u``), so a model that exists stays valid
+and saves as JSON; :func:`dataclasses.replace` builds, and checks, a new one.
 :func:`validate` checks that an observer fits a plant.  A plant takes each
 expression as text or as a tree and stores the tree ``parse`` builds, so a
 loaded file's expressions are parsed once, by the plant.
@@ -39,6 +40,8 @@ loaded file's expressions are parsed once, by the plant.
 from __future__ import annotations
 
 import json
+import operator
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import Any
@@ -133,7 +136,11 @@ class PlantModel:
         for name in ("delta", "tau", "f_u", "f_g", "f_L"):
             if isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name}: must be a sequence, not a string")
-        _assign(self, "A C D",
+        try:
+            n_u = operator.index(self.n_u)
+        except TypeError:
+            raise ConfigError("n_u must be an integer") from None
+        _assign(self, "A C D", n_u=n_u,
                 delta=tuple(float(d) for d in self.delta),
                 tau=tuple(float(d) for d in self.tau))
         n = self.n
@@ -199,6 +206,7 @@ class Lipschitz:
     def __post_init__(self):
         if not 0 < self.gamma < np.inf:
             raise ConfigError("lipschitz.gamma: must be positive and finite")
+        _assign(self, gamma=float(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -214,6 +222,7 @@ class OneSidedLipschitz:
         for name in ("rho", "a", "b"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"lipschitz.{name}: must be finite")
+        _assign(self, rho=float(self.rho), a=float(self.a), b=float(self.b))
 
 
 LipschitzSpec = Lipschitz | OneSidedLipschitz
@@ -276,7 +285,8 @@ class Certificate:
     mu2: float | None = None
 
     def __post_init__(self):
-        _assign(self, "P")
+        _assign(self, "P", **{name: float(v) for name in ("beta", "mu1", "mu2")
+                              if (v := getattr(self, name)) is not None})
         has_beta = self.beta is not None
         has_mu = self.mu1 is not None or self.mu2 is not None
         if has_beta and has_mu:
@@ -557,8 +567,19 @@ def save_config(cfg: SystemConfig, path) -> None:
 
     ``load_config`` of the file returns a config equal to ``cfg``: every
     expression of a plant reads back as itself, so it is written as text
-    that ``parse`` reads back as the same tree.
+    that ``parse`` reads back as the same tree.  The file is written whole
+    or not at all: the text goes to a temporary file beside ``path``, which
+    then replaces ``path``.
     """
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    # mode 0o666 less the umask, as open(path, "w") creates a file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(config_to_dict(cfg), fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -25,22 +25,23 @@ so every stage sits at a half-step position ``j = 0 .. 2 steps`` (time
 the truth and design expressions through exprlang's emitter (generated
 code is reused across runs), and folds the linear algebra into block
 matrices.  The loop carries ``[z; R z]`` (outputs, estimates and output
-errors), so one RK4 stage is one generated call, which evaluates every
-truth, every observer's design vector and the cubic terms and returns them
-packed as bytes, and one matrix product that yields the next stage's
-input; one more product ends the step.  An expression that fails makes the
-stage re-run through :func:`~cubicobs.exprlang.evaluate` in group order
-(each truth, then its observers), which raises the tree walk's error.  The
-drive depends on ``t`` alone: a function generated the same way evaluates
-it once per half step on one grid reaching back to the largest input lag,
-before integration starts, and each lag reads a slice of it.  A sample
-that fails is kept in the grid as its error, which the first stage to read
-it raises through the same fallback.  Delayed outputs are read from a
-half-step table of the output, kept only when an expression reads a
-delayed output: grid samples, and between them the mean of the two
-neighbours (linear interpolation at the midpoint).  Before ``t = 0`` the
-drive is evaluated analytically (or zeroed) and the output history is
-frozen at ``y(0)`` (or zeroed), per the prehistory policy.
+errors) in one preallocated step buffer: one RK4 stage is one generated
+call, which writes every truth's values, every observer's design vector
+and the cubic terms into the buffer, and one matrix product over the
+buffer, which writes the next stage's input into it; one more product ends
+the step.  An expression that fails makes the stage re-run through
+:func:`~cubicobs.exprlang.evaluate` in group order (each truth, then its
+observers), which raises the tree walk's error.  The drive depends on ``t``
+alone: a function generated the same way evaluates it once per half step
+on one grid reaching back to the largest input lag, before integration
+starts, and each lag reads a slice of it.  A sample that fails is kept in
+the grid as its error, which the first stage to read it raises through the
+same fallback.  Delayed outputs are read from a half-step table of the
+output, kept only when an expression reads a delayed output: grid samples,
+and between them the mean of the two neighbours (linear interpolation at
+the midpoint).  Before ``t = 0`` the drive is evaluated analytically (or
+zeroed) and the output history is frozen at ``y(0)`` (or zeroed), per the
+prehistory policy.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import functools
 import math
 import os
 import struct
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +74,9 @@ __all__ = [
 ]
 
 _DIV_TOL = 1e-9
+# The most steps of ``h`` a run or a delay may span, refused before the
+# trajectory, drive grid or output table that grow with it are allocated.
+MAX_STEPS = 10**7
 
 
 class SimulationError(RuntimeError):
@@ -100,7 +103,8 @@ class SimConfig:
     :func:`~cubicobs.exprlang.parse_input_signal` builds, as a plant does:
     text is parsed once, a tree must read back as itself.
     ``prehistory`` is ``"analytic"`` (drive evaluated at negative times,
-    output history frozen at its initial value) or ``"zero"``.  The config
+    output history frozen at its initial value) or ``"zero"``.  A run of
+    more than :data:`MAX_STEPS` steps is refused when it starts.  The config
     is frozen, so a drive becomes generated code only after this check;
     :func:`dataclasses.replace` makes a new config and checks it again.
     """
@@ -201,9 +205,9 @@ class HistoryBuffer:
 
 
 def _grid_steps(span: float, h: float, what: str) -> int:
-    """``span / h`` as a whole number of steps; ``what`` names ``span``."""
+    """``span / h`` in whole steps, at most :data:`MAX_STEPS`; ``what`` names ``span``."""
     ratio = span / h
-    if not ratio < sys.maxsize // 4:  # inf, or a half-step grid too long to index
+    if not ratio <= MAX_STEPS:  # inf included
         raise ConfigError(f"{what}: {span:g} is too many steps of {h:g} to count")
     k = int(round(ratio))
     if abs(span - k * h) > _DIV_TOL * max(1.0, abs(span)):
@@ -215,9 +219,11 @@ def _delay_steps(delays, h: float, label: str) -> list[int]:
     return [_grid_steps(d, h, f"{label}[{i}]") for i, d in enumerate(delays)]
 
 
-def _stage_source(members, cubic_at, nz: int, n_y: int) -> tuple[str, set[int], set[int]]:
-    """Source of ``_stage(j, s)``, the packed ``g`` of the stage at position
-    ``j``, with the input lags and the nonzero output lags (in steps) it reads.
+def _stage_source(members, cubic_at, nz: int, n_y: int,
+                  ns: int | None = None) -> tuple[str, set[int], set[int]]:
+    """Source of ``_stage(j, s, o)``, which writes the ``f`` of the stage at
+    position ``j`` (each member's values, then the cubic terms) into ``_buf``
+    at byte ``o``, with the input lags and nonzero output lags (in steps) it reads.
 
     ``members`` holds ``(exprs, x_at, y_at, u_slot_lags, y_slot_lags)`` for
     each truth and then each of its observers: ``x_at`` is where its state
@@ -226,21 +232,21 @@ def _stage_source(members, cubic_at, nz: int, n_y: int) -> tuple[str, set[int], 
     lag 0) and ``y_slot_lags[slot]`` that of an output slot.
     ``cubic_at`` holds ``(e_at, theta_rows)`` per observer with ``N != 0``.
     The function reads its inputs at fixed places: states and output errors
-    in ``s``, the drive in ``grid`` and delayed outputs in ``ytab`` at a
-    constant offset plus ``j``; offset 0 is the largest lag read.
-    Expressions are emitted by exprlang's emitter, so each performs the
-    float operations of ``evaluate``, and wrapped by its guarded-source
-    builder, which checks them for finiteness and falls back to
-    ``_reference``, as the drive's function does.  State loads and cubic
-    values cannot raise and come first, so the fallback finds them bound; a
-    drive row that holds an error fails its read with ``TypeError``.
+    in ``s`` (``ns`` entries, by default a lone truth's ``nz + n_y``), the
+    drive in ``grid`` and delayed outputs in ``ytab`` at a constant offset
+    plus ``j``; offset 0 is the largest lag read.  Expressions are emitted by
+    exprlang's emitter, so each performs the float operations of
+    ``evaluate``, and wrapped by its guarded-source builder, which checks
+    them for finiteness and falls back to ``_reference``, as the drive's
+    function does.  The one statement that unpacks ``s`` and the cubic values
+    cannot raise and come first, so the fallback finds them bound; a drive
+    row that holds an error fails its read with ``TypeError``.
     """
     loads: dict[tuple, str] = {}  # (table, lag, index) -> local, in order of first use
 
     def load(item: tuple) -> str:
         return loads.setdefault(item, f"v{len(loads)}")
 
-    z = [load(("s", 0, i)) for i in range(nz)]
     lines: dict[str, str] = {}
     results: list[str] = []
     for exprs, x_at, y_at, u_slot_lags, y_slot_lags in members:
@@ -265,18 +271,20 @@ def _stage_source(members, cubic_at, nz: int, n_y: int) -> tuple[str, set[int], 
             cubic_lines.append(f"{cubic[-1]} = q{m} * {ei}")
     lags = {table: {lag for t, lag, _ in loads if t == table} for table in ("grid", "ytab")}
     offset = {table: 2 * max(read, default=0) for table, read in lags.items()}
-    state = [f"{name} = s[{i}]" for (table, _, i), name in loads.items() if table == "s"]
+    state = {i: name for (table, _, i), name in loads.items() if table == "s"}
+    targets = ", ".join(state.get(i, "_") for i in range(ns or nz + n_y))
+    unpack = [f"[{targets}] = s"] if state else []
     signals = {name: f"{name} = {table}[j + {offset[table] - 2 * lag}][{i}]"
                for (table, lag, i), name in loads.items() if table != "s"}
     # literals, drive samples and output-table rows are finite, a stage
     # input need not be
     check = [r for r in results if not r.startswith("(") and r not in signals]
     src = _guarded_source(
-        "def _stage(j, s):",
-        state + cubic_lines + [*signals.values()]
+        "def _stage(j, s, o):",
+        unpack + cubic_lines + [*signals.values()]
         + [f"{name} = {rhs}" for rhs, name in lines.items()], check,
-        f"return _pack({', '.join(z + results + cubic)})",
-        f"return _pack({', '.join(z + ['*_reference(j, s)'] + cubic)})")
+        f"return _pack(_buf, o, {', '.join(results + cubic)})",
+        f"return _pack(_buf, o, {', '.join(['*_reference(j, s)'] + cubic)})")
     return src, lags["grid"], lags["ytab"]
 
 
@@ -350,11 +358,9 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
     # R z = [y_1; ...; y_T; xhat_11; ...; xhat_TM; e_tm ...] with y_t = C_t x_t,
     # xhat_tm = w_tm + E_m y_t and, for each observer with N != 0 only, the
     # output error e_tm = y_t - C_d xhat_tm.  The derivative is
-    #     dz = W g,  g = [z; f_1; f_11; ...; f_1M; ...; f_T; ...; f_TM; (e' theta_m e) e ...],
+    #     dz = W [z; f],  f = [f_1; f_11; ...; f_1M; ...; f_T; ...; f_TM; (e' theta_m e) e ...],
     # with f_t = [f_u; f_g; f_L] of truth t at x_t and f_tm = [f_u; f_L] of the
-    # design at xhat_tm.  The loop carries s = [z; R z] = S z, S = [I; R].  One
-    # generated call turns a stage's input s into g, packed as bytes; one product
-    # turns g into the next stage's input s + c h S W g = [c h S W | I] [g; s].
+    # design at xhat_tm.  The loop carries s = [z; R z] = S z, S = [I; R].
     C_d = design.C
     T, M = len(truths), len(observers)
     n_cubic = T * sum(bool(obs.N.any()) for obs in observers)  # N = 0 skips the term
@@ -391,15 +397,20 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
                 W[w, ec:ec + n_y] = -obs.N
                 cubic_at.append((nz + er, obs.theta.tolist()))
     S = np.vstack([np.eye(nz), R])
-    SW = S @ W
-    I_s = np.eye(len(S))
-    half_stage = np.hstack([(0.5 * h) * SW, I_s])
-    full_stage = np.hstack([h * SW, I_s])
-    # the step's end, S (z + h/6 W (g1 + 2 g2 + 2 g3 + g4)), from [g1; ...; g4; s]:
-    # R z is derived from z afresh every step, so it cannot drift from it
-    sixth = (h / 6.0) * SW
-    step_end = np.hstack([sixth, 2.0 * sixth, 2.0 * sixth, sixth, S, np.zeros((len(S), len(R)))])
-    src, u_lags, y_lags = _stage_source(members, cubic_at, nz, n_y)
+    # One step's buffer is [f4 | s4 | f3 | s3 | f2 | s2 | f1 | s1]: s1 the step's start,
+    # s_k stage k's input (z_k its head), f_k what stage k writes.  Stage k + 1 reads
+    # s1 + c h S W [z_k; f_k], one product over the buffer from f_k on, written to
+    # s_{k+1} ahead of it.  The step ends in S (z1 + h/6 W ([z1; f1] + 2 [z2; f2] +
+    # 2 [z3; f3] + [z4; f4])): R z is derived from z afresh, so it cannot drift.
+    ns, nb = len(S), W.shape[1] - nz + len(S)  # entries of s_k, of [f_k; s_k]
+    SW = np.hstack([np.roll(S @ W, -nz, axis=1), np.zeros((ns, ns - nz))])  # on [f_k; s_k]
+    sixth = h / 6.0
+    P1, P2, P3, step_end = (np.hstack([c * SW for c in coefs]) for coefs in (
+        [0.5 * h], [0.5 * h, 0.0], [h, 0.0, 0.0], [sixth, 2.0 * sixth, 2.0 * sixth, sixth]))
+    for P in (P1, P2, P3):
+        P[:, -ns:] += np.eye(ns)  # plus s1, the step's start
+    step_end[:, -ns:][:, :nz] += S  # plus S z1
+    src, u_lags, y_lags = _stage_source(members, cubic_at, nz, n_y, ns)
 
     # The drive depends on t alone: evaluate it once per half-step on one grid,
     # positions p = -2 L_max .. 2 steps at time (p/2) h, where L_max is the
@@ -423,7 +434,7 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
     x0 = cfg.x0
     z0 = np.concatenate([x0] * T + [cfg.xhat0 - obs.E @ (truth.C @ x0)
                                     for truth in truths for obs in observers])
-    traj = np.empty((steps + 1, len(S)))
+    traj = np.empty((steps + 1, ns))
     traj[0] = S @ z0
     s = traj[0].tolist()
     n_out = T * n_y  # every truth's outputs, [y_1; ...; y_T]
@@ -453,12 +464,16 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
             out += [evaluate(e, s[x_at:x_at + n], u, y, t) for e in exprs]
         return out
 
+    step_buf = bytearray(8 * 4 * nb)
+    buf = np.frombuffer(step_buf)
+    s2, s3, s4, s1 = (buf[at * nb - ns:at * nb] for at in (3, 2, 1, 4))
+    tail1, tail2, tail3 = buf[3 * nb:], buf[2 * nb:], buf[nb:]  # from f1, f2, f3 on
     namespace = {**_CODEGEN_GLOBALS, "_reference": reference, "grid": grid, "ytab": y_table,
-                 "_pack": struct.Struct(f"{W.shape[1]}d").pack}
+                 "_buf": step_buf, "_pack": struct.Struct(f"{nb - ns}d").pack_into}
     exec(_compile_source(src, "<cubicobs.sim stage>"), namespace)
     stage = namespace["_stage"]
-    zeros = np.zeros(len(S))
-    s_bytes = traj[0].tobytes()
+    zeros = np.zeros(ns)
+    s1[:] = traj[0]
 
     # a diverging state overflows inside the stages; the finiteness check
     # after each step reports it, so numpy's own warnings would only repeat it
@@ -469,21 +484,21 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
                 y_now = s[nz:nz + n_out]
                 y_table += [[0.5 * p + 0.5 * q for p, q in zip(y_table[-1], y_now)], y_now]
             try:
-                g1 = stage(j, s)
-                g2 = stage(j + 1, half_stage.dot(np.frombuffer(g1 + s_bytes)).tolist())
-                g3 = stage(j + 1, half_stage.dot(np.frombuffer(g2 + s_bytes)).tolist())
-                g4 = stage(j + 2, full_stage.dot(np.frombuffer(g3 + s_bytes)).tolist())
+                stage(j, s, 24 * nb)  # f_k sits at byte 8 (4 - k) nb
+                stage(j + 1, P1.dot(tail1, out=s2).tolist(), 16 * nb)
+                stage(j + 1, P2.dot(tail2, out=s3).tolist(), 8 * nb)
+                stage(j + 2, P3.dot(tail3, out=s4).tolist(), 0)
             except ExprEvalError as exc:
                 raise SimulationError(
                     f"expression evaluation failed near t = {k * h:.6g}: {exc}"
                 ) from exc
-            s_new = step_end.dot(np.frombuffer(g1 + g2 + g3 + g4 + s_bytes), out=traj[k + 1])
+            s_new = step_end.dot(buf, out=traj[k + 1])
             # inf * 0 and nan * 0 are nan: the product is finite iff s_new is
             if not math.isfinite(s_new.dot(zeros)):
                 raise SimulationError(
                     f"state became non-finite at t = {(k + 1) * h:.6g} (step {k + 1})"
                 )
-            s_bytes = s_new.tobytes()
+            s1[:] = s_new
             s = s_new.tolist()
 
     zs = traj[:, :nz]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cubicobs import cert, model
+from cubicobs import cert, model, sim
 from cubicobs.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_FAILURE,
@@ -471,6 +471,22 @@ def test_simulate_step_too_small_to_count(configs, tmp_path, capsys, step):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_end, step, code, err", [
+    ("1", "0.01", EXIT_OK, []),
+    ("1.01", "0.01", EXIT_CONFIG_ERROR, ["error: t_end: 1.01 is too many steps of 0.01 to count"]),
+    ("0.5", "0.005", EXIT_CONFIG_ERROR, ["error: delta[0]: 1 is too many steps of 0.005 to count"]),
+], ids=["at-cap", "run-over-cap", "delay-over-cap"])
+def test_simulate_refuses_more_than_max_steps(configs, tmp_path, capsys, monkeypatch,
+                                              t_end, step, code, err):
+    # checked by value under a small cap, so that no case allocates much
+    monkeypatch.setattr(sim, "MAX_STEPS", 100)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(configs["nominal"]), "--t-end", t_end,
+                 "--step", step, "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == err
+    assert out.exists() == (code == EXIT_OK)
+
+
 @pytest.mark.parametrize("command", [["certify", "--check-only"], ["simulate", "--t-end", "0.1"]],
                          ids=lambda c: c[0])
 def test_config_without_observer_is_a_config_error(configs, tmp_path, capsys, command):
@@ -589,6 +605,21 @@ def test_reproduce_paper_prints_summary_lines(tmp_path, capsys):
     summary = (out / "summary.txt").read_text().splitlines()
     assert len(summary) == 6
     assert capsys.readouterr().out.splitlines()[:6] == summary
+
+
+def test_reproduce_paper_summary_is_pinned(tmp_path, capsys):
+    # the published numbers, byte for byte: a change of the integrator's
+    # summation order moves trajectories at rounding level, not these
+    out = tmp_path / "study"
+    assert main(["reproduce-paper", "--out", str(out)]) == EXIT_OK
+    assert (out / "summary.txt").read_bytes() == (
+        b"jo_cubic_nominal=2.61539534835\n"
+        b"jo_linear_nominal=2.64126942972\n"
+        b"ratio_nominal=0.990203921992\n"
+        b"jo_cubic_uncertain=2.71252163308\n"
+        b"jo_linear_uncertain=2.7383956832\n"
+        b"ratio_uncertain=0.990551383691\n")
+    capsys.readouterr()
 
 
 @pytest.mark.filterwarnings("ignore:cubic-gain condition holds only semidefinitely")

@@ -292,7 +292,7 @@ def generated(exprs, stage=None):
     u_off, y_off = 2 * max(u_lags, default=0), 2 * max(y_lags, default=0)
     grid, ytab = [None] * (u_off + 1), [None] * (y_off + 1)
     namespace = {**exprlang._CODEGEN_GLOBALS, "grid": grid, "ytab": ytab,
-                 "_pack": lambda *v: v[DIMS.n:]}
+                 "_buf": None, "_pack": lambda buf, o, *v: v}
     exec(exprlang._compile_source(src, "<test stage>"), namespace)
 
     def call(x, u, y, t):
@@ -301,7 +301,7 @@ def generated(exprs, stage=None):
         for lag in y_lags:
             ytab[y_off - 2 * lag] = y[lag] if y else None
         namespace["_reference"] = lambda j, s: tree_walk(exprs, x, u, y, t)
-        return namespace["_stage"](0, [*x, *(y[0] if y else [0.0])])
+        return namespace["_stage"](0, [*x, *(y[0] if y else [0.0])], 0)
     return call
 
 

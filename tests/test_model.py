@@ -1,6 +1,7 @@
 """Data model: bundled example values, validation at construction, JSON round-trip."""
 
 import json
+import os
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
@@ -464,6 +465,43 @@ def test_file_roundtrip(tmp_path):
     path = tmp_path / "nominal.json"
     save_config(ex.nominal_config(), path)
     assert load_config(path) == ex.nominal_config()
+
+
+def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
+    # a config built from numpy scalars saves as JSON and loads back equal
+    ex = example_system()
+    f32 = np.float32
+    lipschitz = SystemConfig(
+        plant=replace(ex.nominal, n_u=np.int64(1)), lipschitz=Lipschitz(gamma=f32(1.0)),
+        observer=replace(ex.observer, alpha=f32(2.0)),
+        certificate=Certificate(P=np.eye(2), beta=f32(100)))
+    one_sided = replace(lipschitz, lipschitz=OneSidedLipschitz(rho=f32(0.5), a=f32(1), b=f32(2)),
+                        certificate=Certificate(P=np.eye(2), mu1=f32(1.5), mu2=np.float64(1)))
+    for cfg in (lipschitz, one_sided):
+        scalars = [cfg.observer.alpha, *(getattr(block, f.name) for block in
+                                         (cfg.lipschitz, cfg.certificate) for f in fields(block))]
+        assert type(cfg.plant.n_u) is int
+        assert {type(v) for v in scalars if not isinstance(v, np.ndarray | None)} == {float}
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+
+
+def test_failed_save_leaves_the_target_unchanged(tmp_path, monkeypatch):
+    ex = example_system()
+    path = tmp_path / "cfg.json"
+    save_config(ex.nominal_config(), path)
+    before = path.read_bytes()
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask  # as open(path, "w") creates it
+    to_dict = model.config_to_dict
+    # json.dump writes the first keys before it meets the object it cannot encode
+    monkeypatch.setattr(model, "config_to_dict", lambda cfg: {**to_dict(cfg), "z": object()})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_config(ex.uncertain_config(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_observer_block_defaults():

@@ -344,7 +344,7 @@ def test_generated_functions_run_whole_body_in_the_guard(monkeypatch, seed):
                             ("analytic", "zero")[seed % 2], 4, drive_t=True)
     sim._integrate([truth], *rest)[0]
     heads = [src.splitlines()[:2] for src in sources]
-    assert sorted(head[0] for head in heads) == ["def _drive(t):", "def _stage(j, s):"]
+    assert sorted(head[0] for head in heads) == ["def _drive(t):", "def _stage(j, s, o):"]
     assert all(head[1] == "    try:" for head in heads), heads
 
 
