@@ -381,14 +381,6 @@ def _on_axis(ev: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(ev.real) <= tol * (1.0 + np.abs(ev))
 
 
-def _hinf_below(G: np.ndarray, TT: np.ndarray, g: float) -> bool:
-    """For Hurwitz ``G``: is ``||(sI - G)^{-1} T||_inf < g``?
-
-    True iff the Hamiltonian has no eigenvalue on the imaginary axis.
-    """
-    return not _on_axis(_hamiltonian_eigvals(G, TT, g), 1e-9).any()
-
-
 def _gains(G: np.ndarray, T: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``sigma_max((j w I - G)^{-1} T)`` at each frequency of ``w``."""
     n = G.shape[0]
@@ -407,9 +399,11 @@ def _gamma_star(G: np.ndarray, T: np.ndarray) -> tuple[float, float, float]:
     Bruinsma & Steinbuch (1990): at ``hi = g (1 + 2e-10)`` the Hamiltonian's
     imaginary-axis eigenvalues are the frequencies where the gain crosses
     ``hi``, and ``g`` moves to the largest gain at the midpoints between
-    them, converging quadratically.  It ends when :func:`_hinf_below` holds
-    at ``hi``; ``gamma* = 0`` if no finite ``hi`` passes.  ``(0, inf, nan)``
-    unless ``G`` is Hurwitz; ``(inf, 0, 0)`` when ``T`` vanishes.
+    them, converging quadratically.  It ends when the Hamiltonian at ``hi``
+    has no eigenvalue within 1e-9 of the imaginary axis, which for Hurwitz
+    ``G`` means ``||(sI - G)^{-1} T||_inf < hi``; ``gamma* = 0`` if no finite
+    ``hi`` passes.  ``(0, inf, nan)`` unless ``G`` is Hurwitz; ``(inf, 0,
+    0)`` when ``T`` vanishes.
     """
     poles = np.linalg.eigvals(G)
     if np.max(poles.real) >= 0.0:
@@ -429,7 +423,7 @@ def _gamma_star(G: np.ndarray, T: np.ndarray) -> tuple[float, float, float]:
     while np.isfinite(hi):
         ev = _hamiltonian_eigvals(G, TT, hi)
         # rounding moves the crossings of a far-from-normal G off the axis by
-        # more than _hinf_below's 1e-9, so look for them 1e-6 from it
+        # more than the 1e-9 of the final test, so look for them 1e-6 from it
         w = np.unique(np.abs(ev.imag[_on_axis(ev, 1e-6)]))
         if w.size > 1:
             w = 0.5 * (w[1:] + w[:-1])

@@ -103,6 +103,14 @@ def _eq_fields(self, other):
     return True
 
 
+def _check_sizes(n: int, n_y: int) -> None:
+    """A plant has at least one state and one output."""
+    if n < 1:
+        raise ConfigError("n: must be at least 1")
+    if n_y < 1:
+        raise ConfigError("n_y: must be at least 1")
+
+
 @dataclass(frozen=True, eq=False)
 class PlantModel:
     """State equation data: ``dx/dt = A x + f_u + D f_g + f_L``.
@@ -117,9 +125,10 @@ class PlantModel:
     tree must read back as itself (``parse(unparse(e), dims)`` rebuilds it).
     Either way the plant stores the tree ``parse`` built, so it holds
     exactly the trees ``parse`` builds.  Building one raises
-    :class:`ConfigError` at the first fault in shapes, ``n_u``, delays,
-    component counts and expressions; a bare string in place of a delay
-    list or an expression vector is a fault.
+    :class:`ConfigError` at the first fault in sizes (``n`` and ``n_y`` are
+    at least 1), shapes, ``n_u``, delays, component counts and expressions;
+    a bare string in place of a delay list or an expression vector is a
+    fault.
     """
 
     A: np.ndarray
@@ -144,6 +153,7 @@ class PlantModel:
                 delta=tuple(float(d) for d in self.delta),
                 tau=tuple(float(d) for d in self.tau))
         n = self.n
+        _check_sizes(n, self.n_y)
         if self.A.shape[1] != n:
             raise ConfigError(f"A must be square, got {self.A.shape}")
         if self.C.shape[1] != n:
@@ -207,6 +217,8 @@ class Lipschitz:
         if not 0 < self.gamma < np.inf:
             raise ConfigError("lipschitz.gamma: must be positive and finite")
         _assign(self, gamma=float(self.gamma))
+        if self.gamma * self.gamma == np.inf:  # the certificate blocks hold gamma**2
+            raise ConfigError(f"lipschitz.gamma: {self.gamma:g} is too large to square")
 
 
 @dataclass(frozen=True)
@@ -423,12 +435,15 @@ def _as_number(v, path: str) -> float:
 
 
 def _as_mat(v, rows: int, cols: int, path: str) -> np.ndarray:
+    # every row is checked before the matrix is allocated, so a declared size
+    # no input matches is refused as a short row, not as an allocation failure
     if not isinstance(v, list) or len(v) != rows:
         raise ConfigError(f"{path}: must be a {rows}x{cols} array of arrays")
-    out = np.empty((rows, cols))
     for i, row in enumerate(v):
         if not isinstance(row, list) or len(row) != cols:
             raise ConfigError(f"{path}[{i}]: must be an array of {cols} numbers")
+    out = np.empty((rows, cols))
+    for i, row in enumerate(v):
         for j, entry in enumerate(row):
             out[i, j] = _as_number(entry, f"{path}[{i}][{j}]")
     return out
@@ -452,10 +467,7 @@ def config_from_dict(doc: dict) -> SystemConfig:
     n_u = _as_int(_need(doc, "n_u"), "n_u")
     n_y = _as_int(_need(doc, "n_y"), "n_y")
     n_g = _as_int(_need(doc, "n_g"), "n_g")
-    if n < 1:
-        raise ConfigError("n: must be at least 1")
-    if n_y < 1:
-        raise ConfigError("n_y: must be at least 1")
+    _check_sizes(n, n_y)
     if n_u < 0 or n_g < 0:
         raise ConfigError("n_u/n_g: must be nonnegative")
 

@@ -12,37 +12,10 @@ differ; that mismatch is exactly what the cubic term is there to absorb.
 The linear observer is the same observer with ``N = 0``; with ``N = 0``
 the cubic term is not computed at all.
 
-The truth never depends on the observer, nor one truth on another, so one
-integration carries several truths that share ``design``, the observers
-and the run settings, each with every observer: :func:`simulate` carries
-one truth and one observer, :func:`compare_cubic_linear` an observer and
-its linear twin, :func:`example_study` both example truths with that pair.
-The integrator is classical RK4 on the joint state
-``z = [x_1; ...; x_T; w_11; ...; w_TM]``, ``w_tm`` the m-th observer of
-truth t.  Every delay and ``t_end`` are whole multiples of the step ``h``,
-so every stage sits at a half-step position ``j = 0 .. 2 steps`` (time
-``(j/2) h``).  Each run generates one Python function for its stage, from
-the truth and design expressions through exprlang's emitter (generated
-code is reused across runs), and folds the linear algebra into block
-matrices.  The loop carries ``[z; R z]`` (outputs, estimates and output
-errors) in one preallocated step buffer: one RK4 stage is one generated
-call, which writes every truth's values, every observer's design vector
-and the cubic terms into the buffer, and one matrix product over the
-buffer, which writes the next stage's input into it; one more product ends
-the step.  An expression that fails makes the stage re-run through
-:func:`~cubicobs.exprlang.evaluate` in group order (each truth, then its
-observers), which raises the tree walk's error.  The drive depends on ``t``
-alone: a function generated the same way evaluates it once per half step
-on one grid reaching back to the largest input lag, before integration
-starts, and each lag reads a slice of it.  A sample that fails is kept in
-the grid as its error, which the first stage to read it raises through the
-same fallback.  Delayed outputs are read from a half-step table of the
-output, kept only when an expression reads a delayed output: grid samples,
-and between them the mean of the two neighbours (linear interpolation at
-the midpoint).  Before ``t = 0`` the drive is evaluated analytically (or
-zeroed) and the output history is frozen at ``y(0)`` (or zeroed), per the
-prehistory policy.
-"""
+No truth depends on an observer or on another truth, so one integration
+carries several truths sharing ``design``, the observers and the run
+settings, each with every observer.  It is a plan, built by :func:`_plan`
+from all but the initial state, and a classical RK4 run of it, :func:`_run`."""
 
 from __future__ import annotations
 
@@ -215,12 +188,13 @@ def _grid_steps(span: float, h: float, what: str) -> int:
     return k
 
 
-def _delay_steps(delays, h: float, label: str) -> list[int]:
-    return [_grid_steps(d, h, f"{label}[{i}]") for i, d in enumerate(delays)]
+def _slot_lags(plant: PlantModel, h: float) -> tuple[list[int], ...]:
+    """The lags in steps of ``plant``'s input and of its output delay slots; slot 0 has lag 0."""
+    return tuple([0] + [_grid_steps(d, h, f"{label}[{i}]") for i, d in enumerate(delays)]
+                 for label, delays in (("delta", plant.delta), ("tau", plant.tau)))
 
 
-def _stage_source(members, cubic_at, nz: int, n_y: int,
-                  ns: int | None = None) -> tuple[str, set[int], set[int]]:
+def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int) -> tuple[str, set, set]:
     """Source of ``_stage(j, s, o)``, which writes the ``f`` of the stage at
     position ``j`` (each member's values, then the cubic terms) into ``_buf``
     at byte ``o``, with the input lags and nonzero output lags (in steps) it reads.
@@ -232,9 +206,9 @@ def _stage_source(members, cubic_at, nz: int, n_y: int,
     lag 0) and ``y_slot_lags[slot]`` that of an output slot.
     ``cubic_at`` holds ``(e_at, theta_rows)`` per observer with ``N != 0``.
     The function reads its inputs at fixed places: states and output errors
-    in ``s`` (``ns`` entries, by default a lone truth's ``nz + n_y``), the
-    drive in ``grid`` and delayed outputs in ``ytab`` at a constant offset
-    plus ``j``; offset 0 is the largest lag read.  Expressions are emitted by
+    in ``s`` (``ns`` entries), the drive in ``grid`` and delayed outputs in
+    ``ytab`` at a constant offset plus ``j``; offset 0 is the largest lag
+    read.  Expressions are emitted by
     exprlang's emitter, so each performs the float operations of
     ``evaluate``, and wrapped by its guarded-source builder, which checks
     them for finiteness and falls back to ``_reference``, as the drive's
@@ -272,7 +246,7 @@ def _stage_source(members, cubic_at, nz: int, n_y: int,
     lags = {table: {lag for t, lag, _ in loads if t == table} for table in ("grid", "ytab")}
     offset = {table: 2 * max(read, default=0) for table, read in lags.items()}
     state = {i: name for (table, _, i), name in loads.items() if table == "s"}
-    targets = ", ".join(state.get(i, "_") for i in range(ns or nz + n_y))
+    targets = ", ".join(state.get(i, "_") for i in range(ns))
     unpack = [f"[{targets}] = s"] if state else []
     signals = {name: f"{name} = {table}[j + {offset[table] - 2 * lag}][{i}]"
                for (table, lag, i), name in loads.items() if table != "s"}
@@ -328,39 +302,58 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
     its observers, the next truth, and so on.  The models checked
     themselves when built; here each observer must fit ``design``.
     """
+    return _run(_plan(truths, design, observers, cfg), cfg.x0, cfg.xhat0)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What :func:`_run` needs besides the initial state, built by :func:`_plan`.
+
+    The joint state is ``z = [x_1; ...; x_T; w_11; ...; w_TM]``, ``w_tm`` the
+    m-th observer of truth t; ``layout`` holds ``(C_t, x_t, ((E_1, w_t1), ...))``
+    for each truth, ``x_t`` and ``w_tm`` slices of ``z``.  Stages read ``s = S z
+    = [z; R z]``, ``R z = [y_1; ...; y_T; xhat_11; ...; xhat_TM; e_tm ...]``
+    with ``y_t = C_t x_t``, ``xhat_tm = w_tm + E_m y_t`` and, for each observer
+    with ``N != 0`` only, the output error ``e_tm = y_t - C_d xhat_tm``.
+    """
+
+    h: float
+    steps: int
+    n: int
+    n_y: int
+    layout: tuple
+    members: tuple  # as _stage_source takes them
+    S: np.ndarray
+    P: tuple  # (P1, P2, P3, step_end)
+    src: str  # _stage_source's, reading u_lags and y_lags
+    u_lags: set[int]
+    y_lags: set[int]
+    u_off: int
+    y_off: int
+    grid: tuple  # the drive from position -u_off on
+    analytic: bool  # the prehistory policy
+
+
+def _plan(truths: list[PlantModel], design: PlantModel, observers: list[ObserverParams],
+          cfg: SimConfig) -> _Plan:
+    """The :class:`_Plan` of ``_integrate(truths, design, observers, cfg)``."""
     for obs in observers:
         validate(design, obs)
     n, n_y, n_u = design.n, design.n_y, design.n_u
     if any((truth.n, truth.n_y, truth.n_u) != (n, n_y, n_u) for truth in truths):
         raise ConfigError("truth and design models must share n, n_u, n_y")
-    if cfg.x0.shape != (n,):
-        raise ConfigError(f"x0: expected {n} entries, got {cfg.x0.shape}")
-    if cfg.xhat0.shape != (n,):
-        raise ConfigError(f"xhat0: expected {n} entries, got {cfg.xhat0.shape}")
+    for name in ("x0", "xhat0"):
+        if getattr(cfg, name).shape != (n,):
+            raise ConfigError(f"{name}: expected {n} entries, got {getattr(cfg, name).shape}")
     if len(cfg.input_signal) != n_u:
-        raise ConfigError(
-            f"input_signal: expected {n_u} expressions, got {len(cfg.input_signal)}"
-        )
-
+        raise ConfigError(f"input_signal: expected {n_u} expressions, got {len(cfg.input_signal)}")
     h = cfg.h
-
-    def slot_lags(plant):
-        return ([0] + _delay_steps(plant.delta, h, "delta"),
-                [0] + _delay_steps(plant.tau, h, "tau"))
-
-    truth_lags = [slot_lags(truth) for truth in truths]  # each truth's, then the design's
-    design_lags = slot_lags(design)
+    *truth_lags, design_lags = (_slot_lags(plant, h) for plant in [*truths, design])
     steps = _grid_steps(cfg.t_end, h, "t_end")
-    analytic_pre = cfg.prehistory == "analytic"
-    n_half = 2 * steps + 1  # stage positions j = 0 .. 2 steps, time (j/2) h
 
-    # z = [x_1; ...; x_T; w_11; ...; w_TM], w_tm the m-th observer of truth t.
-    # R z = [y_1; ...; y_T; xhat_11; ...; xhat_TM; e_tm ...] with y_t = C_t x_t,
-    # xhat_tm = w_tm + E_m y_t and, for each observer with N != 0 only, the
-    # output error e_tm = y_t - C_d xhat_tm.  The derivative is
-    #     dz = W [z; f],  f = [f_1; f_11; ...; f_1M; ...; f_T; ...; f_TM; (e' theta_m e) e ...],
+    # dz = W [z; f],  f = [f_1; f_11; ...; f_1M; ...; f_T; ...; f_TM; (e' theta_m e) e ...],
     # with f_t = [f_u; f_g; f_L] of truth t at x_t and f_tm = [f_u; f_L] of the
-    # design at xhat_tm.  The loop carries s = [z; R z] = S z, S = [I; R].
+    # design at xhat_tm.
     C_d = design.C
     T, M = len(truths), len(observers)
     n_cubic = T * sum(bool(obs.N.any()) for obs in observers)  # N = 0 skips the term
@@ -372,7 +365,8 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
     W = np.zeros((nz, c_col + n_cubic * n_y))
     members = []  # each truth, then its observers: the stage's group order
     cubic_at = []  # where each cubic e_tm sits in s, with its theta_m
-    col = nz  # where the next member's values sit in g
+    layout = []
+    col = nz  # where the next member's values sit in [z; f]
     for t, truth in enumerate(truths):
         C_t, x, y_at = truth.C, slice(t * n, (t + 1) * n), t * n_y
         R[y_at:y_at + n_y, x] = C_t
@@ -380,9 +374,11 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
         W[x, col:col + 2 * n + truth.n_g] = np.hstack([In, truth.D, In])
         col += 2 * n + truth.n_g
         members.append((truth.f_u + truth.f_g + truth.f_L, t * n, y_at, *truth_lags[t]))
+        placed = []
         for m, obs in enumerate(observers):
             w = slice(T * n + (t * M + m) * n, T * n + (t * M + m + 1) * n)
             r = T * n_y + (t * M + m) * n
+            placed.append((obs.E, w))
             R[r:r + n, x] = obs.E @ C_t
             R[r:r + n, w] = In
             members.append((design.f_u + design.f_L, nz + r, y_at, *design_lags))
@@ -396,81 +392,71 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
                 R[er:er + n_y, w] = -C_d
                 W[w, ec:ec + n_y] = -obs.N
                 cubic_at.append((nz + er, obs.theta.tolist()))
+        layout.append((C_t, x, tuple(placed)))
     S = np.vstack([np.eye(nz), R])
     # One step's buffer is [f4 | s4 | f3 | s3 | f2 | s2 | f1 | s1]: s1 the step's start,
     # s_k stage k's input (z_k its head), f_k what stage k writes.  Stage k + 1 reads
     # s1 + c h S W [z_k; f_k], one product over the buffer from f_k on, written to
     # s_{k+1} ahead of it.  The step ends in S (z1 + h/6 W ([z1; f1] + 2 [z2; f2] +
     # 2 [z3; f3] + [z4; f4])): R z is derived from z afresh, so it cannot drift.
-    ns, nb = len(S), W.shape[1] - nz + len(S)  # entries of s_k, of [f_k; s_k]
+    ns, sixth = len(S), h / 6.0
     SW = np.hstack([np.roll(S @ W, -nz, axis=1), np.zeros((ns, ns - nz))])  # on [f_k; s_k]
-    sixth = h / 6.0
-    P1, P2, P3, step_end = (np.hstack([c * SW for c in coefs]) for coefs in (
+    P = tuple(np.hstack([c * SW for c in coefs]) for coefs in (
         [0.5 * h], [0.5 * h, 0.0], [h, 0.0, 0.0], [sixth, 2.0 * sixth, 2.0 * sixth, sixth]))
-    for P in (P1, P2, P3):
-        P[:, -ns:] += np.eye(ns)  # plus s1, the step's start
-    step_end[:, -ns:][:, :nz] += S  # plus S z1
+    for Pk in P[:3]:
+        Pk[:, -ns:] += np.eye(ns)  # plus s1, the step's start
+    P[3][:, -ns:][:, :nz] += S  # plus S z1
     src, u_lags, y_lags = _stage_source(members, cubic_at, nz, n_y, ns)
+    u_off, y_off = 2 * max(u_lags, default=0), 2 * max(y_lags, default=0)
+    analytic = cfg.prehistory == "analytic"
+    grid = _drive_grid(cfg.input_signal, u_off, steps, h, analytic) if u_lags else ()
+    return _Plan(h, steps, n, n_y, tuple(layout), tuple(members), S, P, src,
+                 u_lags, y_lags, u_off, y_off, grid, analytic)
 
-    # The drive depends on t alone: evaluate it once per half-step on one grid,
-    # positions p = -2 L_max .. 2 steps at time (p/2) h, where L_max is the
-    # largest input lag the stage reads.  Lag L reads stage j at p = j - 2 L.  A
-    # failed sample keeps its error in the grid, raised by the stage that reads it.
-    u_off = 2 * max(u_lags, default=0)  # grid index of p = 0
-    grid: list = [None] * (u_off + n_half)
-    if u_lags:
-        drive = _drive_function(cfg.input_signal)
-        zero_u = (0.0,) * n_u
-        for i in range(len(grid)):
-            p = i - u_off
-            if p < 0 and not analytic_pre:
-                grid[i] = zero_u
-                continue
-            try:
-                grid[i] = drive((p * 0.5) * h)
-            except ExprEvalError as exc:
-                grid[i] = exc
 
-    x0 = cfg.x0
-    z0 = np.concatenate([x0] * T + [cfg.xhat0 - obs.E @ (truth.C @ x0)
-                                    for truth in truths for obs in observers])
+def _drive_grid(exprs: tuple, u_off: int, steps: int, h: float, analytic: bool) -> tuple:
+    """The drive at half-step positions ``p = -u_off .. 2 steps`` (time ``(p/2) h``),
+    zero before ``t = 0`` unless ``analytic``.  A failed sample is kept as its
+    error, which the stage that reads it raises."""
+    drive = _drive_function(exprs)
+    grid = []
+    for p in range(-u_off, 2 * steps + 1):
+        try:
+            grid.append(drive((p * 0.5) * h) if p >= 0 or analytic else (0.0,) * len(exprs))
+        except ExprEvalError as exc:
+            grid.append(exc)
+    return tuple(grid)
+
+
+def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray) -> list[list[SimResult]]:
+    """Integrate ``plan`` from ``x0`` in every truth and ``xhat0`` in every
+    observer, whose shapes :func:`_plan` checks, leaving the plan as it was.
+    Each RK4 stage is one generated call and one product of ``plan.P``; a
+    stage whose expression fails re-runs through :func:`_reference`."""
+    n_y, h, steps, y_off = plan.n_y, plan.h, plan.steps, plan.y_off
+    S, (P1, P2, P3, step_end) = plan.S, plan.P
+    (ns, nz), nb = S.shape, P1.shape[1]  # entries of s_k, of z, of [f_k; s_k]
+    n_out = len(plan.layout) * n_y  # every truth's outputs, [y_1; ...; y_T]
+    z0 = np.empty(nz)
+    for C, x, placed in plan.layout:
+        z0[x] = x0
+        for E, w in placed:
+            z0[w] = xhat0 - E @ (C @ x0)
     traj = np.empty((steps + 1, ns))
     traj[0] = S @ z0
     s = traj[0].tolist()
-    n_out = T * n_y  # every truth's outputs, [y_1; ...; y_T]
-
-    # Delayed outputs at half-step positions m >= -2 T_max (T_max the largest
-    # output lag the stage reads): row y_off + m holds every truth's y at the
-    # grid for even m and the mean of its neighbours for odd m, linear
-    # interpolation at the midpoint.  Before t = 0 the history is y(0) or zero,
-    # per the prehistory policy; each step appends its midpoint and grid rows.
-    y_off = 2 * max(y_lags, default=0)
-    y_table = [s[nz:nz + n_out] if analytic_pre else [0.0] * n_out] * (y_off - 1)
-
-    def reference(j: int, s: list[float]) -> list[float]:
-        # the stage's expression values through evaluate, in group order: raises
-        # the error a tree walk raises, where the generated code failed,
-        # including a failed drive sample of a member's input slots
-        t = (j * 0.5) * h
-        y_now = s[nz:nz + n_out]
-        out = []
-        for exprs, x_at, y_at, u_slot_lags, y_slot_lags in members:
-            u = [grid[j + u_off - 2 * lag] if lag in u_lags else None for lag in u_slot_lags]
-            for row in u:
-                if isinstance(row, ExprEvalError):
-                    raise row
-            y = [(y_now if not lag else y_table[j + y_off - 2 * lag])[y_at:y_at + n_y]
-                 if not lag or lag in y_lags else None for lag in y_slot_lags]
-            out += [evaluate(e, s[x_at:x_at + n], u, y, t) for e in exprs]
-        return out
-
+    # Delayed outputs at half-step positions m >= -y_off: row y_off + m holds every
+    # truth's y at the grid for even m and the mean of its neighbours (linear
+    # interpolation) for odd m, y(0) or zero before t = 0, per the prehistory.
+    y_table = [s[nz:nz + n_out] if plan.analytic else [0.0] * n_out] * (y_off - 1)
     step_buf = bytearray(8 * 4 * nb)
     buf = np.frombuffer(step_buf)
     s2, s3, s4, s1 = (buf[at * nb - ns:at * nb] for at in (3, 2, 1, 4))
     tail1, tail2, tail3 = buf[3 * nb:], buf[2 * nb:], buf[nb:]  # from f1, f2, f3 on
-    namespace = {**_CODEGEN_GLOBALS, "_reference": reference, "grid": grid, "ytab": y_table,
-                 "_buf": step_buf, "_pack": struct.Struct(f"{nb - ns}d").pack_into}
-    exec(_compile_source(src, "<cubicobs.sim stage>"), namespace)
+    namespace = {**_CODEGEN_GLOBALS, "_reference": functools.partial(_reference, plan, y_table),
+                 "grid": plan.grid, "ytab": y_table, "_buf": step_buf,
+                 "_pack": struct.Struct(f"{nb - ns}d").pack_into}
+    exec(_compile_source(plan.src, "<cubicobs.sim stage>"), namespace)
     stage = namespace["_stage"]
     zeros = np.zeros(ns)
     s1[:] = traj[0]
@@ -501,21 +487,36 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
             s1[:] = s_new
             s = s_new.tolist()
 
-    zs = traj[:, :nz]
     groups = []
-    for t, truth in enumerate(truths):
-        xs = zs[:, t * n:(t + 1) * n]
-        ys = xs @ truth.C.T
+    for C, x, placed in plan.layout:
+        xs = traj[:, x]
+        ys = xs @ C.T
         group = []
-        for m, obs in enumerate(observers):
-            w = T * n + (t * M + m) * n
-            res = SimResult(t=np.arange(steps + 1) * h, x=xs.copy(),
-                            xhat=zs[:, w:w + n] + ys @ obs.E.T, y=ys.copy(),
-                            jo=np.zeros(steps + 1))
+        for E, w in placed:
+            res = SimResult(t=np.arange(steps + 1) * h, x=xs.copy(), xhat=traj[:, w] + ys @ E.T,
+                            y=ys.copy(), jo=np.zeros(steps + 1))
             res.jo = cumulative_error(res)
             group.append(res)
         groups.append(group)
     return groups
+
+
+def _reference(plan: _Plan, y_table: list, j: int, s: list[float]) -> list[float]:
+    """The members' values at stage position ``j`` from ``s``, through
+    :func:`~cubicobs.exprlang.evaluate` in group order: raises the tree walk's
+    error where the generated code failed, a failed drive sample included."""
+    n, n_y, nz, grid = plan.n, plan.n_y, plan.S.shape[1], plan.grid
+    y_now = s[nz:nz + len(plan.layout) * n_y]
+    out = []
+    for exprs, x_at, y_at, u_slot_lags, y_slot_lags in plan.members:
+        u = [grid[j + plan.u_off - 2 * lag] if lag in plan.u_lags else None for lag in u_slot_lags]
+        for row in u:
+            if isinstance(row, ExprEvalError):
+                raise row
+        y = [(y_now if not lag else y_table[j + plan.y_off - 2 * lag])[y_at:y_at + n_y]
+             if not lag or lag in plan.y_lags else None for lag in y_slot_lags]
+        out += [evaluate(e, s[x_at:x_at + n], u, y, (j * 0.5) * plan.h) for e in exprs]
+    return out
 
 
 def cumulative_error(result: SimResult) -> np.ndarray:
@@ -631,8 +632,7 @@ def write_trajectory_csv(result: SimResult, path) -> None:
     """Write ``t, x*, xhat*, y*, Jo`` with LF endings, each value byte for
     byte as ``"%.12e" % v`` prints it (13 significant digits).
 
-    All columns are formatted in one :func:`_csv_text` call.  An unwritable
-    ``path`` raises ``OSError``.
+    An unwritable ``path`` raises ``OSError``.
     """
     def names(prefix, values):
         return [f"{prefix}{i + 1}" for i in range(values.shape[1])]

@@ -487,6 +487,26 @@ def test_simulate_refuses_more_than_max_steps(configs, tmp_path, capsys, monkeyp
     assert out.exists() == (code == EXIT_OK)
 
 
+@pytest.mark.parametrize("change, command, message", [
+    ({"n_g": 2**70}, ["design", "--auto-margin", "3"],
+     f"error: D[0]: must be an array of {2**70} numbers"),
+    ({"n_g": 2**70}, ["certify", "--check-only"],
+     f"error: D[0]: must be an array of {2**70} numbers"),
+    ({"lipschitz": {"gamma": 1e308}}, ["certify", "--check-only"],
+     "error: lipschitz.gamma: 1e+308 is too large to square"),
+], ids=["n_g-design", "n_g-certify", "gamma-certify"])
+def test_sizes_and_bounds_past_float_range_are_config_errors(configs, tmp_path, capsys,
+                                                             change, command, message):
+    doc = {**json.loads(configs["nominal"].read_text()), **change}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    argv = [command[0], "--config", str(path), *command[1:]]
+    if command[0] == "design":
+        argv += ["--out", str(tmp_path / "designed.json")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 @pytest.mark.parametrize("command", [["certify", "--check-only"], ["simulate", "--t-end", "0.1"]],
                          ids=lambda c: c[0])
 def test_config_without_observer_is_a_config_error(configs, tmp_path, capsys, command):

@@ -634,6 +634,17 @@ def test_config_error_names_its_field(case):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("matrices, message", [
+    ({"A": np.zeros((0, 0)), "C": np.zeros((1, 0)), "D": np.zeros((0, 1))},
+     "n: must be at least 1"),
+    ({"C": np.zeros((0, 2))}, "n_y: must be at least 1"),
+], ids=["n-zero", "n_y-zero"])
+def test_plant_refuses_the_sizes_a_config_refuses(matrices, message):
+    # the rule and message of config_from_dict, so every plant saves to a file
+    # load_config reads back
+    assert refused(lambda: small_plant(**matrices)) == message
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -449,3 +449,19 @@ def test_finite_terms_whose_sum_overflows_integrate_on():
     xs, xhats, _ = tree_walk([plant], plant, [obs], cfg)[0]
     assert np.isfinite(res.x).all() and res.x.max() > 1e307
     assert close(res.x, xs) and close(res.xhat, xhats[0])
+
+
+def test_one_plan_runs_from_two_initial_estimates():
+    # a plan holds no run state: two runs of one plan, each from its own
+    # initial estimate, equal their own simulate calls bit for bit, and leave
+    # the drive grid as the plan built it
+    truth, design, observers, cfg = scenario(1, 3, [True], (2, 2, 2, 2), "analytic", steps=12)
+    plan = sim._plan([truth], design, observers, cfg)
+    assert plan.grid and plan.y_off  # the stages read the drive grid and the output table
+    grid = list(plan.grid)
+    for xhat0 in (cfg.xhat0, -2.0 * cfg.xhat0):
+        got = sim._run(plan, cfg.x0, xhat0)[0][0]
+        want = sim.simulate(truth, design, observers[0], replace(cfg, xhat0=xhat0))
+        for field in ("t", "x", "xhat", "y", "jo"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert list(plan.grid) == grid
