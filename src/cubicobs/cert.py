@@ -408,7 +408,10 @@ def _gamma_star(G: np.ndarray, T: np.ndarray) -> tuple[float, float, float]:
     poles = np.linalg.eigvals(G)
     if np.max(poles.real) >= 0.0:
         return 0.0, np.inf, np.nan
-    TT = T @ T.T
+    with np.errstate(over="ignore"):
+        TT = T @ T.T
+    if not np.isfinite(TT).all():
+        raise np.linalg.LinAlgError("(I - E C)(I - E C)' overflows")
     if not TT.any():
         return np.inf, 0.0, 0.0
     # start from the gain at s = 0 and at the pole frequency the peak is

@@ -7,10 +7,11 @@ or stabilizing injection).  Every command is deterministic given its flags.
 Commands raise instead of printing their own errors: :func:`main` reports a
 :class:`~cubicobs.model.ConfigError`, an :class:`~cubicobs.exprlang.ExprError`
 or an ``--out`` path that cannot be written (``OSError``) as ``error: ...``
-with exit 2, and a failed gain, certificate or simulation as ``error: ...``
-with exit 3.  Numeric flags are checked to be positive and finite when the
-arguments are parsed, matrix flags to be finite when they are read.  Configs
-are written only through :func:`~cubicobs.model.save_config`.
+with exit 2, and a failed gain, certificate, simulation or linear-algebra
+routine (``numpy.linalg.LinAlgError``) as ``error: ...`` with exit 3.
+Numeric flags are checked to be positive and finite when the arguments are
+parsed, matrix flags to be finite when they are read.  Configs are written
+only through :func:`~cubicobs.model.save_config`.
 
 ``certify --search-P`` only supplies the certificate and ``N``: both modes
 then run and print the same checks, and ``--out`` is written only when all pass.
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (design.GainSearchError, cert.FeasibilitySearchError,
-            sim.SimulationError) as exc:
+            sim.SimulationError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 

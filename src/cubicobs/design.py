@@ -168,7 +168,8 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
     T = as_matrix(T, "T")
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
-    TA = T @ A
+    with np.errstate(over="ignore"):  # eigvals refuses a product that overflowed
+        TA = T @ A
     n = A.shape[0]
     if np.max(np.linalg.eigvals(TA).real) <= -margin:
         return np.zeros((n, C.shape[0]))

@@ -52,6 +52,7 @@ of the same text.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import CodeType
@@ -459,24 +460,15 @@ def _eval(e: Expr, x, u, y, t: float) -> float:
 # names the generated code may use besides its arguments and locals
 _CODEGEN_GLOBALS = {**_FUNC_IMPL, "isfinite": math.isfinite}
 
-# Generated code objects keyed on their source text, never on the trees:
+# Generated code objects are keyed on their source text, never on the trees:
 # Num(2) == Num(2.0) and Num(0.0) == Num(-0.0), yet each pair compiles to
-# different code.  The oldest entry goes first when full.
-_CODE_CACHE: dict[str, CodeType] = {}
-_CODE_CACHE_SIZE = 256
-
-
+# different code.
+@functools.lru_cache(maxsize=256)
 def _compile_source(src: str, filename: str) -> CodeType:
     """``compile(src, filename, "exec")``, reused for every later ``src`` of
     the same text.  ``src`` must hold only code generated from trees that
     read back through :func:`parse`."""
-    code = _CODE_CACHE.get(src)
-    if code is None:
-        code = compile(src, filename, "exec")
-        if len(_CODE_CACHE) >= _CODE_CACHE_SIZE:
-            del _CODE_CACHE[next(iter(_CODE_CACHE))]
-        _CODE_CACHE[src] = code
-    return code
+    return compile(src, filename, "exec")
 
 
 def _emit(e: Expr, lines: dict[str, str], bind: Callable[[Var], str] | None) -> str:

@@ -22,11 +22,13 @@ input/output variables; the state enters through ``f_g`` and ``f_L``.
 ``lipschitz`` is either ``{"gamma": g}`` with ``g > 0`` (classical Lipschitz
 bound for the design-model nonlinearity) or ``{"rho": r, "a": a, "b": b}``
 (one-sided Lipschitz constant plus quadratic inner-boundedness constants).
-``observer`` and ``certificate`` are optional.  A certificate block stores
-``{"P", "beta"}`` or ``{"P", "mu1", "mu2"}`` only: margins are always
-recomputed from the matrices, never trusted from a file.  The keys of the
-``lipschitz``, ``observer`` and ``certificate`` blocks are the fields of
-their dataclasses, written in declaration order.
+``observer`` and ``certificate`` are optional.  A certificate holds ``P``
+and either ``beta`` or ``mu1``/``mu2``, never both, and no margin: margins
+are always recomputed from the matrices.  Every block, the plant included,
+is read and written from the fields of its dataclass, in declaration order.
+The reader checks only each value's JSON type (a matrix is a rectangular
+array of finite numbers); the model types check every shape and range, and
+the declared ``n``, ``n_y`` and ``n_g`` must match the plant's matrices.
 
 Every model type is a frozen dataclass that refuses invalid values when it
 is built, and stores its arrays as read-only copies and its scalars as
@@ -43,8 +45,7 @@ import json
 import operator
 import os
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import Any
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -92,6 +93,14 @@ def _assign(obj, matrices: str = "", **values) -> None:
         object.__setattr__(obj, name, _read_only(as_matrix(getattr(obj, name), name)))
 
 
+def _as_float(v) -> float:
+    """``float(v)``, with an integer past the float range as an infinity."""
+    try:
+        return float(v)
+    except OverflowError:
+        return np.inf if v > 0 else -np.inf
+
+
 def _eq_fields(self, other):
     """``==`` over the dataclass fields, arrays by shape and value."""
     if type(other) is not type(self):
@@ -101,14 +110,6 @@ def _eq_fields(self, other):
         if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
             return False
     return True
-
-
-def _check_sizes(n: int, n_y: int) -> None:
-    """A plant has at least one state and one output."""
-    if n < 1:
-        raise ConfigError("n: must be at least 1")
-    if n_y < 1:
-        raise ConfigError("n_y: must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +151,13 @@ class PlantModel:
         except TypeError:
             raise ConfigError("n_u must be an integer") from None
         _assign(self, "A C D", n_u=n_u,
-                delta=tuple(float(d) for d in self.delta),
-                tau=tuple(float(d) for d in self.tau))
+                delta=tuple(_as_float(d) for d in self.delta),
+                tau=tuple(_as_float(d) for d in self.tau))
         n = self.n
-        _check_sizes(n, self.n_y)
+        if n < 1:
+            raise ConfigError("n: must be at least 1")
+        if self.n_y < 1:
+            raise ConfigError("n_y: must be at least 1")
         if self.A.shape[1] != n:
             raise ConfigError(f"A must be square, got {self.A.shape}")
         if self.C.shape[1] != n:
@@ -214,9 +218,9 @@ class Lipschitz:
     gamma: float
 
     def __post_init__(self):
+        _assign(self, gamma=_as_float(self.gamma))
         if not 0 < self.gamma < np.inf:
             raise ConfigError("lipschitz.gamma: must be positive and finite")
-        _assign(self, gamma=float(self.gamma))
         if self.gamma * self.gamma == np.inf:  # the certificate blocks hold gamma**2
             raise ConfigError(f"lipschitz.gamma: {self.gamma:g} is too large to square")
 
@@ -231,10 +235,10 @@ class OneSidedLipschitz:
     b: float
 
     def __post_init__(self):
+        _assign(self, rho=_as_float(self.rho), a=_as_float(self.a), b=_as_float(self.b))
         for name in ("rho", "a", "b"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"lipschitz.{name}: must be finite")
-        _assign(self, rho=float(self.rho), a=float(self.a), b=float(self.b))
 
 
 LipschitzSpec = Lipschitz | OneSidedLipschitz
@@ -263,7 +267,7 @@ class ObserverParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        _assign(self, "G J E", alpha=float(self.alpha))
+        _assign(self, "G J E", alpha=_as_float(self.alpha))
         _assign(self, "N theta", N=np.zeros(self.J.shape) if self.N is None else self.N,
                 theta=np.eye(self.J.shape[1]) if self.theta is None else self.theta)
         n, n_y = self.G.shape[0], self.theta.shape[0]
@@ -297,14 +301,14 @@ class Certificate:
     mu2: float | None = None
 
     def __post_init__(self):
-        _assign(self, "P", **{name: float(v) for name in ("beta", "mu1", "mu2")
+        _assign(self, "P", **{name: _as_float(v) for name in ("beta", "mu1", "mu2")
                               if (v := getattr(self, name)) is not None})
         has_beta = self.beta is not None
         has_mu = self.mu1 is not None or self.mu2 is not None
         if has_beta and has_mu:
-            raise ValueError("certificate carries beta or mu1/mu2, not both")
+            raise ConfigError("certificate: carries beta or mu1/mu2, not both")
         if not has_beta and (self.mu1 is None or self.mu2 is None):
-            raise ValueError("certificate needs beta, or both mu1 and mu2")
+            raise ConfigError("certificate: needs beta, or both mu1 and mu2")
 
     __eq__ = _eq_fields
 
@@ -315,7 +319,7 @@ class SystemConfig:
     certificate.  The observer must fit the plant (:func:`validate`), and a
     certificate's ``P`` must be ``n x n`` and its multipliers must match the
     bound type: ``beta`` for :class:`Lipschitz`, ``mu1``/``mu2`` for
-    :class:`OneSidedLipschitz`."""
+    :class:`OneSidedLipschitz`, with finite products with the bound."""
 
     plant: PlantModel
     lipschitz: LipschitzSpec
@@ -325,16 +329,24 @@ class SystemConfig:
     def __post_init__(self):
         if self.observer is not None:
             validate(self.plant, self.observer)
-        crt = self.certificate
+        crt, bound = self.certificate, self.lipschitz
         if crt is None:
             return
         n = self.plant.n
         if crt.P.shape != (n, n):
             raise ConfigError(f"certificate.P must be {n}x{n}, got {crt.P.shape}")
-        if crt.beta is not None and not isinstance(self.lipschitz, Lipschitz):
-            raise ConfigError("certificate.beta needs a lipschitz.gamma bound")
-        if crt.beta is None and not isinstance(self.lipschitz, OneSidedLipschitz):
+        # the multiplier terms of the LMI block (cert.osl_lmi) must be finite
+        if crt.beta is not None:
+            if not isinstance(bound, Lipschitz):
+                raise ConfigError("certificate.beta needs a lipschitz.gamma bound")
+            name, terms = "beta", (crt.beta * bound.gamma**2,)
+        elif not isinstance(bound, OneSidedLipschitz):
             raise ConfigError("certificate.mu1/mu2 need a one-sided bound")
+        else:
+            name, terms = "mu1/mu2", (crt.mu1 * bound.rho + crt.mu2 * bound.a,
+                                      crt.mu2 * bound.b - crt.mu1)
+        if not np.isfinite(terms).all():
+            raise ConfigError(f"certificate.{name}: its products with the bound are not finite")
 
 
 # --- validation ----------------------------------------------------------
@@ -415,9 +427,9 @@ def example_system() -> ExampleSystem:
 
 # --- JSON persistence ----------------------------------------------------
 
-def _need(d: dict, key: str, path: str = "") -> Any:
+def _need(d: dict, key: str):
     if key not in d:
-        raise ConfigError(f"{path}{key}: missing required key")
+        raise ConfigError(f"{key}: missing required key")
     return d[key]
 
 
@@ -434,131 +446,99 @@ def _as_number(v, path: str) -> float:
     return float(v)
 
 
-def _as_mat(v, rows: int, cols: int, path: str) -> np.ndarray:
-    # every row is checked before the matrix is allocated, so a declared size
-    # no input matches is refused as a short row, not as an allocation failure
-    if not isinstance(v, list) or len(v) != rows:
-        raise ConfigError(f"{path}: must be a {rows}x{cols} array of arrays")
-    for i, row in enumerate(v):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ConfigError(f"{path}[{i}]: must be an array of {cols} numbers")
-    out = np.empty((rows, cols))
-    for i, row in enumerate(v):
-        for j, entry in enumerate(row):
-            out[i, j] = _as_number(entry, f"{path}[{i}][{j}]")
-    return out
+def _as_numbers(v, path: str) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise ConfigError(f"{path}: must be a list of numbers")
+    return tuple(_as_number(entry, f"{path}[{i}]") for i, entry in enumerate(v))
 
 
-def _as_exprs(v, count: int, path: str) -> tuple[str, ...]:
+def _as_mat(v, path: str) -> np.ndarray:
+    """``v`` as a matrix: a nonempty array of equal-length arrays of numbers."""
+    if not isinstance(v, list) or not v or not isinstance(v[0], list):
+        raise ConfigError(f"{path}: must be a nonempty array of arrays")
+    for i, row in enumerate(v):
+        if not isinstance(row, list) or len(row) != len(v[0]):
+            raise ConfigError(f"{path}[{i}]: must be an array of {len(v[0])} numbers")
+    return np.array([[_as_number(entry, f"{path}[{i}][{j}]") for j, entry in enumerate(row)]
+                     for i, row in enumerate(v)])
+
+
+def _as_texts(v, path: str) -> tuple[str, ...]:
     """The expression texts of ``v``; the plant parses them."""
-    if not isinstance(v, list) or len(v) != count:
-        raise ConfigError(f"{path}: must be a list of {count} expression strings")
+    if not isinstance(v, list):
+        raise ConfigError(f"{path}: must be a list of expression strings")
     for i, text in enumerate(v):
         if not isinstance(text, str):
             raise ConfigError(f"{path}[{i}]: must be a string")
     return tuple(v)
 
 
+# the sizes a document declares ahead of the plant's fields
+_SIZES = ("n", "n_u", "n_y", "n_g")
+# the JSON reader of each field annotation of the model types
+_READERS = {"np.ndarray": _as_mat, "float": _as_number, "int": _as_int,
+            "tuple[float, ...]": _as_numbers, "tuple[Expr, ...]": _as_texts}
+
+
+def _read(cls, block, path: str, defaults: bool = True):
+    """A ``cls`` built from the JSON object ``block`` named ``path``: each field
+    it holds is read as its annotated type, one it lacks takes its default if
+    ``defaults`` and it has one, and ``cls`` checks the rest."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path}: must be an object")
+    prefix = path and path + "."
+    values = {}
+    for f in fields(cls):
+        if f.name in block:
+            read = _READERS[f.type.removesuffix(" | None")]
+            values[f.name] = read(block[f.name], prefix + f.name)
+        elif not defaults or f.default is MISSING:
+            raise ConfigError(f"{prefix}{f.name}: missing required key")
+    return cls(**values)
+
+
 def config_from_dict(doc: dict) -> SystemConfig:
     """Build a :class:`SystemConfig` from a parsed JSON object."""
     if not isinstance(doc, dict):
         raise ConfigError("document: must be a JSON object")
-    n = _as_int(_need(doc, "n"), "n")
-    n_u = _as_int(_need(doc, "n_u"), "n_u")
-    n_y = _as_int(_need(doc, "n_y"), "n_y")
-    n_g = _as_int(_need(doc, "n_g"), "n_g")
-    _check_sizes(n, n_y)
-    if n_u < 0 or n_g < 0:
+    # the declared sizes are only compared with the plant: they size nothing
+    sizes = {key: _as_int(_need(doc, key), key) for key in _SIZES}
+    if sizes["n_u"] < 0 or sizes["n_g"] < 0:
         raise ConfigError("n_u/n_g: must be nonnegative")
-
-    A = _as_mat(_need(doc, "A"), n, n, "A")
-    C = _as_mat(_need(doc, "C"), n_y, n, "C")
-    D = _as_mat(_need(doc, "D"), n, n_g, "D")
-
-    def delays(key: str) -> tuple[float, ...]:
-        v = _need(doc, key)
-        if not isinstance(v, list):
-            raise ConfigError(f"{key}: must be a list of numbers")
-        return tuple(_as_number(entry, f"{key}[{i}]") for i, entry in enumerate(v))
-
-    plant = PlantModel(A=A, C=C, D=D, n_u=n_u, delta=delays("delta"), tau=delays("tau"),
-                       f_u=_as_exprs(_need(doc, "f_u"), n, "f_u"),
-                       f_g=_as_exprs(_need(doc, "f_g"), n_g, "f_g"),
-                       f_L=_as_exprs(_need(doc, "f_L"), n, "f_L"))
+    plant = _read(PlantModel, doc, "", defaults=False)
+    for key, declared in sizes.items():
+        if declared != (actual := getattr(plant, key)):
+            raise ConfigError(f"{key}: {declared} does not match the matrices, which give {actual}")
 
     lip = _need(doc, "lipschitz")
     if not isinstance(lip, dict):
         raise ConfigError("lipschitz: must be an object")
-    if "gamma" in lip:
-        spec: LipschitzSpec = Lipschitz(gamma=_as_number(lip["gamma"], "lipschitz.gamma"))
-    elif {"rho", "a", "b"} <= lip.keys():
-        spec = OneSidedLipschitz(
-            rho=_as_number(lip["rho"], "lipschitz.rho"),
-            a=_as_number(lip["a"], "lipschitz.a"),
-            b=_as_number(lip["b"], "lipschitz.b"),
-        )
-    else:
+    if "gamma" not in lip and not {"rho", "a", "b"} <= lip.keys():
         raise ConfigError('lipschitz: provide {"gamma"} or {"rho", "a", "b"}')
+    spec = _read(Lipschitz if "gamma" in lip else OneSidedLipschitz, lip, "lipschitz")
+    blocks = {name: None if doc.get(name) is None else _read(kind, doc[name], name)
+              for name, kind in (("observer", ObserverParams), ("certificate", Certificate))}
+    return SystemConfig(plant, spec, **blocks)
 
-    observer = None
-    if "observer" in doc and doc["observer"] is not None:
-        obs = doc["observer"]
-        if not isinstance(obs, dict):
-            raise ConfigError("observer: must be an object")
-        # only the keys the file has: the observer supplies the defaults
-        given = {key: _as_mat(obs[key], rows, n_y, f"observer.{key}")
-                 for key, rows in (("theta", n_y), ("N", n)) if key in obs}
-        if "alpha" in obs:
-            given["alpha"] = _as_number(obs["alpha"], "observer.alpha")
-        observer = ObserverParams(
-            G=_as_mat(_need(obs, "G", "observer."), n, n, "observer.G"),
-            J=_as_mat(_need(obs, "J", "observer."), n, n_y, "observer.J"),
-            E=_as_mat(_need(obs, "E", "observer."), n, n_y, "observer.E"),
-            **given,
-        )
 
-    certificate = None
-    if "certificate" in doc and doc["certificate"] is not None:
-        crt = doc["certificate"]
-        if not isinstance(crt, dict):
-            raise ConfigError("certificate: must be an object")
-        P = _as_mat(_need(crt, "P", "certificate."), n, n, "certificate.P")
-        if "beta" in crt:
-            certificate = Certificate(P=P, beta=_as_number(crt["beta"], "certificate.beta"))
-        elif {"mu1", "mu2"} <= crt.keys():
-            certificate = Certificate(
-                P=P,
-                mu1=_as_number(crt["mu1"], "certificate.mu1"),
-                mu2=_as_number(crt["mu2"], "certificate.mu2"),
-            )
-        else:
-            raise ConfigError('certificate: provide {"P", "beta"} or {"P", "mu1", "mu2"}')
+def _to_json(obj) -> dict:
+    """The set fields of ``obj``, in declaration order, as :func:`_read` reads them."""
+    def value(v):
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        if isinstance(v, tuple):
+            return [x if isinstance(x, float) else unparse(x) for x in v]
+        return v
 
-    return SystemConfig(plant=plant, lipschitz=spec, observer=observer,
-                        certificate=certificate)
+    return {f.name: value(v) for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
 
 
 def config_to_dict(cfg: SystemConfig) -> dict:
     """Inverse of :func:`config_from_dict`."""
-    plant = cfg.plant
-    doc: dict[str, Any] = {
-        "n": plant.n,
-        "n_u": plant.n_u,
-        "n_y": plant.n_y,
-        "n_g": plant.n_g,
-        "A": plant.A.tolist(),
-        "C": plant.C.tolist(),
-        "D": plant.D.tolist(),
-        "delta": list(plant.delta),
-        "tau": list(plant.tau),
-        "f_u": [unparse(e) for e in plant.f_u],
-        "f_g": [unparse(e) for e in plant.f_g],
-        "f_L": [unparse(e) for e in plant.f_L],
-    }
+    doc = {key: getattr(cfg.plant, key) for key in _SIZES} | _to_json(cfg.plant)
     for name in ("lipschitz", "observer", "certificate"):
         if (block := getattr(cfg, name)) is not None:
-            doc[name] = {f.name: v.tolist() if isinstance(v, np.ndarray) else v
-                         for f in fields(block) if (v := getattr(block, f.name)) is not None}
+            doc[name] = _to_json(block)
     return doc
 
 

@@ -489,12 +489,15 @@ def test_simulate_refuses_more_than_max_steps(configs, tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("change, command, message", [
     ({"n_g": 2**70}, ["design", "--auto-margin", "3"],
-     f"error: D[0]: must be an array of {2**70} numbers"),
+     f"error: n_g: {2**70} does not match the matrices, which give 1"),
     ({"n_g": 2**70}, ["certify", "--check-only"],
-     f"error: D[0]: must be an array of {2**70} numbers"),
+     f"error: n_g: {2**70} does not match the matrices, which give 1"),
     ({"lipschitz": {"gamma": 1e308}}, ["certify", "--check-only"],
      "error: lipschitz.gamma: 1e+308 is too large to square"),
-], ids=["n_g-design", "n_g-certify", "gamma-certify"])
+    # gamma**2 = 1e308 is finite, beta * gamma**2 = 1e310 is not
+    ({"lipschitz": {"gamma": 1e154}}, ["certify", "--check-only"],
+     "error: certificate.beta: its products with the bound are not finite"),
+], ids=["n_g-design", "n_g-certify", "gamma-certify", "beta-gamma-certify"])
 def test_sizes_and_bounds_past_float_range_are_config_errors(configs, tmp_path, capsys,
                                                              change, command, message):
     doc = {**json.loads(configs["nominal"].read_text()), **change}
@@ -504,6 +507,28 @@ def test_sizes_and_bounds_past_float_range_are_config_errors(configs, tmp_path, 
     if command[0] == "design":
         argv += ["--out", str(tmp_path / "designed.json")]
     assert main(argv) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("change, command, message", [
+    ({"A": [[1e308, 1e308], [1e308, 1e308]]}, ["design", "--auto-margin", "3"],
+     "error: Array must not contain infs or NaNs"),
+    ({"C": [[1e308, 0.0]]}, ["certify", "--search-P"],
+     "error: (I - E C)(I - E C)' overflows"),
+], ids=["A-design", "C-search"])
+def test_linear_algebra_on_overflowing_matrices_is_a_numerical_failure(
+        configs, tmp_path, capsys, change, command, message):
+    # finite input whose products overflow: numpy's LinAlgError, no warning
+    doc = {**json.loads(configs["nominal"].read_text()), **change}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    argv = [command[0], "--config", str(path), *command[1:]]
+    if command[0] == "design":
+        argv += ["--out", str(tmp_path / "designed.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_NUMERICAL_FAILURE
+    assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.splitlines() == [message]
 
 

@@ -395,12 +395,27 @@ def test_certificate_multiplier_exclusivity():
     P = np.eye(2)
     assert Certificate(P=P, beta=1.0).mu1 is None
     assert Certificate(P=P, mu1=2.0, mu2=3.0).beta is None
-    with pytest.raises(ValueError, match="not both"):
-        Certificate(P=P, beta=1.0, mu1=2.0, mu2=3.0)
-    with pytest.raises(ValueError, match="beta"):
-        Certificate(P=P)
-    with pytest.raises(ValueError):
-        Certificate(P=P, mu1=2.0)
+    assert refused(lambda: Certificate(P=P, beta=1.0, mu1=2.0, mu2=3.0)) == \
+        "certificate: carries beta or mu1/mu2, not both"
+    assert refused(lambda: Certificate(P=P)) == "certificate: needs beta, or both mu1 and mu2"
+    assert refused(lambda: Certificate(P=P, mu1=2.0)) == \
+        "certificate: needs beta, or both mu1 and mu2"
+
+
+@pytest.mark.parametrize("bound, multipliers, name", [
+    (Lipschitz(gamma=1e154), {"beta": 100.0}, "beta"),
+    (Lipschitz(gamma=1.0), {"beta": np.inf}, "beta"),
+    (OneSidedLipschitz(rho=1e300, a=0.0, b=0.0), {"mu1": 1e10, "mu2": 1.0}, "mu1/mu2"),
+    (OneSidedLipschitz(rho=0.0, a=1e300, b=0.0), {"mu1": 1.0, "mu2": 1e10}, "mu1/mu2"),
+    (OneSidedLipschitz(rho=0.0, a=0.0, b=-1e300), {"mu1": 1e300, "mu2": 1e10}, "mu1/mu2"),
+    (OneSidedLipschitz(rho=1.0, a=1.0, b=1.0), {"mu1": np.nan, "mu2": 1.0}, "mu1/mu2"),
+], ids=["beta-gamma", "beta-inf", "mu1-rho", "mu2-a", "mu2-b", "mu1-nan"])
+def test_config_refuses_multipliers_whose_products_overflow(bound, multipliers, name):
+    # the terms cert.osl_lmi adds to the block would not be finite
+    cfg = example_system().nominal_config()
+    crt = Certificate(P=cfg.certificate.P, **multipliers)
+    assert refused(lambda: replace(cfg, lipschitz=bound, certificate=crt)) == \
+        f"certificate.{name}: its products with the bound are not finite"
 
 
 def test_config_refuses_certificate_of_other_size():
@@ -417,6 +432,19 @@ def test_lipschitz_gamma_positive():
         Lipschitz(gamma=0.0)
     with pytest.raises(ValueError):
         Lipschitz(gamma=-1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda v: Lipschitz(gamma=v), "lipschitz.gamma: must be positive and finite"),
+    (lambda v: OneSidedLipschitz(rho=0.5, a=v, b=1.0), "lipschitz.a: must be finite"),
+    (lambda v: replace(example_system().observer, alpha=v), "alpha must be positive and finite"),
+    (lambda v: replace(example_system().nominal, delta=(v,)),
+     "delta[0] must be nonnegative and finite"),
+], ids=["gamma", "one-sided", "alpha", "delay"])
+def test_integers_past_the_float_range_are_refused(build, message):
+    # float(10**400) raises OverflowError; the types read it as an infinity
+    assert refused(lambda: build(10**400)) == message
+    assert refused(lambda: build(-10**400)) == message
 
 
 # --- JSON round-trip ------------------------------------------------------
@@ -609,20 +637,34 @@ def test_error_reference_beyond_dims():
 CONFIG_ERRORS = {
     "document": (lambda d: [d], "document: must be a JSON object"),
     "n-not-integer": (lambda d: {**d, "n": "2"}, "n: must be an integer"),
-    "n-zero": (lambda d: {**d, "n": 0}, "n: must be at least 1"),
-    "n_y-zero": (lambda d: {**d, "n_y": 0}, "n_y: must be at least 1"),
+    # a declared size is compared with the matrices, never used to size anything
+    "n-zero": (lambda d: {**d, "n": 0}, "n: 0 does not match the matrices, which give 2"),
+    "n_y-zero": (lambda d: {**d, "n_y": 0}, "n_y: 0 does not match the matrices, which give 1"),
+    "n_g-other": (lambda d: {**d, "n_g": 2}, "n_g: 2 does not match the matrices, which give 1"),
     "n_u-negative": (lambda d: {**d, "n_u": -1}, "n_u/n_g: must be nonnegative"),
     "matrix-row": (lambda d: {**d, "A": [[1.0, 2.0], [3.0]]},
                    "A[1]: must be an array of 2 numbers"),
+    "matrix-empty": (lambda d: {**d, "C": []}, "C: must be a nonempty array of arrays"),
+    "matrix-entry": (lambda d: {**d, "C": [[1.0, "0"]]}, "C[0][1]: must be a finite number"),
+    # the reader checks no shape: the type that holds the matrix does
+    "matrix-shape": (lambda d: {**d, "A": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
+                     "A must be square, got (2, 3)"),
+    "observer-shape": (lambda d: {**d, "observer": {**d["observer"], "N": [[1.0, 2.0]]}},
+                       "N must be 2x1, got (1, 2)"),
     "delays": (lambda d: {**d, "delta": 1.0}, "delta: must be a list of numbers"),
-    "expressions": (lambda d: {**d, "f_u": "u1"},
-                    "f_u: must be a list of 2 expression strings"),
+    "missing": (lambda d: {k: v for k, v in d.items() if k != "tau"}, "tau: missing required key"),
+    "expressions": (lambda d: {**d, "f_u": "u1"}, "f_u: must be a list of expression strings"),
+    "expression-count": (lambda d: {**d, "f_u": ["u1"]}, "f_u must have 2 components"),
     "expression": (lambda d: {**d, "f_g": [1.0]}, "f_g[0]: must be a string"),
     "lipschitz": (lambda d: {**d, "lipschitz": 1.0}, "lipschitz: must be an object"),
     "observer": (lambda d: {**d, "observer": [1.0]}, "observer: must be an object"),
     "certificate": (lambda d: {**d, "certificate": 1.0}, "certificate: must be an object"),
     "multipliers": (lambda d: {**d, "certificate": {"P": d["certificate"]["P"]}},
-                    'certificate: provide {"P", "beta"} or {"P", "mu1", "mu2"}'),
+                    "certificate: needs beta, or both mu1 and mu2"),
+    "both-multipliers": (lambda d: {**d, "certificate": {**d["certificate"], "mu1": 1.0}},
+                         "certificate: carries beta or mu1/mu2, not both"),
+    "multiplier-overflow": (lambda d: {**d, "lipschitz": {"gamma": 1e154}},
+                            "certificate.beta: its products with the bound are not finite"),
 }
 
 
@@ -640,7 +682,7 @@ def test_config_error_names_its_field(case):
     ({"C": np.zeros((0, 2))}, "n_y: must be at least 1"),
 ], ids=["n-zero", "n_y-zero"])
 def test_plant_refuses_the_sizes_a_config_refuses(matrices, message):
-    # the rule and message of config_from_dict, so every plant saves to a file
+    # a document cannot hold such a plant, so every plant saves to a file
     # load_config reads back
     assert refused(lambda: small_plant(**matrices)) == message
 
@@ -661,3 +703,62 @@ def test_unparse_expressions_survive(tmp_path):
     # serialized expressions are the fully parenthesized text form
     doc = base_doc()
     assert doc["f_g"] == [unparse(example_system().nominal.f_g[0])]
+
+
+# --- the reader as a property ---------------------------------------------
+
+def one_sided_doc():
+    cfg = example_system().nominal_config()
+    return config_to_dict(replace(cfg, lipschitz=OneSidedLipschitz(rho=0.5, a=0.75, b=1.5),
+                                  certificate=Certificate(P=cfg.certificate.P, mu1=1.5, mu2=1.0)))
+
+
+BUNDLED_DOCS = [config_to_dict(example_system().nominal_config()),
+                config_to_dict(example_system().uncertain_config()), one_sided_doc()]
+FIELD_PATHS = sorted({(key,) for doc in BUNDLED_DOCS for key in doc} |
+                     {(key, sub) for doc in BUNDLED_DOCS for key, block in doc.items()
+                      if isinstance(block, dict) for sub in block})
+DELETE = object()  # a field replaced by this is removed from the document
+EXTREMES = st.sampled_from([0, -1, 1, 2**70, 10**400, 1e308, -1e308, 1e154, 5e-324, -0.0,
+                            float("nan"), float("inf"), True, None])
+SCALARS = st.one_of(EXTREMES, st.floats(), st.integers(-3, 3),
+                    st.sampled_from(["", "u1", "x1", "u1@2", "y1", "1e999*x1", "sin(", "t"]))
+MATRICES = st.integers(0, 3).flatmap(
+    lambda cols: st.lists(st.lists(st.one_of(st.floats(), EXTREMES), min_size=cols,
+                                   max_size=cols), max_size=3))
+JSON_VALUES = st.one_of(
+    st.just(DELETE), SCALARS, MATRICES,
+    st.recursive(SCALARS, lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.dictionaries(st.sampled_from(["gamma", "rho", "a", "b", "P", "beta", "mu1", "G"]),
+                        kids, max_size=3)), max_leaves=6))
+
+
+def with_replaced(doc, changes):
+    doc = json.loads(json.dumps(doc))
+    for path, value in changes:
+        parent = doc
+        for key in path[:-1]:
+            if not isinstance(parent.get(key), dict):
+                break
+            parent = parent[key]
+        else:
+            if value is DELETE:
+                parent.pop(path[-1], None)
+            else:
+                parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(doc=st.sampled_from(BUNDLED_DOCS),
+       changes=st.lists(st.tuples(st.sampled_from(FIELD_PATHS), JSON_VALUES),
+                        min_size=1, max_size=2))
+def test_reader_returns_a_config_or_a_config_error(doc, changes):
+    # whatever a field holds, the reader builds a config that round-trips or
+    # names the field in a ConfigError; no other exception escapes
+    try:
+        cfg = config_from_dict(with_replaced(doc, changes))
+    except ConfigError:
+        return
+    assert config_from_dict(config_to_dict(cfg)) == cfg

@@ -614,7 +614,7 @@ def test_repeated_runs_compile_each_vector_once(monkeypatch):
         compiled.append(src)
         return compile(src, *args)
 
-    monkeypatch.setattr(exprlang, "_CODE_CACHE", {})
+    exprlang._compile_source.cache_clear()
     monkeypatch.setattr(exprlang, "compile", counting_compile, raising=False)
     first = simulate(truth, design, obs, cfg)
     # the drive and the stage function
@@ -634,7 +634,7 @@ def test_generated_code_names_only_codegen_globals(monkeypatch, tmp_path):
         codes.append(compile(src, *args))
         return codes[-1]
 
-    monkeypatch.setattr(exprlang, "_CODE_CACHE", {})
+    exprlang._compile_source.cache_clear()
     monkeypatch.setattr(exprlang, "compile", recording_compile, raising=False)
     sim.example_study(tmp_path)
     simulate(*multi_delay_scenario("analytic"))
@@ -659,7 +659,7 @@ def test_example_study_runs_one_integration(monkeypatch, tmp_path):
         compiled.append(src.split("(", 1)[0])
         return compile(src, *args)
 
-    monkeypatch.setattr(exprlang, "_CODE_CACHE", {})
+    exprlang._compile_source.cache_clear()
     monkeypatch.setattr(exprlang, "compile", counting_compile, raising=False)
     sim.example_study(tmp_path)
     assert sorted(compiled) == ["def _drive", "def _stage"]

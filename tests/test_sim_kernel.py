@@ -338,7 +338,7 @@ def test_generated_functions_run_whole_body_in_the_guard(monkeypatch, seed):
         sources.append(src)
         return compile(src, *args)
 
-    monkeypatch.setattr(exprlang, "_CODE_CACHE", {})
+    exprlang._compile_source.cache_clear()
     monkeypatch.setattr(exprlang, "compile", recording_compile, raising=False)
     truth, *rest = scenario(seed, 3, [True, False, True], (2, 2, 1, 2),
                             ("analytic", "zero")[seed % 2], 4, drive_t=True)
