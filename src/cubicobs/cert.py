@@ -200,8 +200,11 @@ def verify_N_condition(P, N, C, theta, alpha: float) -> NConditionResult:
     P = _spd_check(P)
     N = as_matrix(N, "N")
     C = as_matrix(C, "C")
-    M = P @ N @ C
-    M = M + M.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = P @ N @ C
+        M = M + M.T
+    if not np.isfinite(M).all():
+        raise np.linalg.LinAlgError("P N C + C'N'P overflows")
     margin = definiteness_margin(M)
     scale = max(1.0, float(np.max(np.abs(M), initial=0.0)))
     if margin < -_N_TOL * scale:

@@ -162,14 +162,8 @@ def cmd_simulate(args) -> int:
         inputs = []
     elif len(inputs) == 1 and design_plant.n_u > 1:
         inputs = inputs * design_plant.n_u
-    run_cfg = sim.SimConfig(
-        h=args.step,
-        t_end=args.t_end,
-        x0=x0,
-        xhat0=xhat0,
-        input_signal=tuple(inputs),
-        prehistory=args.prehistory,
-    )
+    run_cfg = sim.SimConfig(h=args.step, t_end=args.t_end, x0=x0, xhat0=xhat0,
+                            input_signal=tuple(inputs))
     obs = cfg.observer
     if args.no_cubic:
         obs = replace(obs, N=np.zeros_like(obs.N))
@@ -238,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f'"{sim.DEFAULT_INPUT_SIGNAL}")')
     p.add_argument("--x0", default=None, help='initial state, e.g. "[0;0]"')
     p.add_argument("--xhat0", default=None, help='initial estimate, e.g. "[-5;-5]"')
-    p.add_argument("--prehistory", choices=["analytic", "zero"], default="analytic")
     p.add_argument("--no-cubic", action="store_true",
                    help="run the linear observer: the same observer with N = 0")
     p.add_argument("--out", required=True)

@@ -93,15 +93,18 @@ def compute_E(C, D) -> np.ndarray:
 
     Raises :class:`DecouplingInfeasibleError` when the rank condition fails
     (or when, despite a borderline rank test, ``(I - E C) D`` exceeds 1e-9
-    relative to ``max(1, |D|_max)``).
+    relative to ``max(1, |D|_max)``); ``LinAlgError`` when ``E`` overflows.
     """
     C = as_matrix(C, "C")
     D = as_matrix(D, "D")
     if not decoupling_feasible(C, D):
         raise DecouplingInfeasibleError("rank(CD) != rank(D)")
-    E = D @ pinv(C @ D)
-    residual = float(np.max(np.abs((np.eye(C.shape[1]) - E @ C) @ D), initial=0.0))
-    if residual > _DECOUPLE_TOL * max(1.0, float(np.max(np.abs(D), initial=0.0))):
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        E = D @ pinv(C @ D)
+        residual = float(np.max(np.abs((np.eye(C.shape[1]) - E @ C) @ D), initial=0.0))
+    if not np.isfinite(E).all():
+        raise np.linalg.LinAlgError("E = D (C D)^+ overflows")
+    if not residual <= _DECOUPLE_TOL * max(1.0, float(np.max(np.abs(D), initial=0.0))):
         raise DecouplingInfeasibleError(
             f"rank(CD) != rank(D) within working precision (residual {residual:.2e})"
         )
@@ -150,6 +153,13 @@ def spectral_abscissa(M) -> float:
     return float(np.max(np.linalg.eigvals(as_matrix(M, "M")).real))
 
 
+def _span_tol(M) -> float:
+    """``_SPAN_RTOL |M|_F``, through ``M / max|M|`` where the sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        top = 1.0 if np.linalg.norm(M) < np.inf else np.max(np.abs(M))
+    return _SPAN_RTOL * top * np.linalg.norm(M / top)
+
+
 def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -> np.ndarray:
     """Find ``L`` with ``spectral_abscissa(T A - L C) <= -margin``.
 
@@ -174,8 +184,7 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
     if np.max(np.linalg.eigvals(TA).real) <= -margin:
         return np.zeros((n, C.shape[0]))
 
-    V, W, tol = np.zeros((n, 0)), C.T, _SPAN_RTOL * np.linalg.norm(C)
-    ta_tol = _SPAN_RTOL * np.linalg.norm(TA)
+    V, W, tol, ta_tol = np.zeros((n, 0)), C.T, _span_tol(C), _span_tol(TA)
     while W.shape[1] and V.shape[1] < n:
         W = W - V @ (V.T @ W)
         W = W - V @ (V.T @ W)
@@ -194,7 +203,8 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
             )
     CV, I = C @ V, np.eye(V.shape[1])
     try:
-        X = _care(V.T @ TA.T @ V + margin * I, CV.T @ CV, I)
+        with np.errstate(over="ignore"):  # _care refuses a Hamiltonian that overflowed
+            X = _care(V.T @ TA.T @ V + margin * I, CV.T @ CV, I)
     except np.linalg.LinAlgError as exc:
         raise GainSearchError(f"filter Riccati equation has no solution: {exc}; "
                               "infeasibility is not proven") from None

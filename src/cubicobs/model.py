@@ -86,11 +86,14 @@ def _read_only(a) -> np.ndarray:
 def _assign(obj, matrices: str = "", **values) -> None:
     """Set fields of a frozen dataclass from its ``__post_init__``: each
     field to its value in ``values``, then each field named in ``matrices``
-    to a read-only matrix copy."""
+    to a read-only matrix copy, refusing one that is not finite and 2-D."""
     for name, value in values.items():
         object.__setattr__(obj, name, value)
     for name in matrices.split():
-        object.__setattr__(obj, name, _read_only(as_matrix(getattr(obj, name), name)))
+        try:
+            object.__setattr__(obj, name, _read_only(as_matrix(getattr(obj, name), name)))
+        except ValueError as exc:  # as_matrix names the field
+            raise ConfigError(str(exc)) from None
 
 
 def _as_float(v) -> float:

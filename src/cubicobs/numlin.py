@@ -93,13 +93,15 @@ def _care(A, S, Q) -> np.ndarray:
     Laub's Schur method (IEEE TAC 24(6), 1979): ``X = U21 U11^-1`` from the
     stable subspace ``[U11; U21]`` of :func:`_hamiltonian`, balanced first
     with a power-of-two scale per state and its inverse on the costate
-    (Benner, SIAM J. Sci. Comput. 22(5), 2001).  ``LinAlgError`` when that
-    subspace does not have dimension n or ``U11`` is singular.
+    (Benner, SIAM J. Sci. Comput. 22(5), 2001).  ``LinAlgError`` when the
+    Hamiltonian is not finite, that subspace is not n-dimensional or ``U11`` is singular.
     """
     from scipy.linalg import lapack, schur
 
     n = A.shape[0]
     H = _hamiltonian(A, S, Q)
+    if not np.isfinite(H).all():
+        raise np.linalg.LinAlgError("the Hamiltonian has non-finite entries")
     s = np.log2(lapack.dgebal(np.abs(H) * (1.0 - np.eye(2 * n)), scale=1, permute=0)[3])
     d = 2.0 ** np.round(0.5 * (s[:n] - s[n:]))
     t = np.concatenate([d, 1.0 / d])

@@ -74,12 +74,12 @@ class SimConfig:
     channel, each as text or as a tree, so one drive on every channel is
     ``(text,) * n_u``; a bare string is refused.  It stores the trees
     :func:`~cubicobs.exprlang.parse_input_signal` builds, as a plant does:
-    text is parsed once, a tree must read back as itself.
-    ``prehistory`` is ``"analytic"`` (drive evaluated at negative times,
-    output history frozen at its initial value) or ``"zero"``.  A run of
-    more than :data:`MAX_STEPS` steps is refused when it starts.  The config
-    is frozen, so a drive becomes generated code only after this check;
-    :func:`dataclasses.replace` makes a new config and checks it again.
+    text is parsed once, a tree must read back as itself.  Before ``t = 0``
+    the drive is evaluated at negative times and the output is held at
+    ``y(0)``.  A run of more than :data:`MAX_STEPS` steps is refused when it
+    starts.  The config is frozen, so a drive becomes generated code only
+    after this check; :func:`dataclasses.replace` makes a new config and
+    checks it again.
     """
 
     h: float
@@ -87,7 +87,6 @@ class SimConfig:
     x0: np.ndarray
     xhat0: np.ndarray
     input_signal: tuple[Expr, ...]
-    prehistory: str = "analytic"
 
     def __post_init__(self):
         _assign(self, x0=_read_only(np.ravel(self.x0)), xhat0=_read_only(np.ravel(self.xhat0)))
@@ -98,8 +97,6 @@ class SimConfig:
             raise ConfigError("h: step must be positive and finite")
         if not self.h <= self.t_end < np.inf:
             raise ConfigError("t_end: must be finite and at least one step")
-        if self.prehistory not in ("analytic", "zero"):
-            raise ConfigError(f"prehistory: unknown policy {self.prehistory!r}")
         if isinstance(self.input_signal, str):
             raise ConfigError("input_signal: must be a sequence of expressions, not a string")
         drives = []
@@ -129,22 +126,18 @@ class HistoryBuffer:
     """Ring buffer of past grid samples of a vector signal.
 
     ``depth`` is the largest lookback in steps.  ``sample(k)`` returns the
-    stored grid sample; indices before the start of the run fall back to
-    the prehistory policy (``"hold"`` freezes the initial sample,
-    ``"zero"`` returns zeros).  ``value_at(q)`` linearly interpolates at a
+    stored grid sample; indices before the start of the run hold
+    ``initial``.  ``value_at(q)`` linearly interpolates at a
     fractional grid index, which is how half-step stage times are served.
     :func:`simulate` keeps its own half-step table of the same values and
     does not use this class.
     """
 
-    def __init__(self, dim: int, depth: int, initial: np.ndarray, policy: str = "hold"):
+    def __init__(self, dim: int, depth: int, initial: np.ndarray):
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        if policy not in ("hold", "zero"):
-            raise ValueError(f"unknown prehistory policy {policy!r}")
         self.dim = dim
         self.depth = depth
-        self.policy = policy
         self._data = np.zeros((depth + 1, dim))
         self._initial = np.asarray(initial, dtype=float).copy()
         self._latest = -1
@@ -157,8 +150,6 @@ class HistoryBuffer:
 
     def sample(self, k: int) -> np.ndarray:
         if k < 0:
-            if self.policy == "zero":
-                return np.zeros(self.dim)
             return self._initial
         if k > self._latest or k < self._latest - self.depth:
             raise ValueError(
@@ -194,10 +185,10 @@ def _slot_lags(plant: PlantModel, h: float) -> tuple[list[int], ...]:
                  for label, delays in (("delta", plant.delta), ("tau", plant.tau)))
 
 
-def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int) -> tuple[str, set, set]:
+def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int) -> tuple:
     """Source of ``_stage(j, s, o)``, which writes the ``f`` of the stage at
     position ``j`` (each member's values, then the cubic terms) into ``_buf``
-    at byte ``o``, with the input lags and nonzero output lags (in steps) it reads.
+    at byte ``o``, the lags it reads from ``grid`` and ``ytab`` and their offsets.
 
     ``members`` holds ``(exprs, x_at, y_at, u_slot_lags, y_slot_lags)`` for
     each truth and then each of its observers: ``x_at`` is where its state
@@ -207,8 +198,8 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int) -> tuple[str, s
     ``cubic_at`` holds ``(e_at, theta_rows)`` per observer with ``N != 0``.
     The function reads its inputs at fixed places: states and output errors
     in ``s`` (``ns`` entries), the drive in ``grid`` and delayed outputs in
-    ``ytab`` at a constant offset plus ``j``; offset 0 is the largest lag
-    read.  Expressions are emitted by
+    ``ytab`` at row ``j`` plus the table's offset minus twice the lag; the
+    offset is twice the largest lag read.  Expressions are emitted by
     exprlang's emitter, so each performs the float operations of
     ``evaluate``, and wrapped by its guarded-source builder, which checks
     them for finiteness and falls back to ``_reference``, as the drive's
@@ -259,7 +250,7 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int) -> tuple[str, s
         + [f"{name} = {rhs}" for rhs, name in lines.items()], check,
         f"return _pack(_buf, o, {', '.join(results + cubic)})",
         f"return _pack(_buf, o, {', '.join(['*_reference(j, s)'] + cubic)})")
-    return src, lags["grid"], lags["ytab"]
+    return src, lags["grid"], lags["ytab"], offset["grid"], offset["ytab"]
 
 
 def _drive_function(exprs: tuple[Expr, ...]):
@@ -331,7 +322,6 @@ class _Plan:
     u_off: int
     y_off: int
     grid: tuple  # the drive from position -u_off on
-    analytic: bool  # the prehistory policy
 
 
 def _plan(truths: list[PlantModel], design: PlantModel, observers: list[ObserverParams],
@@ -406,23 +396,21 @@ def _plan(truths: list[PlantModel], design: PlantModel, observers: list[Observer
     for Pk in P[:3]:
         Pk[:, -ns:] += np.eye(ns)  # plus s1, the step's start
     P[3][:, -ns:][:, :nz] += S  # plus S z1
-    src, u_lags, y_lags = _stage_source(members, cubic_at, nz, n_y, ns)
-    u_off, y_off = 2 * max(u_lags, default=0), 2 * max(y_lags, default=0)
-    analytic = cfg.prehistory == "analytic"
-    grid = _drive_grid(cfg.input_signal, u_off, steps, h, analytic) if u_lags else ()
+    src, u_lags, y_lags, u_off, y_off = _stage_source(members, cubic_at, nz, n_y, ns)
+    grid = _drive_grid(cfg.input_signal, u_off, steps, h) if u_lags else ()
     return _Plan(h, steps, n, n_y, tuple(layout), tuple(members), S, P, src,
-                 u_lags, y_lags, u_off, y_off, grid, analytic)
+                 u_lags, y_lags, u_off, y_off, grid)
 
 
-def _drive_grid(exprs: tuple, u_off: int, steps: int, h: float, analytic: bool) -> tuple:
-    """The drive at half-step positions ``p = -u_off .. 2 steps`` (time ``(p/2) h``),
-    zero before ``t = 0`` unless ``analytic``.  A failed sample is kept as its
-    error, which the stage that reads it raises."""
+def _drive_grid(exprs: tuple, u_off: int, steps: int, h: float) -> tuple:
+    """The drive at half-step positions ``p = -u_off .. 2 steps`` (time ``(p/2) h``,
+    negative before ``t = 0``).  A failed sample is kept as its error, which
+    the stage that reads it raises."""
     drive = _drive_function(exprs)
     grid = []
     for p in range(-u_off, 2 * steps + 1):
         try:
-            grid.append(drive((p * 0.5) * h) if p >= 0 or analytic else (0.0,) * len(exprs))
+            grid.append(drive((p * 0.5) * h))
         except ExprEvalError as exc:
             grid.append(exc)
     return tuple(grid)
@@ -447,8 +435,8 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray) -> list[list[SimResult]
     s = traj[0].tolist()
     # Delayed outputs at half-step positions m >= -y_off: row y_off + m holds every
     # truth's y at the grid for even m and the mean of its neighbours (linear
-    # interpolation) for odd m, y(0) or zero before t = 0, per the prehistory.
-    y_table = [s[nz:nz + n_out] if plan.analytic else [0.0] * n_out] * (y_off - 1)
+    # interpolation) for odd m, and y(0) before t = 0.
+    y_table = [s[nz:nz + n_out]] * (y_off - 1)
     step_buf = bytearray(8 * 4 * nb)
     buf = np.frombuffer(step_buf)
     s2, s3, s4, s1 = (buf[at * nb - ns:at * nb] for at in (3, 2, 1, 4))

@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import argparse
 import json
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from cubicobs.cli import (
     EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
+    build_parser,
     main,
     parse_matrix_flag,
 )
@@ -510,15 +514,27 @@ def test_sizes_and_bounds_past_float_range_are_config_errors(configs, tmp_path, 
     assert capsys.readouterr().err.splitlines() == [message]
 
 
+NOMINAL_OBSERVER = model.config_to_dict(model.example_system().nominal_config())["observer"]
+RICCATI_OVERFLOWS = ("error: filter Riccati equation has no solution: the Hamiltonian has "
+                     "non-finite entries; infeasibility is not proven")
+
+
 @pytest.mark.parametrize("change, command, message", [
     ({"A": [[1e308, 1e308], [1e308, 1e308]]}, ["design", "--auto-margin", "3"],
      "error: Array must not contain infs or NaNs"),
     ({"C": [[1e308, 0.0]]}, ["certify", "--search-P"],
      "error: (I - E C)(I - E C)' overflows"),
-], ids=["A-design", "C-search"])
+    ({"observer": {**NOMINAL_OBSERVER, "N": [[1e308], [0.0]]}}, ["certify", "--check-only"],
+     "error: P N C + C'N'P overflows"),
+    ({"C": [[1e-320, 0.0]]}, ["design", "--auto-margin", "3"],
+     "error: E = D (C D)^+ overflows"),
+    # |C|^2 overflows: every mode is observable, and no verdict is proven
+    ({"C": [[1e155, 0.0]]}, ["design", "--auto-margin", "3"], RICCATI_OVERFLOWS),
+    ({"C": [[1e308, 0.0]]}, ["design", "--auto-margin", "3"], RICCATI_OVERFLOWS),
+], ids=["A-design", "C-search", "N-check", "C-tiny-design", "C-1e155-design", "C-1e308-design"])
 def test_linear_algebra_on_overflowing_matrices_is_a_numerical_failure(
         configs, tmp_path, capsys, change, command, message):
-    # finite input whose products overflow: numpy's LinAlgError, no warning
+    # finite input whose products overflow: a numerical failure, no warning
     doc = {**json.loads(configs["nominal"].read_text()), **change}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
@@ -784,3 +800,20 @@ def test_usage_errors_map_to_config_exit(capsys):
 def test_help_exits_clean(capsys):
     assert main(["--help"]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_readme_synopsis_names_every_long_flag():
+    # each command's lines of the README's "Command line" block against its parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("cubicobs "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[\w-]+", line))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defined = {name: {flag for action in p._actions for flag in action.option_strings
+                      if flag.startswith("--") and flag != "--help"}
+               for name, p in subparsers.choices.items()}
+    assert documented == defined

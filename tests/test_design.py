@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubicobs import design
 from cubicobs.design import (
     DecouplingInfeasibleError,
     GainSearchError,
@@ -238,6 +239,24 @@ def test_stabilize_L_says_when_a_refusal_proves_nothing(seed, reason):
     with pytest.raises(GainSearchError, match=reason) as exc:
         stabilize_L(np.eye(n), Am, Cm, margin)
     assert str(exc.value).endswith("infeasibility is not proven")
+
+
+@pytest.mark.parametrize("c", [1e155, 1e308])
+def test_stabilize_L_spans_an_output_too_large_to_square(c):
+    # |C|_F^2 overflows, so the span tolerance is taken in scaled form: the
+    # staircase spans R^2, no mode is called unobservable, and the Riccati
+    # step, whose C'C overflows, refuses without a proof
+    Cc = c * C
+    T = np.eye(2) - compute_E(Cc, D) @ Cc
+    with pytest.raises(GainSearchError, match="non-finite") as exc:
+        stabilize_L(T, A, Cc, 3.0)
+    assert str(exc.value).endswith("infeasibility is not proven")
+
+
+def test_span_tolerance_is_unchanged_where_the_square_is_finite():
+    for M in (C, 1e154 * C, A, np.zeros((1, 2))):
+        assert design._span_tol(M) == 1e-10 * np.linalg.norm(M)
+    assert design._span_tol(np.full((2, 2), 1.7e308)) == pytest.approx(3.4e298)
 
 
 def planted_unobservable(rng, n, n_y, margin):

@@ -385,8 +385,16 @@ def test_plant_copies_the_callers_array():
     assert plant.A[0, 0] == -2.0
     with pytest.raises(ValueError):
         plant.A[0, 0] = np.inf
-    with pytest.raises(ValueError, match="A has non-finite entries"):
-        replace(plant, A=A)
+    assert refused(lambda: replace(plant, A=A)) == "A has non-finite entries"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Certificate(P=[[np.inf]], beta=1.0), "P has non-finite entries"),
+    (lambda: Certificate(P=np.eye(2)[None], beta=1.0), "P must be 2-D, got 3-D"),
+    (lambda: replace(example_system().observer, G=[[np.nan]]), "G has non-finite entries"),
+], ids=["P-inf", "P-3d", "G-nan"])
+def test_model_types_refuse_matrices_that_are_not_finite_and_2d(build, message):
+    assert refused(build) == message
 
 
 # --- certificate constraints ---------------------------------------------

@@ -59,12 +59,10 @@ def test_buffer_enforces_order():
 
 
 def test_buffer_prehistory_policies():
-    hold = HistoryBuffer(2, 1, np.array([3.0, 4.0]), "hold")
+    # before the run starts the buffer holds its initial sample
+    hold = HistoryBuffer(2, 1, np.array([3.0, 4.0]))
     assert np.array_equal(hold.sample(-5), [3.0, 4.0])
-    zero = HistoryBuffer(2, 1, np.array([3.0, 4.0]), "zero")
-    assert np.array_equal(zero.sample(-1), [0.0, 0.0])
-    with pytest.raises(ValueError, match="policy"):
-        HistoryBuffer(1, 1, np.zeros(1), "mirror")
+    assert np.array_equal(hold.value_at(-1.5), [3.0, 4.0])
 
 
 def test_buffer_evicts_beyond_depth():
@@ -95,9 +93,6 @@ def test_simconfig_validation():
         SimConfig(h=0.0, t_end=1.0, x0=[0.0], xhat0=[0.0], input_signal=sig)
     with pytest.raises(ConfigError, match="t_end"):
         SimConfig(h=0.1, t_end=0.05, x0=[0.0], xhat0=[0.0], input_signal=sig)
-    with pytest.raises(ConfigError, match="prehistory"):
-        SimConfig(h=0.1, t_end=1.0, x0=[0.0], xhat0=[0.0], input_signal=sig,
-                  prehistory="mirror")
 
 
 @pytest.mark.parametrize("drive, message", [
@@ -393,17 +388,6 @@ def test_cubic_run_beats_linear_on_example():
 
 # --- prehistory handling --------------------------------------------------
 
-def test_input_prehistory_policies_differ():
-    ex = example_system()
-    analytic = simulate(ex.nominal, ex.nominal, ex.observer,
-                        example_cfg(t_end=1.0, input_signal=("cos(t)",)))
-    zeroed = simulate(ex.nominal, ex.nominal, ex.observer,
-                      example_cfg(t_end=1.0, input_signal=("cos(t)",),
-                                  prehistory="zero"))
-    # u(t - 1) is cos(t - 1) in one policy and 0 in the other until t = 1
-    assert not np.allclose(analytic.x, zeroed.x)
-
-
 def delayed_output_pair():
     dims = SignalDims(n=1, n_u=0, n_y=1, n_tau=1)
     zero = parse("0", dims)
@@ -417,17 +401,15 @@ def delayed_output_pair():
 
 def test_output_delay_uses_buffer_and_prehistory():
     plant, obs = delayed_output_pair()
-    runs = {}
-    for policy in ("analytic", "zero"):
-        cfg = SimConfig(h=0.25, t_end=2.0, x0=[1.0], xhat0=[1.0],
-                        input_signal=(), prehistory=policy)
-        runs[policy] = simulate(plant, plant, obs, cfg)
-    # held y(0) = 1 feeds back harder than a zeroed history
-    assert runs["analytic"].x[2, 0] != runs["zero"].x[2, 0]
-    assert np.all(np.isfinite(runs["analytic"].x))
+    cfg = SimConfig(h=0.25, t_end=2.0, x0=[1.0], xhat0=[1.0], input_signal=())
+    res = simulate(plant, plant, obs, cfg)
+    # until t = 0.5, y(t - 0.5) is the held y(0) = 1, so x' = -x + 0.5 gives
+    # x(0.5) = 0.5 + 0.5 exp(-0.5), which RK4 at h = 0.25 meets within 1e-5
+    assert abs(res.x[2, 0] - (0.5 + 0.5 * math.exp(-0.5))) <= 1e-5
+    assert np.all(np.isfinite(res.x))
 
 
-def multi_delay_scenario(prehistory):
+def multi_delay_scenario():
     """4-state truth and design with different pairs of input delays (in
     steps: truth 3, 5; design 2, 6) and of output delays (truth 2, 6; design
     1, 4), a cubic gain, and a drive that reads five distinct input lags."""
@@ -455,51 +437,42 @@ def multi_delay_scenario(prehistory):
         theta=[[1.0, 0.2], [0.2, 0.5]])
     drive = tuple(exprlang.parse_input_signal(s) for s in ("0.5*sin(t)", "0.3*cos(2*t)"))
     cfg = SimConfig(h=0.05, t_end=2.0, x0=[0.5, -0.3, 0.2, 0.1],
-                    xhat0=[-1.0, 1.0, 0.5, -0.5], input_signal=drive,
-                    prehistory=prehistory)
+                    xhat0=[-1.0, 1.0, 0.5, -0.5], input_signal=drive)
     return truth, design, obs, cfg
 
 
 # jo[-1], x[-1] and xhat[-1] as the tree-walking integrator with a ring
 # buffer of past outputs computed them (the multi-delay cases: as the
 # integrator with one drive table per input lag and an interpolating
-# output lookup did): the delay and prehistory paths must reproduce them
-# within 1e-12
+# output lookup did; the example cases: as test_sim_kernel's tree walk
+# does): the delay and prehistory paths must reproduce them within 1e-12
 PINNED_DELAY_RUNS = {
     "delayed-output-analytic": (0.5010434897419173, [0.44738139002041805],
                                 [0.3120352480632856]),
-    "delayed-output-zero": (0.5010434897419173, [0.37709332044603416],
-                            [0.24174717848890165]),
-    "example-nominal-zero-cos": (2.5615025833649927,
-                                 [-1.2802357170965772, 0.0397259081906232],
-                                 [-1.2802357271904512, 0.03972586483574991]),
-    "example-uncertain-zero-cos": (2.691909199360624,
-                                   [3.0491100444435753, -0.7388972356692859],
-                                   [3.0491100343497015, -1.0092046971907394]),
+    "example-nominal-cos": (2.561507277379905,
+                            [-1.3422443056258884, 0.05327571689187984],
+                            [-1.3422443157197623, 0.05327567404261346]),
+    "example-uncertain-cos": (2.616138967462879,
+                              [2.51275034232912, -0.2692202932121295],
+                              [2.5127503322352465, -0.6705927566617]),
     "multi-delay-analytic": (1.0728449594256089,
                              [0.2846267313068748, 0.005569631609264545,
                               0.07854468173504539, -0.010906119169194844],
                              [0.202114528206071, 0.024655562958917875,
                               0.07960968422151739, -0.022715575322223604]),
-    "multi-delay-zero": (1.0677444403651728,
-                         [0.2782108711597647, 0.003729679930274263,
-                          0.07641321104594861, -0.01606051041906366],
-                         [0.19785221403843517, 0.022827517311540615,
-                          0.0781987894056817, -0.026493501076471387]),
 }
 
 
 def pinned_scenario(case):
     if case.startswith("delayed-output"):
         plant, obs = delayed_output_pair()
-        cfg = SimConfig(h=0.25, t_end=2.0, x0=[1.0], xhat0=[0.0], input_signal=(),
-                        prehistory=case.rsplit("-", 1)[1])
+        cfg = SimConfig(h=0.25, t_end=2.0, x0=[1.0], xhat0=[0.0], input_signal=())
         return plant, plant, obs, cfg
     if case.startswith("multi-delay"):
-        return multi_delay_scenario(case.rsplit("-", 1)[1])
+        return multi_delay_scenario()
     ex = example_system()
     truth = ex.uncertain if "uncertain" in case else ex.nominal
-    cfg = example_cfg(t_end=2.0, input_signal=("cos(t)",), prehistory="zero")
+    cfg = example_cfg(t_end=2.0, input_signal=("cos(t)",))
     return truth, ex.nominal, ex.observer, cfg
 
 
@@ -578,21 +551,18 @@ def test_drive_failure_names_the_step_that_needs_it():
 
 
 def test_delayed_drive_failure_follows_prehistory_policy():
-    # the bundled plant reads u1@1 with a 1 s delay: under "analytic" its
-    # stages of step 1 evaluate 1/(t + 0.5) at t = -0.5; "zero" never does
+    # the bundled plant reads u1@1 with a 1 s delay: the stages of step 1
+    # evaluate 1/(t + 0.5) at t = -0.5
     ex = example_system()
     cfg = example_cfg(h=0.25, t_end=1.0, input_signal=("1/(t+0.5)",))
     with pytest.raises(SimulationError, match=r"near t = 0\.25: division by zero"):
         simulate(ex.nominal, ex.nominal, ex.observer, cfg)
-    res = simulate(ex.nominal, ex.nominal, ex.observer, replace(cfg, prehistory="zero"))
-    assert np.isfinite(res.jo[-1])
 
 
-@pytest.mark.parametrize("prehistory", ["analytic", "zero"])
-def test_drive_is_evaluated_once_per_half_step(monkeypatch, prehistory):
+def test_drive_is_evaluated_once_per_half_step(monkeypatch):
     # five distinct input lags (0, 2, 3, 5, 6 steps) share one drive grid;
     # each drive evaluation calls sin once, from the generated _drive
-    truth, design, obs, cfg = multi_delay_scenario(prehistory)
+    truth, design, obs, cfg = multi_delay_scenario()
     calls = 0
 
     def counting_sin(v):
@@ -607,7 +577,7 @@ def test_drive_is_evaluated_once_per_half_step(monkeypatch, prehistory):
 
 
 def test_repeated_runs_compile_each_vector_once(monkeypatch):
-    truth, design, obs, cfg = multi_delay_scenario("analytic")
+    truth, design, obs, cfg = multi_delay_scenario()
     compiled = []
 
     def counting_compile(src, *args):
@@ -637,7 +607,7 @@ def test_generated_code_names_only_codegen_globals(monkeypatch, tmp_path):
     exprlang._compile_source.cache_clear()
     monkeypatch.setattr(exprlang, "compile", recording_compile, raising=False)
     sim.example_study(tmp_path)
-    simulate(*multi_delay_scenario("analytic"))
+    simulate(*multi_delay_scenario())
     allowed = set(exprlang._CODEGEN_GLOBALS) | {
         "_buf", "_pack", "_reference", "grid", "ytab", "_stage", "_drive",
         "ArithmeticError", "ValueError", "LookupError", "TypeError"}
@@ -674,19 +644,15 @@ def pair_cases():
     # with a cubic gain and an initial error so that the members differ
     delayed_obs = replace(obs, N=np.array([[0.5]]), theta=np.array([[1.0]]))
     delayed_cfg = SimConfig(h=0.25, t_end=2.0, x0=[1.0], xhat0=[0.0], input_signal=())
-    cos_zero = example_cfg(input_signal=("cos(t)",), prehistory="zero")
     return {
         "nominal": (ex.nominal, ex.nominal, ex.observer, example_cfg()),
         # input delays 2 s in the truth, 1 s in the design
         "uncertain": (ex.uncertain, ex.nominal, ex.observer, example_cfg()),
         "output-delay": (plant, plant, delayed_obs, delayed_cfg),
-        "output-delay-zero": (plant, plant, delayed_obs, replace(delayed_cfg, prehistory="zero")),
-        "zero-prehistory": (ex.uncertain, ex.nominal, ex.observer, cos_zero),
     }
 
 
-@pytest.mark.parametrize("case", ["nominal", "uncertain", "output-delay", "output-delay-zero",
-                                  "zero-prehistory"])
+@pytest.mark.parametrize("case", ["nominal", "uncertain", "output-delay"])
 def test_pair_matches_separate_runs(case):
     truth, design, obs, cfg = pair_cases()[case]
     rep = compare_cubic_linear(truth, design, obs, cfg)

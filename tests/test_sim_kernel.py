@@ -1,14 +1,14 @@
 """The simulator's generated stage function against two references.
 
 Random models (n = 1-4, one or two truths with their own input and output
-delays, 1-3 observers with and without a cubic term, either prehistory
-policy) are integrated by ``sim`` and by the tree-walking RK4 below,
-written from the documented semantics: :func:`evaluate` for every
-expression, :class:`HistoryBuffer` for delayed outputs, every observer
-carried beside every truth.  ``jo``, ``x`` and ``xhat`` of every (truth,
-observer) must agree within 1e-12; under the analytic policy, which is
-the one it implements, ``perfbench/reference.py`` must agree too, one
-truth and one observer at a time.  Failures must agree as well: the same
+delays, 1-3 observers with and without a cubic term) are integrated by
+``sim`` and by the tree-walking RK4 below, written from the documented
+semantics: :func:`evaluate` for every expression, the drive evaluated at
+negative times before ``t = 0``, :class:`HistoryBuffer` (holding ``y(0)``
+before ``t = 0``) for delayed outputs, every observer carried beside every
+truth.  ``jo``, ``x`` and ``xhat`` of every (truth, observer) must agree
+within 1e-12, and ``perfbench/reference.py`` must agree too, one truth and
+one observer at a time.  Failures must agree as well: the same
 message, from ``evaluate`` or from the finiteness check, at the same step,
 members raised in group order (each truth, then its observers).
 """
@@ -86,7 +86,7 @@ def random_observer(rng, n, n_y, cubic) -> ObserverParams:
                           theta=0.1 * B @ B.T)
 
 
-def scenario(seed, n, cubic, layout, prehistory, steps, growing=False, drive_t=False):
+def scenario(seed, n, cubic, layout, steps, growing=False, drive_t=False):
     """Truth, design, observers and settings drawn from ``seed``; ``drive_t``
     makes the first input channel the time ``t`` itself."""
     rng = np.random.default_rng(seed)
@@ -105,7 +105,7 @@ def scenario(seed, n, cubic, layout, prehistory, steps, growing=False, drive_t=F
         drive[0] = "t"
     cfg = SimConfig(h=H, t_end=steps * H, x0=rng.uniform(-1, 1, width),
                     xhat0=rng.uniform(-1, 1, width),
-                    input_signal=tuple(map(parse_input_signal, drive)), prehistory=prehistory)
+                    input_signal=tuple(map(parse_input_signal, drive)))
     return truth, design, observers, cfg
 
 
@@ -128,7 +128,6 @@ def tree_walk(truths, design, observers, cfg):
     h, n, n_y = cfg.h, design.n, design.n_y
     T, M = len(truths), len(observers)
     steps = round(cfg.t_end / h)
-    zero_pre = cfg.prehistory == "zero"
 
     def lag(d):
         return round(d / h)
@@ -136,13 +135,11 @@ def tree_walk(truths, design, observers, cfg):
     depth = max(map(lag, design.tau + sum((p.tau for p in truths), ())), default=0) + 1
     ybufs = []
     for truth in truths:
-        ybufs.append(HistoryBuffer(n_y, depth, truth.C @ cfg.x0, "zero" if zero_pre else "hold"))
+        ybufs.append(HistoryBuffer(n_y, depth, truth.C @ cfg.x0))
         ybufs[-1].push(0, truth.C @ cfg.x0)
 
     def signals(plant, pos, y_now, ybuf):
         def drive(p):
-            if p < 0 and zero_pre:
-                return [0.0] * plant.n_u
             return [evaluate(e, t=(p * 0.5) * h) for e in cfg.input_signal]
         u = [drive(pos)] + [drive(pos - 2 * lag(d)) for d in plant.delta]
         y = [y_now] + [ybuf.value_at(pos / 2 - lag(d)) if lag(d) else y_now for d in plant.tau]
@@ -246,10 +243,9 @@ CUBIC = st.lists(st.booleans(), min_size=1, max_size=3)
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), cubic=CUBIC, layout=LAYOUT,
-       prehistory=st.sampled_from(["analytic", "zero"]), n_truths=st.integers(1, 2))
-def test_kernel_agrees_with_tree_walk_and_reference(seed, n, cubic, layout, prehistory,
-                                                    n_truths):
-    truth, design, observers, cfg = scenario(seed, n, cubic, layout, prehistory, steps=12)
+       n_truths=st.integers(1, 2))
+def test_kernel_agrees_with_tree_walk_and_reference(seed, n, cubic, layout, n_truths):
+    truth, design, observers, cfg = scenario(seed, n, cubic, layout, steps=12)
     truths = [truth, other_truth(seed, truth)][:n_truths]
     groups = sim._integrate(truths, design, observers, cfg)
     walks = tree_walk(truths, design, observers, cfg)
@@ -258,26 +254,23 @@ def test_kernel_agrees_with_tree_walk_and_reference(seed, n, cubic, layout, preh
             assert close(res.x, xs)
             assert close(res.xhat, xhats[m]), m
             assert abs(res.jo[-1] - jos[m][-1]) <= 1e-12 * jos[m][-1], m
-            if prehistory == "analytic":
-                jo_end, peak = perfbench_jo(truth, design, obs, cfg)
-                assert abs(res.jo[-1] - jo_end) <= 1e-12 * jo_end, m
-                assert (abs(max(np.abs(res.x).max(), np.abs(res.xhat).max()) - peak)
-                        <= 1e-12 * peak)
+            jo_end, peak = perfbench_jo(truth, design, obs, cfg)
+            assert abs(res.jo[-1] - jo_end) <= 1e-12 * jo_end, m
+            assert (abs(max(np.abs(res.x).max(), np.abs(res.xhat).max()) - peak)
+                    <= 1e-12 * peak)
 
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), cubic=CUBIC, layout=LAYOUT,
-       prehistory=st.sampled_from(["analytic", "zero"]), member=st.sampled_from([0, 1]),
-       pick=st.integers(0, 2**16), n_truths=st.integers(1, 2))
-def test_failing_expression_reports_what_evaluate_reports(seed, n, cubic, layout, prehistory,
-                                                          member, pick, n_truths):
+       member=st.sampled_from([0, 1]), pick=st.integers(0, 2**16), n_truths=st.integers(1, 2))
+def test_failing_expression_reports_what_evaluate_reports(seed, n, cubic, layout, member, pick,
+                                                          n_truths):
     # one expression of a truth (member 0, the last of n_truths truths) or
     # of the design (1) gains 1/(u1@s - c), u1 being t and c a time slot s
     # reaches at some stage: division by zero there, and in every observer
     # at once for the design
     steps = 12
-    truth, design, observers, cfg = scenario(seed, n, cubic, layout, prehistory, steps,
-                                             drive_t=True)
+    truth, design, observers, cfg = scenario(seed, n, cubic, layout, steps, drive_t=True)
     truths = [truth, other_truth(seed, truth)][:n_truths]
     plants = [truths[-1], design]
     plant = plants[member]
@@ -286,8 +279,7 @@ def test_failing_expression_reports_what_evaluate_reports(seed, n, cubic, layout
     field, index = exprs[pick % len(exprs)]
     slot = pick % (len(plant.delta) + 1)
     lag = round(plant.delta[slot - 1] / H) if slot else 0
-    first = 0 if prehistory == "zero" else -2 * lag  # "zero" holds u at 0 before t = 0
-    c = ((first + pick % (2 * steps - 2 * lag - first + 1)) * 0.5) * H
+    c = ((pick % (2 * steps + 1) - 2 * lag) * 0.5) * H
     old = getattr(plant, field)
     bad = parse(f"{unparse(old[index])} + 1/(u1{f'@{slot}' if slot else ''} - {c!r})",
                 plant.dims())
@@ -301,24 +293,22 @@ def test_failing_expression_reports_what_evaluate_reports(seed, n, cubic, layout
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), cubic=CUBIC, layout=LAYOUT,
-       prehistory=st.sampled_from(["analytic", "zero"]), pick=st.integers(0, 2**16),
-       n_truths=st.integers(1, 2))
-def test_failing_drive_sample_reports_what_evaluate_reports(seed, n, cubic, layout,
-                                                            prehistory, pick, n_truths):
+       pick=st.integers(0, 2**16), n_truths=st.integers(1, 2))
+def test_failing_drive_sample_reports_what_evaluate_reports(seed, n, cubic, layout, pick,
+                                                            n_truths):
     # the drive's first channel becomes 1/(t - c), c a half-step time some
     # stage reads through some input lag: division by zero there.  The tree
     # walk evaluates the drive at every declared slot, so every plant gains
     # a term that reads u1 at every slot.
     steps = 12
-    truth, design, observers, cfg = scenario(seed, n, cubic, layout, prehistory, steps,
-                                             drive_t=True)
+    truth, design, observers, cfg = scenario(seed, n, cubic, layout, steps, drive_t=True)
     plants = []
     for plant in [truth, other_truth(seed, truth)][:n_truths] + [design]:
         reads = " + ".join(f"u1@{s}" if s else "u1" for s in range(len(plant.delta) + 1))
         f_u = (parse(f"{unparse(plant.f_u[0])} + 0.1*({reads})", plant.dims()),)
         plants.append(replace(plant, f_u=f_u + plant.f_u[1:]))
     lags = [round(d / H) for plant in plants for d in plant.delta]
-    first = -2 * lags[pick % len(lags)] if lags and prehistory == "analytic" else 0
+    first = -2 * lags[pick % len(lags)] if lags else 0
     c = ((first + pick % (2 * steps - first + 1)) * 0.5) * H
     drive = f"1/(t - {c!r})" if c >= 0 else f"1/(t + {-c!r})"
     cfg = replace(cfg, input_signal=(drive,) + cfg.input_signal[1:])
@@ -340,8 +330,7 @@ def test_generated_functions_run_whole_body_in_the_guard(monkeypatch, seed):
 
     exprlang._compile_source.cache_clear()
     monkeypatch.setattr(exprlang, "compile", recording_compile, raising=False)
-    truth, *rest = scenario(seed, 3, [True, False, True], (2, 2, 1, 2),
-                            ("analytic", "zero")[seed % 2], 4, drive_t=True)
+    truth, *rest = scenario(seed, 3, [True, False, True], (2, 2, 1, 2), 4, drive_t=True)
     sim._integrate([truth], *rest)[0]
     heads = [src.splitlines()[:2] for src in sources]
     assert sorted(head[0] for head in heads) == ["def _drive(t):", "def _stage(j, s, o):"]
@@ -356,7 +345,7 @@ def test_generated_functions_run_whole_body_in_the_guard(monkeypatch, seed):
 def test_failing_terms_from_the_first_stage(truth_term, design_term):
     # 1e308*(2 + cos(x1)) overflows to inf without raising: only the
     # finiteness check finds it.  When both fail, the truth's error is raised.
-    plants = list(scenario(7, 2, [True, False], (1, 1, 1, 1), "analytic", 12))
+    plants = list(scenario(7, 2, [True, False], (1, 1, 1, 1), 12))
     for member, term in enumerate((truth_term, design_term)):
         if term is not None:
             plant = plants[member]
@@ -413,14 +402,12 @@ def test_drive_and_expression_failures_in_one_step(drive, truths, design, want):
 
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), cubic=CUBIC, layout=LAYOUT,
-       prehistory=st.sampled_from(["analytic", "zero"]), k=st.integers(1, 6))
-def test_overflow_in_an_unread_state_is_reported_at_its_step(seed, n, cubic, layout,
-                                                             prehistory, k):
+       k=st.integers(1, 6))
+def test_overflow_in_an_unread_state_is_reported_at_its_step(seed, n, cubic, layout, k):
     # An extra state x' = 10 x, read by no expression and no output, starts
     # where RK4 at h = 1 (growth 644.3 per step) overflows it first in the
     # sum that ends step k + 1, every stage of that step still finite.
-    truth, design, observers, cfg = scenario(seed, n, cubic, layout, prehistory, k + 3,
-                                             growing=True)
+    truth, design, observers, cfg = scenario(seed, n, cubic, layout, k + 3, growing=True)
     growth = 1 + 10 + 10**2 / 2 + 10**3 / 6 + 10**4 / 24
     x0 = cfg.x0.copy()
     x0[-1] = np.finfo(float).max / 447.0 / growth**k
@@ -455,7 +442,7 @@ def test_one_plan_runs_from_two_initial_estimates():
     # a plan holds no run state: two runs of one plan, each from its own
     # initial estimate, equal their own simulate calls bit for bit, and leave
     # the drive grid as the plan built it
-    truth, design, observers, cfg = scenario(1, 3, [True], (2, 2, 2, 2), "analytic", steps=12)
+    truth, design, observers, cfg = scenario(1, 3, [True], (2, 2, 2, 2), steps=12)
     plan = sim._plan([truth], design, observers, cfg)
     assert plan.grid and plan.y_off  # the stages read the drive grid and the output table
     grid = list(plan.grid)
