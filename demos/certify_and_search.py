@@ -28,7 +28,7 @@ print("LMI margin:", margin)
 
 # 2. The cubic-gain condition.  With one output and two states the assembled
 # matrix -2 alpha C' theta C has rank one, so it can only be semidefinite;
-# the check classifies that honestly (and warns) rather than failing.  The
+# the check classifies that honestly rather than failing.  The
 # identity residual is how far N is from the closed form -alpha P^-1 C' theta.
 ncond = cert.verify_N_condition(crt.P, obs.N, plant.C, obs.theta, obs.alpha)
 print("N-condition matrix:\n", ncond.matrix)

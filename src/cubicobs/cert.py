@@ -50,14 +50,13 @@ this module and checking an LMI block or the cubic gain need numpy only.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Certificate, Lipschitz, LipschitzSpec, OneSidedLipschitz
-from .numlin import (_RANK_TOL, _care, _hamiltonian, as_matrix, definiteness_margin,
-                     psd_violation)
+from .numlin import (_RANK_TOL, _care, _frobenius_norm, _hamiltonian, as_matrix,
+                     definiteness_margin, psd_violation)
 
 __all__ = [
     "CertificateError",
@@ -211,12 +210,6 @@ def verify_N_condition(P, N, C, theta, alpha: float) -> NConditionResult:
         classification = "strict"
     elif margin <= _N_TOL * scale and _negative_on_output_range(M, C):
         classification = "semidefinite-pass"
-        warnings.warn(
-            "cubic-gain condition holds only semidefinitely "
-            "(rank limited by the output dimension)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     else:
         classification = "fail"
     theta = as_matrix(theta, "theta")
@@ -292,21 +285,20 @@ def _equilibrium_candidates(G, K, NC):
     from scipy.linalg import lapack
 
     n = G.shape[0]
-    tiny = _ZERO_RTOL * (np.linalg.norm(G) + np.linalg.norm(NC))
-    k_tiny = _ZERO_RTOL * np.linalg.norm(K)
+    g_tiny, nc_tiny, k_tiny = (_frobenius_norm(M, _ZERO_RTOL) for M in (G, NC, K))
     alphar, alphai, beta, _, _, _, info = lapack.dggev(G, -NC, compute_vl=0, compute_vr=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"QZ iteration failed (dggev info = {info})")
     alpha = np.hypot(alphar, alphai)
-    # |beta| <= tiny is an infinite eigenvalue (NC has rank <= n_y < n), which
-    # QZ otherwise returns as a spurious finite value of size ~1/eps;
-    # |alpha| <= tiny is the kernel of G, examined first.  A real double
-    # eigenvalue can come back as a close complex pair, so the real part of
-    # every finite eigenvalue is tried; verification rejects the rest.
-    finite = (np.abs(beta) > tiny) & (alpha > tiny)
+    # alpha scales with G and beta with NC.  |beta| <= nc_tiny is an infinite
+    # eigenvalue (NC has rank <= n_y < n), which QZ otherwise returns as a spurious
+    # finite value of size ~1/eps; |alpha| <= g_tiny is the kernel of G, examined
+    # first.  A real double eigenvalue can come back as a close complex pair, so
+    # the real part of every finite eigenvalue is tried; verification rejects the rest.
+    finite = (np.abs(beta) > nc_tiny) & (alpha > g_tiny)
     lams = [0.0, *np.unique(alphar[finite] / beta[finite])]
-    if NC.any() and np.any((alpha <= tiny) & (np.abs(beta) <= tiny)):
-        span = np.linalg.norm(G) / np.linalg.norm(NC)
+    if NC.any() and np.any((alpha <= g_tiny) & (np.abs(beta) <= nc_tiny)):
+        span = g_tiny / nc_tiny
         lams += [sign * k * span for k in range(1, 2 * n + 2) for sign in (1.0, -1.0)]
     # kernel of each G + lam NC: singular values <= _ZERO_RTOL of the largest, >= 1
     lams = np.array(lams)

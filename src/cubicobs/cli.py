@@ -95,16 +95,15 @@ def cmd_design(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.check_only and (args.out is not None or args.alpha is not None):
-        raise model.ConfigError("--out and --alpha apply only to --search-P")
+    if args.check_only and args.out is not None:
+        raise model.ConfigError("--out: config writes apply only to --search-P")
     cfg = _load_with_observer(args.config)
     plant, mode = cfg.plant, cfg.lipschitz
     if args.search_p:
         obs = cfg.observer
-        alpha = args.alpha if args.alpha is not None else obs.alpha
         crt = cert.search_P(mode, obs.G, obs.E, plant.C)
-        N = cert.cubic_gain(crt.P, plant.C, obs.theta, alpha)
-        cfg = replace(cfg, observer=replace(obs, N=N, alpha=alpha), certificate=crt)
+        N = cert.cubic_gain(crt.P, plant.C, obs.theta, obs.alpha)
+        cfg = replace(cfg, observer=replace(obs, N=N), certificate=crt)
     elif cfg.certificate is None:
         raise model.ConfigError("--check-only needs a certificate block")
     obs, crt = cfg.observer, cfg.certificate
@@ -133,8 +132,6 @@ def cmd_certify(args) -> int:
     print(f"n_margin={ncond.margin:.6e}")
     print(f"n_classification={ncond.classification}")
     print(f"n_identity_residual={ncond.identity_residual:.3e}")
-    if ncond.classification == "semidefinite-pass":
-        print("warning: cubic-gain condition holds only semidefinitely")
     print(f"equilibrium={verdict.status}")
     if verdict.status == cert.COUNTEREXAMPLE:
         vtxt = " ".join(f"{v:.6g}" for v in np.ravel(verdict.v))
@@ -157,10 +154,8 @@ def cmd_simulate(args) -> int:
     n = design_plant.n
     x0 = parse_matrix_flag(args.x0).ravel() if args.x0 else np.zeros(n)
     xhat0 = parse_matrix_flag(args.xhat0).ravel() if args.xhat0 else np.zeros(n)
-    inputs = args.input or [sim.DEFAULT_INPUT_SIGNAL]
-    if design_plant.n_u == 0:
-        inputs = []
-    elif len(inputs) == 1 and design_plant.n_u > 1:
+    inputs = args.input or [sim.DEFAULT_INPUT_SIGNAL] * design_plant.n_u
+    if len(inputs) == 1 and design_plant.n_u > 1:
         inputs = inputs * design_plant.n_u
     run_cfg = sim.SimConfig(h=args.step, t_end=args.t_end, x0=x0, xhat0=xhat0,
                             input_signal=tuple(inputs))
@@ -187,7 +182,7 @@ def cmd_reproduce_paper(args) -> int:
 
 
 def positive_float(text: str) -> float:
-    """argparse type for step sizes, horizons, margins and gains."""
+    """argparse type for step sizes, horizons and margins."""
     value = float(text)
     if not 0 < value < np.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
@@ -217,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recompute margins for the stored certificate")
     group.add_argument("--search-P", action="store_true", dest="search_p",
                        help="find P and derive the cubic gain")
-    p.add_argument("--alpha", type=positive_float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numlin import _care, as_matrix, mat_rank, pinv
+from .numlin import _care, _frobenius_norm, as_matrix, mat_rank, pinv
 
 __all__ = [
     "DecouplingInfeasibleError",
@@ -154,10 +154,8 @@ def spectral_abscissa(M) -> float:
 
 
 def _span_tol(M) -> float:
-    """``_SPAN_RTOL |M|_F``, through ``M / max|M|`` where the sum of squares overflows."""
-    with np.errstate(over="ignore"):
-        top = 1.0 if np.linalg.norm(M) < np.inf else np.max(np.abs(M))
-    return _SPAN_RTOL * top * np.linalg.norm(M / top)
+    """``_SPAN_RTOL |M|_F``, finite even where the sum of squares overflows."""
+    return _frobenius_norm(M, _SPAN_RTOL)
 
 
 def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -> np.ndarray:

@@ -79,6 +79,16 @@ def psd_violation(S, name: str) -> str | None:
     return None
 
 
+def _frobenius_norm(M, scale: float = 1.0) -> float:
+    """``scale |M|_F``, through ``M / max|M|`` where the sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(M))
+    if norm < np.inf:
+        return scale * norm
+    top = float(np.max(np.abs(M)))
+    return scale * top * float(np.linalg.norm(M / top))
+
+
 def _hamiltonian(A, S, Q) -> np.ndarray:
     """The Hamiltonian ``[[A, -S], [-Q, -A']]`` of ``A'X + XA - X S X + Q = 0``."""
     n = A.shape[0]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .exprlang import (_CODEGEN_GLOBALS, Expr, ExprError, ExprEvalError, SignalDims,
                        _compile_source, _emit, _guarded_source, _read_back, evaluate)
-from .model import ConfigError, ObserverParams, PlantModel, _assign, _read_only, validate
+from .model import ConfigError, ObserverParams, PlantModel, _assign, _eq_fields, _read_only, validate
 
 __all__ = [
     "SimulationError",
@@ -65,7 +65,7 @@ class SimulationError(RuntimeError):
 DEFAULT_INPUT_SIGNAL = "0.0003*sin(t)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     """One simulation request.
 
@@ -106,6 +106,8 @@ class SimConfig:
             except ExprError as exc:
                 raise ConfigError(f"input_signal[{i}]: {exc}") from None
         _assign(self, input_signal=tuple(drives))
+
+    __eq__ = _eq_fields
 
 
 @dataclass(eq=False)

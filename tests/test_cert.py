@@ -152,8 +152,7 @@ def test_gain_identity_random_draws():
 
 def test_N_condition_published_semidefinite_pass():
     N = cubic_gain(P, C, np.eye(1))
-    with pytest.warns(RuntimeWarning, match="semidefinite"):
-        res = verify_N_condition(P, N, C, theta=np.eye(1), alpha=1.0)
+    res = verify_N_condition(P, N, C, theta=np.eye(1), alpha=1.0)
     assert res.classification == "semidefinite-pass"
     assert np.max(np.abs(res.matrix - [[-2.0, 0.0], [0.0, 0.0]])) <= 1e-9
     assert abs(res.margin) <= 1e-9
@@ -212,6 +211,14 @@ def test_equilibrium_finds_planted_axis_counterexample():
     assert verdict.residual <= 1e-8
     v = verdict.v
     assert abs(abs(v[0]) - 1.0) <= 1e-6 and abs(v[1]) <= 1e-6
+    # the bundled G with N = [10^e; 0] rests at v = r (1, 1/11), r^2 = 10^(1-e):
+    # QZ's alpha scales with G and its beta with N C, far apart for large e
+    for e in (0, 12, 13, 20, 100):
+        verdict = check_equilibrium_uniqueness(G, [[10.0**e], [0.0]], C, [[1.0]])
+        assert verdict.status == COUNTEREXAMPLE
+        assert verdict.residual <= 1e-8
+        r = np.sqrt(10.0 ** (1 - e))
+        assert np.allclose(np.abs(verdict.v), [r, r / 11.0], rtol=1e-9, atol=0)
 
 
 def test_equilibrium_finds_planted_skew_counterexample():

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -119,8 +122,7 @@ def test_equilibrium_needs_no_eigenvectors(configs, monkeypatch, capsys):
     assert rest.status == cert.COUNTEREXAMPLE and rest.residual <= 1e-8
     none = cert.check_equilibrium_uniqueness(-np.eye(2), [[-1.0], [0.0]], C1, [[1.0]])
     assert none.status == cert.NO_COUNTEREXAMPLE
-    with pytest.warns(RuntimeWarning, match="semidefinite"):
-        code = main(["certify", "--config", str(configs["nominal"]), "--check-only"])
+    code = main(["certify", "--config", str(configs["nominal"]), "--check-only"])
     assert code == EXIT_OK
     assert "equilibrium=no-counterexample" in capsys.readouterr().out
 
@@ -215,8 +217,7 @@ def test_design_deterministic_auto_search(configs, tmp_path, capsys):
 
 def test_certify_check_only_published(configs, capsys):
     before = configs["nominal"].read_bytes()
-    with pytest.warns(RuntimeWarning, match="semidefinite"):
-        code = main(["certify", "--config", str(configs["nominal"]), "--check-only"])
+    code = main(["certify", "--config", str(configs["nominal"]), "--check-only"])
     assert code == EXIT_OK
     assert configs["nominal"].read_bytes() == before  # check never mutates
     out = capsys.readouterr().out
@@ -228,9 +229,8 @@ def test_certify_check_only_published(configs, capsys):
 
 
 def test_certify_check_only_checks_structure(configs, tmp_path, capsys):
-    with pytest.warns(RuntimeWarning, match="semidefinite"):
-        assert main(["certify", "--config", str(configs["nominal"]),
-                     "--check-only"]) == EXIT_OK
+    assert main(["certify", "--config", str(configs["nominal"]),
+                 "--check-only"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "residual_sylvester=0.000e+00" in out
     assert "residual_decoupling=0.000e+00" in out
@@ -241,8 +241,7 @@ def test_certify_check_only_checks_structure(configs, tmp_path, capsys):
     doc["observer"]["G"] = [[-10.0, 0.0], [1.0, -12.0]]
     edited = tmp_path / "edited_G.json"
     edited.write_text(json.dumps(doc))
-    with pytest.warns(RuntimeWarning, match="semidefinite"):
-        code = main(["certify", "--config", str(edited), "--check-only"])
+    code = main(["certify", "--config", str(edited), "--check-only"])
     assert code == EXIT_VERIFICATION_FAILED
     out = capsys.readouterr().out
     assert float(out.split("residual_sylvester=")[1].splitlines()[0]) >= 0.5
@@ -259,7 +258,7 @@ def test_certify_check_only_needs_certificate(configs, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag", ["--out", "--alpha"])
+@pytest.mark.parametrize("flag", ["--out"])
 def test_certify_check_only_rejects_search_flags(configs, tmp_path, capsys, flag):
     out = tmp_path / "certified.json"
     value = str(out) if flag == "--out" else "2"
@@ -268,6 +267,31 @@ def test_certify_check_only_rejects_search_flags(configs, tmp_path, capsys, flag
     assert "apply only to --search-P" in capsys.readouterr().err
     assert not out.exists()
 
+
+def test_certify_takes_alpha_only_from_the_config(configs, capsys):
+    # alpha is the config's observer.alpha; a flag for it is a usage error
+    for mode in ("--check-only", "--search-P"):
+        code = main(["certify", "--config", str(configs["nominal"]), mode, "--alpha", "2"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "unrecognized arguments: --alpha 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["--check-only", "--search-P"])
+@pytest.mark.parametrize("config, expected", [("nominal", EXIT_OK),
+                                              ("uncertain", EXIT_VERIFICATION_FAILED)])
+def test_certify_reports_each_verdict_once(configs, mode, config, expected):
+    # a fresh interpreter under Python's default warning filters: a warning
+    # raised anywhere in certify would reach its stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "cubicobs.cli", "certify",
+                           "--config", str(configs[config]), mode],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == expected
+    assert proc.stderr == ""
+    assert "n_classification=semidefinite-pass" in proc.stdout.splitlines()
+    assert "warning:" not in proc.stdout
 
 def test_certify_mode_mismatch(configs, tmp_path, capsys):
     doc = json.loads(configs["nominal"].read_text())
@@ -291,9 +315,8 @@ def test_certify_check_only_rejects_nonpositive_multiplier(configs, tmp_path, ca
 
 def test_certify_search_P_writes_verified_certificate(configs, tmp_path, capsys):
     out = tmp_path / "certified.json"
-    with pytest.warns(RuntimeWarning, match="semidefinite"):
-        code = main(["certify", "--config", str(configs["nominal"]),
-                     "--search-P", "--out", str(out)])
+    code = main(["certify", "--config", str(configs["nominal"]),
+                 "--search-P", "--out", str(out)])
     assert code == EXIT_OK
     cfg = model.load_config(out)
     crt = cfg.certificate
@@ -312,14 +335,12 @@ def test_certify_one_sided_search_then_check_only(configs, tmp_path, capsys):
     osl = tmp_path / "osl.json"
     osl.write_text(json.dumps(doc))
     out = tmp_path / "osl_certified.json"
-    with pytest.warns(RuntimeWarning, match="semidefinite"):
-        code = main(["certify", "--config", str(osl), "--search-P", "--out", str(out)])
+    code = main(["certify", "--config", str(osl), "--search-P", "--out", str(out)])
     assert code == EXIT_OK
     crt = model.load_config(out).certificate
     assert crt.beta is None and crt.mu1 > 0 and crt.mu2 > 0
     capsys.readouterr()
-    with pytest.warns(RuntimeWarning, match="semidefinite"):
-        code = main(["certify", "--config", str(out), "--check-only"])
+    code = main(["certify", "--config", str(out), "--check-only"])
     assert code == EXIT_OK
     assert float(capsys.readouterr().out.split("lmi_margin=")[1].split()[0]) < 0
 
@@ -344,8 +365,7 @@ def test_certify_check_only_prints_counterexample(configs, tmp_path, capsys):
 
 
 def test_certify_search_P_prints_gamma_max(configs, capsys):
-    with pytest.warns(RuntimeWarning, match="semidefinite"):
-        code = main(["certify", "--config", str(configs["nominal"]), "--search-P"])
+    code = main(["certify", "--config", str(configs["nominal"]), "--search-P"])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     # the bundled G admits every Lipschitz constant below 11/sqrt(2)
@@ -389,7 +409,6 @@ def _printed_keys(out):
             if not line.startswith("wrote ")]
 
 
-@pytest.mark.filterwarnings("ignore:cubic-gain condition holds only semidefinitely")
 @pytest.mark.parametrize("case", list(CERTIFY_CASES))
 def test_certify_search_P_checks_what_check_only_checks(configs, tmp_path, capsys, case):
     edit, expected = CERTIFY_CASES[case]
@@ -683,7 +702,6 @@ def test_reproduce_paper_summary_is_pinned(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore:cubic-gain condition holds only semidefinitely")
 @pytest.mark.parametrize("command", [
     ["simulate", "--t-end", "0.1"],
     ["design", "--auto-margin", "1"],
@@ -735,12 +753,29 @@ def _truth_with(configs, tmp_path, **changes):
     return ["--truth", str(path)]
 
 
+def _config_with(configs, tmp_path, **changes):
+    # argparse keeps the last --config, so this one replaces the bundled one
+    doc = {**json.loads(configs["nominal"].read_text()), **changes}
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return ["--config", str(path)]
+
+
+# the truth n_u = 0 case's plant, as the designed config
+NO_INPUTS = dict(n_u=0, delta=[], f_u=["0", "0"], f_L=["x1", "sin(x2)"])
+
+
 BAD_INPUTS = {
     "truth n = 3": lambda c, p: ["simulate", *_truth_with(
         c, p, n=3, A=(-np.eye(3)).tolist(), C=[[1.0, 0.0, 0.0]],
         D=[[-1.0], [1.0], [0.0]], f_u=["u1@1", "u1", "0"], f_L=["0", "0", "0"])],
     "truth n_u = 0": lambda c, p: ["simulate", *_truth_with(
         c, p, n_u=0, delta=[], f_u=["0", "0"], f_L=["x1", "sin(x2)"])],
+    "n_u = 0, two drives": lambda c, p: ["simulate", *_config_with(c, p, **NO_INPUTS),
+                                         "--t-end", "0.1", "--input", "sin(t)",
+                                         "--input", "cos(t)"],
+    "n_u = 0, one drive": lambda c, p: ["simulate", *_config_with(c, p, **NO_INPUTS),
+                                        "--t-end", "0.1", "--input", "1/0*t"],
     "--L nan": lambda c, p: ["design", "--L", "[nan;1]"],
     "--auto-margin nan": lambda c, p: ["design", "--auto-margin", "nan"],
     "--t-end inf": lambda c, p: ["simulate", "--t-end", "inf"],

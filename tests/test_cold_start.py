@@ -53,8 +53,6 @@ run("simulate", "--config", config, "--t-end", "1", "--out", sys.argv[1] + "/run
 
 def test_lipschitz_search_P_and_auto_margin_load_no_scipy_optimize(tmp_path, pytestconfig):
     loaded = scipy_modules_after("""
-import warnings
-warnings.simplefilter("ignore", RuntimeWarning)
 run("certify", "--config", config, "--search-P")
 run("design", "--config", config, "--auto-margin", "1", "--out", sys.argv[1] + "/d.json")
 """, tmp_path, pytestconfig)

@@ -95,6 +95,14 @@ def test_simconfig_validation():
         SimConfig(h=0.1, t_end=0.05, x0=[0.0], xhat0=[0.0], input_signal=sig)
 
 
+def test_simconfig_compares_by_value():
+    cfg = example_cfg()
+    assert cfg == replace(cfg)
+    assert cfg == example_cfg(x0=[0.0, 0.0])
+    assert cfg != replace(cfg, x0=np.array([0.0, 1.0]))
+    assert cfg != replace(cfg, input_signal=("sin(t)",))
+
+
 @pytest.mark.parametrize("drive, message", [
     (Var("x", 1), "input_signal[1]: x1: state index out of range (n=0)"),
     (BinOp("%", TimeVar(), Num(2.0)),
