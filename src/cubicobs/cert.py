@@ -342,11 +342,13 @@ def check_equilibrium_uniqueness(G, N, C, theta,
     K = 0.5 * (K + K.T)
     NC = N @ C
 
-    for v, note in _equilibrium_candidates(G, K, NC):
-        nv = float(np.linalg.norm(v))
-        full = float(np.linalg.norm(G @ v + float(v @ K @ v) * (NC @ v)))
-        if nv > 0.0 and full <= _EQUILIBRIUM_TOL * nv:
-            return EquilibriumVerdict(COUNTEREXAMPLE, v=v, residual=full / nv, note=note)
+    # a residual too large to square is inf, which fails the bound, unwarned
+    with np.errstate(over="ignore"):
+        for v, note in _equilibrium_candidates(G, K, NC):
+            nv = float(np.linalg.norm(v))
+            full = float(np.linalg.norm(G @ v + float(v @ K @ v) * (NC @ v)))
+            if nv > 0.0 and full <= _EQUILIBRIUM_TOL * nv:
+                return EquilibriumVerdict(COUNTEREXAMPLE, v=v, residual=full / nv, note=note)
     return EquilibriumVerdict(
         NO_COUNTEREXAMPLE,
         note="exhaustive pencil check found no nonzero equilibrium",

@@ -15,7 +15,10 @@ the cubic term is not computed at all.
 No truth depends on an observer or on another truth, so one integration
 carries several truths sharing ``design``, the observers and the run
 settings, each with every observer.  It is a plan, built by :func:`_plan`
-from all but the initial state, and a classical RK4 run of it, :func:`_run`."""
+from all but the initial state, and a classical RK4 run of it, :func:`_run`.
+The last plan is kept: a call on the same truth, design and observer objects
+(compared by identity; they are frozen) with the same step, horizon and drive
+text runs it again from its own initial state without planning anew."""
 
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exprlang import (_CODEGEN_GLOBALS, Expr, ExprError, ExprEvalError, SignalDims,
-                       _compile_source, _emit, _guarded_source, _read_back, evaluate)
+                       _compile_source, _emit, _guarded_source, _read_back, evaluate, unparse)
 from .model import ConfigError, ObserverParams, PlantModel, _assign, _eq_fields, _read_only, validate
 
 __all__ = [
@@ -283,6 +286,11 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
     return _integrate([truth], design, [obs], cfg)[0][0]
 
 
+# The key, models and plan of the last integration: the models are held, so
+# no other object takes their ids while the key names them.
+_last_plan: tuple = (None, (), None)
+
+
 def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[ObserverParams],
                cfg: SimConfig) -> list[list[SimResult]]:
     """Integrate every truth in ``truths`` once, each carrying every observer
@@ -295,7 +303,13 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
     its observers, the next truth, and so on.  The models checked
     themselves when built; here each observer must fit ``design``.
     """
-    return _run(_plan(truths, design, observers, cfg), cfg.x0, cfg.xhat0)
+    global _last_plan
+    # the drive by its text, which tells "-0.0" from "0.0" as tree == does not
+    key = (tuple(map(id, truths)), id(design), tuple(map(id, observers)),
+           cfg.h, cfg.t_end, tuple(map(unparse, cfg.input_signal)))
+    if key != _last_plan[0]:
+        _last_plan = (key, (*truths, design, *observers), _plan(truths, design, observers, cfg))
+    return _run(_last_plan[2], cfg.x0, cfg.xhat0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,9 +348,6 @@ def _plan(truths: list[PlantModel], design: PlantModel, observers: list[Observer
     n, n_y, n_u = design.n, design.n_y, design.n_u
     if any((truth.n, truth.n_y, truth.n_u) != (n, n_y, n_u) for truth in truths):
         raise ConfigError("truth and design models must share n, n_u, n_y")
-    for name in ("x0", "xhat0"):
-        if getattr(cfg, name).shape != (n,):
-            raise ConfigError(f"{name}: expected {n} entries, got {getattr(cfg, name).shape}")
     if len(cfg.input_signal) != n_u:
         raise ConfigError(f"input_signal: expected {n_u} expressions, got {len(cfg.input_signal)}")
     h = cfg.h
@@ -398,6 +409,8 @@ def _plan(truths: list[PlantModel], design: PlantModel, observers: list[Observer
     for Pk in P[:3]:
         Pk[:, -ns:] += np.eye(ns)  # plus s1, the step's start
     P[3][:, -ns:][:, :nz] += S  # plus S z1
+    for a in (S, *P):  # a run reads them only
+        a.flags.writeable = False
     src, u_lags, y_lags, u_off, y_off = _stage_source(members, cubic_at, nz, n_y, ns)
     grid = _drive_grid(cfg.input_signal, u_off, steps, h) if u_lags else ()
     return _Plan(h, steps, n, n_y, tuple(layout), tuple(members), S, P, src,
@@ -420,9 +433,12 @@ def _drive_grid(exprs: tuple, u_off: int, steps: int, h: float) -> tuple:
 
 def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray) -> list[list[SimResult]]:
     """Integrate ``plan`` from ``x0`` in every truth and ``xhat0`` in every
-    observer, whose shapes :func:`_plan` checks, leaving the plan as it was.
+    observer, after checking their shapes, leaving the plan as it was.
     Each RK4 stage is one generated call and one product of ``plan.P``; a
     stage whose expression fails re-runs through :func:`_reference`."""
+    for name, v in (("x0", x0), ("xhat0", xhat0)):
+        if v.shape != (plan.n,):
+            raise ConfigError(f"{name}: expected {plan.n} entries, got {v.shape}")
     n_y, h, steps, y_off = plan.n_y, plan.h, plan.steps, plan.y_off
     S, (P1, P2, P3, step_end) = plan.S, plan.P
     (ns, nz), nb = S.shape, P1.shape[1]  # entries of s_k, of z, of [f_k; s_k]
@@ -469,13 +485,14 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray) -> list[list[SimResult]
                     f"expression evaluation failed near t = {k * h:.6g}: {exc}"
                 ) from exc
             s_new = step_end.dot(buf, out=traj[k + 1])
-            # inf * 0 and nan * 0 are nan: the product is finite iff s_new is
-            if not math.isfinite(s_new.dot(zeros)):
+            s = s_new.tolist()
+            # a finite sum proves s_new finite; finite entries can overflow it,
+            # and as inf * 0 and nan * 0 are nan, s_new . 0 is finite iff s_new is
+            if not math.isfinite(sum(s)) and not math.isfinite(s_new.dot(zeros)):
                 raise SimulationError(
                     f"state became non-finite at t = {(k + 1) * h:.6g} (step {k + 1})"
                 )
             s1[:] = s_new
-            s = s_new.tolist()
 
     groups = []
     for C, x, placed in plan.layout:
@@ -502,7 +519,8 @@ def _reference(plan: _Plan, y_table: list, j: int, s: list[float]) -> list[float
         u = [grid[j + plan.u_off - 2 * lag] if lag in plan.u_lags else None for lag in u_slot_lags]
         for row in u:
             if isinstance(row, ExprEvalError):
-                raise row
+                # each run of the plan raises it again: from a fresh traceback
+                raise row.with_traceback(None)
         y = [(y_now if not lag else y_table[j + plan.y_off - 2 * lag])[y_at:y_at + n_y]
              if not lag or lag in plan.y_lags else None for lag in y_slot_lags]
         out += [evaluate(e, s[x_at:x_at + n], u, y, (j * 0.5) * plan.h) for e in exprs]

@@ -364,6 +364,23 @@ def test_certify_check_only_prints_counterexample(configs, tmp_path, capsys):
     assert "equilibrium_counterexample=[1 2]" in out
 
 
+@pytest.mark.parametrize("gain", [1e155, 1e200])
+def test_certify_check_only_huge_N_counterexample_is_unwarned(configs, tmp_path, capsys, gain):
+    # the kernel of G holds equilibria; a candidate's residual near |N| is too
+    # large to square, which rejects it without a warning
+    doc = json.loads(configs["nominal"].read_text())
+    doc["observer"]["N"] = [[gain], [0.0]]
+    path = tmp_path / "huge_N.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["certify", "--config", str(path), "--check-only"]) == EXIT_VERIFICATION_FAILED
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert "equilibrium=counterexample" in captured.out.splitlines()
+    assert captured.err == ""
+
+
 def test_certify_search_P_prints_gamma_max(configs, capsys):
     code = main(["certify", "--config", str(configs["nominal"]), "--search-P"])
     assert code == EXIT_OK

@@ -394,6 +394,37 @@ def test_cubic_run_beats_linear_on_example():
     assert rep.jo_cubic < rep.jo_linear
 
 
+def test_study_output_error_obeys_its_own_scalar_equation(tmp_path):
+    # With C E = I, C T = (I - C E) C = 0 and C G = C (G E - J) C, so the
+    # output error e_y = C (x - xhat) obeys e_y' = a e_y + b e_y^3 with
+    # a = C (G E - J) and b = theta C N (0 for the linear twin): no plant
+    # term enters, so both truths give the same e_y
+    ex = example_system()
+    obs, C = ex.observer, ex.nominal.C
+    assert np.array_equal(C @ obs.E, [[1.0]]) and not (C - C @ obs.E @ C).any()
+    report = sim.example_study(tmp_path)
+    a = (C @ (obs.G @ obs.E - obs.J)).item()
+    first = report.nominal.cubic
+    h, steps = first.t[1], len(first.t) - 1
+    e0 = (C @ (first.x[0] - first.xhat[0])).item()
+    assert e0 != 0.0
+    for kind, b in (("cubic", (obs.theta @ C @ obs.N).item()), ("linear", 0.0)):
+        def f(e):
+            return a * e + b * e**3
+
+        e = [e0]
+        for _ in range(steps):
+            k1 = f(e[-1])
+            k2 = f(e[-1] + 0.5 * h * k1)
+            k3 = f(e[-1] + 0.5 * h * k2)
+            k4 = f(e[-1] + h * k3)
+            e.append(e[-1] + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        runs = [getattr(getattr(report, truth), kind) for truth in ("nominal", "uncertain")]
+        nominal, uncertain = ((run.x - run.xhat) @ C.T[:, 0] for run in runs)
+        assert np.abs(nominal - e).max() <= 1e-14, kind
+        assert np.abs(uncertain - nominal).max() <= 1e-14, kind
+
+
 # --- prehistory handling --------------------------------------------------
 
 def delayed_output_pair():

@@ -10,7 +10,9 @@ truth.  ``jo``, ``x`` and ``xhat`` of every (truth, observer) must agree
 within 1e-12, and ``perfbench/reference.py`` must agree too, one truth and
 one observer at a time.  Failures must agree as well: the same
 message, from ``evaluate`` or from the finiteness check, at the same step,
-members raised in group order (each truth, then its observers).
+members raised in group order (each truth, then its observers).  The last
+plan, run again from another initial state, gives what a fresh plan gives,
+bit for bit; other models, step, horizon or drive text build a new one.
 """
 
 import importlib.util
@@ -25,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from cubicobs import exprlang, sim
 from cubicobs.exprlang import (ExprEvalError, SignalDims, evaluate, parse, parse_input_signal,
                                unparse)
-from cubicobs.model import ObserverParams, PlantModel
+from cubicobs.model import ConfigError, ObserverParams, PlantModel
 from cubicobs.sim import HistoryBuffer, SimConfig, SimulationError
 
 _spec = importlib.util.spec_from_file_location(
@@ -452,3 +454,105 @@ def test_one_plan_runs_from_two_initial_estimates():
         for field in ("t", "x", "xhat", "y", "jo"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert list(plan.grid) == grid
+
+
+def test_finite_states_whose_sum_overflows_integrate_on():
+    # seven entries of 1e308 overflow the sum that checks each step: the
+    # exact test behind it finds every entry finite, and the run goes on
+    dims = SignalDims(n=2, n_u=0, n_y=1)
+    zero = (parse("0", dims),) * 2
+    plant = PlantModel(A=np.zeros((2, 2)), C=[[1.0, 0.0]], D=np.zeros((2, 0)), n_u=0,
+                       f_u=zero, f_L=zero)
+    obs = ObserverParams(G=np.zeros((2, 2)), J=np.zeros((2, 1)), E=np.zeros((2, 1)),
+                         N=np.zeros((2, 1)), theta=[[1.0]])
+    cfg = SimConfig(h=H, t_end=1.0, x0=[1e308, 1e308], xhat0=[1e308, 1e308], input_signal=())
+    res = sim.simulate(plant, plant, obs, cfg)
+    assert (res.x == 1e308).all() and (res.xhat == 1e308).all() and not res.jo.any()
+
+
+# --- the last plan, reused -------------------------------------------------
+
+def fresh_run(truth, design, obs, cfg):
+    """``simulate``'s result from a plan built for this call alone."""
+    return sim._run(sim._plan([truth], design, [obs], cfg), cfg.x0, cfg.xhat0)[0][0]
+
+
+def plans_built(monkeypatch) -> list:
+    """The plans ``_integrate`` builds from now on, in order."""
+    built, plan = [], sim._plan
+
+    def counted(*args):
+        built.append(plan(*args))
+        return built[-1]
+
+    monkeypatch.setattr(sim, "_plan", counted)
+    return built
+
+
+def assert_bit_equal(got, want):
+    for field in ("t", "x", "xhat", "y", "jo"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+def memo_scenario():
+    """One truth and a delayed design, both read the drive ``("0.0", "t")``."""
+    obs = ObserverParams(G=[[-1.0]], J=[[0.5]], E=[[0.0]], N=[[-0.2]], theta=[[1.0]])
+    cfg = SimConfig(h=H, t_end=4 * H, x0=[0.5], xhat0=[0.0], input_signal=("0.0", "t"))
+    return (one_state_plant("u1 + u2"), one_state_plant("u1@1 + u2", delta=(H,)), obs), cfg
+
+
+def test_a_second_simulate_from_a_new_estimate_reuses_the_plan(monkeypatch):
+    truth, design, observers, cfg = scenario(3, 3, [True], (2, 2, 2, 2), steps=12)
+    cfgs = (cfg, replace(cfg, xhat0=-2.0 * cfg.xhat0))
+    want = [fresh_run(truth, design, observers[0], c) for c in cfgs]
+    built = plans_built(monkeypatch)
+    for c, w in zip(cfgs, want):
+        assert_bit_equal(sim.simulate(truth, design, observers[0], c), w)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("change", [
+    lambda models, cfg: (models, replace(cfg, h=H / 2)),
+    lambda models, cfg: (models, replace(cfg, t_end=5 * H)),
+    lambda models, cfg: (models, replace(cfg, input_signal=("-0.0", "t"))),
+    lambda models, cfg: ((replace(models[0]), *models[1:]), cfg),
+    lambda models, cfg: ((*models[:2], replace(models[2])), cfg),
+], ids=["h", "t_end", "signed-zero-drive", "equal-truth", "equal-observer"])
+def test_a_changed_call_builds_a_new_plan(monkeypatch, change):
+    models, cfg = memo_scenario()
+    models2, cfg2 = change(models, cfg)
+    want = [fresh_run(*models, cfg), fresh_run(*models2, cfg2)]
+    built = plans_built(monkeypatch)
+    for m, c, w in zip((models, models2), (cfg, cfg2), want):
+        assert_bit_equal(sim.simulate(*m, c), w)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("name", ["x0", "xhat0"])
+def test_a_reused_plan_checks_the_initial_state(monkeypatch, name):
+    (truth, design, obs), cfg = memo_scenario()
+    sim.simulate(truth, design, obs, cfg)
+    built = plans_built(monkeypatch)
+    with pytest.raises(ConfigError) as info:
+        sim.simulate(truth, design, obs, replace(cfg, **{name: [0.0, 0.0]}))
+    assert str(info.value) == f"{name}: expected 1 entries, got (2,)"
+    assert built == []
+
+
+def test_a_run_leaves_every_plan_array_as_it_was_and_read_only():
+    truth, design, observers, cfg = scenario(5, 3, [True, False], (2, 2, 2, 2), steps=12)
+    plan = sim._plan([truth, other_truth(5, truth)], design, observers, cfg)
+
+    def arrays(item):
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, tuple):
+            for part in item:
+                yield from arrays(part)
+
+    found = list(arrays(tuple(vars(plan).values())))
+    before = [a.tobytes() for a in found]
+    sim._run(plan, cfg.x0, cfg.xhat0)
+    assert len(found) == 1 + 4 + 2 * (1 + 2)  # S, P, each truth's C and the observers' E
+    assert [a.tobytes() for a in found] == before
+    assert not any(a.flags.writeable for a in found)
