@@ -16,9 +16,14 @@ No truth depends on an observer or on another truth, so one integration
 carries several truths sharing ``design``, the observers and the run
 settings, each with every observer.  It is a plan, built by :func:`_plan`
 from all but the initial state, and a classical RK4 run of it, :func:`_run`.
-The last plan is kept: a call on the same truth, design and observer objects
-(compared by identity; they are frozen) with the same step, horizon and drive
-text runs it again from its own initial state without planning anew."""
+A plan holds the joint step matrices and the drive at every half step, one
+read-only float64 column per input channel.  A plan is kept until one of its
+models dies or the kept plans' arrays and generated source pass
+:data:`_KEPT_PLAN_BYTES` bytes, the least recently used going first; a
+larger plan runs once and is not kept.  A call on the same truth, design and
+observer objects (compared by identity; they are frozen) with the same step,
+horizon and drive text runs its kept plan again from its own initial state
+without planning anew."""
 
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ import functools
 import math
 import os
 import struct
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -190,10 +196,11 @@ def _slot_lags(plant: PlantModel, h: float) -> tuple[list[int], ...]:
                  for label, delays in (("delta", plant.delta), ("tau", plant.tau)))
 
 
-def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int) -> tuple:
+def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
+                  check_drive: bool = False) -> tuple:
     """Source of ``_stage(j, s, o)``, which writes the ``f`` of the stage at
     position ``j`` (each member's values, then the cubic terms) into ``_buf``
-    at byte ``o``, the lags it reads from ``grid`` and ``ytab`` and their offsets.
+    at byte ``o``, the lags it reads from the drive and ``ytab`` and their offsets.
 
     ``members`` holds ``(exprs, x_at, y_at, u_slot_lags, y_slot_lags)`` for
     each truth and then each of its observers: ``x_at`` is where its state
@@ -202,15 +209,16 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int) -> tuple:
     lag 0) and ``y_slot_lags[slot]`` that of an output slot.
     ``cubic_at`` holds ``(e_at, theta_rows)`` per observer with ``N != 0``.
     The function reads its inputs at fixed places: states and output errors
-    in ``s`` (``ns`` entries), the drive in ``grid`` and delayed outputs in
-    ``ytab`` at row ``j`` plus the table's offset minus twice the lag; the
-    offset is twice the largest lag read.  Expressions are emitted by
+    in ``s`` (``ns`` entries), input channel ``i`` in ``grid<i>`` and delayed
+    outputs in ``ytab`` at row ``j`` plus the table's offset minus twice the
+    lag; the offset is twice the largest lag read.  Expressions are emitted by
     exprlang's emitter, so each performs the float operations of
     ``evaluate``, and wrapped by its guarded-source builder, which checks
     them for finiteness and falls back to ``_reference``, as the drive's
     function does.  The one statement that unpacks ``s`` and the cubic values
-    cannot raise and come first, so the fallback finds them bound; a drive
-    row that holds an error fails its read with ``TypeError``.
+    cannot raise and come first, so the fallback finds them bound.  Drive
+    samples are finite but failed ones, which are nan: ``check_drive`` adds
+    every drive sample read to the finiteness check.
     """
     loads: dict[tuple, str] = {}  # (table, lag, index) -> local, in order of first use
 
@@ -244,11 +252,14 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int) -> tuple:
     state = {i: name for (table, _, i), name in loads.items() if table == "s"}
     targets = ", ".join(state.get(i, "_") for i in range(ns))
     unpack = [f"[{targets}] = s"] if state else []
-    signals = {name: f"{name} = {table}[j + {offset[table] - 2 * lag}][{i}]"
+    signals = {name: (f"{name} = grid{i}[j + {offset[table] - 2 * lag}]" if table == "grid"
+                      else f"{name} = ytab[j + {offset[table] - 2 * lag}][{i}]")
                for (table, lag, i), name in loads.items() if table != "s"}
-    # literals, drive samples and output-table rows are finite, a stage
-    # input need not be
+    # literals, drive samples (unless told) and output-table rows are
+    # finite, a stage input need not be
     check = [r for r in results if not r.startswith("(") and r not in signals]
+    if check_drive:
+        check += [name for (table, _, _), name in loads.items() if table == "grid"]
     src = _guarded_source(
         "def _stage(j, s, o):",
         unpack + cubic_lines + [*signals.values()]
@@ -286,15 +297,21 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
     return _integrate([truth], design, [obs], cfg)[0][0]
 
 
-# The key, models and plan of the last integration: the models are held, so
-# no other object takes their ids while the key names them.
-_last_plan: tuple = (None, (), None)
+# The most bytes the kept plans may hold together in arrays and generated source.
+_KEPT_PLAN_BYTES = 32 * 2**20
+# Kept plans by key, least recently used first, each as (plan, bytes, refs):
+# refs are weak references to the key's models, and the first of them to die
+# drops the entry, so a plan goes with its models and a key never names the
+# id of a dead model, which a new object may take.
+_kept_plans: dict = {}
 
 
 def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[ObserverParams],
-               cfg: SimConfig) -> list[list[SimResult]]:
+               cfg: SimConfig, *, linear_twin: bool = False) -> list[list[SimResult]]:
     """Integrate every truth in ``truths`` once, each carrying every observer
-    in ``observers``, all in one RK4 loop.
+    in ``observers``, all in one RK4 loop; with ``linear_twin``, each
+    observer is followed by its linear twin (``N = 0``), built only when
+    the call is planned.
 
     The truths share ``design``, ``observers`` and ``cfg``; the result holds
     one list of :class:`SimResult` per truth, one per observer, in order.  A
@@ -303,13 +320,24 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
     its observers, the next truth, and so on.  The models checked
     themselves when built; here each observer must fit ``design``.
     """
-    global _last_plan
     # the drive by its text, which tells "-0.0" from "0.0" as tree == does not
-    key = (tuple(map(id, truths)), id(design), tuple(map(id, observers)),
+    key = (tuple(map(id, truths)), id(design), tuple(map(id, observers)), linear_twin,
            cfg.h, cfg.t_end, tuple(map(unparse, cfg.input_signal)))
-    if key != _last_plan[0]:
-        _last_plan = (key, (*truths, design, *observers), _plan(truths, design, observers, cfg))
-    return _run(_last_plan[2], cfg.x0, cfg.xhat0)
+    kept = _kept_plans.pop(key, None)
+    if kept is None:
+        refs = [weakref.ref(m, lambda _: _kept_plans.pop(key, None))
+                for m in (*truths, design, *observers)]
+        if linear_twin:
+            observers = [o for obs in observers
+                         for o in (obs, replace(obs, N=np.zeros_like(obs.N)))]
+        plan = _plan(truths, design, observers, cfg)
+        kept = plan, len(plan.src) + sum(a.nbytes for a in (plan.S, *plan.P, *plan.grid[0])), refs
+    if kept[1] <= _KEPT_PLAN_BYTES:  # a larger plan's run dwarfs its planning
+        _kept_plans[key] = kept
+        total = sum(size for _, size, _ in _kept_plans.values())
+        while total > _KEPT_PLAN_BYTES:
+            total -= _kept_plans.pop(next(iter(_kept_plans)))[1]
+    return _run(kept[0], cfg.x0, cfg.xhat0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +365,7 @@ class _Plan:
     y_lags: set[int]
     u_off: int
     y_off: int
-    grid: tuple  # the drive from position -u_off on
+    grid: tuple  # _drive_grid's (columns, failed), or ((), {}) when no stage reads the drive
 
 
 def _plan(truths: list[PlantModel], design: PlantModel, observers: list[ObserverParams],
@@ -370,65 +398,85 @@ def _plan(truths: list[PlantModel], design: PlantModel, observers: list[Observer
     cubic_at = []  # where each cubic e_tm sits in s, with its theta_m
     layout = []
     col = nz  # where the next member's values sit in [z; f]
-    for t, truth in enumerate(truths):
-        C_t, x, y_at = truth.C, slice(t * n, (t + 1) * n), t * n_y
-        R[y_at:y_at + n_y, x] = C_t
-        W[x, x] = truth.A
-        W[x, col:col + 2 * n + truth.n_g] = np.hstack([In, truth.D, In])
-        col += 2 * n + truth.n_g
-        members.append((truth.f_u + truth.f_g + truth.f_L, t * n, y_at, *truth_lags[t]))
-        placed = []
-        for m, obs in enumerate(observers):
-            w = slice(T * n + (t * M + m) * n, T * n + (t * M + m + 1) * n)
-            r = T * n_y + (t * M + m) * n
-            placed.append((obs.E, w))
-            R[r:r + n, x] = obs.E @ C_t
-            R[r:r + n, w] = In
-            members.append((design.f_u + design.f_L, nz + r, y_at, *design_lags))
-            W[w, x] = obs.J @ C_t
-            W[w, w] = obs.G
-            W[w, col:col + 2 * n] = np.tile(In - obs.E @ C_d, 2)
-            col += 2 * n
-            if obs.N.any():
-                er, ec = e_row + len(cubic_at) * n_y, c_col + len(cubic_at) * n_y
-                R[er:er + n_y, x] = C_t - C_d @ obs.E @ C_t
-                R[er:er + n_y, w] = -C_d
-                W[w, ec:ec + n_y] = -obs.N
-                cubic_at.append((nz + er, obs.theta.tolist()))
-        layout.append((C_t, x, tuple(placed)))
-    S = np.vstack([np.eye(nz), R])
-    # One step's buffer is [f4 | s4 | f3 | s3 | f2 | s2 | f1 | s1]: s1 the step's start,
-    # s_k stage k's input (z_k its head), f_k what stage k writes.  Stage k + 1 reads
-    # s1 + c h S W [z_k; f_k], one product over the buffer from f_k on, written to
-    # s_{k+1} ahead of it.  The step ends in S (z1 + h/6 W ([z1; f1] + 2 [z2; f2] +
-    # 2 [z3; f3] + [z4; f4])): R z is derived from z afresh, so it cannot drift.
-    ns, sixth = len(S), h / 6.0
-    SW = np.hstack([np.roll(S @ W, -nz, axis=1), np.zeros((ns, ns - nz))])  # on [f_k; s_k]
-    P = tuple(np.hstack([c * SW for c in coefs]) for coefs in (
-        [0.5 * h], [0.5 * h, 0.0], [h, 0.0, 0.0], [sixth, 2.0 * sixth, 2.0 * sixth, sixth]))
-    for Pk in P[:3]:
-        Pk[:, -ns:] += np.eye(ns)  # plus s1, the step's start
-    P[3][:, -ns:][:, :nz] += S  # plus S z1
+
+    def finite(what, M):
+        if not np.isfinite(M).all():
+            raise ConfigError(f"{what} overflows in the simulation plan")
+        return M
+
+    # finite models whose products overflow are refused by name, unwarned;
+    # C_t is truth t's output matrix, C_d the design's
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, truth in enumerate(truths):
+            C_t, x, y_at = truth.C, slice(t * n, (t + 1) * n), t * n_y
+            R[y_at:y_at + n_y, x] = C_t
+            W[x, x] = truth.A
+            W[x, col:col + 2 * n + truth.n_g] = np.hstack([In, truth.D, In])
+            col += 2 * n + truth.n_g
+            members.append((truth.f_u + truth.f_g + truth.f_L, t * n, y_at, *truth_lags[t]))
+            placed = []
+            for m, obs in enumerate(observers):
+                w = slice(T * n + (t * M + m) * n, T * n + (t * M + m + 1) * n)
+                r = T * n_y + (t * M + m) * n
+                placed.append((obs.E, w))
+                R[r:r + n, x] = finite("E C_t", obs.E @ C_t)
+                R[r:r + n, w] = In
+                members.append((design.f_u + design.f_L, nz + r, y_at, *design_lags))
+                W[w, x] = finite("J C_t", obs.J @ C_t)
+                W[w, w] = obs.G
+                W[w, col:col + 2 * n] = np.tile(In - finite("E C_d", obs.E @ C_d), 2)
+                col += 2 * n
+                if obs.N.any():
+                    er, ec = e_row + len(cubic_at) * n_y, c_col + len(cubic_at) * n_y
+                    R[er:er + n_y, x] = finite("C_t - C_d E C_t",
+                                               C_t - finite("C_d E C_t", C_d @ obs.E @ C_t))
+                    R[er:er + n_y, w] = -C_d
+                    W[w, ec:ec + n_y] = -obs.N
+                    cubic_at.append((nz + er, obs.theta.tolist()))
+            layout.append((C_t, x, tuple(placed)))
+        S = np.vstack([np.eye(nz), R])
+        # One step's buffer is [f4 | s4 | f3 | s3 | f2 | s2 | f1 | s1]: s1 the step's start,
+        # s_k stage k's input (z_k its head), f_k what stage k writes.  Stage k + 1 reads
+        # s1 + c h S W [z_k; f_k], one product over the buffer from f_k on, written to
+        # s_{k+1} ahead of it.  The step ends in S (z1 + h/6 W ([z1; f1] + 2 [z2; f2] +
+        # 2 [z3; f3] + [z4; f4])): R z is derived from z afresh, so it cannot drift.
+        ns, sixth = len(S), h / 6.0
+        SW = np.roll(finite("S W", S @ W), -nz, axis=1)
+        SW = np.hstack([SW, np.zeros((ns, ns - nz))])  # on [f_k; s_k]
+        P = tuple(np.hstack([c * SW for c in coefs]) for coefs in (
+            [0.5 * h], [0.5 * h, 0.0], [h, 0.0, 0.0], [sixth, 2.0 * sixth, 2.0 * sixth, sixth]))
+        for Pk in P[:3]:
+            Pk[:, -ns:] += np.eye(ns)  # plus s1, the step's start
+        P[3][:, -ns:][:, :nz] += S  # plus S z1
+        for Pk in P:
+            finite("h S W", Pk)
     for a in (S, *P):  # a run reads them only
         a.flags.writeable = False
     src, u_lags, y_lags, u_off, y_off = _stage_source(members, cubic_at, nz, n_y, ns)
-    grid = _drive_grid(cfg.input_signal, u_off, steps, h) if u_lags else ()
+    grid = _drive_grid(cfg.input_signal, u_off, steps, h) if u_lags else ((), {})
+    if grid[1]:
+        src = _stage_source(members, cubic_at, nz, n_y, ns, check_drive=True)[0]
     return _Plan(h, steps, n, n_y, tuple(layout), tuple(members), S, P, src,
                  u_lags, y_lags, u_off, y_off, grid)
 
 
 def _drive_grid(exprs: tuple, u_off: int, steps: int, h: float) -> tuple:
-    """The drive at half-step positions ``p = -u_off .. 2 steps`` (time ``(p/2) h``,
-    negative before ``t = 0``).  A failed sample is kept as its error, which
-    the stage that reads it raises."""
+    """``(columns, failed)``: the drive at half-step positions ``p = -u_off ..
+    2 steps`` (time ``(p/2) h``, negative before ``t = 0``), as one read-only
+    float64 column per channel indexed by ``p + u_off``.  A position whose
+    sample failed is nan in every column, and ``failed`` maps its index to
+    the error, which the stage that reads it raises."""
     drive = _drive_function(exprs)
-    grid = []
+    flat, failed, nan_row = [], {}, (math.nan,) * len(exprs)
     for p in range(-u_off, 2 * steps + 1):
         try:
-            grid.append(drive((p * 0.5) * h))
+            flat += drive((p * 0.5) * h)
         except ExprEvalError as exc:
-            grid.append(exc)
-    return tuple(grid)
+            failed[p + u_off] = exc
+            flat += nan_row
+    columns = np.array(flat).reshape(-1, len(exprs)).T.copy()
+    columns.flags.writeable = False
+    return tuple(columns), failed
 
 
 def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray) -> list[list[SimResult]]:
@@ -459,8 +507,10 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray) -> list[list[SimResult]
     buf = np.frombuffer(step_buf)
     s2, s3, s4, s1 = (buf[at * nb - ns:at * nb] for at in (3, 2, 1, 4))
     tail1, tail2, tail3 = buf[3 * nb:], buf[2 * nb:], buf[nb:]  # from f1, f2, f3 on
-    namespace = {**_CODEGEN_GLOBALS, "_reference": functools.partial(_reference, plan, y_table),
-                 "grid": plan.grid, "ytab": y_table, "_buf": step_buf,
+    grid = [column.tolist() for column in plan.grid[0]]
+    namespace = {**_CODEGEN_GLOBALS, **{f"grid{i}": column for i, column in enumerate(grid)},
+                 "_reference": functools.partial(_reference, plan, grid, y_table),
+                 "ytab": y_table, "_buf": step_buf,
                  "_pack": struct.Struct(f"{nb - ns}d").pack_into}
     exec(_compile_source(plan.src, "<cubicobs.sim stage>"), namespace)
     stage = namespace["_stage"]
@@ -508,19 +558,21 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray) -> list[list[SimResult]
     return groups
 
 
-def _reference(plan: _Plan, y_table: list, j: int, s: list[float]) -> list[float]:
+def _reference(plan: _Plan, grid: list, y_table: list, j: int, s: list[float]) -> list[float]:
     """The members' values at stage position ``j`` from ``s``, through
     :func:`~cubicobs.exprlang.evaluate` in group order: raises the tree walk's
-    error where the generated code failed, a failed drive sample included."""
-    n, n_y, nz, grid = plan.n, plan.n_y, plan.S.shape[1], plan.grid
+    error where the generated code failed, a failed drive sample included.
+    ``grid`` holds the plan's drive columns as float lists."""
+    n, n_y, nz, failed = plan.n, plan.n_y, plan.S.shape[1], plan.grid[1]
     y_now = s[nz:nz + len(plan.layout) * n_y]
     out = []
     for exprs, x_at, y_at, u_slot_lags, y_slot_lags in plan.members:
-        u = [grid[j + plan.u_off - 2 * lag] if lag in plan.u_lags else None for lag in u_slot_lags]
-        for row in u:
-            if isinstance(row, ExprEvalError):
+        rows = [j + plan.u_off - 2 * lag if lag in plan.u_lags else None for lag in u_slot_lags]
+        for at in rows:
+            if at in failed:
                 # each run of the plan raises it again: from a fresh traceback
-                raise row.with_traceback(None)
+                raise failed[at].with_traceback(None)
+        u = [None if at is None else [column[at] for column in grid] for at in rows]
         y = [(y_now if not lag else y_table[j + plan.y_off - 2 * lag])[y_at:y_at + n_y]
              if not lag or lag in plan.y_lags else None for lag in y_slot_lags]
         out += [evaluate(e, s[x_at:x_at + n], u, y, (j * 0.5) * plan.h) for e in exprs]
@@ -569,8 +621,7 @@ def _compare(truths: list[PlantModel], design: PlantModel, obs: ObserverParams,
     """:func:`compare_cubic_linear` of each truth in ``truths``, every pair
     carried by one :func:`_integrate` call."""
     reports = []
-    for cubic, linear in _integrate(truths, design,
-                                    [obs, replace(obs, N=np.zeros_like(obs.N))], cfg):
+    for cubic, linear in _integrate(truths, design, [obs], cfg, linear_twin=True):
         jo_c = float(cubic.jo[-1])
         jo_l = float(linear.jo[-1])
         if jo_l > 0:

@@ -778,6 +778,26 @@ def _config_with(configs, tmp_path, **changes):
     return ["--config", str(path)]
 
 
+@pytest.mark.parametrize("changes, product", [
+    ({"C": [[1e200, 0.0]]}, "C_d E C_t"),
+    ({"C": [[1e160, 0.0]], "observer": {**NOMINAL_OBSERVER, "E": [[1e160], [0.0]]}}, "E C_t"),
+], ids=["C", "C-and-E"])
+def test_simulate_plan_whose_products_overflow_is_a_config_error(configs, tmp_path, capsys,
+                                                                 changes, product):
+    # finite matrices whose products in the simulation plan overflow: refused
+    # by name before any step, one error line and no numpy warning
+    out = tmp_path / "run.csv"
+    argv = ["simulate", *_config_with(configs, tmp_path, **changes), "--t-end", "1",
+            "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_CONFIG_ERROR
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {product} overflows in the simulation plan"]
+    assert not out.exists()
+
+
 # the truth n_u = 0 case's plant, as the designed config
 NO_INPUTS = dict(n_u=0, delta=[], f_u=["0", "0"], f_L=["x1", "sin(x2)"])
 

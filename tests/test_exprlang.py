@@ -289,14 +289,17 @@ def generated(exprs, stage=None):
         return lambda x, u, y, t: drive(t)
     src, u_lags, y_lags, u_off, y_off = sim._stage_source(
         [(exprs, 0, 0, [0, 1, 2], [0, 1])], [], DIMS.n, DIMS.n_y, DIMS.n + DIMS.n_y)
-    grid, ytab = [None] * (u_off + 1), [None] * (y_off + 1)
-    namespace = {**exprlang._CODEGEN_GLOBALS, "grid": grid, "ytab": ytab,
+    grid = [[None] * (u_off + 1) for _ in range(DIMS.n_u)]  # one column per channel
+    ytab = [None] * (y_off + 1)
+    namespace = {**exprlang._CODEGEN_GLOBALS, "ytab": ytab,
+                 **{f"grid{i}": column for i, column in enumerate(grid)},
                  "_buf": None, "_pack": lambda buf, o, *v: v}
     exec(exprlang._compile_source(src, "<test stage>"), namespace)
 
     def call(x, u, y, t):
         for lag in u_lags:  # slot = lag
-            grid[u_off - 2 * lag] = u[lag] if u else None
+            for i, column in enumerate(grid):
+                column[u_off - 2 * lag] = u[lag][i] if u else None
         for lag in y_lags:
             ytab[y_off - 2 * lag] = y[lag] if y else None
         namespace["_reference"] = lambda j, s: tree_walk(exprs, x, u, y, t)

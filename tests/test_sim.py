@@ -648,7 +648,7 @@ def test_generated_code_names_only_codegen_globals(monkeypatch, tmp_path):
     sim.example_study(tmp_path)
     simulate(*multi_delay_scenario())
     allowed = set(exprlang._CODEGEN_GLOBALS) | {
-        "_buf", "_pack", "_reference", "grid", "ytab", "_stage", "_drive",
+        "_buf", "_pack", "_reference", "grid0", "grid1", "ytab", "_stage", "_drive",
         "ArithmeticError", "ValueError", "LookupError", "TypeError"}
     functions = []
     while codes:

@@ -10,14 +10,17 @@ truth.  ``jo``, ``x`` and ``xhat`` of every (truth, observer) must agree
 within 1e-12, and ``perfbench/reference.py`` must agree too, one truth and
 one observer at a time.  Failures must agree as well: the same
 message, from ``evaluate`` or from the finiteness check, at the same step,
-members raised in group order (each truth, then its observers).  The last
+members raised in group order (each truth, then its observers).  A kept
 plan, run again from another initial state, gives what a fresh plan gives,
-bit for bit; other models, step, horizon or drive text build a new one.
+bit for bit; other models, step, horizon or drive text build a new one, and
+the kept plans stay within their byte bound, least recently used out first.
 """
 
 import importlib.util
+import math
 import sys
 from dataclasses import replace
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -470,7 +473,7 @@ def test_finite_states_whose_sum_overflows_integrate_on():
     assert (res.x == 1e308).all() and (res.xhat == 1e308).all() and not res.jo.any()
 
 
-# --- the last plan, reused -------------------------------------------------
+# --- kept plans, reused -----------------------------------------------------
 
 def fresh_run(truth, design, obs, cfg):
     """``simulate``'s result from a plan built for this call alone."""
@@ -553,6 +556,153 @@ def test_a_run_leaves_every_plan_array_as_it_was_and_read_only():
     found = list(arrays(tuple(vars(plan).values())))
     before = [a.tobytes() for a in found]
     sim._run(plan, cfg.x0, cfg.xhat0)
-    assert len(found) == 1 + 4 + 2 * (1 + 2)  # S, P, each truth's C and the observers' E
+    # S, P, each truth's C and the observers' E, one drive column per input channel
+    assert len(cfg.input_signal) == 2
+    assert len(found) == 1 + 4 + 2 * (1 + 2) + 2
     assert [a.tobytes() for a in found] == before
     assert not any(a.flags.writeable for a in found)
+
+
+def model_sets():
+    """Three model sets of different sizes, each with its settings."""
+    return [scenario(seed, n, [True, False][:n - 1], (1, 2, 2, 1), steps=8)
+            for seed, n in ((11, 2), (12, 3), (13, 2))]
+
+
+@settings(max_examples=15)
+@given(calls=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1.0, -2.0, 0.5])),
+                      min_size=1, max_size=9))
+def test_interleaved_model_sets_plan_once_each(calls):
+    # every call runs its set's kept plan from its own estimate, bit-equal to a
+    # fresh plan, however the calls over the three sets interleave
+    sets = model_sets()
+    cfgs = {(i, a): replace(sets[i][3], xhat0=a * sets[i][3].xhat0) for i, a in calls}
+    want = {c: fresh_run(*sets[c[0]][:2], sets[c[0]][2][0], cfg) for c, cfg in cfgs.items()}
+    built, plan = [], sim._plan
+
+    def counted(*args):
+        built.append(args[0][0])
+        return plan(*args)
+
+    with mock.patch.object(sim, "_plan", counted):
+        for c in calls:
+            truth, design, observers, _ = sets[c[0]]
+            assert_bit_equal(sim.simulate(truth, design, observers[0], cfgs[c]), want[c])
+    assert sorted(map(id, built)) == sorted({id(sets[i][0]) for i, _ in calls})
+
+
+def test_compare_cubic_linear_reuses_its_linear_twin(monkeypatch):
+    # calls that differ only in x0 and xhat0 plan once, twin included, and
+    # give what a fresh plan of the pair gives, bit for bit
+    truth, design, observers, cfg = scenario(6, 3, [True], (2, 2, 2, 2), steps=12)
+    obs = observers[0]
+    twin = replace(obs, N=np.zeros_like(obs.N))
+    cfgs = (cfg, replace(cfg, x0=0.5 * cfg.x0, xhat0=-2.0 * cfg.xhat0))
+    want = [sim._run(sim._plan([truth], design, [obs, twin], c), c.x0, c.xhat0)[0] for c in cfgs]
+    built = plans_built(monkeypatch)
+    for c, (cubic, linear) in zip(cfgs, want):
+        rep = sim.compare_cubic_linear(truth, design, obs, c)
+        assert_bit_equal(rep.cubic, cubic)
+        assert_bit_equal(rep.linear, linear)
+    assert len(built) == 1
+
+
+def kept_sizes():
+    return [size for _, size, _ in sim._kept_plans.values()]
+
+
+def test_a_kept_plan_goes_with_its_models(monkeypatch):
+    # models built afresh for each call, as example_study builds them: each
+    # plan is dropped when its models die, and a new model that takes a dead
+    # one's id is planned anew
+    monkeypatch.setattr(sim, "_kept_plans", {})
+    (truth, design, obs), cfg = memo_scenario()
+    built = plans_built(monkeypatch)
+    for gain in (0.5, 0.25, 0.125):
+        fresh = replace(obs, J=[[gain]])
+        want = fresh_run(truth, design, fresh, cfg)
+        assert_bit_equal(sim.simulate(truth, design, fresh, cfg), want)
+        sim.compare_cubic_linear(truth, design, fresh, cfg)
+        assert len(sim._kept_plans) == 2
+        del fresh
+        assert sim._kept_plans == {}
+    assert len(built) == 3 * 3  # fresh_run's plan, simulate's and the pair's
+
+
+def test_kept_plans_stay_within_the_byte_bound(monkeypatch):
+    # three plans of one size and a bound that holds two: the least recently
+    # used goes; a plan larger than the bound runs, is never kept and is
+    # planned again on every call
+    monkeypatch.setattr(sim, "_kept_plans", {})
+    (truth, design, obs), cfg = memo_scenario()
+    sim.simulate(truth, design, obs, cfg)
+    small = kept_sizes()[0]
+    monkeypatch.setattr(sim, "_KEPT_PLAN_BYTES", 2 * small + small // 2)
+    big = replace(cfg, t_end=400 * H)
+    want = fresh_run(truth, design, obs, big)
+    built = plans_built(monkeypatch)
+    truths = [truth, one_state_plant("u1 + u2"), one_state_plant("u1 + u2")]
+    for t in (0, 1, 0, 2, 0, 1):  # 1 goes when 2 comes, 2 when 1 comes back; 0 stays
+        sim.simulate(truths[t], design, obs, cfg)
+        assert sum(kept_sizes()) <= sim._KEPT_PLAN_BYTES
+    assert len(built) == 3
+    kept_truths = [refs[0]() for _, _, refs in sim._kept_plans.values()]
+    assert len(kept_truths) == 2 and kept_truths[0] is truth and kept_truths[1] is truths[1]
+    for _ in range(2):
+        assert_bit_equal(sim.simulate(truth, design, obs, big), want)
+        assert kept_sizes() == [small, small]
+    assert len(built) == 5 and built[-1].steps == 400
+    plan = built[-1]
+    assert (len(plan.src) + sum(a.nbytes for a in (plan.S, *plan.P, *plan.grid[0]))
+            > sim._KEPT_PLAN_BYTES)
+
+
+def test_drive_grid_is_one_read_only_float64_column_per_channel():
+    truth, design, observers, cfg = scenario(4, 3, [True], (2, 2, 2, 2), steps=12)
+    plan = sim._plan([truth], design, observers, cfg)
+    columns, failed = plan.grid
+    assert len(columns) == len(cfg.input_signal) == 2 and failed == {}
+    positions = range(-plan.u_off, 2 * plan.steps + 1)
+    for e, column in zip(cfg.input_signal, columns):
+        assert column.dtype == np.float64 and not column.flags.writeable
+        assert column.shape == (len(positions),) and column.nbytes == 8 * len(positions)
+        assert column.tolist() == [evaluate(e, t=(p * 0.5) * H) for p in positions]
+
+
+def test_a_failed_drive_sample_is_nan_in_every_column_with_its_error():
+    truth, design, observers, cfg = scenario(4, 3, [True], (2, 2, 2, 2), steps=12)
+    cfg = replace(cfg, input_signal=("1/(t - 0.5)", cfg.input_signal[1]))
+    plan = sim._plan([truth], design, observers, cfg)
+    columns, failed = plan.grid
+    at = plan.u_off + 8  # t = 0.5 is half-step position 8
+    assert list(failed) == [at] and str(failed[at]).endswith("division by zero")
+    nan = [i for c in columns for i, v in enumerate(c.tolist()) if math.isnan(v)]
+    assert nan == [at, at]
+
+
+def one_state_system(A=-1.0, C=1.0, C_d=None, E=0.0, J=0.0, N=0.0):
+    dims = SignalDims(n=1, n_u=0, n_y=1)
+    zero = (parse("0", dims),)
+
+    def plant(C):
+        return PlantModel(A=[[A]], C=[[C]], D=np.zeros((1, 0)), n_u=0, f_u=zero, f_L=zero)
+
+    obs = ObserverParams(G=[[-1.0]], J=[[J]], E=[[E]], N=[[N]], theta=[[1.0]])
+    return plant(C), plant(C if C_d is None else C_d), obs
+
+
+@pytest.mark.parametrize("system, h, product", [
+    (one_state_system(C=1e160, E=1e160), H, "E C_t"),
+    (one_state_system(C=1e160, J=1e160), H, "J C_t"),
+    (one_state_system(C=1.0, C_d=1e160, E=1e160), H, "E C_d"),
+    (one_state_system(C=1e200, E=1.0, N=1.0), H, "C_d E C_t"),
+    (one_state_system(C=1.5e308, C_d=-1.5e308, E=1 / 1.5e308, N=1.0), H, "C_t - C_d E C_t"),
+    (one_state_system(A=1e200, C=1e200), H, "S W"),
+    (one_state_system(A=-1e10), 1e300, "h S W"),
+], ids=["EC", "JC", "ECd", "CdEC", "difference", "SW", "hSW"])
+def test_a_plan_whose_products_overflow_is_refused_by_name(system, h, product):
+    truth, design, obs = system
+    cfg = SimConfig(h=h, t_end=h, x0=[0.0], xhat0=[0.0], input_signal=())
+    with pytest.raises(ConfigError) as info:
+        sim._plan([truth], design, [obs], cfg)
+    assert str(info.value) == f"{product} overflows in the simulation plan"
