@@ -59,6 +59,15 @@ def parse_matrix_flag(text: str) -> np.ndarray:
     return M
 
 
+def _print_output_error(C, E) -> None:
+    """Print ``output_error=autonomous`` when ``(I - C E) C`` is within
+    rounding of 0: the output error ``C (x - xhat)`` then obeys an equation
+    that no plant term, mismatch or disturbance enters."""
+    residual = np.max(np.abs(C - (C @ E) @ C))
+    if residual <= STRUCTURE_RTOL * max(1.0, np.max(np.abs(C)), np.max(np.abs(E))):
+        print("output_error=autonomous")
+
+
 def _load_with_observer(path) -> model.SystemConfig:
     cfg = model.load_config(path)
     if cfg.observer is None:
@@ -90,6 +99,7 @@ def cmd_design(args) -> int:
     print(f"residual_sylvester={result.residual_sylvester:.3e}")
     print(f"residual_decoupling={result.residual_decoupling:.3e}")
     print(f"spectral_abscissa={design.spectral_abscissa(result.G):.6g}")
+    _print_output_error(plant.C, result.E)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -126,6 +136,7 @@ def cmd_certify(args) -> int:
     verdict = cert.check_equilibrium_uniqueness(obs.G, obs.N, plant.C, obs.theta)
     print(f"residual_sylvester={res_syl:.3e}")
     print(f"residual_decoupling={res_dec:.3e}")
+    _print_output_error(plant.C, obs.E)
     print(f"lmi_margin={margin:.6e}")
     if isinstance(mode, model.Lipschitz):
         print(f"gamma_max={cert.max_lipschitz_gamma(obs.G, obs.E, plant.C):.6g}")

@@ -18,12 +18,22 @@ settings, each with every observer.  It is a plan, built by :func:`_plan`
 from all but the initial state, and a classical RK4 run of it, :func:`_run`.
 A plan holds the joint step matrices and the drive at every half step, one
 read-only float64 column per input channel.  A plan is kept until one of its
-models dies or the kept plans' arrays and generated source pass
+models dies or the kept plans' arrays, generated source and recordings pass
 :data:`_KEPT_PLAN_BYTES` bytes, the least recently used going first; a
 larger plan runs once and is not kept.  A call on the same truth, design and
 observer objects (compared by identity; they are frozen) with the same step,
 horizon and drive text runs its kept plan again from its own initial state
-without planning anew."""
+without planning anew.
+
+The second run in a row of a kept plan from the same initial truth state
+``x0`` records its truths' values at every stage and its delayed-output
+table; the plan's later runs from that ``x0`` replay them instead of
+evaluating the truths, whatever ``xhat0`` is.  A recording is charged
+against the same bound, ``64 + 32 V`` bytes per stage call for ``V`` truth
+values and ``144 + 40 n_out`` per table row (see :func:`_recording`); one
+that would not fit is never started.  A fresh plan, a run from a new ``x0``
+and a replayed run that fails run the plain stage, so every failure is the
+one a fresh plan's run reports."""
 
 from __future__ import annotations
 
@@ -197,7 +207,7 @@ def _slot_lags(plant: PlantModel, h: float) -> tuple[list[int], ...]:
 
 
 def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
-                  check_drive: bool = False) -> tuple:
+                  check_drive: bool = False, form: str = "plain") -> tuple:
     """Source of ``_stage(j, s, o)``, which writes the ``f`` of the stage at
     position ``j`` (each member's values, then the cubic terms) into ``_buf``
     at byte ``o``, the lags it reads from the drive and ``ytab`` and their offsets.
@@ -219,24 +229,45 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
     cannot raise and come first, so the fallback finds them bound.  Drive
     samples are finite but failed ones, which are nan: ``check_drive`` adds
     every drive sample read to the finiteness check.
+
+    ``form`` is ``"plain"``, ``"record"`` or ``"replay"``.  The truths are
+    the members whose state sits in ``z`` (``x_at < nz``), and their values
+    but literals, in group order, are the stage's *truth values*.  The
+    record form is the plain one that also passes each call's truth values
+    to ``_keep`` as one tuple, or ``None`` when the call falls back.  The
+    replay form takes that tuple from ``_replay()`` instead of evaluating
+    the truths, and checks only the other members; its offsets and lags are
+    still those of every member's reads.
     """
     loads: dict[tuple, str] = {}  # (table, lag, index) -> local, in order of first use
+    read: dict[str, set] = {"s": set(), "grid": set(), "ytab": set()}  # lags, by any member
 
-    def load(item: tuple) -> str:
-        return loads.setdefault(item, f"v{len(loads)}")
+    def load(item: tuple, replayed: bool = False) -> str:
+        read[item[0]].add(item[1])
+        return "_" if replayed else loads.setdefault(item, f"v{len(loads)}")
 
     lines: dict[str, str] = {}
     results: list[str] = []
+    recorded: list[str] = []  # the truth values' locals, or replayed names
     for exprs, x_at, y_at, u_slot_lags, y_slot_lags in members:
+        truth, replayed = x_at < nz, x_at < nz and form == "replay"
+
         def bind(ref):
             i = ref.index - 1
             if ref.kind == "x":
-                return load(("s", 0, x_at + i))
+                return load(("s", 0, x_at + i), replayed)
             if ref.kind == "u":
-                return load(("grid", u_slot_lags[ref.slot], i))
+                return load(("grid", u_slot_lags[ref.slot], i), replayed)
             lag = y_slot_lags[ref.slot]
-            return load(("ytab", lag, y_at + i) if lag else ("s", 0, nz + y_at + i))
-        results += [_emit(e, lines, bind) for e in exprs]
+            return load(("ytab", lag, y_at + i) if lag else ("s", 0, nz + y_at + i), replayed)
+        # a replayed truth is emitted only for its reads, into lines of its own
+        values = [_emit(e, {} if replayed else lines, bind) for e in exprs]
+        if truth and form != "plain":
+            for k, value in enumerate(values):
+                if not value.startswith("("):
+                    values[k] = f"p{len(recorded)}" if replayed else value
+                    recorded.append(values[k])
+        results += values
     # (e' theta e) e, summed as the loop "q += e_a theta_ab e_b" sums it
     cubic_lines, cubic = [], []
     for m, (e_at, theta_rows) in enumerate(cubic_at):
@@ -247,26 +278,31 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
         for ei in e:
             cubic.append(f"c{len(cubic)}")
             cubic_lines.append(f"{cubic[-1]} = q{m} * {ei}")
-    lags = {table: {lag for t, lag, _ in loads if t == table} for table in ("grid", "ytab")}
-    offset = {table: 2 * max(read, default=0) for table, read in lags.items()}
+    offset = {table: 2 * max(read[table], default=0) for table in ("grid", "ytab")}
     state = {i: name for (table, _, i), name in loads.items() if table == "s"}
     targets = ", ".join(state.get(i, "_") for i in range(ns))
     unpack = [f"[{targets}] = s"] if state else []
+    if form == "replay":
+        unpack.append(f"[{', '.join(recorded)}] = _replay()")
     signals = {name: (f"{name} = grid{i}[j + {offset[table] - 2 * lag}]" if table == "grid"
                       else f"{name} = ytab[j + {offset[table] - 2 * lag}][{i}]")
                for (table, lag, i), name in loads.items() if table != "s"}
-    # literals, drive samples (unless told) and output-table rows are
-    # finite, a stage input need not be
-    check = [r for r in results if not r.startswith("(") and r not in signals]
+    # literals, drive samples (unless told), output-table rows and replayed
+    # values are finite, a stage input need not be
+    check = [r for r in results if not r.startswith("(") and r not in signals
+             and not (form == "replay" and r in recorded)]
     if check_drive:
         check += [name for (table, _, _), name in loads.items() if table == "grid"]
+    fast = f"return _pack(_buf, o, {', '.join(results + cubic)})"
+    slow = f"return _pack(_buf, o, {', '.join(['*_reference(j, s)'] + cubic)})"
+    if form == "record":
+        fast = f"_keep(({''.join(f'{r}, ' for r in recorded)})); {fast}"
+        slow = f"_keep(None); {slow}"
     src = _guarded_source(
         "def _stage(j, s, o):",
         unpack + cubic_lines + [*signals.values()]
-        + [f"{name} = {rhs}" for rhs, name in lines.items()], check,
-        f"return _pack(_buf, o, {', '.join(results + cubic)})",
-        f"return _pack(_buf, o, {', '.join(['*_reference(j, s)'] + cubic)})")
-    return src, lags["grid"], lags["ytab"], offset["grid"], offset["ytab"]
+        + [f"{name} = {rhs}" for rhs, name in lines.items()], check, fast, slow)
+    return src, read["grid"], read["ytab"], offset["grid"], offset["ytab"]
 
 
 def _drive_function(exprs: tuple[Expr, ...]):
@@ -297,12 +333,16 @@ def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
     return _integrate([truth], design, [obs], cfg)[0][0]
 
 
-# The most bytes the kept plans may hold together in arrays and generated source.
+# The most bytes the kept plans may hold together in arrays, generated source
+# and recordings.
 _KEPT_PLAN_BYTES = 32 * 2**20
-# Kept plans by key, least recently used first, each as (plan, bytes, refs):
-# refs are weak references to the key's models, and the first of them to die
-# drops the entry, so a plan goes with its models and a key never names the
-# id of a dead model, which a new object may take.
+# Kept plans by key, least recently used first, each as (plan, bytes, refs,
+# x0, recording): refs are weak references to the key's models, and the first
+# of them to die drops the entry, so a plan goes with its models and a key
+# never names the id of a dead model, which a new object may take.  x0 holds
+# the bytes of the initial state of the plan's last run, recording is
+# _recording's, made by a run from that x0, or None, and bytes counts the
+# plan's and the recording's.
 _kept_plans: dict = {}
 
 
@@ -319,6 +359,13 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
     fails; within a stage, members fail in group order: the first truth,
     its observers, the next truth, and so on.  The models checked
     themselves when built; here each observer must fit ``design``.
+
+    No truth reads an observer, so runs of one plan from one ``x0`` share
+    their truths' values.  A kept plan's second run in a row from the same
+    ``x0`` records them (see :func:`_recording` for its bytes), and its
+    later runs from that ``x0`` replay the recording instead of evaluating
+    the truths; a run from another ``x0`` drops it.  A replayed run that
+    fails runs again without it, so it fails as a fresh plan's run does.
     """
     # the drive by its text, which tells "-0.0" from "0.0" as tree == does not
     key = (tuple(map(id, truths)), id(design), tuple(map(id, observers)), linear_twin,
@@ -330,14 +377,31 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
         if linear_twin:
             observers = [o for obs in observers
                          for o in (obs, replace(obs, N=np.zeros_like(obs.N)))]
-        plan = _plan(truths, design, observers, cfg)
-        kept = plan, len(plan.src) + sum(a.nbytes for a in (plan.S, *plan.P, *plan.grid[0])), refs
-    if kept[1] <= _KEPT_PLAN_BYTES:  # a larger plan's run dwarfs its planning
-        _kept_plans[key] = kept
-        total = sum(size for _, size, _ in _kept_plans.values())
-        while total > _KEPT_PLAN_BYTES:
-            total -= _kept_plans.pop(next(iter(_kept_plans)))[1]
-    return _run(kept[0], cfg.x0, cfg.xhat0)
+        kept = _plan(truths, design, observers, cfg), 0, refs, None, None
+    plan, _, refs, last_x0, recording = kept
+    size = len(plan.src) + sum(a.nbytes for a in (plan.S, *plan.P, *plan.grid[0]))
+    x0 = cfg.x0.tobytes()
+    if x0 != last_x0:
+        recording = None
+    replay = recording is not None
+    if not replay and x0 == last_x0:
+        recording = _recording(plan, _KEPT_PLAN_BYTES - size)
+    try:
+        if replay:
+            try:
+                return _run(plan, cfg.x0, cfg.xhat0, recording)
+            except SimulationError:
+                pass  # run again without it, to raise what a fresh plan's run raises
+        return _run(plan, cfg.x0, cfg.xhat0, None if replay else recording)
+    finally:
+        if recording is not None and not replay and (
+                len(recording[1]) < 4 * plan.steps or None in recording[1]):
+            recording = None  # a failed run, or one whose stage fell back, keeps none
+        if size <= _KEPT_PLAN_BYTES:  # a larger plan's run dwarfs its planning
+            _kept_plans[key] = plan, size + (recording[3] if recording else 0), refs, x0, recording
+            total = sum(entry[1] for entry in _kept_plans.values())
+            while total > _KEPT_PLAN_BYTES:
+                total -= _kept_plans.pop(next(iter(_kept_plans)))[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,7 +421,7 @@ class _Plan:
     n: int
     n_y: int
     layout: tuple
-    members: tuple  # as _stage_source takes them
+    stage: tuple  # (members, cubic_at), as _stage_source takes them
     S: np.ndarray
     P: tuple  # (P1, P2, P3, step_end)
     src: str  # _stage_source's, reading u_lags and y_lags
@@ -456,7 +520,7 @@ def _plan(truths: list[PlantModel], design: PlantModel, observers: list[Observer
     grid = _drive_grid(cfg.input_signal, u_off, steps, h) if u_lags else ((), {})
     if grid[1]:
         src = _stage_source(members, cubic_at, nz, n_y, ns, check_drive=True)[0]
-    return _Plan(h, steps, n, n_y, tuple(layout), tuple(members), S, P, src,
+    return _Plan(h, steps, n, n_y, tuple(layout), (tuple(members), tuple(cubic_at)), S, P, src,
                  u_lags, y_lags, u_off, y_off, grid)
 
 
@@ -479,11 +543,43 @@ def _drive_grid(exprs: tuple, u_off: int, steps: int, h: float) -> tuple:
     return tuple(columns), failed
 
 
-def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray) -> list[list[SimResult]]:
+def _recording(plan: _Plan, room: int) -> tuple | None:
+    """An empty recording of ``plan``'s truths, ``(src, stages, y_table,
+    nbytes)``, for :func:`_run` to fill, or ``None`` when its bytes would
+    pass ``room``.  ``src`` is the replay form of the plan's stage source.
+
+    A filled recording holds one tuple of the truth values per stage call,
+    ``4 steps`` of them, and the run's delayed-output table, one row per half
+    step; ``nbytes`` bounds what they hold.  Each float takes 24 bytes and
+    each tuple or row list at most 64 bytes and 8 per entry, more than
+    CPython's object headers, list slots and over-allocation; a recording of
+    ``V`` truth values and ``n_out`` outputs is charged ``64 + 32 V`` bytes per
+    stage call, ``144 + 40 n_out`` per table row, ``512`` and ``src``.
+    """
+    members, cubic_at = plan.stage
+    ns, nz = plan.S.shape
+    src = _stage_source(members, cubic_at, nz, plan.n_y, ns, bool(plan.grid[1]), "replay")[0]
+    values = sum(len(exprs) for exprs, x_at, *_ in members if x_at < nz)
+    rows = plan.y_off and plan.y_off - 1 + 2 * plan.steps
+    nbytes = (512 + len(src) + 4 * plan.steps * (64 + 32 * values)
+              + rows * (144 + 40 * len(plan.layout) * plan.n_y))
+    return (src, [], [], nbytes) if nbytes <= room else None
+
+
+def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
+         recording: tuple | None = None) -> list[list[SimResult]]:
     """Integrate ``plan`` from ``x0`` in every truth and ``xhat0`` in every
     observer, after checking their shapes, leaving the plan as it was.
     Each RK4 stage is one generated call and one product of ``plan.P``; a
-    stage whose expression fails re-runs through :func:`_reference`."""
+    stage whose expression fails re-runs through :func:`_reference`.
+
+    With an empty ``recording`` (see :func:`_recording`), the run records
+    into it: the record form appends each stage call's truth values, or
+    ``None`` when the call fell back, and the run's delayed-output table is
+    kept.  A filled one is replayed, and must come from a run from this
+    ``x0``: its stage source reads the truth values instead of evaluating the
+    truths, and the run reads the kept table instead of growing its own.
+    An initial state whose products overflow is refused by name."""
     for name, v in (("x0", x0), ("xhat0", xhat0)):
         if v.shape != (plan.n,):
             raise ConfigError(f"{name}: expected {plan.n} entries, got {v.shape}")
@@ -492,17 +588,34 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray) -> list[list[SimResult]
     (ns, nz), nb = S.shape, P1.shape[1]  # entries of s_k, of z, of [f_k; s_k]
     n_out = len(plan.layout) * n_y  # every truth's outputs, [y_1; ...; y_T]
     z0 = np.empty(nz)
-    for C, x, placed in plan.layout:
-        z0[x] = x0
-        for E, w in placed:
-            z0[w] = xhat0 - E @ (C @ x0)
     traj = np.empty((steps + 1, ns))
-    traj[0] = S @ z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for C, x, placed in plan.layout:
+            z0[x] = x0
+            for E, w in placed:
+                z0[w] = xhat0 - E @ (C @ x0)
+        traj[0] = S @ z0
+    for what, v in (("xhat0 - E C x0", z0), ("S z0", traj[0])):
+        if not np.isfinite(v).all():
+            raise ConfigError(f"{what} overflows in the initial state")
     s = traj[0].tolist()
     # Delayed outputs at half-step positions m >= -y_off: row y_off + m holds every
     # truth's y at the grid for even m and the mean of its neighbours (linear
     # interpolation) for odd m, and y(0) before t = 0.
     y_table = [s[nz:nz + n_out]] * (y_off - 1)
+    src, replay, run_globals = plan.src, False, {}
+    if recording is not None:
+        replay_src, stages, kept_table, _ = recording
+        replay = bool(stages)
+        if replay:
+            src, y_table = replay_src, kept_table
+            run_globals["_replay"] = iter(stages).__next__
+        else:
+            src = _stage_source(*plan.stage, nz, n_y, ns, bool(plan.grid[1]), "record")[0]
+            kept_table += y_table
+            y_table = kept_table
+            run_globals["_keep"] = stages.append
+    grow = y_off and not replay  # a replayed run's table is complete
     step_buf = bytearray(8 * 4 * nb)
     buf = np.frombuffer(step_buf)
     s2, s3, s4, s1 = (buf[at * nb - ns:at * nb] for at in (3, 2, 1, 4))
@@ -511,8 +624,8 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray) -> list[list[SimResult]
     namespace = {**_CODEGEN_GLOBALS, **{f"grid{i}": column for i, column in enumerate(grid)},
                  "_reference": functools.partial(_reference, plan, grid, y_table),
                  "ytab": y_table, "_buf": step_buf,
-                 "_pack": struct.Struct(f"{nb - ns}d").pack_into}
-    exec(_compile_source(plan.src, "<cubicobs.sim stage>"), namespace)
+                 "_pack": struct.Struct(f"{nb - ns}d").pack_into, **run_globals}
+    exec(_compile_source(src, "<cubicobs.sim stage>"), namespace)
     stage = namespace["_stage"]
     zeros = np.zeros(ns)
     s1[:] = traj[0]
@@ -522,7 +635,7 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray) -> list[list[SimResult]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             j = 2 * k
-            if y_off:
+            if grow:
                 y_now = s[nz:nz + n_out]
                 y_table += [[0.5 * p + 0.5 * q for p, q in zip(y_table[-1], y_now)], y_now]
             try:
@@ -566,7 +679,7 @@ def _reference(plan: _Plan, grid: list, y_table: list, j: int, s: list[float]) -
     n, n_y, nz, failed = plan.n, plan.n_y, plan.S.shape[1], plan.grid[1]
     y_now = s[nz:nz + len(plan.layout) * n_y]
     out = []
-    for exprs, x_at, y_at, u_slot_lags, y_slot_lags in plan.members:
+    for exprs, x_at, y_at, u_slot_lags, y_slot_lags in plan.stage[0]:
         rows = [j + plan.u_off - 2 * lag if lag in plan.u_lags else None for lag in u_slot_lags]
         for at in rows:
             if at in failed:

@@ -78,6 +78,26 @@ def test_design_with_explicit_L(configs, tmp_path, capsys):
     assert res_dec <= 1e-12
 
 
+def test_design_and_certify_say_when_the_output_error_is_autonomous(configs, tmp_path, capsys):
+    # the bundled design has C E = I, so (I - C E) C = 0; with n_y = 2 > n_g
+    # = 1, C E is a rank-one projector and (I - C E) C != 0
+    multi = tmp_path / "multi.json"
+    multi.write_text(json.dumps({
+        "n": 3, "n_u": 0, "n_y": 2, "n_g": 1,
+        "A": [[-1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -3.0]],
+        "C": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "D": [[1.0], [0.0], [1.0]],
+        "delta": [], "tau": [], "f_u": ["0", "0", "0"], "f_g": ["0"],
+        "f_L": ["0", "0", "0"], "lipschitz": {"gamma": 0.1}}))
+    for config, want in ((configs["nominal"], ["output_error=autonomous"]), (multi, [])):
+        designed = tmp_path / "designed.json"
+        for argv in (["design", "--config", str(config), "--auto-margin", "1",
+                      "--out", str(designed)],
+                     ["certify", "--config", str(designed), "--search-P"]):
+            assert main(argv) == EXIT_OK
+            out = capsys.readouterr().out.splitlines()
+            assert [line for line in out if line.startswith("output_error=")] == want
+
+
 def test_design_auto_margin(configs, tmp_path, capsys):
     out = tmp_path / "auto.json"
     code = main(["design", "--config", str(configs["nominal"]),
@@ -795,6 +815,27 @@ def test_simulate_plan_whose_products_overflow_is_a_config_error(configs, tmp_pa
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.splitlines() == [
         f"error: {product} overflows in the simulation plan"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, product", [
+    (["--x0", "[1e300;0]"], "xhat0 - E C x0"),
+    (["--x0", "[0;0]", "--xhat0", "[1e300;1e300]"], "S z0"),
+], ids=["z0", "S-z0"])
+def test_simulate_initial_state_whose_products_overflow_is_a_config_error(
+        configs, tmp_path, capsys, flags, product):
+    # a finite plan and finite x0, xhat0 whose initial joint state overflows
+    # (C x0 = 1e310, or the output error C xhat0): refused by name before any
+    # step, one error line and no numpy warning
+    out = tmp_path / "run.csv"
+    argv = ["simulate", *_config_with(configs, tmp_path, C=[[1e10, 0.0]]), "--t-end", "1",
+            *flags, "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_CONFIG_ERROR
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {product} overflows in the initial state"]
     assert not out.exists()
 
 

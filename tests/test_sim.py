@@ -628,9 +628,12 @@ def test_repeated_runs_compile_each_vector_once(monkeypatch):
     first = simulate(truth, design, obs, cfg)
     # the drive and the stage function
     assert len(compiled) == 2
-    second = simulate(truth, design, obs, cfg)
-    assert len(compiled) == 2
-    assert np.array_equal(first.xhat, second.xhat)
+    # the second run from one x0 compiles the record form of the stage, the
+    # third its replay form, and later runs compile nothing
+    for count in (3, 4, 4):
+        again = simulate(truth, design, obs, cfg)
+        assert len(compiled) == count
+        assert np.array_equal(first.xhat, again.xhat)
 
 
 def test_generated_code_names_only_codegen_globals(monkeypatch, tmp_path):
@@ -646,10 +649,12 @@ def test_generated_code_names_only_codegen_globals(monkeypatch, tmp_path):
     exprlang._compile_source.cache_clear()
     monkeypatch.setattr(exprlang, "compile", recording_compile, raising=False)
     sim.example_study(tmp_path)
-    simulate(*multi_delay_scenario())
+    scenario = multi_delay_scenario()
+    for _ in range(3):  # plain, record and replay forms
+        simulate(*scenario)
     allowed = set(exprlang._CODEGEN_GLOBALS) | {
         "_buf", "_pack", "_reference", "grid0", "grid1", "ytab", "_stage", "_drive",
-        "ArithmeticError", "ValueError", "LookupError", "TypeError"}
+        "_keep", "_replay", "ArithmeticError", "ValueError", "LookupError", "TypeError"}
     functions = []
     while codes:
         code = codes.pop()
@@ -657,7 +662,7 @@ def test_generated_code_names_only_codegen_globals(monkeypatch, tmp_path):
         nested = [c for c in code.co_consts if isinstance(c, types.CodeType)]
         functions += [c.co_name for c in nested]
         codes += nested
-    assert sorted(functions) == ["_drive", "_drive", "_stage", "_stage"]
+    assert sorted(functions) == ["_drive", "_drive"] + ["_stage"] * 4
 
 
 def test_example_study_runs_one_integration(monkeypatch, tmp_path):

@@ -14,10 +14,14 @@ members raised in group order (each truth, then its observers).  A kept
 plan, run again from another initial state, gives what a fresh plan gives,
 bit for bit; other models, step, horizon or drive text build a new one, and
 the kept plans stay within their byte bound, least recently used out first.
+Runs of a kept plan from a repeated initial truth state replay the truths'
+recorded values, and give what a fresh plan gives, failures included.
 """
 
+import gc
 import importlib.util
 import math
+import tracemalloc
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -608,7 +612,7 @@ def test_compare_cubic_linear_reuses_its_linear_twin(monkeypatch):
 
 
 def kept_sizes():
-    return [size for _, size, _ in sim._kept_plans.values()]
+    return [entry[1] for entry in sim._kept_plans.values()]
 
 
 def test_a_kept_plan_goes_with_its_models(monkeypatch):
@@ -632,7 +636,8 @@ def test_a_kept_plan_goes_with_its_models(monkeypatch):
 def test_kept_plans_stay_within_the_byte_bound(monkeypatch):
     # three plans of one size and a bound that holds two: the least recently
     # used goes; a plan larger than the bound runs, is never kept and is
-    # planned again on every call
+    # planned again on every call.  Each call starts the truth from a new
+    # x0, so nothing records until the end, where a recording counts too
     monkeypatch.setattr(sim, "_kept_plans", {})
     (truth, design, obs), cfg = memo_scenario()
     sim.simulate(truth, design, obs, cfg)
@@ -642,11 +647,11 @@ def test_kept_plans_stay_within_the_byte_bound(monkeypatch):
     want = fresh_run(truth, design, obs, big)
     built = plans_built(monkeypatch)
     truths = [truth, one_state_plant("u1 + u2"), one_state_plant("u1 + u2")]
-    for t in (0, 1, 0, 2, 0, 1):  # 1 goes when 2 comes, 2 when 1 comes back; 0 stays
-        sim.simulate(truths[t], design, obs, cfg)
+    for i, t in enumerate((0, 1, 0, 2, 0, 1)):  # 1 goes when 2 comes, 2 when 1 comes back
+        sim.simulate(truths[t], design, obs, replace(cfg, x0=[i / 8]))
         assert sum(kept_sizes()) <= sim._KEPT_PLAN_BYTES
     assert len(built) == 3
-    kept_truths = [refs[0]() for _, _, refs in sim._kept_plans.values()]
+    kept_truths = [entry[2][0]() for entry in sim._kept_plans.values()]
     assert len(kept_truths) == 2 and kept_truths[0] is truth and kept_truths[1] is truths[1]
     for _ in range(2):
         assert_bit_equal(sim.simulate(truth, design, obs, big), want)
@@ -655,6 +660,165 @@ def test_kept_plans_stay_within_the_byte_bound(monkeypatch):
     plan = built[-1]
     assert (len(plan.src) + sum(a.nbytes for a in (plan.S, *plan.P, *plan.grid[0]))
             > sim._KEPT_PLAN_BYTES)
+    # two runs in a row from cfg.x0: the second records, and its bytes push
+    # the least recently used plan out
+    for _ in range(2):
+        sim.simulate(truth, design, obs, cfg)
+    (entry,) = sim._kept_plans.values()
+    assert entry[2][0]() is truth and entry[1] == small + entry[4][3] <= sim._KEPT_PLAN_BYTES
+    # a recording that would pass the bound is never started
+    monkeypatch.setattr(sim, "_KEPT_PLAN_BYTES", small + entry[4][3] - 1)
+    for _ in range(3):
+        sim.simulate(truth, design, obs, replace(cfg, x0=[0.25]))
+        assert kept_sizes() == [small] and sim._kept_plans[key_of(truth)][4] is None
+    assert len(built) == 5
+
+
+def key_of(truth):
+    """The key of the one kept plan whose truth is ``truth``."""
+    (key,) = [k for k, entry in sim._kept_plans.items() if entry[2][0]() is truth]
+    return key
+
+
+def truth_calls(monkeypatch, name="tanh") -> list:
+    """Records each call of the generated code's ``name`` from now on."""
+    calls, fn = [], sim._CODEGEN_GLOBALS[name]
+
+    def counted(v):
+        calls.append(v)
+        return fn(v)
+
+    monkeypatch.setattr(sim, "_CODEGEN_GLOBALS", {**sim._CODEGEN_GLOBALS, name: counted})
+    return calls
+
+
+def replay_scenario():
+    """``memo_scenario`` with a truth whose ``f_L`` alone calls ``tanh`` and a
+    design whose expressions read no state."""
+    (_, design, obs), cfg = memo_scenario()
+    return (one_state_plant("u1 + u2", "0.5*tanh(x1)"), design, obs), cfg
+
+
+def test_a_third_run_from_one_x0_evaluates_no_truth_expression(monkeypatch):
+    # the first run is plain, the second records, the third and later replay;
+    # every one gives what a fresh plan gives
+    monkeypatch.setattr(sim, "_kept_plans", {})
+    (truth, design, obs), cfg = replay_scenario()
+    cfgs = [replace(cfg, xhat0=[a]) for a in (0.0, 1.0, -2.0, 0.5)]
+    want = [fresh_run(truth, design, obs, c) for c in cfgs]
+    calls = truth_calls(monkeypatch)
+    counts = []
+    for c, w in zip(cfgs, want):
+        assert_bit_equal(sim.simulate(truth, design, obs, c), w)
+        counts.append(len(calls))
+    assert counts == [16, 32, 32, 32]  # 4 stages in each of 4 steps
+    (entry,) = sim._kept_plans.values()
+    assert "tanh" not in entry[4][0] and "_replay()" in entry[4][0]
+    assert len(entry[4][1]) == 16
+
+
+def test_a_replayed_run_that_fails_fails_as_a_fresh_run(monkeypatch):
+    # xhat0 = 1e120 overflows the cubic term in the first stage; 0 * inf
+    # then makes every state nan.  A fresh run blames the truth's expression
+    # in the second stage; the replayed stage, which evaluates no truth and
+    # whose observer reads no state, would not fail until the step's end
+    monkeypatch.setattr(sim, "_kept_plans", {})
+    (truth, design, obs), cfg = replay_scenario()
+    bad = replace(cfg, xhat0=[1e120])
+    want = outcome(lambda: fresh_run(truth, design, obs, bad))
+    assert want == ("expression evaluation failed near t = 0: "
+                    "non-finite value while evaluating (0.5*tanh(x1))")
+    for xhat0 in ([0.0], [1.0]):
+        sim.simulate(truth, design, obs, replace(cfg, xhat0=xhat0))
+    (entry,) = sim._kept_plans.values()
+    assert outcome(lambda: sim._run(entry[0], bad.x0, bad.xhat0, entry[4])).startswith(
+        "state became non-finite")
+    for _ in range(2):
+        assert outcome(lambda: sim.simulate(truth, design, obs, bad)) == want
+        assert sim._kept_plans[key_of(truth)][4] is entry[4]  # kept, still valid
+    assert_bit_equal(sim.simulate(truth, design, obs, cfg), fresh_run(truth, design, obs, cfg))
+
+
+@pytest.mark.parametrize("xs", [[0.5], [0.5, 0.25, -1.0, 2.0]], ids=["run-once", "x0-sweep"])
+def test_runs_from_no_repeated_x0_record_nothing(monkeypatch, xs):
+    monkeypatch.setattr(sim, "_kept_plans", {})
+    (truth, design, obs), cfg = replay_scenario()
+    calls = truth_calls(monkeypatch)
+    for x in xs:
+        sim.simulate(truth, design, obs, replace(cfg, x0=[x]))
+        assert sim._kept_plans[key_of(truth)][4] is None
+    assert len(calls) == 16 * len(xs)
+
+
+def test_a_run_whose_stage_falls_back_records_nothing(monkeypatch):
+    # eight finite terms whose sum overflows send every stage through
+    # evaluate: the run goes on, and its recording is dropped
+    monkeypatch.setattr(sim, "_kept_plans", {})
+    dims = SignalDims(n=4, n_u=0, n_y=1)
+    plant = PlantModel(A=-np.eye(4), C=[[1.0, 0.0, 0.0, 0.0]], D=np.zeros((4, 0)), n_u=0,
+                       f_u=(parse("0", dims),) * 4,
+                       f_L=tuple(parse(f"2.5e307 + 0*x{i}", dims) for i in range(1, 5)))
+    obs = ObserverParams(G=-2.0 * np.eye(4), J=[[0.5], [0.0], [0.0], [0.0]],
+                         E=np.zeros((4, 1)), N=np.zeros((4, 1)), theta=[[1.0]])
+    cfg = SimConfig(h=H, t_end=1.0, x0=[0.0, 1.0, 0.0, 0.0], xhat0=[1.0, 0.0, 0.0, 0.0],
+                    input_signal=())
+    want = fresh_run(plant, plant, obs, cfg)
+    for _ in range(3):
+        assert_bit_equal(sim.simulate(plant, plant, obs, cfg), want)
+        assert sim._kept_plans[key_of(plant)][4] is None
+
+
+def test_a_recording_is_charged_at_least_the_bytes_it_holds(monkeypatch):
+    # two truths with delayed outputs: the charge bounds what tracemalloc
+    # sees freed when the recording is dropped
+    monkeypatch.setattr(sim, "_kept_plans", {})
+    truth, design, observers, cfg = scenario(8, 4, [True, False], (2, 2, 2, 2), steps=200)
+    truths = [truth, other_truth(8, truth)]
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            sim._integrate(truths, design, observers, cfg)
+        ((key, entry),) = sim._kept_plans.items()
+        charged = entry[4][3]
+        assert entry[0].y_off and len(entry[4][1]) == 800 and len(entry[4][2]) > 400
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        sim._kept_plans[key] = entry[:4] + (None,)
+        del entry
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held <= charged
+
+
+SETS = st.integers(0, 1)
+
+
+@settings(max_examples=20)
+@given(calls=st.lists(st.tuples(SETS, st.booleans(), st.integers(0, 2),
+                                st.floats(-3, 3, allow_nan=False)), min_size=1, max_size=10))
+def test_interleaved_simulate_and_compare_replay_bit_equal(calls):
+    # simulate and compare_cubic_linear over two model sets, from repeated and
+    # new x0 and a fresh xhat0 each: plain, recording and replaying runs all
+    # give what a freshly built plan gives
+    sets = model_sets()[:2]
+    with mock.patch.object(sim, "_kept_plans", {}):
+        for i, compare, x, a in calls:
+            truth, design, observers, cfg = sets[i]
+            obs = observers[0]
+            cfg = replace(cfg, x0=(1.0, -0.5, 2.0)[x] * cfg.x0, xhat0=a * cfg.xhat0)
+            if compare:
+                rep = sim.compare_cubic_linear(truth, design, obs, cfg)
+                got = [rep.cubic, rep.linear]
+                twin = replace(obs, N=np.zeros_like(obs.N))
+                want = sim._run(sim._plan([truth], design, [obs, twin], cfg), cfg.x0, cfg.xhat0)[0]
+            else:
+                got = [sim.simulate(truth, design, obs, cfg)]
+                want = [fresh_run(truth, design, obs, cfg)]
+            for g, w in zip(got, want):
+                for field in ("t", "x", "xhat", "y", "jo"):
+                    assert np.array_equal(getattr(g, field), getattr(w, field)), field
 
 
 def test_drive_grid_is_one_read_only_float64_column_per_channel():
