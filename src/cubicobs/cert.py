@@ -213,7 +213,8 @@ def verify_N_condition(P, N, C, theta, alpha: float) -> NConditionResult:
     else:
         classification = "fail"
     theta = as_matrix(theta, "theta")
-    identity_residual = float(np.max(np.abs(M + 2.0 * alpha * (C.T @ theta @ C))))
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite when C' theta C overflows
+        identity_residual = float(np.max(np.abs(M + 2.0 * alpha * (C.T @ theta @ C))))
     return NConditionResult(matrix=M, margin=margin,
                             classification=classification,
                             identity_residual=identity_residual)
@@ -329,7 +330,8 @@ def check_equilibrium_uniqueness(G, N, C, theta,
     kernel of ``G``, or in the kernel of a singular pencil.  All of them are
     examined, so :data:`NO_COUNTEREXAMPLE` is a proof, up to rounding, that
     the origin is the only equilibrium.  A returned :data:`COUNTEREXAMPLE`
-    satisfies ``|G v + (v'C' theta C v) N C v| <= 1e-8 |v|``.  ``opts`` is
+    satisfies ``|G v + (v'C' theta C v) N C v| <= 1e-8 |v|``.
+    ``LinAlgError`` when ``C' theta C`` or ``N C`` overflows.  ``opts`` is
     accepted and ignored.
     """
     G = as_matrix(G, "G")
@@ -338,9 +340,13 @@ def check_equilibrium_uniqueness(G, N, C, theta,
     theta = as_matrix(theta, "theta")
     if G.shape[1] != G.shape[0]:
         raise ValueError("G must be square")
-    K = C.T @ theta @ C
-    K = 0.5 * (K + K.T)
-    NC = N @ C
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        K = C.T @ theta @ C
+        K = 0.5 * K + 0.5 * K.T
+        NC = N @ C
+    for name, M in (("C' theta C", K), ("N C", NC)):
+        if not np.isfinite(M).all():
+            raise np.linalg.LinAlgError(f"{name} overflows")
 
     # a residual too large to square is inf, which fails the bound, unwarned
     with np.errstate(over="ignore"):

@@ -62,8 +62,10 @@ def parse_matrix_flag(text: str) -> np.ndarray:
 def _print_output_error(C, E) -> None:
     """Print ``output_error=autonomous`` when ``(I - C E) C`` is within
     rounding of 0: the output error ``C (x - xhat)`` then obeys an equation
-    that no plant term, mismatch or disturbance enters."""
-    residual = np.max(np.abs(C - (C @ E) @ C))
+    that no plant term, mismatch or disturbance enters.  A residual that
+    overflows prints nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.max(np.abs(C - (C @ E) @ C))
     if residual <= STRUCTURE_RTOL * max(1.0, np.max(np.abs(C)), np.max(np.abs(E))):
         print("output_error=autonomous")
 

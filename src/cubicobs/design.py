@@ -80,12 +80,16 @@ class StructuralDesign:
 
 
 def decoupling_feasible(C, D) -> bool:
-    """True iff ``rank(C D) == rank(D)``."""
+    """True iff ``rank(C D) == rank(D)``; ``LinAlgError`` when ``C D`` overflows."""
     C = as_matrix(C, "C")
     D = as_matrix(D, "D")
     if C.shape[1] != D.shape[0]:
         raise ValueError(f"C has {C.shape[1]} columns but D has {D.shape[0]} rows")
-    return mat_rank(C @ D) == mat_rank(D)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        CD = C @ D
+    if not np.isfinite(CD).all():
+        raise np.linalg.LinAlgError("C D overflows")
+    return mat_rank(CD) == mat_rank(D)
 
 
 def compute_E(C, D) -> np.ndarray:
@@ -116,16 +120,20 @@ def design_GJ(A, C, E, L, D) -> StructuralDesign:
 
     The returned residuals, of the consistency identity and of the
     decoupling ``(I - E C) D = 0``, come from :func:`verify_structure`, not
-    from the construction itself.
+    from the construction itself.  ``LinAlgError`` when ``G`` or ``J``
+    overflows.
     """
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
     E = as_matrix(E, "E")
     L = as_matrix(L, "L")
-    n = A.shape[0]
-    T = np.eye(n) - E @ C
-    G = T @ A - L @ C
-    J = T @ A @ E + L @ (np.eye(C.shape[0]) - C @ E)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        T = np.eye(A.shape[0]) - E @ C
+        G = T @ A - L @ C
+        J = T @ A @ E + L @ (np.eye(C.shape[0]) - C @ E)
+    for name, M in (("G = T A - L C", G), ("J = T A E + L (I - C E)", J)):
+        if not np.isfinite(M).all():
+            raise np.linalg.LinAlgError(f"{name} overflows")
     res_syl, res_dec = verify_structure(A, C, D, E, G, J)
     return StructuralDesign(E=E, G=G, J=J, L=L,
                             residual_sylvester=res_syl, residual_decoupling=res_dec)

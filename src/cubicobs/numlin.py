@@ -62,7 +62,8 @@ def definiteness_margin(S) -> float:
     S = as_matrix(S)
     if S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
+    # halves first: S + S^T can overflow where S is finite
+    return float(np.linalg.eigvalsh(0.5 * S + 0.5 * S.T)[-1])
 
 
 def psd_violation(S, name: str) -> str | None:
@@ -80,12 +81,15 @@ def psd_violation(S, name: str) -> str | None:
 
 
 def _frobenius_norm(M, scale: float = 1.0) -> float:
-    """``scale |M|_F``, through ``M / max|M|`` where the sum of squares overflows."""
+    """``scale |M|_F``, through ``M / max|M|`` where the sum of squares
+    overflows; ``inf`` when ``M`` is not finite."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(M))
     if norm < np.inf:
         return scale * norm
     top = float(np.max(np.abs(M)))
+    if not top < np.inf:
+        return np.inf
     return scale * top * float(np.linalg.norm(M / top))
 
 

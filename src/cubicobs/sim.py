@@ -25,15 +25,14 @@ observer objects (compared by identity; they are frozen) with the same step,
 horizon and drive text runs its kept plan again from its own initial state
 without planning anew.
 
-The second run in a row of a kept plan from the same initial truth state
-``x0`` records its truths' values at every stage and its delayed-output
-table; the plan's later runs from that ``x0`` replay them instead of
-evaluating the truths, whatever ``xhat0`` is.  A recording is charged
-against the same bound, ``64 + 32 V`` bytes per stage call for ``V`` truth
-values and ``144 + 40 n_out`` per table row (see :func:`_recording`); one
-that would not fit is never started.  A fresh plan, a run from a new ``x0``
-and a replayed run that fails run the plain stage, so every failure is the
-one a fresh plan's run reports."""
+The second run in a row of a kept plan of one truth from the same initial
+truth state ``x0`` copies the truth's values out of the step buffer after
+each step and keeps its delayed-output table; the plan's later runs from
+that ``x0`` write them back instead of evaluating the truth, whatever
+``xhat0`` is.  A recording is charged against the same bound (see
+:func:`_recording`); one that would not fit is never started.  Every run
+but a replayed one runs the plain stage, and a replayed run that fails runs
+again, so every failure is the one a fresh plan's run reports."""
 
 from __future__ import annotations
 
@@ -207,7 +206,7 @@ def _slot_lags(plant: PlantModel, h: float) -> tuple[list[int], ...]:
 
 
 def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
-                  check_drive: bool = False, form: str = "plain") -> tuple:
+                  check_drive: bool = False, replay: bool = False) -> tuple:
     """Source of ``_stage(j, s, o)``, which writes the ``f`` of the stage at
     position ``j`` (each member's values, then the cubic terms) into ``_buf``
     at byte ``o``, the lags it reads from the drive and ``ytab`` and their offsets.
@@ -230,14 +229,11 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
     samples are finite but failed ones, which are nan: ``check_drive`` adds
     every drive sample read to the finiteness check.
 
-    ``form`` is ``"plain"``, ``"record"`` or ``"replay"``.  The truths are
-    the members whose state sits in ``z`` (``x_at < nz``), and their values
-    but literals, in group order, are the stage's *truth values*.  The
-    record form is the plain one that also passes each call's truth values
-    to ``_keep`` as one tuple, or ``None`` when the call falls back.  The
-    replay form takes that tuple from ``_replay()`` instead of evaluating
-    the truths, and checks only the other members; its offsets and lags are
-    still those of every member's reads.
+    The ``replay`` form is for a plan of one truth, whose values lead ``f``:
+    it evaluates no truth and writes only the values after the truth's, at
+    byte ``o``, falling back to ``_tail``, the reference's values of the
+    other members.  Its offsets and lags are still those of every member's
+    reads.
     """
     loads: dict[tuple, str] = {}  # (table, lag, index) -> local, in order of first use
     read: dict[str, set] = {"s": set(), "grid": set(), "ytab": set()}  # lags, by any member
@@ -248,9 +244,8 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
 
     lines: dict[str, str] = {}
     results: list[str] = []
-    recorded: list[str] = []  # the truth values' locals, or replayed names
     for exprs, x_at, y_at, u_slot_lags, y_slot_lags in members:
-        truth, replayed = x_at < nz, x_at < nz and form == "replay"
+        replayed = replay and x_at < nz
 
         def bind(ref):
             i = ref.index - 1
@@ -262,12 +257,8 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
             return load(("ytab", lag, y_at + i) if lag else ("s", 0, nz + y_at + i), replayed)
         # a replayed truth is emitted only for its reads, into lines of its own
         values = [_emit(e, {} if replayed else lines, bind) for e in exprs]
-        if truth and form != "plain":
-            for k, value in enumerate(values):
-                if not value.startswith("("):
-                    values[k] = f"p{len(recorded)}" if replayed else value
-                    recorded.append(values[k])
-        results += values
+        if not replayed:
+            results += values
     # (e' theta e) e, summed as the loop "q += e_a theta_ab e_b" sums it
     cubic_lines, cubic = [], []
     for m, (e_at, theta_rows) in enumerate(cubic_at):
@@ -282,26 +273,21 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
     state = {i: name for (table, _, i), name in loads.items() if table == "s"}
     targets = ", ".join(state.get(i, "_") for i in range(ns))
     unpack = [f"[{targets}] = s"] if state else []
-    if form == "replay":
-        unpack.append(f"[{', '.join(recorded)}] = _replay()")
     signals = {name: (f"{name} = grid{i}[j + {offset[table] - 2 * lag}]" if table == "grid"
                       else f"{name} = ytab[j + {offset[table] - 2 * lag}][{i}]")
                for (table, lag, i), name in loads.items() if table != "s"}
-    # literals, drive samples (unless told), output-table rows and replayed
-    # values are finite, a stage input need not be
-    check = [r for r in results if not r.startswith("(") and r not in signals
-             and not (form == "replay" and r in recorded)]
+    # literals, drive samples (unless told) and output-table rows are finite,
+    # a stage input need not be
+    check = [r for r in results if not r.startswith("(") and r not in signals]
     if check_drive:
         check += [name for (table, _, _), name in loads.items() if table == "grid"]
-    fast = f"return _pack(_buf, o, {', '.join(results + cubic)})"
-    slow = f"return _pack(_buf, o, {', '.join(['*_reference(j, s)'] + cubic)})"
-    if form == "record":
-        fast = f"_keep(({''.join(f'{r}, ' for r in recorded)})); {fast}"
-        slow = f"_keep(None); {slow}"
+    reference = "_tail" if replay else "_reference"
     src = _guarded_source(
         "def _stage(j, s, o):",
         unpack + cubic_lines + [*signals.values()]
-        + [f"{name} = {rhs}" for rhs, name in lines.items()], check, fast, slow)
+        + [f"{name} = {rhs}" for rhs, name in lines.items()], check,
+        f"return _pack(_buf, o, {', '.join(results + cubic)})",
+        f"return _pack(_buf, o, {', '.join([f'*{reference}(j, s)'] + cubic)})")
     return src, read["grid"], read["ytab"], offset["grid"], offset["ytab"]
 
 
@@ -340,9 +326,8 @@ _KEPT_PLAN_BYTES = 32 * 2**20
 # x0, recording): refs are weak references to the key's models, and the first
 # of them to die drops the entry, so a plan goes with its models and a key
 # never names the id of a dead model, which a new object may take.  x0 holds
-# the bytes of the initial state of the plan's last run, recording is
-# _recording's, made by a run from that x0, or None, and bytes counts the
-# plan's and the recording's.
+# the bytes of the initial state of the plan's last run, recording is a
+# filled _recording from that x0, or None, and bytes counts both.
 _kept_plans: dict = {}
 
 
@@ -361,11 +346,12 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
     themselves when built; here each observer must fit ``design``.
 
     No truth reads an observer, so runs of one plan from one ``x0`` share
-    their truths' values.  A kept plan's second run in a row from the same
-    ``x0`` records them (see :func:`_recording` for its bytes), and its
-    later runs from that ``x0`` replay the recording instead of evaluating
-    the truths; a run from another ``x0`` drops it.  A replayed run that
-    fails runs again without it, so it fails as a fresh plan's run does.
+    their truth's values.  A kept plan of one truth records them in its
+    second run in a row from the same ``x0`` (see :func:`_recording` for
+    its bytes), and its later runs from that ``x0`` replay the recording
+    instead of evaluating the truth; a run from another ``x0`` drops it, and
+    a recording run that fails keeps none.  A replayed run that fails runs
+    again without it, so it fails as a fresh plan's run does.
     """
     # the drive by its text, which tells "-0.0" from "0.0" as tree == does not
     key = (tuple(map(id, truths)), id(design), tuple(map(id, observers)), linear_twin,
@@ -394,9 +380,8 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
                 pass  # run again without it, to raise what a fresh plan's run raises
         return _run(plan, cfg.x0, cfg.xhat0, None if replay else recording)
     finally:
-        if recording is not None and not replay and (
-                len(recording[1]) < 4 * plan.steps or None in recording[1]):
-            recording = None  # a failed run, or one whose stage fell back, keeps none
+        if recording is not None and recording[1].flags.writeable:
+            recording = None  # filled only by a run that completed
         if size <= _KEPT_PLAN_BYTES:  # a larger plan's run dwarfs its planning
             _kept_plans[key] = plan, size + (recording[3] if recording else 0), refs, x0, recording
             total = sum(entry[1] for entry in _kept_plans.values())
@@ -544,26 +529,26 @@ def _drive_grid(exprs: tuple, u_off: int, steps: int, h: float) -> tuple:
 
 
 def _recording(plan: _Plan, room: int) -> tuple | None:
-    """An empty recording of ``plan``'s truths, ``(src, stages, y_table,
-    nbytes)``, for :func:`_run` to fill, or ``None`` when its bytes would
-    pass ``room``.  ``src`` is the replay form of the plan's stage source.
+    """An empty recording of ``plan``'s one truth, ``(src, values, y_table,
+    nbytes)``, for :func:`_run` to fill, or ``None`` when the plan has
+    several truths or the recording's bytes would pass ``room``.
 
-    A filled recording holds one tuple of the truth values per stage call,
-    ``4 steps`` of them, and the run's delayed-output table, one row per half
-    step; ``nbytes`` bounds what they hold.  Each float takes 24 bytes and
-    each tuple or row list at most 64 bytes and 8 per entry, more than
-    CPython's object headers, list slots and over-allocation; a recording of
-    ``V`` truth values and ``n_out`` outputs is charged ``64 + 32 V`` bytes per
-    stage call, ``144 + 40 n_out`` per table row, ``512`` and ``src``.
+    ``src`` is the replay form of the plan's stage source, ``values`` a
+    writeable float64 array of one row per step, the truth's ``V`` values in
+    each of the step's four stages, which :func:`_run` makes read-only once
+    filled, and ``y_table`` a list for the run's delayed-output table.
+    ``nbytes`` is ``values.nbytes``, ``144 + 40 n_y`` per table row (more
+    than a row list's header, slot and floats), ``512`` and ``src``.
     """
+    if len(plan.layout) != 1:
+        return None
     members, cubic_at = plan.stage
     ns, nz = plan.S.shape
-    src = _stage_source(members, cubic_at, nz, plan.n_y, ns, bool(plan.grid[1]), "replay")[0]
-    values = sum(len(exprs) for exprs, x_at, *_ in members if x_at < nz)
+    src = _stage_source(members, cubic_at, nz, plan.n_y, ns, bool(plan.grid[1]), True)[0]
+    shape = (plan.steps, 4 * len(members[0][0]))
     rows = plan.y_off and plan.y_off - 1 + 2 * plan.steps
-    nbytes = (512 + len(src) + 4 * plan.steps * (64 + 32 * values)
-              + rows * (144 + 40 * len(plan.layout) * plan.n_y))
-    return (src, [], [], nbytes) if nbytes <= room else None
+    nbytes = 512 + len(src) + 8 * shape[0] * shape[1] + rows * (144 + 40 * plan.n_y)
+    return (src, np.empty(shape), [], nbytes) if nbytes <= room else None
 
 
 def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
@@ -573,13 +558,13 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
     Each RK4 stage is one generated call and one product of ``plan.P``; a
     stage whose expression fails re-runs through :func:`_reference`.
 
-    With an empty ``recording`` (see :func:`_recording`), the run records
-    into it: the record form appends each stage call's truth values, or
-    ``None`` when the call fell back, and the run's delayed-output table is
-    kept.  A filled one is replayed, and must come from a run from this
-    ``x0``: its stage source reads the truth values instead of evaluating the
-    truths, and the run reads the kept table instead of growing its own.
-    An initial state whose products overflow is refused by name."""
+    With an empty ``recording`` (see :func:`_recording`), the run copies the
+    truth's values out of the step buffer into it after each step and keeps
+    its delayed-output table.  A filled one, which must come from a run from
+    this ``x0``, is replayed: each step's row is written back before the
+    step's stages, which evaluate no truth, and the kept table is read
+    instead of grown.  An initial state whose products overflow is refused
+    by name."""
     for name, v in (("x0", x0), ("xhat0", xhat0)):
         if v.shape != (plan.n,):
             raise ConfigError(f"{name}: expected {plan.n} entries, got {v.shape}")
@@ -603,28 +588,33 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
     # truth's y at the grid for even m and the mean of its neighbours (linear
     # interpolation) for odd m, and y(0) before t = 0.
     y_table = [s[nz:nz + n_out]] * (y_off - 1)
-    src, replay, run_globals = plan.src, False, {}
+    src, record, replay = plan.src, False, False
     if recording is not None:
-        replay_src, stages, kept_table, _ = recording
-        replay = bool(stages)
+        replay_src, values, kept_table, _ = recording
+        record = values.flags.writeable  # empty, else filled
+        replay = not record
         if replay:
             src, y_table = replay_src, kept_table
-            run_globals["_replay"] = iter(stages).__next__
         else:
-            src = _stage_source(*plan.stage, nz, n_y, ns, bool(plan.grid[1]), "record")[0]
             kept_table += y_table
             y_table = kept_table
-            run_globals["_keep"] = stages.append
     grow = y_off and not replay  # a replayed run's table is complete
     step_buf = bytearray(8 * 4 * nb)
     buf = np.frombuffer(step_buf)
     s2, s3, s4, s1 = (buf[at * nb - ns:at * nb] for at in (3, 2, 1, 4))
     tail1, tail2, tail3 = buf[3 * nb:], buf[2 * nb:], buf[nb:]  # from f1, f2, f3 on
+    # f_k sits at entry (4 - k) nb, led by the first truth's values, which a
+    # replayed stage skips
+    lead = len(plan.stage[0][0][0])
+    truth_at = (nb * np.arange(4)[:, None] + np.arange(lead)).ravel()
+    o1, o2, o3, o4 = (8 * (at * nb + replay * lead) for at in (3, 2, 1, 0))
     grid = [column.tolist() for column in plan.grid[0]]
+    reference = functools.partial(_reference, plan, grid, y_table)
     namespace = {**_CODEGEN_GLOBALS, **{f"grid{i}": column for i, column in enumerate(grid)},
-                 "_reference": functools.partial(_reference, plan, grid, y_table),
+                 "_reference": functools.partial(reference, 0),
+                 "_tail": functools.partial(reference, 1),
                  "ytab": y_table, "_buf": step_buf,
-                 "_pack": struct.Struct(f"{nb - ns}d").pack_into, **run_globals}
+                 "_pack": struct.Struct(f"{nb - ns - replay * lead}d").pack_into}
     exec(_compile_source(src, "<cubicobs.sim stage>"), namespace)
     stage = namespace["_stage"]
     zeros = np.zeros(ns)
@@ -638,15 +628,19 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
             if grow:
                 y_now = s[nz:nz + n_out]
                 y_table += [[0.5 * p + 0.5 * q for p, q in zip(y_table[-1], y_now)], y_now]
+            if replay:
+                buf[truth_at] = values[k]
             try:
-                stage(j, s, 24 * nb)  # f_k sits at byte 8 (4 - k) nb
-                stage(j + 1, P1.dot(tail1, out=s2).tolist(), 16 * nb)
-                stage(j + 1, P2.dot(tail2, out=s3).tolist(), 8 * nb)
-                stage(j + 2, P3.dot(tail3, out=s4).tolist(), 0)
+                stage(j, s, o1)
+                stage(j + 1, P1.dot(tail1, out=s2).tolist(), o2)
+                stage(j + 1, P2.dot(tail2, out=s3).tolist(), o3)
+                stage(j + 2, P3.dot(tail3, out=s4).tolist(), o4)
             except ExprEvalError as exc:
                 raise SimulationError(
                     f"expression evaluation failed near t = {k * h:.6g}: {exc}"
                 ) from exc
+            if record:
+                values[k] = buf[truth_at]
             s_new = step_end.dot(buf, out=traj[k + 1])
             s = s_new.tolist()
             # a finite sum proves s_new finite; finite entries can overflow it,
@@ -656,6 +650,8 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
                     f"state became non-finite at t = {(k + 1) * h:.6g} (step {k + 1})"
                 )
             s1[:] = s_new
+    if record:
+        values.flags.writeable = False  # filled
 
     groups = []
     for C, x, placed in plan.layout:
@@ -671,15 +667,17 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
     return groups
 
 
-def _reference(plan: _Plan, grid: list, y_table: list, j: int, s: list[float]) -> list[float]:
-    """The members' values at stage position ``j`` from ``s``, through
-    :func:`~cubicobs.exprlang.evaluate` in group order: raises the tree walk's
-    error where the generated code failed, a failed drive sample included.
-    ``grid`` holds the plan's drive columns as float lists."""
+def _reference(plan: _Plan, grid: list, y_table: list, first: int, j: int,
+               s: list[float]) -> list[float]:
+    """The values of the members from ``plan.stage[0][first]`` on at stage
+    position ``j`` from ``s``, through :func:`~cubicobs.exprlang.evaluate`
+    in group order: raises the tree walk's error where the generated code
+    failed, a failed drive sample included.  ``grid`` holds the plan's drive
+    columns as float lists."""
     n, n_y, nz, failed = plan.n, plan.n_y, plan.S.shape[1], plan.grid[1]
     y_now = s[nz:nz + len(plan.layout) * n_y]
     out = []
-    for exprs, x_at, y_at, u_slot_lags, y_slot_lags in plan.stage[0]:
+    for exprs, x_at, y_at, u_slot_lags, y_slot_lags in plan.stage[0][first:]:
         rows = [j + plan.u_off - 2 * lag if lag in plan.u_lags else None for lag in u_slot_lags]
         for at in rows:
             if at in failed:

@@ -20,6 +20,7 @@ from cubicobs.cli import (
     EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
+    _print_output_error,
     build_parser,
     main,
     parse_matrix_flag,
@@ -587,7 +588,14 @@ RICCATI_OVERFLOWS = ("error: filter Riccati equation has no solution: the Hamilt
     # |C|^2 overflows: every mode is observable, and no verdict is proven
     ({"C": [[1e155, 0.0]]}, ["design", "--auto-margin", "3"], RICCATI_OVERFLOWS),
     ({"C": [[1e308, 0.0]]}, ["design", "--auto-margin", "3"], RICCATI_OVERFLOWS),
-], ids=["A-design", "C-search", "N-check", "C-tiny-design", "C-1e155-design", "C-1e308-design"])
+    ({"D": [[-1.0], [1e155]]}, ["design", "--auto-margin", "3"],
+     "error: J = T A E + L (I - C E) overflows"),
+    ({"C": [[1.0, 1e308]], "D": [[-1.0], [1e200]]}, ["design", "--auto-margin", "3"],
+     "error: C D overflows"),
+    ({"C": [[1e200, 0.0]], "observer": {**NOMINAL_OBSERVER, "theta": [[1e10]]}},
+     ["certify", "--check-only"], "error: C' theta C overflows"),
+], ids=["A-design", "C-search", "N-check", "C-tiny-design", "C-1e155-design", "C-1e308-design",
+        "D-1e155-design", "CD-design", "C-theta-check"])
 def test_linear_algebra_on_overflowing_matrices_is_a_numerical_failure(
         configs, tmp_path, capsys, change, command, message):
     # finite input whose products overflow: a numerical failure, no warning
@@ -602,6 +610,33 @@ def test_linear_algebra_on_overflowing_matrices_is_a_numerical_failure(
         assert main(argv) == EXIT_NUMERICAL_FAILURE
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_output_error_residual_that_overflows_prints_nothing(capsys):
+    # C E overflows: no output_error line, and no warning
+    _print_output_error(np.array([[1e200, 0.0]]), np.array([[1e200], [0.0]]))
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", [["certify", "--check-only"], ["simulate", "--t-end", "1"]],
+                         ids=lambda c: c[0])
+def test_a_cubic_weight_near_the_float_range_runs_unwarned(configs, tmp_path, capsys, command):
+    # theta = 1e308: its symmetric part, C' theta C and the simulation stay
+    # finite, and no command warns of an overflow on the way
+    doc = json.loads(configs["nominal"].read_text())
+    doc["observer"]["theta"] = [[1e308]]
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(doc))
+    argv = [command[0], "--config", str(path), *command[1:]]
+    if command[0] == "simulate":
+        argv += ["--out", str(tmp_path / "run.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_OK
+    assert [str(w.message) for w in caught] == []
+    out = capsys.readouterr().out
+    assert ("equilibrium=no-counterexample" in out if command[0] == "certify"
+            else out.startswith("jo_end="))
 
 
 @pytest.mark.parametrize("command", [["certify", "--check-only"], ["simulate", "--t-end", "0.1"]],

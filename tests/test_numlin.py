@@ -9,6 +9,7 @@ from scipy.linalg import solve_continuous_are
 from cubicobs.cert import _gamma_star
 from cubicobs.numlin import (
     _care,
+    _frobenius_norm,
     as_matrix,
     definiteness_margin,
     mat_rank,
@@ -74,10 +75,26 @@ def test_definiteness_margin_needs_a_square_matrix():
         definiteness_margin(np.ones((2, 3)))
 
 
+def test_definiteness_margin_of_a_matrix_near_the_float_range():
+    # S + S^T overflows where S does not: the halves are summed instead,
+    # unwarned, and a sum that fits gives the bits it gave before
+    assert definiteness_margin([[1e308]]) == 1e308
+    assert definiteness_margin([[-1e308, 1e308], [0.0, -1e308]]) == -0.5e308
+    S = np.array([[0.3, 0.7], [0.1, -0.9]])
+    assert definiteness_margin(S) == float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
+
+
 def test_definiteness_margin_signs():
     assert definiteness_margin(np.diag([-1.0, -2.0])) == pytest.approx(-1.0)
     assert definiteness_margin(np.diag([-1.0, 0.5])) == pytest.approx(0.5)
     assert definiteness_margin(np.zeros((2, 2))) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_frobenius_norm_of_a_non_finite_matrix_is_inf(bad):
+    assert _frobenius_norm(np.array([[1.0, bad]]), 1e-9) == np.inf
+    # the scaled path still serves a finite matrix whose squares overflow
+    assert _frobenius_norm(np.array([[3e200, 4e200]]), 0.5) == pytest.approx(2.5e200, rel=1e-15)
 
 
 # --- Riccati kernel -------------------------------------------------------

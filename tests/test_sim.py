@@ -628,9 +628,9 @@ def test_repeated_runs_compile_each_vector_once(monkeypatch):
     first = simulate(truth, design, obs, cfg)
     # the drive and the stage function
     assert len(compiled) == 2
-    # the second run from one x0 compiles the record form of the stage, the
-    # third its replay form, and later runs compile nothing
-    for count in (3, 4, 4):
+    # the second run from one x0 records through the plain stage, the third
+    # compiles its replay form, and later runs compile nothing
+    for count in (2, 3, 3):
         again = simulate(truth, design, obs, cfg)
         assert len(compiled) == count
         assert np.array_equal(first.xhat, again.xhat)
@@ -650,11 +650,11 @@ def test_generated_code_names_only_codegen_globals(monkeypatch, tmp_path):
     monkeypatch.setattr(exprlang, "compile", recording_compile, raising=False)
     sim.example_study(tmp_path)
     scenario = multi_delay_scenario()
-    for _ in range(3):  # plain, record and replay forms
+    for _ in range(3):  # plain, recording and replay runs
         simulate(*scenario)
     allowed = set(exprlang._CODEGEN_GLOBALS) | {
         "_buf", "_pack", "_reference", "grid0", "grid1", "ytab", "_stage", "_drive",
-        "_keep", "_replay", "ArithmeticError", "ValueError", "LookupError", "TypeError"}
+        "_tail", "ArithmeticError", "ValueError", "LookupError", "TypeError"}
     functions = []
     while codes:
         code = codes.pop()
@@ -662,7 +662,7 @@ def test_generated_code_names_only_codegen_globals(monkeypatch, tmp_path):
         nested = [c for c in code.co_consts if isinstance(c, types.CodeType)]
         functions += [c.co_name for c in nested]
         codes += nested
-    assert sorted(functions) == ["_drive", "_drive"] + ["_stage"] * 4
+    assert sorted(functions) == ["_drive", "_drive"] + ["_stage"] * 3
 
 
 def test_example_study_runs_one_integration(monkeypatch, tmp_path):

@@ -634,15 +634,18 @@ def test_a_kept_plan_goes_with_its_models(monkeypatch):
 
 
 def test_kept_plans_stay_within_the_byte_bound(monkeypatch):
-    # three plans of one size and a bound that holds two: the least recently
-    # used goes; a plan larger than the bound runs, is never kept and is
-    # planned again on every call.  Each call starts the truth from a new
-    # x0, so nothing records until the end, where a recording counts too
+    # three plans of one size and a bound that holds two, but not two and a
+    # recording: the least recently used goes; a plan larger than the bound
+    # runs, is never kept and is planned again on every call.  Each call
+    # starts the truth from a new x0, so nothing records until the end, where
+    # a recording counts too
     monkeypatch.setattr(sim, "_kept_plans", {})
     (truth, design, obs), cfg = memo_scenario()
     sim.simulate(truth, design, obs, cfg)
-    small = kept_sizes()[0]
-    monkeypatch.setattr(sim, "_KEPT_PLAN_BYTES", 2 * small + small // 2)
+    ((plan, small, *_),) = sim._kept_plans.values()
+    charge = sim._recording(plan, sim._KEPT_PLAN_BYTES)[3]
+    assert charge < small
+    monkeypatch.setattr(sim, "_KEPT_PLAN_BYTES", 2 * small + charge // 2)
     big = replace(cfg, t_end=400 * H)
     want = fresh_run(truth, design, obs, big)
     built = plans_built(monkeypatch)
@@ -713,8 +716,9 @@ def test_a_third_run_from_one_x0_evaluates_no_truth_expression(monkeypatch):
         counts.append(len(calls))
     assert counts == [16, 32, 32, 32]  # 4 stages in each of 4 steps
     (entry,) = sim._kept_plans.values()
-    assert "tanh" not in entry[4][0] and "_replay()" in entry[4][0]
-    assert len(entry[4][1]) == 16
+    assert "tanh" not in entry[4][0] and "_tail(j, s)" in entry[4][0]
+    # the truth's two values in each of 4 stages, in each of 4 steps
+    assert entry[4][1].shape == (4, 8) and not entry[4][1].flags.writeable
 
 
 def test_a_replayed_run_that_fails_fails_as_a_fresh_run(monkeypatch):
@@ -750,9 +754,11 @@ def test_runs_from_no_repeated_x0_record_nothing(monkeypatch, xs):
     assert len(calls) == 16 * len(xs)
 
 
-def test_a_run_whose_stage_falls_back_records_nothing(monkeypatch):
+def test_a_run_whose_stage_falls_back_records_and_replays(monkeypatch):
     # eight finite terms whose sum overflows send every stage through
-    # evaluate: the run goes on, and its recording is dropped
+    # evaluate: the run goes on and records what evaluate gave.  The replayed
+    # stage checks only the observer's four terms, whose sum is finite, so
+    # the third run evaluates nothing
     monkeypatch.setattr(sim, "_kept_plans", {})
     dims = SignalDims(n=4, n_u=0, n_y=1)
     plant = PlantModel(A=-np.eye(4), C=[[1.0, 0.0, 0.0, 0.0]], D=np.zeros((4, 0)), n_u=0,
@@ -763,24 +769,30 @@ def test_a_run_whose_stage_falls_back_records_nothing(monkeypatch):
     cfg = SimConfig(h=H, t_end=1.0, x0=[0.0, 1.0, 0.0, 0.0], xhat0=[1.0, 0.0, 0.0, 0.0],
                     input_signal=())
     want = fresh_run(plant, plant, obs, cfg)
+    calls = []
+    monkeypatch.setattr(sim, "evaluate", lambda e, *args: calls.append(e) or evaluate(e, *args))
+    counts = []
     for _ in range(3):
         assert_bit_equal(sim.simulate(plant, plant, obs, cfg), want)
-        assert sim._kept_plans[key_of(plant)][4] is None
+        counts.append(len(calls))
+    per_run = 8 * 4 * 16  # 8 steps of 4 stages, each evaluating all 16 expressions
+    assert counts == [per_run, 2 * per_run, 2 * per_run]
+    recording = sim._kept_plans[key_of(plant)][4]
+    assert not recording[1].flags.writeable and "_tail(j, s)" in recording[0]
 
 
 def test_a_recording_is_charged_at_least_the_bytes_it_holds(monkeypatch):
-    # two truths with delayed outputs: the charge bounds what tracemalloc
-    # sees freed when the recording is dropped
+    # a truth with delayed outputs: the charge bounds what tracemalloc sees
+    # freed when the recording is dropped
     monkeypatch.setattr(sim, "_kept_plans", {})
     truth, design, observers, cfg = scenario(8, 4, [True, False], (2, 2, 2, 2), steps=200)
-    truths = [truth, other_truth(8, truth)]
     tracemalloc.start()
     try:
         for _ in range(2):
-            sim._integrate(truths, design, observers, cfg)
+            sim._integrate([truth], design, observers, cfg)
         ((key, entry),) = sim._kept_plans.items()
         charged = entry[4][3]
-        assert entry[0].y_off and len(entry[4][1]) == 800 and len(entry[4][2]) > 400
+        assert entry[0].y_off and len(entry[4][1]) == 200 and len(entry[4][2]) > 400
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
         sim._kept_plans[key] = entry[:4] + (None,)
@@ -790,6 +802,22 @@ def test_a_recording_is_charged_at_least_the_bytes_it_holds(monkeypatch):
     finally:
         tracemalloc.stop()
     assert 0 < held <= charged
+
+
+def test_a_plan_of_two_truths_records_nothing(monkeypatch):
+    # only a plan of one truth records: three runs of two truths from one x0
+    # keep no recording and give what a fresh plan gives
+    monkeypatch.setattr(sim, "_kept_plans", {})
+    truth, design, observers, cfg = scenario(8, 4, [True, False], (2, 2, 2, 2), steps=20)
+    truths = [truth, other_truth(8, truth)]
+    want = sim._run(sim._plan(truths, design, observers, cfg), cfg.x0, cfg.xhat0)
+    for _ in range(3):
+        got = sim._integrate(truths, design, observers, cfg)
+        for got_group, want_group in zip(got, want, strict=True):
+            for g, w in zip(got_group, want_group, strict=True):
+                assert_bit_equal(g, w)
+        ((plan, _, _, x0, recording),) = sim._kept_plans.values()
+        assert x0 == cfg.x0.tobytes() and recording is None
 
 
 SETS = st.integers(0, 1)
