@@ -128,15 +128,21 @@ def lipschitz_lmi(P, beta: float, gamma: float, G, E, C) -> np.ndarray:
 
 
 def osl_lmi(P, mu1: float, mu2: float, rho: float, a: float, b: float, G, E, C) -> np.ndarray:
-    """Assemble the one-sided-Lipschitz block for given data (no SPD gate)."""
+    """Assemble the one-sided-Lipschitz block for given data (no SPD gate);
+    ``LinAlgError`` when a block overflows."""
     P = as_matrix(P, "P")
     G = as_matrix(G, "G")
     E = as_matrix(E, "E")
     C = as_matrix(C, "C")
     n = G.shape[0]
-    T = np.eye(n) - E @ C
-    S = P @ G + G.T @ P + (mu1 * rho + mu2 * a) * np.eye(n)
-    R = P @ T + 0.5 * (mu2 * b - mu1) * np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        T = np.eye(n) - E @ C
+        S = P @ G + G.T @ P + (mu1 * rho + mu2 * a) * np.eye(n)
+        R = P @ T + 0.5 * (mu2 * b - mu1) * np.eye(n)
+    for name, M in (("P G + G'P + (mu1 rho + mu2 a) I", S),
+                    ("P (I - E C) + (mu2 b - mu1)/2 I", R)):
+        if not np.isfinite(M).all():
+            raise np.linalg.LinAlgError(f"{name} overflows")
     return np.block([[S, R], [R.T, -mu2 * np.eye(n)]])
 
 

@@ -131,6 +131,8 @@ def cmd_certify(args) -> int:
         else:
             margin = cert.verify_lmi_osl(crt.P, crt.mu1, crt.mu2, mode.rho, mode.a,
                                          mode.b, obs.G, obs.E, plant.C)
+    except np.linalg.LinAlgError:
+        raise  # a ValueError too, but a numerical failure, not a verdict
     except ValueError as exc:  # CertificateError, or a multiplier <= 0
         print(f"certificate invalid: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED

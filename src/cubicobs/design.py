@@ -142,7 +142,8 @@ def design_GJ(A, C, E, L, D) -> StructuralDesign:
 def verify_structure(A, C, D, E, G, J) -> tuple[float, float]:
     """Max-abs residuals of the two structural identities.
 
-    Returns ``(|T A - J C - G T|_max, |T D|_max)`` with ``T = I - E C``.
+    Returns ``(|T A - J C - G T|_max, |T D|_max)`` with ``T = I - E C``;
+    ``LinAlgError`` when ``T`` or either residual overflows.
     """
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
@@ -150,10 +151,13 @@ def verify_structure(A, C, D, E, G, J) -> tuple[float, float]:
     E = as_matrix(E, "E")
     G = as_matrix(G, "G")
     J = as_matrix(J, "J")
-    T = np.eye(A.shape[0]) - E @ C
-    res_syl = float(np.max(np.abs(T @ A - J @ C - G @ T)))
-    res_dec = float(np.max(np.abs(T @ D), initial=0.0))
-    return res_syl, res_dec
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        T = np.eye(A.shape[0]) - E @ C
+        syl, dec = T @ A - J @ C - G @ T, T @ D
+    for name, M in (("T = I - E C", T), ("T A - J C - G T", syl), ("T D", dec)):
+        if not np.isfinite(M).all():
+            raise np.linalg.LinAlgError(f"{name} overflows")
+    return float(np.max(np.abs(syl))), float(np.max(np.abs(dec), initial=0.0))
 
 
 def spectral_abscissa(M) -> float:

@@ -26,11 +26,12 @@ horizon and drive text runs its kept plan again from its own initial state
 without planning anew.
 
 The second run in a row of a kept plan of one truth from the same initial
-truth state ``x0`` copies the truth's values out of the step buffer after
-each step and keeps its delayed-output table; the plan's later runs from
-that ``x0`` write them back instead of evaluating the truth, whatever
-``xhat0`` is.  A recording is charged against the same bound (see
-:func:`_recording`); one that would not fit is never started.  Every run
+truth state ``x0`` copies the truth's values and its first observer's
+``f_u``, which reads no state, out of the step buffer after each step and
+keeps its delayed-output table; the plan's later runs from that ``x0``
+write them back instead of evaluating them, whatever ``xhat0`` is.  A
+recording is charged against the same bound (see :func:`_recording`); one
+that would not fit is never started.  Every run
 but a replayed one runs the plain stage, and a replayed run that fails runs
 again, so every failure is the one a fresh plan's run reports."""
 
@@ -92,9 +93,9 @@ class SimConfig:
     channel, each as text or as a tree, so one drive on every channel is
     ``(text,) * n_u``; a bare string is refused.  It stores the trees
     :func:`~cubicobs.exprlang.parse_input_signal` builds, as a plant does:
-    text is parsed once, a tree must read back as itself.  Before ``t = 0``
-    the drive is evaluated at negative times and the output is held at
-    ``y(0)``.  A run of more than :data:`MAX_STEPS` steps is refused when it
+    text is parsed once, a tree must read back as itself.  Their text, which
+    keys kept plans, is printed once too.  Before ``t = 0`` the drive is
+    evaluated at negative times and the output is held at ``y(0)``.  A run of more than :data:`MAX_STEPS` steps is refused when it
     starts.  The config is frozen, so a drive becomes generated code only
     after this check; :func:`dataclasses.replace` makes a new config and
     checks it again.
@@ -123,7 +124,8 @@ class SimConfig:
                 drives.append(_read_back(e, SignalDims(0, 0, 0), allow_time=True))
             except ExprError as exc:
                 raise ConfigError(f"input_signal[{i}]: {exc}") from None
-        _assign(self, input_signal=tuple(drives))
+        # the drive's text, which tells "-0.0" from "0.0" as tree == does not
+        _assign(self, input_signal=tuple(drives), _drive_text=tuple(map(unparse, drives)))
 
     __eq__ = _eq_fields
 
@@ -206,7 +208,7 @@ def _slot_lags(plant: PlantModel, h: float) -> tuple[list[int], ...]:
 
 
 def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
-                  check_drive: bool = False, replay: bool = False) -> tuple:
+                  check_drive: bool = False, replay: int = 0) -> tuple:
     """Source of ``_stage(j, s, o)``, which writes the ``f`` of the stage at
     position ``j`` (each member's values, then the cubic terms) into ``_buf``
     at byte ``o``, the lags it reads from the drive and ``ytab`` and their offsets.
@@ -229,11 +231,12 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
     samples are finite but failed ones, which are nan: ``check_drive`` adds
     every drive sample read to the finiteness check.
 
-    The ``replay`` form is for a plan of one truth, whose values lead ``f``:
-    it evaluates no truth and writes only the values after the truth's, at
-    byte ``o``, falling back to ``_tail``, the reference's values of the
-    other members.  Its offsets and lags are still those of every member's
-    reads.
+    The replay form, ``replay > 0``, is for a plan of one truth, whose values
+    lead ``f``, followed by its first observer's ``f_u``: it evaluates none
+    of the first ``replay`` values and writes only those after them, at byte
+    ``o``, falling back to the reference's values of the members after the
+    truth, ``_tail``, less the replayed ones.  Its offsets and lags are
+    still those of every member's reads.
     """
     loads: dict[tuple, str] = {}  # (table, lag, index) -> local, in order of first use
     read: dict[str, set] = {"s": set(), "grid": set(), "ytab": set()}  # lags, by any member
@@ -244,8 +247,9 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
 
     lines: dict[str, str] = {}
     results: list[str] = []
-    for exprs, x_at, y_at, u_slot_lags, y_slot_lags in members:
-        replayed = replay and x_at < nz
+    for at, (e, (_, x_at, y_at, u_slot_lags, y_slot_lags)) in enumerate(
+            (e, member) for member in members for e in member[0]):
+        replayed = at < replay
 
         def bind(ref):
             i = ref.index - 1
@@ -255,10 +259,10 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
                 return load(("grid", u_slot_lags[ref.slot], i), replayed)
             lag = y_slot_lags[ref.slot]
             return load(("ytab", lag, y_at + i) if lag else ("s", 0, nz + y_at + i), replayed)
-        # a replayed truth is emitted only for its reads, into lines of its own
-        values = [_emit(e, {} if replayed else lines, bind) for e in exprs]
+        # a replayed value is emitted only for its reads, into lines of its own
+        value = _emit(e, {} if replayed else lines, bind)
         if not replayed:
-            results += values
+            results.append(value)
     # (e' theta e) e, summed as the loop "q += e_a theta_ab e_b" sums it
     cubic_lines, cubic = [], []
     for m, (e_at, theta_rows) in enumerate(cubic_at):
@@ -281,13 +285,13 @@ def _stage_source(members, cubic_at, nz: int, n_y: int, ns: int,
     check = [r for r in results if not r.startswith("(") and r not in signals]
     if check_drive:
         check += [name for (table, _, _), name in loads.items() if table == "grid"]
-    reference = "_tail" if replay else "_reference"
+    reference = f"_tail(j, s)[{replay - len(members[0][0])}:]" if replay else "_reference(j, s)"
     src = _guarded_source(
         "def _stage(j, s, o):",
         unpack + cubic_lines + [*signals.values()]
         + [f"{name} = {rhs}" for rhs, name in lines.items()], check,
         f"return _pack(_buf, o, {', '.join(results + cubic)})",
-        f"return _pack(_buf, o, {', '.join([f'*{reference}(j, s)'] + cubic)})")
+        f"return _pack(_buf, o, {', '.join([f'*{reference}'] + cubic)})")
     return src, read["grid"], read["ytab"], offset["grid"], offset["ytab"]
 
 
@@ -345,17 +349,18 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
     its observers, the next truth, and so on.  The models checked
     themselves when built; here each observer must fit ``design``.
 
-    No truth reads an observer, so runs of one plan from one ``x0`` share
-    their truth's values.  A kept plan of one truth records them in its
-    second run in a row from the same ``x0`` (see :func:`_recording` for
-    its bytes), and its later runs from that ``x0`` replay the recording
-    instead of evaluating the truth; a run from another ``x0`` drops it, and
-    a recording run that fails keeps none.  A replayed run that fails runs
-    again without it, so it fails as a fresh plan's run does.
+    No truth reads an observer, and no design's ``f_u`` reads a state, so
+    runs of one plan from one ``x0`` share their truth's values and their
+    observers' ``f_u``.  A kept plan of one truth records the truth's and
+    its first observer's in its second run in a row from the same ``x0``
+    (see :func:`_recording` for its bytes), and its later runs from that
+    ``x0`` replay the recording instead of evaluating them; a run from
+    another ``x0`` drops it, and a recording run that fails keeps none.
+    The drive is keyed by the text ``cfg`` printed once.  A replayed run
+    that fails runs again without it, so it fails as a fresh plan's run does.
     """
-    # the drive by its text, which tells "-0.0" from "0.0" as tree == does not
     key = (tuple(map(id, truths)), id(design), tuple(map(id, observers)), linear_twin,
-           cfg.h, cfg.t_end, tuple(map(unparse, cfg.input_signal)))
+           cfg.h, cfg.t_end, cfg._drive_text)
     kept = _kept_plans.pop(key, None)
     if kept is None:
         refs = [weakref.ref(m, lambda _: _kept_plans.pop(key, None))
@@ -534,8 +539,9 @@ def _recording(plan: _Plan, room: int) -> tuple | None:
     several truths or the recording's bytes would pass ``room``.
 
     ``src`` is the replay form of the plan's stage source, ``values`` a
-    writeable float64 array of one row per step, the truth's ``V`` values in
-    each of the step's four stages, which :func:`_run` makes read-only once
+    writeable float64 array of one row per step, the ``V + n`` values that
+    lead ``f`` (the truth's ``V`` and its first observer's ``f_u``) in each
+    of the step's four stages, which :func:`_run` makes read-only once
     filled, and ``y_table`` a list for the run's delayed-output table.
     ``nbytes`` is ``values.nbytes``, ``144 + 40 n_y`` per table row (more
     than a row list's header, slot and floats), ``512`` and ``src``.
@@ -544,8 +550,9 @@ def _recording(plan: _Plan, room: int) -> tuple | None:
         return None
     members, cubic_at = plan.stage
     ns, nz = plan.S.shape
-    src = _stage_source(members, cubic_at, nz, plan.n_y, ns, bool(plan.grid[1]), True)[0]
-    shape = (plan.steps, 4 * len(members[0][0]))
+    lead = len(members[0][0]) + plan.n  # the truth's values, then its first observer's f_u
+    src = _stage_source(members, cubic_at, nz, plan.n_y, ns, bool(plan.grid[1]), lead)[0]
+    shape = (plan.steps, 4 * lead)
     rows = plan.y_off and plan.y_off - 1 + 2 * plan.steps
     nbytes = 512 + len(src) + 8 * shape[0] * shape[1] + rows * (144 + 40 * plan.n_y)
     return (src, np.empty(shape), [], nbytes) if nbytes <= room else None
@@ -559,12 +566,12 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
     stage whose expression fails re-runs through :func:`_reference`.
 
     With an empty ``recording`` (see :func:`_recording`), the run copies the
-    truth's values out of the step buffer into it after each step and keeps
-    its delayed-output table.  A filled one, which must come from a run from
-    this ``x0``, is replayed: each step's row is written back before the
-    step's stages, which evaluate no truth, and the kept table is read
-    instead of grown.  An initial state whose products overflow is refused
-    by name."""
+    values that lead ``f`` out of the step buffer into it after each step
+    and keeps its delayed-output table.  A filled one, which must come from
+    a run from this ``x0``, is replayed: each step's row is written back
+    before the step's stages, which evaluate neither the truth nor the first
+    observer's ``f_u``, and the kept table is read instead of grown.  An
+    initial state whose products overflow is refused by name."""
     for name, v in (("x0", x0), ("xhat0", xhat0)):
         if v.shape != (plan.n,):
             raise ConfigError(f"{name}: expected {plan.n} entries, got {v.shape}")
@@ -588,11 +595,12 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
     # truth's y at the grid for even m and the mean of its neighbours (linear
     # interpolation) for odd m, and y(0) before t = 0.
     y_table = [s[nz:nz + n_out]] * (y_off - 1)
-    src, record, replay = plan.src, False, False
+    src, record, replay, lead = plan.src, False, False, 0
     if recording is not None:
         replay_src, values, kept_table, _ = recording
         record = values.flags.writeable  # empty, else filled
         replay = not record
+        lead = values.shape[1] // 4  # values recorded per stage
         if replay:
             src, y_table = replay_src, kept_table
         else:
@@ -603,10 +611,9 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
     buf = np.frombuffer(step_buf)
     s2, s3, s4, s1 = (buf[at * nb - ns:at * nb] for at in (3, 2, 1, 4))
     tail1, tail2, tail3 = buf[3 * nb:], buf[2 * nb:], buf[nb:]  # from f1, f2, f3 on
-    # f_k sits at entry (4 - k) nb, led by the first truth's values, which a
+    # f_k sits at entry (4 - k) nb, led by the recorded values, which a
     # replayed stage skips
-    lead = len(plan.stage[0][0][0])
-    truth_at = (nb * np.arange(4)[:, None] + np.arange(lead)).ravel()
+    lead_at = (nb * np.arange(4)[:, None] + np.arange(lead)).ravel()
     o1, o2, o3, o4 = (8 * (at * nb + replay * lead) for at in (3, 2, 1, 0))
     grid = [column.tolist() for column in plan.grid[0]]
     reference = functools.partial(_reference, plan, grid, y_table)
@@ -629,7 +636,7 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
                 y_now = s[nz:nz + n_out]
                 y_table += [[0.5 * p + 0.5 * q for p, q in zip(y_table[-1], y_now)], y_now]
             if replay:
-                buf[truth_at] = values[k]
+                buf[lead_at] = values[k]
             try:
                 stage(j, s, o1)
                 stage(j + 1, P1.dot(tail1, out=s2).tolist(), o2)
@@ -640,7 +647,7 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
                     f"expression evaluation failed near t = {k * h:.6g}: {exc}"
                 ) from exc
             if record:
-                values[k] = buf[truth_at]
+                values[k] = buf[lead_at]
             s_new = step_end.dot(buf, out=traj[k + 1])
             s = s_new.tolist()
             # a finite sum proves s_new finite; finite entries can overflow it,

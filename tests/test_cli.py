@@ -594,8 +594,12 @@ RICCATI_OVERFLOWS = ("error: filter Riccati equation has no solution: the Hamilt
      "error: C D overflows"),
     ({"C": [[1e200, 0.0]], "observer": {**NOMINAL_OBSERVER, "theta": [[1e10]]}},
      ["certify", "--check-only"], "error: C' theta C overflows"),
+    ({"observer": {**NOMINAL_OBSERVER, "E": [[1e308], [-1.0]]}}, ["certify", "--check-only"],
+     "error: T A - J C - G T overflows"),
+    ({"observer": {**NOMINAL_OBSERVER, "G": [[-1e308, 0.0], [1.0, -11.0]]}},
+     ["certify", "--check-only"], "error: P G + G'P + (mu1 rho + mu2 a) I overflows"),
 ], ids=["A-design", "C-search", "N-check", "C-tiny-design", "C-1e155-design", "C-1e308-design",
-        "D-1e155-design", "CD-design", "C-theta-check"])
+        "D-1e155-design", "CD-design", "C-theta-check", "E-check", "G-check"])
 def test_linear_algebra_on_overflowing_matrices_is_a_numerical_failure(
         configs, tmp_path, capsys, change, command, message):
     # finite input whose products overflow: a numerical failure, no warning

@@ -14,8 +14,9 @@ members raised in group order (each truth, then its observers).  A kept
 plan, run again from another initial state, gives what a fresh plan gives,
 bit for bit; other models, step, horizon or drive text build a new one, and
 the kept plans stay within their byte bound, least recently used out first.
-Runs of a kept plan from a repeated initial truth state replay the truths'
-recorded values, and give what a fresh plan gives, failures included.
+Runs of a kept plan from a repeated initial truth state replay the truth's
+recorded values and its first observer's ``f_u``, and give what a fresh plan
+gives, failures included.
 """
 
 import gc
@@ -717,8 +718,73 @@ def test_a_third_run_from_one_x0_evaluates_no_truth_expression(monkeypatch):
     assert counts == [16, 32, 32, 32]  # 4 stages in each of 4 steps
     (entry,) = sim._kept_plans.values()
     assert "tanh" not in entry[4][0] and "_tail(j, s)" in entry[4][0]
-    # the truth's two values in each of 4 stages, in each of 4 steps
-    assert entry[4][1].shape == (4, 8) and not entry[4][1].flags.writeable
+    # the truth's two values and the design's one f_u value in each of 4
+    # stages, in each of 4 steps
+    assert entry[4][1].shape == (4, 12) and not entry[4][1].flags.writeable
+
+
+def input_term_design(f_u, tau=()):
+    """A one-state design whose ``f_u`` alone calls ``cos`` and whose ``f_L``
+    alone calls ``sin``, with output delays ``tau``."""
+    dims = SignalDims(n=1, n_u=2, n_y=1, n_tau=len(tau))
+    return PlantModel(A=[[-1.0]], C=[[1.0]], D=np.zeros((1, 0)), n_u=2, tau=tau,
+                      f_u=(parse(f_u, dims),), f_L=(parse("0.25*sin(x1)", dims),))
+
+
+def test_a_replayed_run_evaluates_no_input_term_of_its_observer(monkeypatch):
+    # the design's f_u reads no state, so it is recorded with the truth: a
+    # replayed stage calls only f_L's sin, and gives what a fresh plan gives
+    monkeypatch.setattr(sim, "_kept_plans", {})
+    (truth, _, obs), cfg = replay_scenario()
+    design = input_term_design("0.5*cos(u2) + y1")
+    cfgs = [replace(cfg, xhat0=[a]) for a in (0.0, 1.0, -2.0, 0.5)]
+    want = [fresh_run(truth, design, obs, c) for c in cfgs]
+    f_u_calls, f_L_calls = truth_calls(monkeypatch, "cos"), truth_calls(monkeypatch, "sin")
+    counts = []
+    for c, w in zip(cfgs, want):
+        assert_bit_equal(sim.simulate(truth, design, obs, c), w)
+        counts.append((len(f_u_calls), len(f_L_calls)))
+    assert counts == [(16, 16), (32, 32), (32, 48), (32, 64)]  # 4 stages in each of 4 steps
+    (entry,) = sim._kept_plans.values()
+    assert "cos" not in entry[4][0] and "sin" in entry[4][0]
+    assert "_tail(j, s)[1:]" in entry[4][0]
+
+
+@pytest.mark.parametrize("f_u, tau", [("0.5*tanh(y1@1) + u2", (H,)), ("0.5*cos(y1) + u1", ())],
+                         ids=["delayed-output", "current-output"])
+def test_replayed_input_terms_that_read_outputs_are_bit_equal(monkeypatch, f_u, tau):
+    # runs from one x0: the recorded f_u reads the truth's outputs, now or
+    # from the kept table, which every run from that x0 shares
+    monkeypatch.setattr(sim, "_kept_plans", {})
+    (truth, _, obs), cfg = replay_scenario()
+    design = input_term_design(f_u, tau)
+    for a in (0.0, 1.0, -2.0, 0.5):
+        c = replace(cfg, xhat0=[a])
+        assert_bit_equal(sim.simulate(truth, design, obs, c), fresh_run(truth, design, obs, c))
+    (entry,) = sim._kept_plans.values()
+    assert bool(entry[0].y_off) == bool(tau) and not entry[4][1].flags.writeable
+
+
+def test_replayed_compare_cubic_linear_is_bit_equal(monkeypatch):
+    # two observers: only the first one's f_u is recorded, so the linear twin
+    # still evaluates its own in each replayed stage.  A plain stage computes
+    # the pair's one shared term once
+    monkeypatch.setattr(sim, "_kept_plans", {})
+    (truth, _, obs), cfg = replay_scenario()
+    design = input_term_design("0.5*cos(u2) + y1")
+    twin = replace(obs, N=np.zeros_like(obs.N))
+    cfgs = [replace(cfg, xhat0=[a]) for a in (0.0, 1.0, -2.0, 0.5)]
+    want = [sim._run(sim._plan([truth], design, [obs, twin], c), c.x0, c.xhat0)[0] for c in cfgs]
+    f_u_calls = truth_calls(monkeypatch, "cos")
+    counts = []
+    for c, (cubic, linear) in zip(cfgs, want):
+        rep = sim.compare_cubic_linear(truth, design, obs, c)
+        assert_bit_equal(rep.cubic, cubic)
+        assert_bit_equal(rep.linear, linear)
+        counts.append(len(f_u_calls))
+    assert counts == [16, 32, 48, 64]
+    (entry,) = sim._kept_plans.values()
+    assert entry[4][1].shape == (4, 4 * (2 + 1)) and not entry[4][1].flags.writeable
 
 
 def test_a_replayed_run_that_fails_fails_as_a_fresh_run(monkeypatch):
