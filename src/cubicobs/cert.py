@@ -55,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Certificate, Lipschitz, LipschitzSpec, OneSidedLipschitz
-from .numlin import (_RANK_TOL, _care, _frobenius_norm, _hamiltonian, as_matrix,
-                     definiteness_margin, psd_violation)
+from .numlin import (_RANK_TOL, _care, _finite, _frobenius_norm, _hamiltonian, _Overflow,
+                     as_matrix, definiteness_margin, psd_violation)
 
 __all__ = [
     "CertificateError",
@@ -81,8 +81,7 @@ __all__ = [
 
 def __getattr__(name):
     # benchmark tracing patches cert.minimize by name, so that name resolves,
-    # importing scipy.optimize on demand; ROADMAP item 1 deletes this shim
-    # together with the patch
+    # importing scipy.optimize on demand; ROADMAP item 1a deletes it and the patch
     if name == "minimize":
         from scipy.optimize import minimize
 
@@ -109,13 +108,13 @@ def _spd_check(P) -> np.ndarray:
     P = as_matrix(P, "P")
     if P.shape[0] != P.shape[1]:
         raise CertificateError(f"P must be square, got {P.shape}")
-    asym = float(np.max(np.abs(P - P.T)))
+    asym = 2.0 * float(np.max(np.abs(0.5 * P - 0.5 * P.T)))  # halves first, as below
     if asym > 1e-9 * max(1.0, float(np.max(np.abs(P)))):
         raise CertificateError(f"P must be symmetric (asymmetry {asym:.2e})")
     lo = -definiteness_margin(-P)
     if lo <= 0:
         raise CertificateError(f"P is not positive definite (min eigenvalue {lo:.3e})")
-    return 0.5 * (P + P.T)
+    return 0.5 * P + 0.5 * P.T  # halves first: P + P.T can overflow where P is finite
 
 
 def lipschitz_lmi(P, beta: float, gamma: float, G, E, C) -> np.ndarray:
@@ -135,14 +134,11 @@ def osl_lmi(P, mu1: float, mu2: float, rho: float, a: float, b: float, G, E, C) 
     E = as_matrix(E, "E")
     C = as_matrix(C, "C")
     n = G.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
         T = np.eye(n) - E @ C
-        S = P @ G + G.T @ P + (mu1 * rho + mu2 * a) * np.eye(n)
-        R = P @ T + 0.5 * (mu2 * b - mu1) * np.eye(n)
-    for name, M in (("P G + G'P + (mu1 rho + mu2 a) I", S),
-                    ("P (I - E C) + (mu2 b - mu1)/2 I", R)):
-        if not np.isfinite(M).all():
-            raise np.linalg.LinAlgError(f"{name} overflows")
+        S = _finite("P G + G'P + (mu1 rho + mu2 a) I",
+                    P @ G + G.T @ P + (mu1 * rho + mu2 * a) * np.eye(n))
+        R = _finite("P (I - E C) + (mu2 b - mu1)/2 I", P @ T + 0.5 * (mu2 * b - mu1) * np.eye(n))
     return np.block([[S, R], [R.T, -mu2 * np.eye(n)]])
 
 
@@ -174,7 +170,8 @@ def cubic_gain(P, C, theta, alpha: float = 1.0) -> np.ndarray:
     theta = as_matrix(theta, "theta")
     if (message := psd_violation(theta, "theta")) is not None:
         raise ValueError(message)
-    return -alpha * np.linalg.solve(P, C.T @ theta)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
+        return _finite("N = -alpha P^-1 C' theta", -alpha * np.linalg.solve(P, C.T @ theta))
 
 
 @dataclass(frozen=True)
@@ -207,9 +204,7 @@ def verify_N_condition(P, N, C, theta, alpha: float) -> NConditionResult:
     C = as_matrix(C, "C")
     with np.errstate(over="ignore", invalid="ignore"):
         M = P @ N @ C
-        M = M + M.T
-    if not np.isfinite(M).all():
-        raise np.linalg.LinAlgError("P N C + C'N'P overflows")
+        M = _finite("P N C + C'N'P", M + M.T)
     margin = definiteness_margin(M)
     scale = max(1.0, float(np.max(np.abs(M), initial=0.0)))
     if margin < -_N_TOL * scale:
@@ -303,13 +298,14 @@ def _equilibrium_candidates(G, K, NC):
     # first.  A real double eigenvalue can come back as a close complex pair, so
     # the real part of every finite eigenvalue is tried; verification rejects the rest.
     finite = (np.abs(beta) > nc_tiny) & (alpha > g_tiny)
-    lams = [0.0, *np.unique(alphar[finite] / beta[finite])]
-    if NC.any() and np.any((alpha <= g_tiny) & (np.abs(beta) <= nc_tiny)):
-        span = g_tiny / nc_tiny
-        lams += [sign * k * span for k in range(1, 2 * n + 2) for sign in (1.0, -1.0)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # _finite refuses it
+        lams = [0.0, *np.unique(alphar[finite] / beta[finite])]
+        if NC.any() and np.any((alpha <= g_tiny) & (np.abs(beta) <= nc_tiny)):
+            span = np.divide(g_tiny, nc_tiny)  # inf, not ZeroDivisionError, for NC ~ 0
+            lams += [sign * k * span for k in range(1, 2 * n + 2) for sign in (1.0, -1.0)]
+        pencils = _finite("G + lam N C", G + np.array(lams)[:, None, None] * NC)
     # kernel of each G + lam NC: singular values <= _ZERO_RTOL of the largest, >= 1
-    lams = np.array(lams)
-    _, s, Vt = np.linalg.svd(G + lams[:, None, None] * NC)
+    _, s, Vt = np.linalg.svd(pencils)
     ranks = np.count_nonzero(s > _ZERO_RTOL * s[:, :1], axis=1)
     W, *kernels = [vt[min(r, n - 1):].T for vt, r in zip(Vt, ranks)]
     mus, U = np.linalg.eigh(W.T @ K @ W)
@@ -346,13 +342,10 @@ def check_equilibrium_uniqueness(G, N, C, theta,
     theta = as_matrix(theta, "theta")
     if G.shape[1] != G.shape[0]:
         raise ValueError("G must be square")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
         K = C.T @ theta @ C
-        K = 0.5 * K + 0.5 * K.T
-        NC = N @ C
-    for name, M in (("C' theta C", K), ("N C", NC)):
-        if not np.isfinite(M).all():
-            raise np.linalg.LinAlgError(f"{name} overflows")
+        K = _finite("C' theta C", 0.5 * K + 0.5 * K.T)
+        NC = _finite("N C", N @ C)
 
     # a residual too large to square is inf, which fails the bound, unwarned
     with np.errstate(over="ignore"):
@@ -383,7 +376,9 @@ _CERTIFICATE_TOL = 1e-6
 def _hamiltonian_eigvals(G: np.ndarray, TT: np.ndarray, g: float) -> np.ndarray:
     """Eigenvalues of the Hamiltonian ``[[G, T T'/g^2], [-I, -G']]``; ``j w``
     is one iff ``g`` is a singular value of ``(j w I - G)^{-1} T``."""
-    return np.linalg.eigvals(_hamiltonian(G, TT / -(g * g), np.eye(G.shape[0])))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # _finite refuses it
+        S = _finite("(I - E C)(I - E C)'/g^2", TT / -(g * g))
+    return np.linalg.eigvals(_hamiltonian(G, S, np.eye(G.shape[0])))
 
 
 def _on_axis(ev: np.ndarray, tol: float) -> np.ndarray:
@@ -418,9 +413,7 @@ def _gamma_star(G: np.ndarray, T: np.ndarray) -> tuple[float, float, float]:
     if np.max(poles.real) >= 0.0:
         return 0.0, np.inf, np.nan
     with np.errstate(over="ignore"):
-        TT = T @ T.T
-    if not np.isfinite(TT).all():
-        raise np.linalg.LinAlgError("(I - E C)(I - E C)' overflows")
+        TT = _finite("(I - E C)(I - E C)'", T @ T.T)
     if not TT.any():
         return np.inf, 0.0, 0.0
     # start from the gain at s = 0 and at the pole frequency the peak is
@@ -488,10 +481,12 @@ def search_P(mode: LipschitzSpec, G, E, C,
     G = as_matrix(G, "G")
     E = as_matrix(E, "E")
     C = as_matrix(C, "C")
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
+        T = _finite("T = I - E C", np.eye(G.shape[0]) - E @ C)
     if isinstance(mode, Lipschitz):
-        return _lipschitz_certificate(mode.gamma, G, E, C)
+        return _lipschitz_certificate(mode.gamma, G, E, C, T)
     if isinstance(mode, OneSidedLipschitz):
-        return _osl_certificate(mode, G, E, C)
+        return _osl_certificate(mode, G, E, C, T)
     raise TypeError(f"unsupported bound specification: {mode!r}")
 
 
@@ -502,7 +497,7 @@ def _riccati_certificate(Gh, T, q, gmax, verify):
     ``gmax = gamma*(Gh)`` must exceed ``sqrt(q)`` when ``q >= 0``, and
     ``verify(P, s)`` is the block's margin with its multipliers scaled by
     ``s``.  Returns ``(P, s)`` whose margin is below ``-_CERTIFICATE_TOL``,
-    or ``None``.
+    or ``None``; a product that overflows is refused by name.
     """
     tol = _CERTIFICATE_TOL
     n = Gh.shape[0]
@@ -525,13 +520,14 @@ def _riccati_certificate(Gh, T, q, gmax, verify):
         if s != 1.0:
             P = s * P
             margin = verify(P, s)
+    except _Overflow:
+        raise
     except (np.linalg.LinAlgError, CertificateError):
         return None
     return (P, s) if margin < -tol else None
 
 
-def _lipschitz_certificate(gamma: float, G, E, C) -> Certificate:
-    T = np.eye(G.shape[0]) - E @ C
+def _lipschitz_certificate(gamma: float, G, E, C, T) -> Certificate:
     gamma_max, peak, w = _gamma_star(G, T)
     if peak == np.inf:
         raise FeasibilitySearchError(
@@ -564,19 +560,21 @@ def _lipschitz_certificate(gamma: float, G, E, C) -> Certificate:
     return Certificate(P=P, beta=beta)
 
 
-def _osl_certificate(mode: OneSidedLipschitz, G, E, C) -> Certificate:
+def _osl_certificate(mode: OneSidedLipschitz, G, E, C, T) -> Certificate:
     from scipy.optimize import minimize_scalar
 
-    T = np.eye(G.shape[0]) - E @ C
     rho, a, b = mode.rho, mode.a, mode.b
 
-    def reduced(mu1):
-        """``(Gh, q, gamma*(Gh))`` of the Schur complement at ``mu2 = 1``."""
-        Gh = G + 0.5 * (b - mu1) * T
-        return Gh, mu1 * rho + a + 0.25 * (b - mu1) ** 2, _gamma_star(Gh, T)[0]
+    def reduced(log_mu1):
+        """``(Gh, q, gamma*(Gh))`` at ``mu2 = 1``, ``mu1 = e^log_mu1``; ``q = inf`` on overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu1 = np.exp(log_mu1)
+            Gh, q = G + 0.5 * (b - mu1) * T, mu1 * rho + a + 0.25 * (b - mu1) ** 2
+        finite = np.isfinite(q) and np.isfinite(Gh).all()
+        return (Gh, q, _gamma_star(Gh, T)[0]) if finite else (Gh, np.inf, 0.0)
 
     def slack(log_mu1):
-        _, q, g = reduced(np.exp(log_mu1))
+        _, q, g = reduced(log_mu1)
         return g**2 - q
 
     # mu1 / mu2 is a rate, like the entries of G, rho, b and sqrt(a)
@@ -586,15 +584,17 @@ def _osl_certificate(mode: OneSidedLipschitz, G, E, C) -> Certificate:
     k = int(np.argmax(slacks))
     z_best, best = grid[k], slacks[k]
     if np.isfinite(best):
-        # quasi-concavity puts the maximizer between the grid neighbours
-        res = minimize_scalar(lambda z: -slack(z), method="bounded",
-                              bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]),
-                              options={"xatol": 1e-6})
+        # quasi-concavity puts the maximizer between the grid neighbours; a slack
+        # of -inf there makes a parabolic step nan, so Brent takes a golden one
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = minimize_scalar(lambda z: -slack(z), method="bounded",
+                                  bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]),
+                                  options={"xatol": 1e-6})
         if -res.fun > best:
             z_best, best = float(res.x), -res.fun
     mu1 = float(np.exp(z_best))
     if best > 0.0:
-        Gh, q, g = reduced(mu1)
+        Gh, q, g = reduced(z_best)
         found = _riccati_certificate(
             Gh, T, q, g, lambda P, s: verify_lmi_osl(P, s * mu1, s, rho, a, b, G, E, C))
         if found is not None:

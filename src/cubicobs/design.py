@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numlin import _care, _frobenius_norm, as_matrix, mat_rank, pinv
+from .numlin import _care, _finite, _frobenius_norm, as_matrix, mat_rank, pinv
 
 __all__ = [
     "DecouplingInfeasibleError",
@@ -85,11 +85,8 @@ def decoupling_feasible(C, D) -> bool:
     D = as_matrix(D, "D")
     if C.shape[1] != D.shape[0]:
         raise ValueError(f"C has {C.shape[1]} columns but D has {D.shape[0]} rows")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        CD = C @ D
-    if not np.isfinite(CD).all():
-        raise np.linalg.LinAlgError("C D overflows")
-    return mat_rank(CD) == mat_rank(D)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
+        return mat_rank(_finite("C D", C @ D)) == mat_rank(D)
 
 
 def compute_E(C, D) -> np.ndarray:
@@ -103,11 +100,9 @@ def compute_E(C, D) -> np.ndarray:
     D = as_matrix(D, "D")
     if not decoupling_feasible(C, D):
         raise DecouplingInfeasibleError("rank(CD) != rank(D)")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        E = D @ pinv(C @ D)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
+        E = _finite("E = D (C D)^+", D @ pinv(C @ D))
         residual = float(np.max(np.abs((np.eye(C.shape[1]) - E @ C) @ D), initial=0.0))
-    if not np.isfinite(E).all():
-        raise np.linalg.LinAlgError("E = D (C D)^+ overflows")
     if not residual <= _DECOUPLE_TOL * max(1.0, float(np.max(np.abs(D), initial=0.0))):
         raise DecouplingInfeasibleError(
             f"rank(CD) != rank(D) within working precision (residual {residual:.2e})"
@@ -127,13 +122,10 @@ def design_GJ(A, C, E, L, D) -> StructuralDesign:
     C = as_matrix(C, "C")
     E = as_matrix(E, "E")
     L = as_matrix(L, "L")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
         T = np.eye(A.shape[0]) - E @ C
-        G = T @ A - L @ C
-        J = T @ A @ E + L @ (np.eye(C.shape[0]) - C @ E)
-    for name, M in (("G = T A - L C", G), ("J = T A E + L (I - C E)", J)):
-        if not np.isfinite(M).all():
-            raise np.linalg.LinAlgError(f"{name} overflows")
+        G = _finite("G = T A - L C", T @ A - L @ C)
+        J = _finite("J = T A E + L (I - C E)", T @ A @ E + L @ (np.eye(C.shape[0]) - C @ E))
     res_syl, res_dec = verify_structure(A, C, D, E, G, J)
     return StructuralDesign(E=E, G=G, J=J, L=L,
                             residual_sylvester=res_syl, residual_decoupling=res_dec)
@@ -151,12 +143,10 @@ def verify_structure(A, C, D, E, G, J) -> tuple[float, float]:
     E = as_matrix(E, "E")
     G = as_matrix(G, "G")
     J = as_matrix(J, "J")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        T = np.eye(A.shape[0]) - E @ C
-        syl, dec = T @ A - J @ C - G @ T, T @ D
-    for name, M in (("T = I - E C", T), ("T A - J C - G T", syl), ("T D", dec)):
-        if not np.isfinite(M).all():
-            raise np.linalg.LinAlgError(f"{name} overflows")
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
+        T = _finite("T = I - E C", np.eye(A.shape[0]) - E @ C)
+        syl = _finite("T A - J C - G T", T @ A - J @ C - G @ T)
+        dec = _finite("T D", T @ D)
     return float(np.max(np.abs(syl))), float(np.max(np.abs(dec), initial=0.0))
 
 
@@ -188,8 +178,8 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
     T = as_matrix(T, "T")
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
-    with np.errstate(over="ignore"):  # eigvals refuses a product that overflowed
-        TA = T @ A
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
+        TA = _finite("T A", T @ A)
     n = A.shape[0]
     if np.max(np.linalg.eigvals(TA).real) <= -margin:
         return np.zeros((n, C.shape[0]))

@@ -72,12 +72,24 @@ def psd_violation(S, name: str) -> str | None:
     ``S`` fails when an entry of ``S - S^T`` exceeds 1e-9 in magnitude, or
     else when an eigenvalue of ``S`` is below -1e-9.
     """
-    asym = float(np.max(np.abs(S - S.T), initial=0.0))
+    asym = 2.0 * float(np.max(np.abs(0.5 * S - 0.5 * S.T), initial=0.0))  # halves first
     if asym > 1e-9:
         return f"{name} must be symmetric (asymmetry {asym:.2e})"
     if definiteness_margin(-S) > 1e-9:
         return f"{name} must be positive semidefinite"
     return None
+
+
+class _Overflow(np.linalg.LinAlgError):
+    """A product that overflows: searches let it through their own failures."""
+
+
+def _finite(name: str, M, error=_Overflow, where: str = ""):
+    """``M``, a product the caller formed with numpy's overflow warnings off,
+    or ``error("{name} overflows{where}")`` when an entry is not finite."""
+    if not np.isfinite(M).all():
+        raise error(f"{name} overflows{where}")
+    return M
 
 
 def _frobenius_norm(M, scale: float = 1.0) -> float:
@@ -107,8 +119,8 @@ def _care(A, S, Q) -> np.ndarray:
     Laub's Schur method (IEEE TAC 24(6), 1979): ``X = U21 U11^-1`` from the
     stable subspace ``[U11; U21]`` of :func:`_hamiltonian`, balanced first
     with a power-of-two scale per state and its inverse on the costate
-    (Benner, SIAM J. Sci. Comput. 22(5), 2001).  ``LinAlgError`` when the
-    Hamiltonian is not finite, that subspace is not n-dimensional or ``U11`` is singular.
+    (Benner, SIAM J. Sci. Comput. 22(5), 2001).  ``LinAlgError`` when the Hamiltonian
+    or its balanced form is not finite, that subspace is not n-dimensional or ``U11`` is singular.
     """
     from scipy.linalg import lapack, schur
 
@@ -119,7 +131,9 @@ def _care(A, S, Q) -> np.ndarray:
     s = np.log2(lapack.dgebal(np.abs(H) * (1.0 - np.eye(2 * n)), scale=1, permute=0)[3])
     d = 2.0 ** np.round(0.5 * (s[:n] - s[n:]))
     t = np.concatenate([d, 1.0 / d])
-    _, U, dim = schur(H * (t / t[:, None]), sort="lhp", check_finite=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
+        H = _finite("the balanced Hamiltonian", H * (t / t[:, None]))
+    _, U, dim = schur(H, sort="lhp", check_finite=False)
     sv = np.linalg.svd(U[:n, :n], compute_uv=False)
     c = sv[0] / sv[-1] if sv[-1] else np.inf
     if dim != n or c * np.finfo(float).eps > 1.0:

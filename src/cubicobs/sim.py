@@ -49,6 +49,7 @@ import numpy as np
 from .exprlang import (_CODEGEN_GLOBALS, Expr, ExprError, ExprEvalError, SignalDims,
                        _compile_source, _emit, _guarded_source, _read_back, evaluate, unparse)
 from .model import ConfigError, ObserverParams, PlantModel, _assign, _eq_fields, _read_only, validate
+from .numlin import _finite
 
 __all__ = [
     "SimulationError",
@@ -453,11 +454,7 @@ def _plan(truths: list[PlantModel], design: PlantModel, observers: list[Observer
     layout = []
     col = nz  # where the next member's values sit in [z; f]
 
-    def finite(what, M):
-        if not np.isfinite(M).all():
-            raise ConfigError(f"{what} overflows in the simulation plan")
-        return M
-
+    finite = functools.partial(_finite, error=ConfigError, where=" in the simulation plan")
     # finite models whose products overflow are refused by name, unwarned;
     # C_t is truth t's output matrix, C_d the design's
     with np.errstate(over="ignore", invalid="ignore"):
@@ -586,10 +583,8 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
             z0[x] = x0
             for E, w in placed:
                 z0[w] = xhat0 - E @ (C @ x0)
-        traj[0] = S @ z0
-    for what, v in (("xhat0 - E C x0", z0), ("S z0", traj[0])):
-        if not np.isfinite(v).all():
-            raise ConfigError(f"{what} overflows in the initial state")
+        traj[0] = S @ _finite("xhat0 - E C x0", z0, ConfigError, " in the initial state")
+    _finite("S z0", traj[0], ConfigError, " in the initial state")
     s = traj[0].tolist()
     # Delayed outputs at half-step positions m >= -y_off: row y_off + m holds every
     # truth's y at the grid for even m and the mean of its neighbours (linear

@@ -1,6 +1,7 @@
 """Certificates: block assembly, margins, cubic gain, equilibrium, search."""
 
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,17 @@ def test_verify_rejects_non_spd_P():
         verify_lmi_lipschitz(np.diag([1.0, -1.0]), 1.0, 1.0, G, E, C)
     with pytest.raises(CertificateError, match="symmetric"):
         verify_lmi_lipschitz([[1.0, 0.5], [0.0, 1.0]], 1.0, 1.0, G, E, C)
+
+
+def test_an_asymmetry_past_the_float_range_is_refused_unwarned():
+    # P - P' and theta - theta' overflow where the matrices are finite
+    skew = [[1.0, 1e308], [-1e308, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CertificateError, match=r"^P must be symmetric \(asymmetry inf\)$"):
+            verify_lmi_lipschitz(skew, 1.0, 1.0, G, E, C)
+        with pytest.raises(ValueError, match=r"^theta must be symmetric \(asymmetry inf\)$"):
+            cubic_gain(np.eye(2), np.eye(2), skew)
 
 
 def test_spd_check_reports_the_smallest_eigenvalue():

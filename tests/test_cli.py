@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import argparse
+import contextlib
+import copy
+import io
 import json
 import os
 import re
@@ -13,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from cubicobs import cert, model, sim
 from cubicobs.cli import (
@@ -571,14 +575,15 @@ def test_sizes_and_bounds_past_float_range_are_config_errors(configs, tmp_path, 
     assert capsys.readouterr().err.splitlines() == [message]
 
 
-NOMINAL_OBSERVER = model.config_to_dict(model.example_system().nominal_config())["observer"]
+NOMINAL = model.config_to_dict(model.example_system().nominal_config())
+NOMINAL_OBSERVER = NOMINAL["observer"]
 RICCATI_OVERFLOWS = ("error: filter Riccati equation has no solution: the Hamiltonian has "
                      "non-finite entries; infeasibility is not proven")
 
 
 @pytest.mark.parametrize("change, command, message", [
     ({"A": [[1e308, 1e308], [1e308, 1e308]]}, ["design", "--auto-margin", "3"],
-     "error: Array must not contain infs or NaNs"),
+     "error: T A overflows"),
     ({"C": [[1e308, 0.0]]}, ["certify", "--search-P"],
      "error: (I - E C)(I - E C)' overflows"),
     ({"observer": {**NOMINAL_OBSERVER, "N": [[1e308], [0.0]]}}, ["certify", "--check-only"],
@@ -598,8 +603,25 @@ RICCATI_OVERFLOWS = ("error: filter Riccati equation has no solution: the Hamilt
      "error: T A - J C - G T overflows"),
     ({"observer": {**NOMINAL_OBSERVER, "G": [[-1e308, 0.0], [1.0, -11.0]]}},
      ["certify", "--check-only"], "error: P G + G'P + (mu1 rho + mu2 a) I overflows"),
+    # P is symmetrized halves first, so the finite P reaches the LMI block
+    ({"certificate": {**NOMINAL["certificate"], "P": [[1e308, 1.7898], [1.7898, 17.8858]]}},
+     ["certify", "--check-only"], "error: P G + G'P + (mu1 rho + mu2 a) I overflows"),
+    # a coupling of 1e-320 makes the Riccati step's balancing scales overflow
+    ({"observer": {**NOMINAL_OBSERVER, "G": [[-10.0, 1e-320], [1.0, -11.0]]}},
+     ["certify", "--search-P"], "error: the balanced Hamiltonian overflows"),
+    # the peak gain is near 1e-308, so the level-set Hamiltonian's T T'/g^2 overflows
+    ({"observer": {**NOMINAL_OBSERVER, "G": [[-10.0, 0.0], [1.0, -1e308]]}},
+     ["certify", "--search-P"], "error: (I - E C)(I - E C)'/g^2 overflows"),
+    # N C is subnormal: a pencil eigenvalue past the float range is refused, not skipped
+    ({"observer": {**NOMINAL_OBSERVER, "theta": [[1e-320]]}}, ["certify", "--search-P"],
+     "error: G + lam N C overflows"),
+    ({"C": [[1.0, 1e155]], "observer": {**NOMINAL_OBSERVER, "E": [[1.0], [1e308]]}},
+     ["certify", "--search-P"], "error: T = I - E C overflows"),
+    ({"observer": {**NOMINAL_OBSERVER, "theta": [[1e155]], "alpha": 1e155}},
+     ["certify", "--search-P"], "error: N = -alpha P^-1 C' theta overflows"),
 ], ids=["A-design", "C-search", "N-check", "C-tiny-design", "C-1e155-design", "C-1e308-design",
-        "D-1e155-design", "CD-design", "C-theta-check", "E-check", "G-check"])
+        "D-1e155-design", "CD-design", "C-theta-check", "E-check", "G-check", "P-check",
+        "G-tiny-search", "G-huge-search", "theta-tiny-search", "E-search", "alpha-theta-search"])
 def test_linear_algebra_on_overflowing_matrices_is_a_numerical_failure(
         configs, tmp_path, capsys, change, command, message):
     # finite input whose products overflow: a numerical failure, no warning
@@ -614,6 +636,73 @@ def test_linear_algebra_on_overflowing_matrices_is_a_numerical_failure(
         assert main(argv) == EXIT_NUMERICAL_FAILURE
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("change", [
+    {"observer": {**NOMINAL_OBSERVER, "G": [[-10.0, 1e155], [1.0, -11.0]]}},
+    {"lipschitz": {"rho": 0.5, "a": 50, "b": 1e155}},
+], ids=["G", "b"])
+def test_one_sided_scan_past_the_float_range_is_unwarned(configs, tmp_path, capsys, change):
+    # mu1 is scanned up to 1e3 times the scale of G, rho and b: a mu1 whose
+    # (b - mu1)^2 or Gh overflows has no slack, and the refusal is the search's own
+    doc = {**json.loads(configs["nominal"].read_text()),
+           "lipschitz": {"rho": 0.5, "a": 50, "b": 0.1}, **change}
+    del doc["certificate"]  # its beta belongs to the Lipschitz bound
+    path = tmp_path / "osl.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["certify", "--config", str(path), "--search-P"]) == EXIT_NUMERICAL_FAILURE
+    assert [str(w.message) for w in caught] == []
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: no multipliers found") and "not proven" in line
+
+
+def _numeric_fields(doc, path=()):
+    """The path of every number in a config document."""
+    if isinstance(doc, dict):
+        return [p for k, v in doc.items() for p in _numeric_fields(v, (*path, k))]
+    if isinstance(doc, list):
+        return [p for i, v in enumerate(doc) for p in _numeric_fields(v, (*path, i))]
+    return [path] if isinstance(doc, (int, float)) else []
+
+
+EDGE_VALUES = [1e308, -1e308, 1e200, 1e155, 1e-320, 0.0, -0.0, 1e10, -1e10]
+# the only lines a verification failure (exit 1) may write to stderr
+VERDICT_LINES = ("decoupling infeasible: ", "certificate invalid: ")
+
+
+@settings(max_examples=250)
+@given(edits=st.lists(st.tuples(st.sampled_from(_numeric_fields(NOMINAL)),
+                                st.sampled_from(EDGE_VALUES)), min_size=1, max_size=2))
+def test_edge_values_never_raise_or_warn(configs, edits):
+    # one or two numbers of the bundled config at the edges of the float
+    # range: every command exits 0-3, numpy never warns, and stderr holds one
+    # error line for exits 2 and 3, at most one verdict line for exit 1
+    doc = copy.deepcopy(NOMINAL)
+    for (*keys, last), value in edits:
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    root = configs["root"]
+    path = root / "edge.json"
+    path.write_text(json.dumps(doc))
+    for command in (["certify", "--check-only"], ["certify", "--search-P"],
+                    ["simulate", "--t-end", "1", "--out", str(root / "edge.csv")],
+                    ["design", "--auto-margin", "3", "--out", str(root / "edge-designed.json")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([command[0], "--config", str(path), *command[1:]])
+        lines = err.getvalue().splitlines()
+        if code in (EXIT_CONFIG_ERROR, EXIT_NUMERICAL_FAILURE):
+            assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+        else:
+            assert code in (EXIT_OK, EXIT_VERIFICATION_FAILED), (command, code)
+            assert lines == [] or (code == EXIT_VERIFICATION_FAILED and len(lines) == 1
+                                   and lines[0].startswith(VERDICT_LINES)), (command, lines)
 
 
 def test_output_error_residual_that_overflows_prints_nothing(capsys):

@@ -1,6 +1,8 @@
 """Dense linear-algebra helpers: shapes, ranks, pseudoinverse, the
 definiteness margin (the one eigenvalue rule), and the Riccati kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from scipy.linalg import solve_continuous_are
 from cubicobs.cert import _gamma_star
 from cubicobs.numlin import (
     _care,
+    _finite,
     _frobenius_norm,
     as_matrix,
     definiteness_margin,
@@ -97,6 +100,27 @@ def test_frobenius_norm_of_a_non_finite_matrix_is_inf(bad):
     assert _frobenius_norm(np.array([[3e200, 4e200]]), 0.5) == pytest.approx(2.5e200, rel=1e-15)
 
 
+def test_finite_returns_a_finite_product_itself():
+    M = np.array([[1e308, -1e308], [0.0, 5e-324]])
+    assert _finite("M", M) is M
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("error, where", [(np.linalg.LinAlgError, ""),
+                                          (ValueError, " in the initial state")])
+def test_finite_refuses_a_non_finite_product_by_name(bad, error, where):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as refusal:
+            _finite("P G + G'P", np.array([[1.0, bad]]), error, where)
+    assert str(refusal.value) == f"P G + G'P overflows{where}"
+
+
+def test_finite_refuses_a_linear_algebra_failure_by_default():
+    with pytest.raises(np.linalg.LinAlgError, match="^T A overflows$"):
+        _finite("T A", np.array([[np.inf]]))
+
+
 # --- Riccati kernel -------------------------------------------------------
 
 def assert_stabilizing(A, S, Q, X, oracle):
@@ -145,6 +169,17 @@ def test_care_refuses_above_gamma_star(q):
     # eigenvalues +-j sqrt(q - 1) lie on the axis
     with pytest.raises(np.linalg.LinAlgError):
         _care(np.array([[-1.0]]), np.array([[-1.0]]), np.array([[q]]))
+
+
+def test_care_refuses_a_balancing_that_overflows_unwarned():
+    # a coupling of 1e-320 asks dgebal for scales near 2^+-533, whose ratios
+    # overflow: refused by name, with no numpy warning on the way
+    G = np.array([[-10.0, 1e-320], [1.0, -11.0]])
+    T = np.array([[0.0, 0.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="^the balanced Hamiltonian overflows$"):
+            _care(G, -T @ T.T, 30.7 * np.eye(2))
 
 
 @pytest.mark.parametrize("spread", [1e4, 1e5, 1e6])
