@@ -44,8 +44,9 @@ any gain.  The verdict does not ask where ``N`` came from; whether it has the
 closed form is what ``verify_N_condition(...).identity_residual`` measures.
 
 scipy loads on first use, in the eigenvalue-only QZ solve, the multiplier scan
-and the Riccati kernel ``numlin._care`` (``scipy.linalg.schur``): importing
-this module and checking an LMI block or the cubic gain need numpy only.
+and the LAPACK kernels of ``numlin`` (eigenvalues, SVDs and the Riccati
+kernel ``numlin._care``): importing this module and checking an LMI block
+needs numpy only.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Certificate, Lipschitz, LipschitzSpec, OneSidedLipschitz
-from .numlin import (_RANK_TOL, _care, _finite, _frobenius_norm, _hamiltonian, _Overflow,
-                     as_matrix, definiteness_margin, psd_violation)
+from .numlin import (_RANK_TOL, _care, _eigvals, _finite, _frobenius_norm, _hamiltonian,
+                     _Overflow, _svd, as_matrix, definiteness_margin, psd_violation)
 
 __all__ = [
     "CertificateError",
@@ -134,12 +135,15 @@ def osl_lmi(P, mu1: float, mu2: float, rho: float, a: float, b: float, G, E, C) 
     E = as_matrix(E, "E")
     C = as_matrix(C, "C")
     n = G.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
-        T = np.eye(n) - E @ C
-        S = _finite("P G + G'P + (mu1 rho + mu2 a) I",
-                    P @ G + G.T @ P + (mu1 * rho + mu2 * a) * np.eye(n))
-        R = _finite("P (I - E C) + (mu2 b - mu1)/2 I", P @ T + 0.5 * (mu2 * b - mu1) * np.eye(n))
-    return np.block([[S, R], [R.T, -mu2 * np.eye(n)]])
+    M = np.empty((2 * n, 2 * n))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        M[:n, :n] = P @ G + G.T @ P + (mu1 * rho + mu2 * a) * np.eye(n)
+        M[:n, n:] = P @ (np.eye(n) - E @ C) + 0.5 * (mu2 * b - mu1) * np.eye(n)
+    M[n:, :n], M[n:, n:] = M[:n, n:].T, -mu2 * np.eye(n)
+    if not np.isfinite(M).all():
+        _finite("P G + G'P + (mu1 rho + mu2 a) I", M[:n, :n])
+        _finite("P (I - E C) + (mu2 b - mu1)/2 I", M[:n, n:])
+    return M
 
 
 def verify_lmi_lipschitz(P, beta: float, gamma: float, G, E, C) -> float:
@@ -223,7 +227,7 @@ def verify_N_condition(P, N, C, theta, alpha: float) -> NConditionResult:
 
 def _negative_on_output_range(M: np.ndarray, C: np.ndarray) -> bool:
     """Is ``M`` strictly negative definite restricted to range(C')?"""
-    _, s, Vt = np.linalg.svd(C)
+    _, s, Vt = _svd(C)
     if s.size == 0 or s[0] == 0.0:
         return False
     rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
@@ -303,7 +307,14 @@ def _equilibrium_candidates(G, K, NC):
         if NC.any() and np.any((alpha <= g_tiny) & (np.abs(beta) <= nc_tiny)):
             span = np.divide(g_tiny, nc_tiny)  # inf, not ZeroDivisionError, for NC ~ 0
             lams += [sign * k * span for k in range(1, 2 * n + 2) for sign in (1.0, -1.0)]
-        pencils = _finite("G + lam N C", G + np.array(lams)[:, None, None] * NC)
+        pencils = G + np.array(lams)[:, None, None] * NC
+        if not np.isfinite(pencils).all():
+            # an equilibrium needs lam mu > 0 with |mu| > k_tiny, and every mu lies
+            # within K's eigenvalue range: where K >= -k_tiny (<= k_tiny) a negative
+            # (positive) lam gives none, so drop those before refusing what is left
+            psd, nsd = definiteness_margin(-K) <= k_tiny, definiteness_margin(K) <= k_tiny
+            lams = [lam for lam in lams if not (psd and lam < 0.0 or nsd and lam > 0.0)]
+            pencils = _finite("G + lam N C", G + np.array(lams)[:, None, None] * NC)
     # kernel of each G + lam NC: singular values <= _ZERO_RTOL of the largest, >= 1
     _, s, Vt = np.linalg.svd(pencils)
     ranks = np.count_nonzero(s > _ZERO_RTOL * s[:, :1], axis=1)
@@ -313,7 +324,7 @@ def _equilibrium_candidates(G, K, NC):
     if mus[0] < 0.0 < mus[-1]:
         u = np.sqrt(mus[-1]) * U[:, 0] + np.sqrt(-mus[0]) * U[:, -1]
         yield W @ u, "kernel of G, v'Kv = 0"
-    yield W @ np.linalg.svd(NC @ W)[2][-1], "kernel of G and of N C"
+    yield W @ _svd(NC @ W)[2][-1], "kernel of G and of N C"
     for lam, V in zip(lams[1:], kernels):
         M = V.T @ K @ V
         mus, U = (M[0], np.ones((1, 1))) if len(M) == 1 else np.linalg.eigh(M)
@@ -378,7 +389,7 @@ def _hamiltonian_eigvals(G: np.ndarray, TT: np.ndarray, g: float) -> np.ndarray:
     is one iff ``g`` is a singular value of ``(j w I - G)^{-1} T``."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # _finite refuses it
         S = _finite("(I - E C)(I - E C)'/g^2", TT / -(g * g))
-    return np.linalg.eigvals(_hamiltonian(G, S, np.eye(G.shape[0])))
+    return _eigvals(_hamiltonian(G, S, np.eye(G.shape[0])))
 
 
 def _on_axis(ev: np.ndarray, tol: float) -> np.ndarray:
@@ -409,7 +420,7 @@ def _gamma_star(G: np.ndarray, T: np.ndarray) -> tuple[float, float, float]:
     ``hi`` passes.  ``(0, inf, nan)`` unless ``G`` is Hurwitz; ``(inf, 0,
     0)`` when ``T`` vanishes.
     """
-    poles = np.linalg.eigvals(G)
+    poles = _eigvals(G)
     if np.max(poles.real) >= 0.0:
         return 0.0, np.inf, np.nan
     with np.errstate(over="ignore"):
@@ -455,9 +466,16 @@ def max_lipschitz_gamma(G, E, C) -> float:
     Hurwitz and ``inf`` when ``I - E C`` vanishes.
     """
     G = as_matrix(G, "G")
+    return _gamma_star(G, _error_input(G, E, C))[0]
+
+
+def _error_input(G, E, C) -> np.ndarray:
+    """``T = I - E C``, the gain of the mismatch in ``e' = G e + T df``;
+    ``LinAlgError`` when it overflows."""
     E = as_matrix(E, "E")
     C = as_matrix(C, "C")
-    return _gamma_star(G, np.eye(G.shape[0]) - E @ C)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
+        return _finite("T = I - E C", np.eye(G.shape[0]) - E @ C)
 
 
 def search_P(mode: LipschitzSpec, G, E, C,
@@ -481,8 +499,7 @@ def search_P(mode: LipschitzSpec, G, E, C,
     G = as_matrix(G, "G")
     E = as_matrix(E, "E")
     C = as_matrix(C, "C")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
-        T = _finite("T = I - E C", np.eye(G.shape[0]) - E @ C)
+    T = _error_input(G, E, C)
     if isinstance(mode, Lipschitz):
         return _lipschitz_certificate(mode.gamma, G, E, C, T)
     if isinstance(mode, OneSidedLipschitz):

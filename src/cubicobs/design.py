@@ -15,7 +15,7 @@ itself only has to render ``G`` Hurwitz with a decay margin.
 ``T A`` on the orthogonal complement of the observable subspace that lies
 right of the margin makes it infeasible, and otherwise the shifted filter
 Riccati equation on the observable subspace gives a gain, from the Schur
-kernel ``numlin._care`` (``scipy.linalg.schur``, loaded on first use).
+kernel ``numlin._care`` (LAPACK ``dgees``, loaded on first use).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numlin import _care, _finite, _frobenius_norm, as_matrix, mat_rank, pinv
+from .numlin import _care, _eigvals, _finite, _frobenius_norm, _svd, as_matrix, mat_rank, pinv
 
 __all__ = [
     "DecouplingInfeasibleError",
@@ -143,16 +143,20 @@ def verify_structure(A, C, D, E, G, J) -> tuple[float, float]:
     E = as_matrix(E, "E")
     G = as_matrix(G, "G")
     J = as_matrix(J, "J")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
-        T = _finite("T = I - E C", np.eye(A.shape[0]) - E @ C)
-        syl = _finite("T A - J C - G T", T @ A - J @ C - G @ T)
-        dec = _finite("T D", T @ D)
-    return float(np.max(np.abs(syl))), float(np.max(np.abs(dec), initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        T = np.eye(A.shape[0]) - E @ C
+        syl, dec = T @ A - J @ C - G @ T, T @ D
+        res_syl, res_dec = float(np.max(np.abs(syl))), float(np.max(np.abs(dec), initial=0.0))
+    if not (res_syl < np.inf and res_dec < np.inf):  # name the first product that overflowed
+        _finite("T = I - E C", T)
+        _finite("T A - J C - G T", syl)
+        _finite("T D", dec)
+    return res_syl, res_dec
 
 
 def spectral_abscissa(M) -> float:
     """Largest real part of the eigenvalues of ``M``."""
-    return float(np.max(np.linalg.eigvals(as_matrix(M, "M")).real))
+    return float(np.max(_eigvals(as_matrix(M, "M")).real))
 
 
 def _span_tol(M) -> float:
@@ -181,19 +185,19 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
     with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
         TA = _finite("T A", T @ A)
     n = A.shape[0]
-    if np.max(np.linalg.eigvals(TA).real) <= -margin:
+    if np.max(_eigvals(TA).real) <= -margin:
         return np.zeros((n, C.shape[0]))
 
     V, W, tol, ta_tol = np.zeros((n, 0)), C.T, _span_tol(C), _span_tol(TA)
     while W.shape[1] and V.shape[1] < n:
         W = W - V @ (V.T @ W)
         W = W - V @ (V.T @ W)
-        U, s, _ = np.linalg.svd(W, full_matrices=False)
+        U, s, _ = _svd(W, full_matrices=False)
         U = U[:, s > tol]
         V, W, tol = np.hstack([V, U]), TA.T @ U, ta_tol
     if V.shape[1] < n:
         Z = np.linalg.qr(V, mode="complete")[0][:, V.shape[1]:]
-        hidden = np.linalg.eigvals(Z.T @ TA @ Z)
+        hidden = _eigvals(Z.T @ TA @ Z)
         lam = hidden[np.argmax(hidden.real)]
         if lam.real > -margin:
             mode = f"{lam.real:.6g}" if lam.imag == 0 else f"{lam:.6g}"

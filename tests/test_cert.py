@@ -691,3 +691,10 @@ def test_cubic_gain_rejects_infinite_alpha():
 def test_search_P_rejects_unknown_mode():
     with pytest.raises(TypeError):
         search_P("lipschitz", G, E, C)
+
+
+def test_max_lipschitz_gamma_refuses_an_overflowing_error_input_unwarned():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match=r"^T = I - E C overflows$"):
+            max_lipschitz_gamma([[-10.0, 0.0], [1.0, -11.0]], [[1.0], [1e308]], [[1.0, 1e155]])

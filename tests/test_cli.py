@@ -606,22 +606,16 @@ RICCATI_OVERFLOWS = ("error: filter Riccati equation has no solution: the Hamilt
     # P is symmetrized halves first, so the finite P reaches the LMI block
     ({"certificate": {**NOMINAL["certificate"], "P": [[1e308, 1.7898], [1.7898, 17.8858]]}},
      ["certify", "--check-only"], "error: P G + G'P + (mu1 rho + mu2 a) I overflows"),
-    # a coupling of 1e-320 makes the Riccati step's balancing scales overflow
-    ({"observer": {**NOMINAL_OBSERVER, "G": [[-10.0, 1e-320], [1.0, -11.0]]}},
-     ["certify", "--search-P"], "error: the balanced Hamiltonian overflows"),
     # the peak gain is near 1e-308, so the level-set Hamiltonian's T T'/g^2 overflows
     ({"observer": {**NOMINAL_OBSERVER, "G": [[-10.0, 0.0], [1.0, -1e308]]}},
      ["certify", "--search-P"], "error: (I - E C)(I - E C)'/g^2 overflows"),
-    # N C is subnormal: a pencil eigenvalue past the float range is refused, not skipped
-    ({"observer": {**NOMINAL_OBSERVER, "theta": [[1e-320]]}}, ["certify", "--search-P"],
-     "error: G + lam N C overflows"),
     ({"C": [[1.0, 1e155]], "observer": {**NOMINAL_OBSERVER, "E": [[1.0], [1e308]]}},
      ["certify", "--search-P"], "error: T = I - E C overflows"),
     ({"observer": {**NOMINAL_OBSERVER, "theta": [[1e155]], "alpha": 1e155}},
      ["certify", "--search-P"], "error: N = -alpha P^-1 C' theta overflows"),
 ], ids=["A-design", "C-search", "N-check", "C-tiny-design", "C-1e155-design", "C-1e308-design",
         "D-1e155-design", "CD-design", "C-theta-check", "E-check", "G-check", "P-check",
-        "G-tiny-search", "G-huge-search", "theta-tiny-search", "E-search", "alpha-theta-search"])
+        "G-huge-search", "E-search", "alpha-theta-search"])
 def test_linear_algebra_on_overflowing_matrices_is_a_numerical_failure(
         configs, tmp_path, capsys, change, command, message):
     # finite input whose products overflow: a numerical failure, no warning
@@ -636,6 +630,41 @@ def test_linear_algebra_on_overflowing_matrices_is_a_numerical_failure(
         assert main(argv) == EXIT_NUMERICAL_FAILURE
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+def _search_P_lines(configs, tmp_path, capsys, change):
+    """Exit code and stdout lines of ``certify --search-P`` on the edited bundled config."""
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps({**json.loads(configs["nominal"].read_text()), **change}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["certify", "--config", str(path), "--search-P"])
+    return code, capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("coupling", [1e-320, 1e-300, 1e-50])
+def test_a_negligible_coupling_certifies_as_a_zero_one(configs, tmp_path, capsys, coupling):
+    # the Riccati step's balancing scales are bounded, so a coupling far below
+    # rounding cannot blow them up (1e-320 once made them overflow)
+    def search(g01):
+        G = [[-10.0, g01], [1.0, -11.0]]
+        return _search_P_lines(configs, tmp_path, capsys, {"observer": {**NOMINAL_OBSERVER, "G": G}})
+
+    code, lines = search(coupling)
+    zero_code, zero_lines = search(0.0)
+    assert code == zero_code == EXIT_OK
+    pick = ("lmi_margin=", "gamma_max=")
+    assert [l for l in lines if l.startswith(pick)] == [l for l in zero_lines if l.startswith(pick)]
+
+
+def test_a_pencil_eigenvalue_past_the_float_range_of_the_wrong_sign_is_dropped(
+        configs, tmp_path, capsys):
+    # N C is subnormal, so QZ gives a pencil eigenvalue near -1e321; with
+    # theta >= 0 a negative one gives no equilibrium, and the verdict is proven
+    code, lines = _search_P_lines(configs, tmp_path, capsys,
+                                  {"observer": {**NOMINAL_OBSERVER, "theta": [[1e-320]]}})
+    assert "equilibrium=no-counterexample" in lines
+    assert code == EXIT_VERIFICATION_FAILED and "n_classification=fail" in lines
 
 
 @pytest.mark.parametrize("change", [

@@ -6,13 +6,16 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import lapack, schur, solve_continuous_are
 
 from cubicobs.cert import _gamma_star
 from cubicobs.numlin import (
     _care,
+    _eigvals,
     _finite,
     _frobenius_norm,
+    _hamiltonian,
+    _svd,
     as_matrix,
     definiteness_margin,
     mat_rank,
@@ -171,15 +174,16 @@ def test_care_refuses_above_gamma_star(q):
         _care(np.array([[-1.0]]), np.array([[-1.0]]), np.array([[q]]))
 
 
-def test_care_refuses_a_balancing_that_overflows_unwarned():
-    # a coupling of 1e-320 asks dgebal for scales near 2^+-533, whose ratios
-    # overflow: refused by name, with no numpy warning on the way
-    G = np.array([[-10.0, 1e-320], [1.0, -11.0]])
+def test_care_solves_through_a_subnormal_coupling_unwarned():
+    # a coupling of 1e-320 asks dgebal for scales near 2^+-533; bounded to
+    # 2^+-32 they keep the entries X needs, and X is that of a zero coupling
+    # to about seven digits (the 2^64 ratio of the bounded scales costs the rest)
     T = np.array([[0.0, 0.0], [1.0, 1.0]])
+    decoupled = _care(np.array([[-10.0, 0.0], [1.0, -11.0]]), -T @ T.T, 30.7 * np.eye(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(np.linalg.LinAlgError, match="^the balanced Hamiltonian overflows$"):
-            _care(G, -T @ T.T, 30.7 * np.eye(2))
+        X = _care(np.array([[-10.0, 1e-320], [1.0, -11.0]]), -T @ T.T, 30.7 * np.eye(2))
+    assert np.max(np.abs(X - decoupled)) <= 1e-6 * np.max(np.abs(decoupled))
 
 
 @pytest.mark.parametrize("spread", [1e4, 1e5, 1e6])
@@ -195,3 +199,93 @@ def test_care_accurate_when_states_are_badly_scaled(spread):
     DD = np.outer(d, d)
     X = _care(A0 * d / d[:, None], B0 @ B0.T / DD, np.diag(d * d))
     assert np.max(np.abs(X / DD - X0)) <= 1e-10 * np.max(np.abs(X0))
+
+
+# --- LAPACK kernels ---------------------------------------------------------
+
+def _matched(got, want):
+    """Largest distance from an eigenvalue of ``got`` to its nearest in ``want``."""
+    return float(np.max(np.min(np.abs(got[:, None] - want[None, :]), axis=1), initial=0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 16), n=st.integers(1, 16), rank=st.integers(0, 16),
+       k=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1))
+def test_kernels_agree_with_numpy_over_the_float_range(m, n, rank, k, seed):
+    # rank-deficient draws included; 10^k scales past dgeev's own scaling range
+    rng = np.random.default_rng(seed)
+    r = min(rank, m, n)
+    M = rng.standard_normal((m, r)) @ rng.standard_normal((r, n)) if r < min(m, n) \
+        else rng.standard_normal((m, n))
+    M = M * 10.0**k
+    top = float(np.max(np.abs(M), initial=0.0)) or 1.0
+    s = _svd(M, compute_uv=False)
+    assert np.max(np.abs(s - np.linalg.svd(M, compute_uv=False))) <= 1e-13 * top * max(m, n)
+    assert np.max(np.abs(pinv(M) - np.linalg.pinv(M))) <= 1e-13 * np.max(np.abs(np.linalg.pinv(M)),
+                                                                           initial=1.0) * max(m, n)**2
+    u, s, vt = _svd(M, full_matrices=False)
+    assert np.max(np.abs((u * s) @ vt - M), initial=0.0) <= 1e-13 * top * max(m, n)
+    S = M[:min(m, n), :min(m, n)]
+    w = _eigvals(S)
+    assert w.dtype == complex
+    assert _matched(w, np.linalg.eigvals(S).astype(complex)) <= 1e-13 * top * S.shape[0]
+
+
+def test_eigvals_of_a_matrix_near_the_top_of_the_float_range():
+    # dgeev scales this matrix itself, and OpenBLAS 0.3.30 unscales it to
+    # -1.49e138; a power-of-two prescale keeps it out of that branch
+    w = _eigvals(np.array([[0.0, 0.0], [-2e155, -1e156]]))
+    assert sorted(w.real) == [-1e156, 0.0] and not w.imag.any()
+
+
+def test_kernels_are_numpy_on_certify_sweep_sizes():
+    # inside the prescale range the kernels make numpy's LAPACK call
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        M = rng.standard_normal((n, n))
+        assert np.array_equal(_eigvals(M), np.linalg.eigvals(M).astype(complex))
+        assert np.array_equal(_svd(M, compute_uv=False), np.linalg.svd(M, compute_uv=False))
+        assert np.array_equal(pinv(M), np.linalg.pinv(M))
+
+
+def _care_by_schur(A, S, Q):
+    """``_care`` with ``scipy.linalg.schur`` in place of its ``dgees`` call."""
+    n = A.shape[0]
+    H = _hamiltonian(A, S, Q)
+    s = np.log2(lapack.dgebal(np.abs(H) * (1.0 - np.eye(2 * n)), scale=1, permute=0)[3])
+    d = 2.0 ** np.round(0.5 * (s[:n] - s[n:])).clip(-32.0, 32.0)
+    t = np.concatenate([d, 1.0 / d])
+    _, U, dim = schur(H * (t / t[:, None]), sort="lhp")
+    assert dim == n
+    X = np.linalg.solve(U[:n, :n].T, U[n:, :n].T) / np.outer(d, d)
+    return 0.5 * (X + X.T)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_care_is_its_schur_form_bit_for_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+    R = rng.standard_normal((n, n))
+    Q = R @ R.T + 0.1 * np.eye(n)
+    assert np.array_equal(_care(A, B @ B.T, Q), _care_by_schur(A, B @ B.T, Q))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_kernels_fail_on_non_finite_input_as_numpy_does(bad):
+    M = np.array([[1.0, bad], [0.0, 2.0]])
+    for kernel, reference in [(_eigvals, np.linalg.eigvals),
+                              (lambda a: _svd(a, compute_uv=False),
+                               lambda a: np.linalg.svd(a, compute_uv=False)),
+                              (_svd, np.linalg.svd),
+                              (lambda a: _svd(a, full_matrices=False),
+                               lambda a: np.linalg.svd(a, full_matrices=False))]:
+        try:
+            reference(M)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                kernel(M)
+        else:  # numpy answers an inf entry with nan singular values
+            out = kernel(M)
+            assert np.isnan(out if isinstance(out, np.ndarray) else out[1]).all()
