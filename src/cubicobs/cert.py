@@ -57,7 +57,7 @@ import numpy as np
 
 from .model import Certificate, Lipschitz, LipschitzSpec, OneSidedLipschitz
 from .numlin import (_RANK_TOL, _care, _eigvals, _finite, _frobenius_norm, _hamiltonian,
-                     _Overflow, _svd, as_matrix, definiteness_margin, psd_violation)
+                     _Overflow, _svd, _symmetric_part, as_matrix, definiteness_margin, psd_violation)
 
 __all__ = [
     "CertificateError",
@@ -115,7 +115,7 @@ def _spd_check(P) -> np.ndarray:
     lo = -definiteness_margin(-P)
     if lo <= 0:
         raise CertificateError(f"P is not positive definite (min eigenvalue {lo:.3e})")
-    return 0.5 * P + 0.5 * P.T  # halves first: P + P.T can overflow where P is finite
+    return _symmetric_part(P)
 
 
 def lipschitz_lmi(P, beta: float, gamma: float, G, E, C) -> np.ndarray:
@@ -136,13 +136,13 @@ def osl_lmi(P, mu1: float, mu2: float, rho: float, a: float, b: float, G, E, C) 
     C = as_matrix(C, "C")
     n = G.shape[0]
     M = np.empty((2 * n, 2 * n))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # one check of M names a failing block
         M[:n, :n] = P @ G + G.T @ P + (mu1 * rho + mu2 * a) * np.eye(n)
         M[:n, n:] = P @ (np.eye(n) - E @ C) + 0.5 * (mu2 * b - mu1) * np.eye(n)
     M[n:, :n], M[n:, n:] = M[:n, n:].T, -mu2 * np.eye(n)
     if not np.isfinite(M).all():
-        _finite("P G + G'P + (mu1 rho + mu2 a) I", M[:n, :n])
-        _finite("P (I - E C) + (mu2 b - mu1)/2 I", M[:n, n:])
+        _finite("P G + G'P + (mu1 rho + mu2 a) I", lambda: M[:n, :n])
+        _finite("P (I - E C) + (mu2 b - mu1)/2 I", lambda: M[:n, n:])
     return M
 
 
@@ -174,8 +174,7 @@ def cubic_gain(P, C, theta, alpha: float = 1.0) -> np.ndarray:
     theta = as_matrix(theta, "theta")
     if (message := psd_violation(theta, "theta")) is not None:
         raise ValueError(message)
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
-        return _finite("N = -alpha P^-1 C' theta", -alpha * np.linalg.solve(P, C.T @ theta))
+    return _finite("N = -alpha P^-1 C' theta", lambda: -alpha * np.linalg.solve(P, C.T @ theta))
 
 
 @dataclass(frozen=True)
@@ -206,9 +205,7 @@ def verify_N_condition(P, N, C, theta, alpha: float) -> NConditionResult:
     P = _spd_check(P)
     N = as_matrix(N, "N")
     C = as_matrix(C, "C")
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = P @ N @ C
-        M = _finite("P N C + C'N'P", M + M.T)
+    M = _finite("P N C + C'N'P", lambda: (PNC := P @ N @ C) + PNC.T)
     margin = definiteness_margin(M)
     scale = max(1.0, float(np.max(np.abs(M), initial=0.0)))
     if margin < -_N_TOL * scale:
@@ -218,7 +215,7 @@ def verify_N_condition(P, N, C, theta, alpha: float) -> NConditionResult:
     else:
         classification = "fail"
     theta = as_matrix(theta, "theta")
-    with np.errstate(over="ignore", invalid="ignore"):  # not finite when C' theta C overflows
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan when C' theta C overflows
         identity_residual = float(np.max(np.abs(M + 2.0 * alpha * (C.T @ theta @ C))))
     return NConditionResult(matrix=M, margin=margin,
                             classification=classification,
@@ -302,19 +299,19 @@ def _equilibrium_candidates(G, K, NC):
     # first.  A real double eigenvalue can come back as a close complex pair, so
     # the real part of every finite eigenvalue is tried; verification rejects the rest.
     finite = (np.abs(beta) > nc_tiny) & (alpha > g_tiny)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # _finite refuses it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # dropped or refused below
         lams = [0.0, *np.unique(alphar[finite] / beta[finite])]
         if NC.any() and np.any((alpha <= g_tiny) & (np.abs(beta) <= nc_tiny)):
             span = np.divide(g_tiny, nc_tiny)  # inf, not ZeroDivisionError, for NC ~ 0
             lams += [sign * k * span for k in range(1, 2 * n + 2) for sign in (1.0, -1.0)]
         pencils = G + np.array(lams)[:, None, None] * NC
-        if not np.isfinite(pencils).all():
-            # an equilibrium needs lam mu > 0 with |mu| > k_tiny, and every mu lies
-            # within K's eigenvalue range: where K >= -k_tiny (<= k_tiny) a negative
-            # (positive) lam gives none, so drop those before refusing what is left
-            psd, nsd = definiteness_margin(-K) <= k_tiny, definiteness_margin(K) <= k_tiny
-            lams = [lam for lam in lams if not (psd and lam < 0.0 or nsd and lam > 0.0)]
-            pencils = _finite("G + lam N C", G + np.array(lams)[:, None, None] * NC)
+    if not np.isfinite(pencils).all():
+        # an equilibrium needs lam mu > 0 with |mu| > k_tiny, and every mu lies
+        # within K's eigenvalue range: where K >= -k_tiny (<= k_tiny) a negative
+        # (positive) lam gives none, so drop those before refusing what is left
+        psd, nsd = definiteness_margin(-K) <= k_tiny, definiteness_margin(K) <= k_tiny
+        lams = [lam for lam in lams if not (psd and lam < 0.0 or nsd and lam > 0.0)]
+        pencils = _finite("G + lam N C", lambda: G + np.array(lams)[:, None, None] * NC)
     # kernel of each G + lam NC: singular values <= _ZERO_RTOL of the largest, >= 1
     _, s, Vt = np.linalg.svd(pencils)
     ranks = np.count_nonzero(s > _ZERO_RTOL * s[:, :1], axis=1)
@@ -353,10 +350,8 @@ def check_equilibrium_uniqueness(G, N, C, theta,
     theta = as_matrix(theta, "theta")
     if G.shape[1] != G.shape[0]:
         raise ValueError("G must be square")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
-        K = C.T @ theta @ C
-        K = _finite("C' theta C", 0.5 * K + 0.5 * K.T)
-        NC = _finite("N C", N @ C)
+    K = _finite("C' theta C", lambda: _symmetric_part(C.T @ theta @ C))
+    NC = _finite("N C", lambda: N @ C)
 
     # a residual too large to square is inf, which fails the bound, unwarned
     with np.errstate(over="ignore"):
@@ -387,8 +382,7 @@ _CERTIFICATE_TOL = 1e-6
 def _hamiltonian_eigvals(G: np.ndarray, TT: np.ndarray, g: float) -> np.ndarray:
     """Eigenvalues of the Hamiltonian ``[[G, T T'/g^2], [-I, -G']]``; ``j w``
     is one iff ``g`` is a singular value of ``(j w I - G)^{-1} T``."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # _finite refuses it
-        S = _finite("(I - E C)(I - E C)'/g^2", TT / -(g * g))
+    S = _finite("(I - E C)(I - E C)'/g^2", lambda: TT / -(g * g))
     return _eigvals(_hamiltonian(G, S, np.eye(G.shape[0])))
 
 
@@ -423,8 +417,7 @@ def _gamma_star(G: np.ndarray, T: np.ndarray) -> tuple[float, float, float]:
     poles = _eigvals(G)
     if np.max(poles.real) >= 0.0:
         return 0.0, np.inf, np.nan
-    with np.errstate(over="ignore"):
-        TT = _finite("(I - E C)(I - E C)'", T @ T.T)
+    TT = _finite("(I - E C)(I - E C)'", lambda: T @ T.T)
     if not TT.any():
         return np.inf, 0.0, 0.0
     # start from the gain at s = 0 and at the pole frequency the peak is
@@ -474,8 +467,7 @@ def _error_input(G, E, C) -> np.ndarray:
     ``LinAlgError`` when it overflows."""
     E = as_matrix(E, "E")
     C = as_matrix(C, "C")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
-        return _finite("T = I - E C", np.eye(G.shape[0]) - E @ C)
+    return _finite("T = I - E C", lambda: np.eye(G.shape[0]) - E @ C)
 
 
 def search_P(mode: LipschitzSpec, G, E, C,
@@ -497,9 +489,7 @@ def search_P(mode: LipschitzSpec, G, E, C,
     that infeasibility is not proven.  ``opts`` is accepted and ignored.
     """
     G = as_matrix(G, "G")
-    E = as_matrix(E, "E")
-    C = as_matrix(C, "C")
-    T = _error_input(G, E, C)
+    T = _error_input(G, E, C)  # E and C are checked there, and again by the verifier
     if isinstance(mode, Lipschitz):
         return _lipschitz_certificate(mode.gamma, G, E, C, T)
     if isinstance(mode, OneSidedLipschitz):
@@ -584,7 +574,7 @@ def _osl_certificate(mode: OneSidedLipschitz, G, E, C, T) -> Certificate:
 
     def reduced(log_mu1):
         """``(Gh, q, gamma*(Gh))`` at ``mu2 = 1``, ``mu1 = e^log_mu1``; ``q = inf`` on overflow."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # q = inf is a slack of -inf
             mu1 = np.exp(log_mu1)
             Gh, q = G + 0.5 * (b - mu1) * T, mu1 * rho + a + 0.25 * (b - mu1) ** 2
         finite = np.isfinite(q) and np.isfinite(Gh).all()

@@ -64,7 +64,7 @@ def _print_output_error(C, E) -> None:
     rounding of 0: the output error ``C (x - xhat)`` then obeys an equation
     that no plant term, mismatch or disturbance enters.  A residual that
     overflows prints nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual past the range prints nothing
         residual = np.max(np.abs(C - (C @ E) @ C))
     if residual <= STRUCTURE_RTOL * max(1.0, np.max(np.abs(C)), np.max(np.abs(E))):
         print("output_error=autonomous")

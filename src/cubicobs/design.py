@@ -85,8 +85,7 @@ def decoupling_feasible(C, D) -> bool:
     D = as_matrix(D, "D")
     if C.shape[1] != D.shape[0]:
         raise ValueError(f"C has {C.shape[1]} columns but D has {D.shape[0]} rows")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
-        return mat_rank(_finite("C D", C @ D)) == mat_rank(D)
+    return mat_rank(_finite("C D", lambda: C @ D)) == mat_rank(D)
 
 
 def compute_E(C, D) -> np.ndarray:
@@ -100,8 +99,8 @@ def compute_E(C, D) -> np.ndarray:
     D = as_matrix(D, "D")
     if not decoupling_feasible(C, D):
         raise DecouplingInfeasibleError("rank(CD) != rank(D)")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
-        E = _finite("E = D (C D)^+", D @ pinv(C @ D))
+    E = _finite("E = D (C D)^+", lambda: D @ pinv(C @ D))
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual past the range fails below
         residual = float(np.max(np.abs((np.eye(C.shape[1]) - E @ C) @ D), initial=0.0))
     if not residual <= _DECOUPLE_TOL * max(1.0, float(np.max(np.abs(D), initial=0.0))):
         raise DecouplingInfeasibleError(
@@ -115,17 +114,16 @@ def design_GJ(A, C, E, L, D) -> StructuralDesign:
 
     The returned residuals, of the consistency identity and of the
     decoupling ``(I - E C) D = 0``, come from :func:`verify_structure`, not
-    from the construction itself.  ``LinAlgError`` when ``G`` or ``J``
-    overflows.
+    from the construction itself.  ``LinAlgError`` when ``G`` (``T A``
+    included) or ``J`` overflows.
     """
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
     E = as_matrix(E, "E")
     L = as_matrix(L, "L")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
-        T = np.eye(A.shape[0]) - E @ C
-        G = _finite("G = T A - L C", T @ A - L @ C)
-        J = _finite("J = T A E + L (I - C E)", T @ A @ E + L @ (np.eye(C.shape[0]) - C @ E))
+    TA = _finite("G = T A - L C", lambda: (np.eye(A.shape[0]) - E @ C) @ A)
+    G = _finite("G = T A - L C", lambda: TA - L @ C)
+    J = _finite("J = T A E + L (I - C E)", lambda: TA @ E + L @ (np.eye(C.shape[0]) - C @ E))
     res_syl, res_dec = verify_structure(A, C, D, E, G, J)
     return StructuralDesign(E=E, G=G, J=J, L=L,
                             residual_sylvester=res_syl, residual_decoupling=res_dec)
@@ -143,14 +141,14 @@ def verify_structure(A, C, D, E, G, J) -> tuple[float, float]:
     E = as_matrix(E, "E")
     G = as_matrix(G, "G")
     J = as_matrix(J, "J")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # one check names a failing product
         T = np.eye(A.shape[0]) - E @ C
         syl, dec = T @ A - J @ C - G @ T, T @ D
         res_syl, res_dec = float(np.max(np.abs(syl))), float(np.max(np.abs(dec), initial=0.0))
     if not (res_syl < np.inf and res_dec < np.inf):  # name the first product that overflowed
-        _finite("T = I - E C", T)
-        _finite("T A - J C - G T", syl)
-        _finite("T D", dec)
+        _finite("T = I - E C", lambda: T)
+        _finite("T A - J C - G T", lambda: syl)
+        _finite("T D", lambda: dec)
     return res_syl, res_dec
 
 
@@ -182,8 +180,7 @@ def stabilize_L(T, A, C, margin: float, opts: GainSearchOptions | None = None) -
     T = as_matrix(T, "T")
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
-        TA = _finite("T A", T @ A)
+    TA = _finite("T A", lambda: T @ A)
     n = A.shape[0]
     if np.max(_eigvals(TA).real) <= -margin:
         return np.zeros((n, C.shape[0]))

@@ -234,6 +234,13 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 MAX_DEPTH = 100
 
 
+def _integer(digits: str, what: str, pos: int) -> int:
+    try:  # int() refuses more digits than the interpreter's limit
+        return int(digits)
+    except ValueError:
+        raise ExprSyntaxError(f"{what} out of range", pos) from None
+
+
 class _Parser:
     def __init__(self, tokens, dims: SignalDims, allow_time: bool):
         self.tokens = tokens
@@ -325,13 +332,13 @@ class _Parser:
         kind, val, pos = self.advance()
         if kind != "number" or not str(val).isdigit():
             raise ExprSyntaxError(f"{what} must be a nonnegative integer", pos)
-        return int(val)
+        return _integer(val, what, pos)
 
     def var_ref(self, val, pos: int) -> Expr:
         word, digits = val
         if word not in ("x", "u", "y"):
             raise ExprSyntaxError(f"unknown variable kind {word!r}", pos)
-        index = int(digits)
+        index = _integer(digits, "component index", pos)
         slot = 0
         kind, tok, _ = self.peek()
         if kind == "op" and tok == "@":

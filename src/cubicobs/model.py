@@ -548,11 +548,11 @@ def config_to_dict(cfg: SystemConfig) -> dict:
 def load_config(path) -> SystemConfig:
     """Load and validate a configuration file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, or a literal int() refuses
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return config_from_dict(doc)
 

@@ -15,7 +15,8 @@ wrappers cost more than the LAPACK work inside them.  :func:`definiteness_margin
 stays on numpy because loading a config reaches it and scipy's import would
 add to every command's start-up; so do the linear solves (``dgesv`` in their
 place moves results in the last digits) and the batched stacks, where one
-numpy call serves many matrices.
+numpy call serves many matrices.  :func:`_finite` forms each product that can
+overflow on finite input, unwarned, and refuses it by name when it is not finite.
 """
 
 from __future__ import annotations
@@ -82,8 +83,12 @@ def definiteness_margin(S) -> float:
     S = as_matrix(S)
     if S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    # halves first: S + S^T can overflow where S is finite
-    return float(np.linalg.eigvalsh(0.5 * S + 0.5 * S.T)[-1])
+    return float(np.linalg.eigvalsh(_symmetric_part(S))[-1])
+
+
+def _symmetric_part(S) -> np.ndarray:
+    """``(S + S^T)/2``, halves first: ``S + S^T`` can overflow where ``S`` is finite."""
+    return 0.5 * S + 0.5 * S.T
 
 
 def psd_violation(S, name: str) -> str | None:
@@ -144,9 +149,11 @@ class _Overflow(np.linalg.LinAlgError):
     """A product that overflows: searches let it through their own failures."""
 
 
-def _finite(name: str, M, error=_Overflow, where: str = ""):
-    """``M``, a product the caller formed with numpy's overflow warnings off,
-    or ``error("{name} overflows{where}")`` when an entry is not finite."""
+def _finite(name: str, form, error=_Overflow, where: str = ""):
+    """``form()``, formed with numpy's warnings off, or ``error("{name} overflows{where}")``
+    when an entry is not finite; what ``form`` raises passes through."""
+    with np.errstate(all="ignore"):  # refused below
+        M = form()
     if not np.isfinite(M).all():
         raise error(f"{name} overflows{where}")
     return M
@@ -155,7 +162,7 @@ def _finite(name: str, M, error=_Overflow, where: str = ""):
 def _frobenius_norm(M, scale: float = 1.0) -> float:
     """``scale |M|_F``, through ``M / max|M|`` where the sum of squares
     overflows; ``inf`` when ``M`` is not finite."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # inf where the sum of squares overflows: rescaled below
         norm = float(np.linalg.norm(M))
     if norm < np.inf:
         return scale * norm
@@ -181,8 +188,8 @@ def _care(A, S, Q) -> np.ndarray:
     open-left-half-plane eigenvalues ordered first), balanced first
     with a power-of-two scale per state and its inverse on the costate
     (Benner, SIAM J. Sci. Comput. 22(5), 2001), each scale within 2^+-32.
-    ``LinAlgError`` when the Hamiltonian or its balanced form is not finite,
-    the Schur form fails, that subspace is not n-dimensional or ``U11`` is singular.
+    ``LinAlgError`` when the Hamiltonian or its balanced form is not finite, the
+    Schur form fails, that subspace is not n-dimensional, ``U11`` is singular or X overflows.
     """
     from scipy.linalg import lapack
 
@@ -196,15 +203,14 @@ def _care(A, S, Q) -> np.ndarray:
     # whose state scales differ by up to ~1e9
     d = 2.0 ** np.round(0.5 * (s[:n] - s[n:])).clip(-32.0, 32.0)
     t = np.concatenate([d, 1.0 / d])
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses it
-        H = _finite("the balanced Hamiltonian", H * (t / t[:, None]))
+    H = _finite("the balanced Hamiltonian", lambda: H * (t / t[:, None]))
     _, dim, _, _, U, _, info = lapack.dgees(lambda re, im: re < 0.0, H, sort_t=1)
     if info:
         raise np.linalg.LinAlgError(f"Schur form not found (dgees info = {info})")
     sv = _svd(U[:n, :n], compute_uv=False)
-    c = sv[0] / sv[-1] if sv[-1] else np.inf
-    if dim != n or c * np.finfo(float).eps > 1.0:
+    if dim != n or not sv[-1] or sv[0] * np.finfo(float).eps > sv[-1]:  # cond(U11) > 1/eps
+        c = float(sv[0]) / float(sv[-1]) if sv[-1] else np.inf  # Python's quotient: unwarned
         raise np.linalg.LinAlgError(f"{dim} stable Hamiltonian eigenvalues (need {n}), "
                                     f"cond(U11) = {c:.1e} (need < 1/eps)")
-    X = np.linalg.solve(U[:n, :n].T, U[n:, :n].T) / np.outer(d, d)
-    return 0.5 * (X + X.T)
+    return _finite("X = U21 U11^-1", lambda: _symmetric_part(
+        np.linalg.solve(U[:n, :n].T, U[n:, :n].T) / np.outer(d, d)))

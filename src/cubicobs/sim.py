@@ -457,50 +457,51 @@ def _plan(truths: list[PlantModel], design: PlantModel, observers: list[Observer
     finite = functools.partial(_finite, error=ConfigError, where=" in the simulation plan")
     # finite models whose products overflow are refused by name, unwarned;
     # C_t is truth t's output matrix, C_d the design's
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, truth in enumerate(truths):
-            C_t, x, y_at = truth.C, slice(t * n, (t + 1) * n), t * n_y
-            R[y_at:y_at + n_y, x] = C_t
-            W[x, x] = truth.A
-            W[x, col:col + 2 * n + truth.n_g] = np.hstack([In, truth.D, In])
-            col += 2 * n + truth.n_g
-            members.append((truth.f_u + truth.f_g + truth.f_L, t * n, y_at, *truth_lags[t]))
-            placed = []
-            for m, obs in enumerate(observers):
-                w = slice(T * n + (t * M + m) * n, T * n + (t * M + m + 1) * n)
-                r = T * n_y + (t * M + m) * n
-                placed.append((obs.E, w))
-                R[r:r + n, x] = finite("E C_t", obs.E @ C_t)
-                R[r:r + n, w] = In
-                members.append((design.f_u + design.f_L, nz + r, y_at, *design_lags))
-                W[w, x] = finite("J C_t", obs.J @ C_t)
-                W[w, w] = obs.G
-                W[w, col:col + 2 * n] = np.tile(In - finite("E C_d", obs.E @ C_d), 2)
-                col += 2 * n
-                if obs.N.any():
-                    er, ec = e_row + len(cubic_at) * n_y, c_col + len(cubic_at) * n_y
-                    R[er:er + n_y, x] = finite("C_t - C_d E C_t",
-                                               C_t - finite("C_d E C_t", C_d @ obs.E @ C_t))
-                    R[er:er + n_y, w] = -C_d
-                    W[w, ec:ec + n_y] = -obs.N
-                    cubic_at.append((nz + er, obs.theta.tolist()))
-            layout.append((C_t, x, tuple(placed)))
-        S = np.vstack([np.eye(nz), R])
-        # One step's buffer is [f4 | s4 | f3 | s3 | f2 | s2 | f1 | s1]: s1 the step's start,
-        # s_k stage k's input (z_k its head), f_k what stage k writes.  Stage k + 1 reads
-        # s1 + c h S W [z_k; f_k], one product over the buffer from f_k on, written to
-        # s_{k+1} ahead of it.  The step ends in S (z1 + h/6 W ([z1; f1] + 2 [z2; f2] +
-        # 2 [z3; f3] + [z4; f4])): R z is derived from z afresh, so it cannot drift.
-        ns, sixth = len(S), h / 6.0
-        SW = np.roll(finite("S W", S @ W), -nz, axis=1)
-        SW = np.hstack([SW, np.zeros((ns, ns - nz))])  # on [f_k; s_k]
-        P = tuple(np.hstack([c * SW for c in coefs]) for coefs in (
-            [0.5 * h], [0.5 * h, 0.0], [h, 0.0, 0.0], [sixth, 2.0 * sixth, 2.0 * sixth, sixth]))
-        for Pk in P[:3]:
-            Pk[:, -ns:] += np.eye(ns)  # plus s1, the step's start
-        P[3][:, -ns:][:, :nz] += S  # plus S z1
-        for Pk in P:
-            finite("h S W", Pk)
+    for t, truth in enumerate(truths):
+        C_t, x, y_at = truth.C, slice(t * n, (t + 1) * n), t * n_y
+        R[y_at:y_at + n_y, x] = C_t
+        W[x, x] = truth.A
+        W[x, col:col + 2 * n + truth.n_g] = np.hstack([In, truth.D, In])
+        col += 2 * n + truth.n_g
+        members.append((truth.f_u + truth.f_g + truth.f_L, t * n, y_at, *truth_lags[t]))
+        placed = []
+        for m, obs in enumerate(observers):
+            w = slice(T * n + (t * M + m) * n, T * n + (t * M + m + 1) * n)
+            r = T * n_y + (t * M + m) * n
+            placed.append((obs.E, w))
+            R[r:r + n, x] = finite("E C_t", lambda: obs.E @ C_t)
+            R[r:r + n, w] = In
+            members.append((design.f_u + design.f_L, nz + r, y_at, *design_lags))
+            W[w, x] = finite("J C_t", lambda: obs.J @ C_t)
+            W[w, w] = obs.G
+            W[w, col:col + 2 * n] = np.tile(In - finite("E C_d", lambda: obs.E @ C_d), 2)
+            col += 2 * n
+            if obs.N.any():
+                er, ec = e_row + len(cubic_at) * n_y, c_col + len(cubic_at) * n_y
+                CdEC = finite("C_d E C_t", lambda: C_d @ obs.E @ C_t)
+                R[er:er + n_y, x] = finite("C_t - C_d E C_t", lambda: C_t - CdEC)
+                R[er:er + n_y, w] = -C_d
+                W[w, ec:ec + n_y] = -obs.N
+                cubic_at.append((nz + er, obs.theta.tolist()))
+        layout.append((C_t, x, tuple(placed)))
+    S = np.vstack([np.eye(nz), R])
+    # One step's buffer is [f4 | s4 | f3 | s3 | f2 | s2 | f1 | s1]: s1 the step's start,
+    # s_k stage k's input (z_k its head), f_k what stage k writes.  Stage k + 1 reads
+    # s1 + c h S W [z_k; f_k], one product over the buffer from f_k on, written to
+    # s_{k+1} ahead of it.  The step ends in S (z1 + h/6 W ([z1; f1] + 2 [z2; f2] +
+    # 2 [z3; f3] + [z4; f4])): R z is derived from z afresh, so it cannot drift.
+    ns, sixth = len(S), h / 6.0
+    SW = np.roll(finite("S W", lambda: S @ W), -nz, axis=1)
+    SW = np.hstack([SW, np.zeros((ns, ns - nz))])  # on [f_k; s_k]
+
+    def step_product(coefs, start):  # c h S W for each c, plus s1 (stages 2-4) or S z1
+        Pk = np.hstack([c * SW for c in coefs])
+        Pk[:, -ns:][:, :start.shape[1]] += start
+        return Pk
+
+    P = tuple(finite("h S W", functools.partial(step_product, coefs, start)) for coefs, start in (
+        ([0.5 * h], np.eye(ns)), ([0.5 * h, 0.0], np.eye(ns)), ([h, 0.0, 0.0], np.eye(ns)),
+        ([sixth, 2.0 * sixth, 2.0 * sixth, sixth], S)))
     for a in (S, *P):  # a run reads them only
         a.flags.writeable = False
     src, u_lags, y_lags, u_off, y_off = _stage_source(members, cubic_at, nz, n_y, ns)
@@ -576,15 +577,13 @@ def _run(plan: _Plan, x0: np.ndarray, xhat0: np.ndarray,
     S, (P1, P2, P3, step_end) = plan.S, plan.P
     (ns, nz), nb = S.shape, P1.shape[1]  # entries of s_k, of z, of [f_k; s_k]
     n_out = len(plan.layout) * n_y  # every truth's outputs, [y_1; ...; y_T]
-    z0 = np.empty(nz)
+    z0, at = np.empty(nz), " in the initial state"
+    for C, x, placed in plan.layout:
+        z0[x] = x0
+        for E, w in placed:
+            z0[w] = _finite("xhat0 - E C x0", lambda: xhat0 - E @ (C @ x0), ConfigError, at)
     traj = np.empty((steps + 1, ns))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for C, x, placed in plan.layout:
-            z0[x] = x0
-            for E, w in placed:
-                z0[w] = xhat0 - E @ (C @ x0)
-        traj[0] = S @ _finite("xhat0 - E C x0", z0, ConfigError, " in the initial state")
-    _finite("S z0", traj[0], ConfigError, " in the initial state")
+    traj[0] = _finite("S z0", lambda: S @ z0, ConfigError, at)
     s = traj[0].tolist()
     # Delayed outputs at half-step positions m >= -y_off: row y_off + m holds every
     # truth's y at the grid for even m and the mean of its neighbours (linear
@@ -695,7 +694,7 @@ def _reference(plan: _Plan, grid: list, y_table: list, first: int, j: int,
 def cumulative_error(result: SimResult) -> np.ndarray:
     """Running integral of ``|x - xhat|^2`` by the trapezoid rule; an error
     too large to square makes it ``inf``, as in the RK4 loop, unwarned."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an error too large to square makes jo inf
         g = np.sum((result.x - result.xhat) ** 2, axis=1)
         dt = np.diff(result.t)
         jo = np.zeros_like(g)

@@ -856,6 +856,38 @@ def test_overflowing_literal_is_a_config_error(configs, tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, change, message", [
+    (["simulate", "--t-end", "1", "--input", "t^" + "9" * 5000], None,
+     "input_signal[0]: power exponent out of range (at position 2)"),
+    (["certify", "--check-only"], ("f_L", 1, "x" + "1" * 4400),
+     "f_L[1]: component index out of range (at position 0)"),
+], ids=["exponent", "index"])
+def test_integer_past_the_digit_limit_is_a_config_error(configs, tmp_path, capsys,
+                                                       command, change, message):
+    doc = json.loads(configs["nominal"].read_text())
+    if change is not None:
+        doc[change[0]][change[1]] = change[2]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    argv = [command[0], "--config", str(path), *command[1:]]
+    if command[0] == "simulate":
+        argv += ["--out", str(tmp_path / "run.csv")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b'{"n": 2, "f_u": ["\xff"]}', "can't decode byte 0xff in position 18"),
+    (b'{"n_u": 1' + b"0" * 4400 + b"}", "Exceeds the limit (4300 digits)"),
+], ids=["not-utf8", "long-integer"])
+def test_a_config_json_cannot_decode_is_a_config_error(tmp_path, capsys, content, reason):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    assert main(["certify", "--config", str(path), "--check-only"]) == EXIT_CONFIG_ERROR
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: not valid JSON (") and reason in line
+
+
 # --- reproduce-paper ------------------------------------------------------
 
 def test_reproduce_paper_artifacts(configs, tmp_path, capsys):

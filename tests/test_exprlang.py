@@ -90,6 +90,18 @@ def test_overflowing_literal_is_a_syntax_error(text, position):
         parse_input_signal("1e999*t")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("x1^" + "9" * 5000, "power exponent out of range", 3),
+    ("1 + x" + "1" * 4400, "component index out of range", 4),
+    ("u1@" + "1" * 4400, "delay slot out of range", 3),
+], ids=["exponent", "index", "slot"])
+def test_integer_past_the_digit_limit_is_a_syntax_error(text, message, position):
+    # int() refuses more than 4300 digits with a bare ValueError
+    with pytest.raises(ExprSyntaxError, match=f"^{message} \\(at position {position}\\)$") as exc:
+        parse(text, DIMS)
+    assert exc.value.position == position
+
+
 def test_range_errors():
     with pytest.raises(ExprRangeError, match="state index"):
         parse("x3", DIMS)

@@ -1,13 +1,18 @@
 """Dense linear-algebra helpers: shapes, ranks, pseudoinverse, the
-definiteness margin (the one eigenvalue rule), and the Riccati kernel."""
+definiteness margin (the one eigenvalue rule), the guarded product and the
+Riccati kernel."""
 
+import ast
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack, schur, solve_continuous_are
 
+import cubicobs
 from cubicobs.cert import _gamma_star
 from cubicobs.numlin import (
     _care,
@@ -105,7 +110,7 @@ def test_frobenius_norm_of_a_non_finite_matrix_is_inf(bad):
 
 def test_finite_returns_a_finite_product_itself():
     M = np.array([[1e308, -1e308], [0.0, 5e-324]])
-    assert _finite("M", M) is M
+    assert _finite("M", lambda: M) is M
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -115,13 +120,79 @@ def test_finite_refuses_a_non_finite_product_by_name(bad, error, where):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error) as refusal:
-            _finite("P G + G'P", np.array([[1.0, bad]]), error, where)
+            _finite("P G + G'P", lambda: np.array([[1.0, bad]]), error, where)
     assert str(refusal.value) == f"P G + G'P overflows{where}"
 
 
 def test_finite_refuses_a_linear_algebra_failure_by_default():
     with pytest.raises(np.linalg.LinAlgError, match="^T A overflows$"):
-        _finite("T A", np.array([[np.inf]]))
+        _finite("T A", lambda: np.array([[np.inf]]))
+
+
+@pytest.mark.parametrize("form", [
+    lambda: np.array([[1e308, 1e308]]) @ np.array([[1e308], [-1e308]]),  # inf - inf inside
+    lambda: np.array([[1e200]]) * 1e200,
+    lambda: np.array([1.0, -1.0]) / 0.0,
+])
+def test_finite_forms_an_overflowing_product_unwarned_and_refuses_it(form):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match=r"^E C overflows$"):
+            _finite("E C", form)
+
+
+def test_finite_passes_a_linear_algebra_error_of_its_form_through():
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$") as raised:
+        _finite("P^-1", lambda: np.linalg.solve(np.zeros((2, 2)), np.ones(2)))
+    assert type(raised.value) is np.linalg.LinAlgError
+
+
+# Every place the package silences numpy's floating-point warnings itself, with
+# why a non-finite value is legitimate there.  A product that is only refused
+# when it overflows is formed by _finite instead.
+WARNING_GUARDS = {
+    ("numlin", "_finite"): "forms the product it refuses by name",
+    ("numlin", "_eigvals"): "eigenvalues unscaled past the float range are inf",
+    ("numlin", "_frobenius_norm"): "a sum of squares that overflows is rescaled",
+    ("cert", "osl_lmi"): "one check of the assembled block, the failing part named after",
+    ("cert", "verify_N_condition"): "the identity residual is inf when C' theta C overflows",
+    ("cert", "_equilibrium_candidates"): "a pencil eigenvalue past the range is dropped or refused",
+    ("cert", "check_equilibrium_uniqueness"): "a residual too large to square fails the bound",
+    ("cert", "_osl_certificate.reduced"): "a multiplier past the range is a slack of -inf",
+    ("cert", "_osl_certificate"): "Brent's step across a slack of -inf",
+    ("design", "compute_E"): "a residual past the range fails the decoupling test",
+    ("design", "verify_structure"): "one check of both residuals, the failing product named after",
+    ("design", "stabilize_L"): "_care refuses a Hamiltonian that overflowed",
+    ("sim", "_run"): "a diverging state is reported by the step's finiteness check",
+    ("sim", "cumulative_error"): "an error too large to square makes jo inf",
+    ("cli", "_print_output_error"): "a residual past the range prints nothing",
+}
+
+
+def _warning_guards(tree, lines):
+    """``(function, commented)`` for each ``errstate``/``seterr`` call under
+    ``tree``; ``commented`` when its line or the line above has a comment."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func).endswith(("errstate",
+                                                                                "seterr")):
+                here, above = lines[child.lineno - 1], lines[child.lineno - 2]
+                yield scope, "#" in here or above.lstrip().startswith("#")
+            yield from visit(child, scope)
+    return visit(tree, "")
+
+
+def test_numpy_warnings_are_silenced_only_where_a_non_finite_value_is_legitimate():
+    found = Counter()
+    for path in Path(cubicobs.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        for scope, commented in _warning_guards(ast.parse(text), text.splitlines()):
+            found[path.stem, scope] += 1
+            assert commented, f"{path.stem}.{scope}: a warning guard needs its reason"
+    assert found == Counter(WARNING_GUARDS.keys())
 
 
 # --- Riccati kernel -------------------------------------------------------
@@ -184,6 +255,24 @@ def test_care_solves_through_a_subnormal_coupling_unwarned():
         warnings.simplefilter("error")
         X = _care(np.array([[-10.0, 1e-320], [1.0, -11.0]]), -T @ T.T, 30.7 * np.eye(2))
     assert np.max(np.abs(X - decoupled)) <= 1e-6 * np.max(np.abs(decoupled))
+
+
+_EDGE_ENTRIES = [1e308, -1e308, 1e300, 1e280, 1e200, 1.0, -1.0, 1e-300, 0.0, 1e-320]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_EDGE_ENTRIES), min_size=12, max_size=12))
+def test_care_on_entries_at_the_float_range_solves_or_refuses_unwarned(entries):
+    # cond(U11) is decided without the quotient that overflows, and X is formed
+    # through the guarded product: a finite symmetric X or LinAlgError
+    A, S, Q = np.reshape(entries, (3, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            X = _care(A, S, Q)
+        except np.linalg.LinAlgError:
+            return
+    assert np.isfinite(X).all() and np.array_equal(X, X.T)
 
 
 @pytest.mark.parametrize("spread", [1e4, 1e5, 1e6])
