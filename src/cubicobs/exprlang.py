@@ -290,7 +290,11 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            node, depth = self.nested(Pow(node, self.uint("power exponent")), depth + 1, pos)
+            at = self.peek()[2]
+            exponent = self.uint("power exponent")
+            if exponent > 2**53:  # a float power converts it to a double, exact up to 2**53
+                raise ExprSyntaxError("power exponent out of range", at)
+            node, depth = self.nested(Pow(node, exponent), depth + 1, pos)
         return self.nested(Neg(node), depth + 1, minus) if negate else (node, depth)
 
     def atom(self) -> tuple[Expr, int]:

@@ -564,17 +564,21 @@ def save_config(cfg: SystemConfig, path) -> None:
     expression of a plant reads back as itself, so it is written as text
     that ``parse`` reads back as the same tree.  The file is written whole
     or not at all: the text goes to a temporary file beside ``path``, which
-    then replaces ``path``.
+    then replaces ``path``.  A failure to write raises an ``OSError`` that
+    names ``path``, not the temporary file.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    # mode 0o666 less the umask, as open(path, "w") creates a file
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(config_to_dict(cfg), fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        # mode 0o666 less the umask, as open(path, "w") creates a file
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(config_to_dict(cfg), fh, indent=2)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None

@@ -17,23 +17,23 @@ carries several truths sharing ``design``, the observers and the run
 settings, each with every observer.  It is a plan, built by :func:`_plan`
 from all but the initial state, and a classical RK4 run of it, :func:`_run`.
 A plan holds the joint step matrices and the drive at every half step, one
-read-only float64 column per input channel.  A plan is kept until one of its
-models dies or the kept plans' arrays, generated source and recordings pass
-:data:`_KEPT_PLAN_BYTES` bytes, the least recently used going first; a
-larger plan runs once and is not kept.  A call on the same truth, design and
+read-only float64 column per input channel.
+
+:func:`simulate` alone keeps plans.  A call on the same truth, design and
 observer objects (compared by identity; they are frozen) with the same step,
 horizon and drive text runs its kept plan again from its own initial state
-without planning anew.
-
-The second run in a row of a kept plan of one truth from the same initial
-truth state ``x0`` copies the truth's values and its first observer's
-``f_u``, which reads no state, out of the step buffer after each step and
-keeps its delayed-output table; the plan's later runs from that ``x0``
-write them back instead of evaluating them, whatever ``xhat0`` is.  A
-recording is charged against the same bound (see :func:`_recording`); one
-that would not fit is never started.  Every run
-but a replayed one runs the plain stage, and a replayed run that fails runs
-again, so every failure is the one a fresh plan's run reports."""
+without planning anew.  A plan is kept until one of its models dies or the
+kept plans' arrays, generated source and recordings pass
+:data:`_KEPT_PLAN_BYTES` bytes, the least recently used going first; a
+larger plan runs once and is not kept.  The second run in a row of a kept
+plan from the same initial truth state ``x0`` copies the truth's values and
+its observer's ``f_u``, which reads no state, out of the step buffer after
+each step and keeps its delayed-output table; the plan's later runs from
+that ``x0`` write them back instead of evaluating them, whatever ``xhat0``
+is.  A recording is charged against the same bound (see :func:`_recording`);
+one that would not fit is never started.  Every run but a replayed one runs
+the plain stage, and a replayed run that fails runs again, so every failure
+is the one a fresh plan's run reports."""
 
 from __future__ import annotations
 
@@ -312,18 +312,6 @@ def _drive_function(exprs: tuple[Expr, ...]):
     return namespace["_drive"]
 
 
-def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
-             cfg: SimConfig) -> SimResult:
-    """Integrate plant and observer jointly over ``[0, t_end]``.
-
-    ``truth`` generates the states and measurements; ``design`` supplies
-    the expressions and delays the observer believes in.  The result holds
-    the grid trajectories of ``x``, of the estimate ``xhat`` (which starts
-    at ``xhat0``), of ``y`` and of the error integral ``jo``.
-    """
-    return _integrate([truth], design, [obs], cfg)[0][0]
-
-
 # The most bytes the kept plans may hold together in arrays, generated source
 # and recordings.
 _KEPT_PLAN_BYTES = 32 * 2**20
@@ -336,40 +324,23 @@ _KEPT_PLAN_BYTES = 32 * 2**20
 _kept_plans: dict = {}
 
 
-def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[ObserverParams],
-               cfg: SimConfig, *, linear_twin: bool = False) -> list[list[SimResult]]:
-    """Integrate every truth in ``truths`` once, each carrying every observer
-    in ``observers``, all in one RK4 loop; with ``linear_twin``, each
-    observer is followed by its linear twin (``N = 0``), built only when
-    the call is planned.
+def simulate(truth: PlantModel, design: PlantModel, obs: ObserverParams,
+             cfg: SimConfig) -> SimResult:
+    """Integrate plant and observer jointly over ``[0, t_end]``.
 
-    The truths share ``design``, ``observers`` and ``cfg``; the result holds
-    one list of :class:`SimResult` per truth, one per observer, in order.  A
-    failure of any member ends the run at the earliest stage any member
-    fails; within a stage, members fail in group order: the first truth,
-    its observers, the next truth, and so on.  The models checked
-    themselves when built; here each observer must fit ``design``.
+    ``truth`` generates the states and measurements; ``design`` supplies
+    the expressions and delays the observer believes in.  The result holds
+    the grid trajectories of ``x``, of the estimate ``xhat`` (which starts
+    at ``xhat0``), of ``y`` and of the error integral ``jo``.
 
-    No truth reads an observer, and no design's ``f_u`` reads a state, so
-    runs of one plan from one ``x0`` share their truth's values and their
-    observers' ``f_u``.  A kept plan of one truth records the truth's and
-    its first observer's in its second run in a row from the same ``x0``
-    (see :func:`_recording` for its bytes), and its later runs from that
-    ``x0`` replay the recording instead of evaluating them; a run from
-    another ``x0`` drops it, and a recording run that fails keeps none.
-    The drive is keyed by the text ``cfg`` printed once.  A replayed run
-    that fails runs again without it, so it fails as a fresh plan's run does.
+    The plan is kept, and its truth recorded and replayed, as the module
+    docstring describes; the drive is keyed by the text ``cfg`` printed once.
     """
-    key = (tuple(map(id, truths)), id(design), tuple(map(id, observers)), linear_twin,
-           cfg.h, cfg.t_end, cfg._drive_text)
+    key = (id(truth), id(design), id(obs), cfg.h, cfg.t_end, cfg._drive_text)
     kept = _kept_plans.pop(key, None)
     if kept is None:
-        refs = [weakref.ref(m, lambda _: _kept_plans.pop(key, None))
-                for m in (*truths, design, *observers)]
-        if linear_twin:
-            observers = [o for obs in observers
-                         for o in (obs, replace(obs, N=np.zeros_like(obs.N)))]
-        kept = _plan(truths, design, observers, cfg), 0, refs, None, None
+        refs = [weakref.ref(m, lambda _: _kept_plans.pop(key, None)) for m in (truth, design, obs)]
+        kept = _plan([truth], design, [obs], cfg), 0, refs, None, None
     plan, _, refs, last_x0, recording = kept
     size = len(plan.src) + sum(a.nbytes for a in (plan.S, *plan.P, *plan.grid[0]))
     x0 = cfg.x0.tobytes()
@@ -381,10 +352,10 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
     try:
         if replay:
             try:
-                return _run(plan, cfg.x0, cfg.xhat0, recording)
+                return _run(plan, cfg.x0, cfg.xhat0, recording)[0][0]
             except SimulationError:
                 pass  # run again without it, to raise what a fresh plan's run raises
-        return _run(plan, cfg.x0, cfg.xhat0, None if replay else recording)
+        return _run(plan, cfg.x0, cfg.xhat0, None if replay else recording)[0][0]
     finally:
         if recording is not None and recording[1].flags.writeable:
             recording = None  # filled only by a run that completed
@@ -393,6 +364,21 @@ def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[Obs
             total = sum(entry[1] for entry in _kept_plans.values())
             while total > _KEPT_PLAN_BYTES:
                 total -= _kept_plans.pop(next(iter(_kept_plans)))[1]
+
+
+def _integrate(truths: list[PlantModel], design: PlantModel, observers: list[ObserverParams],
+               cfg: SimConfig) -> list[list[SimResult]]:
+    """Integrate every truth in ``truths`` once, each carrying every observer
+    in ``observers``, all in one RK4 loop of a plan built for this call.
+
+    The truths share ``design``, ``observers`` and ``cfg``; the result holds
+    one list of :class:`SimResult` per truth, one per observer, in order.  A
+    failure of any member ends the run at the earliest stage any member
+    fails; within a stage, members fail in group order: the first truth,
+    its observers, the next truth, and so on.  The models checked
+    themselves when built; here each observer must fit ``design``.
+    """
+    return _run(_plan(truths, design, observers, cfg), cfg.x0, cfg.xhat0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,9 +518,9 @@ def _drive_grid(exprs: tuple, u_off: int, steps: int, h: float) -> tuple:
 
 
 def _recording(plan: _Plan, room: int) -> tuple | None:
-    """An empty recording of ``plan``'s one truth, ``(src, values, y_table,
-    nbytes)``, for :func:`_run` to fill, or ``None`` when the plan has
-    several truths or the recording's bytes would pass ``room``.
+    """An empty recording of the one truth of ``plan``, ``(src, values,
+    y_table, nbytes)``, for :func:`_run` to fill, or ``None`` when its bytes
+    would pass ``room``.
 
     ``src`` is the replay form of the plan's stage source, ``values`` a
     writeable float64 array of one row per step, the ``V + n`` values that
@@ -544,8 +530,6 @@ def _recording(plan: _Plan, room: int) -> tuple | None:
     ``nbytes`` is ``values.nbytes``, ``144 + 40 n_y`` per table row (more
     than a row list's header, slot and floats), ``512`` and ``src``.
     """
-    if len(plan.layout) != 1:
-        return None
     members, cubic_at = plan.stage
     ns, nz = plan.S.shape
     lead = len(members[0][0]) + plan.n  # the truth's values, then its first observer's f_u
@@ -733,7 +717,8 @@ def _compare(truths: list[PlantModel], design: PlantModel, obs: ObserverParams,
     """:func:`compare_cubic_linear` of each truth in ``truths``, every pair
     carried by one :func:`_integrate` call."""
     reports = []
-    for cubic, linear in _integrate(truths, design, [obs], cfg, linear_twin=True):
+    twin = replace(obs, N=np.zeros_like(obs.N))
+    for cubic, linear in _integrate(truths, design, [obs, twin], cfg):
         jo_c = float(cubic.jo[-1])
         jo_l = float(linear.jo[-1])
         if jo_l > 0:

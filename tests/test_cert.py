@@ -194,6 +194,15 @@ def test_N_condition_fail_on_indefinite():
     assert res.classification == "fail"
 
 
+def test_N_condition_zero_band_is_relative_to_the_matrix_scale():
+    # M = diag(-1e4, -1e-8): its margin -1e-8 lies inside the band 1e-10 * 1e4
+    # of zero, and C = I leaves no output range to pass it on, so it fails
+    res = verify_N_condition(np.eye(2), np.diag([-5e3, -5e-9]), np.eye(2), np.eye(2), 1.0)
+    assert np.array_equal(res.matrix, np.diag([-1e4, -1e-8]))
+    assert res.margin == -1e-8
+    assert res.classification == "fail"
+
+
 # --- equilibrium uniqueness ----------------------------------------------
 
 def test_equilibrium_guaranteed_for_closed_form_gain():

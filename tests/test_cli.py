@@ -859,9 +859,13 @@ def test_overflowing_literal_is_a_config_error(configs, tmp_path, capsys, comman
 @pytest.mark.parametrize("command, change, message", [
     (["simulate", "--t-end", "1", "--input", "t^" + "9" * 5000], None,
      "input_signal[0]: power exponent out of range (at position 2)"),
+    (["simulate", "--t-end", "1", "--input", "t^" + "9" * 400], None,
+     "input_signal[0]: power exponent out of range (at position 2)"),
+    (["simulate", "--t-end", "1", "--input", "t^9007199254740993"], None,
+     "input_signal[0]: power exponent out of range (at position 2)"),
     (["certify", "--check-only"], ("f_L", 1, "x" + "1" * 4400),
      "f_L[1]: component index out of range (at position 0)"),
-], ids=["exponent", "index"])
+], ids=["exponent", "exponent-400-digits", "exponent-9007199254740993", "index"])
 def test_integer_past_the_digit_limit_is_a_config_error(configs, tmp_path, capsys,
                                                        command, change, message):
     doc = json.loads(configs["nominal"].read_text())
@@ -943,6 +947,9 @@ def test_unwritable_out_is_a_config_error(configs, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert any(line.startswith("error:") for line in err.splitlines())
     assert "Traceback" not in err
+    # the error names the path given, never a temporary file beside it
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert str(blocker / "out.csv") in line and ".tmp" not in line
 
 
 # --- invalid observers ----------------------------------------------------

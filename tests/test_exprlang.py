@@ -92,14 +92,22 @@ def test_overflowing_literal_is_a_syntax_error(text, position):
 
 @pytest.mark.parametrize("text, message, position", [
     ("x1^" + "9" * 5000, "power exponent out of range", 3),
+    ("x1^" + "9" * 400, "power exponent out of range", 3),
+    ("x1^9007199254740993", "power exponent out of range", 3),
     ("1 + x" + "1" * 4400, "component index out of range", 4),
     ("u1@" + "1" * 4400, "delay slot out of range", 3),
-], ids=["exponent", "index", "slot"])
+], ids=["exponent", "exponent-400-digits", "exponent-9007199254740993", "index", "slot"])
 def test_integer_past_the_digit_limit_is_a_syntax_error(text, message, position):
     # int() refuses more than 4300 digits with a bare ValueError
     with pytest.raises(ExprSyntaxError, match=f"^{message} \\(at position {position}\\)$") as exc:
         parse(text, DIMS)
     assert exc.value.position == position
+
+
+def test_a_power_exponent_of_2_to_the_53_is_kept_exact():
+    # the largest exponent accepted: a double holds it exactly, and it is even
+    e = parse_input_signal("t^9007199254740992")
+    assert e.exponent == 2**53 and evaluate(e, t=-1.0) == 1.0
 
 
 def test_range_errors():

@@ -14,9 +14,9 @@ members raised in group order (each truth, then its observers).  A kept
 plan, run again from another initial state, gives what a fresh plan gives,
 bit for bit; other models, step, horizon or drive text build a new one, and
 the kept plans stay within their byte bound, least recently used out first.
-Runs of a kept plan from a repeated initial truth state replay the truth's
-recorded values and its first observer's ``f_u``, and give what a fresh plan
-gives, failures included.
+Only ``simulate`` keeps plans.  Runs of a kept plan from a repeated initial
+truth state replay the truth's recorded values and its observer's ``f_u``,
+and give what a fresh plan gives, failures included.
 """
 
 import gc
@@ -35,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 from cubicobs import exprlang, sim
 from cubicobs.exprlang import (ExprEvalError, SignalDims, evaluate, parse, parse_input_signal,
                                unparse)
-from cubicobs.model import ConfigError, ObserverParams, PlantModel
+from cubicobs.model import ConfigError, ObserverParams, PlantModel, example_system
 from cubicobs.sim import HistoryBuffer, SimConfig, SimulationError
 
 _spec = importlib.util.spec_from_file_location(
@@ -486,7 +486,7 @@ def fresh_run(truth, design, obs, cfg):
 
 
 def plans_built(monkeypatch) -> list:
-    """The plans ``_integrate`` builds from now on, in order."""
+    """The plans built from now on, in order."""
     built, plan = [], sim._plan
 
     def counted(*args):
@@ -597,10 +597,14 @@ def test_interleaved_model_sets_plan_once_each(calls):
 
 
 def test_compare_cubic_linear_reuses_its_linear_twin(monkeypatch):
-    # calls that differ only in x0 and xhat0 plan once, twin included, and
-    # give what a fresh plan of the pair gives, bit for bit
+    # only simulate keeps plans: calls that differ only in x0 and xhat0 plan
+    # the observer and its linear twin together once per call, keep no plan,
+    # and give what a fresh plan of the pair gives, bit for bit
+    monkeypatch.setattr(sim, "_kept_plans", {})
     truth, design, observers, cfg = scenario(6, 3, [True], (2, 2, 2, 2), steps=12)
     obs = observers[0]
+    sim.simulate(truth, design, obs, cfg)
+    kept = [(key, id(entry)) for key, entry in sim._kept_plans.items()]
     twin = replace(obs, N=np.zeros_like(obs.N))
     cfgs = (cfg, replace(cfg, x0=0.5 * cfg.x0, xhat0=-2.0 * cfg.xhat0))
     want = [sim._run(sim._plan([truth], design, [obs, twin], c), c.x0, c.xhat0)[0] for c in cfgs]
@@ -609,7 +613,8 @@ def test_compare_cubic_linear_reuses_its_linear_twin(monkeypatch):
         rep = sim.compare_cubic_linear(truth, design, obs, c)
         assert_bit_equal(rep.cubic, cubic)
         assert_bit_equal(rep.linear, linear)
-    assert len(built) == 1
+    assert len(built) == len(cfgs)
+    assert [(key, id(entry)) for key, entry in sim._kept_plans.items()] == kept
 
 
 def kept_sizes():
@@ -628,7 +633,7 @@ def test_a_kept_plan_goes_with_its_models(monkeypatch):
         want = fresh_run(truth, design, fresh, cfg)
         assert_bit_equal(sim.simulate(truth, design, fresh, cfg), want)
         sim.compare_cubic_linear(truth, design, fresh, cfg)
-        assert len(sim._kept_plans) == 2
+        assert len(sim._kept_plans) == 1
         del fresh
         assert sim._kept_plans == {}
     assert len(built) == 3 * 3  # fresh_run's plan, simulate's and the pair's
@@ -765,28 +770,6 @@ def test_replayed_input_terms_that_read_outputs_are_bit_equal(monkeypatch, f_u, 
     assert bool(entry[0].y_off) == bool(tau) and not entry[4][1].flags.writeable
 
 
-def test_replayed_compare_cubic_linear_is_bit_equal(monkeypatch):
-    # two observers: only the first one's f_u is recorded, so the linear twin
-    # still evaluates its own in each replayed stage.  A plain stage computes
-    # the pair's one shared term once
-    monkeypatch.setattr(sim, "_kept_plans", {})
-    (truth, _, obs), cfg = replay_scenario()
-    design = input_term_design("0.5*cos(u2) + y1")
-    twin = replace(obs, N=np.zeros_like(obs.N))
-    cfgs = [replace(cfg, xhat0=[a]) for a in (0.0, 1.0, -2.0, 0.5)]
-    want = [sim._run(sim._plan([truth], design, [obs, twin], c), c.x0, c.xhat0)[0] for c in cfgs]
-    f_u_calls = truth_calls(monkeypatch, "cos")
-    counts = []
-    for c, (cubic, linear) in zip(cfgs, want):
-        rep = sim.compare_cubic_linear(truth, design, obs, c)
-        assert_bit_equal(rep.cubic, cubic)
-        assert_bit_equal(rep.linear, linear)
-        counts.append(len(f_u_calls))
-    assert counts == [16, 32, 48, 64]
-    (entry,) = sim._kept_plans.values()
-    assert entry[4][1].shape == (4, 4 * (2 + 1)) and not entry[4][1].flags.writeable
-
-
 def test_a_replayed_run_that_fails_fails_as_a_fresh_run(monkeypatch):
     # xhat0 = 1e120 overflows the cubic term in the first stage; 0 * inf
     # then makes every state nan.  A fresh run blames the truth's expression
@@ -855,7 +838,7 @@ def test_a_recording_is_charged_at_least_the_bytes_it_holds(monkeypatch):
     tracemalloc.start()
     try:
         for _ in range(2):
-            sim._integrate([truth], design, observers, cfg)
+            sim.simulate(truth, design, observers[0], cfg)
         ((key, entry),) = sim._kept_plans.items()
         charged = entry[4][3]
         assert entry[0].y_off and len(entry[4][1]) == 200 and len(entry[4][2]) > 400
@@ -870,9 +853,9 @@ def test_a_recording_is_charged_at_least_the_bytes_it_holds(monkeypatch):
     assert 0 < held <= charged
 
 
-def test_a_plan_of_two_truths_records_nothing(monkeypatch):
-    # only a plan of one truth records: three runs of two truths from one x0
-    # keep no recording and give what a fresh plan gives
+def test_a_plan_of_two_truths_records_nothing(monkeypatch, tmp_path):
+    # only simulate keeps plans: three runs of two truths from one x0, and
+    # example_study's two truths, keep nothing and give what a fresh plan gives
     monkeypatch.setattr(sim, "_kept_plans", {})
     truth, design, observers, cfg = scenario(8, 4, [True, False], (2, 2, 2, 2), steps=20)
     truths = [truth, other_truth(8, truth)]
@@ -882,8 +865,18 @@ def test_a_plan_of_two_truths_records_nothing(monkeypatch):
         for got_group, want_group in zip(got, want, strict=True):
             for g, w in zip(got_group, want_group, strict=True):
                 assert_bit_equal(g, w)
-        ((plan, _, _, x0, recording),) = sim._kept_plans.values()
-        assert x0 == cfg.x0.tobytes() and recording is None
+        assert sim._kept_plans == {}
+    ex = example_system()
+    study = SimConfig(h=0.01, t_end=20.0, x0=np.zeros(2), xhat0=[-5.0, -5.0],
+                      input_signal=(sim.DEFAULT_INPUT_SIGNAL,) * ex.nominal.n_u)
+    twin = replace(ex.observer, N=np.zeros_like(ex.observer.N))
+    want = sim._run(sim._plan([ex.nominal, ex.uncertain], ex.nominal, [ex.observer, twin], study),
+                    study.x0, study.xhat0)
+    report = sim.example_study(tmp_path)
+    for rep, (cubic, linear) in zip((report.nominal, report.uncertain), want, strict=True):
+        assert_bit_equal(rep.cubic, cubic)
+        assert_bit_equal(rep.linear, linear)
+    assert sim._kept_plans == {}
 
 
 SETS = st.integers(0, 1)
